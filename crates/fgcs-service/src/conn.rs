@@ -185,30 +185,13 @@ fn handle_request(
             if let Some(err) = read_staleness_gate(shared) {
                 return err;
             }
-            // Rank currently harvestable machines (available, no spike
-            // pending) by predicted survival over the job length; the
-            // sorted collection makes ties deterministic (lowest id
-            // wins).
-            let candidates: Vec<u32> = shared
-                .machines_sorted()
-                .into_iter()
-                .filter(|(_, cell)| {
-                    // A poisoned cell is simply not placeable.
-                    cell.lock()
-                        .map(|m| m.is_available() && !m.spike_active())
-                        .unwrap_or(false)
-                })
-                .map(|(id, _)| id)
-                .collect();
+            // One pass over the online model's placement table: the
+            // harvestable flags ingest publishes there (available, no
+            // spike pending) and the history they are ranked by sit
+            // under the one lock, so no shard map, machine cell or
+            // per-fleet allocation is touched. Ties go to the lowest id.
             let online = shared.lock_online();
-            let now = online.horizon();
-            let mut best: Option<(u32, f64)> = None;
-            for id in candidates {
-                let p = online.predict_machine(id, now, job_len);
-                if best.is_none_or(|(_, bp)| p > bp) {
-                    best = Some((id, p));
-                }
-            }
+            let best = online.place(online.horizon(), job_len);
             drop(online);
             shared.counters.update(|c| c.placements_answered += 1);
             match best {
@@ -382,4 +365,82 @@ fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
         });
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServiceConfig;
+    use fgcs_wire::{SampleLoad, WireSample};
+
+    #[test]
+    fn poisoned_machine_cell_is_a_typed_error_and_place_never_touches_it() {
+        let shared = Shared::new(ServiceConfig::default()).unwrap();
+        for machine in [1u32, 2] {
+            let samples = (0..4)
+                .map(|i| WireSample {
+                    t: 60 * i,
+                    load: SampleLoad::Direct(0.05),
+                    host_resident_mb: 64,
+                    alive: true,
+                })
+                .collect();
+            shared.ingest_batch(&Batch { machine, samples });
+        }
+        // A panic while machine 1's lock is held, as a bug mid-ingest
+        // would leave it.
+        let cell = shared.machine_get(1).unwrap();
+        let panicked = std::thread::spawn(move || {
+            let _held = cell.lock().unwrap();
+            panic!("poisoning machine 1 on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        let mut ctx = ConnCtx::default();
+        let mut ask =
+            |frame| match handle_conn_frame(&shared, frame, &mut ctx, &mut IngestSink::Queue) {
+                Outcome::Reply(reply) | Outcome::ReplyThenClose(reply) => reply,
+            };
+        for frame in [
+            Frame::QueryAvail {
+                machine: 1,
+                horizon: 1800,
+            },
+            Frame::QueryTransitions {
+                machine: 1,
+                since_seq: 0,
+                max: 8,
+            },
+        ] {
+            let reply = ask(frame);
+            assert!(
+                matches!(
+                    reply,
+                    Frame::Error {
+                        code: ErrorCode::Internal,
+                        ..
+                    }
+                ),
+                "the one machine is unusable, typed: {reply:?}"
+            );
+        }
+        // Its neighbour answers, and `Place` — which reads only the
+        // online model's table, where machine 1 keeps the flag its last
+        // whole batch published — answers too.
+        assert!(matches!(
+            ask(Frame::QueryAvail {
+                machine: 2,
+                horizon: 1800
+            }),
+            Frame::AvailReply { machine: 2, .. }
+        ));
+        assert!(matches!(
+            ask(Frame::Place { job_len: 3600 }),
+            Frame::PlaceReply {
+                machine: Some(1),
+                ..
+            }
+        ));
+    }
 }

@@ -264,7 +264,12 @@ fn process_conn(
                     if !drain_frames(shared, conn, ebuf, router) {
                         return false;
                     }
-                    if conn.close_after_flush {
+                    // A short read drained the socket: skip the extra
+                    // `read` that would only say `WouldBlock`. The
+                    // registration is level-triggered, so bytes — or a
+                    // peer's close — arriving after this read come back
+                    // as the next readiness event.
+                    if conn.close_after_flush || n < rbuf.len() {
                         break;
                     }
                 }

@@ -45,7 +45,10 @@ use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_testbed::SupervisorConfig;
-use fgcs_wire::{ErrorCode, Frame, ReplEntry, WireSample, MAX_REPL_ENTRIES_PER_FRAME};
+use fgcs_wire::{
+    ErrorCode, Frame, ReplEntry, WireSample, MAX_FRAME_LEN, MAX_REPL_ENTRIES_PER_FRAME,
+    REPL_ENTRIES_HEADER_LEN,
+};
 
 use crate::client::{ClientConfig, ServiceClient};
 use crate::snapshot;
@@ -87,6 +90,10 @@ pub(crate) struct ReplLogStatus {
 
 #[derive(Debug)]
 struct ReplLogInner {
+    /// Retained entries, oldest first, seqs contiguous up to
+    /// `next_seq - 1`: `append_local` allocates consecutively,
+    /// `append_remote` refuses gaps, and every cursor jump clears the
+    /// deque — so an entry's position is its seq minus the front's.
     entries: VecDeque<ReplEntry>,
     /// Next seq to allocate (primary) / expect (follower). Head is
     /// `next_seq - 1`.
@@ -210,7 +217,11 @@ impl ReplLog {
         self.inner.lock().unwrap().acked_seq
     }
 
-    /// Answers a pull for entries past `after_seq`.
+    /// Answers a pull for entries past `after_seq`: at most
+    /// `max_entries`, and no more than one frame can carry — a puller
+    /// further behind than that gets the oldest part now and the rest on
+    /// its next pull (each reply holds at least one entry, so it always
+    /// advances).
     pub(crate) fn pull(&self, after_seq: u64, max_entries: usize) -> PullReply {
         let inner = self.inner.lock().unwrap();
         let head = inner.next_seq - 1;
@@ -228,13 +239,18 @@ impl ReplLog {
         match inner.entries.front() {
             Some(front) if front.seq <= after_seq + 1 => {
                 let cap = max_entries.min(MAX_REPL_ENTRIES_PER_FRAME);
-                let entries: Vec<ReplEntry> = inner
-                    .entries
-                    .iter()
-                    .filter(|e| e.seq > after_seq)
-                    .take(cap)
-                    .cloned()
-                    .collect();
+                let skip = (after_seq + 1 - front.seq) as usize;
+                let mut room = MAX_FRAME_LEN - REPL_ENTRIES_HEADER_LEN;
+                let mut entries: Vec<ReplEntry> = Vec::new();
+                for e in inner.entries.iter().skip(skip).take(cap) {
+                    debug_assert_eq!(e.seq, after_seq + 1 + entries.len() as u64);
+                    let len = e.encoded_len();
+                    if len > room && !entries.is_empty() {
+                        break;
+                    }
+                    room = room.saturating_sub(len);
+                    entries.push(e.clone());
+                }
                 PullReply::Entries {
                     head_seq: head,
                     entries,
@@ -764,6 +780,71 @@ mod tests {
             }
             PullReply::NeedSnapshot => panic!("zero-cap pull of a retained seq must answer"),
         }
+    }
+
+    #[test]
+    fn pull_fills_one_frame_at_most_and_resumes_where_it_stopped() {
+        // 1,000 entries of 128 samples are ~2.8 MB on the wire: nearly
+        // three frames' worth, while the entry cap alone would try to
+        // send them all in one.
+        let samples = vec![
+            WireSample {
+                t: 0,
+                load: fgcs_wire::SampleLoad::Direct(0.1),
+                host_resident_mb: 100,
+                alive: true,
+            };
+            128
+        ];
+        let log = ReplLog::new(4_096);
+        for i in 1..=1_000u64 {
+            log.append_local(1, samples.clone(), i, 1);
+        }
+        let mut after = 0;
+        let mut pulls = 0;
+        while after < 1_000 {
+            let PullReply::Entries { head_seq, entries } =
+                log.pull(after, MAX_REPL_ENTRIES_PER_FRAME)
+            else {
+                panic!("retained position must stream");
+            };
+            assert!(!entries.is_empty(), "every reply advances the puller");
+            for (i, e) in entries.iter().enumerate() {
+                assert_eq!(e.seq, after + 1 + i as u64, "contiguous, in order");
+            }
+            after = entries.last().unwrap().seq;
+            let frame = Frame::ReplEntries {
+                head_seq,
+                epoch: 1,
+                lease_ms: 0,
+                entries,
+            };
+            assert!(frame.encode().is_ok(), "pull {pulls}: reply fits a frame");
+            pulls += 1;
+        }
+        assert_eq!(pulls, 3, "each reply filled its frame");
+    }
+
+    #[test]
+    fn pull_seeks_by_offset_in_a_mirrored_log_too() {
+        // A follower's own log starts wherever its snapshot left off,
+        // not at seq 1.
+        let log = ReplLog::new(8);
+        log.reset_to(40);
+        for seq in 41..=46u64 {
+            log.append_remote(&entry(seq)).unwrap();
+        }
+        match log.pull(43, 2) {
+            PullReply::Entries { head_seq, entries } => {
+                assert_eq!(head_seq, 46);
+                assert_eq!(
+                    entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+                    vec![44, 45]
+                );
+            }
+            PullReply::NeedSnapshot => panic!("retained pull must not resync"),
+        }
+        assert!(matches!(log.pull(39, 2), PullReply::NeedSnapshot));
     }
 
     // --- Liveness: the failure detector driving self-promotion.

@@ -453,6 +453,15 @@ impl Server {
             .map_or(0, |cell| cell.lock().unwrap().out_of_order)
     }
 
+    /// The harvestable flag `Place` currently reads for one machine —
+    /// the copy ingest publishes into the online model's placement
+    /// table — or `None` if the model does not know the machine. The
+    /// machine cells report theirs through [`Server::stats`]; the two
+    /// must agree whenever ingest is quiescent.
+    pub fn placement_flag(&self, machine: u32) -> Option<bool> {
+        self.shared.lock_online().harvestable(machine)
+    }
+
     /// How many event loops serve connections (1 for the threaded
     /// backend).
     pub fn event_loops(&self) -> usize {

@@ -278,8 +278,11 @@ impl MachineState {
         self.recorder.is_available()
     }
 
-    pub(crate) fn spike_active(&self) -> bool {
-        self.recorder.spike_active()
+    /// Whether a guest may be placed here right now: available, and no
+    /// load spike pending. What `Place` ranks and
+    /// `MachineStat::harvestable` reports.
+    pub(crate) fn harvestable(&self) -> bool {
+        self.recorder.is_available() && !self.recorder.spike_active()
     }
 
     pub(crate) fn last_t(&self) -> u64 {
@@ -647,7 +650,7 @@ impl Shared {
         let mut online = OnlineAvailabilityModel::new(self.cfg.start_weekday);
         let mut horizon = None;
         for (id, st) in &restored {
-            online.ensure_machine(*id);
+            online.set_harvestable(*id, st.harvestable());
             for r in st.records() {
                 online.record_event(*id, r.start);
             }
@@ -837,9 +840,15 @@ impl Shared {
             return Arc::clone(m);
         }
         let m = Arc::new(Mutex::new(MachineState::new(machine, &self.cfg)));
+        // Registered under the new cell's own lock, like every later
+        // publication (see `finish_ingest`): whoever finds the cell in
+        // the map waits on it until the model knows the machine.
+        let fresh = m.lock().expect("a lock nobody else has seen yet");
         map.insert(machine, Arc::clone(&m));
         drop(map);
-        self.lock_online().ensure_machine(machine);
+        self.lock_online()
+            .set_harvestable(machine, fresh.harvestable());
+        drop(fresh);
         m
     }
 
@@ -894,13 +903,32 @@ impl Shared {
                 );
                 m.last_repl_seq = seq;
             }
+            self.finish_ingest(batch.machine, &m, batch.samples.len(), started, max_t);
         }
-        self.finish_ingest(batch.machine, batch.samples.len(), started, max_t);
     }
 
-    /// The post-machine-lock half of ingest: online-model updates
-    /// (under the model's own lock) and the accounting counters.
-    fn finish_ingest(&self, machine: u32, n_samples: usize, started: Vec<u64>, max_t: Option<u64>) {
+    /// The tail of a machine's ingest critical section: online-model
+    /// updates (under the model's own lock, nested machine → online like
+    /// machine → repl log; nothing takes the two the other way round)
+    /// and the accounting counters.
+    ///
+    /// `m` is the caller's guard on the machine, and that is what keeps
+    /// the model's placement table honest: the harvestable flag is only
+    /// ever written by a thread holding that machine's lock, so the
+    /// table holds the machine's state as of its latest critical
+    /// section whatever the writers' timing. (Per-machine ingest is
+    /// serial in any case — the home event loop, one
+    /// `IngestQueue::claim` at a time, one follower apply thread — but
+    /// the flag does not lean on it.) `Place` then reads flags and
+    /// history under the one online lock and never touches a cell.
+    fn finish_ingest(
+        &self,
+        machine: u32,
+        m: &MachineState,
+        n_samples: usize,
+        started: Vec<u64>,
+        max_t: Option<u64>,
+    ) {
         let mut online = self.lock_online();
         if let Some(t) = max_t {
             online.observe_time(t);
@@ -908,6 +936,7 @@ impl Shared {
         for at in started {
             online.record_event(machine, at);
         }
+        online.set_harvestable(machine, m.harvestable());
         drop(online);
         self.counters.update(|c| {
             c.ingested_batches += 1;
@@ -951,9 +980,9 @@ impl Shared {
                 applied = true;
             }
             self.repl.append_remote(entry)?;
-        }
-        if applied {
-            self.finish_ingest(entry.machine, entry.samples.len(), started, max_t);
+            if applied {
+                self.finish_ingest(entry.machine, &m, entry.samples.len(), started, max_t);
+            }
         }
         Ok(())
     }
@@ -973,7 +1002,7 @@ impl Shared {
                     last_t: m.last_t(),
                     occurrences: m.records().len() as u64,
                     transitions: m.transitions().len() as u64,
-                    harvestable: m.is_available() && !m.spike_active(),
+                    harvestable: m.harvestable(),
                 }
             })
             .collect();

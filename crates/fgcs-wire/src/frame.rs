@@ -27,6 +27,11 @@ pub const MAX_AUTH_TOKEN: usize = 256;
 /// Hard cap on entries per [`Frame::ReplEntries`]. Each entry carries
 /// one ingested batch, so this bounds replication catch-up chunks.
 pub const MAX_REPL_ENTRIES_PER_FRAME: usize = 1_024;
+/// Payload bytes of a [`Frame::ReplEntries`] before its first entry
+/// (`head_seq`, `epoch`, `lease_ms`, entry count). With
+/// [`ReplEntry::encoded_len`] it lets a sender fill a reply up to
+/// [`crate::codec::MAX_FRAME_LEN`] and no further.
+pub const REPL_ENTRIES_HEADER_LEN: usize = 8 + 8 + 8 + 4;
 /// Hard cap on the serialized snapshot carried by a
 /// [`Frame::ReplSnapshot`] resync: the largest byte string that still
 /// fits a single frame under [`crate::codec::MAX_FRAME_LEN`] (8-byte
@@ -95,6 +100,21 @@ pub struct ReplEntry {
     pub next_seq_after: u64,
     /// The raw samples, exactly as ingested.
     pub samples: Vec<WireSample>,
+}
+
+impl ReplEntry {
+    /// Bytes this entry occupies in a [`Frame::ReplEntries`] payload.
+    pub fn encoded_len(&self) -> usize {
+        let samples: usize = self
+            .samples
+            .iter()
+            .map(|s| match s.load {
+                SampleLoad::Direct(_) => 8 + 1 + 8 + 4 + 1,
+                SampleLoad::Counters { .. } => 8 + 1 + 16 + 4 + 1,
+            })
+            .sum();
+        8 + 4 + 8 + 8 + 4 + samples
+    }
 }
 
 /// Per-machine entry of a [`StatsPayload`].
@@ -1440,6 +1460,46 @@ mod tests {
             over.encode(),
             Err(EncodeError::TooManyElements { .. })
         ));
+    }
+
+    #[test]
+    fn repl_entry_encoded_len_is_what_the_encoder_writes() {
+        let sample = |load| WireSample {
+            t: 7,
+            load,
+            host_resident_mb: 64,
+            alive: true,
+        };
+        let entries = vec![
+            ReplEntry {
+                seq: 1,
+                machine: 2,
+                last_t_after: 3,
+                next_seq_after: 4,
+                samples: vec![],
+            },
+            ReplEntry {
+                seq: 2,
+                machine: 2,
+                last_t_after: 3,
+                next_seq_after: 4,
+                samples: vec![
+                    sample(SampleLoad::Direct(0.5)),
+                    sample(SampleLoad::Counters { busy: 1, total: 2 }),
+                    sample(SampleLoad::Direct(0.25)),
+                ],
+            },
+        ];
+        let want = REPL_ENTRIES_HEADER_LEN + entries.iter().map(|e| e.encoded_len()).sum::<usize>();
+        let enc = Frame::ReplEntries {
+            head_seq: 2,
+            epoch: 1,
+            lease_ms: 0,
+            entries,
+        }
+        .encode()
+        .unwrap();
+        assert_eq!(enc.len() - crate::codec::HEADER_LEN, want);
     }
 
     #[test]

@@ -364,4 +364,17 @@ FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput
 echo "== fleet path smoke (quick mode) =="
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench fleet
 
+echo "== placement path smoke (quick mode) =="
+FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench place
+
+echo "== benchmark gates (benchmark/: names agree, query_mix bit-identity) =="
+# The benchmark package is a build of its own; these two runs keep it
+# compiling against the crates and put its query_mix gate — every
+# AvailReply and the PlaceReply bit-equal to an in-process
+# OnlineAvailabilityModel fed the same events — in front of every
+# change, not only the next full benchmark run. A failed gate exits 1.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload query_mix --quick > /dev/null
+
 echo "ci.sh: all green"

@@ -78,6 +78,8 @@ pub struct ServiceClient {
     cfg: ClientConfig,
     stream: Option<TcpStream>,
     decoder: Decoder,
+    /// Scratch for socket reads, kept across requests.
+    read_buf: Vec<u8>,
     /// Successful reconnections performed (first connect excluded).
     pub reconnects: u64,
     /// Time of the last successful connect, for the healthy-reset rule.
@@ -93,6 +95,7 @@ impl ServiceClient {
             cfg,
             stream: None,
             decoder: Decoder::new(),
+            read_buf: vec![0u8; 16 * 1024],
             reconnects: 0,
             connected_at: None,
             ever_connected: false,
@@ -254,7 +257,6 @@ impl ServiceClient {
     fn exchange(&mut self, bytes: &[u8]) -> io::Result<Frame> {
         let stream = self.stream.as_mut().expect("connected");
         stream.write_all(bytes)?;
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(frame)) => return Ok(frame),
@@ -265,14 +267,18 @@ impl ServiceClient {
                     return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
                 }
             }
-            let n = self.stream.as_mut().expect("connected").read(&mut buf)?;
+            let n = self
+                .stream
+                .as_mut()
+                .expect("connected")
+                .read(&mut self.read_buf)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection before replying",
                 ));
             }
-            self.decoder.push(&buf[..n]);
+            self.decoder.push(&self.read_buf[..n]);
         }
     }
 }

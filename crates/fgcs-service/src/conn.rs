@@ -385,7 +385,7 @@ mod tests {
                     alive: true,
                 })
                 .collect();
-            shared.ingest_batch(&Batch { machine, samples });
+            shared.ingest_batch(Batch { machine, samples });
         }
         // A panic while machine 1's lock is held, as a bug mid-ingest
         // would leave it.

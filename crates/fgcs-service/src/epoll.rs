@@ -100,7 +100,7 @@ impl LoopRouter {
     pub(crate) fn submit(&mut self, shared: &Shared, batch: Batch) -> Option<Batch> {
         let home = shared.home_loop(batch.machine);
         if home == self.loop_id {
-            shared.ingest_batch(&batch);
+            shared.ingest_batch(batch);
             return None;
         }
         let tx = self.forward_tx[home]
@@ -378,7 +378,7 @@ fn drain_forwarded(shared: &Shared, forward_rx: &[Option<Receiver<Batch>>]) {
         loop {
             match rx.try_recv() {
                 Ok(batch) => {
-                    shared.ingest_batch(&batch);
+                    shared.ingest_batch(batch);
                     shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
@@ -499,7 +499,7 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
     }
     for rx in ctx.forward_rx.iter().flatten() {
         while let Ok(batch) = rx.recv() {
-            shared.ingest_batch(&batch);
+            shared.ingest_batch(batch);
             shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
         }
     }

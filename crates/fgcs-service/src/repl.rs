@@ -165,7 +165,7 @@ impl ReplLog {
     /// promoted follower can serve *its* follower) and advances the
     /// expected cursor. Entries below the cursor are duplicate
     /// deliveries and ignored; a gap above it is a protocol violation.
-    pub(crate) fn append_remote(&self, entry: &ReplEntry) -> Result<(), String> {
+    pub(crate) fn append_remote(&self, entry: ReplEntry) -> Result<(), String> {
         let mut inner = self.inner.lock().unwrap();
         if entry.seq < inner.next_seq {
             return Ok(());
@@ -177,7 +177,7 @@ impl ReplLog {
             ));
         }
         inner.next_seq = entry.seq + 1;
-        inner.entries.push_back(entry.clone());
+        inner.entries.push_back(entry);
         while inner.entries.len() > self.capacity {
             inner.entries.pop_front();
         }
@@ -409,7 +409,7 @@ fn pull_loop(shared: &Shared) {
                     .primary_head_seen
                     .store(head_seq.saturating_add(1), Ordering::Release);
                 let caught_up = entries.is_empty();
-                for e in &entries {
+                for e in entries {
                     if shared.shutting_down() {
                         return;
                     }
@@ -656,21 +656,21 @@ mod tests {
     #[test]
     fn append_remote_skips_duplicates_and_rejects_gaps() {
         let log = ReplLog::new(8);
-        log.append_remote(&entry(1)).unwrap();
-        log.append_remote(&entry(2)).unwrap();
+        log.append_remote(entry(1)).unwrap();
+        log.append_remote(entry(2)).unwrap();
         // Duplicate delivery after a reconnect: ignored.
-        log.append_remote(&entry(2)).unwrap();
+        log.append_remote(entry(2)).unwrap();
         assert_eq!(log.head_seq(), 2);
         // A gap can only mean a protocol violation.
-        assert!(log.append_remote(&entry(5)).is_err());
-        log.append_remote(&entry(3)).unwrap();
+        assert!(log.append_remote(entry(5)).is_err());
+        log.append_remote(entry(3)).unwrap();
         assert_eq!(log.head_seq(), 3);
     }
 
     #[test]
     fn reset_and_raise_move_the_cursor_safely() {
         let log = ReplLog::new(4);
-        log.append_remote(&entry(1)).unwrap();
+        log.append_remote(entry(1)).unwrap();
         log.reset_to(10);
         assert_eq!(log.head_seq(), 10);
         assert_eq!(log.status().len, 0);
@@ -832,7 +832,7 @@ mod tests {
         let log = ReplLog::new(8);
         log.reset_to(40);
         for seq in 41..=46u64 {
-            log.append_remote(&entry(seq)).unwrap();
+            log.append_remote(entry(seq)).unwrap();
         }
         match log.pull(43, 2) {
             PullReply::Entries { head_seq, entries } => {

@@ -656,7 +656,7 @@ fn ingest_worker(shared: &Shared) {
         let Some((machine, batches)) = claimed else {
             return;
         };
-        for batch in &batches {
+        for batch in batches {
             shared.ingest_batch(batch);
         }
         let mut queue = shared.lock_queue();

@@ -734,6 +734,30 @@ mod tests {
         );
     }
 
+    /// `serialize_snapshot(&sample_data())` as written by commit
+    /// 5063329, the last build whose `crc32` was the byte-at-a-time
+    /// loop. Snapshot directories outlive builds: this text must keep
+    /// loading, and the same state must keep serializing to it, trailer
+    /// included.
+    const GOLDEN_SNAPSHOT: &str = r#"{"kind":"snapshot","version":1,"machines":2,"elapsed_ms":7777,"repl_seq":42,"epoch":3}
+{"kind":"machine","machine":3,"mon_busy":123,"mon_total":4567,"mon_resets":2,"det":"unavail","det_code":3,"det_since":5100,"det_revived":5060,"det_last_t":5130,"open":1,"cpu_sum":0,"mem_sum":0,"avail_samples":0,"last_t":5130,"out_of_order":1,"next_seq":5,"last_repl_seq":42,"records":2,"transitions":2}
+{"kind":"machine","machine":9,"mon_busy":null,"mon_total":null,"mon_resets":0,"det":"avail","det_code":2,"det_since":null,"det_revived":null,"det_last_t":45,"open":null,"cpu_sum":1.55,"mem_sum":2048,"avail_samples":2,"last_t":45,"out_of_order":0,"next_seq":2,"last_repl_seq":0,"records":0,"transitions":1}
+{"kind":"record","machine":3,"cause":"CpuContention","start":600,"end":1200,"raw_end":900,"avail_cpu":0.9375,"avail_mem_mb":812}
+{"kind":"record","machine":3,"cause":"Revocation","start":5000,"end":null,"raw_end":null,"avail_cpu":0.30000000000000004,"avail_mem_mb":400}
+{"kind":"transition","machine":3,"seq":1,"at":600,"state":3}
+{"kind":"transition","machine":3,"seq":4,"at":5000,"state":5}
+{"kind":"transition","machine":9,"seq":1,"at":30,"state":2}
+{"kind":"counters","ingested_batches":10,"ingested_samples":200,"shed_batches":1,"shed_samples":4,"decode_errors":0,"busy_replies":1,"queries_answered":5,"placements_answered":2,"auth_rejects":3,"conn_rejects":0}
+{"kind":"end","lines":9,"crc":3163318565}
+"#;
+
+    #[test]
+    fn golden_snapshot_from_an_older_build_loads_and_rewrites_identically() {
+        let data = parse_snapshot(GOLDEN_SNAPSHOT).expect("old snapshot verifies and parses");
+        assert_eq!(data, sample_data());
+        assert_eq!(serialize_snapshot(&data), GOLDEN_SNAPSHOT);
+    }
+
     #[test]
     fn pre_replication_snapshots_parse_with_zero_repl_cursors() {
         // Reconstruct the format as written before the replication

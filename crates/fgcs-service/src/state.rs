@@ -875,18 +875,20 @@ impl Shared {
     /// Ingests one claimed batch into its machine's pipeline and the
     /// online model. Called from ingest workers (threaded backend) or
     /// the machine's home event loop (epoll backend) only.
-    pub(crate) fn ingest_batch(&self, batch: &Batch) {
+    pub(crate) fn ingest_batch(&self, batch: Batch) {
         if self.cfg.ingest_delay_us > 0 {
             // Artificial per-batch cost, used by overload tests to pin
             // the server's ingest capacity below the offered load.
             std::thread::sleep(std::time::Duration::from_micros(self.cfg.ingest_delay_us));
         }
-        let cell = self.machine_entry(batch.machine);
+        let Batch { machine, samples } = batch;
+        let n_samples = samples.len();
+        let cell = self.machine_entry(machine);
         let mut started = Vec::new();
         let mut max_t = None;
         {
             let mut m = lock_timed(&cell, &self.locks.machines);
-            for s in &batch.samples {
+            for s in &samples {
                 started.extend(m.ingest_sample(&self.cfg, s));
                 max_t = Some(max_t.map_or(s.t, |t: u64| t.max(s.t)));
             }
@@ -895,15 +897,12 @@ impl Shared {
                 // lock (machine → log, the fixed order), so log order
                 // equals seq order and the stamp lands in the same
                 // critical section as the mutation it describes.
-                let seq = self.repl.append_local(
-                    batch.machine,
-                    batch.samples.clone(),
-                    m.last_t(),
-                    m.next_transition_seq(),
-                );
+                let seq =
+                    self.repl
+                        .append_local(machine, samples, m.last_t(), m.next_transition_seq());
                 m.last_repl_seq = seq;
             }
-            self.finish_ingest(batch.machine, &m, batch.samples.len(), started, max_t);
+            self.finish_ingest(machine, &m, n_samples, started, max_t);
         }
     }
 
@@ -950,7 +949,7 @@ impl Shared {
     /// asserts the divergence tripwires. An entry at or below the
     /// machine's stamp is a duplicate delivery and skipped whole —
     /// only the log cursor advances. Errors are fatal to replication.
-    pub(crate) fn apply_repl_entry(&self, entry: &ReplEntry) -> Result<(), String> {
+    pub(crate) fn apply_repl_entry(&self, entry: ReplEntry) -> Result<(), String> {
         let cell = self.machine_entry(entry.machine);
         let mut started = Vec::new();
         let mut max_t = None;
@@ -979,9 +978,10 @@ impl Shared {
                 }
                 applied = true;
             }
+            let (machine, n_samples) = (entry.machine, entry.samples.len());
             self.repl.append_remote(entry)?;
             if applied {
-                self.finish_ingest(entry.machine, &m, entry.samples.len(), started, max_t);
+                self.finish_ingest(machine, &m, n_samples, started, max_t);
             }
         }
         Ok(())
@@ -1224,7 +1224,7 @@ mod tests {
 
         let first = Shared::new(snap_cfg(&dir)).expect("shared");
         for m in [1u32, 5] {
-            first.ingest_batch(&wave_batch(m, 0, 200));
+            first.ingest_batch(wave_batch(m, 0, 200));
         }
         first.counters.update(|c| {
             c.queries_answered = 7;
@@ -1247,7 +1247,7 @@ mod tests {
         assert_eq!(after.queries_answered, 7);
         for m in [1u32, 5] {
             let orig = Shared::new(ServiceConfig::default()).unwrap();
-            orig.ingest_batch(&wave_batch(m, 0, 200));
+            orig.ingest_batch(wave_batch(m, 0, 200));
             let orig_cell = orig.machine_get(m).unwrap();
             let orig_state = orig_cell.lock().unwrap();
             let cell = second.machine_get(m).expect("machine restored");
@@ -1269,15 +1269,15 @@ mod tests {
 
         // Uninterrupted reference run.
         let reference = Shared::new(ServiceConfig::default()).unwrap();
-        reference.ingest_batch(&wave_batch(1, 0, 400));
+        reference.ingest_batch(wave_batch(1, 0, 400));
 
         // Interrupted run: first half, checkpoint, new Shared, second half.
         let first = Shared::new(snap_cfg(&dir)).expect("shared");
-        first.ingest_batch(&wave_batch(1, 0, 200));
+        first.ingest_batch(wave_batch(1, 0, 200));
         first.checkpoint_final();
         drop(first);
         let second = Shared::new(snap_cfg(&dir)).expect("restored");
-        second.ingest_batch(&wave_batch(1, 200, 200));
+        second.ingest_batch(wave_batch(1, 200, 200));
 
         let ref_cell = reference.machine_get(1).unwrap();
         let ref_state = ref_cell.lock().unwrap();
@@ -1304,16 +1304,15 @@ mod tests {
         // out-of-order check (which only rejects t < last_t) and would
         // skew the availability means if replayed.
         let shared = Shared::new(ServiceConfig::default()).unwrap();
-        shared.ingest_batch(&wave_batch(1, 0, 100));
+        shared.ingest_batch(wave_batch(1, 0, 100));
         let cell = shared.machine_get(1).unwrap();
         let oo = cell.lock().unwrap().out_of_order;
         assert_eq!(oo, 0);
         // Replay the last sample (t == last_t): not counted out-of-order.
-        let last = wave_batch(1, 99, 1);
-        shared.ingest_batch(&last);
+        shared.ingest_batch(wave_batch(1, 99, 1));
         assert_eq!(cell.lock().unwrap().out_of_order, 0);
         // A genuinely old sample is rejected and counted.
-        shared.ingest_batch(&wave_batch(1, 50, 1));
+        shared.ingest_batch(wave_batch(1, 50, 1));
         assert_eq!(cell.lock().unwrap().out_of_order, 1);
     }
 }

@@ -33,11 +33,16 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 const MAGIC: [u8; 2] = [0x46, 0x43];
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven, built at compile time.
+// CRC32 (IEEE 802.3), slicing-by-8, tables built at compile time.
 // ---------------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic reflected byte table; `CRC_TABLES[j]`
+/// advances a byte past `j` further zero bytes
+/// (`t[j][i] = t[0][t[j-1][i] & 0xff] ^ (t[j-1][i] >> 8)`), so eight
+/// input bytes fold in eight independent lookups instead of a chain of
+/// eight dependent ones. 8 KiB in all.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -50,19 +55,46 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC32 (IEEE) of `data`.
+/// CRC32 (IEEE) of `data`: eight bytes per step, the last `len % 8`
+/// one at a time. Same polynomial, reflection, init and final XOR as
+/// the bytewise loop it replaced, so frames and snapshot trailers are
+/// bit-compatible across builds.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -415,12 +447,71 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
     use crate::frame::ErrorCode;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop `crc32` replaced, kept verbatim as the
+    /// oracle: every old peer and every snapshot on disk was written
+    /// with it.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// A fixed pseudo-random buffer.
+    fn scrambled(len: usize) -> Vec<u8> {
+        let mut rng = proptest::test_runner::TestRng::new(0x0123_4567_89ab_cdef);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE check value for "123456789".
+    fn crc32_matches_known_vectors() {
+        // IEEE 802.3 check values; "123456789" is the canonical one.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+        assert_eq!(crc32(&[0x00; 32]), 0x190a_55ad);
+        assert_eq!(crc32(&[0xff; 32]), 0xff6c_ab0b);
+        let ramp: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32(&ramp), 0x9126_7e8a);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_oracle_at_every_length_and_offset() {
+        // Lengths 0..=64 cross the 8-byte main loop and every tail
+        // length; offsets 0..8 cover every alignment of the slice start.
+        let buf = scrambled(64 + 8);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_oracle_at_max_frame_len() {
+        let buf = scrambled(MAX_FRAME_LEN);
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_equals_the_bytewise_oracle_on_random_buffers(
+            buf in prop::collection::vec(any::<u8>(), 0..(64 * 1024 + 1)),
+            skip in 0usize..8,
+        ) {
+            let s = &buf[skip.min(buf.len())..];
+            prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
     }
 
     #[test]

@@ -367,14 +367,23 @@ FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench fleet
 echo "== placement path smoke (quick mode) =="
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench place
 
-echo "== benchmark gates (benchmark/: names agree, query_mix bit-identity) =="
-# The benchmark package is a build of its own; these two runs keep it
-# compiling against the crates and put its query_mix gate — every
+echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) =="
+# Exits non-zero by itself when the ratio gate fails.
+FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench wire
+
+echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl bit-identity) =="
+# The benchmark package is a build of its own; these runs keep it
+# compiling against the crates and put its gates in front of every
+# change, not only the next full benchmark run: query_mix — every
 # AvailReply and the PlaceReply bit-equal to an in-process
-# OnlineAvailabilityModel fed the same events — in front of every
-# change, not only the next full benchmark run. A failed gate exits 1.
+# OnlineAvailabilityModel fed the same events — and ingest_bulk_repl —
+# the follower's repl_seq equal to the primary's, both nodes' records
+# and transitions equal to an in-process replay, which no frame with a
+# wrong checksum survives. A failed gate exits 1.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload query_mix --quick > /dev/null
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload ingest_bulk_repl --quick > /dev/null
 
 echo "ci.sh: all green"

@@ -11,17 +11,28 @@
 //!   [`RankSketch`] over a 100k-element stream: the sketch is what lets
 //!   the Figure 6 analysis run without materializing fleet-scale
 //!   interval vectors.
+//!
+//! After the rows it gates the span tracer against the per-sample one
+//! in the same process: on the student-lab archetype — the paper's lab,
+//! which `run_testbed` traces for every §5 artifact — it must be at
+//! least [`MIN_SPEEDUP`]× faster or the bench exits non-zero. A ratio,
+//! so host speed cancels.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 
+use fgcs_bench::best_ns;
 use fgcs_core::detector::DetectorConfig;
 use fgcs_stats::quantile::quantiles;
 use fgcs_stats::sketch::RankSketch;
 use fgcs_testbed::fleet::Archetype;
 use fgcs_testbed::runner::{trace_machine, trace_machine_batched, TestbedConfig};
+
+/// The span tracer measures 2.7–2.8× the per-sample one on the student
+/// lab; anything under this means the idle fast path stopped engaging.
+const MIN_SPEEDUP: f64 = 2.0;
 
 fn archetype_testbed(arch: Archetype) -> TestbedConfig {
     let mut lab = arch.lab_config();
@@ -96,4 +107,30 @@ criterion_group! {
     config = config();
     targets = bench_tracer, bench_quantiles
 }
-criterion_main!(benches);
+
+fn gate() {
+    let cfg = archetype_testbed(Archetype::StudentLab);
+    let iters = if std::env::var_os("FGCS_BENCH_QUICK").is_some() {
+        5
+    } else {
+        25
+    };
+    let span = best_ns(7, iters, || trace_machine_batched(black_box(&cfg), 0).len());
+    let per_sample = best_ns(7, iters, || trace_machine(black_box(&cfg), 0).len());
+    let speedup = per_sample / span;
+    println!(
+        "gate fleet_tracer/student-lab  span {:.0} us, per-sample {:.0} us, \
+         speedup {speedup:.2}x (need >= {MIN_SPEEDUP}x)",
+        span / 1e3,
+        per_sample / 1e3
+    );
+    if speedup < MIN_SPEEDUP {
+        eprintln!("fleet bench: span tracer only {speedup:.2}x the per-sample tracer");
+        std::process::exit(1);
+    }
+}
+
+fn main() {
+    benches();
+    gate();
+}

@@ -17,11 +17,12 @@
 //! at 2,824 B or the bench exits non-zero. A ratio, so host speed
 //! cancels.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 
+use fgcs_bench::best_ns;
 use fgcs_wire::codec::crc32;
 use fgcs_wire::{encode_into, Decoder, Frame, SampleLoad, WireSample, MAX_FRAME_LEN};
 
@@ -133,19 +134,6 @@ fn bench_clone(c: &mut Criterion) {
     c.bench_function("clone/128_samples", |b| {
         b.iter(|| black_box(&samples).clone())
     });
-}
-
-/// Nanoseconds for `iters` back-to-back calls, best of `rounds`.
-fn best_ns(rounds: u32, iters: u32, mut f: impl FnMut() -> u32) -> f64 {
-    (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn gate() {

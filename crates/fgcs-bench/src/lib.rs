@@ -5,6 +5,9 @@
 //! and figure, with parameters reduced so a full `cargo bench` completes
 //! in minutes.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use fgcs_core::contention::ContentionConfig;
 use fgcs_testbed::runner::TestbedConfig;
 use fgcs_testbed::trace::Trace;
@@ -37,4 +40,19 @@ pub fn bench_trace_long() -> Trace {
     let mut cfg = bench_testbed_cfg();
     cfg.lab.days = 21;
     fgcs_testbed::runner::run_testbed(&cfg)
+}
+
+/// Nanoseconds per call of `f` over `iters` back-to-back calls, best of
+/// `rounds` — the timer behind the in-process ratio gates (`wire`,
+/// `fleet`), which compare two of these so host speed cancels.
+pub fn best_ns<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
+    (0..rounds)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(iters)
+        })
+        .fold(f64::INFINITY, f64::min)
 }

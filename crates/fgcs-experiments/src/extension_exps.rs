@@ -12,6 +12,7 @@ use fgcs_testbed::runner::{run_testbed, TestbedConfig};
 use fgcs_testbed::scenarios;
 
 use crate::report::{banner, pct, write_csv, TextTable};
+use crate::trace_exps::{standard_config, trace_for};
 
 /// X5: the guest-management policy design space of §3.2.2.
 pub fn policies(quick: bool) {
@@ -175,11 +176,7 @@ pub fn cluster_study(quick: bool) {
 /// machine recently released from heavy host workloads").
 pub fn detector_rules(quick: bool) {
     banner("Detector rules (X8) — spike tolerance and harvest delay, ablated");
-    let mut base = TestbedConfig::default();
-    if quick {
-        base.lab.machines = 8;
-        base.lab.days = 21;
-    }
+    let base = standard_config(quick);
 
     // "No spike tolerance" is 1 s, not 0: DetectorConfig rejects 0 as a
     // misconfiguration, and with 15 s sampling any tolerance below the
@@ -204,7 +201,7 @@ pub fn detector_rules(quick: bool) {
         let mut cfg = base.clone();
         cfg.detector.spike_tolerance = spike;
         cfg.detector.harvest_delay = harvest;
-        let trace = run_testbed(&cfg);
+        let trace = trace_for(&cfg);
         let events = trace.records.len();
         if spike == 60 && harvest == 300 {
             baseline_events = events;
@@ -358,7 +355,7 @@ pub fn seeds(quick: bool) {
             cfg.lab.days = 28;
         }
         cfg.lab.seed = seed;
-        let trace = run_testbed(&cfg);
+        let trace = trace_for(&cfg);
         let t2 = analysis::table2(&trace);
         let (cpu, mem, urr) = t2.percentage_ranges();
         let counts: Vec<f64> = t2.per_machine.iter().map(|c| c.total as f64).collect();

@@ -9,10 +9,11 @@ use fgcs_core::model::FailureCause;
 use fgcs_faults::corrupt::corrupt_text;
 use fgcs_faults::FaultConfig;
 use fgcs_testbed::analysis;
-use fgcs_testbed::runner::{run_testbed, run_testbed_faulty, SupervisorConfig, TestbedConfig};
+use fgcs_testbed::runner::{run_testbed_faulty, SupervisorConfig};
 use fgcs_testbed::trace::Trace;
 
 use crate::report::{banner, compare_line, pct, write_csv, TextTable};
+use crate::trace_exps::{standard_config, standard_trace};
 
 /// Fleet-wide fraction of occurrences per cause (S3, S4, S5).
 fn cause_fractions(trace: &Trace) -> (f64, f64, f64) {
@@ -29,23 +30,19 @@ fn cause_fractions(trace: &Trace) -> (f64, f64, f64) {
 /// X11: Table 2 / Figure 6 drift under increasing fault rates.
 pub fn fault_matrix(quick: bool) {
     banner("X11 — §5 analyses under injected measurement faults");
-    let mut cfg = TestbedConfig::default();
-    if quick {
-        cfg.lab.machines = 8;
-        cfg.lab.days = 21;
-    }
+    let cfg = standard_config(quick);
     let sup = SupervisorConfig::default();
     let expected_samples = cfg.lab.span_secs() / cfg.lab.sample_period;
 
-    let baseline = run_testbed(&cfg);
-    let base_iv = analysis::intervals(&baseline);
-    let (base_cpu, base_mem, base_urr) = cause_fractions(&baseline);
+    let baseline = standard_trace(quick);
+    let base_iv = analysis::intervals(baseline);
+    let (base_cpu, base_mem, base_urr) = cause_fractions(baseline);
 
     // The identity injection must reproduce the clean pipeline exactly —
     // this is the byte-identity guarantee the whole harness rests on.
     let (identity, q0) = run_testbed_faulty(&cfg, &FaultConfig::off(cfg.lab.seed), &sup);
     assert!(
-        identity == baseline,
+        identity == *baseline,
         "identity injection diverged from the clean testbed"
     );
     assert!(q0.is_clean(), "identity injection reported faults: {q0}");

@@ -138,10 +138,10 @@ fn sketch_accuracy(acc: &StreamingAnalysis, iv: &analysis::IntervalAnalysis) -> 
 /// so the error certificate is exercised for real.
 fn lab_sketch_accuracy(quick: bool) -> (SketchAccuracy, SketchAccuracy) {
     let trace = trace_exps::standard_trace(quick);
-    let acc = trace_exps::verified_streaming(&trace);
-    let iv = analysis::intervals(&trace);
+    let acc = trace_exps::verified_streaming(trace);
+    let iv = analysis::intervals(trace);
     let production = sketch_accuracy(&acc, &iv);
-    let stressed = StreamingAnalysis::from_trace(&trace, STRESS_K);
+    let stressed = StreamingAnalysis::from_trace(trace, STRESS_K);
     let stress = sketch_accuracy(&stressed, &iv);
     (production, stress)
 }

@@ -7,9 +7,19 @@
 //! fgcs-exp all [--quick]
 //! ```
 //!
-//! Experiments: `table1`, `fig1a`, `fig1b`, `fig2`, `fig3`, `fig4`,
-//! `fig5`, `calibrate`, `table2`, `fig6`, `fig7`, `regularity`,
-//! `predict`, `proactive`, `ablation`, `trace`.
+//! Experiments, in the order `all` runs them: `table1`, `fig1a`,
+//! `fig1b`, `calibrate`, `fig2`, `fig3`, `fig4`, `fig5`, `table2`,
+//! `fig6`, `fig7`, `regularity` (X1), `predict` (X2), `proactive` (X3),
+//! `ablation` (X4), `policies` (X5), `scenarios` (X6), `cluster` (X7),
+//! `rules` (X8), `depth` (X9), `seeds` (X10), `faults` (X11), `trace`;
+//! and the three `all` skips because their outputs carry wall-clock
+//! measurements: `serve` (X12), `sched` (X14), `fleet` (X15).
+//!
+//! `table2`, `fig6`, `fig7`, `regularity`, `predict`, `depth`, `faults`
+//! and `trace` read the one standard testbed trace, and `rules` and
+//! `seeds` pass through it; [`trace_exps::standard_trace`] generates it
+//! once per process, so `all` traces the 20-machine lab once, not ten
+//! times.
 
 mod contention_exps;
 mod extension_exps;

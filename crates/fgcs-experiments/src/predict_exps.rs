@@ -14,7 +14,7 @@ pub fn predict(quick: bool) {
     let trace = standard_trace(quick);
     let mut predictors = standard_predictors();
     let cfg = EvalConfig::default();
-    let rows = evaluate(&trace, &mut predictors, &cfg);
+    let rows = evaluate(trace, &mut predictors, &cfg);
 
     let mut table = TextTable::new(&["window", "predictor", "Brier", "accuracy", "base rate"]);
     let mut csv = Vec::new();
@@ -174,7 +174,7 @@ pub fn depth(quick: bool) {
                     .with_trim(false),
             ),
         ];
-        let rows = evaluate(&trace, &mut preds, &cfg);
+        let rows = evaluate(trace, &mut preds, &cfg);
         let trim = rows
             .iter()
             .find(|r| r.predictor == "history-window")

@@ -7,6 +7,9 @@
 //! verify every reported number against the exact in-memory oracle
 //! before printing anything.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use fgcs_stats::sketch::DEFAULT_K;
 use fgcs_testbed::analysis::{self, REBOOT_CUTOFF_SECS};
 use fgcs_testbed::calendar::DayType;
@@ -16,14 +19,38 @@ use fgcs_testbed::trace::Trace;
 
 use crate::report::{banner, bar, compare_line, hours, pct, write_csv, TextTable};
 
-/// Runs (or scales down) the standard 20-machine, 92-day testbed.
-pub fn standard_trace(quick: bool) -> Trace {
+/// The standard testbed: 20 machines × 92 days under the paper's
+/// detector, or 8 × 21 with `--quick`.
+pub fn standard_config(quick: bool) -> TestbedConfig {
     let mut cfg = TestbedConfig::default();
     if quick {
         cfg.lab.machines = 8;
         cfg.lab.days = 21;
     }
-    run_testbed(&cfg)
+    cfg
+}
+
+/// The trace of [`standard_config`], generated on first use and then
+/// shared by reference for the rest of the process: the §5 study is one
+/// trace read many ways, and `fgcs-exp all` reads it ten times.
+pub fn standard_trace(quick: bool) -> &'static Trace {
+    static FULL: OnceLock<Trace> = OnceLock::new();
+    static QUICK: OnceLock<Trace> = OnceLock::new();
+    let cell = if quick { &QUICK } else { &FULL };
+    cell.get_or_init(|| run_testbed(&standard_config(quick)))
+}
+
+/// The trace of `cfg`: the shared [`standard_trace`] when `cfg` is a
+/// standard configuration, a fresh run otherwise. For sweeps whose
+/// grid passes through the standard point (X8's paper-rules row, X10's
+/// default seed).
+pub fn trace_for(cfg: &TestbedConfig) -> Cow<'static, Trace> {
+    for quick in [false, true] {
+        if *cfg == standard_config(quick) {
+            return Cow::Borrowed(standard_trace(quick));
+        }
+    }
+    Cow::Owned(run_testbed(cfg))
 }
 
 /// Folds `trace` through the streaming analysis and verifies it against
@@ -84,7 +111,7 @@ pub fn table2(quick: bool) {
         trace.machine_days(),
         trace.records.len()
     );
-    let t2s = verified_streaming(&trace).table2_summary();
+    let t2s = verified_streaming(trace).table2_summary();
 
     let mut table = TextTable::new(&["category", "measured (per machine)", "paper (per machine)"]);
     table.row(vec![
@@ -127,7 +154,7 @@ pub fn table2(quick: bool) {
 
     // The per-machine CSV is inherently a per-machine artifact; it comes
     // from the exact path (which the summary above was verified against).
-    let t2 = analysis::table2(&trace);
+    let t2 = analysis::table2(trace);
     let csv: Vec<String> = t2
         .per_machine
         .iter()
@@ -147,7 +174,7 @@ pub fn table2(quick: bool) {
 pub fn fig6(quick: bool) {
     banner("Figure 6 — CDF of availability-interval lengths");
     let trace = standard_trace(quick);
-    let acc = verified_streaming(&trace);
+    let acc = verified_streaming(trace);
     let (wd, we) = (
         acc.interval_sketch(DayType::Weekday),
         acc.interval_sketch(DayType::Weekend),
@@ -216,7 +243,7 @@ pub fn fig6(quick: bool) {
 pub fn fig7(quick: bool) {
     banner("Figure 7 — unavailability occurrences per hour of day (testbed-wide)");
     let trace = standard_trace(quick);
-    let h = verified_streaming(&trace).hourly();
+    let h = verified_streaming(trace).hourly();
 
     let mut csv = Vec::new();
     for (dt, g) in [
@@ -256,7 +283,7 @@ pub fn fig7(quick: bool) {
 pub fn regularity(quick: bool) {
     banner("Regularity (§5.3) — are daily patterns comparable to recent history?");
     let trace = standard_trace(quick);
-    let r = verified_streaming(&trace).regularity();
+    let r = verified_streaming(trace).regularity();
     compare_line(
         "mean pairwise weekday correlation",
         format!("{:.2}", r.weekday_correlation),
@@ -304,4 +331,31 @@ pub fn dump_trace(quick: bool) {
         trace.records.len(),
         csv.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn standard_trace_is_generated_once_and_is_the_plain_testbed_run() {
+        let first = standard_trace(true);
+        assert!(std::ptr::eq(first, standard_trace(true)));
+        assert_eq!(*first, run_testbed(&standard_config(true)));
+    }
+
+    #[test]
+    fn trace_for_shares_only_the_standard_configuration() {
+        let standard = standard_config(true);
+        match trace_for(&standard) {
+            Cow::Borrowed(t) => assert!(std::ptr::eq(t, standard_trace(true))),
+            Cow::Owned(_) => panic!("the standard configuration must share"),
+        }
+        let mut other = standard;
+        other.detector.harvest_delay = 15;
+        match trace_for(&other) {
+            Cow::Owned(t) => assert_eq!(t, run_testbed(&other)),
+            Cow::Borrowed(_) => panic!("a non-standard detector must not share"),
+        }
+    }
 }

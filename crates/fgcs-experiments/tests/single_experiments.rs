@@ -1,0 +1,55 @@
+//! `fgcs-exp all` generates its standard trace once and hands it to ten
+//! experiments. Run alone, each of those experiments must still write
+//! exactly the committed CSVs: the sharing is invisible outside `all`.
+
+use std::path::Path;
+use std::process::{Command, Stdio};
+
+/// Every experiment that takes the shared standard trace.
+const SHARING: [&str; 10] = [
+    "table2",
+    "fig6",
+    "fig7",
+    "regularity",
+    "trace",
+    "predict",
+    "depth",
+    "rules",
+    "seeds",
+    "faults",
+];
+
+/// CSVs those experiments write (`regularity` prints only).
+const CSVS: usize = 9;
+
+#[test]
+fn each_sharing_experiment_alone_writes_the_committed_csvs() {
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("single_experiments");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    for name in SHARING {
+        let status = Command::new(env!("CARGO_BIN_EXE_fgcs-exp"))
+            .arg(name)
+            .current_dir(&scratch)
+            .stdout(Stdio::null())
+            .status()
+            .expect("spawn fgcs-exp");
+        assert!(status.success(), "fgcs-exp {name}: {status}");
+    }
+
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut compared = 0;
+    for entry in std::fs::read_dir(scratch.join("results")).expect("results dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "csv") {
+            continue;
+        }
+        let name = path.file_name().expect("file name");
+        let golden = std::fs::read(committed.join(name)).expect("committed CSV");
+        let fresh = std::fs::read(&path).expect("fresh CSV");
+        assert!(fresh == golden, "{name:?} differs from the committed file");
+        compared += 1;
+    }
+    assert_eq!(compared, CSVS);
+    std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
+}

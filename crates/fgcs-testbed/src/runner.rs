@@ -275,9 +275,15 @@ impl std::error::Error for RecorderRestoreError {}
 /// Runs the whole testbed and collects the trace. Machines are traced in
 /// parallel; the result is deterministic in the seed regardless of the
 /// worker count.
+///
+/// Every machine goes through the span tracer
+/// ([`trace_machine_batched`]), the same one [`crate::fleet::run_fleet`]
+/// uses; its records are bit-identical to the per-sample oracle
+/// [`trace_machine`] for every detector configuration (pinned by
+/// `tests/tracer_equivalence.rs`).
 pub fn run_testbed(cfg: &TestbedConfig) -> Trace {
     let ids: Vec<usize> = (0..cfg.lab.machines).collect();
-    let per_machine = fgcs_par::par_map(&ids, |&id| trace_machine(cfg, id));
+    let per_machine = fgcs_par::par_map(&ids, |&id| trace_machine_batched(cfg, id));
     let mut records = Vec::new();
     for recs in per_machine {
         records.extend(recs);
@@ -296,7 +302,16 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Trace {
     }
 }
 
-/// Traces a single machine over the full span.
+/// Traces a single machine over the full span, one detector step per
+/// monitor sample.
+///
+/// This is the **per-sample oracle**, not the product path: it states
+/// what a trace *is* (every sample of [`MachinePlan::samples`] through
+/// an [`OccurrenceRecorder`]), the span tracer is tested against it, and
+/// the networked and supervised/faulty paths
+/// ([`trace_machine_supervised`]) are per-sample for the same reason it
+/// is — they must look at every timestamp. [`run_testbed`] and
+/// [`crate::fleet::run_fleet`] call [`trace_machine_batched`] instead.
 pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord> {
     let plan = MachinePlan::generate(&cfg.lab, machine_id);
     let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
@@ -315,9 +330,11 @@ pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord>
     recorder.into_records()
 }
 
-/// Traces a single machine like [`trace_machine`] but in constant-state
-/// spans instead of sample-by-sample, producing **bit-identical
-/// records** (asserted by tests across all archetypes):
+/// The span tracer, and the tracer every clean run uses
+/// ([`run_testbed`], [`crate::fleet::run_fleet`]): traces a single
+/// machine like [`trace_machine`] but in constant-state spans instead
+/// of sample-by-sample, producing **bit-identical records** (asserted
+/// across all scenarios, archetypes and the X8 detector variants):
 ///
 /// * downtime spans feed the detector one dead observation (at the
 ///   first monitor tick inside the span) instead of thousands —

@@ -361,7 +361,9 @@ echo "  epoll --loops 4: kill/restart snapshot matches the single-loop run"
 echo "== sim throughput smoke (quick mode) =="
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput
 
-echo "== fleet path smoke (quick mode) =="
+echo "== fleet path smoke (quick mode; span tracer >= 2x the per-sample tracer) =="
+# Exits non-zero by itself when the ratio gate fails: the span tracer
+# carries run_testbed (every paper artifact) as well as run_fleet.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench fleet
 
 echo "== placement path smoke (quick mode) =="
@@ -371,7 +373,7 @@ echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) ==
 # Exits non-zero by itself when the ratio gate fails.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench wire
 
-echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl bit-identity) =="
+echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl bit-identity, paper_all CSVs) =="
 # The benchmark package is a build of its own; these runs keep it
 # compiling against the crates and put its gates in front of every
 # change, not only the next full benchmark run: query_mix — every
@@ -379,11 +381,16 @@ echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl 
 # OnlineAvailabilityModel fed the same events — and ingest_bulk_repl —
 # the follower's repl_seq equal to the primary's, both nodes' records
 # and transitions equal to an in-process replay, which no frame with a
-# wrong checksum survives. A failed gate exits 1.
+# wrong checksum survives — and paper_all — one full-scale pass of
+# `fgcs-exp all` (--quick bounds the pass count, not the experiments),
+# each of its 21 CSVs byte-equal to the committed file. A failed gate
+# exits 1.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload query_mix --quick > /dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload ingest_bulk_repl --quick > /dev/null
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload paper_all --quick > /dev/null
 
 echo "ci.sh: all green"

@@ -43,7 +43,7 @@ mod imp {
     use std::time::{Duration, Instant};
 
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-    use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+    use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
     use fgcs_stats::quantile::quantiles;
     use fgcs_testbed::json::ObjWriter;
     use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
@@ -302,11 +302,8 @@ mod imp {
 
         // Unkilled single-server reference on the same trace: the
         // bit-identical baseline the cluster must match.
-        let reference = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .expect("X13: reference server starts");
+        let reference =
+            Server::start(ServiceConfig::default()).expect("X13: reference server starts");
         let mut ref_client = admin(&reference.local_addr().to_string());
         for &m in &ids {
             let wave: Vec<WireSample> = (0..samples).map(|i| wave_sample(m, i)).collect();

@@ -36,7 +36,7 @@ mod imp {
 
     use fgcs_sched::{AvailabilitySource, ClusterSource, Policy, SchedConfig, Scheduler};
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-    use fgcs_service::{Backend, Server, ServiceConfig};
+    use fgcs_service::{Server, ServiceConfig};
     use fgcs_stats::rng::Rng;
     use fgcs_testbed::json::ObjWriter;
     use fgcs_testbed::lab::LabConfig;
@@ -203,11 +203,7 @@ mod imp {
         // A 2-shard cluster of real availability servers, machine
         // ownership by rendezvous hashing.
         let shard = |name: &str| -> (Server, ShardSpec) {
-            let server = Server::start(ServiceConfig {
-                backend: Backend::Threads,
-                ..Default::default()
-            })
-            .expect("X14: shard starts");
+            let server = Server::start(ServiceConfig::default()).expect("X14: shard starts");
             let spec = ShardSpec {
                 name: name.to_string(),
                 primary_addr: server.local_addr().to_string(),

@@ -1,21 +1,20 @@
 //! X12: the networked availability service under load.
 //!
-//! Three phases over real localhost TCP:
+//! Four phases over real localhost TCP:
 //!
 //! 1. **Clean** — replay the lab through the load generator at full
 //!    speed with interleaved availability queries; measure ingest
 //!    throughput and query latency percentiles, and assert the streamed
 //!    pipeline decodes everything and answers queries.
-//! 2. **Overload** — pin the server's ingest capacity (1 worker, tiny
-//!    queue, artificial per-batch cost) well below the offered load and
-//!    verify the backpressure accounting reconciles exactly:
-//!    `sent == ingested + shed + decode-rejected`.
+//! 2. **Overload** — pin the server's ingest capacity (two event
+//!    loops, 2-deep forwarding rings, artificial per-batch cost) well
+//!    below the offered load and verify the backpressure accounting
+//!    reconciles exactly: `sent == ingested + shed + decode-rejected`.
 //! 3. **Fan-in scaling** (Linux) — drive 64 → 4096 concurrent monitor
-//!    connections at a fixed aggregate sample rate through each backend
-//!    (thread-per-connection vs epoll readiness loop) and record the
-//!    per-backend scaling curve: connections sustained, query p99, and
+//!    connections at a fixed aggregate sample rate and record the
+//!    server's scaling curve: connections sustained, query p99, and
 //!    the exact accounting identity at every level.
-//! 4. **Multi-core scaling** (Linux) — the epoll backend at 1/2/4/8
+//! 4. **Multi-core scaling** (Linux) — the server at 1/2/4/8
 //!    event loops over a 1024–8192-connection ladder, fixed offered
 //!    load, with a per-batch ingest cost pinning single-loop capacity.
 //!    Measures ingested samples/s over the streaming window (connect
@@ -27,7 +26,7 @@
 //! `results/serve_multicore.csv`, and `BENCH_serve.json`
 //! (cwd-relative).
 
-use fgcs_service::{run_loadgen, Backend, LoadGenConfig, LoadGenReport, Server, ServiceConfig};
+use fgcs_service::{run_loadgen, LoadGenConfig, LoadGenReport, Server, ServiceConfig};
 use fgcs_stats::quantile::quantiles;
 use fgcs_testbed::json::ObjWriter;
 use fgcs_testbed::runner::TestbedConfig;
@@ -116,11 +115,12 @@ fn reconcile(phase: &str, out: &PhaseOutcome) {
     );
 }
 
-/// One backend at one fan-in level: run, drain, reconcile, summarize.
+/// One fan-in level: run, drain, reconcile, summarize.
 #[cfg(target_os = "linux")]
 struct ScalePoint {
-    backend: Backend,
     conns: usize,
+    /// Event loops the default configuration resolved to on this host.
+    loops: usize,
     report: fgcs_service::FanInReport,
     stats: StatsPayload,
     p50_us: f64,
@@ -128,20 +128,12 @@ struct ScalePoint {
 }
 
 #[cfg(target_os = "linux")]
-fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScalePoint {
+fn run_scale_point(conns: usize) -> ScalePoint {
     use fgcs_service::FanInConfig;
 
-    let mut svc = ServiceConfig {
-        backend,
-        ..Default::default()
-    };
-    // The threaded backend's cap is its thread budget; epoll keeps its
-    // (much higher) default. The cap IS the phenomenon under test.
-    if backend == Backend::Threads {
-        svc.max_connections = threads_cap;
-    }
-    let server = Server::start(svc).expect("X12 scaling: server starts");
+    let server = Server::start(ServiceConfig::default()).expect("X12 scaling: server starts");
     let addr = server.local_addr().to_string();
+    let loops = server.event_loops();
 
     let mut fic = FanInConfig::new(conns);
     fic.batches_per_conn = 4;
@@ -151,25 +143,25 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
     let report = fgcs_service::run_fanin(&addr, &fic).expect("X12 scaling: fan-in runs");
 
     let stats = drain(&server, report.batches_sent);
-    let ctx = format!("{} @ {conns}", backend.name());
     assert_eq!(
         report.conns_failed, 0,
-        "X12 scaling {ctx}: no mid-stream deaths"
+        "X12 scaling @ {conns}: no mid-stream deaths"
     );
     assert_eq!(
-        report.conns_sustained + report.conns_rejected,
-        conns,
-        "X12 scaling {ctx}: every connection either sustained or was refused"
+        (report.conns_sustained, report.conns_rejected),
+        (conns, 0),
+        "X12 scaling @ {conns}: the ladder stays under the connection cap, so every \
+         connection is admitted and sustained"
     );
     assert_eq!(
         stats.ingested_batches + stats.shed_batches + stats.decode_errors,
         report.batches_sent,
-        "X12 scaling {ctx}: server identity sent == ingested + shed + decode-rejected"
+        "X12 scaling @ {conns}: server identity sent == ingested + shed + decode-rejected"
     );
     assert_eq!(
         report.acks + report.busys + report.error_replies,
         report.batches_sent,
-        "X12 scaling {ctx}: client identity acks + busys + errors == sent"
+        "X12 scaling @ {conns}: client identity acks + busys + errors == sent"
     );
     server.shutdown();
 
@@ -180,8 +172,8 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
         .collect();
     let (p50_us, p99_us) = p50_p99_us(&lat);
     ScalePoint {
-        backend,
         conns,
+        loops,
         report,
         stats,
         p50_us,
@@ -189,93 +181,36 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
     }
 }
 
-/// Phase 3: the connection-scaling curve, both backends over the same
-/// ladder. Returns the points for the JSON/CSV writers.
+/// Phase 3: the server's connection-scaling curve. Returns the points
+/// for the JSON/CSV writers, lowest rung first.
 #[cfg(target_os = "linux")]
-fn run_scaling(quick: bool) -> (Vec<ScalePoint>, usize) {
-    // In quick mode the ladder and the threaded cap shrink together so
-    // CI still crosses the cap (256 conns vs a 64-thread budget) in
-    // seconds instead of minutes.
-    let (levels, threads_cap): (&[usize], usize) = if quick {
-        (&[64, 256], 64)
+fn run_scaling(quick: bool) -> Vec<ScalePoint> {
+    let levels: &[usize] = if quick {
+        &[64, 256]
     } else {
-        (&[64, 256, 1024, 4096], 1024)
+        &[64, 256, 1024, 4096]
     };
-    let mut points = Vec::new();
-    for &conns in levels {
-        for backend in [Backend::Threads, Backend::Epoll] {
-            let p = run_scale_point(backend, conns, threads_cap);
+    levels
+        .iter()
+        .map(|&conns| {
+            let p = run_scale_point(conns);
             println!(
-                "scaling:  {:>7} @ {:>4} conns: sustained {:>4}, refused {:>4}, \
+                "scaling:  {:>4} conns on {} loop(s): sustained {:>4}, shed {:>3}, \
                  query p50 {:>6.0} us  p99 {:>6.0} us  ({:.2} s)",
-                p.backend.name(),
                 conns,
+                p.loops,
                 p.report.conns_sustained,
-                p.report.conns_rejected,
+                p.stats.shed_batches,
                 p.p50_us,
                 p.p99_us,
                 p.report.elapsed_secs
             );
-            points.push(p);
-        }
-    }
-
-    // The tentpole claim, asserted at the top of the ladder: epoll
-    // sustains >= 4x the connections the threaded backend does. The
-    // latency half compares *equal-load* points — the aggregate sample
-    // rate is fixed across the ladder, so epoll at the top level and
-    // threads at its own ceiling (the largest level it fully sustains,
-    // = its thread budget) serve the same offered load; epoll just
-    // spreads it over 4x the sockets. The threaded point at the top
-    // level is NOT comparable: it refused 3/4 of the fleet and serves
-    // a quarter of the load.
-    let top = *levels.last().unwrap();
-    let threads_top = points
-        .iter()
-        .find(|p| p.backend == Backend::Threads && p.conns == top)
-        .unwrap();
-    let epoll_top = points
-        .iter()
-        .find(|p| p.backend == Backend::Epoll && p.conns == top)
-        .unwrap();
-    let threads_best = points
-        .iter()
-        .find(|p| p.backend == Backend::Threads && p.conns == threads_cap.min(top))
-        .unwrap();
-    assert!(
-        epoll_top.report.conns_sustained >= 4 * threads_top.report.conns_sustained,
-        "X12 scaling: epoll must sustain >= 4x threaded at {top} conns \
-         ({} vs {})",
-        epoll_top.report.conns_sustained,
-        threads_top.report.conns_sustained
-    );
-    // The latency half of the claim needs the real ladder: at quick
-    // scale the threaded backend runs a few dozen threads and never
-    // pays the context-switch cost the thread-per-connection model is
-    // being retired for, so its p99 is not representative there.
-    //
-    // Good runs put BOTH backends' p99 in the tens of microseconds,
-    // where run-to-run scheduler noise on a shared box swamps the
-    // difference (the threaded ceiling has been observed anywhere from
-    // 32 us to 94 ms across runs). "Equal-or-better" therefore allows
-    // a sub-millisecond noise floor: the gate trips only when epoll's
-    // tail is *materially* worse than the threaded ceiling.
-    if !quick {
-        const NOISE_FLOOR_US: f64 = 500.0;
-        assert!(
-            epoll_top.p99_us <= threads_best.p99_us.max(NOISE_FLOOR_US),
-            "X12 scaling: epoll at {top} conns must answer queries at \
-             equal-or-better p99 than threads at its {}-conn ceiling under the \
-             same offered load ({:.0} us vs {:.0} us)",
-            threads_best.conns,
-            epoll_top.p99_us,
-            threads_best.p99_us
-        );
-    }
-    (points, top)
+            p
+        })
+        .collect()
 }
 
-/// One cell of the multi-core matrix: the epoll backend at `loops`
+/// One cell of the multi-core matrix: the server at `loops`
 /// event loops under `conns` connections of fixed offered load, with a
 /// per-batch ingest cost so single-loop capacity is the bottleneck.
 #[cfg(target_os = "linux")]
@@ -313,11 +248,10 @@ fn run_core_point(loops: usize, conns: usize, total_batches: u64) -> CorePoint {
     use fgcs_service::FanInConfig;
 
     let svc = ServiceConfig {
-        backend: Backend::Epoll,
         event_loops: loops,
         state_shards: 16,
-        // Also the per-pair forwarding-ring capacity: deep enough that
-        // a briefly-busy home loop queues foreign batches instead of
+        // The per-pair forwarding-ring capacity: deep enough that a
+        // briefly-busy home loop queues foreign batches instead of
         // shedding them.
         queue_capacity: 1024,
         ingest_delay_us: CORE_INGEST_DELAY_US,
@@ -494,22 +428,31 @@ pub fn serve(quick: bool) {
     );
 
     // Phase 2: overload — ingest capacity pinned far below offered load.
+    // Two loops at 2 ms a batch ingest 1,000 batches/s between them, and
+    // the fleet offers twice that. A machine is homed on loop
+    // `machine % 2` while the kernel deals its connection to either
+    // listener, so about half the 48 connections carry nothing but
+    // foreign-shard batches: a dozen per direction, answered at once by
+    // a loop that pays its 2 ms only when it drains its own ring, all
+    // pushing at a ring that holds 2. (Shedding nothing would need fewer
+    // than 3 foreign connections in both directions; each of the 48
+    // lands in a given direction with probability 1/4, so P < 1e-7.)
     let mut svc = ServiceConfig::for_testbed(&cfg);
-    svc.workers = 1;
-    svc.queue_capacity = 4;
+    svc.event_loops = 2;
+    svc.queue_capacity = 2;
     svc.ingest_delay_us = 2_000;
     let mut lg = LoadGenConfig::new(cfg.lab.clone());
+    lg.lab.machines = 48;
     lg.batch_size = 16;
-    // Ingest capacity is 1/ingest_delay = 500 batches/s = 8k samples/s;
-    // pace the fleet to ~4x that so overload is sustained, not a burst.
-    lg.samples_per_sec = 32_000 / cfg.lab.machines as u64;
-    lg.max_samples_per_machine = Some(if quick { 2_000 } else { 4_000 });
-    lg.query_every_batches = 32;
+    // 2,000 batches/s offered: sustained overload, not a burst.
+    lg.samples_per_sec = 32_000 / lg.lab.machines as u64;
+    lg.max_samples_per_machine = Some(if quick { 800 } else { 2_400 });
+    lg.query_every_batches = 16;
     let over = run_phase(svc, &lg);
     reconcile("overload", &over);
     assert!(
         over.stats.shed_batches > 0,
-        "X12 overload: the queue must actually overflow"
+        "X12 overload: a forwarding ring must actually overflow"
     );
     assert!(
         over.report.queries_answered > 0,
@@ -528,9 +471,9 @@ pub fn serve(quick: bool) {
         over.report.queries_answered, over.p50_us, over.p99_us
     );
 
-    // Phase 3: the connection-scaling ladder over both backends.
+    // Phase 3: the connection-scaling ladder.
     #[cfg(target_os = "linux")]
-    let (scale_points, scale_top) = run_scaling(quick);
+    let scale_points = run_scaling(quick);
 
     // Phase 4: the multi-core loops × connections matrix.
     #[cfg(target_os = "linux")]
@@ -567,8 +510,8 @@ pub fn serve(quick: bool) {
             .map(|p| {
                 format!(
                     "{},{},{},{},{},{},{},{},{},{},{:.0},{:.0},{:.3}",
-                    p.backend.name(),
                     p.conns,
+                    p.loops,
                     p.report.conns_connected,
                     p.report.conns_sustained,
                     p.report.conns_rejected,
@@ -585,7 +528,7 @@ pub fn serve(quick: bool) {
             .collect();
         let path = write_csv(
             "serve_scaling",
-            "backend,conns,connected,sustained,refused,batches,acks,busys,ingested,\
+            "conns,loops,connected,sustained,refused,batches,acks,busys,ingested,\
              shed,query_p50_us,query_p99_us,elapsed_s",
             &rows,
         )
@@ -645,8 +588,10 @@ pub fn serve(quick: bool) {
             "description",
             "X12: fgcs-service over localhost TCP. clean = full-speed trace replay with \
              interleaved availability queries; overload = ingest capacity pinned below \
-             offered load (1 worker, queue capacity 4, 2 ms/batch), exercising \
-             shed-oldest backpressure with exact accounting.",
+             offered load (2 event loops, 2-deep forwarding rings, 2 ms/batch, 48 \
+             machines paced to 2x capacity), exercising the one backpressure rule — a \
+             foreign-shard batch that finds its ring full is shed and answered Busy — \
+             with exact accounting.",
         )
         .str(
             "command",
@@ -673,60 +618,30 @@ pub fn serve(quick: bool) {
                 .f64("elapsed_secs", p.report.elapsed_secs);
             w
         };
-        // One object per ladder level ("c64", "c256", ...), each holding
-        // both backends' point (the JSON writer is object-only).
+        // One object per ladder level ("c64", "c256", ...).
         let mut levels = ObjWriter::new();
-        for pair in scale_points.chunks_exact(2) {
-            let mut level = ObjWriter::new();
-            for p in pair {
-                level.obj(p.backend.name(), point_obj(p));
-            }
-            levels.obj(&format!("c{}", pair[0].conns), level);
+        for p in &scale_points {
+            levels.obj(&format!("c{}", p.conns), point_obj(p));
         }
-        let threads_top = scale_points
-            .iter()
-            .find(|p| p.backend == Backend::Threads && p.conns == scale_top)
-            .unwrap();
-        let epoll_top = scale_points
-            .iter()
-            .find(|p| p.backend == Backend::Epoll && p.conns == scale_top)
-            .unwrap();
-        // The threaded backend's best operating point: the largest
-        // level it sustains in full (its thread budget). Under the
-        // ladder's fixed aggregate rate this serves the same offered
-        // load as the epoll top point, so their p99s compare directly.
-        let threads_best = scale_points
-            .iter()
-            .filter(|p| p.backend == Backend::Threads && p.report.conns_sustained == p.conns)
-            .max_by_key(|p| p.conns)
-            .unwrap();
+        let top_point = scale_points.last().expect("the ladder has rungs");
         let mut top = ObjWriter::new();
-        top.u64("conns", scale_top as u64)
-            .u64(
-                "threads_sustained",
-                threads_top.report.conns_sustained as u64,
-            )
-            .u64("epoll_sustained", epoll_top.report.conns_sustained as u64)
-            .f64(
-                "sustain_ratio",
-                epoll_top.report.conns_sustained as f64
-                    / threads_top.report.conns_sustained.max(1) as f64,
-            )
-            .u64("threads_ceiling_conns", threads_best.conns as u64)
-            .f64("threads_ceiling_query_p99_us", threads_best.p99_us)
-            .f64("threads_query_p99_us", threads_top.p99_us)
-            .f64("epoll_query_p99_us", epoll_top.p99_us);
+        top.u64("conns", top_point.conns as u64)
+            .u64("sustained", top_point.report.conns_sustained as u64)
+            .u64("shed_batches", top_point.stats.shed_batches)
+            .f64("query_p50_us", top_point.p50_us)
+            .f64("query_p99_us", top_point.p99_us);
         let mut scaling = ObjWriter::new();
         scaling
             .str(
                 "description",
                 "fan-in ladder: N concurrent monitor connections at a fixed 50k samples/s \
-                 aggregate rate, thread-per-connection (cap = thread budget) vs epoll \
-                 readiness loop, single driver thread",
+                 aggregate rate into one default-configured server (event loops = \
+                 min(cores, shards)), single driver thread",
             )
             .u64("aggregate_samples_per_sec", 50_000)
             .u64("batches_per_conn", 4)
             .u64("batch_size", 32)
+            .u64("event_loops", top_point.loops as u64)
             .obj("levels", levels)
             .obj("top", top);
         bench.obj("scaling", scaling);
@@ -809,7 +724,7 @@ pub fn serve(quick: bool) {
         multicore
             .str(
                 "description",
-                "loops x connections matrix on the epoll backend: N SO_REUSEPORT event \
+                "loops x connections matrix: N SO_REUSEPORT event \
                  loops pinned to disjoint state-shard subsets, fixed offered load, \
                  per-batch ingest cost pinning single-loop capacity; samples_per_sec \
                  is ingested samples over the streaming window (connect time excluded)",

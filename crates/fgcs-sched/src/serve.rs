@@ -5,7 +5,9 @@
 //! and a tick loop that polls the [`AvailabilitySource`] and drives the
 //! scheduler — revocations first (any occupied host that stopped being
 //! harvestable kills its guest), then progress accrual, then the SLO
-//! migration sweep, then placement of the queue.
+//! migration sweep, then placement of the queue. Each tick reads its
+//! guests' hosts' survival *before* the stats that decide revocation,
+//! so a host that dies mid-tick is booked as the revocation it is.
 //!
 //! The scheduler clock is *logical*: every tick advances it by
 //! [`SchedServeConfig::tick_secs`] guest-seconds, decoupling test/demo
@@ -83,6 +85,7 @@ impl SchedServer {
     where
         S: AvailabilitySource + Send + 'static,
     {
+        let lookahead = sched_cfg.migrate_lookahead;
         let mut sched = Scheduler::new(sched_cfg);
         for &(user, base) in users {
             sched.add_user(user, base);
@@ -103,7 +106,7 @@ impl SchedServer {
             let inner = Arc::clone(&inner);
             let tick_ms = cfg.tick_ms.max(1);
             let tick_secs = cfg.tick_secs.max(1);
-            std::thread::spawn(move || tick_loop(inner, source, tick_ms, tick_secs))
+            std::thread::spawn(move || tick_loop(inner, source, tick_ms, tick_secs, lookahead))
         };
         Ok(SchedServer {
             inner,
@@ -155,11 +158,24 @@ fn tick_loop<S: AvailabilitySource>(
     mut source: S,
     tick_ms: u64,
     tick_secs: u64,
+    lookahead: u64,
 ) {
     while !inner.shutdown.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(tick_ms));
-        // Pull the machine views before taking the lock: over the
-        // cluster this is one stats round trip per shard.
+        // Read order keeps the books right: each guest's host is asked
+        // for its survival first, the stats that decide revocation
+        // second. A host that dies in between is alive to the older
+        // read and dead to the newer, so its guest is evicted; read the
+        // other way round, the stats still say harvestable, a dead
+        // machine's survival is 0, and the kill is booked as an SLO
+        // migration. Only this thread places or retires guests, so the
+        // host set cannot change before the lock below; both reads
+        // stay outside it (one round trip per host, one per shard).
+        let hosts = inner.sched.lock().unwrap().sched.hosts();
+        let outlook: Vec<(u32, f64)> = hosts
+            .iter()
+            .map(|&(m, _)| (m, source.survival(m, lookahead).unwrap_or(1.0)))
+            .collect();
         let views = match source.machines() {
             Ok(v) => v,
             Err(_) => continue, // cluster briefly unreachable: skip the tick
@@ -169,16 +185,16 @@ fn tick_loop<S: AvailabilitySource>(
         let now = clock.now;
         // Revocations: the service reported a transition out of the
         // available states under a guest (or the machine vanished).
-        for (machine, _) in clock.sched.hosts() {
+        for &(machine, _) in &hosts {
             let gone = !views.iter().any(|v| v.machine == machine && v.harvestable);
             if gone {
                 clock.sched.on_unavailable(machine, now);
             }
         }
         clock.sched.advance(now);
-        clock
-            .sched
-            .check_migrations(now, &mut |m, w| source.survival(m, w).unwrap_or(1.0));
+        clock.sched.check_migrations(now, &mut |m, _| {
+            outlook.iter().find(|r| r.0 == m).map_or(1.0, |r| r.1)
+        });
         clock.sched.place(now, &views, &mut |m, w| {
             source.survival(m, w).unwrap_or(1.0)
         });

@@ -224,19 +224,26 @@ fn revocation_requeues_and_replaces_the_guest() {
 /// router as the scheduler's source, and guests placed/evicted off the
 /// service's own detector state — `harvestable` bits and `QueryAvail`
 /// predictions crossing two socket hops.
+///
+/// This test used to time out about 1 run in 20, on any server
+/// backend. The tick read the stats first and asked the host's
+/// survival afterwards, live; when the dead batch below landed between
+/// the two, the stats still said harvestable and `QueryAvail` on a
+/// dead machine answered 0, so the tick booked the kill as an SLO
+/// *migration* — the guest left the host with `evictions == 0` and the
+/// predicate below could never come true. The tick now reads survival
+/// before stats (`serve.rs::tick_loop`), which books a host that dies
+/// between the reads as the revocation it is; the predicate and the
+/// 10 s deadline are unchanged.
 #[cfg(target_os = "linux")]
 #[test]
 fn scheduler_follows_a_real_availability_service() {
     use fgcs_sched::ClusterSource;
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-    use fgcs_service::{Backend, Server, ServiceConfig};
+    use fgcs_service::{Server, ServiceConfig};
     use fgcs_wire::{SampleLoad, WireSample};
 
-    let svc = Server::start(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    })
-    .expect("availability service starts");
+    let svc = Server::start(ServiceConfig::default()).expect("availability service starts");
     let svc_addr = svc.local_addr().to_string();
 
     let idle = |t: u64, alive: bool| WireSample {

@@ -1,8 +1,7 @@
 //! `fgcs-serve`: run the availability service from the command line.
 //!
 //! ```text
-//! fgcs-serve [--addr HOST:PORT] [--backend threads|epoll] [--workers N]
-//!            [--loops N] [--fd-handoff] [--queue-capacity N]
+//! fgcs-serve [--addr HOST:PORT] [--loops N] [--queue-capacity N]
 //!            [--max-conns N] [--shards N] [--auth-token TOKEN]
 //!            [--snapshot-dir DIR] [--snapshot-interval MS] [--reuse-addr]
 //!            [--repl-log N] [--follower-of HOST:PORT] [--pull-interval MS]
@@ -16,12 +15,11 @@
 use std::io::Read;
 use std::process::exit;
 
-use fgcs_service::{Backend, Server, ServiceConfig};
+use fgcs_service::{Server, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fgcs-serve [--addr HOST:PORT] [--backend threads|epoll] [--workers N]\n\
-         \x20                 [--loops N] [--fd-handoff] [--queue-capacity N]\n\
+        "usage: fgcs-serve [--addr HOST:PORT] [--loops N] [--queue-capacity N]\n\
          \x20                 [--max-conns N] [--shards N] [--auth-token TOKEN]\n\
          \x20                 [--snapshot-dir DIR] [--snapshot-interval MS] [--reuse-addr]\n\
          \x20                 [--repl-log N] [--follower-of HOST:PORT] [--pull-interval MS]\n\
@@ -31,10 +29,10 @@ fn usage() -> ! {
          Runs until stdin reaches EOF. Prints `listening on ADDR` once bound.\n\
          With --snapshot-dir the server checkpoints its ingest state there\n\
          periodically and on shutdown, and restores from it at startup.\n\
-         --loops N runs the epoll backend as N event loops sharing the port\n\
-         via SO_REUSEPORT (0 = auto: min(cores, shards)); N must not exceed\n\
-         --shards. --fd-handoff forces the single-listener fd-handoff\n\
-         fallback instead of SO_REUSEPORT.\n\
+         --loops N runs N event loops sharing the port via SO_REUSEPORT\n\
+         (0 = auto: min(cores, shards)); N must not exceed --shards.\n\
+         --queue-capacity N bounds each cross-loop forwarding ring; a batch\n\
+         that finds its ring full is shed and answered Busy.\n\
          --repl-log N retains the last N replication log entries so a\n\
          follower can stream them; --follower-of ADDR starts this node as\n\
          that primary's follower (rejects ingest), pulling every\n\
@@ -61,22 +59,10 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => cfg.addr = value("--addr"),
-            "--backend" => match Backend::parse(&value("--backend")) {
-                Some(b) => cfg.backend = b,
-                None => {
-                    eprintln!("fgcs-serve: --backend must be `threads` or `epoll`");
-                    usage()
-                }
-            },
-            "--workers" => match value("--workers").parse() {
-                Ok(n) => cfg.workers = n,
-                Err(_) => usage(),
-            },
             "--loops" => match value("--loops").parse() {
                 Ok(n) => cfg.event_loops = n,
                 Err(_) => usage(),
             },
-            "--fd-handoff" => cfg.force_fd_handoff = true,
             "--queue-capacity" => match value("--queue-capacity").parse() {
                 Ok(n) if n >= 1 => cfg.queue_capacity = n,
                 _ => usage(),
@@ -135,11 +121,7 @@ fn main() {
         }
     };
     println!("listening on {}", server.local_addr());
-    eprintln!(
-        "fgcs-serve: backend={} loops={}",
-        server.backend().name(),
-        server.event_loops()
-    );
+    eprintln!("fgcs-serve: loops={}", server.event_loops());
 
     // Block until the parent closes our stdin, then drain and exit.
     let mut sink = Vec::new();

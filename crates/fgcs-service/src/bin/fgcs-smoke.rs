@@ -32,7 +32,7 @@
 //! loops, including the cross-loop forwarding rings.
 //!
 //! Exits 0 on success, 1 with a message on the first failure — the CI
-//! smoke gate for the epoll backend, auth handshake, and the
+//! smoke gate for the event loops, auth handshake, and the
 //! kill-and-restart snapshot check.
 
 use std::collections::BTreeMap;
@@ -107,7 +107,8 @@ fn stream_partition(
                 Ok(Frame::Ack { .. }) => {}
                 // A shed batch would break the bit-identity the restart
                 // smoke diffs on; the replay load is far below the
-                // queue capacity, so Busy means something is wrong.
+                // forwarding rings' capacity, so Busy means something is
+                // wrong.
                 Ok(other) => fail(&format!(
                     "replay machine {machine}: expected Ack, got tag {}",
                     other.tag()
@@ -244,8 +245,8 @@ fn main() {
 
     match client.request(&Frame::QueryStats) {
         Ok(Frame::StatsReply(stats)) => {
-            // The queue is asynchronous; both batches must at least be
-            // accounted for (ingested now or still queued — an Ack
+            // Forwarding is asynchronous; both batches must at least be
+            // accounted for (ingested now or still on a ring — an Ack
             // means accepted, so ingested catches up; poll briefly).
             let mut ingested = stats.ingested_batches;
             let mut spins = 0;

@@ -669,7 +669,7 @@ impl ClusterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, Server, ServiceConfig};
+    use crate::{Server, ServiceConfig};
     use fgcs_wire::SampleLoad;
 
     fn names(n: usize) -> Vec<String> {
@@ -718,16 +718,8 @@ mod tests {
 
     #[test]
     fn router_routes_ingest_and_queries_per_shard() {
-        let a = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .unwrap();
-        let b = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .unwrap();
+        let a = Server::start(ServiceConfig::default()).unwrap();
+        let b = Server::start(ServiceConfig::default()).unwrap();
         let cfg = ClusterConfig::new(vec![
             ShardSpec {
                 name: "a".into(),
@@ -777,13 +769,8 @@ mod tests {
         // The "primary" endpoint is actually a follower (it rejects
         // ingest with NotPrimary); the real primary is listed as the
         // follower endpoint. One flip must heal the route.
-        let primary = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .unwrap();
+        let primary = Server::start(ServiceConfig::default()).unwrap();
         let follower = Server::start(ServiceConfig {
-            backend: Backend::Threads,
             // Points at a dead port: the pull loop just backs off, and
             // the node keeps rejecting ingest as a follower.
             follower_of: Some("127.0.0.1:1".to_string()),

@@ -1,20 +1,30 @@
-//! Backend-independent per-connection frame handling.
+//! Per-connection frame handling, free of socket code.
 //!
-//! Both the threaded backend and the epoll readiness loop feed every
-//! decoded frame through [`handle_conn_frame`], so request semantics —
-//! auth gating, shed accounting, query answers, the one-reply-per-frame
-//! identity — are a single code path and cannot drift between backends.
+//! The event loops feed every decoded frame through
+//! [`handle_conn_frame`], so request semantics — auth gating, shed
+//! accounting, query answers, the one-reply-per-frame identity — are a
+//! single function that unit tests can call without a socket.
 
 use fgcs_wire::{
     ErrorCode, Frame, WireTransition, MAX_REPL_SNAPSHOT_BYTES, MAX_TRANSITIONS_PER_FRAME,
 };
 
+use crate::epoll::LoopRouter;
 use crate::repl::PullReply;
 use crate::snapshot;
 use crate::state::{Batch, Shared};
 
-/// Per-connection protocol state, owned by whichever backend runs the
-/// connection.
+/// Longest prediction window a peer may ask for, in seconds
+/// (`QueryAvail.horizon`, `Place.job_len`): 31 days. The model scores a
+/// window hour by hour — `place()` collects 32 B per hour before it
+/// ranks anything — so an unbounded `u64` would let one 20-byte frame
+/// buy unbounded work on an event loop. The paper's guest jobs run for
+/// hours; a month leaves two orders of magnitude of room and costs at
+/// most 744 slices (≈ 24 KiB) per request.
+pub(crate) const MAX_WINDOW_SECS: u64 = 31 * 86_400;
+
+/// Per-connection protocol state, owned by the event loop that runs
+/// the connection.
 #[derive(Debug, Default)]
 pub(crate) struct ConnCtx {
     /// Batches accepted on this connection, echoed in `Ack`.
@@ -33,30 +43,13 @@ pub(crate) enum Outcome {
     ReplyThenClose(Frame),
 }
 
-/// Where a connection's sample batches go — the one point where the
-/// backends' ingest paths diverge.
-pub(crate) enum IngestSink<'a> {
-    /// The shared bounded queue drained by the worker pool (threaded
-    /// backend). Overflow sheds the *oldest* queued batch.
-    Queue,
-    /// Loop-owned ingest (epoll backend): batches for shards this loop
-    /// owns are ingested inline; others are forwarded to their home
-    /// loop over an SPSC ring. A full ring sheds the *arriving* batch —
-    /// forwarded work is never reordered or dropped once accepted.
-    #[cfg(target_os = "linux")]
-    Loop(&'a mut crate::epoll::LoopRouter),
-    /// Unused; keeps the lifetime parameter on non-Linux builds.
-    #[cfg(not(target_os = "linux"))]
-    Phantom(std::marker::PhantomData<&'a ()>),
-}
-
 /// Handles one decoded frame: auth gate first, then the request
 /// dispatch. Exactly one reply per frame, always.
 pub(crate) fn handle_conn_frame(
     shared: &Shared,
     frame: Frame,
     ctx: &mut ConnCtx,
-    sink: &mut IngestSink<'_>,
+    router: &mut LoopRouter,
 ) -> Outcome {
     if let Some(expected) = &shared.cfg.auth_token {
         if !ctx.authed {
@@ -87,15 +80,15 @@ pub(crate) fn handle_conn_frame(
         // harmless, acknowledged, not counted as a batch.
         return Outcome::Reply(Frame::Ack { seq: 0 });
     }
-    Outcome::Reply(handle_request(shared, frame, ctx, sink))
+    Outcome::Reply(handle_request(shared, frame, ctx, router))
 }
 
-/// The request dispatch (post-auth). Formerly `server::handle_frame`.
+/// The request dispatch (post-auth).
 fn handle_request(
     shared: &Shared,
     frame: Frame,
     ctx: &mut ConnCtx,
-    sink: &mut IngestSink<'_>,
+    router: &mut LoopRouter,
 ) -> Frame {
     match frame {
         Frame::SampleBatch { machine, samples } => {
@@ -107,35 +100,22 @@ fn handle_request(
                     detail: "node is a follower; send ingest to the primary".to_string(),
                 };
             }
-            let batch = Batch { machine, samples };
-            let shed = match sink {
-                IngestSink::Queue => {
-                    let mut queue = shared.lock_queue();
-                    let shed = queue.push(batch);
-                    drop(queue);
-                    shared.queue_cv.notify_one();
-                    shed
-                }
-                #[cfg(target_os = "linux")]
-                IngestSink::Loop(router) => router.submit(shared, batch),
-                #[cfg(not(target_os = "linux"))]
-                IngestSink::Phantom(_) => unreachable!("phantom sink is never constructed"),
-            };
-            match shed {
-                Some(victim) => {
+            // Own shard: ingested before this returns. Foreign shard:
+            // forwarded to its home loop, or — the one backpressure
+            // rule — handed back because that ring is full.
+            match router.submit(shared, Batch { machine, samples }) {
+                Some(shed) => {
                     // One locked update, so a concurrent stats read can
                     // never see the shed batch without its samples.
                     let total = shared.counters.update(|c| {
                         c.shed_batches += 1;
-                        c.shed_samples += victim.samples.len() as u64;
+                        c.shed_samples += shed.samples.len() as u64;
                         c.busy_replies += 1;
                         c.busy_replies
                     });
-                    // Queue sink: the arriving batch *was* accepted and
-                    // the oldest queued one shed. Loop sink: a full
-                    // forwarding ring shed the arriving batch itself.
-                    // Either way Busy tells the producer the server
-                    // overflowed and exactly one batch was lost.
+                    // Busy tells the producer that exactly this batch
+                    // was not ingested; nothing accepted earlier is
+                    // ever dropped or reordered.
                     Frame::Busy {
                         shed_batches: total,
                     }
@@ -147,7 +127,7 @@ fn handle_request(
             }
         }
         Frame::QueryAvail { machine, horizon } => {
-            if let Some(err) = read_staleness_gate(shared) {
+            if let Some(err) = window_gate(horizon).or_else(|| read_staleness_gate(shared)) {
                 return err;
             }
             let Some(cell) = shared.machine_get(machine) else {
@@ -158,8 +138,8 @@ fn handle_request(
             };
             // A poisoned machine lock (a panic mid-ingest) must degrade
             // to a typed error on this one machine, not panic the
-            // connection — in the epoll backend that panic would take
-            // the whole event loop, and every other machine, with it.
+            // connection — that panic would take the whole event loop,
+            // and every other machine's connections, with it.
             let Ok(m) = cell.lock() else {
                 return poisoned_machine(machine);
             };
@@ -182,7 +162,7 @@ fn handle_request(
             }
         }
         Frame::Place { job_len } => {
-            if let Some(err) = read_staleness_gate(shared) {
+            if let Some(err) = window_gate(job_len).or_else(|| read_staleness_gate(shared)) {
                 return err;
             }
             // One pass over the online model's placement table: the
@@ -323,13 +303,6 @@ fn handle_request(
     }
 }
 
-/// The follower-read staleness bound (DESIGN.md §13.5). Primaries and
-/// unbounded followers (`max_read_lag` unset) always pass. A bounded
-/// follower answers reads only while its applied head is within the
-/// configured lag of the newest primary head its pull loop has seen —
-/// otherwise (including before the first successful pull, and forever
-/// after a divergence tripwire) the client gets `TooStale` and should
-/// retry against the primary.
 /// Typed reply for a machine whose lock was poisoned by an earlier
 /// panic: the one machine is unusable, the server is not.
 fn poisoned_machine(machine: u32) -> Frame {
@@ -339,6 +312,24 @@ fn poisoned_machine(machine: u32) -> Frame {
     }
 }
 
+/// Refuses a peer-chosen prediction window above [`MAX_WINDOW_SECS`]
+/// before any model work: a typed error, and the connection survives.
+fn window_gate(window: u64) -> Option<Frame> {
+    (window > MAX_WINDOW_SECS).then(|| Frame::Error {
+        code: ErrorCode::Unsupported,
+        detail: format!(
+            "prediction window of {window} s exceeds the {MAX_WINDOW_SECS} s (31-day) cap"
+        ),
+    })
+}
+
+/// The follower-read staleness bound (DESIGN.md §13.5). Primaries and
+/// unbounded followers (`max_read_lag` unset) always pass. A bounded
+/// follower answers reads only while its applied head is within the
+/// configured lag of the newest primary head its pull loop has seen —
+/// otherwise (including before the first successful pull, and forever
+/// after a divergence tripwire) the client gets `TooStale` and should
+/// retry against the primary.
 fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
     if shared.is_primary() {
         return None;
@@ -375,7 +366,11 @@ mod tests {
 
     #[test]
     fn poisoned_machine_cell_is_a_typed_error_and_place_never_touches_it() {
-        let shared = Shared::new(ServiceConfig::default()).unwrap();
+        let shared = Shared::new(ServiceConfig {
+            event_loops: 1,
+            ..Default::default()
+        })
+        .unwrap();
         for machine in [1u32, 2] {
             let samples = (0..4)
                 .map(|i| WireSample {
@@ -398,10 +393,10 @@ mod tests {
         assert!(panicked.is_err());
 
         let mut ctx = ConnCtx::default();
-        let mut ask =
-            |frame| match handle_conn_frame(&shared, frame, &mut ctx, &mut IngestSink::Queue) {
-                Outcome::Reply(reply) | Outcome::ReplyThenClose(reply) => reply,
-            };
+        let mut router = LoopRouter::solo();
+        let mut ask = |frame| match handle_conn_frame(&shared, frame, &mut ctx, &mut router) {
+            Outcome::Reply(reply) | Outcome::ReplyThenClose(reply) => reply,
+        };
         for frame in [
             Frame::QueryAvail {
                 machine: 1,

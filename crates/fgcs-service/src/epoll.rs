@@ -1,14 +1,13 @@
-//! The epoll readiness-loop backend (Linux only) — N accept-sharing
+//! The server's socket layer (Linux only) — N accept-sharing epoll
 //! event loops pinned to disjoint subsets of the state shards.
 //!
 //! Each loop owns its connections outright: the conn sockets are
 //! nonblocking and registered with the loop's own epoll instance
 //! (level-triggered). With `loops > 1`, every loop also gets its own
-//! `SO_REUSEPORT` listener on the shared address (the kernel spreads
-//! incoming connections across them); where `SO_REUSEPORT` is
-//! unavailable — or `force_fd_handoff` is set — loop 0 keeps a single
-//! listener and hands accepted sockets to the other loops round-robin
-//! over bounded channels.
+//! `SO_REUSEPORT` listener on the shared address and the kernel spreads
+//! incoming connections across them; a kernel without the option
+//! (Linux < 3.9) fails the bind, and [`spawn_loops`] returns that error
+//! rather than serve differently from what was asked.
 //!
 //! Invariants (DESIGN.md §10 and §12):
 //!
@@ -20,21 +19,23 @@
 //!   `fgcs_wire::Decoder`; bytes are pushed as they arrive and frames
 //!   pulled out whole. A connection that dies mid-frame takes its
 //!   decoder (and the fragment) with it — no cross-connection state.
-//! * **Identical semantics.** Every decoded frame goes through the same
-//!   [`handle_conn_frame`] as the threaded backend; decode errors are
-//!   counted and answered the same way.
-//! * **Loop-local ingest.** A loop ingests batches for its own shards
-//!   inline (no queue, no worker pool); batches homed on another loop
+//! * **One reply per frame.** Every decoded frame goes through
+//!   [`handle_conn_frame`] and earns exactly one reply; a decode error
+//!   is counted and answered `BadFrame`.
+//! * **Loop-local ingest, one backpressure rule.** A loop ingests
+//!   batches for its own shards inline, so a slow server shows up as
+//!   TCP backpressure on the sender; batches homed on another loop
 //!   travel over an SPSC ring ([`std::sync::mpsc::sync_channel`], one
-//!   per ordered loop pair) and an `eventfd` wake — the hot path takes
-//!   no cross-loop locks.
+//!   per ordered loop pair) and an `eventfd` wake, and a batch that
+//!   finds its ring full is shed itself and answered `Busy`. The hot
+//!   path takes no cross-loop locks.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -44,11 +45,8 @@ use fgcs_sys::{
 };
 use fgcs_wire::{encode_into, Decoder, ErrorCode, Frame};
 
-use crate::conn::{handle_conn_frame, ConnCtx, IngestSink, Outcome};
+use crate::conn::{handle_conn_frame, ConnCtx, Outcome};
 use crate::state::{Batch, Shared};
-
-/// Capacity of each loop-0 → loop-i accepted-socket handoff channel.
-const HANDOFF_RING_CAP: usize = 1024;
 
 /// One connection's state inside the event loop.
 struct Conn {
@@ -94,6 +92,17 @@ pub(crate) struct LoopRouter {
 }
 
 impl LoopRouter {
+    /// The router of a server with one event loop: every shard is its
+    /// own, so nothing is ever forwarded.
+    #[cfg(test)]
+    pub(crate) fn solo() -> LoopRouter {
+        LoopRouter {
+            loop_id: 0,
+            forward_tx: vec![None],
+            wakes: Vec::new(),
+        }
+    }
+
     /// Routes one accepted batch. Owned shard → ingest inline, return
     /// `None`. Foreign shard → forward; a full ring sheds the arriving
     /// batch (returned for the caller's shed accounting + Busy reply).
@@ -127,13 +136,8 @@ impl LoopRouter {
 struct LoopCtx {
     loop_id: usize,
     max_conns: usize,
-    /// This loop's own listener: every loop in `SO_REUSEPORT` mode,
-    /// loop 0 only in fd-handoff mode.
-    listener: Option<TcpListener>,
-    /// Handoff mode, loops 1..N: accepted sockets arriving from loop 0.
-    accept_rx: Option<Receiver<TcpStream>>,
-    /// Handoff mode, loop 0: `tx[dst]` distributes accepted sockets.
-    accept_tx: Vec<Option<SyncSender<TcpStream>>>,
+    /// This loop's own listener on the shared address.
+    listener: TcpListener,
     /// `rx[src]`: forwarded batches from loop `src`; `None` for self.
     forward_rx: Vec<Option<Receiver<Batch>>>,
     /// `tx[dst]`: forwarding rings out; `None` for self.
@@ -207,20 +211,17 @@ fn drain_frames(
 ) -> bool {
     while !conn.close_after_flush {
         match conn.decoder.next_frame() {
-            Ok(Some(frame)) => {
-                let mut sink = IngestSink::Loop(router);
-                match handle_conn_frame(shared, frame, &mut conn.ctx, &mut sink) {
-                    Outcome::Reply(reply) => {
-                        if !queue_reply(conn, &reply, ebuf) {
-                            return false;
-                        }
-                    }
-                    Outcome::ReplyThenClose(reply) => {
-                        let _ = queue_reply(conn, &reply, ebuf);
-                        conn.close_after_flush = true;
+            Ok(Some(frame)) => match handle_conn_frame(shared, frame, &mut conn.ctx, router) {
+                Outcome::Reply(reply) => {
+                    if !queue_reply(conn, &reply, ebuf) {
+                        return false;
                     }
                 }
-            }
+                Outcome::ReplyThenClose(reply) => {
+                    let _ = queue_reply(conn, &reply, ebuf);
+                    conn.close_after_flush = true;
+                }
+            },
             Ok(None) => break,
             Err(e) => {
                 shared.counters.update(|c| c.decode_errors += 1);
@@ -304,21 +305,9 @@ fn close_conn(ep: &Epoll, conns: &mut HashMap<RawFd, Conn>, fd: RawFd, shared: &
     }
 }
 
-/// Registers an accepted (already nonblocking) socket with this loop.
-fn register_conn(ep: &Epoll, conns: &mut HashMap<RawFd, Conn>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let fd = stream.as_raw_fd();
-    if ep.add(fd, EPOLLIN | EPOLLRDHUP, fd as u64).is_ok() {
-        conns.insert(fd, Conn::new(stream));
-    }
-}
-
 /// Accepts every pending connection on this loop's listener, refusing
 /// beyond the *global* `max_conns` with a best-effort
-/// `Error { ConnLimit }`. In fd-handoff mode (loop 0 only), kept
-/// connections are dealt round-robin across all loops; a loop whose
-/// handoff ring is full keeps the connection here instead.
-#[allow(clippy::too_many_arguments)]
+/// `Error { ConnLimit }`.
 fn accept_ready(
     shared: &Shared,
     listener: &TcpListener,
@@ -326,47 +315,25 @@ fn accept_ready(
     conns: &mut HashMap<RawFd, Conn>,
     max_conns: usize,
     ebuf: &mut Vec<u8>,
-    ctx: &LoopCtx,
-    next_handoff: &mut usize,
 ) {
-    loop {
-        match accept_nonblocking(listener) {
-            Ok(Some(mut stream)) => {
-                // The cap is global occupancy across all loops, like the
-                // threaded backend's pre-spawn check.
-                if shared.active_conns.load(Ordering::Relaxed) >= max_conns as u64 {
-                    shared.counters.update(|c| c.conn_rejects += 1);
-                    let reject = Frame::Error {
-                        code: ErrorCode::ConnLimit,
-                        detail: format!("server is at its connection cap ({max_conns})"),
-                    };
-                    if encode_into(&reject, ebuf).is_ok() {
-                        let _ = write_some(&mut stream, ebuf);
-                    }
-                    continue; // drop closes
-                }
-                // Counted by the acceptor, decremented by whichever loop
-                // ends up closing it.
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                if !ctx.accept_tx.is_empty() {
-                    let target = *next_handoff % ctx.accept_tx.len();
-                    *next_handoff += 1;
-                    if let Some(tx) = &ctx.accept_tx[target] {
-                        match tx.try_send(stream) {
-                            Ok(()) => {
-                                ctx.wakes[target].signal();
-                                continue;
-                            }
-                            Err(TrySendError::Full(s)) | Err(TrySendError::Disconnected(s)) => {
-                                stream = s; // keep it locally instead
-                            }
-                        }
-                    }
-                }
-                register_conn(ep, conns, stream);
+    while let Ok(Some(mut stream)) = accept_nonblocking(listener) {
+        // The cap is global occupancy across all loops.
+        if shared.active_conns.load(Ordering::Relaxed) >= max_conns as u64 {
+            shared.counters.update(|c| c.conn_rejects += 1);
+            let reject = Frame::Error {
+                code: ErrorCode::ConnLimit,
+                detail: format!("server is at its connection cap ({max_conns})"),
+            };
+            if encode_into(&reject, ebuf).is_ok() {
+                let _ = write_some(&mut stream, ebuf);
             }
-            Ok(None) => break,
-            Err(_) => break,
+            continue; // drop closes
+        }
+        let _ = stream.set_nodelay(true);
+        let fd = stream.as_raw_fd();
+        if ep.add(fd, EPOLLIN | EPOLLRDHUP, fd as u64).is_ok() {
+            shared.active_conns.fetch_add(1, Ordering::Relaxed);
+            conns.insert(fd, Conn::new(stream));
         }
     }
 }
@@ -375,14 +342,9 @@ fn accept_ready(
 /// in source-loop order.
 fn drain_forwarded(shared: &Shared, forward_rx: &[Option<Receiver<Batch>>]) {
     for rx in forward_rx.iter().flatten() {
-        loop {
-            match rx.try_recv() {
-                Ok(batch) => {
-                    shared.ingest_batch(batch);
-                    shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
+        while let Ok(batch) = rx.try_recv() {
+            shared.ingest_batch(batch);
+            shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
@@ -394,14 +356,8 @@ fn drain_forwarded(shared: &Shared, forward_rx: &[Option<Receiver<Batch>>]) {
 /// batches accepted (Ack'd) before shutdown are ingested, not dropped.
 fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
     let ep = Epoll::new()?;
-    let listen_token = match &ctx.listener {
-        Some(l) => {
-            let fd = l.as_raw_fd();
-            ep.add(fd, EPOLLIN, fd as u64)?;
-            Some(fd as u64)
-        }
-        None => None,
-    };
+    let listen_token = ctx.listener.as_raw_fd() as u64;
+    ep.add(ctx.listener.as_raw_fd(), EPOLLIN, listen_token)?;
     let wake_token = ctx.wake.fd() as u64;
     ep.add(ctx.wake.fd(), EPOLLIN, wake_token)?;
 
@@ -414,7 +370,6 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut rbuf = vec![0u8; 64 * 1024];
     let mut ebuf: Vec<u8> = Vec::with_capacity(4096);
-    let mut next_handoff = 0usize;
 
     loop {
         let n = ep.wait(&mut events, 50)?;
@@ -426,7 +381,7 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
         // readiness for its previous owner is still queued behind it.
         for ev in &events[..n] {
             let token = ev.token();
-            if Some(token) == listen_token || token == wake_token {
+            if token == listen_token || token == wake_token {
                 continue;
             }
             let fd = token as RawFd;
@@ -449,36 +404,25 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
         if events[..n].iter().any(|ev| ev.token() == wake_token) {
             ctx.wake.drain();
         }
-        // Adopt connections handed off by loop 0 (handoff mode only).
-        if let Some(rx) = &ctx.accept_rx {
-            while let Ok(stream) = rx.try_recv() {
-                register_conn(&ep, &mut conns, stream);
-            }
-        }
         // Ingest batches other loops forwarded for our shards. Checked
         // every iteration — the eventfd wake only bounds idle latency;
         // correctness never depends on catching a specific signal.
         drain_forwarded(shared, &ctx.forward_rx);
-        for ev in &events[..n] {
-            if Some(ev.token()) == listen_token {
-                let listener = ctx.listener.as_ref().expect("token implies listener");
-                accept_ready(
-                    shared,
-                    listener,
-                    &ep,
-                    &mut conns,
-                    ctx.max_conns,
-                    &mut ebuf,
-                    &ctx,
-                    &mut next_handoff,
-                );
-            }
+        if events[..n].iter().any(|ev| ev.token() == listen_token) {
+            accept_ready(
+                shared,
+                &ctx.listener,
+                &ep,
+                &mut conns,
+                ctx.max_conns,
+                &mut ebuf,
+            );
         }
     }
 
     // Shutdown drain protocol (DESIGN.md §12). Order matters:
     //   1. stop accepting and drop our connections (no new batches),
-    //   2. drop our forward *senders* and handoff senders,
+    //   2. drop our forward *senders*,
     //   3. blocking-drain every inbound ring until its sender side
     //      disconnects.
     // Every loop drops its senders (step 2) before its first blocking
@@ -486,17 +430,8 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
     let count = conns.len() as u64;
     drop(conns);
     shared.active_conns.fetch_sub(count, Ordering::Relaxed);
-    drop(ctx.listener.take());
+    drop(ctx.listener);
     drop(router);
-    ctx.accept_tx.clear();
-    if let Some(rx) = ctx.accept_rx.take() {
-        // Handed-off sockets we never adopted: counted by the acceptor,
-        // dropped unserved (exactly like a conn dropped at shutdown).
-        while let Ok(stream) = rx.try_recv() {
-            drop(stream);
-            shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
     for rx in ctx.forward_rx.iter().flatten() {
         while let Ok(batch) = rx.recv() {
             shared.ingest_batch(batch);
@@ -531,42 +466,30 @@ fn bind_reuseport_set(addr: &SocketAddr, loops: usize) -> io::Result<Vec<TcpList
 
 /// Binds the listener set and spawns all event loops. Returns the bound
 /// address, the loop join handles, and each loop's wake eventfd (for
-/// shutdown signalling).
+/// shutdown signalling). Nothing is spawned unless every bind and
+/// eventfd succeeded.
 pub(crate) fn spawn_loops(
     shared: &Arc<Shared>,
-    max_conns: usize,
 ) -> io::Result<(SocketAddr, Vec<JoinHandle<()>>, Vec<Arc<EventFd>>)> {
     let loops = shared.event_loops;
     let cfg = &shared.cfg;
+    let max_conns = cfg.effective_max_connections();
     let addr = resolve_addr(&cfg.addr)?;
 
-    let mut listeners: Vec<TcpListener> = Vec::new();
-    if loops > 1 && !cfg.force_fd_handoff {
-        match bind_reuseport_set(&addr, loops) {
-            Ok(set) => listeners = set,
-            Err(e) => {
-                eprintln!(
-                    "fgcs-service: SO_REUSEPORT bind failed ({e}); \
-                     falling back to fd handoff from one listener"
-                );
-            }
-        }
-    }
-    if listeners.is_empty() {
-        // Single listener: one loop, forced handoff, or reuseport
-        // unavailable. SO_REUSEADDR still honors `reuse_addr`.
-        let l = if cfg.reuse_addr {
-            fgcs_sys::listen_reusable(&addr)?
-        } else {
-            TcpListener::bind(addr)?
-        };
-        listeners.push(l);
-    }
+    // One listener per loop. A lone loop needs no port sharing, so it
+    // binds plainly (`SO_REUSEADDR` only on request); the
+    // `SO_REUSEPORT` listeners always set `SO_REUSEADDR` as well.
+    let listeners = if loops > 1 {
+        bind_reuseport_set(&addr, loops)?
+    } else if cfg.reuse_addr {
+        vec![fgcs_sys::listen_reusable(&addr)?]
+    } else {
+        vec![TcpListener::bind(addr)?]
+    };
     for l in &listeners {
         l.set_nonblocking(true)?;
     }
     let local = listeners[0].local_addr()?;
-    let handoff = listeners.len() < loops;
 
     let wakes: Vec<Arc<EventFd>> = (0..loops)
         .map(|_| EventFd::new().map(Arc::new))
@@ -592,33 +515,14 @@ pub(crate) fn spawn_loops(
         }
     }
 
-    let mut accept_tx: Vec<Option<SyncSender<TcpStream>>> = (0..loops).map(|_| None).collect();
-    let mut accept_rx: Vec<Option<Receiver<TcpStream>>> = (0..loops).map(|_| None).collect();
-    if handoff {
-        for dst in 1..loops {
-            let (tx, rx) = sync_channel(HANDOFF_RING_CAP);
-            accept_tx[dst] = Some(tx);
-            accept_rx[dst] = Some(rx);
-        }
-    }
-
-    let mut listeners = listeners.into_iter();
-    let handles = (0..loops)
-        .map(|i| {
+    let handles = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
             let ctx = LoopCtx {
                 loop_id: i,
                 max_conns,
-                listener: if handoff && i > 0 {
-                    None
-                } else {
-                    listeners.next()
-                },
-                accept_rx: accept_rx[i].take(),
-                accept_tx: if handoff && i == 0 {
-                    std::mem::take(&mut accept_tx)
-                } else {
-                    Vec::new()
-                },
+                listener,
                 forward_rx: std::mem::take(&mut rx_mat[i]),
                 forward_tx: std::mem::take(&mut tx_mat[i]),
                 wake: Arc::clone(&wakes[i]),

@@ -7,16 +7,16 @@
 //! (`fgcs_testbed::run_testbed`); this crate runs it across a TCP
 //! boundary:
 //!
-//! * [`Server`] — a TCP server with two interchangeable connection
-//!   backends ([`Backend`]): thread-per-connection, or N epoll
-//!   readiness loops sharing one `SO_REUSEPORT` port (Linux, via the
-//!   in-tree `fgcs-sys` shim), each loop owning an exclusive subset of
-//!   the state shards ([`ServiceConfig::event_loops`]). Both
-//!   ingest per-machine sample streams into the existing `fgcs-core`
+//! * [`Server`] — a TCP server of N epoll readiness loops sharing one
+//!   `SO_REUSEPORT` port (Linux, via the in-tree `fgcs-sys` shim), each
+//!   loop owning an exclusive subset of the state shards
+//!   ([`ServiceConfig::event_loops`]; one loop is a value of the same
+//!   design, not another server). The loops ingest per-machine sample
+//!   streams into the existing `fgcs-core`
 //!   [`Monitor`](fgcs_core::monitor::Monitor) / detector (via
 //!   [`fgcs_testbed::OccurrenceRecorder`], so a streamed trace yields
-//!   **bit-identical** records to an in-process run — and to the other
-//!   backend), maintain an online `fgcs-predict` model, and answer
+//!   **bit-identical** records to an in-process run at any loop
+//!   count), maintain an online `fgcs-predict` model, and answer
 //!   availability/placement queries from live state. Per-machine state
 //!   is sharded ([`ServiceConfig::state_shards`]); an optional shared
 //!   auth token ([`ServiceConfig::auth_token`]) gates every stream.
@@ -32,13 +32,15 @@
 //!
 //! ## Backpressure
 //!
-//! Ingest capacity is bounded ([`ServiceConfig::queue_capacity`]
-//! batches). In the threaded backend a batch arriving at a full queue
-//! sheds the *oldest* queued batch to make room; in the epoll backend a
-//! batch bound for another loop's shard that finds the forwarding ring
-//! full is itself shed. Either way the producer gets a
-//! [`fgcs_wire::Frame::Busy`] instead of an `Ack`. Every client frame
-//! earns exactly one reply, so the accounting reconciles exactly:
+//! One rule. A batch for a shard its event loop owns is ingested
+//! before the reply is written, so the only queue in front of it is the
+//! TCP socket and a slow server slows its senders. A batch bound for
+//! another loop's shard crosses a bounded forwarding ring
+//! ([`ServiceConfig::queue_capacity`] batches per ordered loop pair);
+//! one that finds the ring full is itself shed and the producer gets a
+//! [`fgcs_wire::Frame::Busy`] instead of an `Ack` — nothing already
+//! accepted is ever dropped or reordered. Every client frame earns
+//! exactly one reply, so the accounting reconciles exactly:
 //!
 //! ```text
 //! batches sent == ingested + shed + decode-rejected
@@ -55,6 +57,7 @@
 pub mod client;
 #[cfg(target_os = "linux")]
 pub mod cluster;
+#[cfg(target_os = "linux")]
 mod conn;
 #[cfg(target_os = "linux")]
 mod epoll;

@@ -245,7 +245,7 @@ pub use fanin::{run_fanin, FanInConfig, FanInReport};
 
 /// The connection-scaling driver: thousands of monitor connections from
 /// one thread (Linux only), multiplexed over [`crate::ClientPool`] —
-/// the same epoll shim the server's readiness-loop backend runs on.
+/// the same epoll shim the server's event loops run on.
 ///
 /// `run_loadgen` spends one OS thread per machine, which is exactly the
 /// limitation the scaling experiment measures on the *server* — the
@@ -385,7 +385,7 @@ mod fanin {
 
     /// Builds the next synthetic batch for a machine: one-minute
     /// samples, light steady load — enough to drive the full decode →
-    /// queue → detector path without detector-state churn.
+    /// ring → detector path without detector-state churn.
     fn next_batch(machine: u32, state: &mut SlotState, batch_size: usize) -> Frame {
         let samples: Vec<WireSample> = (0..batch_size)
             .map(|i| WireSample {

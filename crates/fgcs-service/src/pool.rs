@@ -2,7 +2,7 @@
 //! holding thousands of client connections as nonblocking state over
 //! one epoll instance.
 //!
-//! This is the client-side twin of the server's readiness-loop backend,
+//! This is the client-side twin of the server's event loops,
 //! extracted from the fan-in load generator so anything that needs wide
 //! fan-out — the scaling driver today, cluster replication tomorrow —
 //! shares one multiplexer. The pool is transport only: it owns sockets,
@@ -411,15 +411,11 @@ impl ClientPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, Server, ServiceConfig};
+    use crate::{Server, ServiceConfig};
 
     #[test]
     fn pool_multiplexes_requests_over_many_slots() {
-        let server = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .unwrap();
+        let server = Server::start(ServiceConfig::default()).unwrap();
         let addr = server.local_addr().to_string();
 
         let mut pool = ClientPool::connect(&addr, 8).unwrap();
@@ -482,11 +478,7 @@ mod tests {
 
     #[test]
     fn add_connects_nonblocking_and_flushes_queued_sends() {
-        let server = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .unwrap();
+        let server = Server::start(ServiceConfig::default()).unwrap();
         let addr = server.local_addr().to_string();
 
         let mut pool = ClientPool::new().unwrap();

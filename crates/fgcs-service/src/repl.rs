@@ -4,8 +4,8 @@
 //! derived state — to a follower, which replays them through its own
 //! (deterministic) ingest path and therefore rebuilds records and
 //! transitions **bit-identically**. The protocol is pull-based so it
-//! rides the existing strict request/reply connection handling on both
-//! backends: the follower sends [`Frame::ReplPull`] and the primary
+//! rides the existing strict request/reply connection handling: the
+//! follower sends [`Frame::ReplPull`] and the primary
 //! answers with entries, an empty reply (caught up), or a full
 //! snapshot when the requested position has been trimmed from the log.
 //!

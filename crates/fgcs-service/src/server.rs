@@ -1,53 +1,32 @@
-//! The TCP server: two interchangeable connection backends in front of
-//! one sharded state store. The threaded backend (thread per
-//! connection) feeds a bounded queue drained by an ingest worker pool;
-//! the epoll backend runs N accept-sharing event loops, each owning a
-//! disjoint subset of the state shards and ingesting inline (DESIGN.md
-//! §10 and §12).
+//! The TCP server: N accept-sharing epoll event loops in front of one
+//! sharded state store. Each loop owns a disjoint subset of the state
+//! shards and ingests inline; `event_loops = 1` is a value of that
+//! design, not a different server (DESIGN.md §10 and §12). Linux only:
+//! elsewhere [`Server::start`] returns `ErrorKind::Unsupported`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use fgcs_core::detector::DetectorConfig;
 use fgcs_testbed::{LabConfig, TraceRecord};
-use fgcs_wire::{Decoder, ErrorCode, Frame, StatsPayload, WireTransition};
+use fgcs_wire::{StatsPayload, WireTransition};
 
-use crate::conn::{handle_conn_frame, ConnCtx, IngestSink, Outcome};
 use crate::state::Shared;
 
-/// How the server multiplexes connections.
+/// How the server multiplexes connections. One-valued since the
+/// threaded backend was deleted: the epoll event loops *are* the
+/// server. The type survives only because `benchmark/src/adapter.rs`
+/// names `Backend::Epoll`; it goes, with [`ServiceConfig::backend`], in
+/// the benchmark-only follow-up that edits the adapter (ROADMAP
+/// direction 2(A)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// One OS thread per connection (the PR 3 design). Simple, but the
-    /// thread budget caps fan-in; see [`ServiceConfig::max_connections`].
-    #[default]
-    Threads,
-    /// One epoll readiness loop owning every connection as nonblocking
+    /// Epoll readiness loops owning every connection as nonblocking
     /// state (Linux only). Fan-in is bounded by fds, not threads.
+    #[default]
     Epoll,
-}
-
-impl Backend {
-    /// Parses a `--backend` flag value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "threads" => Some(Backend::Threads),
-            "epoll" => Some(Backend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Threads => "threads",
-            Backend::Epoll => "epoll",
-        }
-    }
 }
 
 /// Server configuration.
@@ -55,24 +34,22 @@ impl Backend {
 pub struct ServiceConfig {
     /// Bind address. Use port 0 to let the OS pick (tests do).
     pub addr: String,
-    /// Connection backend.
+    /// A one-valued vestige (see [`Backend`]): not a choice, kept only
+    /// until the benchmark adapter stops naming it.
     pub backend: Backend,
-    /// Ingest worker count; 0 means [`fgcs_par::default_workers`].
-    pub workers: usize,
-    /// Ingest queue capacity, in batches. Arrivals beyond this shed the
-    /// oldest queued batch and earn a `Busy` reply.
+    /// Capacity, in batches, of each cross-loop forwarding ring (one per
+    /// ordered loop pair). A batch homed on another loop that finds its
+    /// ring full is shed itself and earns a `Busy` reply; batches for a
+    /// loop's own shards are ingested inline and never shed. Unused at
+    /// one event loop.
     pub queue_capacity: usize,
-    /// Per-connection read timeout, ms. Bounds how long a connection
-    /// thread can miss a shutdown request.
-    pub read_timeout_ms: u64,
-    /// Concurrent-connection cap; 0 picks the backend default (1024 for
-    /// threads — a thread-budget ceiling — and 16384 for epoll).
-    /// Connections beyond the cap are refused with
-    /// `Error { ConnLimit }` and closed.
+    /// Concurrent-connection cap; 0 means 16384. Connections beyond the
+    /// cap are refused with `Error { ConnLimit }` and closed.
     pub max_connections: usize,
-    /// Shard count for the per-machine state map; 0 means 16. More
-    /// shards cut lock contention between ingest workers and query
-    /// handlers; the read paths re-sort so results stay deterministic.
+    /// Shard count for the per-machine state map; 0 means 16. Shards
+    /// are what the event loops partition among themselves, and more of
+    /// them cut lock contention between ingest and query handlers; the
+    /// read paths re-sort so results stay deterministic.
     pub state_shards: usize,
     /// Shared auth token. When set, every connection must present it in
     /// a [`Frame::Auth`] before any other frame; violations earn
@@ -102,16 +79,13 @@ pub struct ServiceConfig {
     /// server can rebind its old port while the previous life's sockets
     /// sit in TIME_WAIT. Off by default.
     pub reuse_addr: bool,
-    /// Epoll backend only: how many event loops to run, each with its
-    /// own `SO_REUSEPORT` listener and an exclusive subset of the state
-    /// shards (DESIGN.md §12). 0 means auto: `min(cores, shards)`.
-    /// Must not exceed [`ServiceConfig::state_shards`]; ignored by the
-    /// threaded backend.
+    /// How many event loops to run, each with an exclusive subset of
+    /// the state shards and — beyond one — its own `SO_REUSEPORT`
+    /// listener on the shared address (DESIGN.md §12; needs Linux
+    /// ≥ 3.9, else [`Server::start`] returns the bind error). 0 means
+    /// auto: `min(cores, shards)`. Must not exceed
+    /// [`ServiceConfig::state_shards`].
     pub event_loops: usize,
-    /// Testing hook: skip `SO_REUSEPORT` and run multi-loop through the
-    /// single-listener fd-handoff fallback, as if the kernel lacked the
-    /// option.
-    pub force_fd_handoff: bool,
     /// Replication seq-log capacity, in entries. 0 disables replication
     /// on a primary (followers force a default — see
     /// [`ServiceConfig::repl_capacity`]). The log must retain enough
@@ -154,10 +128,8 @@ impl Default for ServiceConfig {
         let lab = LabConfig::default();
         ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
-            backend: Backend::Threads,
-            workers: 0,
+            backend: Backend::Epoll,
             queue_capacity: 256,
-            read_timeout_ms: 200,
             max_connections: 0,
             state_shards: 0,
             auth_token: None,
@@ -170,7 +142,6 @@ impl Default for ServiceConfig {
             snapshot_interval_ms: 5000,
             reuse_addr: false,
             event_loops: 0,
-            force_fd_handoff: false,
             repl_log_capacity: 0,
             follower_of: None,
             pull_interval_ms: 5,
@@ -213,19 +184,13 @@ impl ServiceConfig {
     }
 
     /// The resolved event-loop count: `event_loops` when set, else
-    /// `min(cores, shards)` for the epoll backend and always 1 for the
-    /// threaded backend (which has no event loops to multiply).
+    /// `min(cores, shards)`.
     pub fn resolved_event_loops(&self) -> usize {
-        match self.backend {
-            Backend::Threads => 1,
-            Backend::Epoll => {
-                if self.event_loops > 0 {
-                    self.event_loops
-                } else {
-                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    cores.min(self.state_shards()).max(1)
-                }
-            }
+        if self.event_loops > 0 {
+            self.event_loops
+        } else {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            cores.min(self.state_shards()).max(1)
         }
     }
 
@@ -243,15 +208,12 @@ impl ServiceConfig {
         }
     }
 
-    /// The resolved connection cap for this configuration's backend.
+    /// The resolved connection cap.
     pub fn effective_max_connections(&self) -> usize {
         if self.max_connections > 0 {
             self.max_connections
         } else {
-            match self.backend {
-                Backend::Threads => 1024,
-                Backend::Epoll => 16384,
-            }
+            16384
         }
     }
 }
@@ -260,8 +222,7 @@ impl ServiceConfig {
 /// [`Server::lock_contention`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockContention {
-    /// Category name (`online`, `queue`, `machines`, `shards`,
-    /// `counters`).
+    /// Category name (`online`, `machines`, `shards`, `counters`).
     pub lock: &'static str,
     /// Total instrumented acquisitions.
     pub acquisitions: u64,
@@ -275,26 +236,30 @@ pub struct LockContention {
 /// the server; call [`Server::shutdown`].
 pub struct Server {
     addr: SocketAddr,
-    backend: Backend,
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
     loop_handles: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
     loop_wakes: Vec<Arc<fgcs_sys::EventFd>>,
-    worker_handles: Vec<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     checkpoint_handle: Option<JoinHandle<()>>,
     /// The follower's replication pull loop (`follower_of` only).
     repl_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts the server: the selected connection backend
-    /// plus (threaded backend) a pool of ingest workers draining the
-    /// queue. The epoll backend ingests on its event loops directly —
-    /// each loop owns a disjoint shard subset — and spawns no workers.
+    /// Binds and starts the server: the event loops (which ingest
+    /// inline, each on its own shard subset), the checkpointer when
+    /// snapshots are on, and a follower's pull loop.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Server> {
-        if cfg.backend == Backend::Epoll {
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = cfg;
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the epoll event loops require Linux",
+            ))
+        }
+        #[cfg(target_os = "linux")]
+        {
             let loops = cfg.resolved_event_loops();
             if loops > cfg.state_shards() {
                 return Err(std::io::Error::new(
@@ -306,114 +271,52 @@ impl Server {
                     ),
                 ));
             }
-        }
-        // Build (and possibly restore) the shared state *before*
-        // binding: once the listener exists, clients can connect and
-        // would race the restore with fresh machine state.
-        let shared = Arc::new(Shared::new(cfg)?);
-        let cfg = &shared.cfg;
-        let backend = cfg.backend;
-        let max_conns = cfg.effective_max_connections();
-        let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(10));
+            // Build (and possibly restore) the shared state *before*
+            // binding: once the listener exists, clients can connect
+            // and would race the restore with fresh machine state.
+            let shared = Arc::new(Shared::new(cfg)?);
+            // Bind next, while nothing else runs: a failed bind (say
+            // `SO_REUSEPORT` on a pre-3.9 kernel) returns with no
+            // thread to unwind.
+            let (addr, loop_handles, loop_wakes) = crate::epoll::spawn_loops(&shared)?;
 
-        // Periodic checkpoints run on a dedicated thread for both
-        // backends: event loops never block on snapshot I/O, and the
-        // threaded accept loop blocks in `incoming()` anyway.
-        let checkpoint_handle = if shared.snapshots_enabled() {
-            let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || {
-                while !shared.shutting_down() {
-                    shared.checkpoint_if_due();
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }))
-        } else {
-            None
-        };
+            // Periodic checkpoints run on a dedicated thread: event
+            // loops never block on snapshot I/O.
+            let checkpoint_handle = if shared.snapshots_enabled() {
+                let shared = Arc::clone(&shared);
+                Some(std::thread::spawn(move || {
+                    while !shared.shutting_down() {
+                        shared.checkpoint_if_due();
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    }
+                }))
+            } else {
+                None
+            };
 
-        // A follower starts its pull loop before (and independently of)
-        // the listener: replication is outbound, and the node answers
-        // queries from whatever state it has replicated so far.
-        let repl_handle = if shared.cfg.follower_of.is_some() {
-            Some(crate::repl::spawn_pull_thread(Arc::clone(&shared)))
-        } else {
-            None
-        };
+            // A follower's pull loop is independent of the listener:
+            // replication is outbound, and the node answers queries
+            // from whatever state it has replicated so far.
+            let repl_handle = if shared.cfg.follower_of.is_some() {
+                Some(crate::repl::spawn_pull_thread(Arc::clone(&shared)))
+            } else {
+                None
+            };
 
-        let conn_handles = Arc::new(Mutex::new(Vec::new()));
-        match backend {
-            Backend::Threads => {
-                let listener = bind_listener(cfg)?;
-                let addr = listener.local_addr()?;
-                let workers = if cfg.workers > 0 {
-                    cfg.workers
-                } else {
-                    fgcs_par::default_workers(usize::MAX)
-                };
-                let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-                    .map(|_| {
-                        let shared = Arc::clone(&shared);
-                        std::thread::spawn(move || ingest_worker(&shared))
-                    })
-                    .collect();
-                let accept_handle = {
-                    let shared = Arc::clone(&shared);
-                    let conn_handles = Arc::clone(&conn_handles);
-                    std::thread::spawn(move || {
-                        accept_loop(&shared, &listener, max_conns, read_timeout, &conn_handles)
-                    })
-                };
-                Ok(Server {
-                    addr,
-                    backend,
-                    shared,
-                    accept_handle: Some(accept_handle),
-                    loop_handles: Vec::new(),
-                    #[cfg(target_os = "linux")]
-                    loop_wakes: Vec::new(),
-                    worker_handles,
-                    conn_handles,
-                    checkpoint_handle,
-                    repl_handle,
-                })
-            }
-            Backend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    let (addr, loop_handles, loop_wakes) =
-                        crate::epoll::spawn_loops(&shared, max_conns)?;
-                    Ok(Server {
-                        addr,
-                        backend,
-                        shared,
-                        accept_handle: None,
-                        loop_handles,
-                        loop_wakes,
-                        worker_handles: Vec::new(),
-                        conn_handles,
-                        checkpoint_handle,
-                        repl_handle,
-                    })
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "the epoll backend requires Linux",
-                    ))
-                }
-            }
+            Ok(Server {
+                addr,
+                shared,
+                loop_handles,
+                loop_wakes,
+                checkpoint_handle,
+                repl_handle,
+            })
         }
     }
 
     /// The bound address (with the OS-assigned port when binding to 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Which backend this server runs.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// A stats snapshot, identical to what a `QueryStats` frame returns.
@@ -462,8 +365,7 @@ impl Server {
         self.shared.lock_online().harvestable(machine)
     }
 
-    /// How many event loops serve connections (1 for the threaded
-    /// backend).
+    /// How many event loops serve connections.
     pub fn event_loops(&self) -> usize {
         self.shared.event_loops
     }
@@ -503,8 +405,8 @@ impl Server {
 
     /// Contention numbers for every instrumented lock category, in a
     /// fixed order. `counters` covers the slotted stats counters; the
-    /// rest are the [`crate::state`] categories (online model, ingest
-    /// queue, machine cells on the ingest path, shard maps).
+    /// rest are the [`crate::state`] categories (online model, machine
+    /// cells on the ingest path, shard maps).
     pub fn lock_contention(&self) -> Vec<LockContention> {
         let mk = |lock: &'static str, stats: &crate::state::LockStats| {
             let (acquisitions, contended, wait_ns) = stats.values();
@@ -517,35 +419,21 @@ impl Server {
         };
         vec![
             mk("online", &self.shared.locks.online),
-            mk("queue", &self.shared.locks.queue),
             mk("machines", &self.shared.locks.machines),
             mk("shards", &self.shared.locks.shards),
             mk("counters", self.shared.counters.lock_stats()),
         ]
     }
 
-    /// Stops the server: drains the ingest queue and the cross-loop
-    /// forwarding rings, then joins every thread. Accepted batches are
-    /// ingested, not dropped — the reconciliation identity must hold at
-    /// shutdown.
+    /// Stops the server: drains the cross-loop forwarding rings, then
+    /// joins every thread. Accepted batches are ingested, not dropped —
+    /// the reconciliation identity must hold at shutdown.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.queue_cv.notify_all();
-        match self.backend {
-            Backend::Threads => {
-                // Unblock the accept loop with a throwaway connection.
-                let _ = TcpStream::connect(self.addr);
-            }
-            Backend::Epoll => {
-                // Wake every event loop out of epoll_wait.
-                #[cfg(target_os = "linux")]
-                for wake in &self.loop_wakes {
-                    wake.signal();
-                }
-            }
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+        // Wake every event loop out of epoll_wait.
+        #[cfg(target_os = "linux")]
+        for wake in &self.loop_wakes {
+            wake.signal();
         }
         for h in self.loop_handles.drain(..) {
             let _ = h.join();
@@ -558,180 +446,8 @@ impl Server {
             // requests and sleeps are capped, so this join is bounded.
             let _ = h.join();
         }
-        for h in self.worker_handles.drain(..) {
-            let _ = h.join();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conn_handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
         // Final checkpoint, after every thread has quiesced: the
         // snapshot captures the fully drained state.
         self.shared.checkpoint_final();
-    }
-}
-
-/// Binds the listening socket per the configuration. With `reuse_addr`
-/// set (Linux), binds through `fgcs-sys` with `SO_REUSEADDR` so a
-/// restarted server can reclaim a port whose old sockets are still in
-/// TIME_WAIT; elsewhere, or by default, a plain std bind.
-fn bind_listener(cfg: &ServiceConfig) -> std::io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    if cfg.reuse_addr {
-        use std::net::ToSocketAddrs;
-        let addr = cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("address {:?} resolves to nothing", cfg.addr),
-            )
-        })?;
-        return fgcs_sys::listen_reusable(&addr);
-    }
-    TcpListener::bind(&cfg.addr)
-}
-
-/// The threaded backend's accept loop: one thread per connection, with
-/// the connection cap enforced *before* the spawn.
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    max_conns: usize,
-    read_timeout: Duration,
-    conn_handles: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutting_down() {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        if shared.active_conns.load(Ordering::Relaxed) >= max_conns as u64 {
-            shared.counters.update(|c| c.conn_rejects += 1);
-            // Best effort: tell the peer why before closing.
-            let reject = Frame::Error {
-                code: ErrorCode::ConnLimit,
-                detail: format!("server is at its connection cap ({max_conns})"),
-            };
-            if let Ok(bytes) = reject.encode() {
-                let _ = stream.write_all(&bytes);
-            }
-            continue;
-        }
-        shared.active_conns.fetch_add(1, Ordering::Relaxed);
-        let _ = stream.set_read_timeout(Some(read_timeout));
-        let _ = stream.set_nodelay(true);
-        let shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
-            serve_connection(&shared, stream);
-            shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-        });
-        conn_handles.lock().unwrap().push(handle);
-    }
-}
-
-/// Ingest worker: claims one machine's queued batches at a time,
-/// preserving per-machine sample order. Drains the queue fully before
-/// exiting on shutdown.
-fn ingest_worker(shared: &Shared) {
-    loop {
-        let claimed = {
-            let mut queue = shared.lock_queue();
-            loop {
-                match queue.claim() {
-                    Some(work) => break Some(work),
-                    None => {
-                        if shared.shutting_down() && queue.len() == 0 {
-                            break None;
-                        }
-                        // Either empty, or every queued machine is busy;
-                        // a finishing worker or a new push wakes us.
-                        let (q, _) = shared
-                            .queue_cv
-                            .wait_timeout(queue, Duration::from_millis(50))
-                            .unwrap();
-                        queue = q;
-                    }
-                }
-            }
-        };
-        let Some((machine, batches)) = claimed else {
-            return;
-        };
-        for batch in batches {
-            shared.ingest_batch(batch);
-        }
-        let mut queue = shared.lock_queue();
-        queue.finish(machine);
-        drop(queue);
-        // The machine may have accumulated new batches while busy, and
-        // idle workers may be waiting for it to be released.
-        shared.queue_cv.notify_all();
-    }
-}
-
-/// Per-connection loop: strict request/reply. Every decoded frame earns
-/// exactly one reply; every decode error earns an `Error` reply (and
-/// closes the connection if the error is fatal).
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let mut decoder = Decoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    let mut ctx = ConnCtx::default();
-    let mut sink = IngestSink::Queue;
-    loop {
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => match handle_conn_frame(shared, frame, &mut ctx, &mut sink) {
-                    Outcome::Reply(reply) => {
-                        if !write_frame(&mut stream, &reply) {
-                            return;
-                        }
-                    }
-                    Outcome::ReplyThenClose(reply) => {
-                        let _ = write_frame(&mut stream, &reply);
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    shared.counters.update(|c| c.decode_errors += 1);
-                    let reply = Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        detail: e.to_string(),
-                    };
-                    let sent = write_frame(&mut stream, &reply);
-                    if e.is_fatal() || !sent {
-                        return;
-                    }
-                }
-            }
-        }
-        // Re-check between requests, not just on read timeouts: a
-        // client that never pauses (a follower pulling the replication
-        // log flat-out) would otherwise keep this thread alive — and
-        // `Server::shutdown` joining it — forever. Frames already
-        // decoded got their replies above, so the one-reply-per-frame
-        // identity holds for everything the server accepted.
-        if shared.shutting_down() {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return, // peer closed
-            Ok(n) => decoder.push(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> bool {
-    match frame.encode() {
-        Ok(bytes) => stream.write_all(&bytes).is_ok(),
-        Err(_) => false,
     }
 }

@@ -536,8 +536,8 @@ struct SinkState {
 }
 
 /// Serialized writer of interval-gated snapshots into one directory.
-/// All checkpoint paths (the periodic hooks on both backends and the
-/// final shutdown write) funnel through this one mutex, so snapshots
+/// All checkpoint paths (the checkpointer thread's periodic hook and
+/// the final shutdown write) funnel through this one mutex, so snapshots
 /// never interleave and the interval is enforced exactly once.
 pub(crate) struct SnapshotSink {
     dir: PathBuf,

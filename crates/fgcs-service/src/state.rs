@@ -1,11 +1,12 @@
-//! Server-side state: per-machine detector pipelines, the bounded
-//! ingest queue, and the shared counters behind the `Stats` frame.
+//! Server-side state: per-machine detector pipelines, the shard map
+//! the event loops partition, and the shared counters behind the
+//! `Stats` frame.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fgcs_core::model::AvailState;
@@ -18,103 +19,11 @@ use crate::repl::{ReplLog, ROLE_FOLLOWER, ROLE_PRIMARY};
 use crate::server::ServiceConfig;
 use crate::snapshot::{self, MachineSnapshot, SnapshotData, SnapshotSink};
 
-/// A queued sample batch.
+/// One decoded sample batch on its way to its machine's pipeline.
 #[derive(Debug)]
 pub(crate) struct Batch {
     pub machine: u32,
     pub samples: Vec<WireSample>,
-}
-
-/// Bounded multi-machine FIFO. Two invariants matter:
-///
-/// * **Per-machine order.** A worker claims *all* queued batches of one
-///   machine at once and the machine is marked busy until it finishes,
-///   so two workers can never interleave one machine's samples — the
-///   detector requires non-decreasing timestamps.
-/// * **Shed oldest first.** On overflow the globally oldest queued
-///   batch is dropped (and returned for accounting); the arriving batch
-///   is always accepted. Old samples describe state the detector has
-///   already moved past; the freshest data is the most valuable.
-#[derive(Debug)]
-pub(crate) struct IngestQueue {
-    cap: usize,
-    total: usize,
-    /// Machine id per queued batch, in global arrival order.
-    order: VecDeque<u32>,
-    per_machine: BTreeMap<u32, VecDeque<Batch>>,
-    /// Machines currently claimed by a worker.
-    busy: BTreeSet<u32>,
-}
-
-impl IngestQueue {
-    pub(crate) fn new(cap: usize) -> Self {
-        IngestQueue {
-            cap: cap.max(1),
-            total: 0,
-            order: VecDeque::new(),
-            per_machine: BTreeMap::new(),
-            busy: BTreeSet::new(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Enqueues a batch; if the queue was full, sheds and returns the
-    /// oldest queued batch.
-    pub(crate) fn push(&mut self, batch: Batch) -> Option<Batch> {
-        let shed = if self.total >= self.cap {
-            let victim = self
-                .order
-                .pop_front()
-                .expect("full queue has an order entry");
-            let q = self
-                .per_machine
-                .get_mut(&victim)
-                .expect("order entry has a batch");
-            let b = q.pop_front().expect("order entry has a batch");
-            if q.is_empty() {
-                self.per_machine.remove(&victim);
-            }
-            self.total -= 1;
-            Some(b)
-        } else {
-            None
-        };
-        self.order.push_back(batch.machine);
-        self.per_machine
-            .entry(batch.machine)
-            .or_default()
-            .push_back(batch);
-        self.total += 1;
-        shed
-    }
-
-    /// Claims the first machine (in arrival order) not already being
-    /// drained, removing *all* its queued batches and marking it busy.
-    /// Returns `None` if every queued machine is busy (or the queue is
-    /// empty).
-    pub(crate) fn claim(&mut self) -> Option<(u32, VecDeque<Batch>)> {
-        let machine = self
-            .order
-            .iter()
-            .copied()
-            .find(|m| !self.busy.contains(m))?;
-        let batches = self
-            .per_machine
-            .remove(&machine)
-            .expect("ordered machine has batches");
-        self.total -= batches.len();
-        self.order.retain(|&m| m != machine);
-        self.busy.insert(machine);
-        Some((machine, batches))
-    }
-
-    /// Releases a machine claimed by [`IngestQueue::claim`].
-    pub(crate) fn finish(&mut self, machine: u32) {
-        self.busy.remove(&machine);
-    }
 }
 
 /// Probe adapter turning a counter-level [`WireSample`] into one
@@ -396,12 +305,9 @@ pub(crate) fn lock_timed<'a, T>(
 /// lock still costs time", not which instance.
 #[derive(Debug, Default)]
 pub(crate) struct LockStatsSet {
-    /// The global online-model mutex (the one remaining shared hot-path
-    /// lock in the multi-loop backend).
+    /// The global online-model mutex (the one shared hot-path lock the
+    /// event loops have left).
     pub online: LockStats,
-    /// The bounded ingest queue (threaded backend hot path; idle under
-    /// the epoll backend, which ingests loop-locally).
-    pub queue: LockStats,
     /// Per-machine pipeline cells, ingest path only.
     pub machines: LockStats,
     /// Shard map locks (machine-id → cell lookup).
@@ -413,12 +319,12 @@ pub(crate) struct LockStatsSet {
 /// the loop counts the experiments run (≤ 8).
 const COUNTER_SLOT_FLOOR: usize = 16;
 
-/// Returns this thread's counter-slot index in `0..n`. Threads get
-/// distinct slots round-robin on first use, so as long as at most `n`
-/// threads ever touch the counters (true for the epoll backend: one
-/// slot per loop) no two threads share a slot; beyond that (threaded
-/// backend with many conn threads) slots are shared and the mutex per
-/// slot keeps updates atomic.
+/// Returns this thread's counter-slot index in `0..n`. Each thread
+/// gets its slot round-robin on first use, so as long as at most `n`
+/// threads ever touch the counters (one slot per event loop, plus the
+/// checkpointer, a follower's pull thread and stats readers) no two
+/// share a slot; beyond that — several servers in one test process —
+/// slots are shared and the mutex per slot keeps updates atomic.
 fn thread_slot(n: usize) -> usize {
     use std::cell::Cell;
     use std::sync::atomic::AtomicUsize;
@@ -513,33 +419,31 @@ impl Counters {
 /// One shard of the per-machine state map.
 type StateShard = Mutex<BTreeMap<u32, Arc<Mutex<MachineState>>>>;
 
-/// Everything the accept loop, connection threads and ingest workers
-/// share.
+/// Everything the event loops, the checkpointer and a follower's pull
+/// thread share.
 pub(crate) struct Shared {
     pub cfg: ServiceConfig,
-    /// Per-machine pipelines, sharded by machine id so ingest workers
-    /// and query handlers touching different machines stop serializing
-    /// on one map lock (DESIGN.md §10). Deterministic read paths
-    /// (stats, placement) re-sort by id after collecting across shards.
+    /// Per-machine pipelines, sharded by machine id so ingest and query
+    /// handlers touching different machines stop serializing on one map
+    /// lock (DESIGN.md §10). Deterministic read paths (stats,
+    /// snapshots) re-sort by id after collecting across shards.
     shards: Box<[StateShard]>,
     pub online: Mutex<OnlineAvailabilityModel>,
-    pub queue: Mutex<IngestQueue>,
-    pub queue_cv: Condvar,
     pub shutdown: AtomicBool,
     pub counters: Counters,
     /// Contention instrumentation for the remaining shared locks.
     pub locks: LockStatsSet,
     /// Batches accepted (Ack'd) by one event loop but still in flight
-    /// on a cross-loop forwarding ring. Counted into `queue_depth` so
-    /// "queue empty" keeps meaning "everything accepted is ingested"
-    /// under the multi-loop backend too.
+    /// on a cross-loop forwarding ring. This is what `queue_depth`
+    /// reports, so "queue empty" means "everything accepted is
+    /// ingested".
     pub pending_forwarded: AtomicU64,
-    /// Resolved event-loop count (1 for the threaded backend); the
-    /// divisor of the shard→loop ownership map.
+    /// Resolved event-loop count; the divisor of the shard→loop
+    /// ownership map.
     pub event_loops: usize,
-    /// Connections currently served (threaded backend: live conn
-    /// threads; epoll backend: registered conn fds). Stays a plain
-    /// atomic — it is instantaneous occupancy, not accounting.
+    /// Connections currently served (registered conn fds, all loops).
+    /// Stays a plain atomic — it is instantaneous occupancy, not
+    /// accounting.
     pub active_conns: AtomicU64,
     pub started_at: Instant,
     /// Serving time accumulated by previous lives of this server
@@ -579,7 +483,6 @@ impl Shared {
     /// before the caller binds the listener — so early client traffic
     /// can never race the restore with fresh machine state.
     pub(crate) fn new(cfg: ServiceConfig) -> io::Result<Self> {
-        let queue = IngestQueue::new(cfg.queue_capacity);
         let online = OnlineAvailabilityModel::new(cfg.start_weekday);
         let n_shards = cfg.state_shards();
         let shards: Box<[StateShard]> =
@@ -598,8 +501,6 @@ impl Shared {
         let shared = Shared {
             shards,
             online: Mutex::new(online),
-            queue: Mutex::new(queue),
-            queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             counters: Counters::new(event_loops),
             locks: LockStatsSet::default(),
@@ -729,9 +630,9 @@ impl Shared {
     }
 
     /// Periodic checkpoint hook — called from the dedicated
-    /// checkpointer thread (both backends; event loops never block on
-    /// snapshot I/O). The sink's single mutex gates the interval and
-    /// serializes writers. A write failure is logged, never fatal.
+    /// checkpointer thread (event loops never block on snapshot I/O).
+    /// The sink's single mutex gates the interval and serializes
+    /// writers. A write failure is logged, never fatal.
     pub(crate) fn checkpoint_if_due(&self) {
         let Some(sink) = &self.snapshots else { return };
         if let Err(e) = sink.maybe_write(|| self.collect_snapshot()) {
@@ -828,11 +729,6 @@ impl Shared {
         lock_timed(&self.online, &self.locks.online)
     }
 
-    /// The ingest-queue lock, instrumented.
-    pub(crate) fn lock_queue(&self) -> std::sync::MutexGuard<'_, IngestQueue> {
-        lock_timed(&self.queue, &self.locks.queue)
-    }
-
     /// Looks up (or creates) the state cell for a machine.
     pub(crate) fn machine_entry(&self, machine: u32) -> Arc<Mutex<MachineState>> {
         let mut map = lock_timed(self.shard(machine), &self.locks.shards);
@@ -872,9 +768,8 @@ impl Shared {
         all
     }
 
-    /// Ingests one claimed batch into its machine's pipeline and the
-    /// online model. Called from ingest workers (threaded backend) or
-    /// the machine's home event loop (epoll backend) only.
+    /// Ingests one batch into its machine's pipeline and the online
+    /// model. Called from the machine's home event loop only.
     pub(crate) fn ingest_batch(&self, batch: Batch) {
         if self.cfg.ingest_delay_us > 0 {
             // Artificial per-batch cost, used by overload tests to pin
@@ -916,9 +811,8 @@ impl Shared {
     /// ever written by a thread holding that machine's lock, so the
     /// table holds the machine's state as of its latest critical
     /// section whatever the writers' timing. (Per-machine ingest is
-    /// serial in any case — the home event loop, one
-    /// `IngestQueue::claim` at a time, one follower apply thread — but
-    /// the flag does not lean on it.) `Place` then reads flags and
+    /// serial in any case — the home event loop, or one follower apply
+    /// thread — but the flag does not lean on it.) `Place` then reads flags and
     /// history under the one online lock and never touches a cell.
     fn finish_ingest(
         &self,
@@ -1013,8 +907,7 @@ impl Shared {
             shed_samples: c.shed_samples,
             decode_errors: c.decode_errors,
             busy_replies: c.busy_replies,
-            queue_depth: self.queue.lock().unwrap().len() as u64
-                + self.pending_forwarded.load(Ordering::Acquire),
+            queue_depth: self.pending_forwarded.load(Ordering::Acquire),
             queries_answered: c.queries_answered,
             placements_answered: c.placements_answered,
             ingest_rate: if elapsed > 0.0 {
@@ -1030,54 +923,6 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn batch(machine: u32, n: usize) -> Batch {
-        Batch {
-            machine,
-            samples: vec![
-                WireSample {
-                    t: 0,
-                    load: SampleLoad::Direct(0.1),
-                    host_resident_mb: 100,
-                    alive: true
-                };
-                n
-            ],
-        }
-    }
-
-    #[test]
-    fn queue_sheds_oldest_on_overflow() {
-        let mut q = IngestQueue::new(2);
-        assert!(q.push(batch(1, 3)).is_none());
-        assert!(q.push(batch(2, 4)).is_none());
-        let shed = q.push(batch(3, 5)).expect("overflow sheds");
-        assert_eq!(shed.machine, 1, "oldest batch goes first");
-        assert_eq!(shed.samples.len(), 3);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn claim_drains_one_machine_and_blocks_reclaim_until_finish() {
-        let mut q = IngestQueue::new(10);
-        q.push(batch(1, 1));
-        q.push(batch(2, 1));
-        q.push(batch(1, 2));
-        let (m, batches) = q.claim().expect("work available");
-        assert_eq!(m, 1, "machine 1 arrived first");
-        assert_eq!(batches.len(), 2, "claim takes all of machine 1's batches");
-        assert_eq!(q.len(), 1);
-        // Machine 1 is busy: a new batch for it queues but cannot be
-        // claimed; machine 2 can.
-        q.push(batch(1, 3));
-        let (m2, _) = q.claim().expect("machine 2 claimable");
-        assert_eq!(m2, 2);
-        assert!(q.claim().is_none(), "machine 1 is busy");
-        q.finish(1);
-        let (m1, b1) = q.claim().expect("machine 1 released");
-        assert_eq!(m1, 1);
-        assert_eq!(b1.len(), 1);
-    }
 
     #[test]
     fn sharded_map_keeps_sorted_iteration_order() {
@@ -1143,7 +988,6 @@ mod tests {
         let cfg = crate::server::ServiceConfig {
             state_shards: 16,
             event_loops: 4,
-            backend: crate::server::Backend::Epoll,
             ..Default::default()
         };
         let shared = Shared::new(cfg).unwrap();
@@ -1186,13 +1030,6 @@ mod tests {
         assert_eq!(acq, 4);
         assert_eq!(cont, 1);
         assert!(wait > 0, "blocked time recorded");
-    }
-
-    #[test]
-    fn queue_capacity_is_at_least_one() {
-        let mut q = IngestQueue::new(0);
-        assert!(q.push(batch(1, 1)).is_none(), "cap clamps to 1");
-        assert!(q.push(batch(2, 1)).is_some());
     }
 
     /// One square wave per machine: long enough busy/idle stretches to

@@ -1,17 +1,17 @@
-//! Backend-equivalence, auth-handshake, disconnect, and connection-cap
-//! tests over real localhost TCP.
+//! Loop-count equivalence, auth-handshake, disconnect, malformed-frame
+//! and connection-cap tests over real localhost TCP.
 //!
-//! The epoll readiness loops must be *indistinguishable* from the
-//! thread-per-connection backend at the protocol and accounting level:
-//! same replies, same occurrence records bit for bit, same identities —
-//! at one event loop and at four (where cross-loop forwarding rings
-//! carry foreign-shard batches), over both the `SO_REUSEPORT` listener
-//! set and the fd-handoff fallback.
+//! The event-loop count must be *invisible* at the protocol and
+//! accounting level: one loop and four (where cross-loop forwarding
+//! rings carry foreign-shard batches over an `SO_REUSEPORT` listener
+//! set) give the same replies, the same occurrence records bit for bit
+//! — the in-process pipeline's — and the same identities.
+#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_testbed::{trace_machine, MachinePlan, OccurrenceRecorder, TestbedConfig};
 use fgcs_wire::{Decoder, ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
 
@@ -67,22 +67,19 @@ fn batch(machine: u32, t0: u64, n: u64) -> Frame {
     Frame::SampleBatch { machine, samples }
 }
 
-/// An epoll config running `loops` event loops.
-#[cfg(target_os = "linux")]
-fn epoll_cfg(loops: usize) -> ServiceConfig {
+/// A default config running `loops` event loops.
+fn loops_cfg(loops: usize) -> ServiceConfig {
     ServiceConfig {
-        backend: Backend::Epoll,
         event_loops: loops,
         ..Default::default()
     }
 }
 
-/// Streams `TestbedConfig::tiny` through a server configured by
-/// `tweak` and returns (per-machine records, per-machine transitions,
+/// Streams `TestbedConfig::tiny` through a server with `loops` event
+/// loops and returns (per-machine records, per-machine transitions,
 /// stats).
-#[cfg(target_os = "linux")]
 fn stream_tiny(
-    tweak: impl Fn(&mut ServiceConfig),
+    loops: usize,
 ) -> (
     Vec<Vec<fgcs_testbed::TraceRecord>>,
     Vec<Vec<WireTransition>>,
@@ -90,7 +87,7 @@ fn stream_tiny(
 ) {
     let cfg = TestbedConfig::tiny();
     let mut svc = ServiceConfig::for_testbed(&cfg);
-    tweak(&mut svc);
+    svc.event_loops = loops;
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
 
@@ -110,76 +107,34 @@ fn stream_tiny(
     (records, transitions, stats)
 }
 
-/// The tentpole equivalence proof: the same trace through the threaded
-/// backend and every epoll flavor — one loop, four loops (foreign-shard
-/// batches crossing the forwarding rings), and four loops forced onto
-/// the fd-handoff fallback — yields **byte-identical** occurrence
-/// records and transition logs, all matching the in-process pipeline.
+/// The equivalence proof: the same trace through one event loop and
+/// through four (foreign-shard batches crossing the forwarding rings)
+/// yields **byte-identical** occurrence records and transition logs,
+/// both matching the in-process pipeline.
 #[test]
-#[cfg(target_os = "linux")]
-fn backends_produce_bit_identical_records() {
+fn loop_counts_produce_bit_identical_records() {
     let cfg = TestbedConfig::tiny();
-    let (rec_t, tr_t, stats_t) = stream_tiny(|s| s.backend = Backend::Threads);
-    let flavors: [(&str, Box<dyn Fn(&mut ServiceConfig)>); 3] = [
-        (
-            "epoll-1",
-            Box::new(|s: &mut ServiceConfig| {
-                s.backend = Backend::Epoll;
-                s.event_loops = 1;
-            }),
-        ),
-        (
-            "epoll-4",
-            Box::new(|s: &mut ServiceConfig| {
-                s.backend = Backend::Epoll;
-                s.event_loops = 4;
-            }),
-        ),
-        (
-            "epoll-4-handoff",
-            Box::new(|s: &mut ServiceConfig| {
-                s.backend = Backend::Epoll;
-                s.event_loops = 4;
-                s.force_fd_handoff = true;
-            }),
-        ),
-    ];
-
+    let (rec_1, tr_1, stats_1) = stream_tiny(1);
+    let (rec_4, tr_4, stats_4) = stream_tiny(4);
     for machine in 0..cfg.lab.machines {
         let local = trace_machine(&cfg, machine);
-        assert_eq!(
-            rec_t[machine], local,
-            "threaded backend vs in-process, machine {machine}"
-        );
         let expected = expected_transitions(&cfg, machine);
-        assert_eq!(tr_t[machine], expected, "threaded transitions {machine}");
+        assert_eq!(rec_1[machine], local, "1 loop vs in-process, {machine}");
+        assert_eq!(tr_1[machine], expected, "1-loop transitions {machine}");
+        assert_eq!(rec_4[machine], local, "4 loops vs in-process, {machine}");
+        assert_eq!(tr_4[machine], expected, "4-loop transitions {machine}");
     }
-    for (name, tweak) in &flavors {
-        let (rec_e, tr_e, stats_e) = stream_tiny(tweak);
-        for machine in 0..cfg.lab.machines {
-            assert_eq!(
-                rec_e[machine], rec_t[machine],
-                "{name} vs threaded records, machine {machine}"
-            );
-            assert_eq!(
-                tr_e[machine], tr_t[machine],
-                "{name} vs threaded transitions, machine {machine}"
-            );
-        }
-        assert_eq!(stats_t.ingested_batches, stats_e.ingested_batches, "{name}");
-        assert_eq!(stats_t.ingested_samples, stats_e.ingested_samples, "{name}");
-        assert_eq!(stats_t.shed_batches, stats_e.shed_batches, "{name}");
-    }
+    assert_eq!(stats_1.ingested_batches, stats_4.ingested_batches);
+    assert_eq!(stats_1.ingested_samples, stats_4.ingested_samples);
+    assert_eq!((stats_1.shed_batches, stats_4.shed_batches), (0, 0));
 }
 
 /// Running more event loops than state shards cannot partition the
 /// shards exclusively, so startup must refuse it with `InvalidInput`
 /// instead of silently starving a loop.
 #[test]
-#[cfg(target_os = "linux")]
 fn more_loops_than_shards_is_refused_at_startup() {
     let svc = ServiceConfig {
-        backend: Backend::Epoll,
         event_loops: 8,
         state_shards: 4,
         ..Default::default()
@@ -195,7 +150,7 @@ fn more_loops_than_shards_is_refused_at_startup() {
 /// the connection, no decode error is charged, and a second connection
 /// carries on to the exact in-process result.
 fn mid_batch_disconnect(svc: ServiceConfig) {
-    let backend = svc.backend;
+    let loops = svc.event_loops;
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
 
@@ -232,10 +187,10 @@ fn mid_batch_disconnect(svc: ServiceConfig) {
     assert!(matches!(client.request(&b3).unwrap(), Frame::Ack { .. }));
 
     let stats = drain(&server, 3);
-    assert_eq!(stats.ingested_batches, 3, "{backend:?}: 3 whole batches");
+    assert_eq!(stats.ingested_batches, 3, "{loops} loops: 3 whole batches");
     assert_eq!(
         stats.decode_errors, 0,
-        "{backend:?}: a truncated tail is not a decode error"
+        "{loops} loops: a truncated tail is not a decode error"
     );
     assert_eq!(stats.shed_batches, 0);
 
@@ -259,36 +214,26 @@ fn mid_batch_disconnect(svc: ServiceConfig) {
     assert_eq!(
         server.records(3).expect("machine exists"),
         rec.into_records(),
-        "{backend:?}: reassembly survived the mid-frame death"
+        "{loops} loops: reassembly survived the mid-frame death"
     );
     server.shutdown();
 }
 
 #[test]
-fn mid_batch_disconnect_threads() {
-    mid_batch_disconnect(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    });
+fn mid_batch_disconnect_one_loop() {
+    mid_batch_disconnect(loops_cfg(1));
 }
 
 #[test]
-#[cfg(target_os = "linux")]
-fn mid_batch_disconnect_epoll() {
-    mid_batch_disconnect(epoll_cfg(1));
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn mid_batch_disconnect_epoll_multiloop() {
-    mid_batch_disconnect(epoll_cfg(4));
+fn mid_batch_disconnect_multiloop() {
+    mid_batch_disconnect(loops_cfg(4));
 }
 
 /// The auth handshake: the right token opens the stream, the wrong
-/// token (or none) earns a typed `Unauthorized` and a close — on both
-/// backends, with the server counting each rejection.
+/// token (or none) earns a typed `Unauthorized` and a close, with the
+/// server counting each rejection.
 fn auth_handshake(mut svc: ServiceConfig) {
-    let backend = svc.backend;
+    let loops = svc.event_loops;
     svc.auth_token = Some("s3cret".to_string());
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
@@ -331,7 +276,7 @@ fn auth_handshake(mut svc: ServiceConfig) {
     assert_eq!(
         server.auth_rejects(),
         2,
-        "{backend:?}: one wrong-token + one anonymous rejection"
+        "{loops} loops: one wrong-token + one anonymous rejection"
     );
     assert!(
         server.records(2).is_none(),
@@ -341,23 +286,13 @@ fn auth_handshake(mut svc: ServiceConfig) {
 }
 
 #[test]
-fn auth_handshake_threads() {
-    auth_handshake(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    });
+fn auth_handshake_one_loop() {
+    auth_handshake(loops_cfg(1));
 }
 
 #[test]
-#[cfg(target_os = "linux")]
-fn auth_handshake_epoll() {
-    auth_handshake(epoll_cfg(1));
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn auth_handshake_epoll_multiloop() {
-    auth_handshake(epoll_cfg(4));
+fn auth_handshake_multiloop() {
+    auth_handshake(loops_cfg(4));
 }
 
 /// Over the connection cap the server answers with a typed `ConnLimit`
@@ -365,9 +300,8 @@ fn auth_handshake_epoll_multiloop() {
 #[test]
 fn over_cap_connection_gets_typed_error() {
     let svc = ServiceConfig {
-        backend: Backend::Threads,
         max_connections: 1,
-        ..Default::default()
+        ..loops_cfg(2)
     };
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
@@ -411,7 +345,7 @@ fn over_cap_connection_gets_typed_error() {
 /// next request transparently reconnects, the auth handshake is re-run
 /// before any queued data, and nothing wedges.
 fn reconnect_through_server_restart(mut svc: ServiceConfig) {
-    let backend = svc.backend;
+    let loops = svc.event_loops;
     svc.auth_token = Some("s3cret".to_string());
     svc.reuse_addr = true;
 
@@ -444,38 +378,28 @@ fn reconnect_through_server_restart(mut svc: ServiceConfig) {
         client.request(&batch(1, 120, 2)).unwrap(),
         Frame::Ack { .. }
     ));
-    assert_eq!(client.reconnects, 1, "{backend:?}: exactly one reconnect");
+    assert_eq!(client.reconnects, 1, "{loops} loops: exactly one reconnect");
     let stats = drain(&second, 1);
     assert_eq!(
         stats.ingested_batches, 1,
-        "{backend:?}: the post-restart batch was ingested by the new life"
+        "{loops} loops: the post-restart batch was ingested by the new life"
     );
     assert_eq!(
         second.auth_rejects(),
         0,
-        "{backend:?}: the re-auth presented the token before any data"
+        "{loops} loops: the re-auth presented the token before any data"
     );
     second.shutdown();
 }
 
 #[test]
-fn reconnect_through_server_restart_threads() {
-    reconnect_through_server_restart(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    });
+fn reconnect_through_server_restart_one_loop() {
+    reconnect_through_server_restart(loops_cfg(1));
 }
 
 #[test]
-#[cfg(target_os = "linux")]
-fn reconnect_through_server_restart_epoll() {
-    reconnect_through_server_restart(epoll_cfg(1));
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn reconnect_through_server_restart_epoll_multiloop() {
-    reconnect_through_server_restart(epoll_cfg(4));
+fn reconnect_through_server_restart_multiloop() {
+    reconnect_through_server_restart(loops_cfg(4));
 }
 
 /// When the server *stays* dead, a previously-healthy client must give
@@ -515,20 +439,12 @@ fn previously_healthy_client_gives_up_when_server_stays_dead() {
     );
 }
 
-/// Small fan-in smoke on both backends: every connection sustains, the
-/// client- and server-side identities reconcile exactly.
+/// Small fan-in smoke at one and four loops: every connection
+/// sustains, the client- and server-side identities reconcile exactly.
 #[test]
-#[cfg(target_os = "linux")]
-fn fanin_driver_reconciles_on_both_backends() {
-    let threads = ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    };
-    for (backend, mut svc) in [
-        ("threads", threads),
-        ("epoll-1", epoll_cfg(1)),
-        ("epoll-4", epoll_cfg(4)),
-    ] {
+fn fanin_driver_reconciles() {
+    for loops in [1, 4] {
+        let mut svc = loops_cfg(loops);
         svc.auth_token = Some("s3cret".to_string());
         let server = Server::start(svc).expect("server starts");
         let addr = server.local_addr().to_string();
@@ -540,28 +456,28 @@ fn fanin_driver_reconciles_on_both_backends() {
         fic.token = Some("s3cret".to_string());
         let report = fgcs_service::run_fanin(&addr, &fic).expect("fan-in runs");
 
-        assert_eq!(report.conns_connected, 8, "{backend:?}");
-        assert_eq!(report.conns_sustained, 8, "{backend:?}");
-        assert_eq!(report.conns_failed, 0, "{backend:?}");
-        assert_eq!(report.conns_rejected, 0, "{backend:?}");
-        assert_eq!(report.batches_sent, 24, "{backend:?}");
+        assert_eq!(report.conns_connected, 8, "{loops} loops");
+        assert_eq!(report.conns_sustained, 8, "{loops} loops");
+        assert_eq!(report.conns_failed, 0, "{loops} loops");
+        assert_eq!(report.conns_rejected, 0, "{loops} loops");
+        assert_eq!(report.batches_sent, 24, "{loops} loops");
         assert_eq!(
             report.acks + report.busys + report.error_replies,
             report.batches_sent,
-            "{backend:?}: client-side identity"
+            "{loops} loops: client-side identity"
         );
-        assert_eq!(report.queries_sent, 8, "{backend:?}");
+        assert_eq!(report.queries_sent, 8, "{loops} loops");
         assert_eq!(
             report.queries_answered + report.query_errors,
             report.queries_sent,
-            "{backend:?}"
+            "{loops} loops"
         );
 
         let stats = drain(&server, report.batches_sent);
         assert_eq!(
             stats.ingested_batches + stats.shed_batches + stats.decode_errors,
             report.batches_sent,
-            "{backend:?}: server-side identity"
+            "{loops} loops: server-side identity"
         );
         assert_eq!(
             stats.ingested_samples + stats.shed_samples,
@@ -575,11 +491,9 @@ fn fanin_driver_reconciles_on_both_backends() {
 /// as a typed `BadFrame` error on the same stream, count as a decode
 /// error, and leave the connection usable: the framing layer stays in
 /// sync, so the next well-formed request still answers. A corrupted
-/// payload (CRC mismatch) gets the same treatment. Both backends run
-/// one shared frame-handling path; this pins that the *recovery*
-/// behavior is identical too.
+/// payload (CRC mismatch) gets the same treatment.
 fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
-    let backend = svc.backend;
+    let loops = svc.event_loops;
     let server = Server::start(svc).expect("server starts");
     let mut stream = TcpStream::connect(server.local_addr()).expect("raw connect");
     let mut decoder = Decoder::new();
@@ -590,7 +504,7 @@ fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
                 return frame;
             }
             let n = stream.read(&mut buf).expect("reply readable");
-            assert!(n > 0, "{backend:?}: server closed on a recoverable frame");
+            assert!(n > 0, "{loops} loops: server closed on a recoverable frame");
             decoder.push(&buf[..n]);
         }
     };
@@ -615,8 +529,8 @@ fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
     raw.extend_from_slice(&junk);
     stream.write_all(&raw).expect("junk frame written");
     match read_reply(&mut stream, &mut decoder) {
-        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame, "{backend:?}"),
-        other => panic!("{backend:?}: expected BadFrame, got tag {}", other.tag()),
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame, "{loops} loops"),
+        other => panic!("{loops} loops: expected BadFrame, got tag {}", other.tag()),
     }
 
     // Corrupted payload: a well-formed batch with one payload byte
@@ -628,8 +542,8 @@ fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
         .write_all(&corrupted)
         .expect("corrupted frame written");
     match read_reply(&mut stream, &mut decoder) {
-        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame, "{backend:?}"),
-        other => panic!("{backend:?}: expected BadFrame, got tag {}", other.tag()),
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame, "{loops} loops"),
+        other => panic!("{loops} loops: expected BadFrame, got tag {}", other.tag()),
     }
 
     // The stream survived both: a valid request on the same socket
@@ -638,30 +552,89 @@ fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
     stream.write_all(&ok).expect("valid frame written");
     match read_reply(&mut stream, &mut decoder) {
         Frame::Ack { .. } => {}
-        other => panic!("{backend:?}: expected Ack, got tag {}", other.tag()),
+        other => panic!("{loops} loops: expected Ack, got tag {}", other.tag()),
     }
     let stats = drain(&server, 3);
-    assert_eq!(stats.decode_errors, 2, "{backend:?}: both rejects counted");
-    assert_eq!(stats.ingested_batches, 1, "{backend:?}");
+    assert_eq!(
+        stats.decode_errors, 2,
+        "{loops} loops: both rejects counted"
+    );
+    assert_eq!(stats.ingested_batches, 1, "{loops} loops");
     server.shutdown();
 }
 
 #[test]
-fn malformed_frame_recovery_threads() {
-    malformed_frame_gets_typed_error_and_stream_survives(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    });
+fn malformed_frame_recovery_one_loop() {
+    malformed_frame_gets_typed_error_and_stream_survives(loops_cfg(1));
 }
 
-#[cfg(target_os = "linux")]
 #[test]
-fn malformed_frame_recovery_epoll() {
-    malformed_frame_gets_typed_error_and_stream_survives(epoll_cfg(1));
+fn malformed_frame_recovery_multiloop() {
+    malformed_frame_gets_typed_error_and_stream_survives(loops_cfg(4));
 }
 
-#[cfg(target_os = "linux")]
+/// `QueryAvail.horizon` and `Place.job_len` are peer-chosen and the
+/// model's work is linear in the window's hours, so a window above the
+/// server's 31-day cap must be refused before any model work — with a
+/// typed error on the same stream, which then keeps answering.
+fn oversized_window_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
+    const CAP: u64 = 31 * 86_400;
+    let loops = svc.event_loops;
+    let server = Server::start(svc).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let mut client = ServiceClient::connect(ClientConfig::new(&addr)).expect("connects");
+    assert!(matches!(
+        client.request(&batch(1, 0, 4)).unwrap(),
+        Frame::Ack { .. }
+    ));
+    drain(&server, 1);
+
+    for window in [CAP + 1, u64::MAX] {
+        for request in [
+            Frame::QueryAvail {
+                machine: 1,
+                horizon: window,
+            },
+            Frame::Place { job_len: window },
+        ] {
+            match client.request(&request).unwrap() {
+                Frame::Error { code, detail } => {
+                    assert_eq!(code, ErrorCode::Unsupported, "{loops} loops: {detail}")
+                }
+                other => panic!("{loops} loops: window {window} answered {other:?}"),
+            }
+        }
+    }
+    // The cap itself is served, on the connection that was refused.
+    assert!(matches!(
+        client
+            .request(&Frame::QueryAvail {
+                machine: 1,
+                horizon: CAP
+            })
+            .unwrap(),
+        Frame::AvailReply { machine: 1, .. }
+    ));
+    assert!(matches!(
+        client.request(&Frame::Place { job_len: CAP }).unwrap(),
+        Frame::PlaceReply { .. }
+    ));
+    assert_eq!(client.reconnects, 0, "{loops} loops: the stream survived");
+    let stats = server.stats();
+    assert_eq!(
+        (stats.queries_answered, stats.placements_answered),
+        (1, 1),
+        "{loops} loops: refused windows did no model work"
+    );
+    server.shutdown();
+}
+
 #[test]
-fn malformed_frame_recovery_epoll_multiloop() {
-    malformed_frame_gets_typed_error_and_stream_survives(epoll_cfg(4));
+fn oversized_window_one_loop() {
+    oversized_window_gets_typed_error_and_stream_survives(loops_cfg(1));
+}
+
+#[test]
+fn oversized_window_multiloop() {
+    oversized_window_gets_typed_error_and_stream_survives(loops_cfg(4));
 }

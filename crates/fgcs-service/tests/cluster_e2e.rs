@@ -17,7 +17,7 @@
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
 use fgcs_service::{
-    Backend, ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_FOLLOWER, ROLE_PRIMARY,
+    ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_FOLLOWER, ROLE_PRIMARY,
 };
 use fgcs_wire::{Frame, SampleLoad, WireSample};
 
@@ -45,7 +45,6 @@ fn connect(addr: &str) -> ServiceClient {
 
 fn primary_config() -> ServiceConfig {
     ServiceConfig {
-        backend: Backend::Threads,
         repl_log_capacity: 4096,
         ..Default::default()
     }
@@ -53,7 +52,6 @@ fn primary_config() -> ServiceConfig {
 
 fn follower_config(primary_addr: &str) -> ServiceConfig {
     ServiceConfig {
-        backend: Backend::Threads,
         follower_of: Some(primary_addr.to_string()),
         pull_interval_ms: 1,
         ..Default::default()
@@ -259,11 +257,7 @@ fn follower_restart_resubscribes_from_snapshot_cursor() {
 #[test]
 fn kill_primary_promote_follower_router_loses_nothing() {
     // Unkilled reference.
-    let reference = Server::start(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    })
-    .expect("reference");
+    let reference = Server::start(ServiceConfig::default()).expect("reference");
     let mut to_reference = connect(&reference.local_addr().to_string());
     stream_wave(&mut to_reference, 0..SAMPLES);
     wait_caught_up(&mut to_reference, SAMPLES - 1);

@@ -1,6 +1,7 @@
 //! End-to-end tests over real localhost TCP: parity with the in-process
 //! pipeline, overload accounting, corruption accounting, and client
 //! reconnection.
+#![cfg(target_os = "linux")]
 
 use fgcs_faults::FaultConfig;
 use fgcs_service::{ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig};
@@ -94,36 +95,54 @@ fn expected_transitions(cfg: &TestbedConfig, machine: usize) -> Vec<WireTransiti
     out
 }
 
-/// Under ≥2× offered load the bounded queue sheds, the producers see
-/// `Busy`, and the accounting reconciles *exactly*:
+/// Under overload the forwarding rings shed, the producers see `Busy`,
+/// and the accounting reconciles *exactly*:
 /// `sent == ingested + shed + decode-rejected`, while the server keeps
 /// answering queries.
+///
+/// The recipe: two event loops, 2-deep rings, 2 ms per ingested batch,
+/// and 64 unpaced machines with a connection each. The kernel deals the
+/// connections over the two listeners and machine `m` is homed on loop
+/// `m % 2`, so about 16 connections per direction carry nothing but
+/// foreign-shard batches. A loop answers a forwarded batch at once and
+/// pays its 2 ms only when it drains its own ring, so every pass over
+/// its ready connections pushes ~16 batches at a ring that holds 2:
+/// the rest are shed on the spot. (No shedding would need ≤ 2 foreign
+/// connections in *both* directions; each of the 64 lands in a given
+/// direction with probability 1/4, so that is P < 1e-10.)
 #[test]
 fn overload_sheds_and_reconciles_exactly() {
-    let cfg = TestbedConfig::tiny();
+    let mut cfg = TestbedConfig::tiny();
+    cfg.lab.machines = 64;
     let mut svc = ServiceConfig::for_testbed(&cfg);
-    svc.workers = 1;
-    svc.queue_capacity = 4;
-    svc.ingest_delay_us = 2_000; // ~500 batches/s capacity, unpaced offered load
+    svc.event_loops = 2;
+    svc.queue_capacity = 2;
+    svc.ingest_delay_us = 2_000;
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
 
     let mut lg = LoadGenConfig::new(cfg.lab.clone());
     lg.batch_size = 16;
-    lg.max_samples_per_machine = Some(4_000);
-    let report = fgcs_service::run_loadgen(&addr, &lg).expect("loadgen runs");
-
-    // Query responsiveness while (or right after) the queue is saturated.
-    let mut client = ServiceClient::connect(ClientConfig::new(&addr)).expect("client connects");
-    let reply = client
-        .request(&Frame::QueryStats)
-        .expect("stats answered under load");
-    assert!(matches!(reply, Frame::StatsReply(_)));
+    lg.max_samples_per_machine = Some(320); // 20 batches per machine
+    let report = std::thread::scope(|scope| {
+        let load = scope.spawn(|| fgcs_service::run_loadgen(&addr, &lg));
+        // Query responsiveness *during* the overload: 1,280 batches at
+        // 2 ms over two loops keep the server saturated for over half a
+        // second; ask well inside that.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let mut client = ServiceClient::connect(ClientConfig::new(&addr)).expect("connects");
+        let reply = client
+            .request(&Frame::QueryStats)
+            .expect("stats answered under load");
+        assert!(matches!(reply, Frame::StatsReply(_)));
+        assert!(!load.is_finished(), "the query was answered mid-overload");
+        load.join().expect("loadgen thread").expect("loadgen runs")
+    });
 
     let stats = drain(&server, report.batches_sent);
     assert!(
         stats.shed_batches > 0,
-        "load must actually overflow the queue: {stats:?}"
+        "load must actually overflow a forwarding ring: {stats:?}"
     );
     assert_eq!(
         stats.ingested_batches + stats.shed_batches + stats.decode_errors,

@@ -148,10 +148,11 @@ fn transitions(addr: &str) -> Vec<WireTransition> {
     }
 }
 
-/// An `Ack` on the threaded backend means *enqueued*, not applied —
-/// the bounded ingest queue is drained by a worker pool
-/// (DESIGN.md §9), so a state query fired right after the final ack
-/// races the drain. Poll until machine 1's cursor reaches `want`.
+/// An `Ack` means *accepted*, not applied: a batch that arrived on a
+/// loop other than its machine's home loop is acked once it is on the
+/// forwarding ring (DESIGN.md §12), so a state query fired right after
+/// the final ack races the home loop's drain. Poll until machine 1's
+/// cursor reaches `want`.
 fn wait_applied(addr: &str, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -168,7 +169,7 @@ fn wait_applied(addr: &str, want: u64) {
         }
         assert!(
             Instant::now() < deadline,
-            "ingest queue on {addr} never drained: machine-1 last_t {last:?}, want {want}"
+            "forwarding rings on {addr} never drained: machine-1 last_t {last:?}, want {want}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -186,21 +187,10 @@ fn sample(i: u64) -> WireSample {
 #[test]
 fn paused_then_revived_primary_cannot_poison_the_resume_floor() {
     let bind = format!("{}:0", local_ip());
-    let p = Serve::spawn(&[
-        "--addr",
-        &bind,
-        "--backend",
-        "threads",
-        "--repl-log",
-        "65536",
-        "--lease",
-        "200",
-    ]);
+    let p = Serve::spawn(&["--addr", &bind, "--repl-log", "65536", "--lease", "200"]);
     let f = Serve::spawn(&[
         "--addr",
         &bind,
-        "--backend",
-        "threads",
         "--repl-log",
         "65536",
         "--follower-of",
@@ -312,7 +302,7 @@ fn paused_then_revived_primary_cannot_poison_the_resume_floor() {
     // so the decisive check is bit-identity of the derived transition
     // records against an unpaused reference fed the same trace — a
     // dropped suffix or a double-applied sample both diverge here.
-    let reference = Serve::spawn(&["--addr", &bind, "--backend", "threads"]);
+    let reference = Serve::spawn(&["--addr", &bind]);
     let mut rc = connect(&reference.addr);
     for chunk in (0..N3).map(sample).collect::<Vec<_>>().chunks(50) {
         let reply = rc

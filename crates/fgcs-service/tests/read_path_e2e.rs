@@ -1,8 +1,8 @@
 //! The read path against its independent witness (`witness/mod.rs`) on
-//! every way a server comes to hold state: each backend ingesting over
-//! concurrent connections, a follower replaying the primary's log, and
-//! a restart from a snapshot — plus the socket-level case the epoll
-//! loop's short-read exit must not break.
+//! every way a server comes to hold state: one and four event loops
+//! ingesting over concurrent connections, a follower replaying the
+//! primary's log, and a restart from a snapshot — plus the socket-level
+//! case the event loop's short-read exit must not break.
 
 #![cfg(target_os = "linux")]
 
@@ -11,15 +11,15 @@ mod witness;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 
-use fgcs_service::{Backend, Server, ServiceConfig};
+use fgcs_service::{Server, ServiceConfig};
 use fgcs_wire::{Decoder, ErrorCode, Frame};
 use witness::{assert_states_covered, check_read_path, config, scenario, stream, wait_for};
 
 const SEED: u64 = 20_060_301;
 const MACHINES: u32 = 24;
 
-/// One history, five servers: the placement table's flags equal the
-/// recorders', every reply equals the brute-force answer, and all five
+/// One history, four servers: the placement table's flags equal the
+/// recorders', every reply equals the brute-force answer, and all four
 /// give the same answers as each other.
 #[test]
 fn place_reads_what_the_machine_cells_know_on_every_path() {
@@ -32,21 +32,20 @@ fn place_reads_what_the_machine_cells_know_on_every_path() {
         server.shutdown();
         answers
     };
-    let reference = run(config(Backend::Epoll, 1));
+    let reference = run(config(1));
     assert_states_covered(&reference);
-    assert_eq!(run(config(Backend::Threads, 0)), reference, "threads");
-    assert_eq!(run(config(Backend::Epoll, 4)), reference, "epoll x4");
+    assert_eq!(run(config(4)), reference, "4 loops");
 
     // A follower holds the same table after replaying the log — its
     // flags were published by `apply_repl_entry`, not by ingest.
     let primary = Server::start(ServiceConfig {
         repl_log_capacity: 4_096,
-        ..config(Backend::Epoll, 1)
+        ..config(1)
     })
     .expect("primary starts");
     let follower = Server::start(ServiceConfig {
         follower_of: Some(primary.local_addr().to_string()),
-        ..config(Backend::Epoll, 1)
+        ..config(1)
     })
     .expect("follower starts");
     stream(&primary, &frames);
@@ -64,7 +63,7 @@ fn place_reads_what_the_machine_cells_know_on_every_path() {
     let snap_cfg = || ServiceConfig {
         snapshot_dir: Some(dir.to_string_lossy().into_owned()),
         snapshot_interval_ms: 60_000,
-        ..config(Backend::Epoll, 1)
+        ..config(1)
     };
     let first = Server::start(snap_cfg()).expect("first life");
     stream(&first, &frames);
@@ -78,7 +77,7 @@ fn place_reads_what_the_machine_cells_know_on_every_path() {
 /// Nothing harvestable: `Place` says so instead of naming a machine.
 #[test]
 fn place_with_no_harvestable_machine_places_nowhere() {
-    let server = Server::start(config(Backend::Epoll, 1)).expect("server starts");
+    let server = Server::start(config(1)).expect("server starts");
     stream(&server, &scenario(SEED, 8, true));
     let answers = check_read_path(&server);
     assert!(answers.machines.iter().all(|m| !m.1));
@@ -113,7 +112,7 @@ fn read_reply(stream: &mut TcpStream) -> Option<Frame> {
 /// cap of one connection is the probe for the last part — the next
 /// client is only served once the server has let go of this one.
 fn request_then_close(svc: ServiceConfig) {
-    let backend = svc.backend;
+    let loops = svc.event_loops;
     let server = Server::start(ServiceConfig {
         max_connections: 1,
         ..svc
@@ -135,10 +134,10 @@ fn request_then_close(svc: ServiceConfig) {
                     ..
                 })
                 | None => std::thread::sleep(std::time::Duration::from_millis(10)),
-                other => panic!("{backend:?}: {other:?}"),
+                other => panic!("{loops} loops: {other:?}"),
             }
         }
-        panic!("{backend:?}: the closed connection was never reaped");
+        panic!("{loops} loops: the closed connection was never reaped");
     };
 
     // Half-close right behind the frame: FIN reaches the server with
@@ -150,15 +149,15 @@ fn request_then_close(svc: ServiceConfig) {
     let reply = read_reply(&mut a);
     assert!(
         matches!(reply, Some(Frame::Ack { seq: 1 })),
-        "{backend:?}: {reply:?}"
+        "{loops} loops: {reply:?}"
     );
-    assert_eq!(read_reply(&mut a), None, "{backend:?}: then EOF");
+    assert_eq!(read_reply(&mut a), None, "{loops} loops: then EOF");
     drop(a);
 
     // Full close with the reply unread: nobody to deliver to, but the
     // batch counts and the connection still goes away.
-    // (Multi-loop epoll acks a forwarded batch before its home loop
-    // has ingested it, hence the wait.)
+    // (A forwarded batch is acked before its home loop has ingested
+    // it, hence the wait.)
     wait_for("the acked batch", || server.stats().ingested_batches == 1);
     let mut b = connect_when_free();
     b.write_all(&frames[1].encode().unwrap()).unwrap();
@@ -171,16 +170,11 @@ fn request_then_close(svc: ServiceConfig) {
 }
 
 #[test]
-fn request_then_close_threads() {
-    request_then_close(config(Backend::Threads, 0));
+fn request_then_close_one_loop() {
+    request_then_close(config(1));
 }
 
 #[test]
-fn request_then_close_epoll() {
-    request_then_close(config(Backend::Epoll, 1));
-}
-
-#[test]
-fn request_then_close_epoll_multiloop() {
-    request_then_close(config(Backend::Epoll, 4));
+fn request_then_close_multiloop() {
+    request_then_close(config(4));
 }

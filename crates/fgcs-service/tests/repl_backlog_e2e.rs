@@ -3,8 +3,9 @@
 //! parts. Capping a reply by entry count alone produced a frame the
 //! primary could not encode; it dropped the puller, which asked for the
 //! same thing again, for ever.
+#![cfg(target_os = "linux")]
 
-use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_wire::{Frame, SampleLoad, WireSample};
 
 const MACHINES: u32 = 8;
@@ -36,11 +37,6 @@ fn batch(i: u64) -> Frame {
 #[test]
 fn follower_a_thousand_bulk_entries_behind_catches_up_bit_identical() {
     let node = |follower_of| ServiceConfig {
-        backend: if cfg!(target_os = "linux") {
-            Backend::Epoll
-        } else {
-            Backend::Threads
-        },
         event_loops: 1,
         repl_log_capacity: 4_096,
         follower_of,

@@ -16,15 +16,11 @@
 use proptest::prelude::*;
 
 use fgcs_service::cluster::{rendezvous_owner, ClusterClient, ClusterConfig, ShardSpec};
-use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_wire::{Frame, SampleLoad, WireSample, WireTransition};
 
 fn server() -> Server {
-    Server::start(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    })
-    .expect("server starts")
+    Server::start(ServiceConfig::default()).expect("server starts")
 }
 
 /// The deterministic replay wave (same shape as fgcs-smoke's): long

@@ -6,11 +6,12 @@
 //! `QueryStats` (per-machine `last_t`) and resend only samples
 //! *strictly after* that, and the resulting occurrence records and
 //! transition logs are **bit-identical** to an uninterrupted run.
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
-use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_testbed::TraceRecord;
 use fgcs_wire::{Frame, SampleLoad, WireSample, WireTransition};
 
@@ -96,10 +97,11 @@ fn wait_caught_up(client: &mut ServiceClient, final_i: u64) {
     panic!("server did not catch up to sample {final_i}");
 }
 
-/// The uninterrupted reference: the full wave through one server life.
-fn reference_run(backend: Backend) -> (Vec<Vec<TraceRecord>>, Vec<Vec<WireTransition>>) {
+/// The uninterrupted reference: the full wave through one life of a
+/// one-loop server.
+fn reference_run() -> (Vec<Vec<TraceRecord>>, Vec<Vec<WireTransition>>) {
     let server = Server::start(ServiceConfig {
-        backend,
+        event_loops: 1,
         ..Default::default()
     })
     .expect("reference server");
@@ -124,11 +126,11 @@ fn snap_dir(tag: &str) -> std::path::PathBuf {
 
 /// Graceful restart: stop mid-replay (final checkpoint), start a fresh
 /// server process-state on the same snapshot dir, resume, and end up
-/// bit-identical to an uninterrupted run *on the threaded backend* —
-/// the reference is always cross-backend, so a restart variant can
-/// never drift from the single-code-path baseline unnoticed.
+/// bit-identical to an uninterrupted run on one event loop — the
+/// reference never restarts and never forwards, so a multi-loop restart
+/// variant cannot drift from the plain path unnoticed.
 fn graceful_restart_is_bit_identical(tag: &str, mut svc: ServiceConfig) {
-    let (ref_records, ref_transitions) = reference_run(Backend::Threads);
+    let (ref_records, ref_transitions) = reference_run();
     let dir = snap_dir(&format!("graceful-{tag}"));
     svc.snapshot_dir = Some(dir.to_string_lossy().into_owned());
     svc.snapshot_interval_ms = 60_000; // periodic writes irrelevant here
@@ -166,23 +168,10 @@ fn graceful_restart_is_bit_identical(tag: &str, mut svc: ServiceConfig) {
 }
 
 #[test]
-fn graceful_restart_is_bit_identical_threads() {
+fn graceful_restart_is_bit_identical_one_loop() {
     graceful_restart_is_bit_identical(
-        "threads",
+        "loops-1",
         ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        },
-    );
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn graceful_restart_is_bit_identical_epoll() {
-    graceful_restart_is_bit_identical(
-        "epoll-1",
-        ServiceConfig {
-            backend: Backend::Epoll,
             event_loops: 1,
             ..Default::default()
         },
@@ -190,12 +179,10 @@ fn graceful_restart_is_bit_identical_epoll() {
 }
 
 #[test]
-#[cfg(target_os = "linux")]
-fn graceful_restart_is_bit_identical_epoll_multiloop() {
+fn graceful_restart_is_bit_identical_multiloop() {
     graceful_restart_is_bit_identical(
-        "epoll-4",
+        "loops-4",
         ServiceConfig {
-            backend: Backend::Epoll,
             event_loops: 4,
             ..Default::default()
         },
@@ -272,7 +259,7 @@ fn transition_seqs_survive_restart_without_collision() {
 }
 
 /// Spawns the real `fgcs-serve` binary with snapshots on (plus any
-/// `extra` flags, e.g. `--backend epoll --loops 4`), returning the
+/// `extra` flags, e.g. `--loops 4`), returning the
 /// child and its bound address (parsed from the `listening on` line).
 fn spawn_serve(dir: &std::path::Path, interval_ms: u64, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fgcs-serve"))
@@ -309,9 +296,8 @@ fn spawn_serve(dir: &std::path::Path, interval_ms: u64, extra: &[&str]) -> (Chil
 /// kill lands *between* ingest and checkpoint at an arbitrary point;
 /// any samples past the last snapshot are simply re-ingested by the
 /// resume protocol without seq collisions.
-#[cfg(unix)]
 fn sigkill_mid_replay(tag: &str, serve_args: &[&str], restart_svc: ServiceConfig) {
-    let (ref_records, ref_transitions) = reference_run(Backend::Threads);
+    let (ref_records, ref_transitions) = reference_run();
     let dir = snap_dir(&format!("sigkill-{tag}"));
 
     // First life: the real binary, checkpointing every 50 ms.
@@ -365,24 +351,28 @@ fn sigkill_mid_replay(tag: &str, serve_args: &[&str], restart_svc: ServiceConfig
 }
 
 #[test]
-#[cfg(unix)]
 fn sigkill_mid_replay_restores_and_resumes_bit_identical() {
-    sigkill_mid_replay("threads", &[], ServiceConfig::default());
+    sigkill_mid_replay(
+        "loops-1",
+        &["--loops", "1"],
+        ServiceConfig {
+            event_loops: 1,
+            ..Default::default()
+        },
+    );
 }
 
 /// The same crash, but the killed life *and* the restarted life run
-/// four epoll loops: the checkpoint must be a consistent cut across
+/// four event loops: the checkpoint must be a consistent cut across
 /// loop-owned shards (including batches in flight on the forwarding
 /// rings), and the restore must land identically however the new
 /// loops repartition the shards.
 #[test]
-#[cfg(target_os = "linux")]
 fn sigkill_mid_replay_multiloop_restores_bit_identical() {
     sigkill_mid_replay(
-        "epoll-4",
-        &["--backend", "epoll", "--loops", "4"],
+        "loops-4",
+        &["--loops", "4"],
         ServiceConfig {
-            backend: Backend::Epoll,
             event_loops: 4,
             ..Default::default()
         },

@@ -158,10 +158,9 @@ pub fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
-/// A default server config for `backend` with `loops` event loops.
-pub fn config(backend: fgcs_service::Backend, loops: usize) -> ServiceConfig {
+/// A default server config with `loops` event loops.
+pub fn config(loops: usize) -> ServiceConfig {
     ServiceConfig {
-        backend,
         event_loops: loops,
         ..Default::default()
     }

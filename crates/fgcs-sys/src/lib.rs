@@ -1,4 +1,5 @@
-//! Minimal Linux syscall shim for the epoll readiness-loop backend.
+//! Minimal Linux syscall shim for the availability server's epoll
+//! event loops (and the clients built on the same readiness model).
 //!
 //! The build environment has no crate registry, so `fgcs-service`
 //! cannot pull in `libc`/`mio`. This crate binds the handful of
@@ -13,8 +14,8 @@
 //! all `unsafe` lives here, behind wrappers whose contracts are plain
 //! `std::io` ones (owned fds, `io::Result`, EINTR retried).
 //!
-//! Only compiled on Linux; on other targets the crate is empty and the
-//! service falls back to the threaded backend.
+//! Only compiled on Linux; on other targets the crate is empty and
+//! `fgcs_service::Server::start` returns `ErrorKind::Unsupported`.
 
 #![warn(missing_docs)]
 

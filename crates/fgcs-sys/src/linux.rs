@@ -255,7 +255,7 @@ pub fn listen_reusable(addr: &std::net::SocketAddr) -> io::Result<TcpListener> {
 /// set before `bind`. Any number of listeners bound this way to the
 /// same address share it, and the kernel load-balances incoming
 /// connections across them by 4-tuple hash — the accept-sharing
-/// primitive behind the multi-loop epoll backend. All sharers must set
+/// primitive behind the multi-loop server. All sharers must set
 /// the option before binding, including the first.
 pub fn listen_reuseport(addr: &std::net::SocketAddr) -> io::Result<TcpListener> {
     listen_with(addr, true)

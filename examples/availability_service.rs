@@ -53,7 +53,8 @@ fn main() -> std::io::Result<()> {
     }
     println!("streamed {sent} samples for machine {machine}");
 
-    // Give the ingest workers a moment to drain the queue.
+    // An `Ack` means accepted: a batch that arrived on a loop other than
+    // its machine's home loop may still be on a forwarding ring.
     while server.stats().ingested_samples < sent {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }

@@ -247,16 +247,15 @@ awk -v e="$f_err" -v b="$f_bound" 'BEGIN { exit !(e <= b) }' \
     || { echo "fleet gate: stressed rank error $f_err > bound $f_bound" >&2; exit 1; }
 echo "  $f_machines machines, peak RSS $f_peak MB <= $f_budget MB, stressed rank err $f_err <= $f_bound"
 
-echo "== epoll backend smoke (fgcs-serve + fgcs-smoke over localhost) =="
-# Drive the readiness-loop backend through a real process boundary: a
+echo "== server smoke (fgcs-serve + fgcs-smoke over localhost) =="
+# Drive the event loops through a real process boundary: a
 # server on a free port with auth enabled, probed by fgcs-smoke (authed
 # batch, forced reconnect mid-stream, stats query, and one wrong-token
 # rejection). The server runs until we close its stdin.
 serve_fifo="$smoke_dir/serve.stdin"
 mkfifo "$serve_fifo"
-./target/release/fgcs-serve --addr 127.0.0.1:0 --backend epoll \
-    --auth-token ci-smoke-token \
-    < "$serve_fifo" > "$smoke_dir/serve_addr.out" 2> "$smoke_dir/serve_epoll.log" &
+./target/release/fgcs-serve --addr 127.0.0.1:0 --auth-token ci-smoke-token \
+    < "$serve_fifo" > "$smoke_dir/serve_addr.out" 2> "$smoke_dir/serve.log" &
 serve_pid=$!
 exec 9> "$serve_fifo"
 addr=""
@@ -269,10 +268,8 @@ done
 ./target/release/fgcs-smoke --addr "$addr" --token ci-smoke-token
 exec 9>&-
 wait "$serve_pid"
-grep -q 'backend=epoll' "$smoke_dir/serve_epoll.log" \
-    || { echo "fgcs-serve did not run the epoll backend" >&2; exit 1; }
 
-echo "== kill-and-restart snapshot smoke (both backends) =="
+echo "== kill-and-restart snapshot smoke (1 and 4 event loops) =="
 # The crash-safety gate: SIGKILL fgcs-serve mid-replay, restart it on
 # the same snapshot directory, resume the replay (strictly past each
 # machine's restored last_t, via fgcs-smoke --resume), shut down
@@ -281,18 +278,19 @@ echo "== kill-and-restart snapshot smoke (both backends) =="
 # header and counters lines legitimately differ (elapsed time, batch
 # boundaries after the resume), so they are excluded from the diff.
 #
-# $1=backend  $2=snapshot dir  $3=log tag  $4=kill mid-replay (yes/no)
-# $5=resume ("resume" or "")  $6=extra fgcs-serve args  $7=extra
-# fgcs-smoke args (both word-split, e.g. "--loops 4")
+# With 4 loops the replay is spread over 4 concurrent connections, so
+# ingest crosses the per-loop forwarding rings while periodic
+# checkpoints are being cut.
+#
+# $1=event loops (fgcs-serve and fgcs-smoke both take --loops)
+# $2=snapshot dir  $3=log tag  $4=kill mid-replay (yes/no)
+# $5=resume ("resume" or "")
 run_replay_server() {
-    local backend="$1" snapdir="$2" tag="$3" kill_mid="$4"
-    local resume="${5:-}" serve_extra="${6:-}" smoke_extra="${7:-}"
+    local loops="$1" snapdir="$2" tag="$3" kill_mid="$4" resume="${5:-}"
     local fifo="$smoke_dir/$tag.stdin" out="$smoke_dir/$tag.out"
     mkfifo "$fifo"
-    # shellcheck disable=SC2086  # extras are intentionally word-split
-    ./target/release/fgcs-serve --addr 127.0.0.1:0 --backend "$backend" \
+    ./target/release/fgcs-serve --addr 127.0.0.1:0 --loops "$loops" \
         --snapshot-dir "$snapdir" --snapshot-interval 50 --reuse-addr \
-        $serve_extra \
         < "$fifo" > "$out" 2> "$smoke_dir/$tag.log" &
     local pid=$!
     exec 8> "$fifo"
@@ -306,17 +304,15 @@ run_replay_server() {
     if [ "$kill_mid" = yes ]; then
         # First half of the wave, then wait for a periodic checkpoint
         # (50 ms interval) and SIGKILL — no graceful anything.
-        # shellcheck disable=SC2086
-        ./target/release/fgcs-smoke --addr "$addr" --replay 3:200 $smoke_extra > /dev/null
+        ./target/release/fgcs-smoke --addr "$addr" --replay 3:200 --loops "$loops" > /dev/null
         sleep 0.4
         kill -9 "$pid"
         exec 8>&-
         rm -f "$fifo"
         wait "$pid" 2> /dev/null || true
     else
-        # shellcheck disable=SC2086
-        ./target/release/fgcs-smoke --addr "$addr" --replay 3:400 \
-            ${resume:+--resume} $smoke_extra > /dev/null
+        ./target/release/fgcs-smoke --addr "$addr" --replay 3:400 --loops "$loops" \
+            ${resume:+--resume} > /dev/null
         exec 8>&-  # EOF on stdin: graceful shutdown, final checkpoint
         rm -f "$fifo"
         wait "$pid"
@@ -328,35 +324,22 @@ snapshot_fingerprint() {
     newest=$(ls "$1"/snap-*.snap | sort | tail -n 1)
     grep -E '"kind":"(machine|record|transition)"' "$newest"
 }
-for backend in threads epoll; do
-    base="$smoke_dir/snap-$backend"
-    # Uninterrupted reference: the full wave through one server life.
-    run_replay_server "$backend" "$base-ref" "ref-$backend" no
+# Uninterrupted reference: the full wave through one life of a one-loop
+# server. Both crash runs must end bit-identical to it: loop count is a
+# deployment knob, not a semantic one.
+run_replay_server 1 "$smoke_dir/snap-ref" ref no
+snapshot_fingerprint "$smoke_dir/snap-ref" > "$smoke_dir/fp-ref"
+for loops in 1 4; do
+    base="$smoke_dir/snap-crash-$loops"
     # Crash run: half the wave, SIGKILL, restart on the same snapshot
     # dir, resume the replay, graceful shutdown.
-    run_replay_server "$backend" "$base-crash" "crash1-$backend" yes
-    run_replay_server "$backend" "$base-crash" "crash2-$backend" no resume
-    snapshot_fingerprint "$base-ref"   > "$smoke_dir/fp-ref-$backend"
-    snapshot_fingerprint "$base-crash" > "$smoke_dir/fp-crash-$backend"
-    diff "$smoke_dir/fp-ref-$backend" "$smoke_dir/fp-crash-$backend" \
-        || { echo "$backend: snapshot after kill+restart+resume diverges from the uninterrupted run" >&2; exit 1; }
-    echo "  $backend: kill/restart snapshot matches the uninterrupted run"
+    run_replay_server "$loops" "$base" "crash1-$loops" yes
+    run_replay_server "$loops" "$base" "crash2-$loops" no resume
+    snapshot_fingerprint "$base" > "$smoke_dir/fp-crash-$loops"
+    diff "$smoke_dir/fp-ref" "$smoke_dir/fp-crash-$loops" \
+        || { echo "--loops $loops: snapshot after kill+restart+resume diverges from the uninterrupted run" >&2; exit 1; }
+    echo "  --loops $loops: kill/restart snapshot matches the uninterrupted run"
 done
-
-echo "== kill-and-restart snapshot smoke (epoll, 4 event loops) =="
-# Same crash gate, but with the server running 4 SO_REUSEPORT event
-# loops and the replay spread over 4 concurrent connections — ingest
-# crosses the per-loop forwarding rings while periodic checkpoints are
-# being cut. The final snapshot must still be bit-identical to the
-# single-loop epoll reference from the loop above: loop count is a
-# deployment knob, not a semantic one.
-ml_base="$smoke_dir/snap-epoll-ml"
-run_replay_server epoll "$ml_base-crash" crash1-epoll-ml yes "" "--loops 4" "--loops 4"
-run_replay_server epoll "$ml_base-crash" crash2-epoll-ml no resume "--loops 4" "--loops 4"
-snapshot_fingerprint "$ml_base-crash" > "$smoke_dir/fp-crash-epoll-ml"
-diff "$smoke_dir/fp-ref-epoll" "$smoke_dir/fp-crash-epoll-ml" \
-    || { echo "epoll --loops 4: snapshot after kill+restart+resume diverges from the single-loop run" >&2; exit 1; }
-echo "  epoll --loops 4: kill/restart snapshot matches the single-loop run"
 
 echo "== sim throughput smoke (quick mode) =="
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput

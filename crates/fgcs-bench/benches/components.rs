@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 use fgcs_core::detector::{Detector, DetectorConfig};
 use fgcs_core::monitor::{Monitor, Observation};
+use fgcs_faults::{FaultConfig, FaultStream};
 use fgcs_predict::predictor::EventIndex;
 use fgcs_sim::machine::Machine;
 use fgcs_sim::proc::ProcSpec;
@@ -82,9 +83,23 @@ fn bench_lab_generator(c: &mut Criterion) {
     });
     let plan = MachinePlan::generate(&cfg, 3);
     g.throughput(Throughput::Elements(cfg.span_secs() / cfg.sample_period));
-    g.bench_function("rasterize_7days", |b| {
+    g.bench_function("sample_iter", |b| {
         b.iter(|| black_box(plan.samples().count()))
     });
+    g.finish();
+
+    // The injector over the same machine-week: what it adds per sample
+    // with nothing to inject, and at the noisy fleet's rates.
+    let mut g = c.benchmark_group("faults");
+    g.throughput(Throughput::Elements(cfg.span_secs() / cfg.sample_period));
+    for (name, faults) in [
+        ("stream_identity", FaultConfig::off(cfg.seed)),
+        ("stream_noisy", FaultConfig::noisy(cfg.seed)),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(FaultStream::new(plan.samples(), &faults, 3).count()))
+        });
+    }
     g.finish();
 }
 

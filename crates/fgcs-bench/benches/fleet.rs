@@ -30,9 +30,11 @@ use fgcs_stats::sketch::RankSketch;
 use fgcs_testbed::fleet::Archetype;
 use fgcs_testbed::runner::{trace_machine, trace_machine_batched, TestbedConfig};
 
-/// The span tracer measures 2.7–2.8× the per-sample one on the student
-/// lab; anything under this means the idle fast path stopped engaging.
-const MIN_SPEEDUP: f64 = 2.0;
+/// The span tracer measures 2.3–2.5× the per-sample one on the student
+/// lab (2.7–3.0× until PR 24 made the per-sample chain 1.8× faster and
+/// the span tracer 1.5×); anything under this means the idle fast path
+/// stopped engaging.
+const MIN_SPEEDUP: f64 = 1.7;
 
 fn archetype_testbed(arch: Archetype) -> TestbedConfig {
     let mut lab = arch.lab_config();

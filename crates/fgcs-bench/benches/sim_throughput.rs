@@ -1,6 +1,6 @@
 //! Simulator stepping throughput: the per-tick reference path
 //! (`run_ticks_stepwise`) versus the event-horizon batched path
-//! (`run_ticks`), in ticks per second, over three workload shapes:
+//! (`run_ticks`), in ticks per second, over four workload shapes:
 //!
 //! * `idle_heavy` — low-duty hosts that sleep most of every period; the
 //!   machine idles between wakes, so the batched path retires whole
@@ -8,19 +8,36 @@
 //! * `contended` — CPU-bound host and guest processes competing at
 //!   mixed priorities; batches span quantum runs;
 //! * `thrashing` — memory overcommit; work ticks go through the slow
-//!   path but iowait stalls batch.
+//!   path but iowait stalls batch;
+//! * `harvest` — the Figure 1 machine: three duty-cycle hosts and one
+//!   CPU-bound nice-19 guest that soaks up every tick they leave. The
+//!   guest's quantum is one tick, so whenever the hosts sleep it is a
+//!   lone runnable crossing an epoch per tick; batches span those
+//!   epochs up to the next host wake.
+//!
+//! After the rows it gates the batched path against the stepwise one on
+//! `harvest`, in the same process: at least [`MIN_HARVEST_SPEEDUP`]× or
+//! the bench exits non-zero. A ratio, so host speed cancels.
 //!
 //! `scripts/ci.sh` runs this with `FGCS_BENCH_QUICK=1`; BENCH_sim.json
 //! records a full run's before/after ticks per second.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 
+use fgcs_bench::best_ns;
 use fgcs_sim::machine::{Machine, MachineConfig};
 use fgcs_sim::proc::{Demand, MemSpec, ProcClass, ProcSpec};
 use fgcs_sim::time::secs;
+use fgcs_sim::workloads::synthetic;
+use fgcs_stats::rng::Rng;
+
+/// The batched path measures 3.0–3.8× the stepwise one on `harvest`
+/// (1.07× before lone-runnable spans crossed epoch boundaries);
+/// anything under this means lone-runnable spans stopped batching.
+const MIN_HARVEST_SPEEDUP: f64 = 2.5;
 
 /// Sub-percent-duty host mix — the paper's mostly-idle lab machine.
 /// Long sleeps between short bursts, so most wall time is idle and the
@@ -123,6 +140,19 @@ fn thrashing() -> Machine {
     m
 }
 
+/// The Figure 1 machine (`contention::reduction_point` at LH = 0.5,
+/// M = 3): a `synthetic::host_group` of three duty-cycle hosts at
+/// 600–840 ms periods plus the CPU-bound guest at nice 19.
+fn harvest() -> Machine {
+    let mut m = Machine::default_linux();
+    let mut rng = Rng::new(0xF161);
+    for host in synthetic::host_group(&mut rng, 0.5, 3) {
+        m.spawn(host);
+    }
+    m.spawn(synthetic::guest_process(19));
+    m
+}
+
 fn bench_sim_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_throughput");
     let span = secs(10);
@@ -130,6 +160,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
         ("idle_heavy", idle_heavy as fn() -> Machine),
         ("contended", contended),
         ("thrashing", thrashing),
+        ("harvest", harvest),
     ] {
         // Warm one machine per path past spawn transients, then measure
         // steady-state stepping. State carries across iterations — the
@@ -168,4 +199,40 @@ criterion_group! {
     config = config();
     targets = bench_sim_throughput
 }
-criterion_main!(benches);
+
+fn gate() {
+    let span = secs(10);
+    let iters = if std::env::var_os("FGCS_BENCH_QUICK").is_some() {
+        20
+    } else {
+        200
+    };
+    let mut stepwise = harvest();
+    stepwise.run_ticks_stepwise(secs(5));
+    let mut batched = harvest();
+    batched.run_ticks(secs(5));
+    let batched_ns = best_ns(7, iters, || {
+        batched.run_ticks(span);
+        batched.now()
+    });
+    let stepwise_ns = best_ns(7, iters, || {
+        stepwise.run_ticks_stepwise(span);
+        stepwise.now()
+    });
+    let speedup = stepwise_ns / batched_ns;
+    println!(
+        "gate sim_throughput/harvest  batched {:.1} ns/tick, stepwise {:.1} ns/tick, \
+         speedup {speedup:.2}x (need >= {MIN_HARVEST_SPEEDUP}x)",
+        batched_ns / span as f64,
+        stepwise_ns / span as f64
+    );
+    if speedup < MIN_HARVEST_SPEEDUP {
+        eprintln!("sim bench: batched path only {speedup:.2}x the stepwise path on harvest");
+        std::process::exit(1);
+    }
+}
+
+fn main() {
+    benches();
+    gate();
+}

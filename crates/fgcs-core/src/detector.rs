@@ -179,6 +179,98 @@ pub enum EventEdge {
     },
 }
 
+/// The unavailability edges one observation produced, held inline: the
+/// detector emits nothing, one edge, or — when a cause change or a
+/// censoring gap closes one occurrence and the same observation opens
+/// the next — one `Ended` followed by one `Started`, never more. Reads
+/// as a slice of [`EventEdge`] and iterates by reference or by value,
+/// like the `Vec` it replaces, without the per-observation allocation.
+#[derive(Clone, Copy)]
+pub struct Edges {
+    len: u8,
+    slots: [EventEdge; 2],
+}
+
+impl Edges {
+    /// Filler for the slots past `len`; never observable.
+    const VACANT: EventEdge = EventEdge::Started {
+        cause: FailureCause::CpuContention,
+        at: 0,
+    };
+
+    /// No edges.
+    pub const fn new() -> Self {
+        Edges {
+            len: 0,
+            slots: [Self::VACANT; 2],
+        }
+    }
+
+    /// Appends an edge. The two slots rely on the detector's order
+    /// invariant: at most one `Ended`, then at most one `Started`.
+    fn push(&mut self, edge: EventEdge) {
+        debug_assert!(self.len < 2, "an observation yields at most two edges");
+        self.slots[self.len as usize] = edge;
+        self.len += 1;
+    }
+}
+
+impl Default for Edges {
+    fn default() -> Self {
+        Edges::new()
+    }
+}
+
+impl std::ops::Deref for Edges {
+    type Target = [EventEdge];
+
+    fn deref(&self) -> &[EventEdge] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Edges {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Edges {
+    fn eq(&self, other: &Edges) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<[EventEdge]> for Edges {
+    fn eq(&self, other: &[EventEdge]) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<Vec<EventEdge>> for Edges {
+    fn eq(&self, other: &Vec<EventEdge>) -> bool {
+        **self == **other
+    }
+}
+
+impl IntoIterator for Edges {
+    type Item = EventEdge;
+    type IntoIter = std::iter::Take<std::array::IntoIter<EventEdge, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(self.len as usize)
+    }
+}
+
+impl<'a> IntoIterator for &'a Edges {
+    type Item = &'a EventEdge;
+    type IntoIter = std::slice::Iter<'a, EventEdge>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Result of feeding one observation to the detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Step {
@@ -188,7 +280,7 @@ pub struct Step {
     pub action: Option<GuestAction>,
     /// Unavailability edges produced by this observation (at most two:
     /// a cause change closes one occurrence and opens another).
-    pub edges: Vec<EventEdge>,
+    pub edges: Edges,
     /// A censoring gap `(silent_from, silent_until)`: the stream was
     /// silent for longer than [`DetectorConfig::max_silence`] before this
     /// observation. Whatever happened in the span is unknown; any
@@ -388,7 +480,7 @@ impl Detector {
     /// through a span we did not observe) and the detector re-baselines
     /// before processing `obs` normally.
     pub fn observe(&mut self, t: u64, obs: &Observation) -> Step {
-        let mut edges = Vec::new();
+        let mut edges = Edges::new();
         let mut action = None;
 
         let mut gap = None;
@@ -541,7 +633,7 @@ impl Detector {
         }
     }
 
-    fn fail(&mut self, cause: FailureCause, t: u64, edges: &mut Vec<EventEdge>) {
+    fn fail(&mut self, cause: FailureCause, t: u64, edges: &mut Edges) {
         edges.push(EventEdge::Started { cause, at: t });
         self.mode = Mode::Unavailable {
             cause,
@@ -571,6 +663,58 @@ mod tests {
             free_mem_mb: 1000,
             alive: true,
         }
+    }
+
+    #[test]
+    fn edges_hold_zero_one_or_two_in_order() {
+        let ended = EventEdge::Ended {
+            cause: FailureCause::CpuContention,
+            at: 120,
+            calm_from: 90,
+        };
+        let started = EventEdge::Started {
+            cause: FailureCause::Revocation,
+            at: 120,
+        };
+
+        let mut e = Edges::new();
+        assert!(e.is_empty());
+        assert_eq!(e.len(), 0);
+        assert_eq!(e, Edges::default());
+        assert_eq!(e, Vec::new());
+        assert_eq!(e.into_iter().count(), 0);
+        assert_eq!((&e).into_iter().count(), 0);
+        assert_eq!(format!("{e:?}"), "[]");
+
+        e.push(ended);
+        assert_eq!(e.len(), 1);
+        assert_eq!(e[0], ended);
+        assert_eq!(e, vec![ended]);
+        assert_eq!(e, [ended][..]);
+        assert_ne!(e, Edges::new());
+        assert_ne!(e, vec![started], "the vacant slot must not take part");
+
+        e.push(started);
+        assert_eq!(e.len(), 2);
+        assert_eq!(e, vec![ended, started]);
+        assert_ne!(e, vec![started, ended]);
+        let mut by_ref = Vec::new();
+        for edge in &e {
+            by_ref.push(*edge);
+        }
+        let by_value: Vec<EventEdge> = e.into_iter().collect();
+        assert_eq!(by_ref, vec![ended, started]);
+        assert_eq!(by_value, by_ref);
+        assert_eq!(format!("{e:?}"), format!("{by_ref:?}"));
+
+        // Equality looks at the live prefix only: same single edge,
+        // different history in the unused slot.
+        let mut a = Edges::new();
+        a.push(started);
+        let mut b = Edges::new();
+        b.push(started);
+        b.slots[1] = ended;
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -40,9 +40,11 @@ pub fn fault_matrix(quick: bool) {
 
     // The identity injection must reproduce the clean pipeline exactly —
     // this is the byte-identity guarantee the whole harness rests on.
-    let (identity, q0) = run_testbed_faulty(&cfg, &FaultConfig::off(cfg.lab.seed), &sup);
+    let off = FaultConfig::off(cfg.lab.seed);
+    let identity = run_testbed_faulty(&cfg, &off, &sup);
+    let (trace0, q0) = &identity;
     assert!(
-        identity == *baseline,
+        trace0 == baseline,
         "identity injection diverged from the clean testbed"
     );
     assert!(q0.is_clean(), "identity injection reported faults: {q0}");
@@ -63,7 +65,14 @@ pub fn fault_matrix(quick: bool) {
     let mut csv = Vec::new();
     for &scale in &scales {
         let faults = FaultConfig::noisy(cfg.lab.seed).scaled(scale);
-        let (trace, quality) = run_testbed_faulty(&cfg, &faults, &sup);
+        // The scale-0 row *is* the identity run: same config, so the
+        // same trace — reuse it rather than tracing 20 machines again.
+        assert!(
+            scale != 0.0 || faults == off,
+            "noisy x0 must be the identity config"
+        );
+        let rerun = (scale != 0.0).then(|| run_testbed_faulty(&cfg, &faults, &sup));
+        let (trace, quality) = rerun.as_ref().unwrap_or(&identity);
         let totals = quality.totals();
 
         // Reconciliation 1: for every machine the supervisor did not
@@ -101,8 +110,8 @@ pub fn fault_matrix(quick: bool) {
             "every record either survives or is counted"
         );
 
-        let (cpu, mem, urr) = cause_fractions(&trace);
-        let iv = analysis::intervals_censored(&trace, &quality);
+        let (cpu, mem, urr) = cause_fractions(trace);
+        let iv = analysis::intervals_censored(trace, quality);
         let censored_h = totals.censored_secs as f64 / 3600.0;
         table.row(vec![
             format!("{scale:.1}"),

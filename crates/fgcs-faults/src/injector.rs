@@ -134,10 +134,13 @@ where
 {
     type Item = I::Item;
 
+    #[inline]
     fn next(&mut self) -> Option<I::Item> {
         loop {
-            if let Some(s) = self.out.pop_front() {
-                return Some(s);
+            // Both queues are empty on all but a few samples in a
+            // thousand: test, don't pop or walk.
+            if !self.out.is_empty() {
+                return self.out.pop_front();
             }
             if self.inner_done {
                 // Flush whatever is still in flight, preserving how long
@@ -155,7 +158,9 @@ where
                 self.inner_done = true;
                 continue;
             };
-            self.tick_pending();
+            if !self.pending.is_empty() {
+                self.tick_pending();
+            }
 
             // Monitor down: the sample is never observed.
             if self.outage_left > 0 {

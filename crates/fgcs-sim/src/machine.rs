@@ -617,10 +617,10 @@ impl Machine {
     /// Uses the event-horizon fast path: whole runs of ticks whose
     /// scheduling decision provably cannot change are retired in one
     /// bulk update, falling back to [`Machine::step`] on every tick
-    /// where an event (a wake, an epoch recalculation, a quantum or
-    /// busy-period boundary, a thrashing transition) can alter the
-    /// outcome. Tick-for-tick equivalent to calling `step()` `n` times —
-    /// see `tests/equivalence.rs` and the DESIGN notes.
+    /// where an event (a wake, an epoch recalculation among several
+    /// runnables, a thrashing transition) can alter the outcome.
+    /// Tick-for-tick equivalent to calling `step()` `n` times — see
+    /// `tests/equivalence.rs` and the DESIGN notes.
     pub fn run_ticks(&mut self, n: u64) {
         let mut rem = n;
         while rem > 0 {
@@ -652,17 +652,21 @@ impl Machine {
     /// A run of ticks is batchable when no *event* lands inside it. The
     /// events, each contributing one bound on the batch length `k`:
     ///
-    /// * the chosen process exhausts its quantum (`counter`);
+    /// * the chosen process exhausts its quantum (`counter`) while
+    ///   another process is runnable;
     /// * the chosen's decaying goodness falls below the best other
     ///   runnable's constant goodness (`margin`);
     /// * the chosen finishes its busy period (`busy_left`);
     /// * the earliest sleeper's timer expires (`min_sleep`);
     /// * a pending iowait stall ends (`iowait_until`).
     ///
-    /// Epoch recalculations and wakes due *this* tick are never batched.
-    /// Thrashing spans (fractional efficiency) batch through
-    /// [`Machine::batch_thrash_span`], which replays the stall-debt
-    /// arithmetic scalar-exactly.
+    /// A *lone* runnable's quantum is not an event: nobody can take the
+    /// CPU from it, so the batch runs on through its epoch boundaries
+    /// and applies the recalculations they trigger in bulk. Epoch
+    /// recalculations with more than one runnable, and wakes due *this*
+    /// tick, are never batched. Thrashing spans (fractional efficiency)
+    /// batch through [`Machine::batch_thrash_span`], which replays the
+    /// stall-debt arithmetic scalar-exactly.
     fn try_batch(&mut self, rem: u64) -> u64 {
         #[cfg(debug_assertions)]
         self.assert_aggregates();
@@ -754,8 +758,10 @@ impl Machine {
             return k;
         };
 
-        if best_g == 0 {
-            return 0; // epoch boundary: step() recalculates quanta
+        if best_g == 0 && other_runnables {
+            // Epoch boundary among several runnables: who runs next
+            // depends on everyone's recalculated goodness — step()'s job.
+            return 0;
         }
 
         // The chosen's goodness decays by one per tick while every other
@@ -779,12 +785,24 @@ impl Machine {
         }
 
         let p = &self.procs[chosen];
-        let mut k = rem.min(p.counter).min(p.progress.busy_left).min(margin);
+        let mut k = rem.min(p.progress.busy_left);
         if let Some(m) = min_sleep {
             k = k.min(m);
         }
-        if k < 2 {
-            return 0;
+        // Epoch recalculations inside the batch. With other runnables
+        // the quantum is a horizon. A lone runnable is re-chosen after
+        // every recalculation whatever its goodness, so its quantum is
+        // not: it exhausts its counter at tick `counter`, every `q`
+        // ticks after that, and each time step() recalculates everyone.
+        let mut epochs = 0;
+        let q = nice_to_ticks(p.nice);
+        if other_runnables {
+            k = k.min(p.counter).min(margin);
+        } else if k > p.counter {
+            epochs = (k - p.counter).div_ceil(q);
+        }
+        if k == 0 {
+            return 0; // a zero-work phase settles through step()
         }
 
         // Bulk-apply the k identical ticks in step() order. Sleep timers
@@ -798,9 +816,30 @@ impl Machine {
         if let Some(m) = &mut self.sleep_min {
             *m -= k;
         }
+        if epochs > 0 {
+            // Every non-exited process takes `c -> c/2 + q_p` once per
+            // epoch. The map is monotone with its fixed point at
+            // `2*q_p - 1` or `2*q_p`, reached within log2(c) steps, so
+            // stop iterating there. The chosen enters each epoch at
+            // zero and leaves it with a full quantum.
+            self.recalcs += epochs;
+            for (i, sp) in self.procs.iter_mut().enumerate() {
+                if i == chosen || sp.is_exited() {
+                    continue;
+                }
+                let q_p = nice_to_ticks(sp.nice);
+                for _ in 0..epochs {
+                    let next = sp.counter / 2 + q_p;
+                    if next == sp.counter {
+                        break;
+                    }
+                    sp.counter = next;
+                }
+            }
+        }
         {
             let p = &mut self.procs[chosen];
-            p.counter -= k;
+            p.counter = p.counter + epochs * q - k;
             p.run_bulk(k);
         }
         self.reconcile_aggregates(chosen, true, true);
@@ -855,18 +894,18 @@ impl Machine {
         margin: u64,
         min_sleep: Option<u64>,
     ) -> u64 {
-        let d = {
-            let eff = self.memory_efficiency();
-            ((1.0 - eff) / eff).min(50.0)
-        };
         let busy0 = self.procs[chosen].progress.busy_left;
         let mut cap_w = self.procs[chosen].counter.min(busy0).min(margin);
         if let Some(m) = min_sleep {
             cap_w = cap_w.min(m);
         }
         if cap_w == 0 {
-            return 0;
+            return 0; // an exhausted counter: step() recalculates quanta
         }
+        let d = {
+            let eff = self.memory_efficiency();
+            ((1.0 - eff) / eff).min(50.0)
+        };
 
         let log_on = self.run_log.is_some();
         let mut log_positions: Vec<u64> = Vec::new();

@@ -60,17 +60,53 @@ fn assert_same(a: &Machine, b: &Machine, ctx: &str) {
     assert_eq!(a.run_log(), b.run_log(), "run log diverged ({ctx})");
 }
 
+/// Which corner of the workload space a fuzz schedule leans into.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mix {
+    /// Thrash-inducing footprints on the small-memory machine.
+    heavy_mem: bool,
+    /// Adds a long-sleep duty cycle to the demand mix.
+    sleepy: bool,
+    /// "One runnable, many sleepers": mostly short-burst long-sleep
+    /// processes banking counters beside an occasional CPU hog, over
+    /// the full nice range — the lone-runnable epoch cycle's home turf.
+    lone: bool,
+}
+
 /// A random process spec drawn from a mix that exercises every demand
 /// pattern, both classes, the full nice range, and footprints from tiny
 /// to thrash-inducing.
-fn random_spec(rng: &mut Rng, heavy_mem: bool, sleepy: bool) -> ProcSpec {
+fn random_spec(rng: &mut Rng, mix: Mix) -> ProcSpec {
+    let Mix {
+        heavy_mem,
+        sleepy,
+        lone,
+    } = mix;
     let class = if rng.chance(0.5) {
         ProcClass::Host
     } else {
         ProcClass::Guest
     };
-    let nice = rng.range_u64(0, 19) as i8;
+    let nice = if lone {
+        rng.range_u64(0, 40) as i8 - 20
+    } else {
+        rng.range_u64(0, 19) as i8
+    };
     let demand = match rng.below(if sleepy { 5 } else { 4 }) {
+        _ if lone => match rng.below(15) {
+            0 => Demand::CpuBound { total_work: None },
+            1 => Demand::CpuBound {
+                total_work: Some(rng.range_u64(1, 400)),
+            },
+            2 => Demand::DutyCycle {
+                busy: rng.range_u64(20, 300),
+                idle: rng.range_u64(1, 50),
+            },
+            _ => Demand::DutyCycle {
+                busy: rng.range_u64(1, 3),
+                idle: rng.range_u64(100, 1000),
+            },
+        },
         0 => Demand::CpuBound { total_work: None },
         1 => Demand::CpuBound {
             total_work: Some(rng.range_u64(1, 400)),
@@ -108,9 +144,9 @@ fn random_spec(rng: &mut Rng, heavy_mem: bool, sleepy: bool) -> ProcSpec {
 }
 
 /// Drives a stepwise/batched machine pair through one random schedule.
-fn fuzz_one(seed: u64, heavy_mem: bool, sleepy: bool) {
+fn fuzz_one(seed: u64, mix: Mix) {
     let mut rng = Rng::for_stream(0xE9_01_44_FE, seed);
-    let cfg = if heavy_mem {
+    let cfg = if mix.heavy_mem {
         MachineConfig::solaris_384mb()
     } else {
         MachineConfig::default()
@@ -125,7 +161,7 @@ fn fuzz_one(seed: u64, heavy_mem: bool, sleepy: bool) {
         // A random control action, mirrored on both machines.
         match rng.below(6) {
             0 | 1 => {
-                let spec = random_spec(&mut rng, heavy_mem, sleepy);
+                let spec = random_spec(&mut rng, mix);
                 let pa = reference.spawn(spec.clone());
                 let pb = batched.spawn(spec);
                 assert_eq!(pa, pb);
@@ -172,28 +208,150 @@ fn fuzz_one(seed: u64, heavy_mem: bool, sleepy: bool) {
 #[test]
 fn batched_equals_stepwise_light_workloads() {
     for seed in 0..12 {
-        fuzz_one(seed, false, false);
+        fuzz_one(seed, Mix::default());
     }
 }
 
 #[test]
 fn batched_equals_stepwise_thrashing_workloads() {
     for seed in 100..112 {
-        fuzz_one(seed, true, false);
+        fuzz_one(
+            seed,
+            Mix {
+                heavy_mem: true,
+                ..Mix::default()
+            },
+        );
     }
 }
 
 #[test]
 fn batched_equals_stepwise_sleeper_heavy_workloads() {
     for seed in 200..212 {
-        fuzz_one(seed, false, true);
+        fuzz_one(
+            seed,
+            Mix {
+                sleepy: true,
+                ..Mix::default()
+            },
+        );
     }
 }
 
 #[test]
 fn batched_equals_stepwise_thrashing_and_sleepy() {
     for seed in 300..308 {
-        fuzz_one(seed, true, true);
+        fuzz_one(
+            seed,
+            Mix {
+                heavy_mem: true,
+                sleepy: true,
+                lone: false,
+            },
+        );
+    }
+}
+
+#[test]
+fn batched_equals_stepwise_one_runnable_many_sleepers() {
+    for seed in 400..416 {
+        fuzz_one(
+            seed,
+            Mix {
+                lone: true,
+                ..Mix::default()
+            },
+        );
+    }
+}
+
+/// The lone-runnable epoch cycle: one process holds the CPU through
+/// many of its own quanta while everyone else sleeps or is stopped, so
+/// a batch spans epoch recalculations. Each case puts a guest — CPU
+/// bound, finite, or a duty cycle whose busy period ends inside a span —
+/// at nice -20 / 0 / 19 (quanta of 11 / 6 / 1 ticks) beside sleepers
+/// that bank counters across those recalculations at their own nice
+/// values and a suspended process that banks them too; chunk sizes
+/// straddle the quantum so `rem` cuts spans mid-quantum, and the run
+/// log pins every tick.
+#[test]
+fn lone_runnable_epoch_cycle_batches_tick_exactly() {
+    let guests = |nice: i8| {
+        [
+            Demand::CpuBound { total_work: None },
+            Demand::CpuBound {
+                total_work: Some(777),
+            },
+            Demand::DutyCycle {
+                busy: 130,
+                idle: 17,
+            },
+        ]
+        .map(|d| ProcSpec::new("guest", ProcClass::Guest, nice, d, MemSpec::tiny()))
+    };
+    for nice in [-20i8, 0, 19] {
+        for (g, guest) in guests(nice).into_iter().enumerate() {
+            let mut reference = Machine::default_linux();
+            let mut batched = Machine::default_linux();
+            reference.enable_run_log();
+            batched.enable_run_log();
+            let sleeper = |name: &str, nice: i8, busy: u64, idle: u64| {
+                ProcSpec::new(
+                    name,
+                    ProcClass::Host,
+                    nice,
+                    Demand::DutyCycle { busy, idle },
+                    MemSpec::tiny(),
+                )
+            };
+            let specs = [
+                sleeper("s-20", -20, 1, 311),
+                sleeper("s0", 0, 2, 97),
+                sleeper("s19", 19, 1, 523),
+                ProcSpec::cpu_bound_guest("stopped", 5),
+                guest,
+            ];
+            for spec in specs {
+                assert_eq!(reference.spawn(spec.clone()), batched.spawn(spec));
+            }
+            let stopped = Pid(3);
+            reference.suspend(stopped).unwrap();
+            batched.suspend(stopped).unwrap();
+
+            let mut rng = Rng::for_stream(0x10_4E, (nice as i64 + 20) as u64 * 8 + g as u64);
+            for seg in 0..40 {
+                if seg == 25 {
+                    // The stopped process comes back holding whatever
+                    // the recalculations banked for it.
+                    reference.resume(stopped).unwrap();
+                    batched.resume(stopped).unwrap();
+                }
+                if seg == 30 {
+                    reference.kill(stopped).unwrap();
+                    batched.kill(stopped).unwrap();
+                }
+                let span = rng.range_u64(1, 300);
+                reference.run_ticks_stepwise(span);
+                let mut left = span;
+                while left > 0 {
+                    let chunk = rng.range_u64(1, left.min(40) + 1).min(left);
+                    batched.run_ticks(chunk);
+                    left -= chunk;
+                }
+                assert_same(
+                    &reference,
+                    &batched,
+                    &format!("nice {nice} guest {g} segment {seg}"),
+                );
+            }
+            // The scenario must have crossed many epochs with sleepers
+            // at their banked fixed points, or it tested nothing.
+            assert!(
+                reference.recalc_count() > 50,
+                "nice {nice} guest {g}: only {} recalcs",
+                reference.recalc_count()
+            );
+        }
     }
 }
 

@@ -497,11 +497,16 @@ impl MachinePlan {
     /// Iterates monitor samples over the whole span.
     pub fn samples(&self) -> SampleIter<'_> {
         SampleIter {
-            plan: self,
+            cfg: &self.cfg,
+            spans: self.spans(),
+            span: PlanSpan {
+                start: 0,
+                end: 0,
+                dead: false,
+                loads: Vec::new(),
+                mem_mb: 0,
+            },
             t: 0,
-            next_contrib: 0,
-            active: Vec::new(),
-            next_down: 0,
             noise: Rng::new(self.noise_seed),
         }
     }
@@ -543,9 +548,9 @@ pub struct PlanSpan {
     pub end: u64,
     /// True if the machine is down for the whole span.
     pub dead: bool,
-    /// Load of each active contribution, in activation order (the
-    /// per-sample sum `noise + loads[0] + loads[1] + …` reproduces
-    /// [`SampleIter`]'s float-add order bit-for-bit).
+    /// Load of each active contribution, in activation order: a
+    /// sample's load is `noise + loads[0] + loads[1] + …`, added in
+    /// exactly that order.
     pub loads: Vec<f64>,
     /// Total resident memory over the span, MB (the saturating fold is
     /// order-deterministic, so it is safe to precompute).
@@ -573,7 +578,7 @@ impl Iterator for PlanSpanIter<'_> {
         }
         let t = self.t;
 
-        // Mirror SampleIter's bookkeeping at time `t`.
+        // The active set at time `t`, in activation order.
         while self.next_contrib < plan.contributions.len()
             && plan.contributions[self.next_contrib].start <= t
         {
@@ -623,51 +628,35 @@ impl Iterator for PlanSpanIter<'_> {
     }
 }
 
-/// Iterator over a machine's monitor samples.
+/// Iterator over a machine's monitor samples: one per monitor period,
+/// each read off the [`PlanSpan`] that contains its timestamp (a span
+/// shorter than the period can fall between two samples and is never
+/// observed). [`MachinePlan::spans`] is the one definition of what is
+/// active when; this only adds the per-sample background noise.
 #[derive(Debug, Clone)]
 pub struct SampleIter<'a> {
-    plan: &'a MachinePlan,
+    cfg: &'a LabConfig,
+    spans: PlanSpanIter<'a>,
+    /// The span containing the last sample (empty before the first).
+    span: PlanSpan,
     t: u64,
-    next_contrib: usize,
-    active: Vec<Contribution>,
-    next_down: usize,
     noise: Rng,
 }
 
 impl Iterator for SampleIter<'_> {
     type Item = LoadSample;
 
+    #[inline]
     fn next(&mut self) -> Option<LoadSample> {
-        let cfg = &self.plan.cfg;
-        if self.t >= cfg.span_secs() {
-            return None;
-        }
         let t = self.t;
-        self.t += cfg.sample_period;
-
-        // Activate contributions that have started.
-        while self.next_contrib < self.plan.contributions.len()
-            && self.plan.contributions[self.next_contrib].start <= t
-        {
-            self.active.push(self.plan.contributions[self.next_contrib]);
-            self.next_contrib += 1;
+        while t >= self.span.end {
+            // The spans tile [0, span_secs): running out of them is
+            // running out of trace.
+            self.span = self.spans.next()?;
         }
-        // Retire expired ones.
-        self.active.retain(|c| c.end > t);
+        self.t += self.cfg.sample_period;
 
-        // Downtime?
-        while self.next_down < self.plan.downtimes.len()
-            && self.plan.downtimes[self.next_down].1 <= t
-        {
-            self.next_down += 1;
-        }
-        let down = self
-            .plan
-            .downtimes
-            .get(self.next_down)
-            .map(|&(s, e)| s <= t && t < e)
-            .unwrap_or(false);
-        if down {
+        if self.span.dead {
             return Some(LoadSample {
                 t,
                 host_load: 0.0,
@@ -675,17 +664,14 @@ impl Iterator for SampleIter<'_> {
                 alive: false,
             });
         }
-
-        let mut load: f64 = self.noise.range_f64(0.0, cfg.idle_load_max);
-        let mut mem = cfg.base_resident_mb;
-        for c in &self.active {
-            load += c.load;
-            mem = mem.saturating_add(c.mem_mb);
+        let mut load: f64 = self.noise.range_f64(0.0, self.cfg.idle_load_max);
+        for &l in &self.span.loads {
+            load += l;
         }
         Some(LoadSample {
             t,
             host_load: load.min(1.0),
-            host_resident_mb: mem,
+            host_resident_mb: self.span.mem_mb,
             alive: true,
         })
     }
@@ -694,6 +680,96 @@ impl Iterator for SampleIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `samples()` was before it became a walk over `spans()`: its
+    /// own activate / retire / downtime bookkeeping, re-run per sample.
+    /// Kept as the reference the span walk must equal bit for bit.
+    fn reference_samples(plan: &MachinePlan) -> Vec<LoadSample> {
+        let cfg = &plan.cfg;
+        let mut noise = Rng::new(plan.noise_seed);
+        let mut active: Vec<Contribution> = Vec::new();
+        let (mut next_contrib, mut next_down) = (0, 0);
+        let mut out = Vec::new();
+        let mut t = 0;
+        while t < cfg.span_secs() {
+            while next_contrib < plan.contributions.len()
+                && plan.contributions[next_contrib].start <= t
+            {
+                active.push(plan.contributions[next_contrib]);
+                next_contrib += 1;
+            }
+            active.retain(|c| c.end > t);
+            while next_down < plan.downtimes.len() && plan.downtimes[next_down].1 <= t {
+                next_down += 1;
+            }
+            let down = plan
+                .downtimes
+                .get(next_down)
+                .is_some_and(|&(s, e)| s <= t && t < e);
+            out.push(if down {
+                LoadSample {
+                    t,
+                    host_load: 0.0,
+                    host_resident_mb: 0,
+                    alive: false,
+                }
+            } else {
+                let mut load: f64 = noise.range_f64(0.0, cfg.idle_load_max);
+                let mut mem = cfg.base_resident_mb;
+                for c in &active {
+                    load += c.load;
+                    mem = mem.saturating_add(c.mem_mb);
+                }
+                LoadSample {
+                    t,
+                    host_load: load.min(1.0),
+                    host_resident_mb: mem,
+                    alive: true,
+                }
+            });
+            t += cfg.sample_period;
+        }
+        out
+    }
+
+    #[test]
+    fn samples_equal_the_per_sample_reference_bit_for_bit() {
+        // Every lab shape `tests/tracer_equivalence.rs` enumerates, plus
+        // periods that do and do not divide the span boundaries.
+        let labs = crate::scenarios::all()
+            .into_iter()
+            .map(|(name, lab)| (name.to_string(), lab))
+            .chain(
+                crate::fleet::Archetype::ALL
+                    .into_iter()
+                    .map(|arch| (format!("{arch:?}"), arch.lab_config())),
+            );
+        for (name, lab) in labs {
+            for sample_period in [15, 7, 60] {
+                let cfg = LabConfig {
+                    machines: 3,
+                    days: 7,
+                    sample_period,
+                    ..lab.clone()
+                };
+                for machine in 0..cfg.machines {
+                    let plan = MachinePlan::generate(&cfg, machine);
+                    let got: Vec<LoadSample> = plan.samples().collect();
+                    let want = reference_samples(&plan);
+                    assert_eq!(got.len(), want.len(), "{name} machine {machine}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!(
+                            g.t == w.t
+                                && g.host_load.to_bits() == w.host_load.to_bits()
+                                && g.host_resident_mb == w.host_resident_mb
+                                && g.alive == w.alive,
+                            "{name} machine {machine} period {sample_period}: {g:?} != {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn blips_are_short_and_frequent() {

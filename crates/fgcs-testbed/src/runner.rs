@@ -679,6 +679,72 @@ mod tests {
         assert_eq!(quality.parsed_records, clean.records.len() as u64);
     }
 
+    /// FNV-1a over every delivered sample of machine 3's default-lab
+    /// week under `faults`, then the injection counts.
+    fn fault_stream_digest(faults: &FaultConfig) -> (u64, fgcs_faults::InjectionStats) {
+        let lab = LabConfig {
+            days: 7,
+            ..LabConfig::default()
+        };
+        let plan = MachinePlan::generate(&lab, 3);
+        let mut stream = FaultStream::new(plan.samples(), faults, 3);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for s in stream.by_ref() {
+            eat(s.t);
+            eat(s.host_load.to_bits());
+            eat(s.host_resident_mb as u64);
+            eat(s.alive as u64);
+        }
+        (h, stream.stats())
+    }
+
+    /// Golden values from the build *before* `FaultStream::next` and
+    /// `SampleIter` were restructured: a reordered RNG draw, a changed
+    /// release order of delayed samples or a moved float add shows up
+    /// here, not only as a differing byte in `results/fault_matrix.csv`.
+    #[test]
+    fn fault_stream_output_matches_the_golden_digests() {
+        use fgcs_faults::InjectionStats;
+        let golden = [
+            (0.0, 0x8c70_865a_f913_0f40, InjectionStats::default()),
+            (
+                1.0,
+                0x2f0b_ca24_c896_3510,
+                InjectionStats {
+                    dropped: 209,
+                    duplicated: 70,
+                    delayed: 90,
+                    restarts: 12,
+                    lost_in_restart: 96,
+                    clock_jumps: 6,
+                    corrupted_lines: 0,
+                },
+            ),
+            (
+                4.0,
+                0xcfc9_4faf_3055_4037,
+                InjectionStats {
+                    dropped: 809,
+                    duplicated: 293,
+                    delayed: 310,
+                    restarts: 84,
+                    lost_in_restart: 672,
+                    clock_jumps: 21,
+                    corrupted_lines: 0,
+                },
+            ),
+        ];
+        for (scale, digest, stats) in golden {
+            let got = fault_stream_digest(&FaultConfig::noisy(20050801).scaled(scale));
+            assert_eq!(got, (digest, stats), "noisy x{scale}");
+        }
+    }
+
     #[test]
     fn noisy_faults_never_abort_and_are_accounted() {
         let mut cfg = TestbedConfig::tiny();

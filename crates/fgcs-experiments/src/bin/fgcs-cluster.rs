@@ -2,7 +2,7 @@
 //! replayed load.
 //!
 //! Boots a 2-shard cluster as real `fgcs-serve` processes (one primary
-//! + one replication follower per shard, machine ids owned by
+//! and one replication follower per shard, machine ids owned by
 //! rendezvous hashing), replays a deterministic availability wave
 //! through the fault-hardened [`ClusterClient`] router in three phases,
 //! and SIGKILLs shard 0's primary between the first and second phase:
@@ -168,13 +168,6 @@ mod imp {
         }
     }
 
-    /// One phase of routed replay: samples `[lo, hi)` of every machine,
-    /// interleaved batch-round-robin across machines (so both shards
-    /// see concurrent load), availability queries mixed in. Returns
-    /// `(batches, samples, elapsed, query latencies in µs, gap)` where
-    /// `gap` is the time from `gap_from` to the first acked batch on a
-    /// machine in `gap_machines` (the killed shard's fleet).
-    #[allow(clippy::too_many_arguments)]
     struct PhaseOutcome {
         batches: u64,
         samples: u64,
@@ -183,6 +176,13 @@ mod imp {
         gap: Option<Duration>,
     }
 
+    /// One phase of routed replay: samples `[lo, hi)` of every machine,
+    /// interleaved batch-round-robin across machines (so both shards
+    /// see concurrent load), availability queries mixed in. Returns
+    /// `(batches, samples, elapsed, query latencies in µs, gap)` where
+    /// `gap` is the time from `gap_from` to the first acked batch on a
+    /// machine in `gap_machines` (the killed shard's fleet).
+    #[allow(clippy::too_many_arguments)]
     fn run_phase(
         router: &mut ClusterClient,
         machines: &[u32],
@@ -219,7 +219,7 @@ mod imp {
                 if out.gap.is_none() && gap_machines.contains(&m) {
                     out.gap = gap_from.map(|t| t.elapsed());
                 }
-                if out.batches % query_every == 0 {
+                if out.batches.is_multiple_of(query_every) {
                     let q0 = Instant::now();
                     let reply = router
                         .query_avail(m, 1_800)

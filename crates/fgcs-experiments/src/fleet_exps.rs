@@ -51,7 +51,6 @@ fn proc_status_kb(key: &str) -> Option<u64> {
     status
         .lines()
         .find_map(|l| l.strip_prefix(key))?
-        .trim()
         .split_whitespace()
         .next()?
         .parse()

@@ -334,9 +334,7 @@ fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
     if shared.is_primary() {
         return None;
     }
-    let Some(cap) = shared.cfg.max_read_lag else {
-        return None;
-    };
+    let cap = shared.cfg.max_read_lag?;
     use std::sync::atomic::Ordering;
     // Stored as `head_seq + 1` so 0 still means "never pulled" even
     // when the primary's log is legitimately empty.

@@ -464,13 +464,15 @@ fn bind_reuseport_set(addr: &SocketAddr, loops: usize) -> io::Result<Vec<TcpList
     Ok(listeners)
 }
 
+/// What [`spawn_loops`] hands the server: the bound address, the loop
+/// join handles, and each loop's wake eventfd.
+type SpawnedLoops = (SocketAddr, Vec<JoinHandle<()>>, Vec<Arc<EventFd>>);
+
 /// Binds the listener set and spawns all event loops. Returns the bound
 /// address, the loop join handles, and each loop's wake eventfd (for
 /// shutdown signalling). Nothing is spawned unless every bind and
 /// eventfd succeeded.
-pub(crate) fn spawn_loops(
-    shared: &Arc<Shared>,
-) -> io::Result<(SocketAddr, Vec<JoinHandle<()>>, Vec<Arc<EventFd>>)> {
+pub(crate) fn spawn_loops(shared: &Arc<Shared>) -> io::Result<SpawnedLoops> {
     let loops = shared.event_loops;
     let cfg = &shared.cfg;
     let max_conns = cfg.effective_max_connections();

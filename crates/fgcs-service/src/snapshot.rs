@@ -498,7 +498,7 @@ pub(crate) fn list_snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
             found.push((seq, entry.path()));
         }
     }
-    found.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    found.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
     found
 }
 

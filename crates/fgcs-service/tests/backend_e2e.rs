@@ -497,7 +497,7 @@ fn malformed_frame_gets_typed_error_and_stream_survives(svc: ServiceConfig) {
     let server = Server::start(svc).expect("server starts");
     let mut stream = TcpStream::connect(server.local_addr()).expect("raw connect");
     let mut decoder = Decoder::new();
-    let mut read_reply = |stream: &mut TcpStream, decoder: &mut Decoder| -> Frame {
+    let read_reply = |stream: &mut TcpStream, decoder: &mut Decoder| -> Frame {
         let mut buf = [0u8; 4096];
         loop {
             if let Ok(Some(frame)) = decoder.next_frame() {

@@ -369,7 +369,7 @@ pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<Trac
         // First monitor tick inside the span; spans shorter than the
         // sampling period can fall between ticks and are never observed
         // (exactly as in the sample-by-sample path).
-        let first = (span.start + p - 1) / p * p;
+        let first = span.start.div_ceil(p) * p;
         if first >= span.end {
             continue;
         }
@@ -380,7 +380,7 @@ pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<Trac
         let free = lab.free_for_guest_mb(span.mem_mb);
         let mut t = first;
         if span.loads.is_empty() && idle_calm {
-            while t < span.end && !(recorder.is_available() && !recorder.spike_active()) {
+            while t < span.end && (!recorder.is_available() || recorder.spike_active()) {
                 let load = noise.range_f64(0.0, lab.idle_load_max);
                 recorder.observe(
                     t,

@@ -214,10 +214,11 @@ impl StreamingAnalysis {
         self.cpu_r.push(c.cpu);
         self.mem_r.push(c.mem);
         self.urr_r.push(c.urr);
-        if c.total > 0 {
-            self.cpu_pct_r.push((c.cpu * 100 + c.total / 2) / c.total);
-            self.mem_pct_r.push((c.mem * 100 + c.total / 2) / c.total);
-            self.urr_pct_r.push((c.urr * 100 + c.total / 2) / c.total);
+        let pct = |n: usize| (n * 100 + c.total / 2).checked_div(c.total);
+        if let (Some(cpu), Some(mem), Some(urr)) = (pct(c.cpu), pct(c.mem), pct(c.urr)) {
+            self.cpu_pct_r.push(cpu);
+            self.mem_pct_r.push(mem);
+            self.urr_pct_r.push(urr);
         }
 
         // Figure 6: availability intervals into the sketches.

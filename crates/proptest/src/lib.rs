@@ -71,7 +71,7 @@ pub mod option {
     impl<S: Strategy> Strategy for OptionStrategy<S> {
         type Value = Option<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
-            if rng.next_u64() % 4 == 0 {
+            if rng.next_u64().is_multiple_of(4) {
                 None
             } else {
                 Some(self.inner.generate(rng))

@@ -1,5 +1,5 @@
-//! Cluster routing client: rendezvous-hashed sharding over a
-//! fault-hardened [`ClientPool`] transport (Linux only).
+//! Cluster routing client: rendezvous-hashed sharding, one
+//! [`ServiceClient`] per shard endpoint.
 //!
 //! A cluster is K *shards*, each a primary `fgcs-serve` plus the
 //! follower replicating its seq log (DESIGN.md §13). Machine ids map to
@@ -14,11 +14,14 @@
 //! hardened end to end:
 //!
 //! * **per-request deadlines** — every attempt (connect + auth + reply)
-//!   runs against one deadline; a hung server surfaces as `TimedOut`,
-//!   not a wedged caller;
+//!   runs against one deadline inside [`ServiceClient`]; a hung server
+//!   surfaces as `TimedOut`, not a wedged caller, and any failed
+//!   attempt drops its connection, so a late reply is never read as the
+//!   answer to the next request;
 //! * **capped-exponential-backoff retries with jitter** — the shared
-//!   [`BackoffPolicy`] used by [`crate::ServiceClient`] and the testbed
-//!   supervisor;
+//!   [`BackoffPolicy`] used by [`ServiceClient`] and the testbed
+//!   supervisor. The router owns every retry: its connections make one
+//!   attempt per request and never resend;
 //! * **failover** — on connect errors, timeouts, or a typed
 //!   [`ErrorCode::NotPrimary`] rejection the router flips the shard to
 //!   its other endpoint (primary ⇄ follower) and retries there, so a
@@ -41,12 +44,12 @@
 //!   staleness gate. Writes always take the primary route.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_wire::{ErrorCode, Frame, StatsPayload, WireSample};
 
-use crate::pool::{ClientPool, PoolCloseReason, PoolEvent};
+use crate::client::{probe_repl_status, ClientConfig, ServiceClient};
 
 /// One shard of the cluster: the primary and the follower replicating
 /// it.
@@ -73,8 +76,6 @@ pub struct ClusterConfig {
     pub token: Option<String>,
     /// Deadline per attempt (connect + auth + one reply), ms.
     pub request_timeout_ms: u64,
-    /// Per-slot nonblocking connect deadline, ms ([`ClientPool::add`]).
-    pub connect_timeout_ms: u64,
     /// Total attempts per request before the last error surfaces.
     pub max_attempts: u32,
     /// Backoff between attempts, ms; jittered to half-open
@@ -85,14 +86,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults: 2 s request deadline, 1 s connect deadline, 8
-    /// attempts, 20 ms → 500 ms backoff, no token.
+    /// Defaults: 2 s attempt deadline, 8 attempts, 20 ms → 500 ms
+    /// backoff, no token.
     pub fn new(shards: Vec<ShardSpec>) -> Self {
         ClusterConfig {
             shards,
             token: None,
             request_timeout_ms: 2_000,
-            connect_timeout_ms: 1_000,
             max_attempts: 8,
             backoff: BackoffPolicy { base: 20, cap: 500 },
             seed: 0x5eed_cafe,
@@ -126,19 +126,18 @@ pub struct ClusterMetrics {
 struct ShardState {
     /// Whether requests currently target the follower endpoint.
     on_follower: bool,
-    /// The pool slot holding this shard's write connection, if open.
-    slot: Option<usize>,
-    /// The pool slot pinned to the follower endpoint for reads, if
-    /// open. Kept separate from the write slot so read traffic never
-    /// evicts the primary connection (and vice versa).
-    read_slot: Option<usize>,
+    /// This shard's write connection, if open.
+    conn: Option<ServiceClient>,
+    /// The connection pinned to the follower endpoint for reads, if
+    /// open. Kept separate from the write connection so read traffic
+    /// never evicts the primary connection (and vice versa).
+    read_conn: Option<ServiceClient>,
 }
 
 /// The blocking cluster router. See the module docs for the fault
 /// model; one instance is single-threaded (one request in flight).
 pub struct ClusterClient {
     cfg: ClusterConfig,
-    pool: ClientPool,
     shards: Vec<ShardState>,
     /// Fault/recovery counters.
     pub metrics: ClusterMetrics,
@@ -189,10 +188,20 @@ pub fn rendezvous_owner<S: AsRef<str>>(names: &[S], key: u32) -> usize {
     best
 }
 
+fn stats_reply(reply: Frame) -> io::Result<StatsPayload> {
+    match reply {
+        Frame::StatsReply(stats) => Ok(stats),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected reply to QueryStats: tag {}", other.tag()),
+        )),
+    }
+}
+
 impl ClusterClient {
     /// Builds a router over `cfg.shards`. Connections are opened
     /// lazily, so a dead node costs nothing until a request routes to
-    /// it. Errors only on epoll setup failure or zero shards.
+    /// it. Errors only on zero shards.
     pub fn connect(cfg: ClusterConfig) -> io::Result<ClusterClient> {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(
@@ -205,12 +214,11 @@ impl ClusterClient {
             .iter()
             .map(|_| ShardState {
                 on_follower: false,
-                slot: None,
-                read_slot: None,
+                conn: None,
+                read_conn: None,
             })
             .collect();
         Ok(ClusterClient {
-            pool: ClientPool::new()?,
             shards,
             metrics: ClusterMetrics::default(),
             salt: 0,
@@ -264,7 +272,7 @@ impl ClusterClient {
                 machine,
                 samples: pending.clone(),
             };
-            match self.try_on(shard, &frame) {
+            match self.attempt(shard, false, &frame) {
                 Ok(Frame::Error {
                     code: ErrorCode::NotPrimary,
                     detail,
@@ -324,26 +332,14 @@ impl ClusterClient {
     /// by construction: the ingest resume filter derives its `t >
     /// last_t` floor from this, and a follower's floor may lag.
     pub fn stats_of(&mut self, s: usize) -> io::Result<StatsPayload> {
-        match self.request_on(s, &Frame::QueryStats)? {
-            Frame::StatsReply(stats) => Ok(stats),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply to QueryStats: tag {}", other.tag()),
-            )),
-        }
+        stats_reply(self.request_on(s, &Frame::QueryStats)?)
     }
 
     /// `QueryStats` against shard `s`, preferring the follower replica.
     /// Fine for dashboards and load checks; never feed the result into
     /// a dedup decision (see [`ClusterClient::stats_of`]).
     pub fn read_stats_of(&mut self, s: usize) -> io::Result<StatsPayload> {
-        match self.read_on(s, &Frame::QueryStats)? {
-            Frame::StatsReply(stats) => Ok(stats),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply to QueryStats: tag {}", other.tag()),
-            )),
-        }
+        stats_reply(self.read_on(s, &Frame::QueryStats)?)
     }
 
     /// Sends a read-only `frame` to shard `s`, preferring its follower
@@ -355,7 +351,7 @@ impl ClusterClient {
     /// replica, say) is a real answer and returns as-is.
     pub fn read_on(&mut self, s: usize, frame: &Frame) -> io::Result<Frame> {
         if self.cfg.shards[s].follower_addr.is_some() {
-            match self.try_read(s, frame) {
+            match self.attempt(s, true, frame) {
                 Ok(Frame::Error { code, .. })
                     if code == ErrorCode::TooStale || code == ErrorCode::NotPrimary => {}
                 Ok(reply) => {
@@ -376,7 +372,7 @@ impl ClusterClient {
         let mut attempt: u32 = 0;
         let mut rerouting = false;
         loop {
-            match self.try_on(s, frame) {
+            match self.attempt(s, false, frame) {
                 // Both rejections are routing signals from a live
                 // follower: NotPrimary for writes, TooStale for reads
                 // behind a staleness gate. Flip and retry.
@@ -409,9 +405,7 @@ impl ClusterClient {
     /// in flight) the subsequent flips back off normally rather than
     /// ping-ponging hot between the two.
     fn bounce(&mut self, s: usize, attempt: &mut u32, why: &str, instant: bool) -> io::Result<()> {
-        if let Some(slot) = self.shards[s].slot.take() {
-            self.pool.close(slot);
-        }
+        self.shards[s].conn = None;
         if self.cfg.shards[s].follower_addr.is_some() {
             self.shards[s].on_follower = !self.shards[s].on_follower;
             self.metrics.failovers += 1;
@@ -437,51 +431,22 @@ impl ClusterClient {
         Ok(())
     }
 
-    /// One attempt: connect (+auth) if needed, send, await the reply,
-    /// all against a single deadline.
-    fn try_on(&mut self, s: usize, frame: &Frame) -> io::Result<Frame> {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.request_timeout_ms.max(1));
-        let slot = self.ensure_slot(s, deadline)?;
-        if !self.pool.send(slot, frame) {
-            self.unmap(slot);
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "connection died before the request was written",
-            ));
-        }
-        self.await_reply(slot, deadline)
-    }
-
-    /// One attempt against shard `s`'s follower endpoint, over the
-    /// shard's dedicated read slot. No retries here — the caller falls
-    /// back to the write path on failure.
-    fn try_read(&mut self, s: usize, frame: &Frame) -> io::Result<Frame> {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.request_timeout_ms.max(1));
-        let slot = match self.shards[s].read_slot {
-            Some(slot) if self.pool.is_open(slot) => slot,
-            _ => {
-                self.shards[s].read_slot = None;
-                let addr = self.cfg.shards[s]
-                    .follower_addr
-                    .clone()
-                    .expect("read path requires a follower endpoint");
-                let slot = self.pool.add(&addr, self.cfg.connect_timeout_ms)?;
-                self.shards[s].read_slot = Some(slot);
-                if let Err(e) = self.handshake(slot, deadline) {
-                    self.shards[s].read_slot = None;
-                    return Err(e);
-                }
-                slot
-            }
+    /// One attempt on shard `s`, over its write connection to the
+    /// current endpoint or, for a `read`, over the connection pinned to
+    /// its follower. A closed connection redials inside the attempt.
+    /// Connections never retry or resend on their own: the router owns
+    /// every retry, and a resend would break at-most-once ingest.
+    fn attempt(&mut self, s: usize, read: bool, frame: &Frame) -> io::Result<Frame> {
+        let (cfg, st) = (&self.cfg, &mut self.shards[s]);
+        let spec = &cfg.shards[s];
+        let (conn, addr) = match &spec.follower_addr {
+            Some(f) if read => (&mut st.read_conn, f),
+            Some(f) if st.on_follower => (&mut st.conn, f),
+            _ => (&mut st.conn, &spec.primary_addr),
         };
-        if !self.pool.send(slot, frame) {
-            self.unmap(slot);
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "connection died before the request was written",
-            ));
-        }
-        self.await_reply(slot, deadline)
+        let dial = || ClientConfig::single_attempt(addr, cfg.request_timeout_ms, cfg.token.clone());
+        conn.get_or_insert_with(|| ServiceClient::new(dial()))
+            .request(frame)
     }
 
     /// Points shard `s`'s write route at whichever endpoint currently
@@ -494,13 +459,15 @@ impl ClusterClient {
     /// flight: the caller's retry loop keeps flipping normally). The
     /// ingest resume calls this before trusting a `last_t` floor.
     pub fn aim_at_primary(&mut self, s: usize) {
-        let Some(follower_addr) = self.cfg.shards[s].follower_addr.clone() else {
+        let spec = &self.cfg.shards[s];
+        let Some(follower_addr) = spec.follower_addr.as_deref() else {
             return;
         };
-        let primary_addr = self.cfg.shards[s].primary_addr.clone();
         let mut best: Option<(u64, bool)> = None; // (epoch, use follower endpoint)
-        for (addr, on_follower) in [(primary_addr, false), (follower_addr, true)] {
-            if let Some((role, epoch)) = self.probe_role(&addr) {
+        for (addr, on_follower) in [(spec.primary_addr.as_str(), false), (follower_addr, true)] {
+            let probe =
+                probe_repl_status(addr, self.cfg.token.clone(), self.cfg.request_timeout_ms);
+            if let Some((role, epoch, _)) = probe {
                 if role == crate::repl::ROLE_PRIMARY && best.is_none_or(|(be, _)| epoch > be) {
                     best = Some((epoch, on_follower));
                 }
@@ -508,159 +475,8 @@ impl ClusterClient {
         }
         if let Some((_, on_follower)) = best {
             if self.shards[s].on_follower != on_follower {
-                if let Some(slot) = self.shards[s].slot.take() {
-                    self.pool.close(slot);
-                }
+                self.shards[s].conn = None;
                 self.shards[s].on_follower = on_follower;
-            }
-        }
-    }
-
-    /// `ReplStatus` against one address over a throwaway connection:
-    /// `Some((role, epoch))` on a well-formed reply, `None` otherwise.
-    fn probe_role(&mut self, addr: &str) -> Option<(u8, u64)> {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.request_timeout_ms.max(1));
-        let slot = self.pool.add(addr, self.cfg.connect_timeout_ms).ok()?;
-        let result = (|| {
-            self.handshake(slot, deadline).ok()?;
-            if !self.pool.send(slot, &Frame::ReplStatus) {
-                return None;
-            }
-            match self.await_reply(slot, deadline) {
-                Ok(Frame::ReplStatusReply { role, epoch, .. }) => Some((role, epoch)),
-                _ => None,
-            }
-        })();
-        self.pool.close(slot);
-        result
-    }
-
-    /// Returns an open slot for shard `s`, dialing its current
-    /// endpoint (and authenticating) if none is cached. Sends are
-    /// buffered while the nonblocking connect resolves, so no
-    /// round-trip is spent waiting for the handshake itself.
-    fn ensure_slot(&mut self, s: usize, deadline: Instant) -> io::Result<usize> {
-        if let Some(slot) = self.shards[s].slot {
-            if self.pool.is_open(slot) {
-                return Ok(slot);
-            }
-            self.shards[s].slot = None;
-        }
-        let addr = self.endpoint_of(s).to_string();
-        let slot = self.pool.add(&addr, self.cfg.connect_timeout_ms)?;
-        self.shards[s].slot = Some(slot);
-        if let Err(e) = self.handshake(slot, deadline) {
-            self.shards[s].slot = None;
-            return Err(e);
-        }
-        Ok(slot)
-    }
-
-    /// Authenticates a freshly added slot when the cluster has a token
-    /// (no-op otherwise). On failure the slot is closed; the caller
-    /// must drop its reference.
-    fn handshake(&mut self, slot: usize, deadline: Instant) -> io::Result<()> {
-        let Some(token) = self.cfg.token.clone() else {
-            return Ok(());
-        };
-        if !self.pool.send(slot, &Frame::Auth { token }) {
-            self.unmap(slot);
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "connection died before Auth was written",
-            ));
-        }
-        match self.await_reply(slot, deadline)? {
-            Frame::Ack { .. } => Ok(()),
-            Frame::Error { code, detail } => {
-                self.pool.close(slot);
-                let kind = if code == ErrorCode::Unauthorized {
-                    // Terminal: backoff cannot fix a wrong secret.
-                    io::ErrorKind::PermissionDenied
-                } else {
-                    io::ErrorKind::ConnectionRefused
-                };
-                Err(io::Error::new(kind, format!("auth rejected: {detail}")))
-            }
-            other => {
-                self.pool.close(slot);
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected reply to Auth: tag {}", other.tag()),
-                ))
-            }
-        }
-    }
-
-    /// Pumps the pool until `slot` yields a frame, dies, or the
-    /// deadline passes (which closes the slot: a late reply to an
-    /// abandoned request must never be mistaken for the next one).
-    fn await_reply(&mut self, slot: usize, deadline: Instant) -> io::Result<Frame> {
-        let mut events: Vec<PoolEvent> = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                self.pool.close(slot);
-                self.unmap(slot);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "request deadline exceeded",
-                ));
-            }
-            let budget = deadline
-                .saturating_duration_since(now)
-                .as_millis()
-                .clamp(1, i32::MAX as u128) as i32;
-            events.clear();
-            self.pool.poll(budget, &mut events)?;
-            let mut reply: Option<Frame> = None;
-            let mut died: Option<PoolCloseReason> = None;
-            for ev in events.drain(..) {
-                match ev {
-                    PoolEvent::Connected { .. } => {}
-                    PoolEvent::Frame { slot: from, frame } if from == slot => {
-                        if reply.is_none() {
-                            reply = Some(frame);
-                        }
-                    }
-                    // A frame on another shard's slot with no request
-                    // outstanding there: a late reply to an abandoned
-                    // request. Dropping it is exactly why timed-out
-                    // slots are closed, but be safe against races.
-                    PoolEvent::Frame { .. } => {}
-                    PoolEvent::Closed { slot: from, reason } => {
-                        self.unmap(from);
-                        if from == slot {
-                            died = Some(reason);
-                        }
-                    }
-                }
-            }
-            if let Some(frame) = reply {
-                return Ok(frame);
-            }
-            if let Some(reason) = died {
-                let kind = match reason {
-                    PoolCloseReason::ConnectTimeout => io::ErrorKind::TimedOut,
-                    PoolCloseReason::Eof => io::ErrorKind::UnexpectedEof,
-                    _ => io::ErrorKind::ConnectionReset,
-                };
-                return Err(io::Error::new(
-                    kind,
-                    format!("connection closed ({reason:?})"),
-                ));
-            }
-        }
-    }
-
-    /// Clears whichever shard holds pool slot `slot` (write or read).
-    fn unmap(&mut self, slot: usize) {
-        for st in &mut self.shards {
-            if st.slot == Some(slot) {
-                st.slot = None;
-            }
-            if st.read_slot == Some(slot) {
-                st.read_slot = None;
             }
         }
     }

@@ -20,15 +20,19 @@
 //!   availability/placement queries from live state. Per-machine state
 //!   is sharded ([`ServiceConfig::state_shards`]); an optional shared
 //!   auth token ([`ServiceConfig::auth_token`]) gates every stream.
-//! * [`ServiceClient`] — a blocking client with capped-backoff
+//! * [`ServiceClient`] — the blocking transport: capped-backoff
 //!   reconnection (reusing [`fgcs_testbed::SupervisorConfig`]
-//!   semantics) that presents the auth token on every (re)connect.
+//!   semantics), the auth token presented on every (re)connect, and one
+//!   deadline per attempt (connect + auth + reply). The follower's pull
+//!   loop, its election and fencer, and the [`ClusterClient`] router
+//!   (rendezvous-hashed shards with failover, [`cluster`]) all send
+//!   through it.
 //! * [`loadgen`] — a load generator replaying testbed traces at
 //!   configurable fan-in, optionally through `fgcs-faults` frame
 //!   corruption to exercise the decode error paths; plus
 //!   [`run_fanin`], a connection-scaling driver running thousands of
 //!   sockets from one thread on top of [`ClientPool`], the multiplexed
-//!   outbound connection pool ([`pool`]).
+//!   transport ([`pool`]).
 //!
 //! ## Backpressure
 //!
@@ -55,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(target_os = "linux")]
 pub mod cluster;
 #[cfg(target_os = "linux")]
 mod conn;
@@ -72,7 +75,6 @@ mod state;
 pub use repl::{ROLE_FOLLOWER, ROLE_PRIMARY};
 
 pub use client::{ClientConfig, ServiceClient};
-#[cfg(target_os = "linux")]
 pub use cluster::{ClusterClient, ClusterConfig, ClusterMetrics, ShardSpec};
 #[cfg(target_os = "linux")]
 pub use loadgen::{run_fanin, FanInConfig, FanInReport};

@@ -2,14 +2,16 @@
 //! holding thousands of client connections as nonblocking state over
 //! one epoll instance.
 //!
-//! This is the client-side twin of the server's event loops,
-//! extracted from the fan-in load generator so anything that needs wide
-//! fan-out — the scaling driver today, cluster replication tomorrow —
-//! shares one multiplexer. The pool is transport only: it owns sockets,
-//! per-connection reassembly [`Decoder`]s and write buffers, and
-//! surfaces whole [`Frame`]s; protocol state machines (handshakes,
-//! pacing, retries) stay with the caller. [`crate::ServiceClient`] is
-//! the one-connection blocking counterpart.
+//! This is the client-side twin of the server's event loops: the
+//! transport of the fan-in driver and the benchmark's load generator,
+//! anything that keeps many connections busy from one thread. The pool
+//! is transport only: it owns sockets, per-connection reassembly
+//! [`Decoder`]s and write buffers, and surfaces whole [`Frame`]s;
+//! protocol state machines (handshakes, pacing, retries) stay with the
+//! caller. Connections are established blockingly up front, so there is
+//! no connect state to track. [`crate::ServiceClient`] is the
+//! one-connection blocking counterpart, and the transport for anything
+//! with one request outstanding.
 //!
 //! Connections are addressed by *slot* (their index at
 //! [`ClientPool::connect`] time). Slots never shift: a closed slot
@@ -19,7 +21,6 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::time::Instant;
 
 use fgcs_sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use fgcs_wire::{encode_into, Decoder, Frame};
@@ -34,11 +35,6 @@ pub enum PoolCloseReason {
     Err,
     /// The peer sent bytes that do not decode as a frame.
     Decode,
-    /// A nonblocking connect ([`ClientPool::add`]) missed its deadline
-    /// — the listener's accept queue is wedged or the host is
-    /// blackholed, exactly the hang a blocking connect would sit in
-    /// forever.
-    ConnectTimeout,
 }
 
 /// One thing that happened during [`ClientPool::poll`].
@@ -51,8 +47,9 @@ pub enum PoolEvent {
         /// The decoded frame.
         frame: Frame,
     },
-    /// A slot opened with [`ClientPool::add`] finished its handshake
-    /// and is ready (sends queued while connecting flush now).
+    /// Never emitted: a vestige kept only because the benchmark adapter
+    /// still matches on it. It goes in the benchmark-only follow-up that
+    /// edits the adapter (ROADMAP direction 6).
     Connected {
         /// The connection's slot.
         slot: usize,
@@ -74,11 +71,6 @@ struct PoolConn {
     out: Vec<u8>,
     out_pos: usize,
     registered_writable: bool,
-    /// `Some(deadline)` while a nonblocking connect is in flight; the
-    /// socket reports the outcome via `SO_ERROR` when it turns
-    /// writable, and [`ClientPool::poll`] times the attempt out at the
-    /// deadline.
-    connecting: Option<Instant>,
 }
 
 impl PoolConn {
@@ -117,7 +109,13 @@ impl ClientPool {
     /// [`ClientPool::is_open`] after construction; the pool itself is
     /// only an error when epoll setup fails.
     pub fn connect(addr: &str, conns: usize) -> io::Result<ClientPool> {
-        let mut pool = ClientPool::new()?;
+        let mut pool = ClientPool {
+            ep: Epoll::new()?,
+            conns: Vec::with_capacity(conns),
+            open: 0,
+            rbuf: vec![0u8; 64 * 1024],
+            ebuf: Vec::with_capacity(4096),
+        };
         for slot in 0..conns {
             let Ok(stream) = TcpStream::connect(addr) else {
                 pool.conns.push(None);
@@ -133,60 +131,10 @@ impl ClientPool {
                 out: Vec::new(),
                 out_pos: 0,
                 registered_writable: false,
-                connecting: None,
             }));
             pool.open += 1;
         }
         Ok(pool)
-    }
-
-    /// An empty pool; grow it with [`ClientPool::add`]. Only an error
-    /// when epoll setup fails.
-    pub fn new() -> io::Result<ClientPool> {
-        Ok(ClientPool {
-            ep: Epoll::new()?,
-            conns: Vec::new(),
-            open: 0,
-            rbuf: vec![0u8; 64 * 1024],
-            ebuf: Vec::with_capacity(4096),
-        })
-    }
-
-    /// Opens one *nonblocking* connection to `addr` in a fresh slot and
-    /// returns the slot index. Unlike [`ClientPool::connect`], the
-    /// calling thread never blocks in the TCP handshake: the attempt
-    /// resolves during [`ClientPool::poll`] as either
-    /// [`PoolEvent::Connected`] or a `Closed` event — with
-    /// [`PoolCloseReason::ConnectTimeout`] if the peer has not accepted
-    /// within `connect_timeout_ms`. Frames sent while the slot is still
-    /// connecting are buffered and flush on success.
-    pub fn add(&mut self, addr: &str, connect_timeout_ms: u64) -> io::Result<usize> {
-        use std::net::ToSocketAddrs;
-        let slot = self.conns.len();
-        let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("address {addr:?} resolves to nothing"),
-            )
-        })?;
-        let (stream, _done) = fgcs_sys::connect_nonblocking(&sockaddr)?;
-        let _ = stream.set_nodelay(true);
-        // Registering EPOLLOUT even for an instantly-completed connect
-        // keeps one code path: the socket is writable, the first poll
-        // sees it, SO_ERROR confirms, Connected is emitted.
-        self.ep
-            .add(stream.as_raw_fd(), EPOLLOUT | EPOLLRDHUP, slot as u64)?;
-        let deadline = Instant::now() + std::time::Duration::from_millis(connect_timeout_ms.max(1));
-        self.conns.push(Some(PoolConn {
-            stream,
-            decoder: Decoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            registered_writable: true,
-            connecting: Some(deadline),
-        }));
-        self.open += 1;
-        Ok(slot)
     }
 
     /// Whether a slot's connection is still open.
@@ -218,8 +166,8 @@ impl ClientPool {
             self.close(slot);
             return false;
         }
-        if conn.connecting.is_some() || conn.has_pending_out() {
-            // Not writable yet (or already backlogged): queue in order.
+        if conn.has_pending_out() {
+            // Already backlogged: queue in order.
             conn.out.extend_from_slice(&self.ebuf);
         } else {
             match write_some(&mut conn.stream, &self.ebuf) {
@@ -250,10 +198,6 @@ impl ClientPool {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return;
         };
-        if conn.connecting.is_some() {
-            // Interest stays EPOLLOUT until the handshake resolves.
-            return;
-        }
         let wants_write = conn.has_pending_out();
         if wants_write != conn.registered_writable {
             let mut interest = EPOLLIN | EPOLLRDHUP;
@@ -276,11 +220,7 @@ impl ClientPool {
     /// frames). Returns how many events were appended.
     pub fn poll(&mut self, timeout_ms: i32, out: &mut Vec<PoolEvent>) -> io::Result<usize> {
         let mut events = [EpollEvent::zeroed(); 1024];
-        // Never sleep past the nearest connect deadline: a hung peer
-        // produces no readiness event, so the timeout is enforced by
-        // waking up in time to notice it.
-        let wait = self.clamp_to_connect_deadlines(timeout_ms);
-        let n = self.ep.wait(&mut events, wait)?;
+        let n = self.ep.wait(&mut events, timeout_ms)?;
         let before = out.len();
         for ev in &events[..n] {
             let slot = ev.token() as usize;
@@ -291,43 +231,7 @@ impl ClientPool {
                 self.sync_interest(slot);
             }
         }
-        let now = Instant::now();
-        for slot in 0..self.conns.len() {
-            let expired = matches!(
-                &self.conns[slot],
-                Some(c) if c.connecting.is_some_and(|d| d <= now)
-            );
-            if expired {
-                self.close(slot);
-                out.push(PoolEvent::Closed {
-                    slot,
-                    reason: PoolCloseReason::ConnectTimeout,
-                });
-            }
-        }
         Ok(out.len() - before)
-    }
-
-    /// The epoll wait bound: `timeout_ms` (negative = infinite),
-    /// clamped down to the soonest in-flight connect deadline.
-    fn clamp_to_connect_deadlines(&self, timeout_ms: i32) -> i32 {
-        let now = Instant::now();
-        let nearest = self
-            .conns
-            .iter()
-            .flatten()
-            .filter_map(|c| c.connecting)
-            .map(|d| {
-                d.saturating_duration_since(now)
-                    .as_millis()
-                    .min(i32::MAX as u128) as i32
-            })
-            .min();
-        match nearest {
-            None => timeout_ms,
-            Some(remaining) if timeout_ms < 0 => remaining,
-            Some(remaining) => timeout_ms.min(remaining),
-        }
     }
 
     /// Handles one readiness event. `Some(reason)` = close the slot.
@@ -340,30 +244,6 @@ impl ClientPool {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return None; // stale event for an already-closed slot
         };
-        if conn.connecting.is_some() {
-            // Any readiness on a connecting socket resolves the
-            // attempt; `SO_ERROR` is the verdict (writable + 0 =
-            // established, otherwise the errno of the failed connect).
-            match fgcs_sys::take_socket_error(conn.stream.as_raw_fd()) {
-                Ok(None) => {
-                    conn.connecting = None;
-                    let mut interest = EPOLLIN | EPOLLRDHUP;
-                    if conn.has_pending_out() {
-                        interest |= EPOLLOUT;
-                    }
-                    if self
-                        .ep
-                        .modify(conn.stream.as_raw_fd(), interest, slot as u64)
-                        .is_err()
-                    {
-                        return Some(PoolCloseReason::Err);
-                    }
-                    conn.registered_writable = conn.has_pending_out();
-                    out.push(PoolEvent::Connected { slot });
-                }
-                _ => return Some(PoolCloseReason::Err),
-            }
-        }
         if readiness & EPOLLERR != 0 {
             return Some(PoolCloseReason::Err);
         }
@@ -434,9 +314,7 @@ mod tests {
             pool.poll(50, &mut events).unwrap();
             for ev in &events {
                 match ev {
-                    // `connect` establishes slots blockingly, so no
-                    // Connected events surface on this path.
-                    PoolEvent::Connected { .. } => {}
+                    PoolEvent::Connected { .. } => panic!("Connected is never emitted"),
                     PoolEvent::Frame { slot, frame } => {
                         assert!(matches!(frame, Frame::StatsReply(_)));
                         replies[*slot] += 1;
@@ -474,93 +352,5 @@ mod tests {
         }
         assert_eq!(closed, 7, "shutdown closes every remaining slot");
         assert_eq!(pool.open_count(), 0);
-    }
-
-    #[test]
-    fn add_connects_nonblocking_and_flushes_queued_sends() {
-        let server = Server::start(ServiceConfig::default()).unwrap();
-        let addr = server.local_addr().to_string();
-
-        let mut pool = ClientPool::new().unwrap();
-        assert_eq!(pool.slots(), 0);
-        let slot = pool.add(&addr, 2_000).unwrap();
-        // Send *before* the handshake resolves: must queue, then flush.
-        assert!(pool.send(slot, &Frame::QueryStats));
-
-        let mut connected = false;
-        let mut got_reply = false;
-        let mut events = Vec::new();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !got_reply && std::time::Instant::now() < deadline {
-            events.clear();
-            pool.poll(50, &mut events).unwrap();
-            for ev in &events {
-                match ev {
-                    PoolEvent::Connected { slot: s } => {
-                        assert_eq!(*s, slot);
-                        connected = true;
-                    }
-                    PoolEvent::Frame { slot: s, frame } => {
-                        assert_eq!(*s, slot);
-                        assert!(matches!(frame, Frame::StatsReply(_)));
-                        assert!(connected, "Connected must precede the first frame");
-                        got_reply = true;
-                    }
-                    PoolEvent::Closed { reason, .. } => {
-                        panic!("slot closed unexpectedly: {reason:?}")
-                    }
-                }
-            }
-        }
-        assert!(got_reply);
-        server.shutdown();
-    }
-
-    #[test]
-    fn hung_connect_times_out_at_the_slot_deadline() {
-        // A listener that never accepts, with a minimal backlog that is
-        // pre-filled: further SYNs sit unanswered, exactly the state a
-        // blocking connect would hang in.
-        let bind: std::net::SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let listener = fgcs_sys::listen_backlog(&bind, 1).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut fillers = Vec::new();
-        for _ in 0..8 {
-            if let Ok((s, _)) = fgcs_sys::connect_nonblocking(&addr) {
-                fillers.push(s); // hold them open; never accepted
-            }
-        }
-
-        let mut pool = ClientPool::new().unwrap();
-        let slot = pool.add(&addr.to_string(), 300).unwrap();
-        assert!(pool.is_open(slot), "slot exists while connecting");
-
-        let started = std::time::Instant::now();
-        let mut events = Vec::new();
-        let mut reason = None;
-        while reason.is_none() && started.elapsed() < std::time::Duration::from_secs(10) {
-            events.clear();
-            pool.poll(1_000, &mut events).unwrap();
-            for ev in &events {
-                match ev {
-                    PoolEvent::Closed { slot: s, reason: r } => {
-                        assert_eq!(*s, slot);
-                        reason = Some(*r);
-                    }
-                    PoolEvent::Connected { .. } => {
-                        panic!("a never-accepting backlog must not complete the connect")
-                    }
-                    PoolEvent::Frame { .. } => panic!("no frames expected"),
-                }
-            }
-        }
-        assert_eq!(reason, Some(PoolCloseReason::ConnectTimeout));
-        // The deadline, not the 1 s poll timeout, bounded the wait.
-        assert!(
-            started.elapsed() < std::time::Duration::from_millis(900),
-            "deadline must clamp the poll wait (took {:?})",
-            started.elapsed()
-        );
-        assert!(!pool.is_open(slot));
     }
 }

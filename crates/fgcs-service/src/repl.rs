@@ -44,13 +44,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
-use fgcs_testbed::SupervisorConfig;
 use fgcs_wire::{
     ErrorCode, Frame, ReplEntry, WireSample, MAX_FRAME_LEN, MAX_REPL_ENTRIES_PER_FRAME,
     REPL_ENTRIES_HEADER_LEN,
 };
 
-use crate::client::{ClientConfig, ServiceClient};
+use crate::client::{probe_repl_status, ClientConfig, ServiceClient};
 use crate::snapshot;
 use crate::state::Shared;
 
@@ -336,59 +335,33 @@ fn pull_loop(shared: &Shared) {
         .follower_of
         .clone()
         .expect("pull loop requires follower_of");
-    // Fail individual connect attempts fast (max_retries 0) and let
-    // this loop own the retry cadence with the shared jittered policy.
-    // The read timeout is tied to the lease so a SIGSTOPped (wedged,
-    // not dead) primary is detected within a few lease windows, not
-    // after threshold × 2 s.
-    let read_timeout_ms = if shared.cfg.auto_promote {
+    // One attempt per request (max_retries 0): this loop owns the retry
+    // cadence with the shared jittered policy, and the client redials
+    // on the request after a failed one. The attempt deadline (connect
+    // + auth + reply) is tied to the lease so a SIGSTOPped (wedged, not
+    // dead) primary is detected within a few lease windows, not after
+    // threshold × 2 s.
+    let timeout_ms = if shared.cfg.auto_promote {
         (shared.cfg.lease_ms / 2).clamp(50, 2_000)
     } else {
         2_000
     };
-    let client_cfg = ClientConfig {
-        sup: SupervisorConfig {
-            max_retries: 0,
-            ..SupervisorConfig::default()
-        },
-        backoff_unit_ms: 1,
-        read_timeout_ms,
-        token: shared.cfg.auth_token.clone(),
-        ..ClientConfig::new(addr.clone())
-    };
+    let client_cfg = ClientConfig::single_attempt(&addr, timeout_ms, shared.cfg.auth_token.clone());
     let policy = BackoffPolicy { base: 20, cap: 500 };
     let seed = addr
         .bytes()
         .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)));
-    let mut client: Option<ServiceClient> = None;
+    let mut client = ServiceClient::new(client_cfg.clone());
     let mut attempts: u32 = 0;
     let mut liveness = Liveness::new(shared.cfg.lease_ms);
     while !shared.shutting_down() && !shared.is_primary() {
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => match ServiceClient::connect(client_cfg.clone()) {
-                Ok(c) => {
-                    client = Some(c);
-                    client.as_mut().unwrap()
-                }
-                Err(_) => {
-                    attempts = attempts.saturating_add(1);
-                    liveness.failures = liveness.failures.saturating_add(1);
-                    if maybe_self_promote(shared, &liveness, &addr, &client_cfg) {
-                        return;
-                    }
-                    sleep_ms(policy.delay_jittered(attempts, seed));
-                    continue;
-                }
-            },
-        };
         let after_seq = shared.repl.head_seq();
         let pull = Frame::ReplPull {
             after_seq,
             max_entries: MAX_REPL_ENTRIES_PER_FRAME as u32,
             epoch: shared.epoch(),
         };
-        match c.request(&pull) {
+        match client.request(&pull) {
             Ok(Frame::ReplEntries {
                 head_seq,
                 epoch,
@@ -456,13 +429,12 @@ fn pull_loop(shared: &Shared) {
                     "fgcs-service: unexpected pull reply tag {} from {addr}",
                     other.tag()
                 );
-                client = None;
+                client.force_disconnect();
                 attempts = attempts.saturating_add(1);
                 liveness.saw_reply(None);
                 sleep_ms(policy.delay_jittered(attempts, seed));
             }
             Err(_) => {
-                client = None;
                 attempts = attempts.saturating_add(1);
                 liveness.failures = liveness.failures.saturating_add(1);
                 if maybe_self_promote(shared, &liveness, &addr, &client_cfg) {
@@ -499,26 +471,12 @@ fn maybe_self_promote(
     // already promoted wins outright. Unreachable peers don't block:
     // they may be as dead as the primary.
     for peer in &shared.cfg.promotion_peers {
-        let peer_cfg = ClientConfig {
-            read_timeout_ms: client_cfg.read_timeout_ms,
-            token: shared.cfg.auth_token.clone(),
-            sup: SupervisorConfig {
-                max_retries: 0,
-                ..SupervisorConfig::default()
-            },
-            backoff_unit_ms: 1,
-            ..ClientConfig::new(peer.clone())
-        };
-        let Ok(mut c) = ServiceClient::connect(peer_cfg) else {
-            continue;
-        };
-        let Ok(Frame::ReplStatusReply {
-            role,
-            epoch,
-            applied_seq,
-            ..
-        }) = c.request(&Frame::ReplStatus)
-        else {
+        let probe = probe_repl_status(
+            peer,
+            shared.cfg.auth_token.clone(),
+            client_cfg.read_timeout_ms,
+        );
+        let Some((role, epoch, applied_seq)) = probe else {
             continue;
         };
         if role == ROLE_PRIMARY && epoch >= shared.epoch() {
@@ -556,22 +514,21 @@ fn fence_old_primary(shared: &Shared, primary_addr: &str, client_cfg: &ClientCon
     let policy = BackoffPolicy { base: 20, cap: 500 };
     let seed = 0x0fe2_ce0a;
     let mut attempts: u32 = 0;
+    let mut client = ServiceClient::new(client_cfg.clone());
     while !shared.shutting_down() {
-        if let Ok(mut c) = ServiceClient::connect(client_cfg.clone()) {
-            let fence = Frame::ReplPull {
-                after_seq: shared.repl.head_seq(),
-                max_entries: 0,
-                epoch: shared.epoch(),
-            };
-            if let Ok(reply) = c.request(&fence) {
-                eprintln!(
-                    "fgcs-service: fenced old primary {primary_addr} at epoch {} \
-                     (reply tag {})",
-                    shared.epoch(),
-                    reply.tag()
-                );
-                return;
-            }
+        let fence = Frame::ReplPull {
+            after_seq: shared.repl.head_seq(),
+            max_entries: 0,
+            epoch: shared.epoch(),
+        };
+        if let Ok(reply) = client.request(&fence) {
+            eprintln!(
+                "fgcs-service: fenced old primary {primary_addr} at epoch {} \
+                 (reply tag {})",
+                shared.epoch(),
+                reply.tag()
+            );
+            return;
         }
         attempts = attempts.saturating_add(1);
         sleep_ms(policy.delay_jittered(attempts, seed));

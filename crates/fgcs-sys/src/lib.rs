@@ -1,5 +1,5 @@
 //! Minimal Linux syscall shim for the availability server's epoll
-//! event loops (and the clients built on the same readiness model).
+//! event loops (and the client pool built on the same readiness model).
 //!
 //! The build environment has no crate registry, so `fgcs-service`
 //! cannot pull in `libc`/`mio`. This crate binds the handful of
@@ -8,7 +8,9 @@
 //! (cross-loop wakeups), and raw `socket`/`setsockopt`/`bind`/`listen`
 //! (`SO_REUSEADDR`/`SO_REUSEPORT` listeners) — directly
 //! via `extern "C"` declarations against the C library the binary
-//! already links, and wraps them in safe, RAII-owning types.
+//! already links, and wraps them in safe, RAII-owning types. Nothing
+//! here dials out: clients connect through std, whose
+//! `TcpStream::connect_timeout` bounds a connect without any FFI.
 //!
 //! Every other crate in the workspace keeps `#![forbid(unsafe_code)]`;
 //! all `unsafe` lives here, behind wrappers whose contracts are plain

@@ -66,10 +66,7 @@ const AF_INET6: c_int = 10;
 const SOCK_STREAM: c_int = 1;
 const SOL_SOCKET: c_int = 1;
 const SO_REUSEADDR: c_int = 2;
-const SO_ERROR: c_int = 4;
 const SO_REUSEPORT: c_int = 15;
-
-const EINPROGRESS: i32 = 115;
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
@@ -103,9 +100,6 @@ extern "C" {
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
     fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-    fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-    fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
-        -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn eventfd(initval: u32, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -322,7 +316,7 @@ fn listen_with_backlog(
 }
 
 /// Builds the C sockaddr for `addr` on the stack and hands its pointer
-/// and length to `f` — the shared tail of `bind` and `connect`.
+/// and length to `f`.
 fn with_sockaddr<R>(addr: &std::net::SocketAddr, f: impl FnOnce(*const c_void, u32) -> R) -> R {
     match addr {
         std::net::SocketAddr::V4(a) => {
@@ -350,66 +344,6 @@ fn with_sockaddr<R>(addr: &std::net::SocketAddr, f: impl FnOnce(*const c_void, u
                 std::mem::size_of::<SockaddrIn6>() as u32,
             )
         }
-    }
-}
-
-/// Starts a nonblocking TCP connect. Returns the in-progress stream and
-/// whether the connect already completed (loopback connects often do).
-/// When `false`, the caller must wait for `EPOLLOUT` readiness and then
-/// check [`take_socket_error`] to learn the outcome — and apply its own
-/// deadline, because a peer that never answers (full accept backlog,
-/// SIGSTOPped server) leaves the socket in SYN-retry limbo for minutes.
-pub fn connect_nonblocking(addr: &std::net::SocketAddr) -> io::Result<(TcpStream, bool)> {
-    let domain = match addr {
-        std::net::SocketAddr::V4(_) => AF_INET,
-        std::net::SocketAddr::V6(_) => AF_INET6,
-    };
-    // SAFETY: no pointers; on success the fd is exclusively owned here.
-    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
-    let close_on_err = |e: io::Error| -> io::Error {
-        // SAFETY: fd is owned and not yet wrapped; closed exactly once.
-        let _ = unsafe { close(fd) };
-        e
-    };
-    let ret = with_sockaddr(addr, |sa, len| {
-        // SAFETY: `sa` is a valid sockaddr for the duration of the call.
-        unsafe { connect(fd, sa, len) }
-    });
-    let done = if ret >= 0 {
-        true
-    } else {
-        let e = io::Error::last_os_error();
-        if e.raw_os_error() == Some(EINPROGRESS) {
-            false
-        } else {
-            return Err(close_on_err(e));
-        }
-    };
-    // SAFETY: `fd` is a socket we exclusively own.
-    Ok((unsafe { TcpStream::from_raw_fd(fd) }, done))
-}
-
-/// Reads and clears a socket's pending error (`SO_ERROR`) — how a
-/// nonblocking connect reports its outcome once the socket turns
-/// writable. `Ok(None)` means the connect succeeded.
-pub fn take_socket_error(fd: RawFd) -> io::Result<Option<io::Error>> {
-    let mut err: c_int = 0;
-    let mut len = std::mem::size_of::<c_int>() as u32;
-    // SAFETY: `err`/`len` are valid for the call; the kernel writes at
-    // most 4 bytes.
-    cvt(unsafe {
-        getsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_ERROR,
-            &mut err as *mut c_int as *mut c_void,
-            &mut len,
-        )
-    })?;
-    if err == 0 {
-        Ok(None)
-    } else {
-        Ok(Some(io::Error::from_raw_os_error(err)))
     }
 }
 
@@ -638,36 +572,6 @@ mod tests {
         assert_eq!(n, 1);
         efd.drain();
         t.join().unwrap();
-    }
-
-    #[test]
-    fn connect_nonblocking_completes_and_reports_via_so_error() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (stream, done) = connect_nonblocking(&addr).unwrap();
-        if !done {
-            // Wait for writability, then the socket error must be clear.
-            let ep = Epoll::new().unwrap();
-            ep.add(stream.as_raw_fd(), EPOLLOUT, 1).unwrap();
-            let mut events = vec![EpollEvent::zeroed(); 4];
-            assert!(ep.wait(&mut events, 2_000).unwrap() >= 1);
-        }
-        assert!(take_socket_error(stream.as_raw_fd()).unwrap().is_none());
-        assert!(listener.accept().is_ok());
-
-        // A refused connect (closed port) surfaces through SO_ERROR.
-        drop(listener);
-        let (stream, done) = connect_nonblocking(&addr).unwrap();
-        if !done {
-            let ep = Epoll::new().unwrap();
-            ep.add(stream.as_raw_fd(), EPOLLOUT, 1).unwrap();
-            let mut events = vec![EpollEvent::zeroed(); 4];
-            assert!(ep.wait(&mut events, 2_000).unwrap() >= 1);
-            let err = take_socket_error(stream.as_raw_fd())
-                .unwrap()
-                .expect("refused");
-            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt =="
 cargo fmt --all -- --check
 
+echo "== clippy =="
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== build (release) =="
 # --workspace: the smokes below run member binaries (fgcs-exp,
 # fgcs-serve, fgcs-smoke); a plain build only covers the root package.

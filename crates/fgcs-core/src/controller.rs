@@ -153,7 +153,32 @@ impl Controller {
     }
 
     /// Advances machine + policy by `n` ticks.
+    ///
+    /// The machine runs batched ([`Machine::run_ticks`]) up to the next
+    /// sampling point or the end, whichever is first, and a finished
+    /// guest is reaped once per such stretch. Nothing reads the guest
+    /// slot between two sampling points, and the batched machine is
+    /// tick-exact against [`Machine::step`], so every observable equals
+    /// reaping after each single step (`run_ticks_stepwise`, the test
+    /// reference below).
     pub fn run_ticks(&mut self, n: u64) {
+        let end = self.machine.now() + n;
+        while self.machine.now() < end {
+            let now = self.machine.now();
+            if now >= self.next_sample {
+                self.sample_and_act();
+                self.next_sample = now + self.cfg.sample_period;
+            }
+            let horizon = self.next_sample.max(now + 1).min(end);
+            self.machine.run_ticks(horizon - now);
+            self.reap_completed();
+        }
+    }
+
+    /// The per-tick reference `run_ticks` is pinned to: one
+    /// [`Machine::step`] and one reap per tick.
+    #[cfg(test)]
+    fn run_ticks_stepwise(&mut self, n: u64) {
         for _ in 0..n {
             if self.machine.now() >= self.next_sample {
                 self.sample_and_act();
@@ -417,6 +442,63 @@ mod tests {
         );
         ctl.run_ticks(secs(120));
         assert_eq!(ctl.stats().completed, 1, "{:?}", ctl.stats());
+    }
+
+    /// The batched `run_ticks` against the per-tick reference, in
+    /// lockstep through chunk sizes that straddle sampling points: a
+    /// finite guest suspended by a host spike, resumed, and completed;
+    /// then a second guest killed by a host hog spawned mid-run.
+    #[test]
+    fn batched_run_ticks_equals_the_per_tick_reference() {
+        let spiky = || {
+            let mut machine = Machine::default_linux();
+            machine.spawn(ProcSpec::new(
+                "spike",
+                ProcClass::Host,
+                0,
+                Demand::Phases {
+                    phases: vec![fgcs_sim::proc::Phase {
+                        busy: secs(5),
+                        idle: secs(300),
+                    }],
+                    repeat: true,
+                },
+                MemSpec::tiny(),
+            ));
+            let mut ctl = Controller::new(quick_cfg(), machine);
+            ctl.submit(finite_guest(30));
+            ctl
+        };
+        let (mut batched, mut stepwise) = (spiky(), spiky());
+        let chunks = [37, 1, 1_013, 250, 999, 4_321];
+        let mut killed = (Vec::new(), Vec::new());
+        for round in 0..60 {
+            let n = chunks[round % chunks.len()];
+            batched.run_ticks(n);
+            stepwise.run_ticks_stepwise(n);
+            if round == 30 {
+                assert_eq!(batched.stats().completed, 1, "{:?}", batched.stats());
+                for ctl in [&mut batched, &mut stepwise] {
+                    ctl.machine_mut().spawn(synthetic::host_process("hog", 0.9));
+                    ctl.submit(finite_guest(600));
+                }
+            }
+            killed.0.extend(batched.take_killed());
+            killed.1.extend(stepwise.take_killed());
+            assert_eq!(batched.machine().now(), stepwise.machine().now());
+            assert_eq!(batched.stats(), stepwise.stats(), "round {round}");
+            assert_eq!(batched.guest_pid(), stepwise.guest_pid(), "round {round}");
+            assert_eq!(
+                batched.machine().accounting(),
+                stepwise.machine().accounting(),
+                "round {round}"
+            );
+        }
+        let s = batched.stats();
+        assert!(s.suspensions >= 1 && s.terminated == 1, "{s:?}");
+        assert_eq!(killed.0.len(), 1);
+        assert_eq!(killed.0, killed.1);
+        assert_eq!(batched.event_log(), stepwise.event_log());
     }
 
     #[test]

@@ -251,6 +251,7 @@ pub fn run_policy(
     let mut actions = 0u64;
     let mut terminated = false;
 
+    let warmup = secs(warmup_secs);
     let total_ticks = secs(warmup_secs + measure_secs);
     let mut before = None;
     let mut next_sample = 0u64;
@@ -281,10 +282,16 @@ pub fn run_policy(
             }
             next_sample = m.now() + sample_period;
         }
-        if m.now() == secs(warmup_secs) {
+        if m.now() == warmup {
             before = Some(m.accounting());
         }
-        m.step();
+        // Batched up to the next point anything is read: a sample, the
+        // warm-up snapshot, or the end (tick-exact against `step()`).
+        let mut horizon = next_sample.max(m.now() + 1).min(total_ticks);
+        if m.now() < warmup {
+            horizon = horizon.min(warmup);
+        }
+        m.run_ticks(horizon - m.now());
     }
     let acct = m.accounting().since(&before.unwrap_or_default());
     let lh_isolated = iso.host_load();

@@ -43,10 +43,11 @@ mod imp {
     use std::time::{Duration, Instant};
 
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
+    use fgcs_service::loadgen::wave_sample;
     use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
     use fgcs_stats::quantile::quantiles;
     use fgcs_testbed::json::ObjWriter;
-    use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
+    use fgcs_wire::{ErrorCode, Frame, WireSample, WireTransition};
 
     /// Sample spacing of the replay wave, seconds.
     const STEP: u64 = 15;
@@ -95,22 +96,6 @@ mod imp {
             let _ = self.child.kill();
             let _ = self.child.wait();
             drop(self.stdin.take());
-        }
-    }
-
-    /// The deterministic replay wave (fgcs-smoke's shape): long
-    /// busy/idle stretches, phase-shifted per machine, so the detector
-    /// records real transitions on every shard.
-    fn wave_sample(machine: u32, i: u64) -> WireSample {
-        WireSample {
-            t: i * STEP,
-            load: SampleLoad::Direct(if ((i + 7 * machine as u64) / 40) % 2 == 1 {
-                0.9
-            } else {
-                0.05
-            }),
-            host_resident_mb: 100,
-            alive: true,
         }
     }
 

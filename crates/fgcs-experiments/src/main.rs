@@ -28,6 +28,7 @@ mod fleet_exps;
 mod predict_exps;
 mod report;
 mod sched_exps;
+#[cfg(target_os = "linux")]
 mod serve_exps;
 mod trace_exps;
 
@@ -135,7 +136,10 @@ fn run(name: &str, quick: bool) {
         "depth" => predict_exps::depth(quick),
         "seeds" => extension_exps::seeds(quick),
         "faults" => fault_exps::fault_matrix(quick),
+        #[cfg(target_os = "linux")]
         "serve" => serve_exps::serve(quick),
+        #[cfg(not(target_os = "linux"))]
+        "serve" => println!("X12 needs the Linux event loops (epoll sockets); skipping"),
         "sched" => sched_exps::sched(quick),
         "fleet" => fleet_exps::fleet(quick),
         "table2" => trace_exps::table2(quick),

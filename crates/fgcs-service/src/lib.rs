@@ -27,12 +27,12 @@
 //!   loop, its election and fencer, and the [`ClusterClient`] router
 //!   (rendezvous-hashed shards with failover, [`cluster`]) all send
 //!   through it.
-//! * [`loadgen`] — a load generator replaying testbed traces at
-//!   configurable fan-in, optionally through `fgcs-faults` frame
-//!   corruption to exercise the decode error paths; plus
-//!   [`run_fanin`], a connection-scaling driver running thousands of
-//!   sockets from one thread on top of [`ClientPool`], the multiplexed
-//!   transport ([`pool`]).
+//! * [`run_loadgen`] — the one load driver ([`loadgen`]): per-machine
+//!   sample streams (testbed lab replays, a steady synthetic stream, or
+//!   the shared replay wave) over any number of connections from one
+//!   thread, on top of [`ClientPool`], the multiplexed transport
+//!   ([`pool`]); optionally through `fgcs-faults` frame corruption to
+//!   exercise the decode error paths.
 //!
 //! ## Backpressure
 //!
@@ -64,6 +64,7 @@ pub mod cluster;
 mod conn;
 #[cfg(target_os = "linux")]
 mod epoll;
+#[cfg(target_os = "linux")]
 pub mod loadgen;
 #[cfg(target_os = "linux")]
 pub mod pool;
@@ -77,7 +78,6 @@ pub use repl::{ROLE_FOLLOWER, ROLE_PRIMARY};
 pub use client::{ClientConfig, ServiceClient};
 pub use cluster::{ClusterClient, ClusterConfig, ClusterMetrics, ShardSpec};
 #[cfg(target_os = "linux")]
-pub use loadgen::{run_fanin, FanInConfig, FanInReport};
 pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenReport};
 #[cfg(target_os = "linux")]
 pub use pool::{ClientPool, PoolCloseReason, PoolEvent};

@@ -3,12 +3,12 @@
 //! one epoll instance.
 //!
 //! This is the client-side twin of the server's event loops: the
-//! transport of the fan-in driver and the benchmark's load generator,
-//! anything that keeps many connections busy from one thread. The pool
-//! is transport only: it owns sockets, per-connection reassembly
-//! [`Decoder`]s and write buffers, and surfaces whole [`Frame`]s;
-//! protocol state machines (handshakes, pacing, retries) stay with the
-//! caller. Connections are established blockingly up front, so there is
+//! transport of the load driver ([`crate::loadgen`]) and the benchmark's
+//! load generator, anything that keeps many connections busy from one
+//! thread. The pool is transport only: it owns sockets, per-connection
+//! reassembly [`Decoder`]s and write buffers, and surfaces whole
+//! [`Frame`]s; protocol state machines (handshakes, pacing, retries)
+//! stay with the caller. Connections are established blockingly up front, so there is
 //! no connect state to track. [`crate::ServiceClient`] is the
 //! one-connection blocking counterpart, and the transport for anything
 //! with one request outstanding.
@@ -159,20 +159,29 @@ impl ClientPool {
     /// fails, or the socket is dead; no `Closed` event follows, the
     /// return value is the notification.
     pub fn send(&mut self, slot: usize, frame: &Frame) -> bool {
-        let Some(Some(conn)) = self.conns.get_mut(slot) else {
-            return false;
-        };
         if encode_into(frame, &mut self.ebuf).is_err() {
             self.close(slot);
             return false;
         }
+        let bytes = std::mem::take(&mut self.ebuf);
+        let sent = self.send_encoded(slot, &bytes);
+        self.ebuf = bytes;
+        sent
+    }
+
+    /// [`ClientPool::send`] for bytes the caller already encoded (and
+    /// possibly corrupted on purpose): the one write path both share.
+    pub(crate) fn send_encoded(&mut self, slot: usize, bytes: &[u8]) -> bool {
+        let Some(Some(conn)) = self.conns.get_mut(slot) else {
+            return false;
+        };
         if conn.has_pending_out() {
             // Already backlogged: queue in order.
-            conn.out.extend_from_slice(&self.ebuf);
+            conn.out.extend_from_slice(bytes);
         } else {
-            match write_some(&mut conn.stream, &self.ebuf) {
-                Ok(w) if w == self.ebuf.len() => {}
-                Ok(w) => conn.out.extend_from_slice(&self.ebuf[w..]),
+            match write_some(&mut conn.stream, bytes) {
+                Ok(w) if w == bytes.len() => {}
+                Ok(w) => conn.out.extend_from_slice(&bytes[w..]),
                 Err(_) => {
                     self.close(slot);
                     return false;

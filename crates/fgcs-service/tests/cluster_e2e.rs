@@ -16,26 +16,14 @@
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
+use fgcs_service::loadgen::wave_sample;
 use fgcs_service::{
     ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_FOLLOWER, ROLE_PRIMARY,
 };
-use fgcs_wire::{Frame, SampleLoad, WireSample};
+use fgcs_wire::{Frame, WireSample};
 
 const MACHINES: u32 = 3;
 const SAMPLES: u64 = 400;
-
-/// The deterministic replay wave shared by the restart smokes: sample
-/// `i` of machine `m` at `t = i * 15`, 40 samples busy / 40 idle,
-/// phase-shifted per machine.
-fn wave_sample(machine: u32, i: u64) -> WireSample {
-    let busy = ((i + 7 * machine as u64) / 40) % 2 == 1;
-    WireSample {
-        t: i * 15,
-        load: SampleLoad::Direct(if busy { 0.9 } else { 0.05 }),
-        host_resident_mb: 100,
-        alive: true,
-    }
-}
 
 fn connect(addr: &str) -> ServiceClient {
     let mut cfg = ClientConfig::new(addr);

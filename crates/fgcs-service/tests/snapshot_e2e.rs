@@ -11,27 +11,13 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
+use fgcs_service::loadgen::wave_sample;
 use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_testbed::TraceRecord;
-use fgcs_wire::{Frame, SampleLoad, WireSample, WireTransition};
+use fgcs_wire::{Frame, WireSample, WireTransition};
 
 const MACHINES: u32 = 3;
 const SAMPLES: u64 = 400;
-
-/// The deterministic replay wave — the same square wave `fgcs-smoke
-/// --replay` streams: sample `i` of machine `m` at `t = i * 15`, 40
-/// samples busy / 40 idle, phase-shifted per machine. Long stretches on
-/// each side of the detector thresholds, so the trace drives real
-/// transitions and occurrence records.
-fn wave_sample(machine: u32, i: u64) -> WireSample {
-    let busy = ((i + 7 * machine as u64) / 40) % 2 == 1;
-    WireSample {
-        t: i * 15,
-        load: SampleLoad::Direct(if busy { 0.9 } else { 0.05 }),
-        host_resident_mb: 100,
-        alive: true,
-    }
-}
 
 fn connect(addr: &str) -> ServiceClient {
     let mut cfg = ClientConfig::new(addr);

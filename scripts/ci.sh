@@ -121,7 +121,7 @@ echo "== cluster failover gate (committed BENCH_serve.json) =="
 # zero records lost, the router actually failed over, unattended
 # detection + self-promotion landed within the 2 s bound (the gap now
 # *includes* that detection time — with lease 250 ms and 3 missed
-# pulls the measured value sits around 1.1 s), reads were served from
+# pulls the measured value sits around 1.1–1.3 s), reads were served from
 # follower endpoints, and queries through the failover window stayed
 # responsive.
 c_lost=$(gate_num failover_records_lost)
@@ -361,10 +361,12 @@ echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) ==
 # Exits non-zero by itself when the ratio gate fails.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench wire
 
-echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl bit-identity, paper_all CSVs) =="
+echo "== benchmark gates (benchmark/: names agree, ingest_small + query_mix + ingest_bulk_repl bit-identity, paper_all CSVs) =="
 # The benchmark package is a build of its own; these runs keep it
 # compiling against the crates and put its gates in front of every
-# change, not only the next full benchmark run: query_mix — every
+# change, not only the next full benchmark run: ingest_small — the
+# workload that goes through ClientPool::send most often, with its own
+# accounting identity and bit-identity gate — query_mix — every
 # AvailReply and the PlaceReply bit-equal to an in-process
 # OnlineAvailabilityModel fed the same events — and ingest_bulk_repl —
 # the follower's repl_seq equal to the primary's, both nodes' records
@@ -374,6 +376,8 @@ echo "== benchmark gates (benchmark/: names agree, query_mix + ingest_bulk_repl 
 # each of its 21 CSVs byte-equal to the committed file. A failed gate
 # exits 1.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload ingest_small --quick > /dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload query_mix --quick > /dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \

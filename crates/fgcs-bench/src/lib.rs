@@ -44,7 +44,7 @@ pub fn bench_trace_long() -> Trace {
 
 /// Nanoseconds per call of `f` over `iters` back-to-back calls, best of
 /// `rounds` — the timer behind the in-process ratio gates (`wire`,
-/// `fleet`), which compare two of these so host speed cancels.
+/// `fleet`, `place`), which compare two of these so host speed cancels.
 pub fn best_ns<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
     (0..rounds)
         .map(|_| {

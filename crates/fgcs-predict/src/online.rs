@@ -15,7 +15,8 @@
 //! linear pass; everything about a prediction window that does not
 //! depend on the machine is worked out once per call, as the window's
 //! slices, and one `score` function — shared by every prediction entry
-//! point — applies them to a row.
+//! point — applies them to a row. The pass's answer is remembered until
+//! the next write, so repeating a placement costs a key compare.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +60,15 @@ pub struct OnlineAvailabilityModel {
     /// kept in step with the horizon by
     /// [`OnlineAvailabilityModel::observe_time`].
     days_of_type: [u64; 2],
+    /// The last [`OnlineAvailabilityModel::place`] answer, keyed by its
+    /// `(t, window)`. Every `&mut self` method except `place` clears it,
+    /// so it is never older than the state it was computed from.
+    last_place: Option<PlaceMemo>,
 }
+
+/// A [`OnlineAvailabilityModel::place`] answer and the `(t, window)` it
+/// was asked for.
+type PlaceMemo = ((u64, u64), Option<(u32, f64)>);
 
 /// Pseudo-event count weighting the pooled shape in
 /// [`OnlineAvailabilityModel::predict_machine`]: a machine's own hourly
@@ -185,8 +194,10 @@ impl OnlineAvailabilityModel {
     }
 
     /// The machine's row, registered on first sight. A new row is not
-    /// harvestable until someone says so.
+    /// harvestable until someone says so. Every write to a row goes
+    /// through here, so this is where the placement memo is dropped.
     fn entry_mut(&mut self, machine: u32) -> &mut MachineEntry {
+        self.last_place = None;
         let next = self.table.len() as u32;
         let slot = *self.slots.entry(machine).or_insert(next);
         if slot == next {
@@ -244,6 +255,7 @@ impl OnlineAvailabilityModel {
     /// Advances the observed horizon — the streaming analogue of
     /// `train_end`. Call with every ingested sample timestamp.
     pub fn observe_time(&mut self, t: u64) {
+        self.last_place = None;
         if t / SECS_PER_DAY > self.horizon_t / SECS_PER_DAY {
             self.days_of_type = day_tally(t / SECS_PER_DAY, self.start_weekday);
         }
@@ -310,8 +322,18 @@ impl OnlineAvailabilityModel {
     /// one pass over the table; the lowest id wins ties. `None` when no
     /// machine is harvestable.
     ///
+    /// Asked again with the same `(t, window)` and nothing written in
+    /// between, it returns the remembered answer without the pass — the
+    /// service asks at `t = horizon`, and most of its placements land
+    /// between two ingest batches. That is why it takes `&mut self`.
+    ///
     /// [`predict_machine`]: OnlineAvailabilityModel::predict_machine
-    pub fn place(&self, t: u64, window: u64) -> Option<(u32, f64)> {
+    pub fn place(&mut self, t: u64, window: u64) -> Option<(u32, f64)> {
+        if let Some((key, best)) = self.last_place {
+            if key == (t, window) {
+                return best;
+            }
+        }
         let span = self.span();
         let slices: Vec<Slice> = self.slices(t, window).collect();
         let mut best: Option<(u32, f64)> = None;
@@ -321,6 +343,7 @@ impl OnlineAvailabilityModel {
                 best = Some((e.id, p));
             }
         }
+        self.last_place = Some(((t, window), best));
         best
     }
 }
@@ -544,7 +567,7 @@ mod tests {
 
         /// Every answer of the table model equals the reference's, bit
         /// for bit, for every known machine and one unknown id.
-        fn check(&self, t: u64, window: u64) -> Result<(), String> {
+        fn check(&mut self, t: u64, window: u64) -> Result<(), String> {
             let unknown = self.reference.events.keys().max().map_or(0, |m| m + 1);
             for &m in self.reference.events.keys().chain([&unknown]) {
                 let (a, b) = (
@@ -562,13 +585,22 @@ mod tests {
                     return Err(format!("predict({m}, {t}, {window}): {a} vs {b}"));
                 }
             }
-            let got = self.online.place(t, window).map(|(m, p)| (m, p.to_bits()));
+            self.check_place(t, window)
+        }
+
+        /// `place` equals the reference's scan, bit for bit, asked twice
+        /// in a row: the first answer may come from the memo an earlier
+        /// call left, the second must.
+        fn check_place(&mut self, t: u64, window: u64) -> Result<(), String> {
             let want = self
                 .reference
                 .place(&self.flags, t, window)
                 .map(|(m, p)| (m, p.to_bits()));
-            if got != want {
-                return Err(format!("place({t}, {window}): {got:?} vs {want:?}"));
+            for ask in ["first", "repeated"] {
+                let got = self.online.place(t, window).map(|(m, p)| (m, p.to_bits()));
+                if got != want {
+                    return Err(format!("{ask} place({t}, {window}): {got:?} vs {want:?}"));
+                }
             }
             Ok(())
         }
@@ -644,14 +676,30 @@ mod tests {
         fn table_and_scorer_equal_the_reference_bit_for_bit(
             (start_weekday, ops) in arb_history(),
             probes in prop::collection::vec((0u64..140 * SECS_PER_DAY, 1u64..6 * SECS_PER_DAY), 1..6),
+            (t0, w0) in (0u64..140 * SECS_PER_DAY, 1u64..2 * SECS_PER_DAY),
         ) {
             let mut pair = Pair::new(start_weekday);
             for (i, op) in ops.iter().enumerate() {
                 pair.apply(op);
+                // The placement memo never outlives a write. The memo
+                // holds one key, so the probes swap order every op: the
+                // first one asked after an op is the one the memo held
+                // when the op landed. `(t0, w0)` keeps its key whatever
+                // the op, so a mutator that forgot to clear answers stale
+                // there; `(horizon, 4 h)` is the probe the service asks.
+                let h = pair.online.horizon();
+                let mut probes = [(t0, w0), (h, 4 * 3600)];
+                if i % 2 == 1 {
+                    probes.reverse();
+                }
+                for (t, w) in probes {
+                    if let Err(e) = pair.check_place(t, w) {
+                        prop_assert!(false, "after op {i}: {e}");
+                    }
+                }
                 // Mid-stream checks catch a day tally that lags the
                 // horizon; `t` ranges before, at and past it.
                 if i % 16 == 15 {
-                    let h = pair.online.horizon();
                     for (t, w) in [(h, 1), (h / 2, 1800), (h + 3 * 3600, 4 * 3600)] {
                         if let Err(e) = pair.check(t, w) {
                             prop_assert!(false, "after op {i}: {e}");

@@ -170,8 +170,11 @@ fn handle_request(
             // spike pending) and the history they are ranked by sit
             // under the one lock, so no shard map, machine cell or
             // per-fleet allocation is touched. Ties go to the lowest id.
-            let online = shared.lock_online();
-            let best = online.place(online.horizon(), job_len);
+            // With no write since the last `Place` of this length, the
+            // model answers from its memo instead of the pass.
+            let mut online = shared.lock_online();
+            let horizon = online.horizon();
+            let best = online.place(horizon, job_len);
             drop(online);
             shared.counters.update(|c| c.placements_answered += 1);
             match best {

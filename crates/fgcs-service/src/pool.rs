@@ -85,6 +85,7 @@ pub struct ClientPool {
     ep: Epoll,
     conns: Vec<Option<PoolConn>>,
     open: usize,
+    events: Vec<EpollEvent>,
     rbuf: Vec<u8>,
     ebuf: Vec<u8>,
 }
@@ -113,6 +114,7 @@ impl ClientPool {
             ep: Epoll::new()?,
             conns: Vec::with_capacity(conns),
             open: 0,
+            events: vec![EpollEvent::zeroed(); 1024],
             rbuf: vec![0u8; 64 * 1024],
             ebuf: Vec::with_capacity(4096),
         };
@@ -228,10 +230,10 @@ impl ClientPool {
     /// `Closed` event for every connection that died (after its last
     /// frames). Returns how many events were appended.
     pub fn poll(&mut self, timeout_ms: i32, out: &mut Vec<PoolEvent>) -> io::Result<usize> {
-        let mut events = [EpollEvent::zeroed(); 1024];
-        let n = self.ep.wait(&mut events, timeout_ms)?;
+        let n = self.ep.wait(&mut self.events, timeout_ms)?;
         let before = out.len();
-        for ev in &events[..n] {
+        for i in 0..n {
+            let ev = self.events[i];
             let slot = ev.token() as usize;
             if let Some(reason) = self.process(slot, ev.readiness(), out) {
                 self.close(slot);
@@ -285,6 +287,14 @@ impl ClientPool {
                                 Ok(None) => break,
                                 Err(_) => return Some(PoolCloseReason::Decode),
                             }
+                        }
+                        // A short read drained the socket: skip the extra
+                        // `read` that would only say `WouldBlock`. The
+                        // registration is level-triggered, so bytes — or a
+                        // peer's close — arriving after this read come back
+                        // as the next readiness event.
+                        if n < self.rbuf.len() {
+                            break;
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,

@@ -13,7 +13,10 @@ use std::net::{Shutdown, TcpStream};
 
 use fgcs_service::{Server, ServiceConfig};
 use fgcs_wire::{Decoder, ErrorCode, Frame};
-use witness::{assert_states_covered, check_read_path, config, scenario, stream, wait_for};
+use witness::{
+    assert_states_covered, check_place_after_flip, check_read_path, config, scenario, stream,
+    wait_for,
+};
 
 const SEED: u64 = 20_060_301;
 const MACHINES: u32 = 24;
@@ -29,6 +32,7 @@ fn place_reads_what_the_machine_cells_know_on_every_path() {
         let server = Server::start(svc).expect("server starts");
         stream(&server, &frames);
         let answers = check_read_path(&server);
+        check_place_after_flip(&server);
         server.shutdown();
         answers
     };

@@ -7,7 +7,10 @@
 //! machine cells know the same facts by another route — `Server::stats`
 //! reads each recorder under its own lock, `Server::records` returns the
 //! occurrences the model was fed from — so a check built only on those
-//! is a second opinion on the table's flags and on the reply.
+//! is a second opinion on the table's flags and on the reply. Every
+//! placement is asked twice, and again after a write flips its winner,
+//! so the model's memo of its last placement answers to the same
+//! witness.
 
 use fgcs_predict::OnlineAvailabilityModel;
 use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
@@ -231,6 +234,8 @@ pub fn check_read_path(server: &Server) -> Answers {
     }
     assert_eq!(server.placement_flag(u32::MAX), None, "unknown machine");
 
+    // Each placement is asked twice back to back: the second answer is
+    // the model's memo of the first, and must be the same bits.
     let mut placements = Vec::new();
     for job_len in JOB_LENS {
         let mut want: Option<(u32, f64)> = None;
@@ -240,23 +245,95 @@ pub fn check_read_path(server: &Server) -> Answers {
                 want = Some((st.machine, p));
             }
         }
-        match c.request(&Frame::Place { job_len }) {
-            Ok(Frame::PlaceReply { machine, prob }) => {
-                assert_eq!(machine, want.map(|w| w.0), "Place({job_len})");
-                assert_eq!(
-                    prob.to_bits(),
-                    want.map_or(0.0, |w| w.1).to_bits(),
-                    "Place({job_len}) on machine {machine:?}"
-                );
-                placements.push((machine, prob.to_bits()));
-            }
-            other => panic!("Place({job_len}): {other:?}"),
+        let want = (want.map(|w| w.0), want.map_or(0.0, |w| w.1).to_bits());
+        for ask in ["first", "repeated"] {
+            assert_eq!(place(&mut c, job_len), want, "{ask} Place({job_len})");
         }
+        placements.push(want);
     }
     Answers {
         machines,
         placements,
     }
+}
+
+/// `Place(job_len)`'s reply as `(machine, prob bits)`.
+fn place(c: &mut ServiceClient, job_len: u64) -> (Option<u32>, u64) {
+    match c.request(&Frame::Place { job_len }) {
+        Ok(Frame::PlaceReply { machine, prob }) => (machine, prob.to_bits()),
+        other => panic!("Place({job_len}): {other:?}"),
+    }
+}
+
+/// Streams one batch and waits until the server has ingested it.
+fn ingest_one(server: &Server, c: &mut ServiceClient, frame: &Frame) {
+    let before = server.stats().ingested_batches;
+    let reply = c.request(frame).expect("batch answered");
+    assert!(matches!(reply, Frame::Ack { .. }), "{reply:?}");
+    wait_for("the batch", || {
+        server.stats().ingested_batches == before + 1
+    });
+}
+
+/// One sample above `Th2`, `PERIOD` after `after`.
+fn loaded_sample(machine: u32, after: u64) -> Frame {
+    Frame::SampleBatch {
+        machine,
+        samples: vec![WireSample {
+            t: after + PERIOD,
+            load: SampleLoad::Direct(0.95),
+            host_resident_mb: 64,
+            alive: true,
+        }],
+    }
+}
+
+/// A write between two placements is seen by the second: one batch
+/// flips the winner of `Place(JOB_LENS[1])` out of the placeable set,
+/// and the next `Place`, asked at the key the model's one-entry memo
+/// still holds, must equal the brute-force scan of the new state — not
+/// the answer remembered from before the write.
+///
+/// A first batch, to a busy machine that stays busy, moves the horizon
+/// one period on; the flipping batch then lands at that same instant,
+/// so the service asks both placements at the same `t` and only the
+/// write can tell them apart. Needs a server that accepts writes and a
+/// scenario with a placeable machine and one in S3.
+pub fn check_place_after_flip(server: &Server) {
+    let job_len = JOB_LENS[1];
+    let stats = server.stats();
+    let horizon = stats
+        .machines
+        .iter()
+        .map(|st| st.last_t)
+        .max()
+        .expect("a fleet");
+    let busy = stats
+        .machines
+        .iter()
+        .find(|st| st.state == 3)
+        .expect("a machine in S3")
+        .machine;
+    let mut c = client(&server.local_addr().to_string());
+    ingest_one(server, &mut c, &loaded_sample(busy, horizon));
+    let moved = check_read_path(server);
+
+    // `check_read_path` asked every length; make this one the memo's.
+    let remembered = place(&mut c, job_len);
+    assert_eq!(remembered, moved.placements[1]);
+    let winner = remembered.0.expect("a placeable machine");
+    assert_eq!(server.placement_flag(winner), Some(true));
+    // Still available, but a spike is pending, so the machine is no
+    // longer placeable.
+    ingest_one(server, &mut c, &loaded_sample(winner, horizon));
+    assert_eq!(server.placement_flag(winner), Some(false), "the flip");
+    let after = place(&mut c, job_len);
+    let flipped = check_read_path(server);
+    assert_eq!(
+        after, flipped.placements[1],
+        "Place({job_len}) after the flip"
+    );
+    assert_ne!(after.0, Some(winner), "the winner left");
 }
 
 /// The scenario really did drive machines through every state the flag

@@ -354,7 +354,9 @@ echo "== fleet path smoke (quick mode; span tracer >= 1.7x the per-sample tracer
 # carries run_testbed (every paper artifact) as well as run_fleet.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench fleet
 
-echo "== placement path smoke (quick mode) =="
+echo "== placement path smoke (quick mode; a repeated place >= 20x cheaper than a pass) =="
+# Exits non-zero by itself when the ratio gate fails: a Place with no
+# write since the last one must come from the model's memo.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench place
 
 echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) =="

@@ -6,7 +6,8 @@
 //!   machine idles between wakes, so the batched path retires whole
 //!   sleep horizons at once;
 //! * `contended` — CPU-bound host and guest processes competing at
-//!   mixed priorities; batches span quantum runs;
+//!   mixed priorities; the batched path replays the race once per
+//!   context switch and retires repeating epochs whole;
 //! * `thrashing` — memory overcommit; work ticks go through the slow
 //!   path but iowait stalls batch;
 //! * `harvest` — the Figure 1 machine: three duty-cycle hosts and one
@@ -15,9 +16,10 @@
 //!   lone runnable crossing an epoch per tick; batches span those
 //!   epochs up to the next host wake.
 //!
-//! After the rows it gates the batched path against the stepwise one on
-//! `harvest`, in the same process: at least [`MIN_HARVEST_SPEEDUP`]× or
-//! the bench exits non-zero. A ratio, so host speed cancels.
+//! After the rows it gates the batched path against the stepwise one in
+//! the same process: at least [`MIN_HARVEST_SPEEDUP`]× on `harvest` and
+//! [`MIN_CONTENDED_SPEEDUP`]× on `contended`, or the bench exits
+//! non-zero. Ratios, so host speed cancels.
 //!
 //! `scripts/ci.sh` runs this with `FGCS_BENCH_QUICK=1`; BENCH_sim.json
 //! records a full run's before/after ticks per second.
@@ -34,10 +36,17 @@ use fgcs_sim::time::secs;
 use fgcs_sim::workloads::synthetic;
 use fgcs_stats::rng::Rng;
 
-/// The batched path measures 3.0–3.8× the stepwise one on `harvest`
-/// (1.07× before lone-runnable spans crossed epoch boundaries);
-/// anything under this means lone-runnable spans stopped batching.
-const MIN_HARVEST_SPEEDUP: f64 = 2.5;
+/// The batched path measures 7–8× the stepwise one on `harvest`
+/// (1.07× before lone-runnable spans crossed epoch boundaries, about 4×
+/// before races batched); anything under this means lone-runnable spans
+/// or races stopped batching.
+const MIN_HARVEST_SPEEDUP: f64 = 5.0;
+
+/// The batched path measures about 170× the stepwise one on `contended`
+/// (about 2.2× when every epoch boundary among several runnables went
+/// through `step()`); anything under this means repeating epochs
+/// stopped retiring whole.
+const MIN_CONTENDED_SPEEDUP: f64 = 20.0;
 
 /// Sub-percent-duty host mix — the paper's mostly-idle lab machine.
 /// Long sleeps between short bursts, so most wall time is idle and the
@@ -200,16 +209,18 @@ criterion_group! {
     targets = bench_sim_throughput
 }
 
-fn gate() {
+/// Exits non-zero unless the batched path is at least `min`× the
+/// stepwise one on the machine `build` returns.
+fn gate(name: &str, build: fn() -> Machine, min: f64) {
     let span = secs(10);
     let iters = if std::env::var_os("FGCS_BENCH_QUICK").is_some() {
         20
     } else {
         200
     };
-    let mut stepwise = harvest();
+    let mut stepwise = build();
     stepwise.run_ticks_stepwise(secs(5));
-    let mut batched = harvest();
+    let mut batched = build();
     batched.run_ticks(secs(5));
     let batched_ns = best_ns(7, iters, || {
         batched.run_ticks(span);
@@ -221,18 +232,19 @@ fn gate() {
     });
     let speedup = stepwise_ns / batched_ns;
     println!(
-        "gate sim_throughput/harvest  batched {:.1} ns/tick, stepwise {:.1} ns/tick, \
-         speedup {speedup:.2}x (need >= {MIN_HARVEST_SPEEDUP}x)",
+        "gate sim_throughput/{name}  batched {:.2} ns/tick, stepwise {:.1} ns/tick, \
+         speedup {speedup:.2}x (need >= {min}x)",
         batched_ns / span as f64,
         stepwise_ns / span as f64
     );
-    if speedup < MIN_HARVEST_SPEEDUP {
-        eprintln!("sim bench: batched path only {speedup:.2}x the stepwise path on harvest");
+    if speedup < min {
+        eprintln!("sim bench: batched path only {speedup:.2}x the stepwise path on {name}");
         std::process::exit(1);
     }
 }
 
 fn main() {
     benches();
-    gate();
+    gate("harvest", harvest, MIN_HARVEST_SPEEDUP);
+    gate("contended", contended, MIN_CONTENDED_SPEEDUP);
 }

@@ -442,6 +442,36 @@ impl BaseRatePredictor {
             rate: 0.5,
         }
     }
+
+    /// The fraction of probe windows `[t, t + probe_window)` for which
+    /// `available(machine, t, probe_window)` holds, probing every
+    /// machine from `t = 0` in steps of `max(probe_window, 600)` s up to
+    /// `train_end`; 0.5 when no window fits.
+    fn rate_of(
+        &self,
+        machines: u32,
+        train_end: u64,
+        available: impl Fn(u32, u64, u64) -> bool,
+    ) -> f64 {
+        let mut good = 0u64;
+        let mut total = 0u64;
+        let step = self.probe_window.max(600);
+        for m in 0..machines {
+            let mut t = 0;
+            while t + self.probe_window <= train_end {
+                total += 1;
+                if available(m, t, self.probe_window) {
+                    good += 1;
+                }
+                t += step;
+            }
+        }
+        if total == 0 {
+            0.5
+        } else {
+            good as f64 / total as f64
+        }
+    }
 }
 
 impl AvailabilityPredictor for BaseRatePredictor {
@@ -450,30 +480,10 @@ impl AvailabilityPredictor for BaseRatePredictor {
     }
 
     fn fit(&mut self, trace: &Trace, train_end: u64) {
-        let records: Vec<TraceRecord> = trace
-            .records
-            .iter()
-            .filter(|r| r.start < train_end)
-            .copied()
-            .collect();
-        let mut good = 0u64;
-        let mut total = 0u64;
-        let step = self.probe_window.max(600);
-        for m in 0..trace.meta.machines {
-            let mut t = 0;
-            while t + self.probe_window <= train_end {
-                total += 1;
-                if window_was_available(&records, m, t, self.probe_window) {
-                    good += 1;
-                }
-                t += step;
-            }
-        }
-        self.rate = if total == 0 {
-            0.5
-        } else {
-            good as f64 / total as f64
-        };
+        let index = EventIndex::build(trace, train_end);
+        self.rate = self.rate_of(trace.meta.machines, train_end, |m, t, w| {
+            index.window_available(m, t, w)
+        });
     }
 
     fn predict(&self, _machine: u32, _t: u64, _window: u64) -> f64 {
@@ -620,6 +630,74 @@ mod tests {
         let b = p.predict(1, 999_999, 7200);
         assert_eq!(a, b);
         assert!(a > 0.5 && a <= 1.0, "base rate {a}");
+    }
+
+    #[test]
+    fn indexed_base_rate_equals_the_brute_force_scan() {
+        // Machine 0: records whose edges sit on the 600 s probe grid and
+        // one between grid points; machine 1: a closed record, then one
+        // still open at the end of the trace; machine 2: none; and one
+        // record past the training horizon.
+        let mut open = rec(1, 5400, 0);
+        open.end = None;
+        open.raw_end = None;
+        let records = vec![
+            rec(0, 1200, 1800),
+            rec(0, 2400, 2500),
+            rec(0, 3000, 4200),
+            rec(1, 600, 700),
+            open,
+            rec(2, 20_000, 20_600),
+        ];
+        let trace = Trace {
+            meta: meta(3, 1),
+            records,
+        };
+        let train_end = 3 * 3600;
+        let training: Vec<TraceRecord> = trace
+            .records
+            .iter()
+            .filter(|r| r.start < train_end)
+            .copied()
+            .collect();
+        let index = EventIndex::build(&trace, train_end);
+        for m in 0..3 {
+            for t in (0..train_end).step_by(100) {
+                for w in [0, 100, 600, 1200] {
+                    assert_eq!(
+                        index.window_available(m, t, w),
+                        window_was_available(&training, m, t, w),
+                        "machine {m} t {t} w {w}"
+                    );
+                }
+            }
+        }
+        for probe in [600, 1200, 3600] {
+            let mut p = BaseRatePredictor::new(probe);
+            p.fit(&trace, train_end);
+            let brute = p.rate_of(3, train_end, |m, t, w| {
+                window_was_available(&training, m, t, w)
+            });
+            assert_eq!(p.predict(0, 0, probe), brute, "probe {probe}");
+            assert!(brute > 0.0 && brute < 1.0, "probe {probe}: {brute}");
+        }
+
+        // And on a simulated trace, at the probe window X2 uses.
+        use fgcs_testbed::runner::{run_testbed, TestbedConfig};
+        let trace = run_testbed(&TestbedConfig::tiny());
+        let train_end = trace.meta.span_secs / 2;
+        let training: Vec<TraceRecord> = trace
+            .records
+            .iter()
+            .filter(|r| r.start < train_end)
+            .copied()
+            .collect();
+        let mut p = BaseRatePredictor::new(3600);
+        p.fit(&trace, train_end);
+        let brute = p.rate_of(trace.meta.machines, train_end, |m, t, w| {
+            window_was_available(&training, m, t, w)
+        });
+        assert_eq!(p.predict(0, 0, 3600), brute);
     }
 
     #[test]

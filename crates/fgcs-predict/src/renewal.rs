@@ -32,6 +32,9 @@ pub struct RenewalPredictor {
     intervals: [Vec<f64>; 2],
     /// Mean outage duration, per day type.
     mean_outage: [f64; 2],
+    /// Mean availability-interval length, per day type (0 with no
+    /// samples); `mean_excess(slot, 0.0)`, computed once in `fit`.
+    mean_interval: [f64; 2],
     start_weekday: u8,
 }
 
@@ -50,10 +53,6 @@ impl RenewalPredictor {
         let idx = samples.partition_point(|&l| l <= w);
         let excess: f64 = samples[idx..].iter().map(|l| l - w).sum();
         excess / samples.len() as f64
-    }
-
-    fn mean_interval(&self, slot: usize) -> f64 {
-        self.mean_excess(slot, 0.0)
     }
 }
 
@@ -105,12 +104,13 @@ impl AvailabilityPredictor for RenewalPredictor {
             } else {
                 0.0
             };
+            self.mean_interval[slot] = self.mean_excess(slot, 0.0);
         }
     }
 
     fn predict(&self, _machine: u32, t: u64, window: u64) -> f64 {
         let slot = Self::slot(day_type(t / SECS_PER_DAY, self.start_weekday));
-        let mu_l = self.mean_interval(slot);
+        let mu_l = self.mean_interval[slot];
         if mu_l == 0.0 {
             return 0.5; // no training data for this day type
         }

@@ -197,6 +197,70 @@ pub struct Machine {
     sleep_min: Option<u64>,
     /// Whether `sleep_min` reflects the process table.
     sleep_min_valid: bool,
+    /// The runnables of the current [`Machine::try_batch`] call, in pid
+    /// order. Reused across calls so a race allocates nothing.
+    race: Vec<Racer>,
+}
+
+/// One runnable process as a race replays it: the fields `step()`'s
+/// selection reads and its run writes.
+#[derive(Debug, Clone, Copy)]
+struct Racer {
+    /// Index into the process table.
+    idx: usize,
+    counter: u64,
+    /// `20 − nice`: the goodness is `counter + weight` while `counter > 0`.
+    weight: i64,
+    /// `nice_to_ticks(nice)`, the counter a recalculation from 0 gives.
+    quantum: u64,
+    busy_left: u64,
+    /// Ticks run so far in the segment.
+    ran: u64,
+}
+
+impl Racer {
+    fn goodness(&self) -> i64 {
+        if self.counter == 0 {
+            0
+        } else {
+            self.counter as i64 + self.weight
+        }
+    }
+}
+
+/// `step()`'s selection over a race: the winner (largest goodness; ties
+/// prefer `cur`, then the lowest pid), its goodness, and the largest
+/// goodness among the others.
+fn select(race: &[Racer], cur: Option<usize>) -> (usize, i64, i64) {
+    let mut best = 0;
+    let mut best_g = race[0].goodness();
+    let mut runner_up_g = 0;
+    for (j, r) in race.iter().enumerate().skip(1) {
+        let g = r.goodness();
+        if g > best_g || (g == best_g && Some(j) == cur) {
+            runner_up_g = runner_up_g.max(best_g);
+            best = j;
+            best_g = g;
+        } else {
+            runner_up_g = runner_up_g.max(g);
+        }
+    }
+    (best, best_g, runner_up_g)
+}
+
+/// Applies `epochs` recalculations `c → c/2 + q` to a process that is
+/// not runnable through them. The map is monotone with its fixed point
+/// at `2q − 1` or `2q`, reached within log2(c) steps, so the loop stops
+/// there.
+fn bank_epochs(p: &mut Process, epochs: u64) {
+    let q = nice_to_ticks(p.nice);
+    for _ in 0..epochs {
+        let next = p.counter / 2 + q;
+        if next == p.counter {
+            break;
+        }
+        p.counter = next;
+    }
 }
 
 impl Machine {
@@ -218,6 +282,7 @@ impl Machine {
             runnable_count: 0,
             sleep_min: None,
             sleep_min_valid: true,
+            race: Vec::new(),
         }
     }
 
@@ -615,10 +680,10 @@ impl Machine {
     /// Advances the machine by `n` ticks.
     ///
     /// Uses the event-horizon fast path: whole runs of ticks whose
-    /// scheduling decision provably cannot change are retired in one
-    /// bulk update, falling back to [`Machine::step`] on every tick
-    /// where an event (a wake, an epoch recalculation among several
-    /// runnables, a thrashing transition) can alter the outcome.
+    /// scheduling decisions are fully determined are retired in one
+    /// bulk update, falling back to [`Machine::step`] only on the ticks
+    /// the batcher declines (an epoch recalculation or an exhausted
+    /// counter while thrashing, a zero-work phase, a last single tick).
     /// Tick-for-tick equivalent to calling `step()` `n` times — see
     /// `tests/equivalence.rs` and the DESIGN notes.
     pub fn run_ticks(&mut self, n: u64) {
@@ -646,27 +711,25 @@ impl Machine {
     }
 
     /// Attempts to retire up to `rem` ticks whose outcome is fully
-    /// determined, in O(procs) bulk updates. Returns the number of ticks
-    /// retired; 0 means the next tick must go through [`Machine::step`].
+    /// determined, in bulk updates. Returns the number of ticks retired;
+    /// 0 means the next tick must go through [`Machine::step`].
     ///
-    /// A run of ticks is batchable when no *event* lands inside it. The
-    /// events, each contributing one bound on the batch length `k`:
+    /// Sleepers due to wake this tick are released first, exactly as
+    /// `step()`'s wake pass releases them. Then one of four paths runs:
     ///
-    /// * the chosen process exhausts its quantum (`counter`) while
-    ///   another process is runnable;
-    /// * the chosen's decaying goodness falls below the best other
-    ///   runnable's constant goodness (`margin`);
-    /// * the chosen finishes its busy period (`busy_left`);
-    /// * the earliest sleeper's timer expires (`min_sleep`);
-    /// * a pending iowait stall ends (`iowait_until`).
+    /// * nobody runnable: idle up to the next wake;
+    /// * thrashing: [`Machine::batch_thrash_span`], which replays the
+    ///   stall-debt arithmetic scalar-exactly (an epoch boundary among
+    ///   several runnables goes to `step()`);
+    /// * several runnables: [`Machine::batch_race`], which replays
+    ///   `step()`'s selection once per context switch and recalculates
+    ///   quanta inline;
+    /// * a lone runnable: nobody can take the CPU from it, so the batch
+    ///   runs on through its epoch boundaries and applies the
+    ///   recalculations they trigger in bulk.
     ///
-    /// A *lone* runnable's quantum is not an event: nobody can take the
-    /// CPU from it, so the batch runs on through its epoch boundaries
-    /// and applies the recalculations they trigger in bulk. Epoch
-    /// recalculations with more than one runnable, and wakes due *this*
-    /// tick, are never batched. Thrashing spans (fractional efficiency)
-    /// batch through [`Machine::batch_thrash_span`], which replays the
-    /// stall-debt arithmetic scalar-exactly.
+    /// Every path stops at the next wake (`min_sleep`), at a busy-period
+    /// end (on its last tick) and at `rem`.
     fn try_batch(&mut self, rem: u64) -> u64 {
         #[cfg(debug_assertions)]
         self.assert_aggregates();
@@ -690,54 +753,61 @@ impl Machine {
             self.iowait_until = self.now;
         }
 
-        // One scan replaces step()'s separate wake / selection passes:
-        // scheduler selection under the exact step() rules, the
-        // runner-up goodness for the margin bound, and the wake horizon.
+        // One scan replaces step()'s separate wake / selection passes.
+        // Sleepers due this tick wake (or exit through the phase-list
+        // sentinel) as in step()'s wake pass; the others tick down in
+        // the bulk update, and if this call retires nothing, step()'s
+        // own wake pass finds only those and decrements them once, so a
+        // release here is never applied twice. The scan also selects
+        // under the exact step() rules and records the runner-up
+        // goodness for the thrashing path's margin and the wake horizon.
         let mut best: Option<usize> = None;
         let mut best_g = 0i64;
         let mut runner_up_g = 0i64;
         let mut other_runnables = false;
         let mut min_sleep: Option<u64> = None;
-        for (i, p) in self.procs.iter().enumerate() {
-            match p.state {
-                RunState::Sleeping { remaining } => {
+        let mut woke = false;
+        for i in 0..self.procs.len() {
+            if let RunState::Sleeping { remaining } = self.procs[i].state {
+                if remaining > 0 {
                     min_sleep = Some(min_sleep.map_or(remaining, |m| m.min(remaining)));
+                    continue;
                 }
-                RunState::Runnable => {
-                    let g = goodness(p);
-                    let wins = match best {
-                        None => true,
-                        Some(b) => {
-                            g > best_g
-                                || (g == best_g
-                                    && Some(i) == self.current
-                                    && Some(b) != self.current)
-                        }
-                    };
-                    if wins {
-                        if best.is_some() {
-                            other_runnables = true;
-                            runner_up_g = runner_up_g.max(best_g);
-                        }
-                        best = Some(i);
-                        best_g = g;
-                    } else {
-                        other_runnables = true;
-                        runner_up_g = runner_up_g.max(g);
-                    }
+                woke = true;
+                let was_occupying = self.procs[i].occupies_memory();
+                self.procs[i].sleep_tick();
+                self.reconcile_aggregates(i, was_occupying, false);
+            }
+            let p = &self.procs[i];
+            if !p.is_runnable() {
+                continue;
+            }
+            let g = goodness(p);
+            let wins = match best {
+                None => true,
+                Some(b) => {
+                    g > best_g
+                        || (g == best_g && Some(i) == self.current && Some(b) != self.current)
                 }
-                _ => {}
+            };
+            if wins {
+                if best.is_some() {
+                    other_runnables = true;
+                    runner_up_g = runner_up_g.max(best_g);
+                }
+                best = Some(i);
+                best_g = g;
+            } else {
+                other_runnables = true;
+                runner_up_g = runner_up_g.max(g);
             }
         }
         if self.sleep_min_valid {
-            debug_assert_eq!(self.sleep_min, min_sleep, "sleep horizon drifted");
+            let before = if woke { Some(0) } else { min_sleep };
+            debug_assert_eq!(self.sleep_min, before, "sleep horizon drifted");
         }
         self.sleep_min = min_sleep;
         self.sleep_min_valid = true;
-
-        if min_sleep == Some(0) {
-            return 0; // a sleeper wakes this tick and competes
-        }
 
         let Some(chosen) = best else {
             // Idle horizon: nothing can become runnable before the next
@@ -758,52 +828,52 @@ impl Machine {
             return k;
         };
 
-        if best_g == 0 && other_runnables {
-            // Epoch boundary among several runnables: who runs next
-            // depends on everyone's recalculated goodness — step()'s job.
-            return 0;
-        }
-
-        // The chosen's goodness decays by one per tick while every other
-        // runnable's stays constant, and ties prefer the current process
-        // (which the chosen is from its first batched tick on), so it
-        // keeps winning for `best_g - runner_up_g + 1` ticks. The margin
-        // can't outlive the quantum: goodness = counter + (20 - nice)
-        // with 20 - nice >= 1, so the counter bound always binds first.
-        let margin = if other_runnables {
-            (best_g - runner_up_g + 1) as u64
-        } else {
-            u64::MAX
-        };
-
         // Under memory pressure the chosen's work ticks interleave with
         // page-fault stalls; a dedicated path batches the whole span.
         // `is_thrashing()` (an O(1) compare on the cached aggregate) is
         // the same predicate as `memory_efficiency() < 1.0` sans `powf`.
         if self.is_thrashing() {
+            if best_g == 0 && other_runnables {
+                // Epoch boundary among several runnables: who runs next
+                // depends on everyone's recalculated goodness — step()'s
+                // job.
+                return 0;
+            }
+            // The chosen's goodness decays by one per tick while every
+            // other runnable's stays constant, and ties prefer the
+            // current process (which the chosen is from its first
+            // batched tick on), so it keeps winning for
+            // `best_g - runner_up_g + 1` ticks.
+            let margin = if other_runnables {
+                (best_g - runner_up_g + 1) as u64
+            } else {
+                u64::MAX
+            };
             return self.batch_thrash_span(rem, chosen, margin, min_sleep);
         }
 
+        if other_runnables {
+            return self.batch_race(rem, min_sleep);
+        }
+
+        // A lone runnable is re-chosen after every recalculation whatever
+        // its goodness, so its quantum is not a horizon: it exhausts its
+        // counter at tick `counter`, every `q` ticks after that, and each
+        // time step() recalculates everyone.
         let p = &self.procs[chosen];
         let mut k = rem.min(p.progress.busy_left);
         if let Some(m) = min_sleep {
             k = k.min(m);
         }
-        // Epoch recalculations inside the batch. With other runnables
-        // the quantum is a horizon. A lone runnable is re-chosen after
-        // every recalculation whatever its goodness, so its quantum is
-        // not: it exhausts its counter at tick `counter`, every `q`
-        // ticks after that, and each time step() recalculates everyone.
-        let mut epochs = 0;
-        let q = nice_to_ticks(p.nice);
-        if other_runnables {
-            k = k.min(p.counter).min(margin);
-        } else if k > p.counter {
-            epochs = (k - p.counter).div_ceil(q);
-        }
         if k == 0 {
             return 0; // a zero-work phase settles through step()
         }
+        let q = nice_to_ticks(p.nice);
+        let epochs = if k > p.counter {
+            (k - p.counter).div_ceil(q)
+        } else {
+            0
+        };
 
         // Bulk-apply the k identical ticks in step() order. Sleep timers
         // tick down exactly as on the per-tick path; k <= min_sleep so
@@ -818,22 +888,12 @@ impl Machine {
         }
         if epochs > 0 {
             // Every non-exited process takes `c -> c/2 + q_p` once per
-            // epoch. The map is monotone with its fixed point at
-            // `2*q_p - 1` or `2*q_p`, reached within log2(c) steps, so
-            // stop iterating there. The chosen enters each epoch at
-            // zero and leaves it with a full quantum.
+            // epoch. The chosen enters each epoch at zero and leaves it
+            // with a full quantum.
             self.recalcs += epochs;
             for (i, sp) in self.procs.iter_mut().enumerate() {
-                if i == chosen || sp.is_exited() {
-                    continue;
-                }
-                let q_p = nice_to_ticks(sp.nice);
-                for _ in 0..epochs {
-                    let next = sp.counter / 2 + q_p;
-                    if next == sp.counter {
-                        break;
-                    }
-                    sp.counter = next;
+                if i != chosen && !sp.is_exited() {
+                    bank_epochs(sp, epochs);
                 }
             }
         }
@@ -862,12 +922,164 @@ impl Machine {
             let t0 = self.now;
             log.extend((0..k).map(|j| (t0 + j, pid)));
         }
-        for (i, sp) in self.procs.iter_mut().enumerate() {
-            if i != chosen && sp.is_runnable() {
-                sp.wait_ticks += k;
+        self.current = Some(chosen);
+        self.now += k;
+        k
+    }
+
+    /// Batches a race: two or more runnables, memory not overcommitted,
+    /// compete up to the next wake, the first busy-period end or `rem`,
+    /// whichever comes first. Returns 0 if a runnable sits at a
+    /// zero-work phase, which settles through `step()`.
+    ///
+    /// Equivalence argument: nobody wakes before `min_sleep` and no
+    /// racer's busy period ends before the segment's last tick, so the
+    /// runnable set — and with it the memory aggregates — is constant,
+    /// and the only state `step()`'s selection reads is each racer's
+    /// counter and the current process. The replay selects once per
+    /// context switch with `step()`'s rules; the winner then runs
+    /// `min(counter, g_best − g_runner_up + 1)` ticks (its goodness
+    /// decays by one per tick, the others' stay constant, and ties
+    /// prefer it as the current process), cut by its busy period and the
+    /// segment's end. When every racer is exhausted, `step()` would
+    /// recalculate: each racer goes `0 → q`, and every non-runnable
+    /// banks one `c → c/2 + q` (applied once at the end through
+    /// [`bank_epochs`]; nothing inside the segment reads it).
+    ///
+    /// Repeating epochs: an epoch that starts at such a recalculation
+    /// starts with every counter at its quantum. If it ends with the
+    /// same current process it started with, the next epoch starts in
+    /// the identical state and makes the identical choices, and so does
+    /// every one after it. So `e` whole epochs retire at once, as many as
+    /// fit before the segment's end and leave every racer at least one
+    /// busy tick (a busy-period end must stay the segment's last tick),
+    /// and the run log replays the recorded epoch `e` times.
+    fn batch_race(&mut self, rem: u64, min_sleep: Option<u64>) -> u64 {
+        self.race.clear();
+        let mut cur = None;
+        for (i, p) in self.procs.iter().enumerate() {
+            if !p.is_runnable() {
+                continue;
+            }
+            if p.progress.busy_left == 0 {
+                return 0;
+            }
+            if Some(i) == self.current {
+                cur = Some(self.race.len());
+            }
+            self.race.push(Racer {
+                idx: i,
+                counter: p.counter,
+                weight: 20 - p.nice as i64,
+                quantum: nice_to_ticks(p.nice),
+                busy_left: p.progress.busy_left,
+                ran: 0,
+            });
+        }
+        let horizon = min_sleep.map_or(rem, |m| rem.min(m));
+        let t0 = self.now;
+        let race = &mut self.race;
+        let mut log = self.run_log.as_mut();
+        let mut k = 0;
+        let mut epochs = 0;
+        // Where the latest inline recalculation began an epoch: (k, the
+        // current process, the run log's length).
+        let mut epoch_start: Option<(u64, Option<usize>, usize)> = None;
+        while k < horizon {
+            let (mut w, mut best_g, mut runner_up_g) = select(race, cur);
+            if best_g == 0 {
+                // Every racer is exhausted: an epoch boundary.
+                if let Some((k0, _, log0)) = epoch_start.filter(|s| s.1 == cur) {
+                    let len = k - k0;
+                    let e = race
+                        .iter()
+                        .map(|r| (r.busy_left - 1) / r.quantum)
+                        .fold((horizon - k) / len, u64::min);
+                    for r in race.iter_mut() {
+                        r.ran += e * r.quantum;
+                        r.busy_left -= e * r.quantum;
+                    }
+                    if let Some(log) = log.as_deref_mut() {
+                        let end = log.len();
+                        for n in 1..=e {
+                            for j in log0..end {
+                                let (t, pid) = log[j];
+                                log.push((t + n * len, pid));
+                            }
+                        }
+                    }
+                    k += e * len;
+                    epochs += e;
+                    if k == horizon {
+                        break;
+                    }
+                }
+                for r in race.iter_mut() {
+                    r.counter = r.quantum;
+                }
+                epochs += 1;
+                epoch_start = Some((k, cur, log.as_ref().map_or(0, |l| l.len())));
+                (w, best_g, runner_up_g) = select(race, cur);
+            }
+            let r = &mut race[w];
+            let run = r
+                .counter
+                .min((best_g - runner_up_g + 1) as u64)
+                .min(r.busy_left)
+                .min(horizon - k);
+            r.counter -= run;
+            r.busy_left -= run;
+            r.ran += run;
+            if let Some(log) = log.as_deref_mut() {
+                let pid = self.procs[r.idx].pid;
+                log.extend((k..k + run).map(|j| (t0 + j, pid)));
+            }
+            k += run;
+            cur = Some(w);
+            if r.busy_left == 0 {
+                break;
             }
         }
-        self.current = Some(chosen);
+
+        // Apply the segment in step() order. Sleep timers tick down
+        // first (k <= min_sleep, so nobody wakes), and every process
+        // that is not runnable banks the counted recalculations; a racer
+        // whose busy period ends on the last tick starts its sleep after.
+        for sp in &mut self.procs {
+            sp.sleep_bulk(k);
+            if epochs > 0 && !sp.is_runnable() && !sp.is_exited() {
+                bank_epochs(sp, epochs);
+            }
+        }
+        if let Some(m) = &mut self.sleep_min {
+            *m -= k;
+        }
+        self.recalcs += epochs;
+        let mut ended = None;
+        for r in &self.race {
+            let p = &mut self.procs[r.idx];
+            p.counter = r.counter;
+            p.wait_ticks += k - r.ran;
+            if r.ran > 0 {
+                p.run_bulk(r.ran);
+                match p.spec.class {
+                    ProcClass::Host => self.acct.host += r.ran,
+                    ProcClass::System => self.acct.system += r.ran,
+                    ProcClass::Guest => self.acct.guest += r.ran,
+                }
+            }
+            if r.busy_left == 0 {
+                ended = Some(r.idx);
+            }
+        }
+        if let Some(i) = ended {
+            self.reconcile_aggregates(i, true, true);
+            if let RunState::Sleeping { remaining } = self.procs[i].state {
+                self.sleep_min = Some(self.sleep_min.map_or(remaining, |m| m.min(remaining)));
+            }
+        }
+        self.stall_debt = 0.0;
+        self.current = cur.map(|c| self.race[c].idx);
         self.now += k;
         k
     }

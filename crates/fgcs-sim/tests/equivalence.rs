@@ -11,6 +11,7 @@
 
 use fgcs_sim::machine::{Machine, MachineConfig};
 use fgcs_sim::proc::{Demand, MemSpec, Phase, Pid, ProcClass, ProcSpec};
+use fgcs_sim::workloads::synthetic;
 use fgcs_stats::rng::Rng;
 
 /// Asserts every observable of the two machines is identical.
@@ -444,5 +445,167 @@ fn run_log_batches_are_per_tick() {
     assert_eq!(log.len(), 70);
     for (j, &(t, _)) in log.iter().enumerate() {
         assert_eq!(t, j as u64, "log must hold one entry per tick");
+    }
+}
+
+/// A stepwise/batched machine pair with the run log on.
+fn logged_pair(cfg: MachineConfig) -> (Machine, Machine) {
+    let mut reference = Machine::new(cfg.clone());
+    let mut batched = Machine::new(cfg);
+    reference.enable_run_log();
+    batched.enable_run_log();
+    (reference, batched)
+}
+
+fn spawn_both(reference: &mut Machine, batched: &mut Machine, spec: ProcSpec) {
+    assert_eq!(reference.spawn(spec.clone()), batched.spawn(spec));
+}
+
+/// Advances both machines by `span` ticks, the batched one in random
+/// chunks of at most `max_chunk` ticks, then compares every observable.
+fn advance_both(
+    reference: &mut Machine,
+    batched: &mut Machine,
+    rng: &mut Rng,
+    span: u64,
+    max_chunk: u64,
+    ctx: &str,
+) {
+    reference.run_ticks_stepwise(span);
+    let mut left = span;
+    while left > 0 {
+        let chunk = rng.range_u64(1, left.min(max_chunk) + 1);
+        batched.run_ticks(chunk);
+        left -= chunk;
+    }
+    assert_same(reference, batched, ctx);
+}
+
+/// Races on the Figure 1 machine: a `synthetic::host_group` of 1–5
+/// duty-cycle hosts beside a CPU-bound guest at nice 0 (Figure 1(a)) or
+/// nice 19 (Figure 1(b)). Whenever two of them are runnable the batch is
+/// a race, cut by host wakes and busy-period ends, and hosts due to wake
+/// join it inline; chunks cut races mid-quantum and mid-epoch.
+#[test]
+fn figure1_races_batch_tick_exactly() {
+    for seed in 0..6u64 {
+        for hosts in 1..=5usize {
+            for nice in [0i8, 19] {
+                let stream = seed * 16 + hosts as u64 * 2 + (nice == 19) as u64;
+                let mut rng = Rng::for_stream(0xF1_61, stream);
+                let (mut reference, mut batched) = logged_pair(MachineConfig::default());
+                let lh = rng.range_f64(hosts as f64 * synthetic::MIN_USAGE, 1.0);
+                for spec in synthetic::host_group(&mut rng, lh, hosts) {
+                    spawn_both(&mut reference, &mut batched, spec);
+                }
+                spawn_both(&mut reference, &mut batched, synthetic::guest_process(nice));
+                for seg in 0..12 {
+                    let span = rng.range_u64(1, 2_000);
+                    let ctx = format!("seed {seed} hosts {hosts} nice {nice} segment {seg}");
+                    advance_both(&mut reference, &mut batched, &mut rng, span, 300, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// All-CPU-bound races with nobody asleep: 2–6 processes over the full
+/// nice range, some with a finite budget that ends mid-span. An epoch
+/// that ends on the process that began it repeats until the segment
+/// ends, so long chunks retire thousands of epochs at once; the run log
+/// pins every tick of them.
+#[test]
+fn cpu_bound_races_skip_repeating_epochs_tick_exactly() {
+    for seed in 0..16u64 {
+        let mut rng = Rng::for_stream(0xC9_0B, seed);
+        let (mut reference, mut batched) = logged_pair(MachineConfig::default());
+        let n = rng.range_u64(2, 7);
+        for i in 0..n {
+            let nice = rng.range_u64(0, 40) as i8 - 20;
+            // The first process never finishes, so the machine never
+            // runs out of work.
+            let total_work = (i > 0 && rng.chance(0.3)).then(|| rng.range_u64(1, 40_000));
+            let class = if rng.chance(0.5) {
+                ProcClass::Host
+            } else {
+                ProcClass::Guest
+            };
+            let spec = ProcSpec::new(
+                format!("cpu{i}"),
+                class,
+                nice,
+                Demand::CpuBound { total_work },
+                MemSpec::tiny(),
+            );
+            spawn_both(&mut reference, &mut batched, spec);
+        }
+        for seg in 0..6 {
+            let span = rng.range_u64(10_000, 20_000);
+            let ctx = format!("seed {seed} segment {seg}");
+            advance_both(&mut reference, &mut batched, &mut rng, span, 20_000, &ctx);
+        }
+        assert!(
+            reference.recalc_count() > 500,
+            "seed {seed}: only {} recalcs",
+            reference.recalc_count()
+        );
+    }
+}
+
+/// Duty cycles with control calls between randomly sized chunks: 2–5
+/// duty-cycle hosts and guests plus a CPU-bound guest, and before every
+/// chunk a suspend, resume or renice of a random process on both
+/// machines. Races start from arbitrary counters, stopped processes bank
+/// the recalculations races count, and renices change goodness weights
+/// and quanta between one epoch and the next.
+#[test]
+fn duty_cycle_races_with_control_calls_tick_exactly() {
+    for seed in 0..16u64 {
+        let mut rng = Rng::for_stream(0xD0_7C, seed);
+        let (mut reference, mut batched) = logged_pair(MachineConfig::default());
+        let n = rng.range_u64(2, 6);
+        for i in 0..n {
+            let class = if rng.chance(0.5) {
+                ProcClass::Host
+            } else {
+                ProcClass::Guest
+            };
+            let nice = rng.range_u64(0, 20) as i8;
+            let demand = Demand::DutyCycle {
+                busy: rng.range_u64(1, 60),
+                idle: rng.range_u64(1, 90),
+            };
+            let spec = ProcSpec::new(format!("d{i}"), class, nice, demand, MemSpec::tiny());
+            spawn_both(&mut reference, &mut batched, spec);
+        }
+        let nice = rng.range_u64(0, 20) as i8;
+        spawn_both(
+            &mut reference,
+            &mut batched,
+            ProcSpec::cpu_bound_guest("g", nice),
+        );
+        for chunk in 0..150 {
+            let pid = Pid(rng.below(n + 1) as u32);
+            match rng.below(4) {
+                0 => {
+                    reference.suspend(pid).unwrap();
+                    batched.suspend(pid).unwrap();
+                }
+                1 => {
+                    reference.resume(pid).unwrap();
+                    batched.resume(pid).unwrap();
+                }
+                2 => {
+                    let nice = rng.range_u64(0, 40) as i8 - 20;
+                    reference.renice(pid, nice).unwrap();
+                    batched.renice(pid, nice).unwrap();
+                }
+                _ => {}
+            }
+            let span = rng.range_u64(1, 400);
+            reference.run_ticks_stepwise(span);
+            batched.run_ticks(span);
+            assert_same(&reference, &batched, &format!("seed {seed} chunk {chunk}"));
+        }
     }
 }

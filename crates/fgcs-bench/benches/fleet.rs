@@ -7,6 +7,13 @@
 //!   collapses dead downtime to a single detector observe and skips the
 //!   full observe on provably-calm idle spans; the two are
 //!   bit-identical (asserted in fgcs-testbed's tests).
+//! * `supervised` — the supervised per-sample oracle
+//!   (`trace_machine_supervised_per_sample`: every sample through the
+//!   fault stream and the supervisor) versus the supervised walker
+//!   (`trace_machine_supervised`, what X11's `run_testbed_faulty` uses)
+//!   on the student lab at fault scales ×0 and ×1. Between fault events
+//!   the walker runs the span tracer's kernel; the two are bit-identical
+//!   (asserted in `tests/tracer_equivalence.rs`).
 //! * `quantiles` — sort-based exact quantiles versus the mergeable
 //!   [`RankSketch`] over a 100k-element stream: the sketch is what lets
 //!   the Figure 6 analysis run without materializing fleet-scale
@@ -15,8 +22,9 @@
 //! After the rows it gates the span tracer against the per-sample one
 //! in the same process: on the student-lab archetype — the paper's lab,
 //! which `run_testbed` traces for every §5 artifact — it must be at
-//! least [`MIN_SPEEDUP`]× faster or the bench exits non-zero. A ratio,
-//! so host speed cancels.
+//! least [`MIN_SPEEDUP`]× faster, and the supervised walker at least
+//! [`MIN_SUPERVISED_SPEEDUP`]× its oracle at noisy ×1, or the bench
+//! exits non-zero. Ratios, so host speed cancels.
 
 use std::time::Duration;
 
@@ -25,16 +33,30 @@ use std::hint::black_box;
 
 use fgcs_bench::best_ns;
 use fgcs_core::detector::DetectorConfig;
+use fgcs_faults::FaultConfig;
 use fgcs_stats::quantile::quantiles;
 use fgcs_stats::sketch::RankSketch;
 use fgcs_testbed::fleet::Archetype;
-use fgcs_testbed::runner::{trace_machine, trace_machine_batched, TestbedConfig};
+use fgcs_testbed::runner::{
+    trace_machine, trace_machine_batched, trace_machine_supervised,
+    trace_machine_supervised_per_sample, SupervisorConfig, TestbedConfig,
+};
 
 /// The span tracer measures 2.3–2.5× the per-sample one on the student
 /// lab (2.7–3.0× until PR 24 made the per-sample chain 1.8× faster and
 /// the span tracer 1.5×); anything under this means the idle fast path
 /// stopped engaging.
 const MIN_SPEEDUP: f64 = 1.7;
+
+/// The supervised walker measures 1.6–1.9× its per-sample oracle on the
+/// student lab at noisy ×1; anything under this means clean runs
+/// stopped reaching the span kernel.
+const MIN_SUPERVISED_SPEEDUP: f64 = 1.4;
+
+/// The X11 fault plan at `scale` (×0 is the identity injection).
+fn noisy(scale: f64) -> FaultConfig {
+    FaultConfig::noisy(20050801).scaled(scale)
+}
 
 fn archetype_testbed(arch: Archetype) -> TestbedConfig {
     let mut lab = arch.lab_config();
@@ -60,6 +82,23 @@ fn bench_tracer(c: &mut Criterion) {
         });
         g.bench_function(format!("batched/{}", arch.name()), |b| {
             b.iter(|| black_box(trace_machine_batched(&cfg, 0).len()))
+        });
+    }
+    g.finish();
+}
+
+fn bench_supervised(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fleet_supervised");
+    let cfg = archetype_testbed(Archetype::StudentLab);
+    let sup = SupervisorConfig::default();
+    g.throughput(Throughput::Elements(cfg.lab.days as u64));
+    for scale in [0.0, 1.0] {
+        let faults = noisy(scale);
+        g.bench_function(format!("oracle/x{scale}"), |b| {
+            b.iter(|| black_box(trace_machine_supervised_per_sample(&cfg, &faults, &sup, 0).0))
+        });
+        g.bench_function(format!("walker/x{scale}"), |b| {
+            b.iter(|| black_box(trace_machine_supervised(&cfg, &faults, &sup, 0).0))
         });
     }
     g.finish();
@@ -107,7 +146,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_tracer, bench_quantiles
+    targets = bench_tracer, bench_supervised, bench_quantiles
 }
 
 fn gate() {
@@ -128,6 +167,29 @@ fn gate() {
     );
     if speedup < MIN_SPEEDUP {
         eprintln!("fleet bench: span tracer only {speedup:.2}x the per-sample tracer");
+        std::process::exit(1);
+    }
+
+    let (faults, sup) = (noisy(1.0), SupervisorConfig::default());
+    let walker = best_ns(7, iters, || {
+        trace_machine_supervised(black_box(&cfg), &faults, &sup, 0)
+            .0
+            .len()
+    });
+    let oracle = best_ns(7, iters, || {
+        trace_machine_supervised_per_sample(black_box(&cfg), &faults, &sup, 0)
+            .0
+            .len()
+    });
+    let speedup = oracle / walker;
+    println!(
+        "gate fleet_supervised/student-lab/x1  walker {:.0} us, per-sample {:.0} us, \
+         speedup {speedup:.2}x (need >= {MIN_SUPERVISED_SPEEDUP}x)",
+        walker / 1e3,
+        oracle / 1e3
+    );
+    if speedup < MIN_SUPERVISED_SPEEDUP {
+        eprintln!("fleet bench: supervised walker only {speedup:.2}x its per-sample oracle");
         std::process::exit(1);
     }
 }

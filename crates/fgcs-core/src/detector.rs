@@ -416,6 +416,19 @@ impl Detector {
         )
     }
 
+    /// Moves the gap-policy clock to `t` as if the stream had been
+    /// observed up to `t`, without stepping. Only sound for a caller
+    /// that has proven the observations it skips could not change the
+    /// state and were never more than `max_silence` apart — a batched
+    /// tracer skipping repeated dead samples or calm idle ones.
+    pub fn skip_to(&mut self, t: u64) {
+        debug_assert!(
+            self.last_t.is_none_or(|last| last <= t),
+            "time went backwards"
+        );
+        self.last_t = Some(t);
+    }
+
     /// Captures the detector's dynamic state for checkpointing.
     pub fn snapshot(&self) -> DetectorSnapshot {
         match self.mode {

@@ -34,8 +34,8 @@ struct Delayed<S> {
     after_slots: u32,
 }
 
-/// Iterator adapter injecting the stream-level failure modes of a
-/// [`FaultConfig`] into any [`Timestamped`] sample stream:
+/// The stream-level failure modes of a [`FaultConfig`], applied one
+/// underlying sample at a time:
 ///
 /// * **drops** — the sample never arrives;
 /// * **duplicates** — the sample arrives twice;
@@ -48,18 +48,28 @@ struct Delayed<S> {
 ///   timestamp, forward jumps opening artificial gaps and backward jumps
 ///   producing non-monotone time.
 ///
+/// Push-style: [`Injector::push`] takes one underlying sample and returns
+/// it if it is delivered; the slot's other deliveries wait in order for
+/// [`Injector::next_queued`], and [`Injector::finish`] queues what is still
+/// in flight at the end. [`FaultStream`] is the iterator adapter over it;
+/// a caller walking its own sample source passes fault-free stretches with
+/// [`Injector::pass_clean`] without building their samples.
+///
 /// The injection is a pure function of `(cfg.seed, machine_id)` and the
-/// input stream. With an all-zero config the adapter is the identity.
+/// input stream. Which draws one underlying sample makes depends only on
+/// the injector's state and the outcomes of earlier draws, never on the
+/// sample's content. With an all-zero config the injector is the
+/// identity.
 #[derive(Debug, Clone)]
-pub struct FaultStream<I: Iterator> {
-    inner: I,
+pub struct Injector<S> {
     cfg: FaultConfig,
     rng: Rng,
     stats: InjectionStats,
-    /// Output queue (duplicates and released delayed samples).
-    out: VecDeque<I::Item>,
     /// Samples in flight on the delay path.
-    pending: Vec<Delayed<I::Item>>,
+    pending: Vec<Delayed<S>>,
+    /// Delivered samples waiting behind the one [`Injector::push`]
+    /// returned: released delayed samples, then the duplicate.
+    queued: VecDeque<S>,
     /// Samples still to swallow for the current monitor restart.
     outage_left: u32,
     /// Cumulative clock offset, seconds (signed).
@@ -67,6 +77,208 @@ pub struct FaultStream<I: Iterator> {
     /// Set when a restart was injected since the last query; lets a
     /// cooperating probe wrapper reset its counters in lockstep.
     restart_pending: bool,
+}
+
+impl<S: Timestamped + Clone> Injector<S> {
+    /// The fault plan for `machine_id`.
+    pub fn new(cfg: &FaultConfig, machine_id: u64) -> Self {
+        Injector {
+            cfg: cfg.clone(),
+            rng: Rng::for_stream(cfg.seed ^ STREAM_SALT, machine_id),
+            stats: InjectionStats::default(),
+            pending: Vec::new(),
+            queued: VecDeque::new(),
+            outage_left: 0,
+            clock_offset: 0,
+            restart_pending: false,
+        }
+    }
+
+    /// What has been injected so far.
+    pub fn stats(&self) -> InjectionStats {
+        self.stats
+    }
+
+    /// True if a monitor restart was injected since the last call;
+    /// clears the flag. The supervisor uses this to reset per-machine
+    /// monitor state (counter baselines) at the right sample boundary.
+    pub fn take_restart(&mut self) -> bool {
+        std::mem::take(&mut self.restart_pending)
+    }
+
+    /// The clock offset every delivered timestamp currently carries,
+    /// seconds (before the clamp at 0).
+    pub fn clock_offset(&self) -> i64 {
+        self.clock_offset
+    }
+
+    /// True when no sample is in flight on the delay path or queued, and
+    /// no monitor restart is swallowing samples: the next underlying
+    /// sample's fate is decided by its own draws alone.
+    pub fn is_quiet(&self) -> bool {
+        self.pending.is_empty() && self.queued.is_empty() && self.outage_left == 0
+    }
+
+    /// Feeds one underlying sample and returns it (clock applied) unless
+    /// a restart swallowed it or it was dropped or delayed. The slot's
+    /// other deliveries — delayed samples released at this slot in
+    /// held-back order, then the sample's duplicate — are queued behind
+    /// it: drain [`Self::next_queued`] before the next push.
+    // Forced, with `inject`: left to the inliner, the per-sample
+    // supervised oracle runs 1.2-1.5x slower.
+    #[inline(always)]
+    pub fn push(&mut self, s: S) -> Option<S> {
+        // The delay queue is empty on all but a few samples in a
+        // thousand: test, don't walk.
+        if !self.pending.is_empty() {
+            self.tick_pending();
+        }
+        let (s, duplicated) = self.inject(s)?;
+        if duplicated {
+            self.queued.push_back(s.clone());
+        }
+        Some(s)
+    }
+
+    /// The next delivered sample queued by [`Self::push`] or
+    /// [`Self::finish`], in delivery order.
+    #[inline]
+    pub fn next_queued(&mut self) -> Option<S> {
+        // Empty on all but a few samples in a thousand: test, don't pop.
+        if self.queued.is_empty() {
+            None
+        } else {
+            self.queued.pop_front()
+        }
+    }
+
+    /// Queues the samples still in flight once the underlying stream has
+    /// ended, preserving how long each was held back.
+    pub fn finish(&mut self) {
+        self.pending.sort_by_key(|d| d.after_slots);
+        for d in self.pending.drain(..) {
+            self.queued.push_back(d.sample);
+        }
+    }
+
+    /// Passes up to `n` underlying samples the injector lets through
+    /// untouched and returns how many it passed, `k`. Each makes the
+    /// draws [`Self::push`] would make — the enabled modes' only, in the
+    /// same order — and every draw says "no fault", so each is delivered
+    /// once, unchanged but for [`Self::clock_offset`]; the caller
+    /// delivers them itself. At the first sample that would fault (when
+    /// `k < n`) the RNG is rewound to that sample's pre-draw state, so
+    /// pushing it next redraws exactly what the per-sample path draws.
+    ///
+    /// Only valid while [`Self::is_quiet`].
+    pub fn pass_clean(&mut self, n: u64) -> u64 {
+        debug_assert!(self.is_quiet(), "pass_clean with samples in flight");
+        let c = &self.cfg;
+        let restart = c.restart_rate > 0.0;
+        let jump = c.clock_jump_rate > 0.0 && c.clock_jump_max_secs > 0;
+        let drop = c.drop_rate > 0.0;
+        let delay = c.delay_rate > 0.0 && c.max_delay_slots > 0;
+        let duplicate = c.duplicate_rate > 0.0;
+        if !(restart || jump || drop || delay || duplicate) {
+            return n;
+        }
+        for k in 0..n {
+            let before = self.rng.clone();
+            let faults = (restart && self.rng.chance(c.restart_rate))
+                || (jump && self.rng.chance(c.clock_jump_rate))
+                || (drop && self.rng.chance(c.drop_rate))
+                || (delay && self.rng.chance(c.delay_rate))
+                || (duplicate && self.rng.chance(c.duplicate_rate));
+            if faults {
+                self.rng = before;
+                return k;
+            }
+        }
+        n
+    }
+
+    /// Decides one underlying sample's fate: `None` if a restart
+    /// swallowed it or it was dropped or delayed, else the sample (clock
+    /// applied) and whether it is duplicated.
+    #[inline(always)]
+    fn inject(&mut self, mut s: S) -> Option<(S, bool)> {
+        // Monitor down: the sample is never observed.
+        if self.outage_left > 0 {
+            self.outage_left -= 1;
+            self.stats.lost_in_restart += 1;
+            return None;
+        }
+        if self.cfg.restart_rate > 0.0 && self.rng.chance(self.cfg.restart_rate) {
+            self.stats.restarts += 1;
+            self.restart_pending = true;
+            self.outage_left = self.cfg.restart_outage_samples;
+            if self.outage_left > 0 {
+                self.outage_left -= 1;
+                self.stats.lost_in_restart += 1;
+                return None;
+            }
+        }
+        if self.cfg.clock_jump_rate > 0.0
+            && self.cfg.clock_jump_max_secs > 0
+            && self.rng.chance(self.cfg.clock_jump_rate)
+        {
+            self.stats.clock_jumps += 1;
+            let m = self.cfg.clock_jump_max_secs as i64;
+            let jump = self.rng.range_u64(0, 2 * m as u64 + 1) as i64 - m;
+            self.clock_offset += jump;
+        }
+        if self.clock_offset != 0 {
+            let t = s.ts() as i64 + self.clock_offset;
+            s.set_ts(t.max(0) as u64);
+        }
+
+        if self.cfg.drop_rate > 0.0 && self.rng.chance(self.cfg.drop_rate) {
+            self.stats.dropped += 1;
+            return None;
+        }
+        if self.cfg.delay_rate > 0.0
+            && self.cfg.max_delay_slots > 0
+            && self.rng.chance(self.cfg.delay_rate)
+        {
+            self.stats.delayed += 1;
+            let slots = self.rng.range_u64(1, self.cfg.max_delay_slots as u64 + 1) as u32;
+            self.pending.push(Delayed {
+                sample: s,
+                after_slots: slots,
+            });
+            return None;
+        }
+        let duplicated = self.cfg.duplicate_rate > 0.0 && self.rng.chance(self.cfg.duplicate_rate);
+        if duplicated {
+            self.stats.duplicated += 1;
+        }
+        Some((s, duplicated))
+    }
+
+    /// Advances the delay queue by one underlying slot, moving samples
+    /// whose delay expired to the delivery queue (in held-back order).
+    fn tick_pending(&mut self) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].after_slots <= 1 {
+                let d = self.pending.remove(i);
+                self.queued.push_back(d.sample);
+            } else {
+                self.pending[i].after_slots -= 1;
+                i += 1;
+            }
+        }
+    }
+}
+
+/// Iterator adapter over an [`Injector`]: injects the stream-level
+/// failure modes of a [`FaultConfig`] into any [`Timestamped`] sample
+/// stream, delivering samples in the injector's order and flushing
+/// delayed samples when the inner stream ends.
+#[derive(Debug, Clone)]
+pub struct FaultStream<I: Iterator> {
+    inner: I,
+    injector: Injector<I::Item>,
     inner_done: bool,
 }
 
@@ -79,14 +291,7 @@ where
     pub fn new(inner: I, cfg: &FaultConfig, machine_id: u64) -> Self {
         FaultStream {
             inner,
-            cfg: cfg.clone(),
-            rng: Rng::for_stream(cfg.seed ^ STREAM_SALT, machine_id),
-            stats: InjectionStats::default(),
-            out: VecDeque::new(),
-            pending: Vec::new(),
-            outage_left: 0,
-            clock_offset: 0,
-            restart_pending: false,
+            injector: Injector::new(cfg, machine_id),
             inner_done: false,
         }
     }
@@ -94,36 +299,13 @@ where
     /// What has been injected so far (complete once the stream is
     /// exhausted).
     pub fn stats(&self) -> InjectionStats {
-        self.stats
+        self.injector.stats()
     }
 
     /// True if a monitor restart was injected since the last call;
-    /// clears the flag. The supervisor uses this to reset per-machine
-    /// monitor state (counter baselines) at the right sample boundary.
+    /// clears the flag (see [`Injector::take_restart`]).
     pub fn take_restart(&mut self) -> bool {
-        std::mem::take(&mut self.restart_pending)
-    }
-
-    /// Advances the delay queue by one underlying slot, moving samples
-    /// whose delay expired to the output queue (in held-back order).
-    fn tick_pending(&mut self) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].after_slots <= 1 {
-                let d = self.pending.remove(i);
-                self.out.push_back(d.sample);
-            } else {
-                self.pending[i].after_slots -= 1;
-                i += 1;
-            }
-        }
-    }
-
-    fn apply_clock(&self, s: &mut I::Item) {
-        if self.clock_offset != 0 {
-            let t = s.ts() as i64 + self.clock_offset;
-            s.set_ts(t.max(0) as u64);
-        }
+        self.injector.take_restart()
     }
 }
 
@@ -137,79 +319,20 @@ where
     #[inline]
     fn next(&mut self) -> Option<I::Item> {
         loop {
-            // Both queues are empty on all but a few samples in a
-            // thousand: test, don't pop or walk.
-            if !self.out.is_empty() {
-                return self.out.pop_front();
+            if let Some(s) = self.injector.next_queued() {
+                return Some(s);
             }
             if self.inner_done {
-                // Flush whatever is still in flight, preserving how long
-                // each sample was held back.
-                if self.pending.is_empty() {
-                    return None;
-                }
-                self.pending.sort_by_key(|d| d.after_slots);
-                for d in self.pending.drain(..) {
-                    self.out.push_back(d.sample);
-                }
-                continue;
+                return None;
             }
-            let Some(mut s) = self.inner.next() else {
+            let Some(s) = self.inner.next() else {
                 self.inner_done = true;
+                self.injector.finish();
                 continue;
             };
-            if !self.pending.is_empty() {
-                self.tick_pending();
+            if let Some(s) = self.injector.push(s) {
+                return Some(s);
             }
-
-            // Monitor down: the sample is never observed.
-            if self.outage_left > 0 {
-                self.outage_left -= 1;
-                self.stats.lost_in_restart += 1;
-                continue;
-            }
-            if self.cfg.restart_rate > 0.0 && self.rng.chance(self.cfg.restart_rate) {
-                self.stats.restarts += 1;
-                self.restart_pending = true;
-                self.outage_left = self.cfg.restart_outage_samples;
-                if self.outage_left > 0 {
-                    self.outage_left -= 1;
-                    self.stats.lost_in_restart += 1;
-                    continue;
-                }
-            }
-            if self.cfg.clock_jump_rate > 0.0
-                && self.cfg.clock_jump_max_secs > 0
-                && self.rng.chance(self.cfg.clock_jump_rate)
-            {
-                self.stats.clock_jumps += 1;
-                let m = self.cfg.clock_jump_max_secs as i64;
-                let jump = self.rng.range_u64(0, 2 * m as u64 + 1) as i64 - m;
-                self.clock_offset += jump;
-            }
-            self.apply_clock(&mut s);
-
-            if self.cfg.drop_rate > 0.0 && self.rng.chance(self.cfg.drop_rate) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            if self.cfg.delay_rate > 0.0
-                && self.cfg.max_delay_slots > 0
-                && self.rng.chance(self.cfg.delay_rate)
-            {
-                self.stats.delayed += 1;
-                let slots = self.rng.range_u64(1, self.cfg.max_delay_slots as u64 + 1) as u32;
-                self.pending.push(Delayed {
-                    sample: s,
-                    after_slots: slots,
-                });
-                continue;
-            }
-            if self.cfg.duplicate_rate > 0.0 && self.rng.chance(self.cfg.duplicate_rate) {
-                self.stats.duplicated += 1;
-                self.out.push_back(s.clone());
-            }
-            return Some(s);
         }
     }
 }
@@ -411,6 +534,51 @@ mod tests {
         let d_last = out.last().unwrap().0 as i64 - clean.last().unwrap().0 as i64;
         let d_prev = out[out.len() - 2].0 as i64 - clean[clean.len() - 2].0 as i64;
         assert_eq!(d_last, d_prev, "skew must persist between jumps");
+    }
+
+    #[test]
+    fn passing_clean_stretches_equals_pushing_every_sample() {
+        let input: Vec<S> = stream(20_000).collect();
+        for scale in [0.0, 1.0, 20.0, 60.0] {
+            let cfg = FaultConfig::noisy(5).scaled(scale);
+            let mut pushed = Vec::new();
+            let mut every = Injector::new(&cfg, 1);
+            let drain = |inj: &mut Injector<S>, out: &mut Vec<S>| {
+                while let Some(d) = inj.next_queued() {
+                    out.push(d);
+                }
+            };
+            for &s in &input {
+                pushed.extend(every.push(s));
+                drain(&mut every, &mut pushed);
+            }
+            every.finish();
+            drain(&mut every, &mut pushed);
+
+            let mut walked = Vec::new();
+            let mut walker = Injector::new(&cfg, 1);
+            let mut i = 0;
+            while i < input.len() {
+                if walker.is_quiet() {
+                    let k = walker.pass_clean((input.len() - i) as u64) as usize;
+                    for s in &input[i..i + k] {
+                        walked.push(S((s.0 as i64 + walker.clock_offset()).max(0) as u64));
+                    }
+                    i += k;
+                    if i == input.len() {
+                        break;
+                    }
+                }
+                walked.extend(walker.push(input[i]));
+                drain(&mut walker, &mut walked);
+                i += 1;
+            }
+            walker.finish();
+            drain(&mut walker, &mut walked);
+
+            assert_eq!(walked, pushed, "x{scale}");
+            assert_eq!(walker.stats(), every.stats(), "x{scale}");
+        }
     }
 
     #[test]

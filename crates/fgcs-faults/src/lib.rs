@@ -14,10 +14,12 @@
 //!
 //! * [`FaultConfig`] — one knob per failure mode, all zero by default
 //!   (the identity injection);
-//! * [`injector::FaultStream`] — wraps any time-stamped sample stream and
-//!   applies drops, duplicates, delayed (out-of-order) delivery, monitor
-//!   restarts (a contiguous outage of lost samples) and persistent clock
-//!   jumps;
+//! * [`injector::Injector`] — applies drops, duplicates, delayed
+//!   (out-of-order) delivery, monitor restarts (a contiguous outage of
+//!   lost samples) and persistent clock jumps to a time-stamped sample
+//!   stream, one pushed sample at a time, and passes fault-free
+//!   stretches in bulk; [`injector::FaultStream`] is its iterator
+//!   adapter over any such stream;
 //! * [`injector::CrashPlan`] — Poisson schedule of tracing-task crashes
 //!   for the testbed supervisor to recover from;
 //! * [`injector::FaultyProbe`] — wraps a [`fgcs_core::monitor::ResourceProbe`]
@@ -37,7 +39,7 @@ pub mod corrupt;
 pub mod injector;
 
 pub use corrupt::{corrupt_text, CorruptionReport, FrameCorruptor};
-pub use injector::{CrashPlan, FaultStream, FaultyProbe, Timestamped};
+pub use injector::{CrashPlan, FaultStream, FaultyProbe, Injector, Timestamped};
 
 /// Fault rates for one injection run. All rates are probabilities per
 /// underlying sample (or per line, for corruption) in `[0, 1]`; the

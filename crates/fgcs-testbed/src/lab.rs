@@ -655,25 +655,37 @@ impl Iterator for SampleIter<'_> {
             self.span = self.spans.next()?;
         }
         self.t += self.cfg.sample_period;
+        Some(
+            self.span
+                .sample_at(t, &mut self.noise, self.cfg.idle_load_max),
+        )
+    }
+}
 
-        if self.span.dead {
-            return Some(LoadSample {
+impl PlanSpan {
+    /// The monitor sample at `t` inside this span. An alive sample draws
+    /// its background noise from `noise` (`[0, idle_load_max)`) and adds
+    /// the span's loads to it in order; a dead one draws nothing.
+    #[inline]
+    pub(crate) fn sample_at(&self, t: u64, noise: &mut Rng, idle_load_max: f64) -> LoadSample {
+        if self.dead {
+            return LoadSample {
                 t,
                 host_load: 0.0,
                 host_resident_mb: 0,
                 alive: false,
-            });
+            };
         }
-        let mut load: f64 = self.noise.range_f64(0.0, self.cfg.idle_load_max);
-        for &l in &self.span.loads {
+        let mut load: f64 = noise.range_f64(0.0, idle_load_max);
+        for &l in &self.loads {
             load += l;
         }
-        Some(LoadSample {
+        LoadSample {
             t,
             host_load: load.min(1.0),
-            host_resident_mb: self.span.mem_mb,
+            host_resident_mb: self.mem_mb,
             alive: true,
-        })
+        }
     }
 }
 

@@ -57,8 +57,8 @@ pub use lab::{LabConfig, LoadSample, MachinePlan};
 pub use quality::{MachineQuality, QualityTotals, TraceQualityReport};
 pub use runner::{
     backoff_delay, run_testbed, run_testbed_faulty, trace_machine, trace_machine_batched,
-    trace_machine_supervised, OccurrenceRecorder, RecorderRestoreError, RecorderSnapshot,
-    SupervisorConfig, TestbedConfig,
+    trace_machine_supervised, trace_machine_supervised_per_sample, OccurrenceRecorder,
+    RecorderRestoreError, RecorderSnapshot, SupervisorConfig, TestbedConfig,
 };
 pub use streaming::{StreamingAnalysis, Table2Summary};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecord};

@@ -12,9 +12,10 @@ use fgcs_core::detector::{
 };
 use fgcs_core::model::AvailState;
 use fgcs_core::monitor::Observation;
-use fgcs_faults::{CrashPlan, FaultConfig, FaultStream};
+use fgcs_faults::{CrashPlan, FaultConfig, FaultStream, InjectionStats, Injector};
+use fgcs_stats::Rng;
 
-use crate::lab::{LabConfig, MachinePlan};
+use crate::lab::{LabConfig, LoadSample, MachinePlan, PlanSpan};
 use crate::quality::{MachineQuality, TraceQualityReport};
 use crate::trace::{Trace, TraceMeta, TraceRecord};
 
@@ -51,7 +52,7 @@ impl TestbedConfig {
 /// tracking the running mean of guest-available CPU/memory over the
 /// preceding availability interval.
 ///
-/// Both testbed tracers *and* the networked ingest path
+/// Every testbed tracer *and* the networked ingest path
 /// (`fgcs-service`) are built on this type, so a sample stream replayed
 /// over TCP produces bit-identical records to an in-process run by
 /// construction: same accumulation order, same f64 sums.
@@ -170,6 +171,13 @@ impl OccurrenceRecorder {
         self.avail_cpu_sum += 1.0 - host_load;
         self.avail_mem_sum += free_mem_mb as f64;
         self.avail_samples += 1;
+    }
+
+    /// Fast path for the batched tracers: moves the detector's gap-policy
+    /// clock to `t` after samples were credited or skipped without a
+    /// step (see [`Detector::skip_to`]).
+    pub(crate) fn skip_to(&mut self, t: u64) {
+        self.detector.skip_to(t);
     }
 
     /// Captures everything needed to resume this recorder after a
@@ -307,11 +315,10 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Trace {
 ///
 /// This is the **per-sample oracle**, not the product path: it states
 /// what a trace *is* (every sample of [`MachinePlan::samples`] through
-/// an [`OccurrenceRecorder`]), the span tracer is tested against it, and
-/// the networked and supervised/faulty paths
-/// ([`trace_machine_supervised`]) are per-sample for the same reason it
-/// is — they must look at every timestamp. [`run_testbed`] and
-/// [`crate::fleet::run_fleet`] call [`trace_machine_batched`] instead.
+/// an [`OccurrenceRecorder`]) and the span tracer is tested against it.
+/// [`run_testbed`] and [`crate::fleet::run_fleet`] call
+/// [`trace_machine_batched`] instead; [`trace_machine_supervised_per_sample`]
+/// is the same kind of oracle for supervised runs.
 pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord> {
     let plan = MachinePlan::generate(&cfg.lab, machine_id);
     let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
@@ -330,57 +337,76 @@ pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord>
     recorder.into_records()
 }
 
-/// The span tracer, and the tracer every clean run uses
-/// ([`run_testbed`], [`crate::fleet::run_fleet`]): traces a single
-/// machine like [`trace_machine`] but in constant-state spans instead
-/// of sample-by-sample, producing **bit-identical records** (asserted
-/// across all scenarios, archetypes and the X8 detector variants):
-///
-/// * downtime spans feed the detector one dead observation (at the
-///   first monitor tick inside the span) instead of thousands —
-///   consecutive dead samples are idempotent for the detector;
-/// * idle spans (no active contributions, background noise safely below
-///   `Th2`, memory unconstrained) step the detector only until it is
-///   calmly available, then credit the remaining samples straight to
-///   the interval means. The per-sample noise draw is still performed —
-///   the RNG stream position and float-add order are what make the two
-///   paths bit-identical.
-///
-/// Falls back to [`trace_machine`] when a `max_silence` gap policy is
-/// configured (the gap check inspects every sample's timestamp).
-pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord> {
-    if cfg.detector.max_silence.is_some() {
-        return trace_machine(cfg, machine_id);
-    }
-    let plan = MachinePlan::generate(&cfg.lab, machine_id);
-    let lab = &cfg.lab;
-    let p = lab.sample_period;
-    let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
-    let mut noise = fgcs_stats::Rng::new(plan.noise_seed());
-    // The idle fast path requires that an idle sample can never push a
-    // calm, available detector out of availability: noise below Th2
-    // (no spike, no S3) and free memory at base residency above the
-    // guest working set (no S4).
-    let idle_free = lab.free_for_guest_mb(lab.base_resident_mb);
-    let idle_calm = lab.idle_load_max < cfg.detector.thresholds.th2
-        && idle_free >= cfg.detector.guest_working_set_mb;
+/// The span kernel: traces a run of consecutive monitor samples of one
+/// [`PlanSpan`] without stepping the detector on samples that provably
+/// cannot change it. The clean span tracer runs it once per span, the
+/// supervised walker once per clean run.
+struct SpanKernel<'a> {
+    lab: &'a LabConfig,
+    /// An idle sample can never push a calm, available detector out of
+    /// availability: noise below Th2 (no spike, no S3) and free memory
+    /// at base residency above the guest working set (no S4).
+    idle_calm: bool,
+    /// Consecutive samples are at most `max_silence` apart, so samples
+    /// skipped between two observations can never hide a censoring gap.
+    may_skip: bool,
+}
 
-    for span in plan.spans() {
-        // First monitor tick inside the span; spans shorter than the
-        // sampling period can fall between ticks and are never observed
-        // (exactly as in the sample-by-sample path).
-        let first = span.start.div_ceil(p) * p;
-        if first >= span.end {
-            continue;
+impl<'a> SpanKernel<'a> {
+    fn new(lab: &'a LabConfig, detector: &DetectorConfig) -> Self {
+        let idle_free = lab.free_for_guest_mb(lab.base_resident_mb);
+        SpanKernel {
+            lab,
+            idle_calm: lab.idle_load_max < detector.thresholds.th2
+                && idle_free >= detector.guest_working_set_mb,
+            may_skip: detector.max_silence.is_none_or(|m| lab.sample_period <= m),
         }
+    }
+
+    /// Traces the consecutive samples of `span` delivered, each
+    /// unchanged, at `t0, t0 + p, …` before `end` (`t0 < end`), with the
+    /// records observing each one would produce:
+    ///
+    /// * a dead run feeds the detector one dead observation instead of
+    ///   one per sample — consecutive dead samples are idempotent for
+    ///   the detector;
+    /// * an idle run (no active contributions, `idle_calm`) steps the
+    ///   detector only until it is calmly available, then credits the
+    ///   remaining samples straight to the interval means. The
+    ///   per-sample noise draw is still performed — the RNG stream
+    ///   position and float-add order are what make the two paths
+    ///   bit-identical;
+    /// * everything else is stepped per sample.
+    ///
+    /// Either way the detector's gap-policy clock ends at the run's last
+    /// sample, as if every sample had been observed.
+    #[inline]
+    fn trace(
+        &self,
+        recorder: &mut OccurrenceRecorder,
+        noise: &mut Rng,
+        span: &PlanSpan,
+        t0: u64,
+        end: u64,
+    ) {
+        let lab = self.lab;
+        let p = lab.sample_period;
+        let mut t = t0;
         if span.dead {
-            recorder.observe(first, &Observation::dead());
-            continue;
+            if self.may_skip {
+                recorder.observe(t0, &Observation::dead());
+                recorder.skip_to(t0 + (end - 1 - t0) / p * p);
+                return;
+            }
+            while t < end {
+                recorder.observe(t, &Observation::dead());
+                t += p;
+            }
+            return;
         }
         let free = lab.free_for_guest_mb(span.mem_mb);
-        let mut t = first;
-        if span.loads.is_empty() && idle_calm {
-            while t < span.end && (!recorder.is_available() || recorder.spike_active()) {
+        if span.loads.is_empty() && self.idle_calm && self.may_skip {
+            while t < end && (!recorder.is_available() || recorder.spike_active()) {
                 let load = noise.range_f64(0.0, lab.idle_load_max);
                 recorder.observe(
                     t,
@@ -392,13 +418,16 @@ pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<Trac
                 );
                 t += p;
             }
-            while t < span.end {
-                let load = noise.range_f64(0.0, lab.idle_load_max);
-                recorder.accumulate_available_sample(load.min(1.0), free);
-                t += p;
+            if t < end {
+                while t < end {
+                    let load = noise.range_f64(0.0, lab.idle_load_max);
+                    recorder.accumulate_available_sample(load.min(1.0), free);
+                    t += p;
+                }
+                recorder.skip_to(t - p);
             }
         } else {
-            while t < span.end {
+            while t < end {
                 let mut load = noise.range_f64(0.0, lab.idle_load_max);
                 for &l in &span.loads {
                     load += l;
@@ -413,6 +442,40 @@ pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<Trac
                 );
                 t += p;
             }
+        }
+    }
+}
+
+/// The span tracer, and the tracer every clean run uses
+/// ([`run_testbed`], [`crate::fleet::run_fleet`]): traces a single
+/// machine like [`trace_machine`], but one [`PlanSpan`] at a time
+/// through the span kernel instead of sample by sample, producing
+/// **bit-identical records** for every detector configuration, a
+/// `max_silence` gap policy included (asserted across all scenarios,
+/// archetypes and the X8 detector variants):
+///
+/// * downtime spans feed the detector one dead observation (at the
+///   first monitor tick inside the span) instead of thousands;
+/// * idle spans (no active contributions, background noise safely below
+///   `Th2`, memory unconstrained) step the detector only until it is
+///   calmly available, then credit the remaining samples straight to
+///   the interval means;
+/// * the detector's silence clock still ends each span at its last
+///   tick, so a gap policy sees exactly the silences the per-sample
+///   path sees.
+pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord> {
+    let plan = MachinePlan::generate(&cfg.lab, machine_id);
+    let p = cfg.lab.sample_period;
+    let kernel = SpanKernel::new(&cfg.lab, &cfg.detector);
+    let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
+    let mut noise = Rng::new(plan.noise_seed());
+    for span in plan.spans() {
+        // First monitor tick inside the span; spans shorter than the
+        // sampling period can fall between ticks and are never observed
+        // (exactly as in the sample-by-sample path).
+        let first = span.start.div_ceil(p) * p;
+        if first < span.end {
+            kernel.trace(&mut recorder, &mut noise, &span, first, span.end);
         }
     }
     recorder.into_records()
@@ -497,104 +560,266 @@ pub fn run_testbed_faulty(
     (trace, quality)
 }
 
-/// Traces one machine through the fault injector, supervised: tracer
-/// crashes are retried with capped exponential backoff, out-of-order
-/// samples are discarded (and counted), and silence gaps are censored by
-/// the detector's gap policy instead of stretching whatever state was
-/// current.
-pub fn trace_machine_supervised(
-    cfg: &TestbedConfig,
-    faults: &FaultConfig,
-    sup: &SupervisorConfig,
-    machine_id: usize,
-) -> (Vec<TraceRecord>, MachineQuality) {
-    let span = cfg.lab.span_secs();
-    let plan = MachinePlan::generate(&cfg.lab, machine_id);
-    let mut det_cfg = cfg.detector;
-    det_cfg.max_silence = Some(sup.max_silence_secs);
-    let mut quality = MachineQuality {
-        machine: machine_id as u32,
-        ..Default::default()
-    };
-    let crash_plan = CrashPlan::generate(faults, machine_id as u64, span);
-    let mut crashes = crash_plan.times.iter().copied().peekable();
-    let mut stream = FaultStream::new(plan.samples(), faults, machine_id as u64);
+/// The supervisor of one machine's tracer: its state, and what it does
+/// with each delivered sample. Shared by the supervised walker and its
+/// per-sample oracle.
+struct Supervision<'a> {
+    lab: &'a LabConfig,
+    sup: &'a SupervisorConfig,
+    /// Crash times not handled yet, increasing.
+    crashes: &'a [u64],
+    recorder: OccurrenceRecorder,
+    quality: MachineQuality,
+    outage_until: u64,
+    attempts: u32,
+    last_crash_t: Option<u64>,
+    last_t: Option<u64>,
+    abandoned_at: Option<u64>,
+}
 
-    let mut recorder = OccurrenceRecorder::new(machine_id as u32, det_cfg);
-    let mut outage_until: u64 = 0;
-    let mut attempts: u32 = 0;
-    let mut last_crash_t: Option<u64> = None;
-    let mut last_t: Option<u64> = None;
-    let mut abandoned_at: Option<u64> = None;
+impl<'a> Supervision<'a> {
+    fn new(
+        lab: &'a LabConfig,
+        detector: DetectorConfig,
+        sup: &'a SupervisorConfig,
+        crashes: &'a [u64],
+        machine_id: usize,
+    ) -> Self {
+        Supervision {
+            lab,
+            sup,
+            crashes,
+            recorder: OccurrenceRecorder::new(machine_id as u32, detector),
+            quality: MachineQuality {
+                machine: machine_id as u32,
+                ..Default::default()
+            },
+            outage_until: 0,
+            attempts: 0,
+            last_crash_t: None,
+            last_t: None,
+            abandoned_at: None,
+        }
+    }
 
-    'samples: for s in stream.by_ref() {
+    /// The detector a supervised run traces with: the testbed's, under
+    /// the supervisor's gap policy.
+    fn detector(cfg: &TestbedConfig, sup: &SupervisorConfig) -> DetectorConfig {
+        DetectorConfig {
+            max_silence: Some(sup.max_silence_secs),
+            ..cfg.detector
+        }
+    }
+
+    /// Handles one delivered sample. Does nothing once the supervisor
+    /// has given up on the machine.
+    // Forced: left to the inliner, the per-sample oracle runs 1.2-1.3x
+    // slower.
+    #[inline(always)]
+    fn deliver(&mut self, s: LoadSample) {
+        if self.abandoned_at.is_some() {
+            return;
+        }
         // Supervision: handle tracer crashes scheduled before this sample.
-        while let Some(&crash_t) = crashes.peek() {
+        while let Some((&crash_t, rest)) = self.crashes.split_first() {
             if crash_t > s.t {
                 break;
             }
-            crashes.next();
-            quality.crashes += 1;
-            if last_crash_t
-                .is_some_and(|prev| crash_t.saturating_sub(prev) > sup.healthy_reset_secs)
+            self.crashes = rest;
+            self.quality.crashes += 1;
+            if self
+                .last_crash_t
+                .is_some_and(|prev| crash_t.saturating_sub(prev) > self.sup.healthy_reset_secs)
             {
-                attempts = 0;
+                self.attempts = 0;
             }
-            last_crash_t = Some(crash_t);
-            attempts += 1;
-            if attempts > sup.max_retries {
+            self.last_crash_t = Some(crash_t);
+            self.attempts += 1;
+            if self.attempts > self.sup.max_retries {
                 // Retries exhausted: this machine's tail is censored,
                 // the testbed itself keeps going.
-                quality.gave_up = true;
-                abandoned_at = Some(crash_t);
-                break 'samples;
+                self.quality.gave_up = true;
+                self.abandoned_at = Some(crash_t);
+                return;
             }
-            let backoff = backoff_delay(sup, attempts);
-            outage_until = outage_until.max(crash_t.saturating_add(backoff));
+            let backoff = backoff_delay(self.sup, self.attempts);
+            self.outage_until = self.outage_until.max(crash_t.saturating_add(backoff));
         }
-        if s.t < outage_until {
-            quality.lost_in_crash += 1;
-            continue;
+        if s.t < self.outage_until {
+            self.quality.lost_in_crash += 1;
+            return;
         }
         // The detector requires non-decreasing timestamps; late (or
         // clock-rewound) deliveries are discarded, not reordered.
-        if last_t.is_some_and(|lt| s.t < lt) {
-            quality.out_of_order += 1;
-            continue;
+        if self.last_t.is_some_and(|lt| s.t < lt) {
+            self.quality.out_of_order += 1;
+            return;
         }
-        last_t = Some(s.t);
-        quality.samples_used += 1;
+        self.last_t = Some(s.t);
+        self.quality.samples_used += 1;
 
         let obs = if s.alive {
             Observation {
                 host_load: s.host_load,
-                free_mem_mb: cfg.lab.free_for_guest_mb(s.host_resident_mb),
+                free_mem_mb: self.lab.free_for_guest_mb(s.host_resident_mb),
                 alive: true,
             }
         } else {
             Observation::dead()
         };
 
-        let step = recorder.observe(s.t, &obs);
+        let step = self.recorder.observe(s.t, &obs);
         if let Some(gap) = step.gap {
-            quality.gaps += 1;
-            quality.censored_spans.push(gap);
+            self.quality.gaps += 1;
+            self.quality.censored_spans.push(gap);
         }
     }
 
-    if let Some(from) = abandoned_at {
-        // Nothing past the fatal crash was observed.
-        quality.censored_spans.push((from.min(span), span));
+    /// How many of up to `n` samples delivered at `d0, d0 + p, …` the
+    /// supervisor would use one after the other with nothing to do but
+    /// observe them: `d0` is a real (unclamped) time, past any crash
+    /// outage, not before the last used sample and without a censoring
+    /// gap after it, and the run ends before the next crash is due.
+    /// Within such a run every test is monotone in `t`, so checking the
+    /// first sample covers all.
+    fn clean_run_len(&self, d0: i64, n: u64) -> u64 {
+        let Ok(d0) = u64::try_from(d0) else {
+            return 0;
+        };
+        let p = self.lab.sample_period;
+        let max_silence = self.sup.max_silence_secs;
+        if d0 < self.outage_until {
+            return 0;
+        }
+        if let Some(lt) = self.last_t {
+            if d0 < lt || d0 - lt > max_silence {
+                return 0;
+            }
+        }
+        let mut n = if p <= max_silence { n } else { n.min(1) };
+        if let Some(&crash_t) = self.crashes.first() {
+            if crash_t <= d0 {
+                return 0;
+            }
+            n = n.min((crash_t - d0).div_ceil(p));
+        }
+        n
     }
 
-    let stats = stream.stats();
-    quality.dropped = stats.dropped;
-    quality.duplicated = stats.duplicated;
-    quality.delayed = stats.delayed;
-    quality.restarts = stats.restarts;
-    quality.lost_in_restart = stats.lost_in_restart;
-    quality.clock_jumps = stats.clock_jumps;
-    (recorder.into_records(), quality)
+    /// Books a clean run of `k` used samples ending at `last`.
+    fn used_run(&mut self, k: u64, last: u64) {
+        self.quality.samples_used += k;
+        self.last_t = Some(last);
+    }
+
+    fn finish(self, stats: InjectionStats, span: u64) -> (Vec<TraceRecord>, MachineQuality) {
+        let mut quality = self.quality;
+        if let Some(from) = self.abandoned_at {
+            // Nothing past the fatal crash was observed.
+            quality.censored_spans.push((from.min(span), span));
+        }
+        quality.dropped = stats.dropped;
+        quality.duplicated = stats.duplicated;
+        quality.delayed = stats.delayed;
+        quality.restarts = stats.restarts;
+        quality.lost_in_restart = stats.lost_in_restart;
+        quality.clock_jumps = stats.clock_jumps;
+        (self.recorder.into_records(), quality)
+    }
+}
+
+/// Traces one machine through the fault injector, supervised: tracer
+/// crashes are retried with capped exponential backoff, out-of-order
+/// samples are discarded (and counted), and silence gaps are censored by
+/// the detector's gap policy instead of stretching whatever state was
+/// current.
+///
+/// Walks [`MachinePlan::spans`] like [`trace_machine_batched`]. A
+/// *clean run* — samples the injector passes through untouched
+/// ([`Injector::pass_clean`]) and the supervisor would simply observe,
+/// one after the other — goes through the same span kernel; only the
+/// samples at a fault, a crash, a crash outage, an out-of-order tail or
+/// a gap take the per-sample injector and supervisor. Records and
+/// [`MachineQuality`] equal [`trace_machine_supervised_per_sample`]'s
+/// exactly (pinned by `tests/tracer_equivalence.rs`).
+pub fn trace_machine_supervised(
+    cfg: &TestbedConfig,
+    faults: &FaultConfig,
+    sup: &SupervisorConfig,
+    machine_id: usize,
+) -> (Vec<TraceRecord>, MachineQuality) {
+    let lab = &cfg.lab;
+    let p = lab.sample_period;
+    let span_secs = lab.span_secs();
+    let plan = MachinePlan::generate(lab, machine_id);
+    let detector = Supervision::detector(cfg, sup);
+    let kernel = SpanKernel::new(lab, &detector);
+    let crash_plan = CrashPlan::generate(faults, machine_id as u64, span_secs);
+    let mut sv = Supervision::new(lab, detector, sup, &crash_plan.times, machine_id);
+    let mut injector = Injector::new(faults, machine_id as u64);
+    let mut noise = Rng::new(plan.noise_seed());
+
+    'spans: for span in plan.spans() {
+        let mut t = span.start.div_ceil(p) * p;
+        while t < span.end {
+            if injector.is_quiet() {
+                let d0 = t as i64 + injector.clock_offset();
+                let n = sv.clean_run_len(d0, (span.end - t).div_ceil(p));
+                let k = if n > 0 { injector.pass_clean(n) } else { 0 };
+                if k > 0 {
+                    let d0 = d0 as u64;
+                    kernel.trace(&mut sv.recorder, &mut noise, &span, d0, d0 + k * p);
+                    sv.used_run(k, d0 + (k - 1) * p);
+                    t += k * p;
+                    continue;
+                }
+            }
+            let s = span.sample_at(t, &mut noise, lab.idle_load_max);
+            if let Some(d) = injector.push(s) {
+                sv.deliver(d);
+            }
+            while let Some(d) = injector.next_queued() {
+                sv.deliver(d);
+            }
+            if sv.abandoned_at.is_some() {
+                break 'spans;
+            }
+            t += p;
+        }
+    }
+    if sv.abandoned_at.is_none() {
+        injector.finish();
+        while let Some(d) = injector.next_queued() {
+            sv.deliver(d);
+        }
+    }
+    sv.finish(injector.stats(), span_secs)
+}
+
+/// [`trace_machine_supervised`] one delivered sample at a time: every
+/// sample of [`MachinePlan::samples`] through a [`FaultStream`] and the
+/// supervisor. This is the **per-sample oracle** for supervised runs, as
+/// [`trace_machine`] is for clean ones; tests and benches call it, no
+/// product path does.
+pub fn trace_machine_supervised_per_sample(
+    cfg: &TestbedConfig,
+    faults: &FaultConfig,
+    sup: &SupervisorConfig,
+    machine_id: usize,
+) -> (Vec<TraceRecord>, MachineQuality) {
+    let span_secs = cfg.lab.span_secs();
+    let plan = MachinePlan::generate(&cfg.lab, machine_id);
+    let crash_plan = CrashPlan::generate(faults, machine_id as u64, span_secs);
+    let detector = Supervision::detector(cfg, sup);
+    let mut sv = Supervision::new(&cfg.lab, detector, sup, &crash_plan.times, machine_id);
+    let mut stream = FaultStream::new(plan.samples(), faults, machine_id as u64);
+    for s in stream.by_ref() {
+        sv.deliver(s);
+        if sv.abandoned_at.is_some() {
+            break;
+        }
+    }
+    sv.finish(stream.stats(), span_secs)
 }
 
 #[cfg(test)]
@@ -934,10 +1159,43 @@ mod tests {
     }
 
     #[test]
-    fn batched_tracer_falls_back_under_gap_policy() {
+    fn batched_tracer_keeps_the_silence_clock_under_gap_policy() {
         let mut cfg = TestbedConfig::tiny();
-        cfg.detector.max_silence = Some(120);
-        assert_eq!(trace_machine_batched(&cfg, 0), trace_machine(&cfg, 0));
+        cfg.lab.hw_failures_per_day = 0.3; // downtimes far longer than the policy
+        for max_silence in [14, 15, 120] {
+            // 14 s < the 15 s period: every sample is a gap, nothing skips.
+            cfg.detector.max_silence = Some(max_silence);
+            for m in 0..cfg.lab.machines {
+                assert_eq!(
+                    trace_machine_batched(&cfg, m),
+                    trace_machine(&cfg, m),
+                    "max_silence {max_silence}, machine {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn supervised_walker_equals_the_oracle_when_every_sample_is_a_gap() {
+        // A silence limit under the 15 s period: every used sample opens
+        // a gap, so clean runs shrink to one sample and the kernel steps.
+        let cfg = TestbedConfig::tiny();
+        let sup = SupervisorConfig {
+            max_silence_secs: 14,
+            ..SupervisorConfig::default()
+        };
+        for scale in [0.0, 1.0] {
+            let faults = FaultConfig::noisy(5).scaled(scale);
+            for m in 0..cfg.lab.machines {
+                let walker = trace_machine_supervised(&cfg, &faults, &sup, m);
+                assert!(walker.1.gaps > 0, "x{scale}, machine {m}");
+                assert_eq!(
+                    walker,
+                    trace_machine_supervised_per_sample(&cfg, &faults, &sup, m),
+                    "x{scale}, machine {m}"
+                );
+            }
+        }
     }
 
     #[test]

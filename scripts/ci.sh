@@ -18,6 +18,12 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== tracer equivalence, wide sweep (release) =="
+# The supervised walker against its per-sample oracle on every lab,
+# archetype and X8 detector at 4 machines x 14 days, three seeds and
+# fault scales x0 to x60: 1,920 machine traces per path, ~7 s on 2 vCPUs.
+cargo test --release -q --test tracer_equivalence -- --ignored
+
 echo "== experiment smoke (table1 + fig1a + faults, reduced scale) =="
 # Run from a scratch dir: fgcs-exp writes results/ relative to the cwd,
 # and the reduced-scale output must not clobber the committed artifacts.
@@ -28,15 +34,23 @@ echo "== experiment smoke (table1 + fig1a + faults, reduced scale) =="
 exp_bin="$PWD/target/release/fgcs-exp"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-for e in table1 fig1a faults; do
+for e in table1 fig1a; do
     (cd "$smoke_dir" && "$exp_bin" "$e" --quick > /dev/null)
 done
+(cd "$smoke_dir" && FGCS_PAR_WORKERS=1 "$exp_bin" faults --quick > /dev/null)
 # The fault matrix must actually have produced its drift report, with one
 # row per fault scale.
 fm="$smoke_dir/results/fault_matrix.csv"
 test -f "$fm" || { echo "missing $fm" >&2; exit 1; }
 rows=$(($(wc -l < "$fm") - 1))
 [ "$rows" -eq 5 ] || { echo "fault_matrix.csv: expected 5 scale rows, got $rows" >&2; exit 1; }
+# The supervised runs fan machines out over fgcs-par: the matrix must be
+# byte-identical for any worker count.
+cp "$fm" "$smoke_dir/fault_matrix.w1.csv"
+(cd "$smoke_dir" && FGCS_PAR_WORKERS=3 "$exp_bin" faults --quick > /dev/null)
+cmp -s "$fm" "$smoke_dir/fault_matrix.w1.csv" \
+    || { echo "faults smoke: fault_matrix.csv differs across worker counts" >&2; exit 1; }
+echo "  fault_matrix.csv bit-identical across FGCS_PAR_WORKERS=1/3"
 
 echo "== availability-service smoke (X12 serve, reduced scale) =="
 # Server + load generator over localhost TCP. The experiment asserts the
@@ -349,9 +363,10 @@ echo "== sim throughput smoke (quick mode; batched >= 5x stepwise on the Figure 
 # and races carry calibrate and fig1a/fig1b.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput
 
-echo "== fleet path smoke (quick mode; span tracer >= 1.7x the per-sample tracer) =="
-# Exits non-zero by itself when the ratio gate fails: the span tracer
-# carries run_testbed (every paper artifact) as well as run_fleet.
+echo "== fleet path smoke (quick mode; span tracer >= 1.7x the per-sample tracer, supervised walker >= 1.4x its oracle) =="
+# Exits non-zero by itself when a ratio gate fails: the span tracer
+# carries run_testbed (every paper artifact) as well as run_fleet, the
+# supervised walker carries run_testbed_faulty (X11).
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench fleet
 
 echo "== placement path smoke (quick mode; a repeated place >= 20x cheaper than a pass) =="

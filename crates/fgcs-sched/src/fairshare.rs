@@ -78,10 +78,14 @@ impl Fairshare {
     }
 
     /// Requests up to `n` extra slots from the pool for `user`; returns
-    /// how many were actually granted (the pool may run dry first).
+    /// how many were actually granted (the pool may run dry first; an
+    /// unregistered user gets none, and no ledger row).
     pub fn request(&mut self, user: u32, n: u64) -> u64 {
+        let Some(row) = self.users.get_mut(&user) else {
+            return 0;
+        };
         let granted = n.min(self.pool_free);
-        self.users.entry(user).or_default().extra += granted;
+        row.extra += granted;
         self.pool_free -= granted;
         self.check();
         granted
@@ -92,7 +96,9 @@ impl Fairshare {
     /// are not returnable: the user keeps enough allowance to cover
     /// `in_use`.
     pub fn release(&mut self, user: u32, n: u64) -> u64 {
-        let row = self.users.entry(user).or_default();
+        let Some(row) = self.users.get_mut(&user) else {
+            return 0;
+        };
         let pinned = row.in_use.saturating_sub(row.base);
         let returnable = row.extra.saturating_sub(pinned);
         let returned = n.min(returnable);
@@ -110,7 +116,9 @@ impl Fairshare {
     /// Acquires one running-guest slot for `user`. Refuses (returns
     /// `false`) at the allowance ceiling — this is the quota gate.
     pub fn try_acquire(&mut self, user: u32) -> bool {
-        let row = self.users.entry(user).or_default();
+        let Some(row) = self.users.get_mut(&user) else {
+            return false;
+        };
         if row.in_use >= row.base + row.extra {
             return false;
         }
@@ -210,5 +218,7 @@ mod tests {
         assert_eq!(fs.allowance(9), 0);
         assert!(!fs.try_acquire(9));
         assert_eq!(fs.status(9).base, 0);
+        assert_eq!((fs.request(9, 1), fs.release(9, 1)), (0, 0));
+        assert!(!fs.has_user(9), "share ops register no one");
     }
 }

@@ -28,9 +28,11 @@
 //!   (`fgcs_predict::MigrationTrigger`) banks progress first and pays
 //!   a fixed re-placement cost.
 //! - [`serve`] + [`source`]: the service surface. A thin wire API
-//!   (`Frame::Sched*`, DESIGN.md §9 tags 20–26) over a scheduler loop
-//!   that polls an [`source::AvailabilitySource`] — in production the
-//!   cluster router ([`source::ClusterSource`]), in tests anything.
+//!   (`Frame::Sched*`, DESIGN.md §9 tags 20–26), answered on the
+//!   availability service's epoll event loop (`fgcs_service::EventLoop`,
+//!   so Linux only), over a tick loop that polls an
+//!   [`source::AvailabilitySource`] — in production the cluster router
+//!   ([`source::ClusterSource`]), in tests anything.
 //!
 //! DESIGN.md §14 describes the placement policy, the fairshare
 //! invariants, and the migration state machine; experiment X14

@@ -474,13 +474,15 @@ impl Scheduler {
         let JobState::Running { machine, anchor } = job.state else {
             return;
         };
-        let finish = anchor + (job.work - job.done);
+        // Saturating: a peer-chosen `work` near `u64::MAX` must never
+        // complete nor overflow, however late `anchor` is.
+        let finish = anchor.saturating_add(job.work - job.done);
         if finish <= now {
             job.done = job.work;
             job.state = JobState::Done { at: finish };
             let user = job.user;
             self.completed += 1;
-            self.completed_work += job.work;
+            self.completed_work = self.completed_work.saturating_add(job.work);
             self.occupied.remove(&machine);
             self.fairshare.yield_slot(user);
             return;
@@ -557,6 +559,18 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.completed, st.running, st.queued), (1, 0, 0));
         assert_eq!(s.completed_work(), 1000);
+    }
+
+    #[test]
+    fn a_job_of_maximal_work_never_completes_nor_overflows() {
+        let mut s = Scheduler::new(cfg());
+        s.add_user(1, 1);
+        let id = s.submit(1, u64::MAX, 0).unwrap();
+        s.place(10, &views(&[7]), &mut sure);
+        s.advance(20);
+        let job = s.job(id).unwrap();
+        assert!(matches!(job.state, JobState::Running { .. }), "{job:?}");
+        assert_eq!((s.stats().completed, s.completed_work()), (0, 0));
     }
 
     #[test]

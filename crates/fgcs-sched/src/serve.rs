@@ -1,30 +1,36 @@
 //! The `fgcs-sched` service: a thin wire API over the scheduler loop.
 //!
-//! Two threads: an accept loop answering the `Frame::Sched*` vocabulary
-//! (thread-per-connection, same framing as the availability service),
-//! and a tick loop that polls the [`AvailabilitySource`] and drives the
-//! scheduler — revocations first (any occupied host that stopped being
-//! harvestable kills its guest), then progress accrual, then the SLO
-//! migration sweep, then placement of the queue. Each tick reads its
-//! guests' hosts' survival *before* the stats that decide revocation,
-//! so a host that dies mid-tick is booked as the revocation it is.
+//! Two threads, whatever the connection count. One is a frame-server
+//! event loop — `fgcs_service::EventLoop`, the skeleton the
+//! availability service's loops run on (Linux only) — answering the
+//! `Frame::Sched*` vocabulary. The other is a tick loop that polls the
+//! [`AvailabilitySource`] and drives the scheduler — revocations first
+//! (any occupied host that stopped being harvestable kills its guest),
+//! then progress accrual, then the SLO migration sweep, then placement
+//! of the queue. Each tick reads its guests' hosts' survival *before*
+//! the stats that decide revocation, so a host that dies mid-tick is
+//! booked as the revocation it is.
 //!
 //! The scheduler clock is *logical*: every tick advances it by
 //! [`SchedServeConfig::tick_secs`] guest-seconds, decoupling test/demo
 //! pacing from wall time (a demo can run a simulated hour per wall
-//! second). Submissions and queries serialize against the tick loop on
-//! one mutex — the scheduler state is small, and ticks are dominated by
-//! source round trips taken *outside* the lock where possible.
+//! second). Requests serialize against the tick loop on one mutex — the
+//! scheduler state is small, and ticks are dominated by source round
+//! trips taken *outside* the lock where possible. A panic under that
+//! lock poisons it: from then on every request is answered
+//! `Error { Internal }` on a connection that stays open, and the tick
+//! loop stops.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use fgcs_wire::{Decoder, ErrorCode, Frame};
+use fgcs_wire::{ErrorCode, Frame};
 
-use crate::sched::{JobState, SchedConfig, Scheduler, SubmitError};
+use crate::sched::{Job, JobState, SchedConfig, Scheduler, SubmitError};
 use crate::source::AvailabilitySource;
 
 /// Service-level configuration (scheduler tuning lives in
@@ -53,12 +59,6 @@ impl Default for SchedServeConfig {
     }
 }
 
-struct Inner {
-    sched: Mutex<Clock>,
-    shutdown: AtomicBool,
-    default_base: u64,
-}
-
 struct Clock {
     sched: Scheduler,
     now: u64,
@@ -67,15 +67,19 @@ struct Clock {
 /// A running scheduler service. Dropping without [`SchedServer::shutdown`]
 /// leaks the threads; tests and the binary always shut down.
 pub struct SchedServer {
-    inner: Arc<Inner>,
+    clock: Arc<Mutex<Clock>>,
     local_addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
-    tick: Option<std::thread::JoinHandle<()>>,
+    #[cfg(target_os = "linux")]
+    event_loop: fgcs_service::EventLoop,
+    /// Dropped to stop the tick loop.
+    stop_tick: Sender<()>,
+    tick: JoinHandle<()>,
 }
 
 impl SchedServer {
     /// Binds `cfg.addr`, registers `users` as `(id, base quota)`, and
-    /// starts the accept + tick threads over `source`.
+    /// starts the event loop and the tick loop over `source`. Linux
+    /// only: elsewhere it returns `ErrorKind::Unsupported`.
     pub fn start<S>(
         cfg: SchedServeConfig,
         sched_cfg: SchedConfig,
@@ -85,35 +89,51 @@ impl SchedServer {
     where
         S: AvailabilitySource + Send + 'static,
     {
-        let lookahead = sched_cfg.migrate_lookahead;
-        let mut sched = Scheduler::new(sched_cfg);
-        for &(user, base) in users {
-            sched.add_user(user, base);
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = (cfg, sched_cfg, users, source);
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the scheduler's event loop requires Linux",
+            ))
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        let inner = Arc::new(Inner {
-            sched: Mutex::new(Clock { sched, now: 0 }),
-            shutdown: AtomicBool::new(false),
-            default_base: cfg.default_base,
-        });
-
-        let accept = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || accept_loop(listener, inner))
-        };
-        let tick = {
-            let inner = Arc::clone(&inner);
-            let tick_ms = cfg.tick_ms.max(1);
-            let tick_secs = cfg.tick_secs.max(1);
-            std::thread::spawn(move || tick_loop(inner, source, tick_ms, tick_secs, lookahead))
-        };
-        Ok(SchedServer {
-            inner,
-            local_addr,
-            accept: Some(accept),
-            tick: Some(tick),
-        })
+        #[cfg(target_os = "linux")]
+        {
+            let lookahead = sched_cfg.migrate_lookahead;
+            let mut sched = Scheduler::new(sched_cfg);
+            for &(user, base) in users {
+                sched.add_user(user, base);
+            }
+            let listener = std::net::TcpListener::bind(&cfg.addr)?;
+            let local_addr = listener.local_addr()?;
+            let clock = Arc::new(Mutex::new(Clock { sched, now: 0 }));
+            let handler = SchedLoop {
+                clock: Arc::clone(&clock),
+                default_base: cfg.default_base,
+                open_conns: Default::default(),
+            };
+            let event_loop = fgcs_service::EventLoop::spawn(
+                listener,
+                fgcs_service::DEFAULT_MAX_CONNECTIONS,
+                handler,
+            )?;
+            let (stop_tick, stop) = std::sync::mpsc::channel();
+            let tick = {
+                let clock = Arc::clone(&clock);
+                let tick = Duration::from_millis(cfg.tick_ms.max(1));
+                let tick_secs = cfg.tick_secs.max(1);
+                std::thread::spawn(move || {
+                    tick_loop(&clock, source, &stop, tick, tick_secs, lookahead)
+                })
+            };
+            Ok(SchedServer {
+                clock,
+                local_addr,
+                event_loop,
+                stop_tick,
+                tick,
+            })
+        }
     }
 
     /// The bound address.
@@ -121,47 +141,37 @@ impl SchedServer {
         self.local_addr
     }
 
-    /// Current scheduler counters.
+    /// Current scheduler counters (read through a poisoned lock: they
+    /// are plain numbers, consistent as of the panic).
     pub fn stats(&self) -> fgcs_wire::SchedStatsPayload {
-        self.inner.sched.lock().unwrap().sched.stats()
+        let clock = self.clock.lock().unwrap_or_else(PoisonError::into_inner);
+        clock.sched.stats()
     }
 
     /// Stops both threads and joins them.
-    pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+    pub fn shutdown(self) {
+        #[cfg(target_os = "linux")]
+        {
+            self.event_loop.stop();
+            self.event_loop.join();
         }
-        if let Some(h) = self.tick.take() {
-            let _ = h.join();
-        }
+        drop(self.stop_tick);
+        let _ = self.tick.join();
     }
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || {
-            let _ = serve_connection(stream, &inner);
-        });
-    }
-}
-
+/// Ticks every `tick` until the server's stop sender is dropped, or
+/// until the scheduler lock is found poisoned.
+#[cfg(target_os = "linux")]
 fn tick_loop<S: AvailabilitySource>(
-    inner: Arc<Inner>,
+    clock: &Mutex<Clock>,
     mut source: S,
-    tick_ms: u64,
+    stop: &Receiver<()>,
+    tick: Duration,
     tick_secs: u64,
     lookahead: u64,
 ) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(tick_ms));
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(tick) {
         // Read order keeps the books right: each guest's host is asked
         // for its survival first, the stats that decide revocation
         // second. A host that dies in between is alive to the older
@@ -171,7 +181,9 @@ fn tick_loop<S: AvailabilitySource>(
         // migration. Only this thread places or retires guests, so the
         // host set cannot change before the lock below; both reads
         // stay outside it (one round trip per host, one per shard).
-        let hosts = inner.sched.lock().unwrap().sched.hosts();
+        let Ok(hosts) = clock.lock().map(|c| c.sched.hosts()) else {
+            return;
+        };
         let outlook: Vec<(u32, f64)> = hosts
             .iter()
             .map(|&(m, _)| (m, source.survival(m, lookahead).unwrap_or(1.0)))
@@ -180,7 +192,9 @@ fn tick_loop<S: AvailabilitySource>(
             Ok(v) => v,
             Err(_) => continue, // cluster briefly unreachable: skip the tick
         };
-        let mut clock = inner.sched.lock().unwrap();
+        let Ok(mut clock) = clock.lock() else {
+            return;
+        };
         clock.now += tick_secs;
         let now = clock.now;
         // Revocations: the service reported a transition out of the
@@ -201,47 +215,34 @@ fn tick_loop<S: AvailabilitySource>(
     }
 }
 
-fn serve_connection(mut stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut dec = Decoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(n) => dec.push(&buf[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    let reply = handle(&frame, inner);
-                    let bytes = reply.encode().map_err(io::Error::other)?;
-                    stream.write_all(&bytes)?;
-                }
-                Ok(None) => break,
-                Err(e) if e.is_fatal() => return Ok(()),
-                Err(_) => {
-                    let reply = Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        detail: "undecodable frame".to_string(),
-                    };
-                    stream.write_all(&reply.encode().map_err(io::Error::other)?)?;
-                }
-            }
-        }
+/// The scheduler's half of the event loop.
+#[cfg(target_os = "linux")]
+struct SchedLoop {
+    clock: Arc<Mutex<Clock>>,
+    default_base: u64,
+    open_conns: std::sync::atomic::AtomicU64,
+}
+
+#[cfg(target_os = "linux")]
+impl fgcs_service::LoopHandler for SchedLoop {
+    type Conn = ();
+
+    fn handle(&mut self, frame: Frame, _: &mut ()) -> fgcs_service::Outcome {
+        fgcs_service::Outcome::Reply(match self.clock.lock() {
+            Ok(mut clock) => answer(frame, &mut clock, self.default_base),
+            Err(_) => Frame::Error {
+                code: ErrorCode::Internal,
+                detail: "scheduler state is poisoned by an earlier panic".to_string(),
+            },
+        })
+    }
+
+    fn open_conns(&self) -> &std::sync::atomic::AtomicU64 {
+        &self.open_conns
     }
 }
 
-fn job_reply(sched: &Scheduler, id: u64) -> Frame {
-    let job = sched.job(id).expect("caller checked the id");
+fn job_reply(job: &Job) -> Frame {
     Frame::SchedJobReply {
         id: job.id,
         user: job.user,
@@ -257,66 +258,135 @@ fn job_reply(sched: &Scheduler, id: u64) -> Frame {
     }
 }
 
-fn handle(frame: &Frame, inner: &Arc<Inner>) -> Frame {
-    match frame {
-        Frame::SchedSubmit { user, work } => {
-            let mut clock = inner.sched.lock().unwrap();
-            if !clock.sched.has_user(*user) && inner.default_base > 0 {
-                clock.sched.add_user(*user, inner.default_base);
-            }
-            let now = clock.now;
-            match clock.sched.submit(*user, *work, now) {
-                Ok(id) => job_reply(&clock.sched, id),
-                Err(SubmitError::QuotaExceeded) => Frame::Error {
-                    code: ErrorCode::QuotaExceeded,
-                    detail: format!("user {user} backlog at quota cap"),
-                },
-                Err(SubmitError::UnknownUser) => Frame::Error {
-                    code: ErrorCode::QuotaExceeded,
-                    detail: format!("user {user} not registered (zero allowance)"),
-                },
-            }
+fn quota_error(detail: String) -> Frame {
+    Frame::Error {
+        code: ErrorCode::QuotaExceeded,
+        detail,
+    }
+}
+
+/// Answers one request under the scheduler lock.
+fn answer(frame: Frame, clock: &mut Clock, default_base: u64) -> Frame {
+    if let Frame::SchedSubmit { user, .. } | Frame::SchedShare { user, .. } = frame {
+        if !clock.sched.has_user(user) && default_base > 0 {
+            clock.sched.add_user(user, default_base);
         }
-        Frame::SchedQueryJob { id } => {
-            let clock = inner.sched.lock().unwrap();
-            match clock.sched.job(*id) {
-                Some(_) => job_reply(&clock.sched, *id),
-                None => Frame::Error {
-                    code: ErrorCode::UnknownJob,
-                    detail: format!("job {id}"),
-                },
+    }
+    let now = clock.now;
+    let sched = &mut clock.sched;
+    match frame {
+        Frame::SchedSubmit { user, work } => match sched.submit(user, work, now) {
+            Ok(id) => job_reply(sched.job(id).expect("a new job exists")),
+            Err(SubmitError::QuotaExceeded) => {
+                quota_error(format!("user {user} backlog at quota cap"))
             }
+            Err(SubmitError::UnknownUser) => {
+                quota_error(format!("user {user} not registered (zero allowance)"))
+            }
+        },
+        Frame::SchedQueryJob { id } => match sched.job(id) {
+            Some(job) => job_reply(job),
+            None => Frame::Error {
+                code: ErrorCode::UnknownJob,
+                detail: format!("job {id}"),
+            },
+        },
+        // Strict mode: the ledger grows only by registration.
+        Frame::SchedShare { user, .. } if !sched.has_user(user) => {
+            quota_error(format!("user {user} not registered"))
         }
         Frame::SchedShare { user, op, amount } => {
-            let mut clock = inner.sched.lock().unwrap();
-            if !clock.sched.has_user(*user) && inner.default_base > 0 {
-                clock.sched.add_user(*user, inner.default_base);
-            }
             match op {
                 1 => {
-                    clock.sched.share_request(*user, *amount);
+                    sched.share_request(user, amount);
                 }
                 2 => {
-                    clock.sched.share_release(*user, *amount);
+                    sched.share_release(user, amount);
                 }
                 _ => {}
             }
-            let st = clock.sched.share_status(*user);
+            let st = sched.share_status(user);
             Frame::SchedShareReply {
-                user: *user,
+                user,
                 base: st.base,
                 extra: st.extra,
                 in_use: st.in_use,
                 pool_free: st.pool_free,
             }
         }
-        Frame::SchedQueryStats => {
-            let clock = inner.sched.lock().unwrap();
-            Frame::SchedStatsReply(clock.sched.stats())
-        }
+        Frame::SchedQueryStats => Frame::SchedStatsReply(sched.stats()),
         other => Frame::Error {
             code: ErrorCode::Unsupported,
             detail: format!("scheduler cannot answer tag {}", other.tag()),
         },
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use crate::source::MachineView;
+    use std::io::{Read, Write};
+
+    struct NoMachines;
+
+    impl AvailabilitySource for NoMachines {
+        fn machines(&mut self) -> io::Result<Vec<MachineView>> {
+            Ok(Vec::new())
+        }
+
+        fn survival(&mut self, _: u32, _: u64) -> io::Result<f64> {
+            Ok(1.0)
+        }
+    }
+
+    fn ask(stream: &mut std::net::TcpStream, frame: &Frame) -> Frame {
+        stream.write_all(&frame.encode().unwrap()).unwrap();
+        let mut decoder = fgcs_wire::Decoder::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(reply) = decoder.next_frame().unwrap() {
+                return reply;
+            }
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "the server closed the connection");
+            decoder.push(&buf[..n]);
+        }
+    }
+
+    #[test]
+    fn a_poisoned_scheduler_lock_is_a_typed_error_and_the_connection_survives() {
+        let cfg = SchedServeConfig {
+            tick_ms: 2,
+            ..SchedServeConfig::default()
+        };
+        let server = SchedServer::start(cfg, SchedConfig::default(), &[(1, 1)], NoMachines)
+            .expect("sched server starts");
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        assert!(matches!(
+            ask(&mut stream, &Frame::SchedQueryStats),
+            Frame::SchedStatsReply(_)
+        ));
+
+        // A panic while the scheduler lock is held, as a scheduler bug
+        // under the tick would leave it.
+        let clock = Arc::clone(&server.clock);
+        let panicked = std::thread::spawn(move || {
+            let _held = clock.lock().unwrap();
+            panic!("poisoning the scheduler on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        for frame in [Frame::SchedQueryStats, Frame::SchedQueryJob { id: 1 }] {
+            match ask(&mut stream, &frame) {
+                Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Internal),
+                other => panic!("expected Internal, got tag {}", other.tag()),
+            }
+        }
+        // The counters stay readable in-process, and both threads (the
+        // tick loop left on the poisoned lock) join.
+        assert_eq!(server.stats().submitted, 0);
+        server.shutdown();
     }
 }

@@ -1,15 +1,26 @@
-//! Per-connection frame handling, free of socket code.
-//!
-//! The event loops feed every decoded frame through
-//! [`handle_conn_frame`], so request semantics — auth gating, shed
-//! accounting, query answers, the one-reply-per-frame identity — are a
-//! single function that unit tests can call without a socket.
+//! The availability service's side of the event loops ([`ServiceLoop`],
+//! behind the skeleton in [`crate::epoll`]): request semantics in
+//! [`handle_conn_frame`] — auth gating, shed accounting, query answers,
+//! one reply per frame — a single function that unit tests can call
+//! without a socket, plus the cross-loop ingest rule (DESIGN.md §12).
+//! A loop ingests batches for its own shards inline, so a slow server
+//! shows up as TCP backpressure on the sender; batches homed on another
+//! loop travel over an SPSC ring ([`std::sync::mpsc::sync_channel`],
+//! one per ordered loop pair) and an `eventfd` wake, and a batch that
+//! finds its ring full is shed itself and answered `Busy`. The hot path
+//! takes no cross-loop locks.
 
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
+
+use fgcs_sys::EventFd;
 use fgcs_wire::{
     ErrorCode, Frame, WireTransition, MAX_REPL_SNAPSHOT_BYTES, MAX_TRANSITIONS_PER_FRAME,
 };
 
-use crate::epoll::LoopRouter;
+use crate::epoll::{EventLoop, LoopHandler, Outcome};
 use crate::repl::PullReply;
 use crate::snapshot;
 use crate::state::{Batch, Shared};
@@ -26,7 +37,7 @@ pub(crate) const MAX_WINDOW_SECS: u64 = 31 * 86_400;
 /// Per-connection protocol state, owned by the event loop that runs
 /// the connection.
 #[derive(Debug, Default)]
-pub(crate) struct ConnCtx {
+struct ConnCtx {
     /// Batches accepted on this connection, echoed in `Ack`.
     pub ack_seq: u64,
     /// Whether the stream has presented a valid auth token (always
@@ -34,18 +45,210 @@ pub(crate) struct ConnCtx {
     pub authed: bool,
 }
 
-/// What to do with a handled frame's reply.
-#[derive(Debug)]
-pub(crate) enum Outcome {
-    /// Write the reply; keep the connection.
-    Reply(Frame),
-    /// Write the reply, then close the connection (auth failures).
-    ReplyThenClose(Frame),
+fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
+    use std::net::ToSocketAddrs;
+    addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("address {addr:?} resolves to nothing"),
+        )
+    })
+}
+
+/// Binds `loops` listeners sharing one address via `SO_REUSEPORT`: the
+/// first bind resolves a concrete port (the configured one, or an
+/// OS-assigned one for port 0), the rest join it.
+fn bind_reuseport_set(addr: &SocketAddr, loops: usize) -> std::io::Result<Vec<TcpListener>> {
+    let first = fgcs_sys::listen_reuseport(addr)?;
+    let concrete = first.local_addr()?;
+    let mut listeners = vec![first];
+    for _ in 1..loops {
+        listeners.push(fgcs_sys::listen_reuseport(&concrete)?);
+    }
+    Ok(listeners)
+}
+
+/// Binds the listener set and spawns all event loops. Returns the bound
+/// address and the loops. Nothing keeps running unless every bind,
+/// eventfd and loop setup succeeded.
+pub(crate) fn spawn_loops(shared: &Arc<Shared>) -> std::io::Result<(SocketAddr, Vec<EventLoop>)> {
+    let loops = shared.event_loops;
+    let cfg = &shared.cfg;
+    let addr = resolve_addr(&cfg.addr)?;
+
+    // One listener per loop. A lone loop needs no port sharing, so it
+    // binds plainly (`SO_REUSEADDR` only on request); the
+    // `SO_REUSEPORT` listeners always set `SO_REUSEADDR` as well.
+    let listeners = if loops > 1 {
+        bind_reuseport_set(&addr, loops)?
+    } else if cfg.reuse_addr {
+        vec![fgcs_sys::listen_reusable(&addr)?]
+    } else {
+        vec![TcpListener::bind(addr)?]
+    };
+    let local = listeners[0].local_addr()?;
+
+    let wakes: Vec<Arc<EventFd>> = (0..loops)
+        .map(|_| EventFd::new().map(Arc::new))
+        .collect::<std::io::Result<_>>()?;
+
+    // One SPSC ring per ordered loop pair: src owns tx_mat[src][dst],
+    // dst owns rx_mat[dst][src]. Strictly one producer and one consumer
+    // per channel, so std's array-backed sync_channel runs lock-free.
+    let ring_cap = cfg.queue_capacity.max(1);
+    let mut tx_mat: Vec<Vec<Option<SyncSender<Batch>>>> = (0..loops)
+        .map(|_| (0..loops).map(|_| None).collect())
+        .collect();
+    let mut rx_mat: Vec<Vec<Option<Receiver<Batch>>>> = (0..loops)
+        .map(|_| (0..loops).map(|_| None).collect())
+        .collect();
+    for src in 0..loops {
+        for dst in 0..loops {
+            if src != dst {
+                let (tx, rx) = sync_channel(ring_cap);
+                tx_mat[src][dst] = Some(tx);
+                rx_mat[dst][src] = Some(rx);
+            }
+        }
+    }
+
+    let mut running: Vec<EventLoop> = Vec::with_capacity(loops);
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let handler = ServiceLoop {
+            shared: Arc::clone(shared),
+            router: LoopRouter {
+                loop_id: i,
+                forward_tx: std::mem::take(&mut tx_mat[i]),
+                wakes: wakes.clone(),
+            },
+            forward_rx: std::mem::take(&mut rx_mat[i]),
+        };
+        let max_conns = cfg.effective_max_connections();
+        match EventLoop::spawn_woken(listener, max_conns, Arc::clone(&wakes[i]), handler) {
+            Ok(l) => running.push(l),
+            Err(e) => {
+                running.iter().for_each(EventLoop::stop);
+                running.into_iter().for_each(EventLoop::join);
+                return Err(e);
+            }
+        }
+    }
+    Ok((local, running))
+}
+
+/// One event loop's handler: the request dispatch over the shared
+/// state, plus this loop's ends of the forwarding rings.
+struct ServiceLoop {
+    shared: Arc<Shared>,
+    router: LoopRouter,
+    /// `rx[src]`: forwarded batches from loop `src`; `None` for self.
+    forward_rx: Vec<Option<Receiver<Batch>>>,
+}
+
+impl LoopHandler for ServiceLoop {
+    type Conn = ConnCtx;
+
+    fn handle(&mut self, frame: Frame, ctx: &mut ConnCtx) -> Outcome {
+        handle_conn_frame(&self.shared, frame, ctx, &mut self.router)
+    }
+
+    fn open_conns(&self) -> &AtomicU64 {
+        &self.shared.active_conns
+    }
+
+    fn conn_refused(&mut self) {
+        self.shared.counters.update(|c| c.conn_rejects += 1);
+    }
+
+    fn decode_error(&mut self) {
+        self.shared.counters.update(|c| c.decode_errors += 1);
+    }
+
+    /// Ingests batches other loops forwarded for our shards, in
+    /// source-loop order. Checked every wakeup — the eventfd wake only
+    /// bounds idle latency; correctness never depends on catching a
+    /// specific signal.
+    fn after_events(&mut self) {
+        for rx in self.forward_rx.iter().flatten() {
+            while let Ok(batch) = rx.try_recv() {
+                self.shared.ingest_batch(batch);
+                self.shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
+    }
+
+    /// The shutdown drain (DESIGN.md §12). The skeleton has already
+    /// dropped this loop's connections (no new batches); drop the
+    /// forward *senders* next, then blocking-drain every inbound ring
+    /// until its sender side disconnects. Every loop drops its senders
+    /// before its first blocking recv, so each drain terminates — no
+    /// cyclic wait.
+    fn finish(self) {
+        drop(self.router);
+        for rx in self.forward_rx.iter().flatten() {
+            while let Ok(batch) = rx.recv() {
+                self.shared.ingest_batch(batch);
+                self.shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
+    }
+}
+
+/// A loop's view of the shard-ownership map: enough to decide, per
+/// batch, between inline ingest and forwarding to the home loop.
+struct LoopRouter {
+    loop_id: usize,
+    /// `tx[dst]`: the SPSC ring into loop `dst`; `None` for self.
+    forward_tx: Vec<Option<SyncSender<Batch>>>,
+    /// Every loop's wake eventfd, to nudge a forward's recipient out of
+    /// `epoll_wait`.
+    wakes: Vec<Arc<EventFd>>,
+}
+
+impl LoopRouter {
+    /// The router of a server with one event loop: every shard is its
+    /// own, so nothing is ever forwarded.
+    #[cfg(test)]
+    fn solo() -> LoopRouter {
+        LoopRouter {
+            loop_id: 0,
+            forward_tx: vec![None],
+            wakes: Vec::new(),
+        }
+    }
+
+    /// Routes one accepted batch. Owned shard → ingest inline, return
+    /// `None`. Foreign shard → forward; a full ring sheds the arriving
+    /// batch (returned for the caller's shed accounting + Busy reply).
+    fn submit(&mut self, shared: &Shared, batch: Batch) -> Option<Batch> {
+        let home = shared.home_loop(batch.machine);
+        if home == self.loop_id {
+            shared.ingest_batch(batch);
+            return None;
+        }
+        let tx = self.forward_tx[home]
+            .as_ref()
+            .expect("every loop pair has a forwarding ring");
+        // Count the batch in flight *before* sending: once it is in the
+        // ring its Ack may race ahead of the ingest, and queue_depth
+        // must never claim "drained" while it is.
+        shared.pending_forwarded.fetch_add(1, Ordering::AcqRel);
+        match tx.try_send(batch) {
+            Ok(()) => {
+                self.wakes[home].signal();
+                None
+            }
+            Err(TrySendError::Full(b)) | Err(TrySendError::Disconnected(b)) => {
+                shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
+                Some(b)
+            }
+        }
+    }
 }
 
 /// Handles one decoded frame: auth gate first, then the request
 /// dispatch. Exactly one reply per frame, always.
-pub(crate) fn handle_conn_frame(
+fn handle_conn_frame(
     shared: &Shared,
     frame: Frame,
     ctx: &mut ConnCtx,
@@ -338,7 +541,6 @@ fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
         return None;
     }
     let cap = shared.cfg.max_read_lag?;
-    use std::sync::atomic::Ordering;
     // Stored as `head_seq + 1` so 0 still means "never pulled" even
     // when the primary's log is legitimately empty.
     let seen_raw = shared.primary_head_seen.load(Ordering::Acquire);

@@ -1,15 +1,7 @@
-//! The server's socket layer (Linux only) — N accept-sharing epoll
-//! event loops pinned to disjoint subsets of the state shards.
-//!
-//! Each loop owns its connections outright: the conn sockets are
-//! nonblocking and registered with the loop's own epoll instance
-//! (level-triggered). With `loops > 1`, every loop also gets its own
-//! `SO_REUSEPORT` listener on the shared address and the kernel spreads
-//! incoming connections across them; a kernel without the option
-//! (Linux < 3.9) fails the bind, and [`spawn_loops`] returns that error
-//! rather than serve differently from what was asked.
-//!
-//! Invariants (DESIGN.md §10 and §12):
+//! The frame-server skeleton (Linux only): a level-triggered epoll
+//! event loop serving framed connections for a [`LoopHandler`], which
+//! owns what frames mean. The service runs N of them (`crate::conn`),
+//! `fgcs-sched` one. Skeleton invariants (DESIGN.md §10 and §12):
 //!
 //! * **Buffer reuse.** One shared 64 KiB read scratch and one shared
 //!   encode scratch serve every connection of a loop; each connection's
@@ -20,22 +12,26 @@
 //!   pulled out whole. A connection that dies mid-frame takes its
 //!   decoder (and the fragment) with it — no cross-connection state.
 //! * **One reply per frame.** Every decoded frame goes through
-//!   [`handle_conn_frame`] and earns exactly one reply; a decode error
-//!   is counted and answered `BadFrame`.
-//! * **Loop-local ingest, one backpressure rule.** A loop ingests
-//!   batches for its own shards inline, so a slow server shows up as
-//!   TCP backpressure on the sender; batches homed on another loop
-//!   travel over an SPSC ring ([`std::sync::mpsc::sync_channel`], one
-//!   per ordered loop pair) and an `eventfd` wake, and a batch that
-//!   finds its ring full is shed itself and answered `Busy`. The hot
-//!   path takes no cross-loop locks.
+//!   [`LoopHandler::handle`] and earns exactly one reply; a decode error
+//!   is reported to [`LoopHandler::decode_error`] and answered
+//!   `BadFrame`, and a fatal one (or [`Outcome::ReplyThenClose`]) closes
+//!   the connection once the reply is flushed.
+//! * **A global cap.** Connections past [`LoopHandler::open_conns`]'s
+//!   cap are refused with a best-effort `Error { ConnLimit }`.
+//! * **Static dispatch.** The loop is generic over its handler, so the
+//!   per-frame path is one inlinable call: no `dyn`, allocation, lock or
+//!   atomic is added per frame.
+//!
+//! The handler owns everything else: request semantics, per-connection
+//! protocol state ([`LoopHandler::Conn`]), work done once per wakeup
+//! ([`LoopHandler::after_events`]) and the shutdown drain
+//! ([`LoopHandler::finish`]).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -45,14 +41,111 @@ use fgcs_sys::{
 };
 use fgcs_wire::{encode_into, Decoder, ErrorCode, Frame};
 
-use crate::conn::{handle_conn_frame, ConnCtx, Outcome};
-use crate::state::{Batch, Shared};
+/// What to do with a handled frame's reply.
+#[derive(Debug)]
+pub enum Outcome {
+    /// Write the reply; keep the connection.
+    Reply(Frame),
+    /// Write the reply, then close the connection (auth failures).
+    ReplyThenClose(Frame),
+}
+
+/// The protocol half of a frame server: what an [`EventLoop`] calls.
+pub trait LoopHandler {
+    /// Per-connection protocol state, created when a connection is
+    /// accepted and dropped with it.
+    type Conn: Default;
+
+    /// Answers one decoded frame; called exactly once per frame.
+    fn handle(&mut self, frame: Frame, conn: &mut Self::Conn) -> Outcome;
+
+    /// The open-connection gauge the cap is checked against. The loop
+    /// keeps it current; every loop of one server shares it.
+    fn open_conns(&self) -> &AtomicU64;
+
+    /// A connection was refused at the cap.
+    fn conn_refused(&mut self) {}
+
+    /// A frame failed to decode (it is answered `BadFrame`).
+    fn decode_error(&mut self) {}
+
+    /// Runs on every wakeup, after the connection events and before the
+    /// accepts.
+    fn after_events(&mut self) {}
+
+    /// Runs once on stop, after every connection and the listener are
+    /// dropped.
+    fn finish(self)
+    where
+        Self: Sized,
+    {
+    }
+}
+
+/// A running event loop: its thread, its stop flag and its wake fd.
+/// Dropping it without [`EventLoop::stop`] and [`EventLoop::join`]
+/// leaves the loop running.
+pub struct EventLoop {
+    stop: Arc<AtomicBool>,
+    wake: Arc<EventFd>,
+    thread: JoinHandle<()>,
+}
+
+impl EventLoop {
+    /// Serves `listener` with `handler` on a new thread, refusing
+    /// connections beyond `max_conns`. Every fallible setup step runs
+    /// first: an `Err` starts no thread.
+    pub fn spawn<H>(listener: TcpListener, max_conns: usize, handler: H) -> io::Result<EventLoop>
+    where
+        H: LoopHandler + Send + 'static,
+    {
+        EventLoop::spawn_woken(listener, max_conns, Arc::new(EventFd::new()?), handler)
+    }
+
+    /// [`EventLoop::spawn`] with a wake fd the caller shares (the
+    /// service's forwarding rings signal their recipient loop on it).
+    pub(crate) fn spawn_woken<H>(
+        listener: TcpListener,
+        max_conns: usize,
+        wake: Arc<EventFd>,
+        handler: H,
+    ) -> io::Result<EventLoop>
+    where
+        H: LoopHandler + Send + 'static,
+    {
+        listener.set_nonblocking(true)?;
+        let ep = Epoll::new()?;
+        ep.add(listener.as_raw_fd(), EPOLLIN, listener.as_raw_fd() as u64)?;
+        ep.add(wake.fd(), EPOLLIN, wake.fd() as u64)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let (stop, wake) = (Arc::clone(&stop), Arc::clone(&wake));
+            std::thread::spawn(move || {
+                if let Err(e) = run(ep, listener, max_conns, &stop, &wake, handler) {
+                    eprintln!("fgcs-service: epoll event loop failed: {e}");
+                }
+            })
+        };
+        Ok(EventLoop { stop, wake, thread })
+    }
+
+    /// Asks the loop to stop and wakes it; [`EventLoop::join`] waits.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.wake.signal();
+    }
+
+    /// Waits for the loop thread (and its shutdown drain) to finish.
+    pub fn join(self) {
+        let _ = self.thread.join();
+    }
+}
 
 /// One connection's state inside the event loop.
-struct Conn {
+struct Conn<C> {
     stream: TcpStream,
     decoder: Decoder,
-    ctx: ConnCtx,
+    ctx: C,
     /// Bytes queued for the peer that the socket would not take yet.
     out: Vec<u8>,
     out_pos: usize,
@@ -62,12 +155,12 @@ struct Conn {
     registered_writable: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
+impl<C> Conn<C> {
+    fn new(stream: TcpStream, ctx: C) -> Self {
         Conn {
             stream,
             decoder: Decoder::new(),
-            ctx: ConnCtx::default(),
+            ctx,
             out: Vec::new(),
             out_pos: 0,
             close_after_flush: false,
@@ -78,74 +171,6 @@ impl Conn {
     fn has_pending_out(&self) -> bool {
         self.out_pos < self.out.len()
     }
-}
-
-/// A loop's view of the shard-ownership map: enough to decide, per
-/// batch, between inline ingest and forwarding to the home loop.
-pub(crate) struct LoopRouter {
-    loop_id: usize,
-    /// `tx[dst]`: the SPSC ring into loop `dst`; `None` for self.
-    forward_tx: Vec<Option<SyncSender<Batch>>>,
-    /// Every loop's wake eventfd, to nudge a forward's recipient out of
-    /// `epoll_wait`.
-    wakes: Vec<Arc<EventFd>>,
-}
-
-impl LoopRouter {
-    /// The router of a server with one event loop: every shard is its
-    /// own, so nothing is ever forwarded.
-    #[cfg(test)]
-    pub(crate) fn solo() -> LoopRouter {
-        LoopRouter {
-            loop_id: 0,
-            forward_tx: vec![None],
-            wakes: Vec::new(),
-        }
-    }
-
-    /// Routes one accepted batch. Owned shard → ingest inline, return
-    /// `None`. Foreign shard → forward; a full ring sheds the arriving
-    /// batch (returned for the caller's shed accounting + Busy reply).
-    pub(crate) fn submit(&mut self, shared: &Shared, batch: Batch) -> Option<Batch> {
-        let home = shared.home_loop(batch.machine);
-        if home == self.loop_id {
-            shared.ingest_batch(batch);
-            return None;
-        }
-        let tx = self.forward_tx[home]
-            .as_ref()
-            .expect("every loop pair has a forwarding ring");
-        // Count the batch in flight *before* sending: once it is in the
-        // ring its Ack may race ahead of the ingest, and queue_depth
-        // must never claim "drained" while it is.
-        shared.pending_forwarded.fetch_add(1, Ordering::AcqRel);
-        match tx.try_send(batch) {
-            Ok(()) => {
-                self.wakes[home].signal();
-                None
-            }
-            Err(TrySendError::Full(b)) | Err(TrySendError::Disconnected(b)) => {
-                shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
-                Some(b)
-            }
-        }
-    }
-}
-
-/// Everything one event loop needs, built by [`spawn_loops`].
-struct LoopCtx {
-    loop_id: usize,
-    max_conns: usize,
-    /// This loop's own listener on the shared address.
-    listener: TcpListener,
-    /// `rx[src]`: forwarded batches from loop `src`; `None` for self.
-    forward_rx: Vec<Option<Receiver<Batch>>>,
-    /// `tx[dst]`: forwarding rings out; `None` for self.
-    forward_tx: Vec<Option<SyncSender<Batch>>>,
-    /// This loop's wake eventfd (registered `EPOLLIN` in its epoll).
-    wake: Arc<EventFd>,
-    /// Every loop's wake eventfd, indexed by loop id.
-    wakes: Vec<Arc<EventFd>>,
 }
 
 /// Writes as much of `buf` as the nonblocking socket takes. Returns the
@@ -166,7 +191,7 @@ fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
 
 /// Flushes the connection's pending output; clears the buffer (keeping
 /// its capacity — the reuse invariant) once fully drained.
-fn flush_out(conn: &mut Conn) -> io::Result<()> {
+fn flush_out<C>(conn: &mut Conn<C>) -> io::Result<()> {
     if !conn.has_pending_out() {
         return Ok(());
     }
@@ -183,7 +208,7 @@ fn flush_out(conn: &mut Conn) -> io::Result<()> {
 /// the socket while no backlog exists, else appended to the
 /// connection's write buffer (order preserved). `false` = connection
 /// is dead.
-fn queue_reply(conn: &mut Conn, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
+fn queue_reply<C>(conn: &mut Conn<C>, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
     if encode_into(reply, ebuf).is_err() {
         return false;
     }
@@ -203,15 +228,14 @@ fn queue_reply(conn: &mut Conn, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
 
 /// Decodes and answers every complete frame buffered on the connection.
 /// `false` = connection is dead (write failure).
-fn drain_frames(
-    shared: &Shared,
-    conn: &mut Conn,
+fn drain_frames<H: LoopHandler>(
+    handler: &mut H,
+    conn: &mut Conn<H::Conn>,
     ebuf: &mut Vec<u8>,
-    router: &mut LoopRouter,
 ) -> bool {
     while !conn.close_after_flush {
         match conn.decoder.next_frame() {
-            Ok(Some(frame)) => match handle_conn_frame(shared, frame, &mut conn.ctx, router) {
+            Ok(Some(frame)) => match handler.handle(frame, &mut conn.ctx) {
                 Outcome::Reply(reply) => {
                     if !queue_reply(conn, &reply, ebuf) {
                         return false;
@@ -224,7 +248,7 @@ fn drain_frames(
             },
             Ok(None) => break,
             Err(e) => {
-                shared.counters.update(|c| c.decode_errors += 1);
+                handler.decode_error();
                 let reply = Frame::Error {
                     code: ErrorCode::BadFrame,
                     detail: e.to_string(),
@@ -242,13 +266,12 @@ fn drain_frames(
 }
 
 /// Handles one readiness event for a connection. `false` = close now.
-fn process_conn(
-    shared: &Shared,
-    conn: &mut Conn,
+fn process_conn<H: LoopHandler>(
+    handler: &mut H,
+    conn: &mut Conn<H::Conn>,
     readiness: u32,
     rbuf: &mut [u8],
     ebuf: &mut Vec<u8>,
-    router: &mut LoopRouter,
 ) -> bool {
     if readiness & EPOLLERR != 0 {
         return false;
@@ -262,7 +285,7 @@ fn process_conn(
                 Ok(0) => return false, // peer closed
                 Ok(n) => {
                     conn.decoder.push(&rbuf[..n]);
-                    if !drain_frames(shared, conn, ebuf, router) {
+                    if !drain_frames(handler, conn, ebuf) {
                         return false;
                     }
                     // A short read drained the socket: skip the extra
@@ -285,7 +308,7 @@ fn process_conn(
 }
 
 /// Re-registers the connection when its `EPOLLOUT` need changed.
-fn sync_interest(ep: &Epoll, conn: &mut Conn, fd: RawFd) {
+fn sync_interest<C>(ep: &Epoll, conn: &mut Conn<C>, fd: RawFd) {
     let wants_write = conn.has_pending_out();
     if wants_write != conn.registered_writable {
         let mut interest = EPOLLIN | EPOLLRDHUP;
@@ -298,28 +321,20 @@ fn sync_interest(ep: &Epoll, conn: &mut Conn, fd: RawFd) {
     }
 }
 
-fn close_conn(ep: &Epoll, conns: &mut HashMap<RawFd, Conn>, fd: RawFd, shared: &Shared) {
-    let _ = ep.delete(fd);
-    if conns.remove(&fd).is_some() {
-        shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Accepts every pending connection on this loop's listener, refusing
-/// beyond the *global* `max_conns` with a best-effort
-/// `Error { ConnLimit }`.
-fn accept_ready(
-    shared: &Shared,
+/// Accepts every pending connection on the listener, refusing beyond
+/// the *global* `max_conns` with a best-effort `Error { ConnLimit }`.
+fn accept_ready<H: LoopHandler>(
+    handler: &mut H,
     listener: &TcpListener,
     ep: &Epoll,
-    conns: &mut HashMap<RawFd, Conn>,
+    conns: &mut HashMap<RawFd, Conn<H::Conn>>,
     max_conns: usize,
     ebuf: &mut Vec<u8>,
 ) {
     while let Ok(Some(mut stream)) = accept_nonblocking(listener) {
         // The cap is global occupancy across all loops.
-        if shared.active_conns.load(Ordering::Relaxed) >= max_conns as u64 {
-            shared.counters.update(|c| c.conn_rejects += 1);
+        if handler.open_conns().load(Ordering::Relaxed) >= max_conns as u64 {
+            handler.conn_refused();
             let reject = Frame::Error {
                 code: ErrorCode::ConnLimit,
                 detail: format!("server is at its connection cap ({max_conns})"),
@@ -332,48 +347,34 @@ fn accept_ready(
         let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
         if ep.add(fd, EPOLLIN | EPOLLRDHUP, fd as u64).is_ok() {
-            shared.active_conns.fetch_add(1, Ordering::Relaxed);
-            conns.insert(fd, Conn::new(stream));
+            handler.open_conns().fetch_add(1, Ordering::Relaxed);
+            conns.insert(fd, Conn::new(stream, H::Conn::default()));
         }
     }
 }
 
-/// Ingests everything currently queued on this loop's forwarding rings,
-/// in source-loop order.
-fn drain_forwarded(shared: &Shared, forward_rx: &[Option<Receiver<Batch>>]) {
-    for rx in forward_rx.iter().flatten() {
-        while let Ok(batch) = rx.try_recv() {
-            shared.ingest_batch(batch);
-            shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
-/// One event loop. Runs until [`Shared::shutting_down`]; the shutdown
-/// path signals every loop's eventfd (and the 50 ms wait timeout bounds
-/// the latency regardless). On exit the loop drops its connections and
-/// forward senders, then drains its inbound rings to completion —
-/// batches accepted (Ack'd) before shutdown are ingested, not dropped.
-fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
-    let ep = Epoll::new()?;
-    let listen_token = ctx.listener.as_raw_fd() as u64;
-    ep.add(ctx.listener.as_raw_fd(), EPOLLIN, listen_token)?;
-    let wake_token = ctx.wake.fd() as u64;
-    ep.add(ctx.wake.fd(), EPOLLIN, wake_token)?;
-
-    let mut router = LoopRouter {
-        loop_id: ctx.loop_id,
-        forward_tx: std::mem::take(&mut ctx.forward_tx),
-        wakes: ctx.wakes.clone(),
-    };
-    let mut conns: HashMap<RawFd, Conn> = HashMap::new();
+/// The loop body. Runs until `stop` is set; [`EventLoop::stop`] signals
+/// the wake fd, and the 50 ms wait timeout bounds the latency
+/// regardless. On exit it drops its connections and listener, then
+/// hands over to [`LoopHandler::finish`].
+fn run<H: LoopHandler>(
+    ep: Epoll,
+    listener: TcpListener,
+    max_conns: usize,
+    stop: &AtomicBool,
+    wake: &EventFd,
+    mut handler: H,
+) -> io::Result<()> {
+    let listen_token = listener.as_raw_fd() as u64;
+    let wake_token = wake.fd() as u64;
+    let mut conns: HashMap<RawFd, Conn<H::Conn>> = HashMap::new();
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut rbuf = vec![0u8; 64 * 1024];
     let mut ebuf: Vec<u8> = Vec::with_capacity(4096);
 
     loop {
         let n = ep.wait(&mut events, 50)?;
-        if shared.shutting_down() {
+        if stop.load(Ordering::Acquire) {
             break;
         }
         // Connection events first, accepts second: a fd closed in this
@@ -388,155 +389,34 @@ fn run_event_loop(shared: &Arc<Shared>, mut ctx: LoopCtx) -> io::Result<()> {
             let Some(conn) = conns.get_mut(&fd) else {
                 continue;
             };
-            if process_conn(
-                shared,
-                conn,
-                ev.readiness(),
-                &mut rbuf,
-                &mut ebuf,
-                &mut router,
-            ) {
+            if process_conn(&mut handler, conn, ev.readiness(), &mut rbuf, &mut ebuf) {
                 sync_interest(&ep, conn, fd);
             } else {
-                close_conn(&ep, &mut conns, fd, shared);
+                let _ = ep.delete(fd);
+                conns.remove(&fd);
+                handler.open_conns().fetch_sub(1, Ordering::Relaxed);
             }
         }
         if events[..n].iter().any(|ev| ev.token() == wake_token) {
-            ctx.wake.drain();
+            wake.drain();
         }
-        // Ingest batches other loops forwarded for our shards. Checked
-        // every iteration — the eventfd wake only bounds idle latency;
-        // correctness never depends on catching a specific signal.
-        drain_forwarded(shared, &ctx.forward_rx);
+        handler.after_events();
         if events[..n].iter().any(|ev| ev.token() == listen_token) {
             accept_ready(
-                shared,
-                &ctx.listener,
+                &mut handler,
+                &listener,
                 &ep,
                 &mut conns,
-                ctx.max_conns,
+                max_conns,
                 &mut ebuf,
             );
         }
     }
 
-    // Shutdown drain protocol (DESIGN.md §12). Order matters:
-    //   1. stop accepting and drop our connections (no new batches),
-    //   2. drop our forward *senders*,
-    //   3. blocking-drain every inbound ring until its sender side
-    //      disconnects.
-    // Every loop drops its senders (step 2) before its first blocking
-    // recv (step 3), so each drain terminates — no cyclic wait.
     let count = conns.len() as u64;
     drop(conns);
-    shared.active_conns.fetch_sub(count, Ordering::Relaxed);
-    drop(ctx.listener);
-    drop(router);
-    for rx in ctx.forward_rx.iter().flatten() {
-        while let Ok(batch) = rx.recv() {
-            shared.ingest_batch(batch);
-            shared.pending_forwarded.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
+    handler.open_conns().fetch_sub(count, Ordering::Relaxed);
+    drop(listener);
+    handler.finish();
     Ok(())
-}
-
-fn resolve_addr(addr: &str) -> io::Result<SocketAddr> {
-    use std::net::ToSocketAddrs;
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("address {addr:?} resolves to nothing"),
-        )
-    })
-}
-
-/// Binds `loops` listeners sharing one address via `SO_REUSEPORT`: the
-/// first bind resolves a concrete port (the configured one, or an
-/// OS-assigned one for port 0), the rest join it.
-fn bind_reuseport_set(addr: &SocketAddr, loops: usize) -> io::Result<Vec<TcpListener>> {
-    let first = fgcs_sys::listen_reuseport(addr)?;
-    let concrete = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..loops {
-        listeners.push(fgcs_sys::listen_reuseport(&concrete)?);
-    }
-    Ok(listeners)
-}
-
-/// What [`spawn_loops`] hands the server: the bound address, the loop
-/// join handles, and each loop's wake eventfd.
-type SpawnedLoops = (SocketAddr, Vec<JoinHandle<()>>, Vec<Arc<EventFd>>);
-
-/// Binds the listener set and spawns all event loops. Returns the bound
-/// address, the loop join handles, and each loop's wake eventfd (for
-/// shutdown signalling). Nothing is spawned unless every bind and
-/// eventfd succeeded.
-pub(crate) fn spawn_loops(shared: &Arc<Shared>) -> io::Result<SpawnedLoops> {
-    let loops = shared.event_loops;
-    let cfg = &shared.cfg;
-    let max_conns = cfg.effective_max_connections();
-    let addr = resolve_addr(&cfg.addr)?;
-
-    // One listener per loop. A lone loop needs no port sharing, so it
-    // binds plainly (`SO_REUSEADDR` only on request); the
-    // `SO_REUSEPORT` listeners always set `SO_REUSEADDR` as well.
-    let listeners = if loops > 1 {
-        bind_reuseport_set(&addr, loops)?
-    } else if cfg.reuse_addr {
-        vec![fgcs_sys::listen_reusable(&addr)?]
-    } else {
-        vec![TcpListener::bind(addr)?]
-    };
-    for l in &listeners {
-        l.set_nonblocking(true)?;
-    }
-    let local = listeners[0].local_addr()?;
-
-    let wakes: Vec<Arc<EventFd>> = (0..loops)
-        .map(|_| EventFd::new().map(Arc::new))
-        .collect::<io::Result<_>>()?;
-
-    // One SPSC ring per ordered loop pair: src owns tx_mat[src][dst],
-    // dst owns rx_mat[dst][src]. Strictly one producer and one consumer
-    // per channel, so std's array-backed sync_channel runs lock-free.
-    let ring_cap = cfg.queue_capacity.max(1);
-    let mut tx_mat: Vec<Vec<Option<SyncSender<Batch>>>> = (0..loops)
-        .map(|_| (0..loops).map(|_| None).collect())
-        .collect();
-    let mut rx_mat: Vec<Vec<Option<Receiver<Batch>>>> = (0..loops)
-        .map(|_| (0..loops).map(|_| None).collect())
-        .collect();
-    for src in 0..loops {
-        for dst in 0..loops {
-            if src != dst {
-                let (tx, rx) = sync_channel(ring_cap);
-                tx_mat[src][dst] = Some(tx);
-                rx_mat[dst][src] = Some(rx);
-            }
-        }
-    }
-
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let ctx = LoopCtx {
-                loop_id: i,
-                max_conns,
-                listener,
-                forward_rx: std::mem::take(&mut rx_mat[i]),
-                forward_tx: std::mem::take(&mut tx_mat[i]),
-                wake: Arc::clone(&wakes[i]),
-                wakes: wakes.clone(),
-            };
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || {
-                if let Err(e) = run_event_loop(&shared, ctx) {
-                    eprintln!("fgcs-service: epoll event loop {i} failed: {e}");
-                }
-            })
-        })
-        .collect();
-    Ok((local, handles, wakes))
 }

@@ -20,6 +20,10 @@
 //!   availability/placement queries from live state. Per-machine state
 //!   is sharded ([`ServiceConfig::state_shards`]); an optional shared
 //!   auth token ([`ServiceConfig::auth_token`]) gates every stream.
+//! * [`EventLoop`] — the frame-server skeleton under those loops:
+//!   epoll, accept under a connection cap, frame reassembly, `BadFrame`
+//!   replies, buffered writes. A [`LoopHandler`] supplies the protocol;
+//!   `fgcs-sched` serves its wire API on the same skeleton.
 //! * [`ServiceClient`] — the blocking transport: capped-backoff
 //!   reconnection (reusing [`fgcs_testbed::SupervisorConfig`]
 //!   semantics), the auth token presented on every (re)connect, and one
@@ -78,7 +82,9 @@ pub use repl::{ROLE_FOLLOWER, ROLE_PRIMARY};
 pub use client::{ClientConfig, ServiceClient};
 pub use cluster::{ClusterClient, ClusterConfig, ClusterMetrics, ShardSpec};
 #[cfg(target_os = "linux")]
+pub use epoll::{EventLoop, LoopHandler, Outcome};
+#[cfg(target_os = "linux")]
 pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenReport};
 #[cfg(target_os = "linux")]
 pub use pool::{ClientPool, PoolCloseReason, PoolEvent};
-pub use server::{Backend, LockContention, Server, ServiceConfig};
+pub use server::{Backend, LockContention, Server, ServiceConfig, DEFAULT_MAX_CONNECTIONS};

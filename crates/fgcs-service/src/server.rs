@@ -15,6 +15,10 @@ use fgcs_wire::{StatsPayload, WireTransition};
 
 use crate::state::Shared;
 
+/// The connection cap a server runs with unless configured otherwise
+/// ([`ServiceConfig::max_connections`] = 0; `fgcs-sched` always).
+pub const DEFAULT_MAX_CONNECTIONS: usize = 16384;
+
 /// How the server multiplexes connections. One-valued since the
 /// threaded backend was deleted: the epoll event loops *are* the
 /// server. The type survives only because `benchmark/src/adapter.rs`
@@ -43,7 +47,7 @@ pub struct ServiceConfig {
     /// loop's own shards are ingested inline and never shed. Unused at
     /// one event loop.
     pub queue_capacity: usize,
-    /// Concurrent-connection cap; 0 means 16384. Connections beyond the
+    /// Concurrent-connection cap; 0 means [`DEFAULT_MAX_CONNECTIONS`]. Connections beyond the
     /// cap are refused with `Error { ConnLimit }` and closed.
     pub max_connections: usize,
     /// Shard count for the per-machine state map; 0 means 16. Shards
@@ -213,7 +217,7 @@ impl ServiceConfig {
         if self.max_connections > 0 {
             self.max_connections
         } else {
-            16384
+            DEFAULT_MAX_CONNECTIONS
         }
     }
 }
@@ -237,9 +241,8 @@ pub struct LockContention {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    loop_handles: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
-    loop_wakes: Vec<Arc<fgcs_sys::EventFd>>,
+    loops: Vec<crate::epoll::EventLoop>,
     checkpoint_handle: Option<JoinHandle<()>>,
     /// The follower's replication pull loop (`follower_of` only).
     repl_handle: Option<JoinHandle<()>>,
@@ -278,7 +281,7 @@ impl Server {
             // Bind next, while nothing else runs: a failed bind (say
             // `SO_REUSEPORT` on a pre-3.9 kernel) returns with no
             // thread to unwind.
-            let (addr, loop_handles, loop_wakes) = crate::epoll::spawn_loops(&shared)?;
+            let (addr, loops) = crate::conn::spawn_loops(&shared)?;
 
             // Periodic checkpoints run on a dedicated thread: event
             // loops never block on snapshot I/O.
@@ -306,8 +309,7 @@ impl Server {
             Ok(Server {
                 addr,
                 shared,
-                loop_handles,
-                loop_wakes,
+                loops,
                 checkpoint_handle,
                 repl_handle,
             })
@@ -430,13 +432,12 @@ impl Server {
     /// the reconciliation identity must hold at shutdown.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        // Wake every event loop out of epoll_wait.
+        // Stop every event loop before joining any: each one's
+        // shutdown drain waits on the others dropping their senders.
         #[cfg(target_os = "linux")]
-        for wake in &self.loop_wakes {
-            wake.signal();
-        }
-        for h in self.loop_handles.drain(..) {
-            let _ = h.join();
+        {
+            self.loops.iter().for_each(crate::epoll::EventLoop::stop);
+            self.loops.drain(..).for_each(crate::epoll::EventLoop::join);
         }
         if let Some(h) = self.checkpoint_handle.take() {
             let _ = h.join();

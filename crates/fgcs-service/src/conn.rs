@@ -425,9 +425,6 @@ fn handle_request(
                         .to_string(),
                 };
             }
-            // A pull for `after_seq = N` doubles as the follower's ack
-            // that everything through N is applied.
-            shared.repl.note_ack(after_seq);
             match shared.repl.pull(after_seq, max_entries as usize) {
                 PullReply::Entries { head_seq, entries } => Frame::ReplEntries {
                     head_seq,

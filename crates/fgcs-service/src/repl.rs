@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_wire::{
-    ErrorCode, Frame, ReplEntry, WireSample, MAX_FRAME_LEN, MAX_REPL_ENTRIES_PER_FRAME,
+    EncodedSamples, ErrorCode, Frame, ReplEntry, MAX_FRAME_LEN, MAX_REPL_ENTRIES_PER_FRAME,
     REPL_ENTRIES_HEADER_LEN,
 };
 
@@ -85,6 +85,8 @@ pub(crate) struct ReplLogStatus {
     pub tail_seq: u64,
     pub acked_seq: u64,
     pub len: u64,
+    /// Bytes of sample encodings the retained entries hold.
+    pub sample_bytes: u64,
 }
 
 #[derive(Debug)]
@@ -99,6 +101,26 @@ struct ReplLogInner {
     next_seq: u64,
     /// Highest applied-seq any puller has acknowledged.
     acked_seq: u64,
+    /// Sum of the retained entries' `samples.byte_len()`.
+    sample_bytes: u64,
+}
+
+impl ReplLogInner {
+    /// Retains `entry` as the newest, trimming the oldest past `capacity`.
+    fn push(&mut self, entry: ReplEntry, capacity: usize) {
+        self.sample_bytes += entry.samples.byte_len() as u64;
+        self.entries.push_back(entry);
+        while self.entries.len() > capacity {
+            if let Some(old) = self.entries.pop_front() {
+                self.sample_bytes -= old.samples.byte_len() as u64;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.sample_bytes = 0;
+    }
 }
 
 /// The replication seq log: a bounded ring of the most recent ingested
@@ -119,6 +141,7 @@ impl ReplLog {
                 entries: VecDeque::new(),
                 next_seq: 1,
                 acked_seq: 0,
+                sample_bytes: 0,
             }),
         }
     }
@@ -136,27 +159,26 @@ impl ReplLog {
     /// Allocates the next seq for a locally ingested batch and retains
     /// the entry. Called by the primary's ingest path while it holds
     /// the batch's machine lock — that nesting (machine → log) is what
-    /// makes log order equal seq order.
+    /// makes log order equal seq order. The caller encodes the samples
+    /// before taking either lock.
     pub(crate) fn append_local(
         &self,
         machine: u32,
-        samples: Vec<WireSample>,
+        samples: EncodedSamples,
         last_t_after: u64,
         next_seq_after: u64,
     ) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.push_back(ReplEntry {
+        let entry = ReplEntry {
             seq,
             machine,
             last_t_after,
             next_seq_after,
             samples,
-        });
-        while inner.entries.len() > self.capacity {
-            inner.entries.pop_front();
-        }
+        };
+        inner.push(entry, self.capacity);
         seq
     }
 
@@ -176,10 +198,7 @@ impl ReplLog {
             ));
         }
         inner.next_seq = entry.seq + 1;
-        inner.entries.push_back(entry);
-        while inner.entries.len() > self.capacity {
-            inner.entries.pop_front();
-        }
+        inner.push(entry, self.capacity);
         Ok(())
     }
 
@@ -188,7 +207,7 @@ impl ReplLog {
     /// snapshot or will be re-pulled).
     pub(crate) fn reset_to(&self, repl_seq: u64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.entries.clear();
+        inner.clear();
         inner.next_seq = repl_seq + 1;
     }
 
@@ -198,16 +217,8 @@ impl ReplLog {
     pub(crate) fn raise_next(&self, next: u64) {
         let mut inner = self.inner.lock().unwrap();
         if next > inner.next_seq {
-            inner.entries.clear();
+            inner.clear();
             inner.next_seq = next;
-        }
-    }
-
-    /// Records a puller's applied-seq acknowledgement.
-    pub(crate) fn note_ack(&self, seq: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        if seq > inner.acked_seq {
-            inner.acked_seq = seq;
         }
     }
 
@@ -220,15 +231,20 @@ impl ReplLog {
     /// `max_entries`, and no more than one frame can carry — a puller
     /// further behind than that gets the oldest part now and the rest on
     /// its next pull (each reply holds at least one entry, so it always
-    /// advances).
+    /// advances). The entries share the log's sample encodings.
+    ///
+    /// A pull for `after_seq = N` doubles as the puller's ack that
+    /// everything through N is applied — unless N is past the head,
+    /// which this log never allocated.
     pub(crate) fn pull(&self, after_seq: u64, max_entries: usize) -> PullReply {
-        let inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
         let head = inner.next_seq - 1;
         if after_seq > head {
             // The puller claims to be ahead of this log — divergence
             // (e.g. it pulled from a different primary). Resync.
             return PullReply::NeedSnapshot;
         }
+        inner.acked_seq = inner.acked_seq.max(after_seq);
         if after_seq == head {
             return PullReply::Entries {
                 head_seq: head,
@@ -268,6 +284,7 @@ impl ReplLog {
             tail_seq: inner.entries.front().map_or(0, |e| e.seq),
             acked_seq: inner.acked_seq,
             len: inner.entries.len() as u64,
+            sample_bytes: inner.sample_bytes,
         }
     }
 }
@@ -554,6 +571,7 @@ fn sleep_ms(ms: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcs_wire::{SampleLoad, WireSample};
 
     fn entry(seq: u64) -> ReplEntry {
         ReplEntry {
@@ -561,7 +579,7 @@ mod tests {
             machine: 1,
             last_t_after: seq * 10,
             next_seq_after: 1,
-            samples: Vec::new(),
+            samples: EncodedSamples::default(),
         }
     }
 
@@ -569,7 +587,7 @@ mod tests {
     fn log_allocates_monotone_seqs_and_trims_to_capacity() {
         let log = ReplLog::new(3);
         for i in 1..=5u64 {
-            let seq = log.append_local(7, Vec::new(), i * 10, 1);
+            let seq = log.append_local(7, EncodedSamples::default(), i * 10, 1);
             assert_eq!(seq, i);
         }
         let st = log.status();
@@ -582,7 +600,7 @@ mod tests {
     fn pull_serves_retained_positions_and_resyncs_trimmed_ones() {
         let log = ReplLog::new(3);
         for i in 1..=5u64 {
-            log.append_local(7, Vec::new(), i, 1);
+            log.append_local(7, EncodedSamples::default(), i, 1);
         }
         // Caught up: empty entries, head visible.
         match log.pull(5, 100) {
@@ -639,12 +657,55 @@ mod tests {
 
     #[test]
     fn acks_are_monotone() {
-        let log = ReplLog::new(4);
-        log.note_ack(3);
-        log.note_ack(1);
+        let log = ReplLog::new(8);
+        for i in 1..=7u64 {
+            log.append_local(1, EncodedSamples::default(), i, 1);
+        }
+        log.pull(3, 0);
+        log.pull(1, 0);
         assert_eq!(log.acked_seq(), 3);
-        log.note_ack(7);
+        log.pull(7, 0);
         assert_eq!(log.acked_seq(), 7);
+    }
+
+    #[test]
+    fn an_ack_past_the_head_is_not_recorded() {
+        // A puller ahead of this log (diverged, or pulling from the
+        // wrong primary) is resynced; what it claims was never logged
+        // here, so it must not count as acknowledged.
+        let log = ReplLog::new(8);
+        for i in 1..=5u64 {
+            log.append_local(1, EncodedSamples::default(), i, 1);
+        }
+        log.pull(2, 0);
+        assert!(matches!(log.pull(9, 16), PullReply::NeedSnapshot));
+        assert_eq!(log.acked_seq(), 2);
+    }
+
+    #[test]
+    fn the_log_retains_each_batch_as_its_wire_bytes() {
+        // 128 `Direct` samples: a 4-byte count plus 22 bytes each,
+        // where a `Vec<WireSample>` holds 40 bytes a sample (5,120).
+        let samples: EncodedSamples = (0..128u64)
+            .map(|t| WireSample {
+                t,
+                load: SampleLoad::Direct(0.1),
+                host_resident_mb: 100,
+                alive: true,
+            })
+            .collect();
+        let log = ReplLog::new(2);
+        for i in 1..=3u64 {
+            log.append_local(1, samples.clone(), i, 1);
+        }
+        assert_eq!(log.status().sample_bytes, 2 * 2_820, "two retained entries");
+        // A pull hands out the retained encoding unchanged.
+        let PullReply::Entries { entries, .. } = log.pull(2, 16) else {
+            panic!("retained position must stream");
+        };
+        assert_eq!(entries[0].samples, samples);
+        log.reset_to(3);
+        assert_eq!(log.status().sample_bytes, 0);
     }
 
     // --- pull() boundary behavior. A follower's resume cursor lands
@@ -655,7 +716,7 @@ mod tests {
     fn pull_at_exact_log_head_is_empty_not_resync() {
         let log = ReplLog::new(4);
         for i in 1..=4u64 {
-            log.append_local(1, Vec::new(), i, 1);
+            log.append_local(1, EncodedSamples::default(), i, 1);
         }
         // after_seq == head_seq: caught up. One past it: divergence.
         match log.pull(4, 16) {
@@ -672,7 +733,7 @@ mod tests {
     fn pull_boundary_between_pruned_and_retained_is_exact() {
         let log = ReplLog::new(3);
         for i in 1..=10u64 {
-            log.append_local(1, Vec::new(), i, 1);
+            log.append_local(1, EncodedSamples::default(), i, 1);
         }
         // Retained: 8..=10. after_seq 7 needs seq 8 — the oldest
         // retained entry — and must stream, not resync.
@@ -707,7 +768,7 @@ mod tests {
         // trimmed seq 1 cannot be served incrementally.
         let log = ReplLog::new(2);
         for i in 1..=5u64 {
-            log.append_local(1, Vec::new(), i, 1);
+            log.append_local(1, EncodedSamples::default(), i, 1);
         }
         assert!(matches!(log.pull(0, 16), PullReply::NeedSnapshot));
         // But the retained window itself still streams contiguously.
@@ -728,7 +789,7 @@ mod tests {
         // a reply, not data.
         let log = ReplLog::new(4);
         for i in 1..=3u64 {
-            log.append_local(1, Vec::new(), i, 1);
+            log.append_local(1, EncodedSamples::default(), i, 1);
         }
         match log.pull(1, 0) {
             PullReply::Entries { head_seq, entries } => {
@@ -744,15 +805,16 @@ mod tests {
         // 1,000 entries of 128 samples are ~2.8 MB on the wire: nearly
         // three frames' worth, while the entry cap alone would try to
         // send them all in one.
-        let samples = vec![
+        let samples: EncodedSamples = vec![
             WireSample {
                 t: 0,
-                load: fgcs_wire::SampleLoad::Direct(0.1),
+                load: SampleLoad::Direct(0.1),
                 host_resident_mb: 100,
                 alive: true,
             };
             128
-        ];
+        ]
+        .into();
         let log = ReplLog::new(4_096);
         for i in 1..=1_000u64 {
             log.append_local(1, samples.clone(), i, 1);

@@ -394,6 +394,13 @@ impl Server {
         self.shared.repl.acked_seq()
     }
 
+    /// Bytes of sample encodings the replication log retains: what
+    /// its memory grows with, up to `repl_log_capacity` entries
+    /// (DESIGN.md §13.1). 0 without a log.
+    pub fn repl_log_bytes(&self) -> u64 {
+        self.shared.repl.status().sample_bytes
+    }
+
     /// Whether the follower pull loop stopped on a divergence tripwire.
     pub fn repl_failed(&self) -> bool {
         self.shared.repl_failed.load(Ordering::Acquire)

@@ -13,7 +13,9 @@ use fgcs_core::model::AvailState;
 use fgcs_core::monitor::{Monitor, Observation, ResourceProbe};
 use fgcs_predict::OnlineAvailabilityModel;
 use fgcs_testbed::{OccurrenceRecorder, TraceRecord};
-use fgcs_wire::{MachineStat, ReplEntry, SampleLoad, StatsPayload, WireSample, WireTransition};
+use fgcs_wire::{
+    EncodedSamples, MachineStat, ReplEntry, SampleLoad, StatsPayload, WireSample, WireTransition,
+};
 
 use crate::repl::{ReplLog, ROLE_FOLLOWER, ROLE_PRIMARY};
 use crate::server::ServiceConfig;
@@ -127,8 +129,25 @@ impl MachineState {
         })
     }
 
+    /// Feeds a batch's samples in order. Returns the starts of the
+    /// unavailability occurrences they triggered and the batch's newest
+    /// timestamp (for the online model).
+    fn ingest_samples(
+        &mut self,
+        cfg: &ServiceConfig,
+        samples: impl Iterator<Item = WireSample>,
+    ) -> (Vec<u64>, Option<u64>) {
+        let mut started = Vec::new();
+        let mut max_t = None;
+        for s in samples {
+            started.extend(self.ingest_sample(cfg, &s));
+            max_t = Some(max_t.map_or(s.t, |t: u64| t.max(s.t)));
+        }
+        (started, max_t)
+    }
+
     /// Feeds one wire sample. Returns the starts of any unavailability
-    /// occurrences this sample triggered (for the online model).
+    /// occurrences this sample triggered.
     fn ingest_sample(&mut self, cfg: &ServiceConfig, s: &WireSample) -> Vec<u64> {
         // The detector requires non-decreasing timestamps; late
         // deliveries are discarded and counted, as in the supervised
@@ -778,23 +797,24 @@ impl Shared {
         }
         let Batch { machine, samples } = batch;
         let n_samples = samples.len();
+        // The log's copy is encoded before any lock is taken, so the
+        // machine critical section does not grow by it.
+        let encoded = self
+            .repl
+            .enabled()
+            .then(|| EncodedSamples::from(samples.as_slice()));
         let cell = self.machine_entry(machine);
-        let mut started = Vec::new();
-        let mut max_t = None;
         {
             let mut m = lock_timed(&cell, &self.locks.machines);
-            for s in &samples {
-                started.extend(m.ingest_sample(&self.cfg, s));
-                max_t = Some(max_t.map_or(s.t, |t: u64| t.max(s.t)));
-            }
-            if self.repl.enabled() && self.is_primary() {
+            let (started, max_t) = m.ingest_samples(&self.cfg, samples.iter().copied());
+            if let Some(encoded) = encoded.filter(|_| self.is_primary()) {
                 // Seq allocation nests the log lock inside the machine
                 // lock (machine → log, the fixed order), so log order
                 // equals seq order and the stamp lands in the same
                 // critical section as the mutation it describes.
                 let seq =
                     self.repl
-                        .append_local(machine, samples, m.last_t(), m.next_transition_seq());
+                        .append_local(machine, encoded, m.last_t(), m.next_transition_seq());
                 m.last_repl_seq = seq;
             }
             self.finish_ingest(machine, &m, n_samples, started, max_t);
@@ -838,23 +858,19 @@ impl Shared {
     }
 
     /// Applies one pulled replication entry (follower side): replays
-    /// the raw samples through the normal ingest path, stamps the
-    /// machine, mirrors the entry into this node's own log, and
+    /// the raw samples through the normal ingest path straight from
+    /// their wire bytes, stamps the machine, mirrors the entry (the
+    /// same bytes) into this node's own log, and
     /// asserts the divergence tripwires. An entry at or below the
     /// machine's stamp is a duplicate delivery and skipped whole —
     /// only the log cursor advances. Errors are fatal to replication.
     pub(crate) fn apply_repl_entry(&self, entry: ReplEntry) -> Result<(), String> {
         let cell = self.machine_entry(entry.machine);
-        let mut started = Vec::new();
-        let mut max_t = None;
-        let mut applied = false;
         {
             let mut m = lock_timed(&cell, &self.locks.machines);
+            let mut applied = None;
             if entry.seq > m.last_repl_seq {
-                for s in &entry.samples {
-                    started.extend(m.ingest_sample(&self.cfg, s));
-                    max_t = Some(max_t.map_or(s.t, |t: u64| t.max(s.t)));
-                }
+                applied = Some(m.ingest_samples(&self.cfg, entry.samples.iter()));
                 m.last_repl_seq = entry.seq;
                 if m.last_t() != entry.last_t_after
                     || m.next_transition_seq() != entry.next_seq_after
@@ -870,11 +886,10 @@ impl Shared {
                         entry.next_seq_after
                     ));
                 }
-                applied = true;
             }
             let (machine, n_samples) = (entry.machine, entry.samples.len());
             self.repl.append_remote(entry)?;
-            if applied {
+            if let Some((started, max_t)) = applied {
                 self.finish_ingest(machine, &m, n_samples, started, max_t);
             }
         }

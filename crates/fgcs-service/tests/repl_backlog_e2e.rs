@@ -78,6 +78,10 @@ fn follower_a_thousand_bulk_entries_behind_catches_up_bit_identical() {
         );
     }
     assert_eq!(follower.stats().machines, primary.stats().machines);
+    // Both logs hold each batch as its wire bytes (a count, then 22
+    // bytes a `Direct` sample), the follower's exactly as received.
+    assert_eq!(primary.repl_log_bytes(), BATCHES * (4 + 22 * SAMPLES));
+    assert_eq!(follower.repl_log_bytes(), primary.repl_log_bytes());
     follower.shutdown();
     primary.shutdown();
 }

@@ -400,6 +400,16 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// Bytes consumed so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes consumed since `start`, a past [`Self::position`].
+    pub(crate) fn since(&self, start: usize) -> &'a [u8] {
+        &self.data[start..self.pos]
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8, PayloadError> {
         Ok(self.bytes(1)?[0])
     }

@@ -4,6 +4,8 @@
 //! DESIGN.md §9. All integers are little-endian; `f64` fields travel as
 //! their IEEE-754 bit pattern so values round-trip bit-exactly.
 
+use std::sync::Arc;
+
 use crate::codec::{ByteReader, EncodeError, PayloadError};
 
 /// Protocol version carried in every frame header. Decoders reject
@@ -98,22 +100,107 @@ pub struct ReplEntry {
     /// The machine's next transition seq after the primary applied
     /// this batch.
     pub next_seq_after: u64,
-    /// The raw samples, exactly as ingested.
-    pub samples: Vec<WireSample>,
+    /// The raw samples, exactly as ingested, in their wire layout.
+    pub samples: EncodedSamples,
 }
 
 impl ReplEntry {
     /// Bytes this entry occupies in a [`Frame::ReplEntries`] payload.
     pub fn encoded_len(&self) -> usize {
-        let samples: usize = self
-            .samples
-            .iter()
-            .map(|s| match s.load {
-                SampleLoad::Direct(_) => 8 + 1 + 8 + 4 + 1,
-                SampleLoad::Counters { .. } => 8 + 1 + 16 + 4 + 1,
-            })
-            .sum();
-        8 + 4 + 8 + 8 + 4 + samples
+        8 + 4 + 8 + 8 + self.samples.byte_len()
+    }
+}
+
+/// A sample list held as its wire bytes: the count-prefixed layout
+/// [`Frame::SampleBatch`] and [`Frame::ReplEntries`] carry (DESIGN.md
+/// §9), behind an `Arc` so clones share one allocation.
+///
+/// The bytes are valid by construction. Encoding a `&[WireSample]`
+/// writes them, and decoding checks them once — the count cap, every
+/// kind and `alive` byte, and the exact length — before copying the
+/// slice in. So [`EncodedSamples::iter`] cannot fail, and writing the
+/// list into a frame is one copy. A replication log keeps each batch
+/// this way: 22 bytes per `Direct` sample against 40 as a
+/// `Vec<WireSample>`, and a pull clones a pointer, not the samples.
+///
+/// Equality compares bytes, so it is bit-exact: two lists holding the
+/// same NaN load are equal, unlike their `WireSample`s.
+#[derive(Clone, PartialEq, Eq)]
+pub struct EncodedSamples(Arc<[u8]>);
+
+impl EncodedSamples {
+    /// Encodes `samples`.
+    ///
+    /// # Panics
+    ///
+    /// If there are more than [`MAX_SAMPLES_PER_BATCH`] samples: no
+    /// frame could carry them. Every decoded batch is within the cap.
+    fn encode(samples: &[WireSample]) -> Self {
+        assert!(
+            samples.len() <= MAX_SAMPLES_PER_BATCH,
+            "{} samples exceed the batch cap {MAX_SAMPLES_PER_BATCH}",
+            samples.len()
+        );
+        // Room for the larger (counters) layout: the Arc copies it out.
+        let mut out = Vec::with_capacity(4 + (8 + 1 + 16 + 4 + 1) * samples.len());
+        put_samples(&mut out, samples);
+        EncodedSamples(out.into())
+    }
+
+    /// Reads and validates a sample list, leaving `r` just past it.
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, PayloadError> {
+        Ok(EncodedSamples(read_sample_bytes(r)?.into()))
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        sample_count(&self.0)
+    }
+
+    /// Whether the list holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Size of the encoding, count prefix included: what the list
+    /// occupies in a frame and in memory.
+    pub fn byte_len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The samples, in order, decoded from the bytes.
+    pub fn iter(&self) -> impl Iterator<Item = WireSample> + '_ {
+        decode_samples(&self.0)
+    }
+}
+
+impl Default for EncodedSamples {
+    fn default() -> Self {
+        Self::encode(&[])
+    }
+}
+
+impl From<&[WireSample]> for EncodedSamples {
+    fn from(samples: &[WireSample]) -> Self {
+        Self::encode(samples)
+    }
+}
+
+impl From<Vec<WireSample>> for EncodedSamples {
+    fn from(samples: Vec<WireSample>) -> Self {
+        Self::encode(&samples)
+    }
+}
+
+impl FromIterator<WireSample> for EncodedSamples {
+    fn from_iter<I: IntoIterator<Item = WireSample>>(iter: I) -> Self {
+        Self::encode(&iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl std::fmt::Debug for EncodedSamples {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -678,18 +765,11 @@ impl Frame {
                 put_u64(out, *lease_ms);
                 put_u32(out, entries.len() as u32);
                 for e in entries {
-                    if e.samples.len() > MAX_SAMPLES_PER_BATCH {
-                        return Err(EncodeError::TooManyElements {
-                            what: "replication entry samples",
-                            len: e.samples.len(),
-                            max: MAX_SAMPLES_PER_BATCH,
-                        });
-                    }
                     put_u64(out, e.seq);
                     put_u32(out, e.machine);
                     put_u64(out, e.last_t_after);
                     put_u64(out, e.next_seq_after);
-                    put_samples(out, &e.samples);
+                    out.extend_from_slice(&e.samples.0);
                 }
             }
             Frame::ReplSnapshot { repl_seq, bytes } => {
@@ -936,7 +1016,7 @@ impl Frame {
                     let machine = r.u32()?;
                     let last_t_after = r.u64()?;
                     let next_seq_after = r.u64()?;
-                    let samples = read_samples(&mut r)?;
+                    let samples = EncodedSamples::read(&mut r)?;
                     entries.push(ReplEntry {
                         seq,
                         machine,
@@ -1066,33 +1146,87 @@ fn put_samples(out: &mut Vec<u8>, samples: &[WireSample]) {
 
 /// Inverse of [`put_samples`], enforcing [`MAX_SAMPLES_PER_BATCH`].
 fn read_samples(r: &mut ByteReader<'_>) -> Result<Vec<WireSample>, PayloadError> {
+    let bytes = read_sample_bytes(r)?;
+    let mut samples = Vec::with_capacity(sample_count(bytes));
+    samples.extend(decode_samples(bytes));
+    Ok(samples)
+}
+
+/// Reads a sample list and returns its bytes, count prefix included.
+/// Only the bytes that can be invalid are looked at: the count (against
+/// [`MAX_SAMPLES_PER_BATCH`]), each kind byte, which fixes the sample's
+/// length, and each `alive` byte.
+fn read_sample_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], PayloadError> {
+    let start = r.position();
     let count = r.u32()? as usize;
     if count > MAX_SAMPLES_PER_BATCH {
         return Err(PayloadError::new(format!(
             "sample count {count} exceeds cap {MAX_SAMPLES_PER_BATCH}"
         )));
     }
-    let mut samples = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let t = r.u64()?;
-        let load = match r.u8()? {
-            0 => SampleLoad::Direct(r.f64()?),
-            1 => SampleLoad::Counters {
-                busy: r.u64()?,
-                total: r.u64()?,
-            },
+        r.bytes(8)?;
+        match r.u8()? {
+            0 => r.bytes(8)?,
+            1 => r.bytes(16)?,
             k => return Err(PayloadError::new(format!("unknown sample kind {k}"))),
         };
-        let host_resident_mb = r.u32()?;
-        let alive = r.flag()?;
-        samples.push(WireSample {
-            t,
-            load,
-            host_resident_mb,
-            alive,
-        });
+        r.bytes(4)?;
+        r.flag()?;
     }
-    Ok(samples)
+    Ok(r.since(start))
+}
+
+/// The count prefix of a sample list's bytes.
+fn sample_count(bytes: &[u8]) -> usize {
+    bytes
+        .first_chunk::<4>()
+        .map_or(0, |c| u32::from_le_bytes(*c) as usize)
+}
+
+/// The samples of a list [`read_sample_bytes`] accepted. Bytes it would
+/// not accept end the iterator early; nothing here panics.
+fn decode_samples(bytes: &[u8]) -> impl Iterator<Item = WireSample> + '_ {
+    let mut rest = bytes.get(4..).unwrap_or_default();
+    (0..sample_count(bytes)).map_while(move |_| {
+        let (sample, tail) = split_sample(rest)?;
+        rest = tail;
+        Some(sample)
+    })
+}
+
+/// Decodes the sample at the front of `b` and returns it with the rest
+/// of `b`; `None` if `b` is short or a kind or `alive` byte is invalid.
+fn split_sample(b: &[u8]) -> Option<(WireSample, &[u8])> {
+    let (t, b) = b.split_first_chunk::<8>()?;
+    let (kind, b) = b.split_first()?;
+    let (load, b) = match kind {
+        0 => {
+            let (load, b) = b.split_first_chunk::<8>()?;
+            (SampleLoad::Direct(f64::from_le_bytes(*load)), b)
+        }
+        1 => {
+            let (busy, b) = b.split_first_chunk::<8>()?;
+            let (total, b) = b.split_first_chunk::<8>()?;
+            let busy = u64::from_le_bytes(*busy);
+            let total = u64::from_le_bytes(*total);
+            (SampleLoad::Counters { busy, total }, b)
+        }
+        _ => return None,
+    };
+    let (resident, b) = b.split_first_chunk::<4>()?;
+    let (alive, b) = b.split_first()?;
+    let sample = WireSample {
+        t: u64::from_le_bytes(*t),
+        load,
+        host_resident_mb: u32::from_le_bytes(*resident),
+        alive: match alive {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+    };
+    Some((sample, b))
 }
 
 /// Validates a model-state code (1..=5, `AvailState::code`).
@@ -1326,14 +1460,15 @@ mod tests {
                                 host_resident_mb: 600,
                                 alive: false,
                             },
-                        ],
+                        ]
+                        .into(),
                     },
                     ReplEntry {
                         seq: 44,
                         machine: 8,
                         last_t_after: 0,
                         next_seq_after: 1,
-                        samples: vec![],
+                        samples: vec![].into(),
                     },
                 ],
             },
@@ -1448,7 +1583,7 @@ mod tests {
             machine: 0,
             last_t_after: 0,
             next_seq_after: 0,
-            samples: vec![],
+            samples: vec![].into(),
         };
         let over = Frame::ReplEntries {
             head_seq: 0,
@@ -1476,7 +1611,7 @@ mod tests {
                 machine: 2,
                 last_t_after: 3,
                 next_seq_after: 4,
-                samples: vec![],
+                samples: vec![].into(),
             },
             ReplEntry {
                 seq: 2,
@@ -1487,7 +1622,8 @@ mod tests {
                     sample(SampleLoad::Direct(0.5)),
                     sample(SampleLoad::Counters { busy: 1, total: 2 }),
                     sample(SampleLoad::Direct(0.25)),
-                ],
+                ]
+                .into(),
             },
         ];
         let want = REPL_ENTRIES_HEADER_LEN + entries.iter().map(|e| e.encoded_len()).sum::<usize>();

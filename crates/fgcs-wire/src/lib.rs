@@ -41,8 +41,8 @@ pub use codec::{
     decode_one, encode_into, DecodeError, Decoder, EncodeError, HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use frame::{
-    ErrorCode, Frame, MachineStat, ReplEntry, SampleLoad, SchedStatsPayload, StatsPayload,
-    WireSample, WireTransition, MAX_AUTH_TOKEN, MAX_ERROR_DETAIL, MAX_MACHINE_STATS,
+    EncodedSamples, ErrorCode, Frame, MachineStat, ReplEntry, SampleLoad, SchedStatsPayload,
+    StatsPayload, WireSample, WireTransition, MAX_AUTH_TOKEN, MAX_ERROR_DETAIL, MAX_MACHINE_STATS,
     MAX_REPL_ENTRIES_PER_FRAME, MAX_REPL_SNAPSHOT_BYTES, MAX_SAMPLES_PER_BATCH,
     MAX_TRANSITIONS_PER_FRAME, PROTOCOL_VERSION, REPL_ENTRIES_HEADER_LEN,
 };

@@ -97,7 +97,7 @@ fn repl_entries() -> Frame {
                 machine: 4095,
                 last_t_after: 45,
                 next_seq_after: 1,
-                samples: vec![counters_sample(3)],
+                samples: vec![counters_sample(3)].into(),
             },
         ],
     }

@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 
 use fgcs_wire::{
-    decode_one, DecodeError, Decoder, EncodeError, ErrorCode, Frame, MachineStat, SampleLoad,
-    SchedStatsPayload, StatsPayload, WireSample, WireTransition, HEADER_LEN, MAX_ERROR_DETAIL,
-    MAX_SAMPLES_PER_BATCH,
+    decode_one, DecodeError, Decoder, EncodeError, ErrorCode, Frame, MachineStat, ReplEntry,
+    SampleLoad, SchedStatsPayload, StatsPayload, WireSample, WireTransition, HEADER_LEN,
+    MAX_ERROR_DETAIL, MAX_SAMPLES_PER_BATCH, REPL_ENTRIES_HEADER_LEN,
 };
 
 /// encode → decode → encode must reproduce the exact byte string.
@@ -42,6 +42,42 @@ fn sample_strategy() -> impl proptest::strategy::Strategy<Value = WireSample> {
                 alive,
             },
         )
+}
+
+/// A sample's fields with the load as raw bits, so NaNs compare equal
+/// to themselves.
+fn sample_bits(s: &WireSample) -> (u64, u8, u64, u64, u32, bool) {
+    let (kind, a, b) = match s.load {
+        SampleLoad::Direct(load) => (0, load.to_bits(), 0),
+        SampleLoad::Counters { busy, total } => (1, busy, total),
+    };
+    (s.t, kind, a, b, s.host_resident_mb, s.alive)
+}
+
+/// One replication entry per batch, the batch's samples encoded.
+fn repl_entries_of(batches: &[Vec<WireSample>]) -> Vec<ReplEntry> {
+    batches
+        .iter()
+        .enumerate()
+        .map(|(i, samples)| ReplEntry {
+            seq: 100 + i as u64,
+            machine: i as u32,
+            last_t_after: samples.last().map_or(0, |s| s.t),
+            next_seq_after: i as u64 * 3,
+            samples: samples.as_slice().into(),
+        })
+        .collect()
+}
+
+/// Entry header (seq, machine, last_t_after, next_seq_after) plus the
+/// sample count: the bytes before an entry's first sample.
+const ENTRY_PREFIX_LEN: usize = 8 + 4 + 8 + 8 + 4;
+
+fn sample_wire_len(s: &WireSample) -> usize {
+    match s.load {
+        SampleLoad::Direct(_) => 22,
+        SampleLoad::Counters { .. } => 30,
+    }
 }
 
 fn transition_strategy() -> impl proptest::strategy::Strategy<Value = WireTransition> {
@@ -197,6 +233,74 @@ proptest! {
     #[test]
     fn auth_frames_round_trip(token in detail_strategy()) {
         assert_bytes_round_trip(&Frame::Auth { token })?;
+    }
+
+    #[test]
+    fn repl_entries_round_trip_and_iterate_bit_exactly(
+        batches in prop::collection::vec(prop::collection::vec(sample_strategy(), 0..24), 0..9),
+        head_seq in any::<u64>(),
+        lease_ms in any::<u64>(),
+    ) {
+        let entries = repl_entries_of(&batches);
+        let written: usize = entries.iter().map(ReplEntry::encoded_len).sum();
+        let frame = Frame::ReplEntries { head_seq, epoch: 2, lease_ms, entries };
+        let bytes = frame.encode().expect("encodable");
+        prop_assert_eq!(bytes.len(), HEADER_LEN + REPL_ENTRIES_HEADER_LEN + written);
+        assert_bytes_round_trip(&frame)?;
+        // Both the sender's encoding and the decoded one yield the
+        // input samples, bit for bit.
+        let Ok(Frame::ReplEntries { entries: decoded, .. }) = decode_one(&bytes) else {
+            return Err(TestCaseError::fail("a ReplEntries frame decodes to one"));
+        };
+        let Frame::ReplEntries { entries, .. } = &frame else { unreachable!() };
+        prop_assert_eq!(decoded.len(), batches.len());
+        for ((sent, got), batch) in entries.iter().zip(&decoded).zip(&batches) {
+            prop_assert_eq!(sent, got);
+            prop_assert_eq!(got.samples.len(), batch.len());
+            let want: Vec<_> = batch.iter().map(sample_bits).collect();
+            let from_sent: Vec<_> = sent.samples.iter().map(|s| sample_bits(&s)).collect();
+            let from_got: Vec<_> = got.samples.iter().map(|s| sample_bits(&s)).collect();
+            prop_assert_eq!(&from_sent, &want);
+            prop_assert_eq!(&from_got, &want);
+        }
+    }
+
+    #[test]
+    fn a_bad_sample_byte_in_a_repl_entry_is_recoverable(
+        batches in prop::collection::vec(prop::collection::vec(sample_strategy(), 1..8), 1..9),
+        pick in any::<u64>(),
+        alive_byte in any::<bool>(),
+        bad in 2u8..=255,
+    ) {
+        // Entry k's sample j gets an unknown kind byte or a non-0/1
+        // `alive` byte, and the CRC is recomputed so the checksum
+        // passes: the sample validator alone must catch it.
+        let k = pick as usize % batches.len();
+        let j = (pick >> 32) as usize % batches[k].len();
+        let entries = repl_entries_of(&batches);
+        let mut at = HEADER_LEN
+            + REPL_ENTRIES_HEADER_LEN
+            + entries[..k].iter().map(ReplEntry::encoded_len).sum::<usize>()
+            + ENTRY_PREFIX_LEN
+            + batches[k][..j].iter().map(sample_wire_len).sum::<usize>();
+        at += if alive_byte { sample_wire_len(&batches[k][j]) - 1 } else { 8 };
+        let frame = Frame::ReplEntries { head_seq: 200, epoch: 2, lease_ms: 0, entries };
+        let mut bytes = frame.encode().unwrap();
+        prop_assert!(bytes[at] <= 1, "offset {} is a kind or alive byte", at);
+        bytes[at] = bad;
+        let crc = fgcs_wire::codec::crc32(&bytes[HEADER_LEN..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        let mut d = Decoder::new();
+        d.push(&bytes);
+        match d.next_frame() {
+            Err(e @ DecodeError::BadPayload(_)) => prop_assert!(!e.is_fatal()),
+            other => {
+                return Err(TestCaseError::fail(format!("bad byte at {at} accepted: {other:?}")))
+            }
+        }
+        // The bad frame was consumed; the next one on the stream decodes.
+        d.push(&frame.encode().unwrap());
+        prop_assert_eq!(d.next_frame().unwrap(), Some(frame));
     }
 
     #[test]

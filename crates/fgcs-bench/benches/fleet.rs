@@ -4,9 +4,9 @@
 //! * `tracer` — the per-sample reference tracer (`trace_machine`)
 //!   versus the event-horizon batched tracer (`trace_machine_batched`)
 //!   over one machine-fortnight, per archetype. The batched path
-//!   collapses dead downtime to a single detector observe and skips the
-//!   full observe on provably-calm idle spans; the two are
-//!   bit-identical (asserted in fgcs-testbed's tests).
+//!   collapses dead downtime to a single detector observe and, once the
+//!   detector has settled on a calm or a failing span, stops stepping
+//!   it; the two are bit-identical (asserted in fgcs-testbed's tests).
 //! * `supervised` — the supervised per-sample oracle
 //!   (`trace_machine_supervised_per_sample`: every sample through the
 //!   fault stream and the supervisor) versus the supervised walker
@@ -42,11 +42,11 @@ use fgcs_testbed::runner::{
     trace_machine_supervised_per_sample, SupervisorConfig, TestbedConfig,
 };
 
-/// The span tracer measures 2.3–2.5× the per-sample one on the student
-/// lab (2.7–3.0× until PR 24 made the per-sample chain 1.8× faster and
-/// the span tracer 1.5×); anything under this means the idle fast path
-/// stopped engaging.
-const MIN_SPEEDUP: f64 = 1.7;
+/// The span tracer measures 3.4–4.1× the per-sample one on the student
+/// lab in quick runs on a 2-vCPU host, since loaded spans settle like
+/// idle ones; with only idle spans settled it read 2.1–2.5×. Anything
+/// under this means the settled-span paths stopped engaging.
+const MIN_SPEEDUP: f64 = 2.8;
 
 /// The supervised walker measures 1.6–1.9× its per-sample oracle on the
 /// student lab at noisy ×1; anything under this means clean runs

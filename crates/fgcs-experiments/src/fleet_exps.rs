@@ -236,8 +236,9 @@ pub fn fleet(quick: bool) {
             ..FleetConfig::default()
         }
     };
-    // Escape hatch for the 1M-machine version of the sweep; the memory
-    // story is unchanged (accumulators scale with days, not machines),
+    // Escape hatch for the 1M-machine version of the sweep. Peak memory
+    // stays flat: `run_fleet` merges each chunk's partial as it
+    // finishes, and the accumulators scale with days, not machines;
     // only wall-clock grows.
     if let Ok(m) = std::env::var("FGCS_FLEET_MACHINES") {
         cfg.machines = m.parse().expect("FGCS_FLEET_MACHINES must be a count");

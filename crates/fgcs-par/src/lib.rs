@@ -4,7 +4,7 @@
 //! each `(LH, M, priority)` contention point, each machine-day of the
 //! testbed trace, each predictor evaluation fold is independent of the
 //! others. The offline crate set does not include `rayon`, so this crate
-//! provides the two primitives the workspace needs on top of
+//! provides the primitives the workspace needs on top of
 //! `std::thread::scope` and an atomic work index:
 //!
 //! * [`par_map`] — applies a function to every item of a slice on a pool
@@ -13,6 +13,9 @@
 //!   the closure, which simulations use to derive a deterministic
 //!   per-item RNG substream (so results do not depend on which thread
 //!   happened to pick up which item).
+//! * [`par_map_reduce`] — maps in parallel and folds the results in
+//!   input order as they arrive, so a sweep's memory does not grow with
+//!   its item count.
 //!
 //! Work is distributed by an atomic fetch-add over the item index — a
 //! degenerate but effective form of work stealing for items whose cost
@@ -154,25 +157,72 @@ where
     out
 }
 
-/// Parallel fold: maps every item with `f`, then reduces the per-item
-/// results in input order with `reduce`, starting from `init`.
+/// Parallel fold: maps every item with `f` and reduces the results in
+/// input order with `reduce`, starting from `init`.
 ///
-/// The reduction itself runs on the calling thread in deterministic input
+/// The reduction runs on the calling thread, in deterministic input
 /// order, so non-associative-in-floating-point reductions still produce
-/// reproducible output.
-pub fn par_map_reduce<T, R, A, F, G>(items: &[T], f: F, init: A, mut reduce: G) -> A
+/// reproducible output. Each result is folded as soon as it and every
+/// earlier one have arrived, so only results that finished ahead of a
+/// slower earlier item are ever held — not one per item.
+///
+/// If an item's closure panics, the panic propagates once the workers
+/// have joined; no partial fold is returned.
+pub fn par_map_reduce<T, R, A, F, G>(items: &[T], f: F, init: A, reduce: G) -> A
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
     G: FnMut(A, R) -> A,
 {
-    let mapped = par_map_indexed(items, f);
-    let mut acc = init;
-    for r in mapped {
-        acc = reduce(acc, r);
+    map_reduce_on(default_workers(items.len()), items, f, init, reduce)
+}
+
+fn map_reduce_on<T, R, A, F, G>(workers: usize, items: &[T], f: F, init: A, mut reduce: G) -> A
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    G: FnMut(A, R) -> A,
+{
+    if workers <= 1 || IN_WORKER.with(|w| w.get()) {
+        return items
+            .iter()
+            .enumerate()
+            .fold(init, |acc, (i, t)| reduce(acc, f(i, t)));
     }
-    acc
+    let n = items.len();
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (tx, next, f) = (tx.clone(), &next, &f);
+            scope.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, f(i, &items[i]))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        // Results that arrived ahead of an earlier, still-running item.
+        let mut early = std::collections::BTreeMap::new();
+        let mut acc = init;
+        let mut due = 0;
+        for (i, r) in rx {
+            early.insert(i, r);
+            while let Some(r) = early.remove(&due) {
+                acc = reduce(acc, r);
+                due += 1;
+            }
+        }
+        // Short only if a worker panicked; the scope then re-raises
+        // that panic instead of returning `acc`.
+        acc
+    })
 }
 
 /// Runs `n` independent jobs in parallel, returning their results in job
@@ -234,6 +284,89 @@ mod tests {
         let items: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         let total = par_map_reduce(&items, |_, &x| x, 0.0, |a, b| a + b);
         assert_eq!(total, 5050.0);
+    }
+
+    #[test]
+    fn map_reduce_folds_in_input_order_at_every_worker_count() {
+        let items: Vec<usize> = (0..64).collect();
+        let last = items.len() - 1;
+        for workers in [1, 2, 3] {
+            // Item 0 waits until the last item has started, so the
+            // results in between arrive before it. One worker runs
+            // inline and in order, and must not wait.
+            let gate = std::sync::Barrier::new(2);
+            let order = map_reduce_on(
+                workers,
+                &items,
+                |i, &x| {
+                    assert_eq!(i, x);
+                    if workers > 1 && (i == 0 || i == last) {
+                        gate.wait();
+                    }
+                    x
+                },
+                Vec::new(),
+                |mut acc, r| {
+                    acc.push(r);
+                    acc
+                },
+            );
+            assert_eq!(order, items, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn map_reduce_runs_inline_inside_a_worker() {
+        let outer: Vec<u64> = (0..8).collect();
+        let out = par_map(&outer, |&x| {
+            let worker = std::thread::current().id();
+            let inner: Vec<u64> = (0..100).collect();
+            map_reduce_on(
+                3,
+                &inner,
+                |_, &y| {
+                    assert_eq!(std::thread::current().id(), worker, "spawned a second tier");
+                    x * 1000 + y
+                },
+                0,
+                |a, b| a + b,
+            )
+        });
+        let expect: Vec<u64> = (0..8)
+            .map(|x| (0..100).map(|y| x * 1000 + y).sum())
+            .collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn map_reduce_propagates_a_panic_instead_of_a_partial_fold() {
+        let items: Vec<usize> = (0..200).collect();
+        for workers in [1, 2, 3] {
+            let folded = std::cell::Cell::new(0usize);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_reduce_on(
+                    workers,
+                    &items,
+                    |_, &x| {
+                        if x == 42 {
+                            panic!("item 42 fails on purpose");
+                        }
+                        x
+                    },
+                    0usize,
+                    |n, r| {
+                        assert_eq!(r, n, "folded out of order");
+                        folded.set(n + 1);
+                        n + 1
+                    },
+                )
+            }));
+            assert!(result.is_err(), "{workers} workers returned a fold");
+            assert!(
+                folded.get() <= 42,
+                "{workers} workers folded past the panic"
+            );
+        }
     }
 
     #[test]

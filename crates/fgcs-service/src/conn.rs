@@ -402,7 +402,16 @@ fn handle_request(
             max_entries,
             epoch,
         } => {
-            // Fencing first: a pull carrying a strictly higher epoch
+            // A node without a replication log is no replication peer:
+            // no pull, whatever its epoch, may fence it.
+            if !shared.repl.enabled() {
+                return Frame::Error {
+                    code: ErrorCode::Unsupported,
+                    detail: "replication log disabled; start the server with --repl-log"
+                        .to_string(),
+                };
+            }
+            // Fencing next: a pull carrying a strictly higher epoch
             // proves a newer primary exists. If this node still
             // thought it was one (paused through a failover, then
             // revived), demote it on the spot and answer `NotPrimary`
@@ -416,13 +425,6 @@ fn handle_request(
                 return Frame::Error {
                     code: ErrorCode::NotPrimary,
                     detail: format!("fenced: superseded by epoch {epoch}"),
-                };
-            }
-            if !shared.repl.enabled() {
-                return Frame::Error {
-                    code: ErrorCode::Unsupported,
-                    detail: "replication log disabled; start the server with --repl-log"
-                        .to_string(),
                 };
             }
             match shared.repl.pull(after_seq, max_entries as usize) {
@@ -466,8 +468,14 @@ fn handle_request(
             }
         }
         Frame::Promote => {
-            shared.promote();
-            Frame::Ack { seq: 0 }
+            if shared.promote() {
+                Frame::Ack { seq: 0 }
+            } else {
+                Frame::Error {
+                    code: ErrorCode::Internal,
+                    detail: "fencing epoch exhausted; promotion refused".to_string(),
+                }
+            }
         }
         Frame::QueryTransitions {
             machine,
@@ -637,5 +645,81 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    fn ask(shared: &Shared, frame: Frame) -> Frame {
+        let mut ctx = ConnCtx::default();
+        let mut router = LoopRouter::solo();
+        match handle_conn_frame(shared, frame, &mut ctx, &mut router) {
+            Outcome::Reply(reply) | Outcome::ReplyThenClose(reply) => reply,
+        }
+    }
+
+    #[test]
+    fn a_pull_cannot_fence_a_server_without_a_replication_log() {
+        let shared = Shared::new(ServiceConfig {
+            event_loops: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let reply = ask(
+            &shared,
+            Frame::ReplPull {
+                after_seq: 0,
+                max_entries: 8,
+                epoch: u64::MAX,
+            },
+        );
+        assert!(
+            matches!(
+                reply,
+                Frame::Error {
+                    code: ErrorCode::Unsupported,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(shared.is_primary(), "a standalone server was demoted");
+        assert_eq!(shared.epoch(), 1);
+    }
+
+    #[test]
+    fn promote_at_the_last_epoch_is_refused_and_changes_nothing() {
+        let shared = Shared::new(ServiceConfig {
+            event_loops: 1,
+            follower_of: Some("127.0.0.1:9".to_string()),
+            ..Default::default()
+        })
+        .unwrap();
+        assert!(!shared.is_primary());
+        shared.observe_epoch(u64::MAX);
+        let reply = ask(&shared, Frame::Promote);
+        assert!(
+            matches!(
+                reply,
+                Frame::Error {
+                    code: ErrorCode::Internal,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(!shared.is_primary(), "promoted without a fencing epoch");
+        assert_eq!(shared.epoch(), u64::MAX);
+
+        // One below the last epoch still promotes, onto the last one.
+        let shared = Shared::new(ServiceConfig {
+            event_loops: 1,
+            follower_of: Some("127.0.0.1:9".to_string()),
+            ..Default::default()
+        })
+        .unwrap();
+        shared.observe_epoch(u64::MAX - 1);
+        assert_eq!(ask(&shared, Frame::Promote), Frame::Ack { seq: 0 });
+        assert!(shared.is_primary());
+        assert_eq!(shared.epoch(), u64::MAX);
+        assert_eq!(ask(&shared, Frame::Promote), Frame::Ack { seq: 0 });
+        assert_eq!(shared.epoch(), u64::MAX, "a repeated promote bumps nothing");
     }
 }

@@ -516,7 +516,10 @@ fn maybe_self_promote(
          ({} consecutive missed pulls, lease expired); self-promoting at applied seq {}",
         liveness.failures, my_applied
     );
-    shared.promote();
+    if !shared.promote() {
+        eprintln!("fgcs-service: fencing epoch exhausted; staying a follower");
+        return false;
+    }
     fence_old_primary(shared, primary_addr, client_cfg);
     true
 }

@@ -378,9 +378,10 @@ impl Server {
     }
 
     /// Promotes this node to primary in-process (the wire equivalent is
-    /// [`fgcs_wire::Frame::Promote`]). Idempotent.
-    pub fn promote(&self) {
-        self.shared.promote();
+    /// [`fgcs_wire::Frame::Promote`]). Idempotent. Returns `false`, and
+    /// changes nothing, when the fencing epoch is already `u64::MAX`.
+    pub fn promote(&self) -> bool {
+        self.shared.promote()
     }
 
     /// Newest replication seq this node has allocated (primary) or

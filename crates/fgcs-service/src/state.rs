@@ -690,12 +690,23 @@ impl Shared {
     /// observes the flip and exits; the allocation cursor is raised
     /// past every stamp any machine carries so the new primary can
     /// never re-allocate an applied seq, and the epoch is bumped past
-    /// everything observed so the old primary can be fenced.
-    pub(crate) fn promote(&self) {
-        if self.role.swap(ROLE_PRIMARY, Ordering::AcqRel) == ROLE_PRIMARY {
-            return;
+    /// everything observed so the old primary can be fenced. Returns
+    /// `false`, with role and epoch unchanged, when the epoch is
+    /// already `u64::MAX`: no bump could fence anyone.
+    pub(crate) fn promote(&self) -> bool {
+        if self.is_primary() {
+            return true;
         }
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        if self
+            .epoch
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |e| e.checked_add(1))
+            .is_err()
+        {
+            return false;
+        }
+        if self.role.swap(ROLE_PRIMARY, Ordering::AcqRel) == ROLE_PRIMARY {
+            return true;
+        }
         let max_stamp = self
             .machines_sorted()
             .into_iter()
@@ -703,6 +714,7 @@ impl Shared {
             .max()
             .unwrap_or(0);
         self.repl.raise_next(max_stamp + 1);
+        true
     }
 
     /// The node's current fencing epoch.

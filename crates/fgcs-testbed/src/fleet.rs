@@ -238,9 +238,11 @@ impl FleetResult {
 }
 
 /// Runs the whole fleet: every machine is traced with the batched
-/// tracer and folded into streaming accumulators. Peak memory is
-/// `O(chunks_in_flight × (days + sketch_k))` — independent of the
-/// machine count. Deterministic in the seed for any worker count.
+/// tracer and folded into streaming accumulators. Each chunk's partial
+/// is merged as soon as it and every earlier chunk have finished, so
+/// peak memory is `O(chunks_in_flight × (days + sketch_k))` —
+/// independent of the machine count. Deterministic in the seed for any
+/// worker count.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let counts = cfg.archetype_counts();
     let start_weekday = LabConfig::default().start_weekday;
@@ -274,26 +276,30 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
             .collect()
     };
 
-    let partials = fgcs_par::par_map(&chunks, |&(lo, hi)| {
-        let mut accs = fresh(cfg.sketch_k);
-        for m in lo..hi {
-            // Which archetype block does global machine `m` fall in?
-            let a = prefix.partition_point(|&p| p <= m) - 1;
-            let local = m - prefix[a];
-            let records = trace_machine_batched(&testbeds[a], local);
-            accs[a].push_machine(&records);
-        }
-        accs
-    });
-
-    // In-order merge: bit-identical regardless of how chunks were
-    // scheduled across workers.
-    let mut per: Vec<StreamingAnalysis> = fresh(cfg.sketch_k);
-    for chunk_accs in &partials {
-        for (mine, theirs) in per.iter_mut().zip(chunk_accs) {
-            mine.merge(theirs);
-        }
-    }
+    // Chunk partials are merged in chunk order as they finish:
+    // bit-identical however chunks were scheduled across workers, and
+    // only partials that finished ahead of an earlier chunk are held.
+    let per = fgcs_par::par_map_reduce(
+        &chunks,
+        |_, &(lo, hi)| {
+            let mut accs = fresh(cfg.sketch_k);
+            for m in lo..hi {
+                // Which archetype block does global machine `m` fall in?
+                let a = prefix.partition_point(|&p| p <= m) - 1;
+                let local = m - prefix[a];
+                let records = trace_machine_batched(&testbeds[a], local);
+                accs[a].push_machine(&records);
+            }
+            accs
+        },
+        fresh(cfg.sketch_k),
+        |mut per, chunk_accs| {
+            for (mine, theirs) in per.iter_mut().zip(&chunk_accs) {
+                mine.merge(theirs);
+            }
+            per
+        },
+    );
 
     let mut combined = StreamingAnalysis::new(cfg.days, start_weekday, cfg.sketch_k);
     for acc in &per {

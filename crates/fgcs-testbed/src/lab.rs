@@ -676,16 +676,31 @@ impl PlanSpan {
                 alive: false,
             };
         }
-        let mut load: f64 = noise.range_f64(0.0, idle_load_max);
-        for &l in &self.loads {
-            load += l;
-        }
         LoadSample {
             t,
-            host_load: load.min(1.0),
+            host_load: self.load_with(noise.range_f64(0.0, idle_load_max)),
             host_resident_mb: self.mem_mb,
             alive: true,
         }
+    }
+
+    /// The host load of an alive sample whose background noise is
+    /// `noise`: the span's loads added to it in order, capped at 1.
+    #[inline]
+    pub(crate) fn load_with(&self, noise: f64) -> f64 {
+        let mut load = noise;
+        for &l in &self.loads {
+            load += l;
+        }
+        load.min(1.0)
+    }
+
+    /// `(lo, hi)` with every alive sample's load in `[lo, hi]`: the loads
+    /// folded onto noise `0` and onto noise `idle_load_max`. Rounded f64
+    /// addition and `min` are monotone, and the noise draw never leaves
+    /// `[0, idle_load_max]`.
+    pub(crate) fn load_bounds(&self, idle_load_max: f64) -> (f64, f64) {
+        (self.load_with(0.0), self.load_with(idle_load_max))
     }
 }
 
@@ -951,6 +966,35 @@ mod tests {
             let lambda = cfg.arrival_rate(p);
             let rho = lambda * mean_secs;
             assert!((rho / (1.0 + rho) - p).abs() < 1e-9);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_sample_load_lies_in_the_span_bounds(
+            loads in proptest::collection::vec(0.0f64..0.7, 0..6),
+            idle_load_max in 0.0f64..0.2,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let span = PlanSpan {
+                start: 0,
+                end: 64 * 15,
+                dead: false,
+                loads,
+                mem_mb: 0,
+            };
+            let (lo, hi) = span.load_bounds(idle_load_max);
+            let mut noise = Rng::new(seed);
+            for t in (span.start..span.end).step_by(15) {
+                let load = span.sample_at(t, &mut noise, idle_load_max).host_load;
+                proptest::prop_assert!(lo <= load && load <= hi, "{load} outside [{lo}, {hi}]");
+            }
+            // The largest noise `range_f64` can return.
+            let top = idle_load_max * (((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64);
+            let load = span.load_with(top);
+            proptest::prop_assert!(lo <= load && load <= hi, "{load} outside [{lo}, {hi}]");
         }
     }
 

@@ -343,23 +343,50 @@ pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord>
 /// supervised walker once per clean run.
 struct SpanKernel<'a> {
     lab: &'a LabConfig,
-    /// An idle sample can never push a calm, available detector out of
-    /// availability: noise below Th2 (no spike, no S3) and free memory
-    /// at base residency above the guest working set (no S4).
-    idle_calm: bool,
+    th2: f64,
+    guest_working_set_mb: u32,
     /// Consecutive samples are at most `max_silence` apart, so samples
     /// skipped between two observations can never hide a censoring gap.
     may_skip: bool,
 }
 
+/// What every sample of a live span does to a detector that has
+/// settled on it: the span's loads and memory are constant, and every
+/// sample's load lies in [`PlanSpan::load_bounds`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpanClass {
+    /// Every sample is calm (load `<= Th2`, free memory at least the
+    /// guest working set): an available detector without a pending
+    /// spike stays so, and each sample only adds to the interval means.
+    Calm,
+    /// No sample is calm (free memory under the working set, or load
+    /// `> Th2` throughout): once one sample has been observed while the
+    /// detector was already unavailable, it sits at
+    /// `Unavailable { cause, calm_since: None, revived }` and further
+    /// samples change nothing.
+    Failing,
+    /// The load bounds straddle `Th2`: every sample is stepped.
+    Mixed,
+}
+
 impl<'a> SpanKernel<'a> {
     fn new(lab: &'a LabConfig, detector: &DetectorConfig) -> Self {
-        let idle_free = lab.free_for_guest_mb(lab.base_resident_mb);
         SpanKernel {
             lab,
-            idle_calm: lab.idle_load_max < detector.thresholds.th2
-                && idle_free >= detector.guest_working_set_mb,
+            th2: detector.thresholds.th2,
+            guest_working_set_mb: detector.guest_working_set_mb,
             may_skip: detector.max_silence.is_none_or(|m| lab.sample_period <= m),
+        }
+    }
+
+    fn class(&self, span: &PlanSpan, free: u32) -> SpanClass {
+        let (lo, hi) = span.load_bounds(self.lab.idle_load_max);
+        if free < self.guest_working_set_mb || lo > self.th2 {
+            SpanClass::Failing
+        } else if hi <= self.th2 {
+            SpanClass::Calm
+        } else {
+            SpanClass::Mixed
         }
     }
 
@@ -370,16 +397,18 @@ impl<'a> SpanKernel<'a> {
     /// * a dead run feeds the detector one dead observation instead of
     ///   one per sample — consecutive dead samples are idempotent for
     ///   the detector;
-    /// * an idle run (no active contributions, `idle_calm`) steps the
-    ///   detector only until it is calmly available, then credits the
-    ///   remaining samples straight to the interval means. The
-    ///   per-sample noise draw is still performed — the RNG stream
-    ///   position and float-add order are what make the two paths
-    ///   bit-identical;
-    /// * everything else is stepped per sample.
+    /// * a calm run steps the detector only until it is available with
+    ///   no spike pending, then credits the remaining samples straight
+    ///   to the interval means;
+    /// * a failing run steps the detector only until one sample has been
+    ///   observed while it was already unavailable, then just draws the
+    ///   remaining samples' noise;
+    /// * a mixed run is stepped per sample.
     ///
-    /// Either way the detector's gap-policy clock ends at the run's last
-    /// sample, as if every sample had been observed.
+    /// The per-sample noise draw is always performed — the RNG stream
+    /// position and float-add order are what make the paths
+    /// bit-identical. The detector's gap-policy clock ends at the run's
+    /// last sample, as if every sample had been observed.
     #[inline]
     fn trace(
         &self,
@@ -405,43 +434,59 @@ impl<'a> SpanKernel<'a> {
             return;
         }
         let free = lab.free_for_guest_mb(span.mem_mb);
-        if span.loads.is_empty() && self.idle_calm && self.may_skip {
-            while t < end && (!recorder.is_available() || recorder.spike_active()) {
-                let load = noise.range_f64(0.0, lab.idle_load_max);
-                recorder.observe(
-                    t,
-                    &Observation {
-                        host_load: load.min(1.0),
-                        free_mem_mb: free,
-                        alive: true,
-                    },
-                );
-                t += p;
-            }
-            if t < end {
-                while t < end {
-                    let load = noise.range_f64(0.0, lab.idle_load_max);
-                    recorder.accumulate_available_sample(load.min(1.0), free);
+        let observe = |recorder: &mut OccurrenceRecorder, noise: &mut Rng, t: u64| {
+            let load = span.load_with(noise.range_f64(0.0, lab.idle_load_max));
+            recorder.observe(
+                t,
+                &Observation {
+                    host_load: load,
+                    free_mem_mb: free,
+                    alive: true,
+                },
+            )
+        };
+        let class = if self.may_skip {
+            self.class(span, free)
+        } else {
+            SpanClass::Mixed
+        };
+        match class {
+            SpanClass::Calm => {
+                while t < end && (!recorder.is_available() || recorder.spike_active()) {
+                    observe(recorder, noise, t);
                     t += p;
                 }
-                recorder.skip_to(t - p);
-            }
-        } else {
-            while t < end {
-                let mut load = noise.range_f64(0.0, lab.idle_load_max);
-                for &l in &span.loads {
-                    load += l;
+                while t < end {
+                    let load = span.load_with(noise.range_f64(0.0, lab.idle_load_max));
+                    recorder.accumulate_available_sample(load, free);
+                    t += p;
                 }
-                recorder.observe(
-                    t,
-                    &Observation {
-                        host_load: load.min(1.0),
-                        free_mem_mb: free,
-                        alive: true,
-                    },
-                );
-                t += p;
             }
+            SpanClass::Failing => {
+                while t < end {
+                    let was_unavailable = !recorder.is_available();
+                    let step = observe(recorder, noise, t);
+                    t += p;
+                    // A censoring gap re-baselines the detector before
+                    // the sample, so only a gapless step settles it.
+                    if was_unavailable && step.gap.is_none() {
+                        break;
+                    }
+                }
+                while t < end {
+                    noise.range_f64(0.0, lab.idle_load_max);
+                    t += p;
+                }
+            }
+            SpanClass::Mixed => {
+                while t < end {
+                    observe(recorder, noise, t);
+                    t += p;
+                }
+            }
+        }
+        if self.may_skip {
+            recorder.skip_to(t - p);
         }
     }
 }
@@ -456,10 +501,13 @@ impl<'a> SpanKernel<'a> {
 ///
 /// * downtime spans feed the detector one dead observation (at the
 ///   first monitor tick inside the span) instead of thousands;
-/// * idle spans (no active contributions, background noise safely below
-///   `Th2`, memory unconstrained) step the detector only until it is
-///   calmly available, then credit the remaining samples straight to
-///   the interval means;
+/// * calm spans (every sample's load at most `Th2`, memory above the
+///   guest floor) step the detector only until it is available with no
+///   spike pending, then credit the remaining samples straight to the
+///   interval means;
+/// * failing spans (memory under the guest floor, or every sample's
+///   load over `Th2`) step it only until it has settled unavailable,
+///   then just draw the remaining samples' noise;
 /// * the detector's silence clock still ends each span at its last
 ///   tick, so a gap policy sees exactly the silences the per-sample
 ///   path sees.
@@ -1220,6 +1268,143 @@ mod tests {
             assert_eq!(s.alive, !cur.dead, "t={}", s.t);
             if s.alive {
                 assert_eq!(s.host_resident_mb, cur.mem_mb, "t={}", s.t);
+            }
+        }
+    }
+
+    /// Where the kernel boundary tests start their span.
+    const T0: u64 = 86_400;
+
+    /// A live span of 200 samples from [`T0`] (long enough for the
+    /// spike tolerance and the harvest delay to run out inside it).
+    fn live_span(loads: Vec<f64>, mem_mb: u32) -> PlanSpan {
+        PlanSpan {
+            start: T0,
+            end: T0 + 200 * 15,
+            dead: false,
+            loads,
+            mem_mb,
+        }
+    }
+
+    /// Loads `[0.25, l]` whose fold onto `noise` is exactly `target`.
+    fn loads_summing_to(target: f64, noise: f64) -> Vec<f64> {
+        let sum = |l: f64| live_span(vec![0.25, l], 0).load_with(noise);
+        let mut l = target - noise - 0.25;
+        while sum(l) < target {
+            l = l.next_up();
+        }
+        while sum(l) > target {
+            l = l.next_down();
+        }
+        assert_eq!(sum(l), target, "no load folds onto {noise} to {target}");
+        vec![0.25, l]
+    }
+
+    /// Recorders entering a span in each detector situation that
+    /// decides how far the kernel must step: available, mid-spike,
+    /// mid-harvest-wait, and just after a dead span (revocation,
+    /// `revived` unset).
+    fn entry_states(
+        lab: &LabConfig,
+        detector: DetectorConfig,
+    ) -> Vec<(&'static str, OccurrenceRecorder)> {
+        let p = lab.sample_period;
+        let live = |host_load: f64, free_mem_mb: u32| Observation {
+            host_load,
+            free_mem_mb,
+            alive: true,
+        };
+        let calm = live(0.1, 512);
+        let fresh = || OccurrenceRecorder::new(0, detector);
+        let mut available = fresh();
+        available.observe(T0 - 2 * p, &calm);
+        available.observe(T0 - p, &calm);
+        let mut spike = fresh();
+        spike.observe(T0 - 2 * p, &calm);
+        spike.observe(T0 - p, &live(1.0, 512));
+        let mut harvest = fresh();
+        harvest.observe(T0 - 3 * p, &live(0.1, 0));
+        harvest.observe(T0 - 2 * p, &calm);
+        harvest.observe(T0 - p, &calm);
+        let mut dead = fresh();
+        dead.observe(T0 - 2 * p, &calm);
+        dead.observe(T0 - p, &Observation::dead());
+        assert!(available.is_available() && !available.spike_active());
+        assert!(spike.spike_active());
+        assert!(!harvest.is_available() && !dead.is_available());
+        vec![
+            ("available", available),
+            ("mid-spike", spike),
+            ("mid-harvest-wait", harvest),
+            ("after a dead span", dead),
+        ]
+    }
+
+    /// Records plus the resumable state, with the load band masked: it
+    /// never reaches a record, and a credited sample leaves it as the
+    /// last stepped one set it.
+    fn settled(recorder: &OccurrenceRecorder) -> (Vec<TraceRecord>, RecorderSnapshot) {
+        let mut snap = recorder.snapshot();
+        if let DetectorSnapshot::Available { band, .. } = &mut snap.detector {
+            *band = fgcs_core::model::LoadBand::Light;
+        }
+        (recorder.records().to_vec(), snap)
+    }
+
+    #[test]
+    fn span_kernel_equals_per_sample_observe_at_the_class_boundaries() {
+        let lab = LabConfig::default();
+        let base = DetectorConfig::wallclock_default();
+        let th2 = base.thresholds.th2;
+        let floor_mb = lab.phys_mem_mb - lab.kernel_mem_mb - base.guest_working_set_mb;
+        let mem = lab.base_resident_mb;
+        let mut spans = Vec::new();
+        for (target, lo_class, hi_class) in [
+            (th2.next_down(), SpanClass::Mixed, SpanClass::Calm),
+            (th2, SpanClass::Mixed, SpanClass::Calm),
+            (th2.next_up(), SpanClass::Failing, SpanClass::Mixed),
+        ] {
+            // The noise-0 fold (`lo`) and the noise-`idle_load_max`
+            // fold (`hi`) each just under, at and just over Th2.
+            spans.push((live_span(loads_summing_to(target, 0.0), mem), lo_class));
+            let hi_loads = loads_summing_to(target, lab.idle_load_max);
+            spans.push((live_span(hi_loads, mem), hi_class));
+        }
+        // Free memory exactly at the guest floor, and one MB under it.
+        spans.push((live_span(vec![0.1], floor_mb), SpanClass::Calm));
+        spans.push((live_span(vec![0.1], floor_mb + 1), SpanClass::Failing));
+        spans.push((live_span(vec![0.7], floor_mb), SpanClass::Failing));
+        spans.push((live_span(Vec::new(), mem), SpanClass::Calm));
+
+        for max_silence in [None, Some(120)] {
+            let detector = DetectorConfig {
+                max_silence,
+                ..base
+            };
+            let kernel = SpanKernel::new(&lab, &detector);
+            for (i, (span, class)) in spans.iter().enumerate() {
+                let free = lab.free_for_guest_mb(span.mem_mb);
+                assert_eq!(kernel.class(span, free), *class, "span {i}: {span:?}");
+                for (entry, recorder) in entry_states(&lab, detector) {
+                    let mut fast = recorder.clone();
+                    let mut fast_noise = Rng::new(i as u64);
+                    kernel.trace(&mut fast, &mut fast_noise, span, T0, span.end);
+                    let mut oracle = recorder;
+                    let mut oracle_noise = Rng::new(i as u64);
+                    for t in (T0..span.end).step_by(lab.sample_period as usize) {
+                        let s = span.sample_at(t, &mut oracle_noise, lab.idle_load_max);
+                        let obs = Observation {
+                            host_load: s.host_load,
+                            free_mem_mb: lab.free_for_guest_mb(s.host_resident_mb),
+                            alive: true,
+                        };
+                        oracle.observe(t, &obs);
+                    }
+                    let at = format!("span {i} ({class:?}), {entry}, max_silence {max_silence:?}");
+                    assert_eq!(settled(&fast), settled(&oracle), "{at}");
+                    assert_eq!(fast_noise, oracle_noise, "{at}: noise stream position");
+                }
             }
         }
     }

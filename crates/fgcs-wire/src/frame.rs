@@ -457,7 +457,8 @@ pub enum Frame {
         /// higher epoch than its own has been superseded — if it still
         /// thinks it is a primary it demotes itself on the spot, so a
         /// paused-then-revived primary rejects ingest (`NotPrimary`)
-        /// instead of splitting the brain.
+        /// instead of splitting the brain. A node without a
+        /// replication log answers `Unsupported` and is never fenced.
         epoch: u64,
     },
     /// Primary → follower: answer to [`Frame::ReplPull`] when the
@@ -513,7 +514,9 @@ pub enum Frame {
     },
     /// Operator → follower: promote to primary. The node stops pulling,
     /// starts accepting `SampleBatch` ingest and logging it for its own
-    /// followers, and replies `Ack { seq: 0 }`. Idempotent.
+    /// followers, and replies `Ack { seq: 0 }`. Idempotent. A node
+    /// whose epoch is already `u64::MAX` answers `Error { Internal }`
+    /// and keeps its role and epoch.
     Promote,
     /// Client → scheduler: submit a guest job of `work` guest-seconds
     /// on behalf of `user`. Earns a [`Frame::SchedJobReply`] when

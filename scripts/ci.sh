@@ -233,6 +233,20 @@ cmp -s "$smoke_dir/results/fleet_cdf.csv" "$smoke_dir/fleet_cdf.w1.csv" \
 grep -q '"sketch_within_bound":1' "$smoke_dir/BENCH_fleet.json" \
     || { echo "smoke BENCH_fleet.json: sketch error outside its certificate" >&2; exit 1; }
 echo "  5 archetypes + combined, CSVs bit-identical across FGCS_PAR_WORKERS=1/3"
+# Peak memory must not grow with the machine count: run_fleet merges
+# each chunk's partial as soon as it and every earlier chunk are done.
+# The same smoke at 16x the machines (FleetConfig::smoke() has 200)
+# may read at most 2 MB more peak RSS.
+smoke_rss() { grep -o '"peak_rss_mb":[^,}]*' "$1/BENCH_fleet.json" | cut -d: -f2; }
+rss_1x=$(smoke_rss "$smoke_dir")
+mkdir -p "$smoke_dir/fleet16x"
+(cd "$smoke_dir/fleet16x" && FGCS_PAR_WORKERS=3 FGCS_FLEET_MACHINES=3200 "$exp_bin" fleet --quick > fleet.out)
+rss_16x=$(smoke_rss "$smoke_dir/fleet16x")
+[ -n "$rss_1x" ] && [ -n "$rss_16x" ] \
+    || { echo "fleet smoke: missing peak_rss_mb" >&2; exit 1; }
+[ "$rss_16x" -le $((rss_1x + 2)) ] \
+    || { echo "fleet smoke: peak RSS grew from $rss_1x MB to $rss_16x MB at 16x the machines" >&2; exit 1; }
+echo "  peak RSS $rss_1x MB at 200 machines, $rss_16x MB at 3200"
 
 echo "== fleet gate (committed BENCH_fleet.json) =="
 # The committed full-scale X15 artifact must carry the tentpole claim:
@@ -363,7 +377,7 @@ echo "== sim throughput smoke (quick mode; batched >= 5x stepwise on the Figure 
 # and races carry calibrate and fig1a/fig1b.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput
 
-echo "== fleet path smoke (quick mode; span tracer >= 1.7x the per-sample tracer, supervised walker >= 1.4x its oracle) =="
+echo "== fleet path smoke (quick mode; span tracer >= 2.8x the per-sample tracer, supervised walker >= 1.4x its oracle) =="
 # Exits non-zero by itself when a ratio gate fails: the span tracer
 # carries run_testbed (every paper artifact) as well as run_fleet, the
 # supervised walker carries run_testbed_faulty (X11).

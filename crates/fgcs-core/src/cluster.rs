@@ -277,13 +277,13 @@ impl Cluster {
             .enumerate()
             .map(|(i, c)| NodeView {
                 node: i,
-                state: c.detector().state(),
-                accepts_jobs: c.detector().is_available()
-                    && !c.detector().spike_active()
+                state: c.recorder().state(),
+                accepts_jobs: c.recorder().is_available()
+                    && !c.recorder().spike_active()
                     && !c.guest_running()
                     && c.queue_len() == 0,
                 host_load: c.last_observation().map(|o| o.host_load),
-                failures: c.event_log().events().len(),
+                failures: c.recorder().records().len(),
             })
             .collect()
     }
@@ -497,7 +497,7 @@ mod tests {
         // Give the flaky node time to record failures.
         c.run_ticks(fgcs_sim::time::minutes(10));
         assert!(
-            !c.node(0).event_log().events().is_empty(),
+            !c.node(0).recorder().records().is_empty(),
             "flaky node has history"
         );
         c.submit(job(5));

@@ -1,6 +1,7 @@
 //! The guest-job controller.
 //!
-//! Binds a [`Detector`] to a simulated [`Machine`] and enforces the §3.2
+//! Binds an [`OccurrenceRecorder`] (the §4 detector plus the §5
+//! occurrence records) to a simulated [`Machine`] and enforces the §3.2
 //! management policy on the running guest process:
 //!
 //! * S1 → run at default priority; S2 → `renice` to 19;
@@ -21,8 +22,8 @@ use fgcs_sim::machine::Machine;
 use fgcs_sim::proc::{Pid, ProcSpec};
 use fgcs_sim::time::secs;
 
-use crate::detector::{Detector, DetectorConfig, GuestAction};
-use crate::events::EventLog;
+use crate::detector::{DetectorConfig, GuestAction};
+use crate::events::OccurrenceRecorder;
 use crate::monitor::{Monitor, Observation};
 
 /// Controller configuration.
@@ -74,8 +75,7 @@ pub struct Controller {
     cfg: ControllerConfig,
     machine: Machine,
     monitor: Monitor,
-    detector: Detector,
-    log: EventLog,
+    recorder: OccurrenceRecorder,
     slot: GuestSlot,
     queue: VecDeque<ProcSpec>,
     stats: ControllerStats,
@@ -87,13 +87,12 @@ pub struct Controller {
 impl Controller {
     /// Creates a controller around a machine.
     pub fn new(cfg: ControllerConfig, machine: Machine) -> Self {
-        let detector = Detector::new(cfg.detector);
         Controller {
             cfg,
             machine,
             monitor: Monitor::new(),
-            detector,
-            log: EventLog::new(),
+            // One controller drives one machine: its records carry id 0.
+            recorder: OccurrenceRecorder::new(0, cfg.detector),
             slot: GuestSlot::Idle,
             queue: VecDeque::new(),
             stats: ControllerStats::default(),
@@ -119,14 +118,10 @@ impl Controller {
         &mut self.machine
     }
 
-    /// Detector state access.
-    pub fn detector(&self) -> &Detector {
-        &self.detector
-    }
-
-    /// The unavailability log accumulated so far.
-    pub fn event_log(&self) -> &EventLog {
-        &self.log
+    /// The detector state and the unavailability occurrences recorded
+    /// so far.
+    pub fn recorder(&self) -> &OccurrenceRecorder {
+        &self.recorder
     }
 
     /// Lifetime statistics.
@@ -230,8 +225,7 @@ impl Controller {
         let obs = self.monitor.sample(&self.machine);
         self.last_obs = Some(obs);
         let t = self.machine.now();
-        let step = self.detector.observe(t, &obs);
-        self.log.extend(step.edges);
+        let step = self.recorder.observe(t, &obs);
 
         match step.action {
             Some(GuestAction::SetLowestPriority) => {
@@ -279,14 +273,14 @@ impl Controller {
         // Start the next job if the machine is available, idle, and not
         // riding out a load spike (starting a guest mid-spike would run
         // it unmanaged until the spike resolves).
-        if self.detector.is_available() && !self.detector.spike_active() && !self.guest_running() {
+        if self.recorder.is_available() && !self.recorder.spike_active() && !self.guest_running() {
             if let Some(spec) = self.queue.pop_front() {
-                self.detector.set_guest_working_set(spec.mem.resident_mb);
+                self.recorder.set_guest_working_set(spec.mem.resident_mb);
                 // Re-check memory fit before placement.
                 if self.machine.free_mem_for_guest_mb() >= spec.mem.resident_mb {
                     let pid = self.machine.spawn(spec.clone());
                     // Enter at the priority the current state demands.
-                    if self.detector.state() == crate::model::AvailState::S2 {
+                    if self.recorder.state() == crate::model::AvailState::S2 {
                         let _ = self.machine.renice(pid, 19);
                     }
                     self.slot = GuestSlot::Running { pid, spec };
@@ -370,7 +364,7 @@ mod tests {
             19,
             "S2 demands nice 19"
         );
-        assert_eq!(ctl.detector().state(), crate::model::AvailState::S2);
+        assert_eq!(ctl.recorder().state(), crate::model::AvailState::S2);
     }
 
     #[test]
@@ -383,9 +377,9 @@ mod tests {
         assert!(!ctl.guest_running());
         assert_eq!(ctl.stats().terminated, 1);
         assert!(ctl.stats().suspensions >= 1, "suspended before the kill");
-        assert_eq!(ctl.event_log().events().len(), 1);
+        assert_eq!(ctl.recorder().records().len(), 1);
         assert_eq!(
-            ctl.event_log().events()[0].cause,
+            ctl.recorder().records()[0].cause,
             crate::model::FailureCause::CpuContention
         );
     }
@@ -498,7 +492,7 @@ mod tests {
         assert!(s.suspensions >= 1 && s.terminated == 1, "{s:?}");
         assert_eq!(killed.0.len(), 1);
         assert_eq!(killed.0, killed.1);
-        assert_eq!(batched.event_log(), stepwise.event_log());
+        assert_eq!(batched.recorder().records(), stepwise.recorder().records());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * [`detector`] — maps observations to states and unavailability
 //!   events, applying the 1-minute transient-spike and 5-minute
 //!   harvest-delay rules.
-//! * [`events`] — unavailability occurrences and availability-interval
-//!   reconstruction (the §5 trace records).
+//! * [`events`] — the §5 trace record ([`TraceRecord`]) and its one
+//!   assembler, [`OccurrenceRecorder`]: detector edges become
+//!   unavailability occurrences with the mean guest-available CPU and
+//!   memory of the preceding availability interval.
 //! * [`controller`] — the guest-job state machine: renice on S2,
 //!   suspend on spikes, terminate on S3/S4/S5, queue and resubmit jobs.
 //! * [`cluster`] — the multi-machine iShare service: per-node
@@ -42,6 +44,6 @@ pub use controller::{Controller, ControllerConfig, ControllerStats};
 pub use detector::{
     Detector, DetectorConfig, DetectorConfigError, DetectorSnapshot, EventEdge, GuestAction, Step,
 };
-pub use events::{EventLog, UnavailEvent};
+pub use events::{OccurrenceRecorder, RecorderRestoreError, RecorderSnapshot, TraceRecord};
 pub use model::{AvailState, FailureCause, LoadBand, Thresholds, NOTICEABLE_SLOWDOWN};
 pub use monitor::{Monitor, MonitorSnapshot, Observation, ResourceProbe};

@@ -64,6 +64,22 @@ impl Observation {
             alive: false,
         }
     }
+
+    /// One recorded sample as the detector sees it: the load and free
+    /// guest memory if the machine answered, [`Observation::dead`] if
+    /// it did not.
+    #[inline]
+    pub fn sampled(alive: bool, host_load: f64, free_mem_mb: u32) -> Self {
+        if alive {
+            Observation {
+                host_load,
+                free_mem_mb,
+                alive,
+            }
+        } else {
+            Observation::dead()
+        }
+    }
 }
 
 /// Periodic sampler turning probe counter reads into [`Observation`]s.

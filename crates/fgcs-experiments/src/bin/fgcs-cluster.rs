@@ -4,7 +4,7 @@
 //! Boots a 2-shard cluster as real `fgcs-serve` processes (one primary
 //! and one replication follower per shard, machine ids owned by
 //! rendezvous hashing), replays a deterministic availability wave
-//! through the fault-hardened [`ClusterClient`] router in three phases,
+//! through the fault-hardened [`ClusterClient`](fgcs_service::ClusterClient) router in three phases,
 //! and SIGKILLs shard 0's primary between the first and second phase:
 //!
 //! 1. **before** — both primaries healthy; baseline ingest throughput

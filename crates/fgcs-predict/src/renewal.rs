@@ -20,6 +20,7 @@
 //! split), so the predictor inherits Figure 6's weekday-vs-weekend
 //! difference, though not the finer hour-of-day structure.
 
+use fgcs_testbed::analysis::machine_intervals;
 use fgcs_testbed::calendar::{day_index, day_type, DayType, SECS_PER_DAY};
 use fgcs_testbed::trace::Trace;
 
@@ -68,30 +69,22 @@ impl AvailabilityPredictor for RenewalPredictor {
         let mut outage_n = [0u64; 2];
 
         for (_, recs) in trace.per_machine() {
-            let mut cursor = 0u64;
+            let recs: Vec<_> = recs
+                .into_iter()
+                .take_while(|r| r.start < train_end)
+                .collect();
+            // Attribute each interval to the day type of its midpoint:
+            // an interval spanning Friday evening to Monday morning is
+            // weekend capacity.
+            for (s, e) in machine_intervals(&recs, train_end) {
+                let slot = Self::slot(day_type(day_index(s + (e - s) / 2), self.start_weekday));
+                intervals[slot].push((e - s) as f64);
+            }
             for r in recs {
-                if r.start >= train_end {
-                    break;
-                }
-                if r.start > cursor {
-                    // Attribute the interval to the day type of its
-                    // midpoint: an interval spanning Friday evening to
-                    // Monday morning is weekend capacity.
-                    let mid = cursor + (r.start - cursor) / 2;
-                    let slot = Self::slot(day_type(day_index(mid), self.start_weekday));
-                    intervals[slot].push((r.start - cursor) as f64);
-                }
                 let end = r.end.unwrap_or(train_end).min(train_end);
                 let slot = Self::slot(day_type(day_index(r.start), self.start_weekday));
                 outage_sum[slot] += end.saturating_sub(r.start) as f64;
                 outage_n[slot] += 1;
-                cursor = cursor.max(end);
-            }
-            // Trailing interval up to the training horizon.
-            if cursor < train_end {
-                let mid = cursor + (train_end - cursor) / 2;
-                let slot = Self::slot(day_type(day_index(mid), self.start_weekday));
-                intervals[slot].push((train_end - cursor) as f64);
             }
         }
         for v in &mut intervals {

@@ -18,7 +18,7 @@
 //!   **bit-identical** records to an in-process run at any loop
 //!   count), maintain an online `fgcs-predict` model, and answer
 //!   availability/placement queries from live state. Per-machine state
-//!   is sharded ([`ServiceConfig::state_shards`]); an optional shared
+//!   is sharded ([`ServiceConfig::state_shards`](field@ServiceConfig::state_shards)); an optional shared
 //!   auth token ([`ServiceConfig::auth_token`]) gates every stream.
 //! * [`EventLoop`] — the frame-server skeleton under those loops:
 //!   epoll, accept under a connection cap, frame reassembly, `BadFrame`

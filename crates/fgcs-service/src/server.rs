@@ -56,7 +56,7 @@ pub struct ServiceConfig {
     /// read paths re-sort so results stay deterministic.
     pub state_shards: usize,
     /// Shared auth token. When set, every connection must present it in
-    /// a [`Frame::Auth`] before any other frame; violations earn
+    /// a [`Frame::Auth`](fgcs_wire::Frame::Auth) before any other frame; violations earn
     /// `Error { Unauthorized }` and a close. `None` disables the gate.
     pub auth_token: Option<String>,
     /// Detector configuration applied to every machine's stream.
@@ -88,13 +88,13 @@ pub struct ServiceConfig {
     /// listener on the shared address (DESIGN.md §12; needs Linux
     /// ≥ 3.9, else [`Server::start`] returns the bind error). 0 means
     /// auto: `min(cores, shards)`. Must not exceed
-    /// [`ServiceConfig::state_shards`].
+    /// [`ServiceConfig::state_shards`](field@ServiceConfig::state_shards).
     pub event_loops: usize,
     /// Replication seq-log capacity, in entries. 0 disables replication
-    /// on a primary (followers force a default — see
-    /// [`ServiceConfig::repl_capacity`]). The log must retain enough
-    /// entries to cover a follower's restart gap, or the follower falls
-    /// back to a full snapshot resync (DESIGN.md §13).
+    /// on a primary; a follower given 0 uses a default capacity, so it
+    /// can serve followers of its own once promoted. The log must
+    /// retain enough entries to cover a follower's restart gap, or the
+    /// follower falls back to a full snapshot resync (DESIGN.md §13).
     pub repl_log_capacity: usize,
     /// Run as a replication follower pulling from this primary address.
     /// A follower rejects `SampleBatch` with `Error { NotPrimary }`,
@@ -415,7 +415,7 @@ impl Server {
 
     /// Contention numbers for every instrumented lock category, in a
     /// fixed order. `counters` covers the slotted stats counters; the
-    /// rest are the [`crate::state`] categories (online model, machine
+    /// rest are the `state` module's categories (online model, machine
     /// cells on the ingest path, shard maps).
     pub fn lock_contention(&self) -> Vec<LockContention> {
         let mk = |lock: &'static str, stats: &crate::state::LockStats| {

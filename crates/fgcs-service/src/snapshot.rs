@@ -42,7 +42,9 @@ use std::time::{Duration, Instant};
 use fgcs_core::detector::DetectorSnapshot;
 use fgcs_core::model::{AvailState, FailureCause, LoadBand};
 use fgcs_core::monitor::MonitorSnapshot;
-use fgcs_testbed::json::{self, ObjWriter, Value};
+use fgcs_testbed::json::{
+    self, get_f64, get_opt_u64, get_str, get_u64, get_u64_or, ObjWriter, Value,
+};
 use fgcs_testbed::trace::{record_from_obj, record_to_json};
 use fgcs_testbed::{RecorderSnapshot, TraceRecord};
 use fgcs_wire::codec::crc32;
@@ -222,55 +224,6 @@ pub(crate) fn serialize_snapshot(data: &SnapshotData) -> String {
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
-
-fn get<'a>(o: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
-    o.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(o: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    get(o, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-/// Reads a u64 field that pre-replication snapshot versions did not
-/// write: a missing key yields `default` (old files restore cleanly),
-/// but a present key with the wrong type is still an error.
-fn get_u64_or(o: &BTreeMap<String, Value>, key: &str, default: u64) -> Result<u64, String> {
-    match o.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("field {key:?} is not an unsigned integer")),
-    }
-}
-
-fn get_f64(o: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
-    let v = get(o, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} is not a number"))?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(format!("field {key:?} is not finite"))
-    }
-}
-
-fn get_opt_u64(o: &BTreeMap<String, Value>, key: &str) -> Result<Option<u64>, String> {
-    match get(o, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not an unsigned integer or null")),
-    }
-}
-
-fn get_str<'a>(o: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, String> {
-    get(o, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))
-}
 
 fn parse_machine(o: &BTreeMap<String, Value>) -> Result<(MachineSnapshot, u64, u64), String> {
     let machine = get_u64(o, "machine")? as u32;

@@ -160,17 +160,7 @@ impl MachineState {
 
         let free_mem_mb = cfg.free_for_guest_mb(s.host_resident_mb);
         let obs = match s.load {
-            SampleLoad::Direct(host_load) => {
-                if s.alive {
-                    Observation {
-                        host_load,
-                        free_mem_mb,
-                        alive: true,
-                    }
-                } else {
-                    Observation::dead()
-                }
-            }
+            SampleLoad::Direct(host_load) => Observation::sampled(s.alive, host_load, free_mem_mb),
             SampleLoad::Counters { busy, total } => self.monitor.sample(&WireProbe {
                 busy,
                 total,

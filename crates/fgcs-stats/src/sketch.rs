@@ -1,6 +1,6 @@
 //! Mergeable streaming quantile / CDF sketch with a provable rank bound.
 //!
-//! The exact analysis path ([`crate::ecdf::Ecdf`], [`crate::quantile`])
+//! The exact analysis path ([`crate::ecdf::Ecdf`], [`crate::quantile`](mod@crate::quantile))
 //! clones and sorts every sample it summarizes, so its memory grows with
 //! fleet-days. `RankSketch` replaces that with a fixed-size multi-level
 //! compactor (Munro–Paterson lineage, the deterministic ancestor of the

@@ -484,6 +484,22 @@ mod tests {
         let refs: Vec<&TraceRecord> = vec![&r1, &r2];
         let ivals = machine_intervals(&refs, 1_000);
         assert_eq!(ivals, vec![(0, 100), (200, 500), (600, 1_000)]);
+        // An occurrence still open at the end of the trace truncates the
+        // last interval.
+        let open = TraceRecord {
+            end: None,
+            raw_end: None,
+            ..rec(0, FailureCause::CpuContention, 700, 0, 0)
+        };
+        assert_eq!(
+            machine_intervals(&[&r1, &open], 1_000),
+            [(0, 100), (200, 700)]
+        );
+        // No occurrences: the whole span is one interval.
+        assert_eq!(machine_intervals(&[], 1_000), [(0, 1_000)]);
+        // An occurrence at time zero leaves no empty leading interval.
+        let at_zero = rec(0, FailureCause::Revocation, 0, 50, 50);
+        assert_eq!(machine_intervals(&[&at_zero], 100), [(50, 100)]);
     }
 
     #[test]

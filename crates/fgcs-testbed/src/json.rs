@@ -58,6 +58,62 @@ impl Value {
     }
 }
 
+// Field accessors over a parsed object, shared by the trace and the
+// service snapshot loaders. Errors name the field.
+
+/// The value of field `key`.
+pub fn get<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
+    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// Field `key` as an unsigned integer.
+pub fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    get(obj, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
+}
+
+/// Field `key` as an unsigned integer, or `default` when the key is
+/// absent (a field older file versions did not write). A present key
+/// of the wrong type is still an error.
+pub fn get_u64_or(obj: &BTreeMap<String, Value>, key: &str, default: u64) -> Result<u64, String> {
+    match obj.get(key) {
+        None => Ok(default),
+        Some(_) => get_u64(obj, key),
+    }
+}
+
+/// Field `key` as a finite number: a literal that overflows to
+/// infinity is rejected here, at the loader boundary.
+pub fn get_f64(obj: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
+    let v = get(obj, key)?
+        .as_f64()
+        .ok_or_else(|| format!("field {key:?} is not a number"))?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("field {key:?} is not finite"))
+    }
+}
+
+/// Field `key` as an unsigned integer, `None` for `null`.
+pub fn get_opt_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<Option<u64>, String> {
+    match get(obj, key)? {
+        Value::Null => Ok(None),
+        v => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} is not an unsigned integer or null")),
+    }
+}
+
+/// Field `key` as a string.
+pub fn get_str<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, String> {
+    get(obj, key)?
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} is not a string"))
+}
+
 /// Parses one JSON document. Returns an error message on malformed input
 /// or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, String> {

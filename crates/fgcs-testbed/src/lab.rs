@@ -24,6 +24,7 @@
 //! monitor would have sampled: `(host_load, host_resident_mb, alive)` at
 //! the monitor period, deterministic from the seed.
 
+use fgcs_core::monitor::Observation;
 use fgcs_stats::dist::{Exponential, LogNormal, Poisson, Sample, Uniform};
 use fgcs_stats::rng::Rng;
 
@@ -214,6 +215,15 @@ impl LabConfig {
         self.phys_mem_mb
             .saturating_sub(self.kernel_mem_mb)
             .saturating_sub(resident_mb)
+    }
+
+    /// The monitor observation of sample `s` on this lab's machines.
+    pub fn observation(&self, s: &LoadSample) -> Observation {
+        Observation::sampled(
+            s.alive,
+            s.host_load,
+            self.free_for_guest_mb(s.host_resident_mb),
+        )
     }
 
     /// The occupancy profile for a day type.

@@ -8,13 +8,14 @@
 //! * [`lab`] — the student-lab workload generator (sessions, compile
 //!   bursts, the 4 AM `updatedb` job, frustration reboots, rare hardware
 //!   failures), emitting exactly what a `vmstat`-style monitor observes;
-//! * [`runner`] — feeds those observations through the real
-//!   `fgcs-core` detector on every machine (in parallel) and records
-//!   unavailability occurrences;
-//! * [`trace`] — the event-trace schema with JSONL and CSV round-trips;
+//! * [`runner`] — feeds those observations through `fgcs-core`'s
+//!   [`OccurrenceRecorder`] (the §4 detector plus the §5 record
+//!   assembler) on every machine, in parallel;
+//! * [`trace`] — JSONL and CSV round-trips of the resulting
+//!   [`TraceRecord`]s;
 //! * [`loadtrace`] — the raw monitor-sample layer underneath it, with
-//!   offline event derivation (re-analyze archived logs under any
-//!   thresholds);
+//!   offline event derivation through the same recorder (re-analyze
+//!   archived logs under any thresholds);
 //! * [`analysis`] — Table 2, Figure 6, Figure 7 and the §5.3 regularity
 //!   analysis;
 //! * [`streaming`] — the same analyses as bounded-memory sketch folds

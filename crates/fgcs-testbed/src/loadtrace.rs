@@ -5,13 +5,15 @@
 //! the unavailability occurrences are distilled from them. This module
 //! is that lower layer: a compact on-disk format for per-machine
 //! `(t, host_load, resident_mb, alive)` series, plus [`derive_events`],
-//! which replays a stored series through the §4 detector — so archived
-//! raw logs can be (re-)analyzed under any threshold configuration, not
-//! just the one that was live at collection time.
+//! which replays a stored series through the §4 detector and the same
+//! occurrence recorder the live tracers use — so archived raw logs can
+//! be (re-)analyzed under any threshold configuration, not just the one
+//! that was live at collection time.
 
 use std::io::{BufRead, Write};
 
-use fgcs_core::detector::{Detector, DetectorConfig, EventEdge};
+use fgcs_core::detector::DetectorConfig;
+use fgcs_core::events::OccurrenceRecorder;
 use fgcs_core::monitor::Observation;
 
 use crate::lab::LoadSample;
@@ -133,70 +135,28 @@ impl LoadSeries {
     }
 }
 
-/// Replays a stored series through the detector, producing the event
-/// records the live tracer would have recorded — the offline analysis
-/// path for archived monitor logs. `phys_mem_mb`/`kernel_mem_mb` convert
-/// resident sizes into guest-available memory, exactly as the runner
-/// does.
+/// Replays a stored series through an [`OccurrenceRecorder`],
+/// producing the event records the live tracer would have recorded —
+/// the offline analysis path for archived monitor logs.
+/// `phys_mem_mb`/`kernel_mem_mb` convert resident sizes into
+/// guest-available memory, exactly as the runner does.
 pub fn derive_events(
     series: &LoadSeries,
     detector_cfg: DetectorConfig,
     phys_mem_mb: u32,
     kernel_mem_mb: u32,
 ) -> Vec<TraceRecord> {
-    let mut detector = Detector::new(detector_cfg);
-    let mut records: Vec<TraceRecord> = Vec::new();
-    let mut open: Option<usize> = None;
-    let mut avail_cpu_sum = 0.0;
-    let mut avail_mem_sum = 0.0;
-    let mut avail_samples = 0u64;
-
+    let mut recorder = OccurrenceRecorder::new(series.machine, detector_cfg);
     for s in &series.samples {
-        let free = phys_mem_mb
+        let free_mem_mb = phys_mem_mb
             .saturating_sub(kernel_mem_mb)
             .saturating_sub(s.host_resident_mb);
-        let obs = if s.alive {
-            Observation {
-                host_load: s.host_load,
-                free_mem_mb: free,
-                alive: true,
-            }
-        } else {
-            Observation::dead()
-        };
-        if detector.is_available() && s.alive {
-            avail_cpu_sum += 1.0 - s.host_load;
-            avail_mem_sum += free as f64;
-            avail_samples += 1;
-        }
-        let step = detector.observe(s.t, &obs);
-        for edge in step.edges {
-            match edge {
-                EventEdge::Started { cause, at } => {
-                    let n = avail_samples.max(1) as f64;
-                    records.push(TraceRecord {
-                        machine: series.machine,
-                        cause,
-                        start: at,
-                        end: None,
-                        raw_end: None,
-                        avail_cpu: avail_cpu_sum / n,
-                        avail_mem_mb: (avail_mem_sum / n) as u32,
-                    });
-                    open = Some(records.len() - 1);
-                    avail_cpu_sum = 0.0;
-                    avail_mem_sum = 0.0;
-                    avail_samples = 0;
-                }
-                EventEdge::Ended { at, calm_from, .. } => {
-                    let idx = open.take().expect("Ended without open record");
-                    records[idx].end = Some(at);
-                    records[idx].raw_end = Some(calm_from.max(records[idx].start));
-                }
-            }
-        }
+        recorder.observe(
+            s.t,
+            &Observation::sampled(s.alive, s.host_load, free_mem_mb),
+        );
     }
-    records
+    recorder.into_records()
 }
 
 #[cfg(test)]
@@ -246,6 +206,33 @@ mod tests {
             cfg.lab.kernel_mem_mb,
         );
         assert_eq!(derived, live);
+    }
+
+    #[test]
+    fn derived_events_match_the_recorder_across_censoring_gaps() {
+        // One silent hour in every six under a 2-minute gap policy: the
+        // interval means restart at every censoring gap and gap-closed
+        // records keep `end`/`raw_end` clamped, as in the live recorder.
+        let mut cfg = TestbedConfig::tiny();
+        cfg.detector.max_silence = Some(120);
+        for machine in 0..cfg.lab.machines {
+            let mut series = LoadSeries::collect(&cfg.lab, machine);
+            series.samples.retain(|s| s.t % 21_600 >= 3_600);
+            let mut recorder = OccurrenceRecorder::new(machine as u32, cfg.detector);
+            let mut gaps = 0;
+            for s in &series.samples {
+                let step = recorder.observe(s.t, &cfg.lab.observation(s));
+                gaps += usize::from(step.gap.is_some());
+            }
+            assert!(gaps > 0, "machine {machine}: the silences must censor");
+            let derived = derive_events(
+                &series,
+                cfg.detector,
+                cfg.lab.phys_mem_mb,
+                cfg.lab.kernel_mem_mb,
+            );
+            assert_eq!(derived, recorder.into_records(), "machine {machine}");
+        }
     }
 
     #[test]

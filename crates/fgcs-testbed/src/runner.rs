@@ -7,10 +7,7 @@
 //! with the mean available CPU/memory of the preceding availability
 //! interval.
 
-use fgcs_core::detector::{
-    Detector, DetectorConfig, DetectorConfigError, DetectorSnapshot, EventEdge, Step,
-};
-use fgcs_core::model::AvailState;
+use fgcs_core::detector::DetectorConfig;
 use fgcs_core::monitor::Observation;
 use fgcs_faults::{CrashPlan, FaultConfig, FaultStream, InjectionStats, Injector};
 use fgcs_stats::Rng;
@@ -18,6 +15,11 @@ use fgcs_stats::Rng;
 use crate::lab::{LabConfig, LoadSample, MachinePlan, PlanSpan};
 use crate::quality::{MachineQuality, TraceQualityReport};
 use crate::trace::{Trace, TraceMeta, TraceRecord};
+
+// The occurrence assembler every tracer below is built on lives in
+// `fgcs-core`; re-exported so `runner::OccurrenceRecorder` keeps
+// resolving for the service and the benchmark adapter.
+pub use fgcs_core::events::{OccurrenceRecorder, RecorderRestoreError, RecorderSnapshot};
 
 /// Testbed configuration: the lab model plus the detector parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,239 +48,6 @@ impl TestbedConfig {
         }
     }
 }
-
-/// Detector + occurrence bookkeeping for one machine: feeds observations
-/// to the §4 detector and turns its event edges into [`TraceRecord`]s,
-/// tracking the running mean of guest-available CPU/memory over the
-/// preceding availability interval.
-///
-/// Every testbed tracer *and* the networked ingest path
-/// (`fgcs-service`) are built on this type, so a sample stream replayed
-/// over TCP produces bit-identical records to an in-process run by
-/// construction: same accumulation order, same f64 sums.
-#[derive(Debug, Clone)]
-pub struct OccurrenceRecorder {
-    machine: u32,
-    detector: Detector,
-    records: Vec<TraceRecord>,
-    open: Option<usize>,
-    avail_cpu_sum: f64,
-    avail_mem_sum: f64,
-    avail_samples: u64,
-}
-
-impl OccurrenceRecorder {
-    /// A recorder for `machine` with a fresh detector.
-    pub fn new(machine: u32, config: DetectorConfig) -> Self {
-        OccurrenceRecorder {
-            machine,
-            detector: Detector::new(config),
-            records: Vec::new(),
-            open: None,
-            avail_cpu_sum: 0.0,
-            avail_mem_sum: 0.0,
-            avail_samples: 0,
-        }
-    }
-
-    /// Current detector state.
-    pub fn state(&self) -> AvailState {
-        self.detector.state()
-    }
-
-    /// Whether the machine is currently in an availability state.
-    pub fn is_available(&self) -> bool {
-        self.detector.is_available()
-    }
-
-    /// Whether a load spike is pending (above Th2 but within tolerance).
-    pub fn spike_active(&self) -> bool {
-        self.detector.spike_active()
-    }
-
-    /// Records produced so far. The last one may still be open
-    /// (`end == None`).
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Consumes the recorder, returning its records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-
-    /// Feeds one observation: accumulates availability-interval means,
-    /// steps the detector, and converts event edges into records.
-    /// Timestamps must be non-decreasing (the caller discards
-    /// out-of-order samples).
-    pub fn observe(&mut self, t: u64, obs: &Observation) -> Step {
-        // Means cover samples where the machine was observed available
-        // *before* this sample was applied: the sample that triggers an
-        // occurrence belongs to the occurrence, not to the interval.
-        if self.detector.is_available() && obs.alive {
-            self.avail_cpu_sum += 1.0 - obs.host_load;
-            self.avail_mem_sum += obs.free_mem_mb as f64;
-            self.avail_samples += 1;
-        }
-
-        let step = self.detector.observe(t, obs);
-        if step.gap.is_some() {
-            // What accumulated before the silence does not describe the
-            // interval that resumes after it.
-            self.avail_cpu_sum = 0.0;
-            self.avail_mem_sum = 0.0;
-            self.avail_samples = 0;
-        }
-        for edge in &step.edges {
-            match *edge {
-                EventEdge::Started { cause, at } => {
-                    debug_assert!(self.open.is_none(), "nested occurrence");
-                    let n = self.avail_samples.max(1) as f64;
-                    self.records.push(TraceRecord {
-                        machine: self.machine,
-                        cause,
-                        start: at,
-                        end: None,
-                        raw_end: None,
-                        avail_cpu: self.avail_cpu_sum / n,
-                        avail_mem_mb: (self.avail_mem_sum / n) as u32,
-                    });
-                    self.open = Some(self.records.len() - 1);
-                    self.avail_cpu_sum = 0.0;
-                    self.avail_mem_sum = 0.0;
-                    self.avail_samples = 0;
-                }
-                EventEdge::Ended { at, calm_from, .. } => {
-                    let idx = self.open.take().expect("Ended without open record");
-                    let start = self.records[idx].start;
-                    // A gap-close can end an occurrence at its own start
-                    // sample; clamp instead of trusting the edge times.
-                    let end = at.max(start);
-                    self.records[idx].end = Some(end);
-                    self.records[idx].raw_end = Some(calm_from.clamp(start, end));
-                }
-            }
-        }
-        step
-    }
-
-    /// Fast path for the batched tracer: credits one available sample to
-    /// the running interval means without stepping the detector. Only
-    /// valid when the detector is calmly available (`is_available()`,
-    /// no pending spike) and the observation could not change that —
-    /// the float operations mirror [`Self::observe`] exactly.
-    pub(crate) fn accumulate_available_sample(&mut self, host_load: f64, free_mem_mb: u32) {
-        self.avail_cpu_sum += 1.0 - host_load;
-        self.avail_mem_sum += free_mem_mb as f64;
-        self.avail_samples += 1;
-    }
-
-    /// Fast path for the batched tracers: moves the detector's gap-policy
-    /// clock to `t` after samples were credited or skipped without a
-    /// step (see [`Detector::skip_to`]).
-    pub(crate) fn skip_to(&mut self, t: u64) {
-        self.detector.skip_to(t);
-    }
-
-    /// Captures everything needed to resume this recorder after a
-    /// process restart, *except* the records themselves (callers persist
-    /// those separately — typically via the trace serializers — and hand
-    /// them back to [`OccurrenceRecorder::restore`]).
-    pub fn snapshot(&self) -> RecorderSnapshot {
-        RecorderSnapshot {
-            machine: self.machine,
-            detector: self.detector.snapshot(),
-            open: self.open.map(|i| i as u64),
-            avail_cpu_sum: self.avail_cpu_sum,
-            avail_mem_sum: self.avail_mem_sum,
-            avail_samples: self.avail_samples,
-        }
-    }
-
-    /// Rebuilds a recorder from a [`RecorderSnapshot`] and the records
-    /// that were persisted alongside it. The snapshot is validated
-    /// against the records before anything is applied: an `open` index
-    /// out of bounds, or pointing at an already-closed record, rejects
-    /// the whole snapshot (the crash-safe loader then falls back to an
-    /// older one rather than resuming from inconsistent state).
-    pub fn restore(
-        cfg: DetectorConfig,
-        snap: &RecorderSnapshot,
-        records: Vec<TraceRecord>,
-    ) -> Result<OccurrenceRecorder, RecorderRestoreError> {
-        let open = match snap.open {
-            None => None,
-            Some(i) => {
-                let idx = i as usize;
-                match records.get(idx) {
-                    None => return Err(RecorderRestoreError::OpenOutOfBounds(i)),
-                    Some(r) if r.end.is_some() => {
-                        return Err(RecorderRestoreError::OpenRecordClosed(i))
-                    }
-                    Some(_) => Some(idx),
-                }
-            }
-        };
-        let detector =
-            Detector::restore(cfg, snap.detector).map_err(RecorderRestoreError::InvalidConfig)?;
-        Ok(OccurrenceRecorder {
-            machine: snap.machine,
-            detector,
-            records,
-            open,
-            avail_cpu_sum: snap.avail_cpu_sum,
-            avail_mem_sum: snap.avail_mem_sum,
-            avail_samples: snap.avail_samples,
-        })
-    }
-}
-
-/// Serializable view of an [`OccurrenceRecorder`]'s resumable state
-/// (see [`OccurrenceRecorder::snapshot`]). Records are not included;
-/// they travel through the trace serializers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecorderSnapshot {
-    /// The machine this recorder traces.
-    pub machine: u32,
-    /// Detector state at snapshot time.
-    pub detector: DetectorSnapshot,
-    /// Index of the still-open record (`end == None`), if any.
-    pub open: Option<u64>,
-    /// Running sum of `1 - host_load` over the current availability
-    /// interval.
-    pub avail_cpu_sum: f64,
-    /// Running sum of free guest memory (MB) over the interval.
-    pub avail_mem_sum: f64,
-    /// Samples accumulated into the sums.
-    pub avail_samples: u64,
-}
-
-/// Why [`OccurrenceRecorder::restore`] rejected a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecorderRestoreError {
-    /// `open` pointed past the end of the persisted records.
-    OpenOutOfBounds(u64),
-    /// `open` pointed at a record that already has an end time.
-    OpenRecordClosed(u64),
-    /// The detector configuration failed validation.
-    InvalidConfig(DetectorConfigError),
-}
-
-impl std::fmt::Display for RecorderRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecorderRestoreError::OpenOutOfBounds(i) => {
-                write!(f, "open record index {i} out of bounds")
-            }
-            RecorderRestoreError::OpenRecordClosed(i) => {
-                write!(f, "open record index {i} points at a closed record")
-            }
-            RecorderRestoreError::InvalidConfig(e) => write!(f, "invalid detector config: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RecorderRestoreError {}
 
 /// Runs the whole testbed and collects the trace. Machines are traced in
 /// parallel; the result is deterministic in the seed regardless of the
@@ -323,16 +92,7 @@ pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord>
     let plan = MachinePlan::generate(&cfg.lab, machine_id);
     let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
     for s in plan.samples() {
-        let obs = if s.alive {
-            Observation {
-                host_load: s.host_load,
-                free_mem_mb: cfg.lab.free_for_guest_mb(s.host_resident_mb),
-                alive: true,
-            }
-        } else {
-            Observation::dead()
-        };
-        recorder.observe(s.t, &obs);
+        recorder.observe(s.t, &cfg.lab.observation(&s));
     }
     recorder.into_records()
 }
@@ -706,17 +466,7 @@ impl<'a> Supervision<'a> {
         self.last_t = Some(s.t);
         self.quality.samples_used += 1;
 
-        let obs = if s.alive {
-            Observation {
-                host_load: s.host_load,
-                free_mem_mb: self.lab.free_for_guest_mb(s.host_resident_mb),
-                alive: true,
-            }
-        } else {
-            Observation::dead()
-        };
-
-        let step = self.recorder.observe(s.t, &obs);
+        let step = self.recorder.observe(s.t, &self.lab.observation(&s));
         if let Some(gap) = step.gap {
             self.quality.gaps += 1;
             self.quality.censored_spans.push(gap);
@@ -1104,65 +854,25 @@ mod tests {
         let cfg = TestbedConfig::tiny();
         let plan = MachinePlan::generate(&cfg.lab, 0);
         let samples: Vec<_> = plan.samples().collect();
-        let to_obs = |s: &crate::lab::LoadSample| {
-            if s.alive {
-                Observation {
-                    host_load: s.host_load,
-                    free_mem_mb: cfg.lab.free_for_guest_mb(s.host_resident_mb),
-                    alive: true,
-                }
-            } else {
-                Observation::dead()
-            }
-        };
         let mut full = OccurrenceRecorder::new(0, cfg.detector);
         for s in &samples {
-            full.observe(s.t, &to_obs(s));
+            full.observe(s.t, &cfg.lab.observation(s));
         }
         let expected = full.into_records();
         for cut in [1, samples.len() / 3, samples.len() / 2, samples.len() - 1] {
             let mut pre = OccurrenceRecorder::new(0, cfg.detector);
             for s in &samples[..cut] {
-                pre.observe(s.t, &to_obs(s));
+                pre.observe(s.t, &cfg.lab.observation(s));
             }
             let snap = pre.snapshot();
             let mut resumed =
                 OccurrenceRecorder::restore(cfg.detector, &snap, pre.records().to_vec())
                     .expect("valid snapshot");
             for s in &samples[cut..] {
-                resumed.observe(s.t, &to_obs(s));
+                resumed.observe(s.t, &cfg.lab.observation(s));
             }
             assert_eq!(resumed.into_records(), expected, "cut {cut}");
         }
-    }
-
-    #[test]
-    fn restore_rejects_inconsistent_snapshots() {
-        let cfg = TestbedConfig::tiny();
-        let mut rec = OccurrenceRecorder::new(0, cfg.detector);
-        // Drive into an occurrence so `open` is set.
-        rec.observe(0, &Observation::dead());
-        let snap = rec.snapshot();
-        assert!(snap.open.is_some(), "death opens a record");
-        // open index beyond the records we pass back.
-        assert_eq!(
-            OccurrenceRecorder::restore(cfg.detector, &snap, Vec::new()).err(),
-            Some(RecorderRestoreError::OpenOutOfBounds(0))
-        );
-        // open pointing at an already-closed record.
-        let mut closed = rec.records().to_vec();
-        closed[0].end = Some(10);
-        assert_eq!(
-            OccurrenceRecorder::restore(cfg.detector, &snap, closed).err(),
-            Some(RecorderRestoreError::OpenRecordClosed(0))
-        );
-        // Invalid detector config is rejected before anything is applied.
-        let mut bad = cfg.detector;
-        bad.spike_tolerance = 0;
-        assert!(matches!(
-            OccurrenceRecorder::restore(bad, &snap, rec.records().to_vec()),
-            Err(RecorderRestoreError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -1346,7 +1056,7 @@ mod tests {
     /// last stepped one set it.
     fn settled(recorder: &OccurrenceRecorder) -> (Vec<TraceRecord>, RecorderSnapshot) {
         let mut snap = recorder.snapshot();
-        if let DetectorSnapshot::Available { band, .. } = &mut snap.detector {
+        if let fgcs_core::detector::DetectorSnapshot::Available { band, .. } = &mut snap.detector {
             *band = fgcs_core::model::LoadBand::Light;
         }
         (recorder.records().to_vec(), snap)
@@ -1394,12 +1104,7 @@ mod tests {
                     let mut oracle_noise = Rng::new(i as u64);
                     for t in (T0..span.end).step_by(lab.sample_period as usize) {
                         let s = span.sample_at(t, &mut oracle_noise, lab.idle_load_max);
-                        let obs = Observation {
-                            host_load: s.host_load,
-                            free_mem_mb: lab.free_for_guest_mb(s.host_resident_mb),
-                            alive: true,
-                        };
-                        oracle.observe(t, &obs);
+                        oracle.observe(t, &lab.observation(&s));
                     }
                     let at = format!("span {i} ({class:?}), {entry}, max_silence {max_silence:?}");
                     assert_eq!(settled(&fast), settled(&oracle), "{at}");

@@ -12,10 +12,14 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
-use fgcs_core::model::{AvailState, FailureCause, Thresholds};
+use fgcs_core::model::{FailureCause, Thresholds};
 
-use crate::json::{self, ObjWriter, Value};
+use crate::json::{self, get, get_f64, get_opt_u64, get_str, get_u64, ObjWriter, Value};
 use crate::quality::TraceQualityReport;
+
+// The record type is defined next to its assembler in `fgcs-core`;
+// this module owns its serializations.
+pub use fgcs_core::events::TraceRecord;
 
 /// Trace-wide metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,45 +38,6 @@ pub struct TraceMeta {
     pub span_secs: u64,
     /// Thresholds the detector used.
     pub thresholds: Thresholds,
-}
-
-/// One unavailability occurrence on one machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceRecord {
-    /// Machine id, `0..machines`.
-    pub machine: u32,
-    /// Failure cause (maps 1:1 to states S3/S4/S5).
-    pub cause: FailureCause,
-    /// Start of the occurrence, seconds since trace start.
-    pub start: u64,
-    /// When the machine became harvestable again; `None` if the trace
-    /// ended first.
-    pub end: Option<u64>,
-    /// When the failure condition cleared (excludes the harvest delay).
-    pub raw_end: Option<u64>,
-    /// Mean CPU fraction that was available to guests over the preceding
-    /// availability interval.
-    pub avail_cpu: f64,
-    /// Mean memory available to guests over the preceding availability
-    /// interval, MB.
-    pub avail_mem_mb: u32,
-}
-
-impl TraceRecord {
-    /// The failure state of this record.
-    pub fn state(&self) -> AvailState {
-        self.cause.state()
-    }
-
-    /// Occurrence duration (to harvestability), if closed.
-    pub fn duration(&self) -> Option<u64> {
-        self.end.map(|e| e - self.start)
-    }
-
-    /// Duration of the raw failure condition, if closed.
-    pub fn raw_duration(&self) -> Option<u64> {
-        self.raw_end.map(|e| e.saturating_sub(self.start))
-    }
 }
 
 /// Errors reading a serialized trace.
@@ -304,11 +269,11 @@ fn record_from_csv_line(line: &str) -> Result<TraceRecord, String> {
     })
 }
 
-/// The loader-boundary NaN/∞ gate: `"NaN".parse::<f64>()` succeeds in
+/// The CSV loader's NaN/∞ gate: `"NaN".parse::<f64>()` succeeds in
 /// Rust (and `1e999` overflows to `inf`), so a corrupted or recovered
 /// trace can carry non-finite availability means that later panic the
-/// `fgcs-stats` sorts. Every record parser rejects them here so nothing
-/// downstream ever sees one.
+/// `fgcs-stats` sorts. The JSONL parser gets the same gate from
+/// [`json::get_f64`], so nothing downstream ever sees one.
 fn parse_avail_cpu(v: f64) -> Result<f64, String> {
     if v.is_finite() {
         Ok(v)
@@ -361,32 +326,6 @@ fn cause_name(c: FailureCause) -> &'static str {
     }
 }
 
-fn get<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    get(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-fn get_f64(obj: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
-    get(obj, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn get_opt_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<Option<u64>, String> {
-    match get(obj, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not an unsigned integer or null")),
-    }
-}
-
 fn meta_from_json(line: &str) -> Result<TraceMeta, String> {
     let v = json::parse(line)?;
     let o = v.as_obj().ok_or("meta line is not an object")?;
@@ -417,7 +356,7 @@ pub fn record_from_json(line: &str) -> Result<TraceRecord, String> {
 /// Parses one record from an already-parsed JSON object (see
 /// [`record_from_json`]).
 pub fn record_from_obj(o: &BTreeMap<String, Value>) -> Result<TraceRecord, String> {
-    let cause = match get(o, "cause")?.as_str().ok_or("cause is not a string")? {
+    let cause = match get_str(o, "cause")? {
         "CpuContention" => FailureCause::CpuContention,
         "MemoryThrashing" => FailureCause::MemoryThrashing,
         "Revocation" => FailureCause::Revocation,
@@ -429,7 +368,7 @@ pub fn record_from_obj(o: &BTreeMap<String, Value>) -> Result<TraceRecord, Strin
         start: get_u64(o, "start")?,
         end: get_opt_u64(o, "end")?,
         raw_end: get_opt_u64(o, "raw_end")?,
-        avail_cpu: parse_avail_cpu(get_f64(o, "avail_cpu")?)?,
+        avail_cpu: get_f64(o, "avail_cpu")?,
         avail_mem_mb: get_u64(o, "avail_mem_mb")? as u32,
     })
 }
@@ -687,7 +626,7 @@ mod tests {
     #[test]
     fn record_accessors() {
         let t = sample_trace();
-        assert_eq!(t.records[0].state(), AvailState::S3);
+        assert_eq!(t.records[0].state(), fgcs_core::model::AvailState::S3);
         assert_eq!(t.records[0].duration(), Some(1000));
         assert_eq!(t.records[0].raw_duration(), Some(700));
         assert_eq!(t.records[2].duration(), None);

@@ -76,7 +76,7 @@ fn main() {
             load,
             s.completed,
             s.terminated,
-            cluster.node(i).event_log().events().len(),
+            cluster.node(i).recorder().records().len(),
         );
     }
     println!(

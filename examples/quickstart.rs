@@ -58,7 +58,7 @@ fn main() {
     let mut last_state = None;
     for step in 0..400 {
         ctl.run_ticks(secs(2));
-        let state = ctl.detector().state();
+        let state = ctl.recorder().state();
         if Some(state) != last_state || step % 15 == 0 {
             let note = match state {
                 AvailState::S1 => "light host load: guest at default priority",
@@ -88,9 +88,9 @@ fn main() {
     );
     println!(
         "unavailability occurrences recorded: {}",
-        ctl.event_log().events().len()
+        ctl.recorder().records().len()
     );
-    for e in ctl.event_log().events() {
+    for e in ctl.recorder().records() {
         println!("  {:?}", e);
     }
 }

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc =="
+# Broken intra-doc links (a type moved between crates, a private item
+# named from public docs) fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== build (release) =="
 # --workspace: the smokes below run member binaries (fgcs-exp,
 # fgcs-serve, fgcs-smoke); a plain build only covers the root package.

@@ -3,9 +3,10 @@
 //! structural invariants of the five-state model.
 
 use fgcs::core::detector::{Detector, DetectorConfig, EventEdge};
-use fgcs::core::events::EventLog;
+use fgcs::core::events::OccurrenceRecorder;
 use fgcs::core::model::{AvailState, Thresholds};
 use fgcs::core::monitor::Observation;
+use fgcs::testbed::analysis::machine_intervals;
 use proptest::prelude::*;
 
 fn config() -> DetectorConfig {
@@ -61,24 +62,24 @@ proptest! {
         }
     }
 
-    /// The event log accepts every detector stream, and availability
-    /// intervals plus unavailability durations exactly tile the span.
+    /// The occurrence recorder accepts every detector stream, and
+    /// availability intervals plus unavailability durations exactly tile
+    /// the span.
     #[test]
     fn events_and_intervals_tile_time(observations in prop::collection::vec(arb_observation(), 1..300)) {
-        let mut d = Detector::new(config());
-        let mut log = EventLog::new();
+        let mut recorder = OccurrenceRecorder::new(0, config());
         let mut end_t = 0;
         for (i, obs) in observations.iter().enumerate() {
             let t = i as u64 * 15;
-            log.extend(d.observe(t, obs).edges);
+            recorder.observe(t, obs);
             end_t = t + 15;
         }
-        let intervals = log.availability_intervals(0, end_t);
+        let records: Vec<_> = recorder.records().iter().collect();
+        let intervals = machine_intervals(&records, end_t);
         let avail: u64 = intervals.iter().map(|(s, e)| e - s).sum();
-        let unavail: u64 = log
-            .events()
+        let unavail: u64 = records
             .iter()
-            .map(|e| e.end.unwrap_or(end_t).min(end_t).saturating_sub(e.start))
+            .map(|r| r.end.unwrap_or(end_t).min(end_t).saturating_sub(r.start))
             .sum();
         prop_assert_eq!(avail + unavail, end_t);
         // Intervals are sorted, disjoint, non-empty.

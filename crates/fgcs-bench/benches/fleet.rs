@@ -14,6 +14,10 @@
 //!   on the student lab at fault scales ×0 and ×1. Between fault events
 //!   the walker runs the span tracer's kernel; the two are bit-identical
 //!   (asserted in `tests/tracer_equivalence.rs`).
+//!   `pass_clean/x{0.5,1,4}` prices the fault scan alone: one
+//!   [`Injector`] walking a million underlying samples the way the
+//!   walker does (clean stretches through `pass_clean`, each faulting
+//!   sample through `push`), reported per underlying sample.
 //! * `quantiles` — sort-based exact quantiles versus the mergeable
 //!   [`RankSketch`] over a 100k-element stream: the sketch is what lets
 //!   the Figure 6 analysis run without materializing fleet-scale
@@ -23,17 +27,18 @@
 //! in the same process: on the student-lab archetype — the paper's lab,
 //! which `run_testbed` traces for every §5 artifact — it must be at
 //! least [`MIN_SPEEDUP`]× faster, and the supervised walker at least
-//! [`MIN_SUPERVISED_SPEEDUP`]× its oracle at noisy ×1, or the bench
-//! exits non-zero. Ratios, so host speed cancels.
+//! [`MIN_SUPERVISED_SPEEDUP`]× its oracle at noisy ×1 (the median of
+//! paired rounds), or the bench exits non-zero. Ratios, so host speed
+//! cancels.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 
-use fgcs_bench::best_ns;
+use fgcs_bench::{best_ns, paired_ratio};
 use fgcs_core::detector::DetectorConfig;
-use fgcs_faults::FaultConfig;
+use fgcs_faults::{FaultConfig, Injector, Timestamped};
 use fgcs_stats::quantile::quantiles;
 use fgcs_stats::sketch::RankSketch;
 use fgcs_testbed::fleet::Archetype;
@@ -48,10 +53,12 @@ use fgcs_testbed::runner::{
 /// under this means the settled-span paths stopped engaging.
 const MIN_SPEEDUP: f64 = 2.8;
 
-/// The supervised walker measures 1.6–1.9× its per-sample oracle on the
-/// student lab at noisy ×1; anything under this means clean runs
-/// stopped reaching the span kernel.
-const MIN_SUPERVISED_SPEEDUP: f64 = 1.4;
+/// The supervised walker measures 2.2–3.0× its per-sample oracle on the
+/// student lab at noisy ×1 (median of nine paired rounds, quick runs on a
+/// 2-vCPU host) since the fault scan compares integers; with the float
+/// compares it read 1.0–2.6× as separate best-of-7 blocks. Anything
+/// under this means clean runs stopped reaching the span kernel.
+const MIN_SUPERVISED_SPEEDUP: f64 = 1.8;
 
 /// The X11 fault plan at `scale` (×0 is the identity injection).
 fn noisy(scale: f64) -> FaultConfig {
@@ -104,6 +111,55 @@ fn bench_supervised(c: &mut Criterion) {
     g.finish();
 }
 
+/// A bare timestamp: the fault scan never reads a sample's content.
+#[derive(Clone)]
+struct Tick(u64);
+
+impl Timestamped for Tick {
+    fn ts(&self) -> u64 {
+        self.0
+    }
+    fn set_ts(&mut self, t: u64) {
+        self.0 = t;
+    }
+}
+
+/// Walks `n` underlying samples through a fresh injector as the
+/// supervised walker does; returns how many it delivered (samples still
+/// held back at the end are not counted).
+fn scan(faults: &FaultConfig, n: u64) -> u64 {
+    let mut inj = Injector::new(faults, 0);
+    let (mut i, mut delivered) = (0, 0);
+    while i < n {
+        if inj.is_quiet() {
+            let k = inj.pass_clean(n - i);
+            (i, delivered) = (i + k, delivered + k);
+            if i == n {
+                break;
+            }
+        }
+        delivered += u64::from(inj.push(Tick(i * 15)).is_some());
+        while inj.next_queued().is_some() {
+            delivered += 1;
+        }
+        i += 1;
+    }
+    delivered
+}
+
+fn bench_pass_clean(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fleet_supervised");
+    const N: u64 = 1_000_000;
+    g.throughput(Throughput::Elements(N));
+    for scale in [0.5, 1.0, 4.0] {
+        let faults = noisy(scale);
+        g.bench_function(format!("pass_clean/x{scale}"), |b| {
+            b.iter(|| black_box(scan(&faults, N)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_quantiles(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_quantiles");
     // A deterministic scrambled stream, no RNG needed.
@@ -146,7 +202,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_tracer, bench_supervised, bench_quantiles
+    targets = bench_tracer, bench_supervised, bench_pass_clean, bench_quantiles
 }
 
 fn gate() {
@@ -171,20 +227,23 @@ fn gate() {
     }
 
     let (faults, sup) = (noisy(1.0), SupervisorConfig::default());
-    let walker = best_ns(7, iters, || {
-        trace_machine_supervised(black_box(&cfg), &faults, &sup, 0)
-            .0
-            .len()
-    });
-    let oracle = best_ns(7, iters, || {
-        trace_machine_supervised_per_sample(black_box(&cfg), &faults, &sup, 0)
-            .0
-            .len()
-    });
-    let speedup = oracle / walker;
+    let (speedup, walker, oracle) = paired_ratio(
+        9,
+        iters,
+        || {
+            trace_machine_supervised(black_box(&cfg), &faults, &sup, 0)
+                .0
+                .len()
+        },
+        || {
+            trace_machine_supervised_per_sample(black_box(&cfg), &faults, &sup, 0)
+                .0
+                .len()
+        },
+    );
     println!(
         "gate fleet_supervised/student-lab/x1  walker {:.0} us, per-sample {:.0} us, \
-         speedup {speedup:.2}x (need >= {MIN_SUPERVISED_SPEEDUP}x)",
+         median round speedup {speedup:.2}x (need >= {MIN_SUPERVISED_SPEEDUP}x)",
         walker / 1e3,
         oracle / 1e3
     );

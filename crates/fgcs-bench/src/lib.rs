@@ -42,17 +42,51 @@ pub fn bench_trace_long() -> Trace {
     fgcs_testbed::runner::run_testbed(&cfg)
 }
 
+/// Nanoseconds per call of `f` over `iters` back-to-back calls.
+fn ns_per_call<T>(iters: u32, f: &mut impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(iters)
+}
+
 /// Nanoseconds per call of `f` over `iters` back-to-back calls, best of
 /// `rounds` — the timer behind the in-process ratio gates (`wire`,
 /// `fleet`, `place`), which compare two of these so host speed cancels.
 pub fn best_ns<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
     (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
+        .map(|_| ns_per_call(iters, &mut f))
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Median over `rounds` of the per-round ratio `slow / fast`, each round
+/// timing `iters` calls of one then `iters` of the other (the order
+/// alternating between rounds), with each side's best round in ns per
+/// call. A host hiccup lands in one round's ratio instead of in one
+/// side's best, so a ratio gate read this way does not flake when the
+/// two sides would otherwise be timed seconds apart.
+pub fn paired_ratio<A, B>(
+    rounds: u32,
+    iters: u32,
+    mut fast: impl FnMut() -> A,
+    mut slow: impl FnMut() -> B,
+) -> (f64, f64, f64) {
+    let (mut best_fast, mut best_slow) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|round| {
+            let (f, s) = if round % 2 == 0 {
+                let f = ns_per_call(iters, &mut fast);
+                (f, ns_per_call(iters, &mut slow))
+            } else {
+                let s = ns_per_call(iters, &mut slow);
+                (ns_per_call(iters, &mut fast), s)
+            };
+            best_fast = best_fast.min(f);
+            best_slow = best_slow.min(s);
+            s / f
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[ratios.len() / 2], best_fast, best_slow)
 }

@@ -98,21 +98,31 @@ pub fn threshold_from_rows(rows: &[Fig1Row]) -> f64 {
     })
 }
 
+impl Calibration {
+    /// Reads the thresholds off Figure 1 data however it was obtained:
+    /// `equal_priority` swept with the guest at nice 0, `lowest_priority`
+    /// at nice 19.
+    pub fn from_rows(equal_priority: Vec<Fig1Row>, lowest_priority: Vec<Fig1Row>) -> Calibration {
+        let th1 = threshold_from_rows(&equal_priority);
+        let th2 = threshold_from_rows(&lowest_priority);
+        // Guard against a degenerate simulator: Th1 must not exceed Th2
+        // (a nice-19 guest never hurts the host more than a nice-0 guest).
+        let th2 = th2.max(th1);
+        Calibration {
+            thresholds: Thresholds::new(th1, th2),
+            equal_priority,
+            lowest_priority,
+        }
+    }
+}
+
 /// Runs the full calibration: both Figure 1 sweeps plus threshold
 /// extraction.
 pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
-    let equal_priority = fig1_sweep(0, &cfg.lh_grid, &cfg.m_values, &cfg.contention);
-    let lowest_priority = fig1_sweep(19, &cfg.lh_grid, &cfg.m_values, &cfg.contention);
-    let th1 = threshold_from_rows(&equal_priority);
-    let th2 = threshold_from_rows(&lowest_priority);
-    // Guard against a degenerate simulator: Th1 must not exceed Th2
-    // (a nice-19 guest never hurts the host more than a nice-0 guest).
-    let th2 = th2.max(th1);
-    Calibration {
-        thresholds: Thresholds::new(th1, th2),
-        equal_priority,
-        lowest_priority,
-    }
+    Calibration::from_rows(
+        fig1_sweep(0, &cfg.lh_grid, &cfg.m_values, &cfg.contention),
+        fig1_sweep(19, &cfg.lh_grid, &cfg.m_values, &cfg.contention),
+    )
 }
 
 #[cfg(test)]

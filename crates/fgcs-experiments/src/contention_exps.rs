@@ -1,10 +1,12 @@
 //! Regenerators for the contention experiments: Figures 1–4, Table 1 and
 //! the Th1/Th2 calibration.
 
-use fgcs_core::calibrate::{calibrate, CalibrationConfig};
+use std::sync::OnceLock;
+
+use fgcs_core::calibrate::{Calibration, CalibrationConfig};
 use fgcs_core::contention::{
-    self, fig1_series, guest_usage_experiment, priority_sweep, spec_musbus_experiment,
-    table1_measurements, ContentionConfig,
+    self, fig1_series, fig1_sweep, guest_usage_experiment, priority_sweep, spec_musbus_experiment,
+    table1_measurements, ContentionConfig, Fig1Row,
 };
 
 use crate::report::{banner, compare_line, pct, write_csv, TextTable};
@@ -14,6 +16,22 @@ fn contention_cfg(quick: bool) -> ContentionConfig {
         ContentionConfig::quick()
     } else {
         ContentionConfig::default()
+    }
+}
+
+/// Figure 1 rows and the contention configuration that swept them.
+type KeptRows = (ContentionConfig, Vec<Fig1Row>);
+
+/// The rows [`fig1`] swept at `guest_nice` (0 or 19) in this process, so
+/// that [`calibrate_exp`] reads the points the two share instead of
+/// simulating them again: `fgcs-exp all` runs `fig1a` and `fig1b` first.
+fn kept_fig1(guest_nice: i8) -> &'static OnceLock<KeptRows> {
+    static EQUAL: OnceLock<KeptRows> = OnceLock::new();
+    static LOWEST: OnceLock<KeptRows> = OnceLock::new();
+    if guest_nice == 0 {
+        &EQUAL
+    } else {
+        &LOWEST
     }
 }
 
@@ -27,7 +45,9 @@ pub fn fig1(guest_nice: i8, quick: bool) {
     ));
     let cfg = contention_cfg(quick);
     let (lh, m) = contention::fig1_standard_grid();
-    let rows = contention::fig1_sweep(guest_nice, &lh, &m, &cfg);
+    let rows = fig1_sweep(guest_nice, &lh, &m, &cfg);
+    // Only the first sweep per process is kept; calibrate checks the tag.
+    let _ = kept_fig1(guest_nice).set((cfg, rows.clone()));
 
     let mut table = TextTable::new(&["LH", "M=1", "M=2", "M=3", "M=4", "M=5"]);
     let series: Vec<Vec<(f64, f64)>> = (1..=5).map(|mm| fig1_series(&rows, mm)).collect();
@@ -62,7 +82,8 @@ pub fn calibrate_exp(quick: bool) {
     } else {
         CalibrationConfig::default()
     };
-    let cal = calibrate(&cfg);
+    let rows = |nice| calibration_rows(nice, &cfg, kept_fig1(nice).get());
+    let cal = Calibration::from_rows(rows(0), rows(19));
     compare_line(
         "Th1 (equal-priority guest harms host)",
         format!("{:.2}", cal.thresholds.th1),
@@ -85,6 +106,45 @@ pub fn calibrate_exp(quick: bool) {
         .collect();
     let path = write_csv("calibration", "guest_nice,lh,m,reduction", &rows).expect("write csv");
     println!("wrote {}", path.display());
+}
+
+/// Calibration's Figure 1 rows at `guest_nice` over `cfg`'s grid, in
+/// its LH-major order: what `fig1_sweep` over that grid returns, bit for
+/// bit. A point is a pure function of `(LH, M, nice, config)`, so a row
+/// of `kept` stands in for it when `kept` was swept under the same
+/// `ContentionConfig`, at the same `LH` bits and the same `M`. Every `LH`
+/// missing any `M` is swept anew as a whole series, in one call.
+fn calibration_rows(
+    guest_nice: i8,
+    cfg: &CalibrationConfig,
+    kept: Option<&KeptRows>,
+) -> Vec<Fig1Row> {
+    let reused = |lh: f64| -> Option<Vec<Fig1Row>> {
+        let (_, rows) = kept.filter(|(swept_under, _)| *swept_under == cfg.contention)?;
+        cfg.m_values
+            .iter()
+            .map(|&m| {
+                rows.iter()
+                    .find(|r| r.lh.to_bits() == lh.to_bits() && r.m == m)
+                    .copied()
+            })
+            .collect()
+    };
+    let missing: Vec<f64> = cfg
+        .lh_grid
+        .iter()
+        .copied()
+        .filter(|&lh| reused(lh).is_none())
+        .collect();
+    let mut swept = fig1_sweep(guest_nice, &missing, &cfg.m_values, &cfg.contention).into_iter();
+    let mut rows = Vec::with_capacity(cfg.lh_grid.len() * cfg.m_values.len());
+    for &lh in &cfg.lh_grid {
+        match reused(lh) {
+            Some(series) => rows.extend(series),
+            None => rows.extend(swept.by_ref().take(cfg.m_values.len())),
+        }
+    }
+    rows
 }
 
 /// Figure 2: reduction rate for one host process vs guest priority.
@@ -342,4 +402,90 @@ pub fn ablation(quick: bool) {
          load while harvesting more CPU than always-nice-19 at low load — the \
          paper's argument for the two-threshold design."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rows as bit patterns, so `==` is bit-for-bit.
+    fn bits(rows: &[Fig1Row]) -> Vec<(u64, usize, u64)> {
+        rows.iter()
+            .map(|r| (r.lh.to_bits(), r.m, r.reduction.to_bits()))
+            .collect()
+    }
+
+    /// `cfg`'s grid points whose `LH` bits also appear in Figure 1's grid.
+    fn shared_lh(cfg: &CalibrationConfig) -> Vec<f64> {
+        let (fig1_lh, _) = contention::fig1_standard_grid();
+        cfg.lh_grid
+            .iter()
+            .copied()
+            .filter(|lh| fig1_lh.iter().any(|f| f.to_bits() == lh.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn the_full_grids_share_seven_lh_values() {
+        // `i * 0.05` and `i / 10` differ in the last bit at 0.3, 0.6 and
+        // 0.7. "Fixing" calibrate's grid to hit them would change
+        // calibration.csv, so the recomputed points stay recomputed.
+        assert_ne!(6.0 * 0.05, 0.3);
+        assert_eq!(
+            shared_lh(&CalibrationConfig::default()),
+            [0.1, 0.2, 0.4, 0.5, 0.8, 0.9, 1.0]
+        );
+    }
+
+    #[test]
+    fn rows_assembled_from_figure_1_equal_a_fresh_sweep() {
+        let cfg = CalibrationConfig::quick();
+        assert!(
+            !shared_lh(&cfg).is_empty(),
+            "the quick grids share no point"
+        );
+        let (lh, m) = contention::fig1_standard_grid();
+        for nice in [0, 19] {
+            let kept = (cfg.contention, fig1_sweep(nice, &lh, &m, &cfg.contention));
+            let fresh = fig1_sweep(nice, &cfg.lh_grid, &cfg.m_values, &cfg.contention);
+            let assembled = calibration_rows(nice, &cfg, Some(&kept));
+            assert_eq!(bits(&assembled), bits(&fresh), "nice {nice}");
+        }
+    }
+
+    #[test]
+    fn only_a_row_swept_under_the_same_configuration_is_reused() {
+        let contention = ContentionConfig {
+            warmup_secs: 2,
+            measure_secs: 10,
+            combos: 1,
+            ..ContentionConfig::quick()
+        };
+        let cfg = CalibrationConfig {
+            lh_grid: vec![0.5, 0.3],
+            m_values: vec![1],
+            contention,
+        };
+        let fresh = fig1_sweep(0, &cfg.lh_grid, &cfg.m_values, &contention);
+        let sentinel = Fig1Row {
+            lh: 0.5,
+            m: 1,
+            reduction: -7.0,
+        };
+        let reused = calibration_rows(0, &cfg, Some(&(contention, vec![sentinel])));
+        assert_eq!(bits(&reused), bits(&[sentinel, fresh[1]]));
+
+        let other = ContentionConfig {
+            seed: contention.seed + 1,
+            ..contention
+        };
+        let not_reused = calibration_rows(0, &cfg, Some(&(other, vec![sentinel])));
+        assert_eq!(bits(&not_reused), bits(&fresh));
+        let near = Fig1Row {
+            lh: f64::from_bits(0.5f64.to_bits() + 1),
+            ..sentinel
+        };
+        let not_reused = calibration_rows(0, &cfg, Some(&(contention, vec![near])));
+        assert_eq!(bits(&not_reused), bits(&fresh));
+    }
 }

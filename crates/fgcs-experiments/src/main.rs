@@ -19,7 +19,8 @@
 //! and `trace` read the one standard testbed trace, and `rules` and
 //! `seeds` pass through it; [`trace_exps::standard_trace`] generates it
 //! once per process, so `all` traces the 20-machine lab once, not ten
-//! times.
+//! times. Likewise `calibrate` reuses the Figure 1 points `fig1a` and
+//! `fig1b` swept earlier in the same process, and sweeps the rest.
 
 mod contention_exps;
 mod extension_exps;

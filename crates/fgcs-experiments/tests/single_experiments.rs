@@ -1,12 +1,14 @@
-//! `fgcs-exp all` generates its standard trace once and hands it to ten
-//! experiments. Run alone, each of those experiments must still write
-//! exactly the committed CSVs: the sharing is invisible outside `all`.
+//! `fgcs-exp all` computes some data once and hands it on: its standard
+//! trace to ten experiments, and `fig1a`/`fig1b`'s Figure 1 points to
+//! `calibrate`. Run alone, each of those experiments computes everything
+//! itself and must still write exactly the committed CSVs: the sharing
+//! is invisible outside `all`.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-/// Every experiment that takes the shared standard trace.
-const SHARING: [&str; 10] = [
+/// Every experiment that takes data shared within `all`.
+const SHARING: [&str; 11] = [
     "table2",
     "fig6",
     "fig7",
@@ -17,10 +19,11 @@ const SHARING: [&str; 10] = [
     "rules",
     "seeds",
     "faults",
+    "calibrate",
 ];
 
 /// CSVs those experiments write (`regularity` prints only).
-const CSVS: usize = 9;
+const CSVS: usize = 10;
 
 #[test]
 fn each_sharing_experiment_alone_writes_the_committed_csvs() {

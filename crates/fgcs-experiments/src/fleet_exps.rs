@@ -16,15 +16,19 @@
 //!    agree bit-for-bit (fixed chunking + in-order merge).
 //! 3. **Fleet sweep** — 100k machines × 92 days (smoke: 200 × 14)
 //!    across five archetypes, streaming only, with peak RSS read from
-//!    `/proc/self/status` and gated against a fixed budget. Set
+//!    `/proc/self/status` against a fixed budget. Set
 //!    `FGCS_FLEET_MACHINES` to push the sweep to 1M.
 //! 4. **Verdicts** — which of the paper's headline findings (CPU
 //!    contention dominates; weekend intervals run longer; daily
 //!    patterns repeat) survive on each archetype.
 //!
-//! Writes `results/fleet_archetypes.csv`, `results/fleet_cdf.csv`, and
-//! `BENCH_fleet.json` (cwd-relative, flat gate keys for `ci.sh`).
+//! The RSS budget, the sketch certificate and reproducibility are the
+//! bounds of [`claims::check_x15_fleet`], run on `BENCH_fleet.json`
+//! before it is written. Writes `results/fleet_archetypes.csv`,
+//! `results/fleet_cdf.csv`, and `BENCH_fleet.json` (cwd-relative, flat
+//! keys that `fgcs-exp gate` checks again).
 
+use fgcs_experiments::claims;
 use fgcs_testbed::analysis;
 use fgcs_testbed::calendar::DayType;
 use fgcs_testbed::fleet::{run_fleet, Archetype, FleetConfig};
@@ -77,8 +81,9 @@ struct SketchAccuracy {
 /// measures how far each answer's true rank (from the exact sorted
 /// intervals) sits from the target rank. Ties are handled by measuring
 /// distance to the `[#<v, #<=v]` rank interval, since any value inside
-/// a tie run is a correct order statistic. Panics if the measured
-/// error ever exceeds the runtime-certified bound.
+/// a tie run is a correct order statistic. Whether the measured error
+/// stays within the runtime-certified bound is X15's claim, checked on
+/// the `BENCH_fleet.json` it lands in.
 fn sketch_accuracy(acc: &StreamingAnalysis, iv: &analysis::IntervalAnalysis) -> SketchAccuracy {
     let mut out = SketchAccuracy {
         measured: 0.0,
@@ -121,12 +126,6 @@ fn sketch_accuracy(acc: &StreamingAnalysis, iv: &analysis::IntervalAnalysis) -> 
             sk.stored_len(),
         );
     }
-    assert!(
-        out.measured <= out.bound,
-        "sketch rank error {} exceeded its certified bound {}",
-        out.measured,
-        out.bound
-    );
     out
 }
 
@@ -223,15 +222,17 @@ pub fn fleet(quick: bool) {
 
     println!("\nphase 2: bit-reproducibility across FGCS_PAR_WORKERS = 1 vs 4");
     let repro = repro_check();
-    assert!(repro, "fleet accumulators diverged across worker counts");
-    println!("  60-machine probe fleet: accumulators bit-identical");
+    println!(
+        "  60-machine probe fleet: accumulators {}",
+        if repro { "bit-identical" } else { "DIVERGED" }
+    );
 
     println!("\nphase 3: the fleet sweep");
     let mut cfg = if quick {
         FleetConfig::smoke()
     } else {
         FleetConfig {
-            machines: 100_000,
+            machines: claims::X15_MACHINES as usize,
             chunk_size: 512,
             ..FleetConfig::default()
         }
@@ -256,10 +257,6 @@ pub fn fleet(quick: bool) {
     println!(
         "  swept {} machines ({} occurrences) in {:.1?}; peak RSS {} MB (budget {} MB)",
         t2.machines, t2.occurrences, wall, peak, RSS_BUDGET_MB
-    );
-    assert!(
-        peak <= RSS_BUDGET_MB,
-        "peak RSS {peak} MB blew the {RSS_BUDGET_MB} MB budget"
     );
     compare_line(
         "peak RSS for the whole sweep",
@@ -395,7 +392,9 @@ pub fn fleet(quick: bool) {
     for (name, o) in arch_objs {
         bench.obj(name, o);
     }
-    std::fs::write("BENCH_fleet.json", bench.finish() + "\n").expect("write BENCH_fleet.json");
+    let doc = bench.finish();
+    claims::assert_claim("X15", &doc, claims::check_x15_fleet);
+    std::fs::write("BENCH_fleet.json", doc + "\n").expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");
 }
 

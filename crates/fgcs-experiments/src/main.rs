@@ -5,6 +5,7 @@
 //! ```text
 //! fgcs-exp <experiment> [--quick]
 //! fgcs-exp all [--quick]
+//! fgcs-exp gate
 //! ```
 //!
 //! Experiments, in the order `all` runs them: `table1`, `fig1a`,
@@ -21,6 +22,11 @@
 //! once per process, so `all` traces the 20-machine lab once, not ten
 //! times. Likewise `calibrate` reuses the Figure 1 points `fig1a` and
 //! `fig1b` swept earlier in the same process, and sweeps the rest.
+//!
+//! `gate` runs no experiment: it checks every X12–X15 claim
+//! ([`fgcs_experiments::claims`]) on the committed `BENCH_serve.json`
+//! and `BENCH_fleet.json` in the cwd, and exits 1 naming the first
+//! failed bound.
 
 mod contention_exps;
 mod extension_exps;
@@ -116,6 +122,10 @@ fn usage() -> ! {
         eprintln!("  {name:<12} {desc}");
     }
     eprintln!("\n--quick runs reduced-scale versions (for smoke tests).");
+    eprintln!(
+        "`fgcs-exp gate` (no flags) checks the X12-X15 claims on the committed \
+         BENCH_serve.json and BENCH_fleet.json in the cwd."
+    );
     std::process::exit(2);
 }
 
@@ -154,8 +164,33 @@ fn run(name: &str, quick: bool) {
     }
 }
 
+/// `fgcs-exp gate`: every claim on the committed artifacts in the cwd.
+fn gate() -> Result<(), String> {
+    use fgcs_experiments::claims::{self, Section};
+    use fgcs_testbed::json::{parse, Value};
+    let read = |path: &str| -> Result<Section, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        match parse(&text).map_err(|e| format!("{path}: {e}"))? {
+            Value::Obj(doc) => Ok(doc),
+            _ => Err(format!("{path}: not a JSON object")),
+        }
+    };
+    claims::gate(&read("BENCH_serve.json")?, &read("BENCH_fleet.json")?)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "gate") {
+        if args.len() > 1 {
+            usage();
+        }
+        if let Err(e) = gate() {
+            eprintln!("fgcs-exp gate: {e}");
+            std::process::exit(1);
+        }
+        println!("fgcs-exp gate: the X12-X15 claims hold on BENCH_serve.json and BENCH_fleet.json");
+        return;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if names.len() != 1 {

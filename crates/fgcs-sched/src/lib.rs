@@ -52,6 +52,4 @@ pub use fairshare::{Fairshare, ShareStatus};
 pub use policy::Policy;
 pub use sched::{Job, JobState, SchedConfig, Scheduler};
 pub use serve::{SchedServeConfig, SchedServer};
-#[cfg(target_os = "linux")]
-pub use source::ClusterSource;
-pub use source::{AvailabilitySource, MachineView};
+pub use source::{AvailabilitySource, ClusterSource, MachineView};

@@ -325,68 +325,42 @@ fn answer(frame: Frame, clock: &mut Clock, default_base: u64) -> Frame {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::source::MachineView;
-    use std::io::{Read, Write};
-
-    struct NoMachines;
-
-    impl AvailabilitySource for NoMachines {
-        fn machines(&mut self) -> io::Result<Vec<MachineView>> {
-            Ok(Vec::new())
-        }
-
-        fn survival(&mut self, _: u32, _: u64) -> io::Result<f64> {
-            Ok(1.0)
-        }
-    }
-
-    fn ask(stream: &mut std::net::TcpStream, frame: &Frame) -> Frame {
-        stream.write_all(&frame.encode().unwrap()).unwrap();
-        let mut decoder = fgcs_wire::Decoder::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(reply) = decoder.next_frame().unwrap() {
-                return reply;
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "the server closed the connection");
-            decoder.push(&buf[..n]);
-        }
-    }
+    use fgcs_service::{LoopHandler, Outcome};
 
     #[test]
     fn a_poisoned_scheduler_lock_is_a_typed_error_and_the_connection_survives() {
-        let cfg = SchedServeConfig {
-            tick_ms: 2,
-            ..SchedServeConfig::default()
+        let mut sched = Scheduler::new(SchedConfig::default());
+        sched.add_user(1, 1);
+        let clock = Arc::new(Mutex::new(Clock { sched, now: 0 }));
+        let mut handler = SchedLoop {
+            clock: Arc::clone(&clock),
+            default_base: 0,
+            open_conns: Default::default(),
         };
-        let server = SchedServer::start(cfg, SchedConfig::default(), &[(1, 1)], NoMachines)
-            .expect("sched server starts");
-        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
         assert!(matches!(
-            ask(&mut stream, &Frame::SchedQueryStats),
-            Frame::SchedStatsReply(_)
+            handler.handle(Frame::SchedQueryStats, &mut ()),
+            Outcome::Reply(Frame::SchedStatsReply(_))
         ));
 
         // A panic while the scheduler lock is held, as a scheduler bug
         // under the tick would leave it.
-        let clock = Arc::clone(&server.clock);
+        let held = Arc::clone(&clock);
         let panicked = std::thread::spawn(move || {
-            let _held = clock.lock().unwrap();
+            let _held = held.lock().unwrap();
             panic!("poisoning the scheduler on purpose");
         })
         .join();
         assert!(panicked.is_err());
 
+        // A plain reply, not a reply-then-close: the connection stays.
         for frame in [Frame::SchedQueryStats, Frame::SchedQueryJob { id: 1 }] {
-            match ask(&mut stream, &frame) {
-                Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Internal),
-                other => panic!("expected Internal, got tag {}", other.tag()),
+            match handler.handle(frame, &mut ()) {
+                Outcome::Reply(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+                other => panic!("expected an Internal error reply, got {other:?}"),
             }
         }
-        // The counters stay readable in-process, and both threads (the
-        // tick loop left on the poisoned lock) join.
-        assert_eq!(server.stats().submitted, 0);
-        server.shutdown();
+        // The counters stay readable through the poisoned lock.
+        let clock = clock.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(clock.sched.stats().submitted, 0);
     }
 }

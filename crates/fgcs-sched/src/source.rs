@@ -35,12 +35,10 @@ pub trait AvailabilitySource {
 
 /// The production source: per-machine stats and availability queries
 /// routed through the sharded cluster router.
-#[cfg(target_os = "linux")]
 pub struct ClusterSource {
     client: fgcs_service::ClusterClient,
 }
 
-#[cfg(target_os = "linux")]
 impl ClusterSource {
     /// Wraps an already-connected router.
     pub fn new(client: fgcs_service::ClusterClient) -> ClusterSource {
@@ -53,7 +51,6 @@ impl ClusterSource {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl AvailabilitySource for ClusterSource {
     fn machines(&mut self) -> io::Result<Vec<MachineView>> {
         let mut views = Vec::new();

@@ -8,6 +8,9 @@
 //! — the in-process pipeline's — and the same identities.
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::{drain, expected_transitions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -15,48 +18,8 @@ use fgcs_service::loadgen::Source;
 use fgcs_service::{
     run_loadgen, ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig,
 };
-use fgcs_testbed::{trace_machine, MachinePlan, OccurrenceRecorder, TestbedConfig};
+use fgcs_testbed::{trace_machine, OccurrenceRecorder, TestbedConfig};
 use fgcs_wire::{Decoder, ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
-
-/// Polls until the server's counters reconcile with `batches_sent`.
-fn drain(server: &Server, batches_sent: u64) -> fgcs_wire::StatsPayload {
-    for _ in 0..600 {
-        let stats = server.stats();
-        let accounted = stats.ingested_batches + stats.shed_batches + stats.decode_errors;
-        if accounted >= batches_sent && stats.queue_depth == 0 {
-            return stats;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    panic!("server failed to drain: {:?}", server.stats());
-}
-
-fn expected_transitions(cfg: &TestbedConfig, machine: usize) -> Vec<WireTransition> {
-    let plan = MachinePlan::generate(&cfg.lab, machine);
-    let mut rec = OccurrenceRecorder::new(machine as u32, cfg.detector);
-    let mut out = Vec::new();
-    for s in plan.samples() {
-        let obs = if s.alive {
-            fgcs_core::monitor::Observation {
-                host_load: s.host_load,
-                free_mem_mb: cfg.lab.free_for_guest_mb(s.host_resident_mb),
-                alive: true,
-            }
-        } else {
-            fgcs_core::monitor::Observation::dead()
-        };
-        let before = rec.state();
-        let step = rec.observe(s.t, &obs);
-        if step.state != before {
-            out.push(WireTransition {
-                seq: out.len() as u64 + 1,
-                at: s.t,
-                state: step.state.code(),
-            });
-        }
-    }
-    out
-}
 
 fn batch(machine: u32, t0: u64, n: u64) -> Frame {
     let samples = (0..n)

@@ -3,25 +3,14 @@
 //! reconnection.
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::{drain, expected_transitions};
 use fgcs_faults::FaultConfig;
 use fgcs_service::loadgen::Source;
 use fgcs_service::{ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig};
-use fgcs_testbed::{trace_machine, MachinePlan, OccurrenceRecorder, TestbedConfig};
-use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
-
-/// Polls until the server's counters reconcile with `batches_sent`
-/// (queued work may still be draining when the load generator returns).
-fn drain(server: &Server, batches_sent: u64) -> fgcs_wire::StatsPayload {
-    for _ in 0..600 {
-        let stats = server.stats();
-        let accounted = stats.ingested_batches + stats.shed_batches + stats.decode_errors;
-        if accounted >= batches_sent && stats.queue_depth == 0 {
-            return stats;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    panic!("server failed to drain: {:?}", server.stats());
-}
+use fgcs_testbed::{trace_machine, TestbedConfig};
+use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample};
 
 /// A server for `cfg` whose forwarding rings hold more batches than a
 /// clean run sends, so a clean run sheds nothing however late the
@@ -85,33 +74,6 @@ fn tcp_stream_matches_in_process_pipeline_bit_for_bit() {
         );
     }
     server.shutdown();
-}
-
-fn expected_transitions(cfg: &TestbedConfig, machine: usize) -> Vec<WireTransition> {
-    let plan = MachinePlan::generate(&cfg.lab, machine);
-    let mut rec = OccurrenceRecorder::new(machine as u32, cfg.detector);
-    let mut out = Vec::new();
-    for s in plan.samples() {
-        let obs = if s.alive {
-            fgcs_core::monitor::Observation {
-                host_load: s.host_load,
-                free_mem_mb: cfg.lab.free_for_guest_mb(s.host_resident_mb),
-                alive: true,
-            }
-        } else {
-            fgcs_core::monitor::Observation::dead()
-        };
-        let before = rec.state();
-        let step = rec.observe(s.t, &obs);
-        if step.state != before {
-            out.push(WireTransition {
-                seq: out.len() as u64 + 1,
-                at: s.t,
-                state: step.state.code(),
-            });
-        }
-    }
-    out
 }
 
 /// Under overload the forwarding rings shed, the producers see `Busy`,

@@ -16,28 +16,18 @@
 use proptest::prelude::*;
 
 use fgcs_service::cluster::{rendezvous_owner, ClusterClient, ClusterConfig, ShardSpec};
+use fgcs_service::loadgen::wave_sample;
 use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
-use fgcs_wire::{Frame, SampleLoad, WireSample, WireTransition};
+use fgcs_wire::{Frame, WireSample, WireTransition};
 
 fn server() -> Server {
     Server::start(ServiceConfig::default()).expect("server starts")
 }
 
-/// The deterministic replay wave (same shape as fgcs-smoke's): long
-/// busy/idle stretches so the detector records real transitions.
+/// Samples `0..samples` of machine `m`'s replay wave: long busy/idle
+/// stretches so the detector records real transitions.
 fn wave(machine: u32, samples: u64) -> Vec<WireSample> {
-    (0..samples)
-        .map(|i| WireSample {
-            t: i * 15,
-            load: SampleLoad::Direct(if ((i + 7 * machine as u64) / 40) % 2 == 1 {
-                0.9
-            } else {
-                0.05
-            }),
-            host_resident_mb: 100,
-            alive: true,
-        })
-        .collect()
+    (0..samples).map(|i| wave_sample(machine, i)).collect()
 }
 
 fn transitions_of(client: &mut ServiceClient, machine: u32) -> Vec<WireTransition> {

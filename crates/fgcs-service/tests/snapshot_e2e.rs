@@ -8,57 +8,65 @@
 //! transition logs are **bit-identical** to an uninterrupted run.
 #![cfg(target_os = "linux")]
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use fgcs_service::loadgen::wave_sample;
-use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::loadgen::Source;
+use fgcs_service::{
+    run_loadgen, ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig,
+};
 use fgcs_testbed::TraceRecord;
-use fgcs_wire::{Frame, WireSample, WireTransition};
+use fgcs_wire::{Frame, StatsPayload, WireTransition};
 
-const MACHINES: u32 = 3;
+const MACHINES: u32 = 4;
 const SAMPLES: u64 = 400;
+/// The token the SIGKILL test's `fgcs-serve` is started with.
+const TOKEN: &str = "snapshot-e2e-token";
 
-fn connect(addr: &str) -> ServiceClient {
+fn connect(addr: &str, token: Option<&str>) -> ServiceClient {
     let mut cfg = ClientConfig::new(addr);
     cfg.backoff_unit_ms = 1;
+    cfg.token = token.map(str::to_string);
     ServiceClient::connect(cfg).expect("client connects")
 }
 
-/// Sends wave samples `range` for every machine, resuming strictly
-/// after each machine's server-side `last_t` (queried via `Stats`) when
-/// `resume` is set.
-fn stream_wave(client: &mut ServiceClient, range: std::ops::Range<u64>, resume: bool) {
-    let mut last_t = std::collections::BTreeMap::new();
+fn stats(client: &mut ServiceClient) -> StatsPayload {
+    let Frame::StatsReply(stats) = client.request(&Frame::QueryStats).unwrap() else {
+        panic!("stats reply expected")
+    };
+    stats
+}
+
+/// Replays wave samples `0..samples` of every machine through the load
+/// driver over `conns` connections (machine `m` on connection
+/// `m % conns`, so each machine's stream stays in order), then waits
+/// until the server has consumed them. With `resume` set, each machine
+/// resumes strictly after the `last_t` the server reports in
+/// `QueryStats`: the client side of restart recovery.
+fn replay(addr: &str, token: Option<&str>, conns: usize, samples: u64, resume: bool) {
+    let mut client = connect(addr, token);
+    let mut resume_after = BTreeMap::new();
     if resume {
-        let Frame::StatsReply(stats) = client.request(&Frame::QueryStats).unwrap() else {
-            panic!("stats reply expected")
-        };
-        for m in stats.machines {
-            last_t.insert(m.machine, m.last_t);
+        for m in stats(&mut client).machines {
+            resume_after.insert(m.machine, m.last_t);
         }
     }
-    for machine in 1..=MACHINES {
-        let from = last_t.get(&machine).copied();
-        let todo: Vec<WireSample> = range
-            .clone()
-            .map(|i| wave_sample(machine, i))
-            .filter(|s| from.is_none_or(|lt| s.t > lt))
-            .collect();
-        for chunk in todo.chunks(50) {
-            let reply = client
-                .request(&Frame::SampleBatch {
-                    machine,
-                    samples: chunk.to_vec(),
-                })
-                .expect("batch sent");
-            assert!(
-                matches!(reply, Frame::Ack { .. }),
-                "expected Ack, got tag {}",
-                reply.tag()
-            );
-        }
-    }
+    let mut lg = LoadGenConfig::new(Source::Wave {
+        machines: MACHINES,
+        samples,
+        resume_after,
+    });
+    lg.conns = conns;
+    lg.batch_size = 50;
+    lg.token = token.map(str::to_string);
+    let r = run_loadgen(addr, &lg).expect("load driver runs");
+    assert!(
+        r.conns_sustained == conns && r.acks == r.batches_sent,
+        "every batch acked on a sustained connection: {r:?}"
+    );
+    wait_caught_up(&mut client, samples - 1);
 }
 
 /// Polls `Stats` until every machine's pipeline has consumed its sample
@@ -66,9 +74,7 @@ fn stream_wave(client: &mut ServiceClient, range: std::ops::Range<u64>, resume: 
 fn wait_caught_up(client: &mut ServiceClient, final_i: u64) {
     let final_t = final_i * 15;
     for _ in 0..600 {
-        let Frame::StatsReply(stats) = client.request(&Frame::QueryStats).unwrap() else {
-            panic!("stats reply expected")
-        };
+        let stats = stats(client);
         let done = (1..=MACHINES).all(|m| {
             stats
                 .machines
@@ -83,17 +89,48 @@ fn wait_caught_up(client: &mut ServiceClient, final_i: u64) {
     panic!("server did not catch up to sample {final_i}");
 }
 
+/// The deterministic payload of the newest snapshot in `dir`: its
+/// machine, record and transition lines. The header and counters lines
+/// legitimately differ between runs (elapsed time, batch boundaries
+/// after a resume).
+fn final_snapshot_lines(dir: &Path) -> Vec<String> {
+    let newest = std::fs::read_dir(dir)
+        .expect("snapshot dir exists")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .max()
+        .expect("a snapshot was written");
+    std::fs::read_to_string(newest)
+        .expect("snapshot reads")
+        .lines()
+        .filter(|l| {
+            ["machine", "record", "transition"]
+                .iter()
+                .any(|kind| l.starts_with(&format!("{{\"kind\":\"{kind}\"")))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+struct Reference {
+    records: Vec<Vec<TraceRecord>>,
+    transitions: Vec<Vec<WireTransition>>,
+    snapshot: Vec<String>,
+}
+
 /// The uninterrupted reference: the full wave through one life of a
-/// one-loop server.
-fn reference_run() -> (Vec<Vec<TraceRecord>>, Vec<Vec<WireTransition>>) {
+/// one-loop server, and the final snapshot its graceful shutdown cuts.
+fn reference_run(tag: &str) -> Reference {
+    let dir = snap_dir(&format!("reference-{tag}"));
     let server = Server::start(ServiceConfig {
         event_loops: 1,
+        snapshot_dir: Some(dir.to_string_lossy().into_owned()),
+        snapshot_interval_ms: 60_000,
         ..Default::default()
     })
     .expect("reference server");
-    let mut client = connect(&server.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES, false);
-    wait_caught_up(&mut client, SAMPLES - 1);
+    replay(&server.local_addr().to_string(), None, 1, SAMPLES, false);
     let records = (1..=MACHINES)
         .map(|m| server.records(m).expect("machine streamed"))
         .collect();
@@ -101,13 +138,37 @@ fn reference_run() -> (Vec<Vec<TraceRecord>>, Vec<Vec<WireTransition>>) {
         .map(|m| server.transitions(m).expect("machine streamed"))
         .collect();
     server.shutdown();
-    (records, transitions)
+    let snapshot = final_snapshot_lines(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    Reference {
+        records,
+        transitions,
+        snapshot,
+    }
 }
 
-fn snap_dir(tag: &str) -> std::path::PathBuf {
+fn snap_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fgcs-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Asserts that `server` holds the reference's records and transition
+/// log for every machine.
+fn assert_matches_reference(server: &Server, reference: &Reference, what: &str) {
+    for m in 1..=MACHINES {
+        let idx = (m - 1) as usize;
+        assert_eq!(
+            server.records(m).expect("machine restored"),
+            reference.records[idx],
+            "{what}: records bit-identical to the uninterrupted run, machine {m}"
+        );
+        assert_eq!(
+            server.transitions(m).expect("machine restored"),
+            reference.transitions[idx],
+            "{what}: transition log identical (seqs continue, no restart at 1), machine {m}"
+        );
+    }
 }
 
 /// Graceful restart: stop mid-replay (final checkpoint), start a fresh
@@ -116,7 +177,7 @@ fn snap_dir(tag: &str) -> std::path::PathBuf {
 /// reference never restarts and never forwards, so a multi-loop restart
 /// variant cannot drift from the plain path unnoticed.
 fn graceful_restart_is_bit_identical(tag: &str, mut svc: ServiceConfig) {
-    let (ref_records, ref_transitions) = reference_run();
+    let reference = reference_run(&format!("graceful-{tag}"));
     let dir = snap_dir(&format!("graceful-{tag}"));
     svc.snapshot_dir = Some(dir.to_string_lossy().into_owned());
     svc.snapshot_interval_ms = 60_000; // periodic writes irrelevant here
@@ -124,31 +185,14 @@ fn graceful_restart_is_bit_identical(tag: &str, mut svc: ServiceConfig) {
     // First life: half the wave, then a graceful shutdown (which takes
     // the final checkpoint after draining).
     let first = Server::start(svc.clone()).expect("first life");
-    let mut client = connect(&first.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES / 2, false);
-    wait_caught_up(&mut client, SAMPLES / 2 - 1);
+    replay(&first.local_addr().to_string(), None, 1, SAMPLES / 2, false);
     first.shutdown();
 
     // Second life: restores the snapshot; the client resumes strictly
     // after each machine's restored last_t.
     let second = Server::start(svc).expect("second life");
-    let mut client = connect(&second.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES, true);
-    wait_caught_up(&mut client, SAMPLES - 1);
-
-    for m in 1..=MACHINES {
-        let idx = (m - 1) as usize;
-        assert_eq!(
-            second.records(m).expect("machine restored"),
-            ref_records[idx],
-            "{tag}: records bit-identical through the restart, machine {m}"
-        );
-        assert_eq!(
-            second.transitions(m).expect("machine restored"),
-            ref_transitions[idx],
-            "{tag}: transition log identical (seqs continue, no restart at 1), machine {m}"
-        );
-    }
+    replay(&second.local_addr().to_string(), None, 1, SAMPLES, true);
+    assert_matches_reference(&second, &reference, tag);
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,6 +219,20 @@ fn graceful_restart_is_bit_identical_multiloop() {
     );
 }
 
+fn transitions_since(client: &mut ServiceClient, since_seq: u64) -> Vec<WireTransition> {
+    let Frame::Transitions { transitions, .. } = client
+        .request(&Frame::QueryTransitions {
+            machine: 1,
+            since_seq,
+            max: 1000,
+        })
+        .unwrap()
+    else {
+        panic!("transitions reply expected")
+    };
+    transitions
+}
+
 /// Transition seqs must keep climbing across a restore: a client that
 /// followed the log with `QueryTransitions { since_seq }` before the
 /// restart must be able to keep following it after, without collisions
@@ -189,44 +247,19 @@ fn transition_seqs_survive_restart_without_collision() {
     };
 
     let first = Server::start(svc.clone()).expect("first life");
-    let mut client = connect(&first.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES / 2, false);
-    wait_caught_up(&mut client, SAMPLES / 2 - 1);
-    let Frame::Transitions {
-        transitions: before,
-        ..
-    } = client
-        .request(&Frame::QueryTransitions {
-            machine: 1,
-            since_seq: 1,
-            max: 1000,
-        })
-        .unwrap()
-    else {
-        panic!("transitions reply expected")
-    };
+    let addr = first.local_addr().to_string();
+    replay(&addr, None, 1, SAMPLES / 2, false);
+    let before = transitions_since(&mut connect(&addr, None), 1);
     assert!(!before.is_empty(), "first life produced transitions");
     let consumed = before.last().unwrap().seq;
     first.shutdown();
 
     let second = Server::start(svc).expect("second life");
-    let mut client = connect(&second.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES, true);
-    wait_caught_up(&mut client, SAMPLES - 1);
+    let addr = second.local_addr().to_string();
+    replay(&addr, None, 1, SAMPLES, true);
     // Catch up from the last consumed seq, exactly as a live follower
     // would: everything new is strictly beyond it.
-    let Frame::Transitions {
-        transitions: after, ..
-    } = client
-        .request(&Frame::QueryTransitions {
-            machine: 1,
-            since_seq: consumed + 1,
-            max: 1000,
-        })
-        .unwrap()
-    else {
-        panic!("transitions reply expected")
-    };
+    let after = transitions_since(&mut connect(&addr, None), consumed + 1);
     assert!(
         !after.is_empty(),
         "second half of the wave produced transitions"
@@ -247,7 +280,7 @@ fn transition_seqs_survive_restart_without_collision() {
 /// Spawns the real `fgcs-serve` binary with snapshots on (plus any
 /// `extra` flags, e.g. `--loops 4`), returning the
 /// child and its bound address (parsed from the `listening on` line).
-fn spawn_serve(dir: &std::path::Path, interval_ms: u64, extra: &[&str]) -> (Child, String) {
+fn spawn_serve(dir: &Path, interval_ms: u64, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fgcs-serve"))
         .args([
             "--addr",
@@ -276,21 +309,37 @@ fn spawn_serve(dir: &std::path::Path, interval_ms: u64, extra: &[&str]) -> (Chil
     (child, addr)
 }
 
-/// The crash test proper: SIGKILL the serve binary mid-replay, restart
-/// on the same snapshot dir, resume from `Stats`, and compare against
-/// an uninterrupted run — bit-identical records and transitions. The
-/// kill lands *between* ingest and checkpoint at an arbitrary point;
-/// any samples past the last snapshot are simply re-ingested by the
-/// resume protocol without seq collisions.
-fn sigkill_mid_replay(tag: &str, serve_args: &[&str], restart_svc: ServiceConfig) {
-    let (ref_records, ref_transitions) = reference_run();
+/// The crash test proper: SIGKILL the token-gated serve binary
+/// mid-replay, restart on the same snapshot dir, resume from `Stats`,
+/// and compare against an uninterrupted run — bit-identical records and
+/// transitions, and the same machine, record and transition lines in
+/// the final snapshot. The kill lands *between* ingest and checkpoint
+/// at an arbitrary point; any samples past the last snapshot are simply
+/// re-ingested by the resume protocol without seq collisions.
+///
+/// Both lives run `loops` event loops and are fed over `loops`
+/// connections, so with four, ingest crosses the forwarding rings while
+/// the 50 ms checkpoints are being cut: the checkpoint must be a
+/// consistent cut across loop-owned shards (including batches in flight
+/// on the rings), and the restore must land identically however the new
+/// loops repartition the shards.
+fn sigkill_mid_replay(loops: usize) {
+    let tag = format!("loops-{loops}");
+    let reference = reference_run(&format!("sigkill-{tag}"));
     let dir = snap_dir(&format!("sigkill-{tag}"));
 
     // First life: the real binary, checkpointing every 50 ms.
-    let (mut child, addr) = spawn_serve(&dir, 50, serve_args);
-    let mut client = connect(&addr);
-    stream_wave(&mut client, 0..SAMPLES / 2, false);
-    wait_caught_up(&mut client, SAMPLES / 2 - 1);
+    let loops_arg = loops.to_string();
+    let (mut child, addr) = spawn_serve(&dir, 50, &["--loops", &loops_arg, "--auth-token", TOKEN]);
+    replay(&addr, Some(TOKEN), loops, SAMPLES / 2, false);
+    // The token flag is live: a wrong token is refused, not retried.
+    let mut bad = ClientConfig::new(&addr);
+    bad.backoff_unit_ms = 1;
+    bad.token = Some("not-the-token".to_string());
+    match ServiceClient::connect(bad) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied, "{e}"),
+        Ok(_) => panic!("{tag}: a wrong token was accepted"),
+    }
     // Let at least one checkpoint land, then SIGKILL — no final
     // snapshot, no graceful anything.
     std::thread::sleep(std::time::Duration::from_millis(300));
@@ -309,58 +358,41 @@ fn sigkill_mid_replay(tag: &str, serve_args: &[&str], restart_svc: ServiceConfig
     // Second life: in-process server on the same dir (same restore
     // path as the binary). The client resumes strictly past whatever
     // the last checkpoint captured.
-    let svc = ServiceConfig {
+    let second = Server::start(ServiceConfig {
+        event_loops: loops,
+        auth_token: Some(TOKEN.to_string()),
         snapshot_dir: Some(dir.to_string_lossy().into_owned()),
         snapshot_interval_ms: 60_000,
-        ..restart_svc
-    };
-    let second = Server::start(svc).expect("restarted server");
-    let mut client = connect(&second.local_addr().to_string());
-    stream_wave(&mut client, 0..SAMPLES, true);
-    wait_caught_up(&mut client, SAMPLES - 1);
-
-    for m in 1..=MACHINES {
-        let idx = (m - 1) as usize;
-        assert_eq!(
-            second.records(m).expect("machine restored"),
-            ref_records[idx],
-            "{tag}: records survive a SIGKILL + restore + resume, machine {m}"
-        );
-        assert_eq!(
-            second.transitions(m).expect("machine restored"),
-            ref_transitions[idx],
-            "{tag}: transitions identical after the crash, machine {m}"
-        );
-    }
+        ..Default::default()
+    })
+    .expect("restarted server");
+    replay(
+        &second.local_addr().to_string(),
+        Some(TOKEN),
+        loops,
+        SAMPLES,
+        true,
+    );
+    assert_matches_reference(
+        &second,
+        &reference,
+        &format!("{tag}, SIGKILL + restore + resume"),
+    );
     second.shutdown();
+    assert_eq!(
+        final_snapshot_lines(&dir),
+        reference.snapshot,
+        "{tag}: the final snapshot after kill + restart + resume diverges from the uninterrupted run's"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sigkill_mid_replay_restores_and_resumes_bit_identical() {
-    sigkill_mid_replay(
-        "loops-1",
-        &["--loops", "1"],
-        ServiceConfig {
-            event_loops: 1,
-            ..Default::default()
-        },
-    );
+    sigkill_mid_replay(1);
 }
 
-/// The same crash, but the killed life *and* the restarted life run
-/// four event loops: the checkpoint must be a consistent cut across
-/// loop-owned shards (including batches in flight on the forwarding
-/// rings), and the restore must land identically however the new
-/// loops repartition the shards.
 #[test]
 fn sigkill_mid_replay_multiloop_restores_bit_identical() {
-    sigkill_mid_replay(
-        "loops-4",
-        &["--loops", "4"],
-        ServiceConfig {
-            event_loops: 4,
-            ..Default::default()
-        },
-    );
+    sigkill_mid_replay(4);
 }

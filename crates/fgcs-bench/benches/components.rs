@@ -158,7 +158,7 @@ fn bench_policy_and_cluster(c: &mut Criterion) {
     use fgcs_core::cluster::{Cluster, LeastLoadedPlacement};
     use fgcs_core::controller::ControllerConfig;
     use fgcs_core::model::Thresholds;
-    use fgcs_core::policy::{run_policy, TwoThresholdPolicy};
+    use fgcs_core::policy::{run_policy, two_threshold};
     use fgcs_sim::machine::MachineConfig;
     use fgcs_sim::proc::{Demand, MemSpec, ProcClass};
 
@@ -166,7 +166,7 @@ fn bench_policy_and_cluster(c: &mut Criterion) {
     g.bench_function("two_threshold_managed_run", |b| {
         let hosts = [synthetic::host_process("h", 0.4)];
         b.iter(|| {
-            let mut p = TwoThresholdPolicy::new(Thresholds::LINUX_TESTBED, secs(60));
+            let mut p = two_threshold(Thresholds::LINUX_TESTBED);
             black_box(run_policy(
                 &MachineConfig::default(),
                 &hosts,

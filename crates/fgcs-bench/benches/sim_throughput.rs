@@ -19,7 +19,8 @@
 //! After the rows it gates the batched path against the stepwise one in
 //! the same process: at least [`MIN_HARVEST_SPEEDUP`]× on `harvest` and
 //! [`MIN_CONTENDED_SPEEDUP`]× on `contended`, or the bench exits
-//! non-zero. Ratios, so host speed cancels.
+//! non-zero. Ratios, so host speed cancels; each is the median of nine
+//! paired rounds, so one host hiccup cannot sink it.
 //!
 //! `scripts/ci.sh` runs this with `FGCS_BENCH_QUICK=1`; BENCH_sim.json
 //! records a full run's before/after ticks per second.
@@ -29,15 +30,16 @@ use std::time::Duration;
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 
-use fgcs_bench::best_ns;
+use fgcs_bench::paired_ratio;
 use fgcs_sim::machine::{Machine, MachineConfig};
 use fgcs_sim::proc::{Demand, MemSpec, ProcClass, ProcSpec};
 use fgcs_sim::time::secs;
 use fgcs_sim::workloads::synthetic;
 use fgcs_stats::rng::Rng;
 
-/// The batched path measures 7–8× the stepwise one on `harvest`
-/// (1.07× before lone-runnable spans crossed epoch boundaries, about 4×
+/// The batched path measures 6.7–7.4× the stepwise one on `harvest`
+/// (median of nine paired rounds, nine quick runs on a 2-vCPU host;
+/// 1.07× before lone-runnable spans crossed epoch boundaries, about 4×
 /// before races batched); anything under this means lone-runnable spans
 /// or races stopped batching.
 const MIN_HARVEST_SPEEDUP: f64 = 5.0;
@@ -210,7 +212,8 @@ criterion_group! {
 }
 
 /// Exits non-zero unless the batched path is at least `min`× the
-/// stepwise one on the machine `build` returns.
+/// stepwise one on the machine `build` returns, read as the median of
+/// nine paired rounds.
 fn gate(name: &str, build: fn() -> Machine, min: f64) {
     let span = secs(10);
     let iters = if std::env::var_os("FGCS_BENCH_QUICK").is_some() {
@@ -222,18 +225,21 @@ fn gate(name: &str, build: fn() -> Machine, min: f64) {
     stepwise.run_ticks_stepwise(secs(5));
     let mut batched = build();
     batched.run_ticks(secs(5));
-    let batched_ns = best_ns(7, iters, || {
-        batched.run_ticks(span);
-        batched.now()
-    });
-    let stepwise_ns = best_ns(7, iters, || {
-        stepwise.run_ticks_stepwise(span);
-        stepwise.now()
-    });
-    let speedup = stepwise_ns / batched_ns;
+    let (speedup, batched_ns, stepwise_ns) = paired_ratio(
+        9,
+        iters,
+        || {
+            batched.run_ticks(span);
+            batched.now()
+        },
+        || {
+            stepwise.run_ticks_stepwise(span);
+            stepwise.now()
+        },
+    );
     println!(
         "gate sim_throughput/{name}  batched {:.2} ns/tick, stepwise {:.1} ns/tick, \
-         speedup {speedup:.2}x (need >= {min}x)",
+         median round speedup {speedup:.2}x (need >= {min}x)",
         batched_ns / span as f64,
         stepwise_ns / span as f64
     );

@@ -52,8 +52,8 @@ fn ns_per_call<T>(iters: u32, f: &mut impl FnMut() -> T) -> f64 {
 }
 
 /// Nanoseconds per call of `f` over `iters` back-to-back calls, best of
-/// `rounds` — the timer behind the in-process ratio gates (`wire`,
-/// `fleet`, `place`), which compare two of these so host speed cancels.
+/// `rounds` — the timer behind the `wire` and `place` ratio gates, which
+/// compare two of these so host speed cancels.
 pub fn best_ns<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
     (0..rounds)
         .map(|_| ns_per_call(iters, &mut f))

@@ -66,6 +66,40 @@ pub struct GroupMeasurement {
     pub thrashing: bool,
 }
 
+/// A fresh machine of the given configuration running `hosts`.
+pub(crate) fn machine_with(machine_cfg: &MachineConfig, hosts: &[ProcSpec]) -> Machine {
+    let mut m = Machine::new(machine_cfg.clone());
+    for h in hosts {
+        m.spawn(h.clone());
+    }
+    m
+}
+
+/// The paper's `LH`: host CPU usage of `hosts` running alone, measured
+/// for `measure_secs` after `warmup_secs` — the isolated baseline of
+/// every reduction rate.
+pub(crate) fn isolated_host_load(
+    machine_cfg: &MachineConfig,
+    hosts: &[ProcSpec],
+    warmup_secs: u64,
+    measure_secs: u64,
+) -> f64 {
+    let mut alone = machine_with(machine_cfg, hosts);
+    alone.run_ticks(secs(warmup_secs));
+    alone.measure(secs(measure_secs)).host_load()
+}
+
+/// The *reduction rate of host CPU usage*:
+/// `(lh_isolated − lh_contended) / lh_isolated`, floored at 0, and 0
+/// for a host group that used no CPU alone.
+pub(crate) fn reduction_rate(lh_isolated: f64, lh_contended: f64) -> f64 {
+    if lh_isolated > 0.0 {
+        ((lh_isolated - lh_contended) / lh_isolated).max(0.0)
+    } else {
+        0.0
+    }
+}
+
 /// Runs a host group alone and then together with `guest`, on fresh
 /// machines of the given configuration.
 pub fn measure_group(
@@ -74,20 +108,10 @@ pub fn measure_group(
     guest: Option<&ProcSpec>,
     cfg: &ContentionConfig,
 ) -> GroupMeasurement {
-    // Isolated run.
-    let mut alone = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        alone.spawn(h.clone());
-    }
-    alone.run_ticks(secs(cfg.warmup_secs));
-    let iso = alone.measure(secs(cfg.measure_secs));
-    let lh_isolated = iso.host_load();
+    let lh_isolated = isolated_host_load(machine_cfg, hosts, cfg.warmup_secs, cfg.measure_secs);
 
     // Contended run.
-    let mut together = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        together.spawn(h.clone());
-    }
+    let mut together = machine_with(machine_cfg, hosts);
     if let Some(g) = guest {
         together.spawn(g.clone());
     }
@@ -96,15 +120,10 @@ pub fn measure_group(
     let con = together.measure(secs(cfg.measure_secs));
     let lh_contended = con.host_load();
 
-    let reduction_rate = if lh_isolated > 0.0 {
-        ((lh_isolated - lh_contended) / lh_isolated).max(0.0)
-    } else {
-        0.0
-    };
     GroupMeasurement {
         lh_isolated,
         lh_contended,
-        reduction_rate,
+        reduction_rate: reduction_rate(lh_isolated, lh_contended),
         guest_usage: con.guest_load(),
         thrashing: thrash_at_start || together.is_thrashing(),
     }
@@ -318,8 +337,7 @@ pub fn table1_measurements(cfg: &ContentionConfig) -> Vec<Table1Row> {
     let apps = spec::all();
     let mut rows = fgcs_par::par_map(&apps, |a| {
         // A lone guest's usage is reported in the guest counter.
-        let mut m = Machine::new(MachineConfig::solaris_384mb());
-        m.spawn(a.guest_spec(0));
+        let mut m = machine_with(&MachineConfig::solaris_384mb(), &[a.guest_spec(0)]);
         m.run_ticks(secs(cfg.warmup_secs));
         let acct = m.measure(secs(cfg.measure_secs));
         Table1Row {
@@ -343,53 +361,6 @@ pub fn table1_measurements(cfg: &ContentionConfig) -> Vec<Table1Row> {
         }
     }));
     rows
-}
-
-/// Measures the host slowdown caused by a *managed* guest: a guest that
-/// the FGCS controller renices on S2 entry and suspends on spikes. Used
-/// by the ablation experiment to show the value of the two-threshold
-/// policy over a static priority.
-pub fn measure_managed(
-    machine_cfg: &MachineConfig,
-    hosts: &[ProcSpec],
-    cfg: &ContentionConfig,
-    thresholds: crate::model::Thresholds,
-) -> GroupMeasurement {
-    use crate::controller::{Controller, ControllerConfig};
-
-    let mut alone = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        alone.spawn(h.clone());
-    }
-    alone.run_ticks(secs(cfg.warmup_secs));
-    let iso = alone.measure(secs(cfg.measure_secs));
-    let lh_isolated = iso.host_load();
-
-    let mut machine = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        machine.spawn(h.clone());
-    }
-    let mut ctl_cfg = ControllerConfig::default();
-    ctl_cfg.detector.thresholds = thresholds;
-    let mut ctl = Controller::new(ctl_cfg, machine);
-    ctl.submit(ProcSpec::cpu_bound_guest("managed-guest", 0));
-    ctl.run_ticks(secs(cfg.warmup_secs));
-    let before = ctl.machine().accounting();
-    ctl.run_ticks(secs(cfg.measure_secs));
-    let con = ctl.machine().accounting().since(&before);
-    let lh_contended = con.host_load();
-    let reduction_rate = if lh_isolated > 0.0 {
-        ((lh_isolated - lh_contended) / lh_isolated).max(0.0)
-    } else {
-        0.0
-    };
-    GroupMeasurement {
-        lh_isolated,
-        lh_contended,
-        reduction_rate,
-        guest_usage: con.guest_load(),
-        thrashing: ctl.machine().is_thrashing(),
-    }
 }
 
 /// Convenience: reduction rates and `LH` values for one guest class,

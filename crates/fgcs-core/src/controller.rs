@@ -7,7 +7,8 @@
 //! * S1 → run at default priority; S2 → `renice` to 19;
 //! * transient spike above `Th2` → `SIGSTOP`, resume if it subsides
 //!   within the tolerance ("the guest process resumes if the contention
-//!   diminishes after a certain duration, otherwise it is terminated");
+//!   diminishes after a certain duration, otherwise it is terminated"),
+//!   at the priority of the band it subsided into;
 //! * S3/S4/S5 → kill the guest;
 //! * "no more than one guest process is allowed to run concurrently on
 //!   the same machine" — submissions queue.
@@ -22,9 +23,10 @@ use fgcs_sim::machine::Machine;
 use fgcs_sim::proc::{Pid, ProcSpec};
 use fgcs_sim::time::secs;
 
-use crate::detector::{DetectorConfig, GuestAction};
+use crate::detector::DetectorConfig;
 use crate::events::OccurrenceRecorder;
 use crate::monitor::{Monitor, Observation};
+use crate::policy::PolicyAction;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,49 +227,31 @@ impl Controller {
         let obs = self.monitor.sample(&self.machine);
         self.last_obs = Some(obs);
         let t = self.machine.now();
+        let before = self.recorder.state();
         let step = self.recorder.observe(t, &obs);
 
-        match step.action {
-            Some(GuestAction::SetLowestPriority) => {
-                if let GuestSlot::Running { pid, .. } = &self.slot {
-                    let _ = self.machine.renice(*pid, 19);
-                    self.stats.renices += 1;
+        if let GuestSlot::Running { pid, spec } = std::mem::replace(&mut self.slot, GuestSlot::Idle)
+        {
+            let action = PolicyAction::from_step(before, &step, spec.nice);
+            action.apply(&mut self.machine, pid);
+            match action {
+                PolicyAction::SetNice(_) | PolicyAction::Resume(Some(_)) => self.stats.renices += 1,
+                PolicyAction::Suspend => self.stats.suspensions += 1,
+                PolicyAction::Stay | PolicyAction::Resume(None) | PolicyAction::Terminate => {}
+            }
+            if action != PolicyAction::Terminate {
+                self.slot = GuestSlot::Running { pid, spec };
+            } else {
+                self.stats.terminated += 1;
+                if self.cfg.resubmit_on_failure {
+                    self.queue.push_front(spec);
+                } else {
+                    // Hand the spec back to whoever manages this
+                    // controller (see `take_killed`): in a cluster the
+                    // job is re-queued on another machine.
+                    self.killed.push(spec);
                 }
             }
-            Some(GuestAction::RestoreDefaultPriority) => {
-                if let GuestSlot::Running { pid, spec } = &self.slot {
-                    let _ = self.machine.renice(*pid, spec.nice);
-                    self.stats.renices += 1;
-                }
-            }
-            Some(GuestAction::Suspend) => {
-                if let GuestSlot::Running { pid, .. } = &self.slot {
-                    let _ = self.machine.suspend(*pid);
-                    self.stats.suspensions += 1;
-                }
-            }
-            Some(GuestAction::Resume) => {
-                if let GuestSlot::Running { pid, .. } = &self.slot {
-                    let _ = self.machine.resume(*pid);
-                }
-            }
-            Some(GuestAction::Terminate) => {
-                if let GuestSlot::Running { pid, spec } =
-                    std::mem::replace(&mut self.slot, GuestSlot::Idle)
-                {
-                    let _ = self.machine.kill(pid);
-                    self.stats.terminated += 1;
-                    if self.cfg.resubmit_on_failure {
-                        self.queue.push_front(spec);
-                    } else {
-                        // Hand the spec back to whoever manages this
-                        // controller (see `take_killed`): in a cluster
-                        // the job is re-queued on another machine.
-                        self.killed.push(spec);
-                    }
-                }
-            }
-            Some(GuestAction::MachineAvailable) | None => {}
         }
 
         // Start the next job if the machine is available, idle, and not
@@ -493,6 +477,23 @@ mod tests {
         assert_eq!(killed.0.len(), 1);
         assert_eq!(killed.0, killed.1);
         assert_eq!(batched.recorder().records(), stepwise.recorder().records());
+    }
+
+    /// A spike out of S1 that subsides into S2 resumes the guest at the
+    /// nice 19 that S2 demands, not at the priority it was stopped at.
+    #[test]
+    fn spike_subsiding_into_s2_resumes_the_guest_at_nice_19() {
+        let hosts = crate::policy::spike_into_s2_hosts();
+        let machine = crate::contention::machine_with(&Default::default(), &hosts);
+        let mut ctl = Controller::new(quick_cfg(), machine);
+        ctl.submit(finite_guest(600));
+        ctl.run_ticks(secs(20));
+        let s = ctl.stats();
+        assert_eq!((s.suspensions, s.terminated), (1, 0), "{s:?}");
+        assert_eq!(ctl.recorder().state(), crate::model::AvailState::S2);
+        let guest = ctl.machine().process(ctl.guest_pid().unwrap()).unwrap();
+        assert!(!guest.is_suspended(), "resumed");
+        assert_eq!(guest.nice, 19, "S2 demands nice 19");
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   1–4, Table 1) against the `fgcs-sim` machine.
 //! * [`calibrate`] — derives `Th1`/`Th2` from the experiments, the way
 //!   the paper reads them off Figure 1.
-//! * [`policy`] — the §3.2.2 design space: the two-threshold policy and
-//!   the rejected alternatives (gradual priorities, always-lowest,
-//!   coarse-grained), executable for quantitative comparison.
+//! * [`policy`] — the §3.2.2 design space: the product [`Detector`] as
+//!   the two-threshold policy beside the rejected alternatives (gradual
+//!   priorities, always-lowest, coarse-grained), all run by one harness
+//!   for quantitative comparison; also the one translation of a detector
+//!   step into a guest action, which [`Controller`] shares.
 //! * [`backoff`] — the shared capped-exponential-backoff-with-jitter
 //!   schedule used by every retry loop in the workspace.
 

@@ -1,6 +1,9 @@
 //! Guest-management policies — the design space of §3.2.2.
 //!
-//! The paper argues for the two-threshold policy by elimination:
+//! The paper's policy is the product [`Detector`] itself: default
+//! priority below `Th1`, nice 19 between the thresholds, suspend on a
+//! spike above `Th2`, terminate when the spike persists. The paper
+//! argues for it by elimination:
 //!
 //! * *gradually decreasing* the guest priority from 0 to 19 under heavy
 //!   host load "does not achieve additional benefit ... it introduces
@@ -10,16 +13,21 @@
 //! * *terminating the guest whenever a host application starts* "makes
 //!   it a coarse-grained cycle sharing system" (the SETI@home model).
 //!
-//! This module makes each of those alternatives executable so the
-//! argument can be reproduced quantitatively (experiment X4/X5): every
-//! policy is a small state machine from load observations to guest
+//! This module makes each of those alternatives executable beside the
+//! detector so the argument can be reproduced quantitatively
+//! (experiments X4/X5): every policy maps load observations to guest
 //! actions, run by [`run_policy`] against a live simulated machine.
+//! `PolicyAction::from_step` is the one translation of a detector step
+//! into a guest action, shared with the live-sim
+//! [`Controller`](crate::controller::Controller).
 
 use fgcs_sim::machine::{Machine, MachineConfig};
 use fgcs_sim::proc::{Pid, ProcSpec};
 use fgcs_sim::time::secs;
 
-use crate::model::Thresholds;
+use crate::contention::{isolated_host_load, machine_with, reduction_rate};
+use crate::detector::{Detector, DetectorConfig, GuestAction, Step};
+use crate::model::{AvailState, Thresholds};
 use crate::monitor::{Monitor, Observation};
 
 /// What a policy wants done to the guest after a sample.
@@ -31,10 +39,50 @@ pub enum PolicyAction {
     SetNice(i8),
     /// SIGSTOP the guest.
     Suspend,
-    /// SIGCONT the guest.
-    Resume,
+    /// SIGCONT the guest, first renicing it when a nice value is given
+    /// (a spike that subsided into a different band than it began in).
+    Resume(Option<i8>),
     /// Kill the guest.
     Terminate,
+}
+
+impl PolicyAction {
+    /// The guest action a detector step demands. `before` is the
+    /// detector's state before the step and `default_nice` the guest's
+    /// own priority, which S1 restores; S2 demands nice 19. A spike that
+    /// subsides into a different band resumes the guest at the priority
+    /// of the band it subsided into.
+    pub(crate) fn from_step(before: AvailState, step: &Step, default_nice: i8) -> PolicyAction {
+        match step.action {
+            None | Some(GuestAction::MachineAvailable) => PolicyAction::Stay,
+            Some(GuestAction::RestoreDefaultPriority) => PolicyAction::SetNice(default_nice),
+            Some(GuestAction::SetLowestPriority) => PolicyAction::SetNice(19),
+            Some(GuestAction::Suspend) => PolicyAction::Suspend,
+            Some(GuestAction::Resume) if step.state == before => PolicyAction::Resume(None),
+            Some(GuestAction::Resume) if step.state == AvailState::S2 => {
+                PolicyAction::Resume(Some(19))
+            }
+            Some(GuestAction::Resume) => PolicyAction::Resume(Some(default_nice)),
+            Some(GuestAction::Terminate) => PolicyAction::Terminate,
+        }
+    }
+
+    /// Applies the action to the guest `pid` on `m`. A guest that has
+    /// already exited has nothing left to manage, so errors are dropped.
+    pub(crate) fn apply(self, m: &mut Machine, pid: Pid) {
+        let _ = match self {
+            PolicyAction::Stay => Ok(()),
+            PolicyAction::SetNice(n) => m.renice(pid, n),
+            PolicyAction::Suspend => m.suspend(pid),
+            PolicyAction::Resume(nice) => {
+                if let Some(n) = nice {
+                    let _ = m.renice(pid, n);
+                }
+                m.resume(pid)
+            }
+            PolicyAction::Terminate => m.kill(pid),
+        };
+    }
 }
 
 /// A guest-management policy: a function from observations to actions.
@@ -45,66 +93,28 @@ pub trait GuestPolicy {
     fn decide(&mut self, t: u64, obs: &Observation) -> PolicyAction;
 }
 
-/// The paper's policy: default priority below `Th1`, nice 19 between
-/// the thresholds, suspend on transient spikes, terminate when the
-/// spike persists. (A thin, detector-free re-statement used for policy
-/// comparisons; the production path is [`crate::detector`].)
-#[derive(Debug, Clone)]
-pub struct TwoThresholdPolicy {
-    thresholds: Thresholds,
-    spike_tolerance: u64,
-    spike_since: Option<u64>,
-    suspended: bool,
-    nice: i8,
-}
-
-impl TwoThresholdPolicy {
-    /// Creates the policy with a spike tolerance in ticks.
-    pub fn new(thresholds: Thresholds, spike_tolerance: u64) -> Self {
-        TwoThresholdPolicy {
-            thresholds,
-            spike_tolerance,
-            spike_since: None,
-            suspended: false,
-            nice: 0,
-        }
-    }
-}
-
-impl GuestPolicy for TwoThresholdPolicy {
+/// The paper's two-threshold policy is the product detector, managing a
+/// guest of default priority 0.
+impl GuestPolicy for Detector {
     fn name(&self) -> &'static str {
         "two-threshold"
     }
 
     fn decide(&mut self, t: u64, obs: &Observation) -> PolicyAction {
-        use crate::model::LoadBand::*;
-        match self.thresholds.classify(obs.host_load) {
-            Excessive => match self.spike_since {
-                None => {
-                    self.spike_since = Some(t);
-                    self.suspended = true;
-                    PolicyAction::Suspend
-                }
-                Some(s0) if t.saturating_sub(s0) >= self.spike_tolerance => PolicyAction::Terminate,
-                Some(_) => PolicyAction::Stay,
-            },
-            band => {
-                if self.suspended {
-                    self.suspended = false;
-                    self.spike_since = None;
-                    return PolicyAction::Resume;
-                }
-                self.spike_since = None;
-                let want = if band == Light { 0 } else { 19 };
-                if want != self.nice {
-                    self.nice = want;
-                    PolicyAction::SetNice(want)
-                } else {
-                    PolicyAction::Stay
-                }
-            }
-        }
+        let before = self.state();
+        let step = self.observe(t, obs);
+        PolicyAction::from_step(before, &step, 0)
     }
+}
+
+/// The product detector ([`DetectorConfig::sim_default`], 1-minute spike
+/// tolerance in ticks) with the given thresholds: the policy X4 and X5
+/// measure.
+pub fn two_threshold(thresholds: Thresholds) -> Detector {
+    Detector::new(DetectorConfig {
+        thresholds,
+        ..DetectorConfig::sim_default()
+    })
 }
 
 /// §3.2.2 alternative 1: gradually decrease the guest priority as host
@@ -175,19 +185,13 @@ pub struct CoarseGrainedPolicy {
     suspended: bool,
 }
 
-impl CoarseGrainedPolicy {
-    /// Creates the policy with a 5% activity threshold.
-    pub fn new() -> Self {
+/// The policy with a 5% activity threshold.
+impl Default for CoarseGrainedPolicy {
+    fn default() -> Self {
         CoarseGrainedPolicy {
             activity_threshold: 0.05,
             suspended: false,
         }
-    }
-}
-
-impl Default for CoarseGrainedPolicy {
-    fn default() -> Self {
-        CoarseGrainedPolicy::new()
     }
 }
 
@@ -202,7 +206,7 @@ impl GuestPolicy for CoarseGrainedPolicy {
             PolicyAction::Suspend
         } else if obs.host_load <= self.activity_threshold && self.suspended {
             self.suspended = false;
-            PolicyAction::Resume
+            PolicyAction::Resume(None)
         } else {
             PolicyAction::Stay
         }
@@ -223,8 +227,9 @@ pub struct PolicyOutcome {
 }
 
 /// Runs a policy-managed guest against a host workload and measures both
-/// sides, mirroring [`crate::contention::measure_group`]'s protocol
-/// (isolated baseline first, then the managed run).
+/// sides with [`crate::contention::measure_group`]'s protocol: the same
+/// isolated baseline and reduction rate, then a managed run whose guest
+/// the policy steers every `sample_period` ticks.
 pub fn run_policy(
     machine_cfg: &MachineConfig,
     hosts: &[ProcSpec],
@@ -233,75 +238,41 @@ pub fn run_policy(
     warmup_secs: u64,
     measure_secs: u64,
 ) -> PolicyOutcome {
-    // Isolated baseline.
-    let mut alone = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        alone.spawn(h.clone());
-    }
-    alone.run_ticks(secs(warmup_secs));
-    let iso = alone.measure(secs(measure_secs));
+    let lh_isolated = isolated_host_load(machine_cfg, hosts, warmup_secs, measure_secs);
 
     // Managed run.
-    let mut m = Machine::new(machine_cfg.clone());
-    for h in hosts {
-        m.spawn(h.clone());
-    }
+    let mut m = machine_with(machine_cfg, hosts);
     let guest: Pid = m.spawn(ProcSpec::cpu_bound_guest("guest", 0));
     let mut monitor = Monitor::new();
     let mut actions = 0u64;
     let mut terminated = false;
 
-    let warmup = secs(warmup_secs);
-    let total_ticks = secs(warmup_secs + measure_secs);
-    let mut before = None;
     let mut next_sample = 0u64;
-    while m.now() < total_ticks {
-        if m.now() >= next_sample {
-            let obs = monitor.sample(&m);
-            if !terminated {
-                match policy.decide(m.now(), &obs) {
-                    PolicyAction::Stay => {}
-                    PolicyAction::SetNice(n) => {
-                        let _ = m.renice(guest, n);
-                        actions += 1;
-                    }
-                    PolicyAction::Suspend => {
-                        let _ = m.suspend(guest);
-                        actions += 1;
-                    }
-                    PolicyAction::Resume => {
-                        let _ = m.resume(guest);
-                        actions += 1;
-                    }
-                    PolicyAction::Terminate => {
-                        let _ = m.kill(guest);
-                        terminated = true;
+    let mut run_until = |m: &mut Machine, end: u64| {
+        while m.now() < end {
+            if m.now() >= next_sample {
+                let obs = monitor.sample(m);
+                if !terminated {
+                    let action = policy.decide(m.now(), &obs);
+                    if action != PolicyAction::Stay {
+                        action.apply(m, guest);
+                        terminated = action == PolicyAction::Terminate;
                         actions += 1;
                     }
                 }
+                next_sample = m.now() + sample_period;
             }
-            next_sample = m.now() + sample_period;
+            // Batched up to the next sample or the end (tick-exact
+            // against `step()`).
+            m.run_ticks(next_sample.max(m.now() + 1).min(end) - m.now());
         }
-        if m.now() == warmup {
-            before = Some(m.accounting());
-        }
-        // Batched up to the next point anything is read: a sample, the
-        // warm-up snapshot, or the end (tick-exact against `step()`).
-        let mut horizon = next_sample.max(m.now() + 1).min(total_ticks);
-        if m.now() < warmup {
-            horizon = horizon.min(warmup);
-        }
-        m.run_ticks(horizon - m.now());
-    }
-    let acct = m.accounting().since(&before.unwrap_or_default());
-    let lh_isolated = iso.host_load();
-    let lh_managed = acct.host_load();
+    };
+    run_until(&mut m, secs(warmup_secs));
+    let before = m.accounting();
+    run_until(&mut m, secs(warmup_secs + measure_secs));
+    let acct = m.accounting().since(&before);
     PolicyOutcome {
-        host_reduction: if lh_isolated > 0.0 {
-            ((lh_isolated - lh_managed) / lh_isolated).max(0.0)
-        } else {
-            0.0
-        },
+        host_reduction: reduction_rate(lh_isolated, acct.host_load()),
         guest_usage: acct.guest_load(),
         guest_terminated: terminated,
         actions,
@@ -311,19 +282,48 @@ pub fn run_policy(
 /// The standard policy lineup for comparisons.
 pub fn standard_policies(thresholds: Thresholds) -> Vec<Box<dyn GuestPolicy>> {
     vec![
-        Box::new(TwoThresholdPolicy::new(
-            thresholds,
-            fgcs_sim::time::minutes(1),
-        )),
+        Box::new(two_threshold(thresholds)),
         Box::new(GradualPolicy::new(thresholds)),
         Box::new(AlwaysLowestPolicy::default()),
-        Box::new(CoarseGrainedPolicy::new()),
+        Box::new(CoarseGrainedPolicy::default()),
     ]
+}
+
+/// Hosts asleep for 6 s, then two 2 s CPU bursts beside a steady 40%
+/// host: a spike out of S1 that subsides, within the spike tolerance,
+/// into S2.
+#[cfg(test)]
+pub(crate) fn spike_into_s2_hosts() -> Vec<ProcSpec> {
+    use fgcs_sim::proc::{Demand, MemSpec, Phase, ProcClass};
+    let sleep = Phase {
+        busy: 1,
+        idle: secs(6),
+    };
+    let burst = Phase {
+        busy: secs(2),
+        idle: 1,
+    };
+    let steady = [Phase { busy: 28, idle: 42 }; 300];
+    [
+        vec![sleep, burst],
+        vec![sleep, burst],
+        [&[sleep][..], &steady].concat(),
+    ]
+    .into_iter()
+    .map(|phases| {
+        let demand = Demand::Phases {
+            phases,
+            repeat: false,
+        };
+        ProcSpec::new("h", ProcClass::Host, 0, demand, MemSpec::tiny())
+    })
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::NOTICEABLE_SLOWDOWN;
     use fgcs_sim::workloads::synthetic;
 
     fn obs(load: f64) -> Observation {
@@ -334,17 +334,48 @@ mod tests {
         }
     }
 
+    /// `run_policy` on the default machine, sampled every 2 s.
+    fn run(
+        hosts: &[ProcSpec],
+        policy: &mut dyn GuestPolicy,
+        warmup: u64,
+        measure: u64,
+    ) -> PolicyOutcome {
+        run_policy(
+            &MachineConfig::default(),
+            hosts,
+            policy,
+            secs(2),
+            warmup,
+            measure,
+        )
+    }
+
+    /// The §3.2 mapping of the shipped policy: the product detector at
+    /// its 1-minute spike tolerance, sampled every 2 s.
     #[test]
     fn two_threshold_decision_table() {
-        let mut p = TwoThresholdPolicy::new(Thresholds::LINUX_TESTBED, 600);
-        assert_eq!(p.decide(0, &obs(0.1)), PolicyAction::Stay); // already nice 0
-        assert_eq!(p.decide(10, &obs(0.4)), PolicyAction::SetNice(19));
-        assert_eq!(p.decide(20, &obs(0.4)), PolicyAction::Stay);
-        assert_eq!(p.decide(30, &obs(0.9)), PolicyAction::Suspend);
-        assert_eq!(p.decide(40, &obs(0.9)), PolicyAction::Stay); // within tolerance
-        assert_eq!(p.decide(50, &obs(0.3)), PolicyAction::Resume);
-        assert_eq!(p.decide(60, &obs(0.9)), PolicyAction::Suspend);
-        assert_eq!(p.decide(700, &obs(0.9)), PolicyAction::Terminate);
+        use PolicyAction::*;
+        let mut p = two_threshold(Thresholds::LINUX_TESTBED);
+        let table = [
+            (0, 0.1, Stay), // S1, already nice 0
+            (2, 0.4, SetNice(19)),
+            (4, 0.4, Stay),
+            (6, 0.9, Suspend),
+            (8, 0.9, Stay),          // within tolerance
+            (10, 0.3, Resume(None)), // back into S2, still nice 19
+            (12, 0.9, Suspend),
+            (14, 0.1, Resume(Some(0))), // subsides into S1
+            (16, 0.9, Suspend),
+            (18, 0.4, Resume(Some(19))), // subsides into Heavy: S2
+            (20, 0.4, Stay),
+            (22, 0.9, Suspend),
+            (80, 0.9, Stay),
+            (82, 0.9, Terminate), // the spike outlived the minute
+        ];
+        for (t, load, want) in table {
+            assert_eq!(p.decide(secs(t), &obs(load)), want, "t = {t} s");
+        }
     }
 
     #[test]
@@ -366,10 +397,10 @@ mod tests {
 
     #[test]
     fn coarse_grained_toggles_on_any_activity() {
-        let mut p = CoarseGrainedPolicy::new();
+        let mut p = CoarseGrainedPolicy::default();
         assert_eq!(p.decide(0, &obs(0.3)), PolicyAction::Suspend);
         assert_eq!(p.decide(1, &obs(0.3)), PolicyAction::Stay);
-        assert_eq!(p.decide(2, &obs(0.01)), PolicyAction::Resume);
+        assert_eq!(p.decide(2, &obs(0.01)), PolicyAction::Resume(None));
         assert_eq!(p.decide(3, &obs(0.01)), PolicyAction::Stay);
     }
 
@@ -377,14 +408,7 @@ mod tests {
     fn run_policy_measures_both_sides() {
         let hosts = [synthetic::host_process("h", 0.3)];
         let mut policy = AlwaysLowestPolicy::default();
-        let out = run_policy(
-            &MachineConfig::default(),
-            &hosts,
-            &mut policy,
-            secs(2),
-            5,
-            60,
-        );
+        let out = run(&hosts, &mut policy, 5, 60);
         assert!(out.host_reduction < 0.05, "{out:?}");
         assert!(out.guest_usage > 0.5, "{out:?}");
         assert!(!out.guest_terminated);
@@ -395,35 +419,35 @@ mod tests {
         // Under a 30% host workload the coarse-grained policy keeps the
         // guest suspended almost always, harvesting nearly nothing.
         let hosts = [synthetic::host_process("h", 0.3)];
-        let mut coarse = CoarseGrainedPolicy::new();
-        let coarse_out = run_policy(
-            &MachineConfig::default(),
-            &hosts,
-            &mut coarse,
-            secs(2),
-            5,
-            60,
-        );
-        let mut fine = TwoThresholdPolicy::new(Thresholds::LINUX_TESTBED, secs(60));
-        let fine_out = run_policy(&MachineConfig::default(), &hosts, &mut fine, secs(2), 5, 60);
+        let mut coarse = CoarseGrainedPolicy::default();
+        let coarse_out = run(&hosts, &mut coarse, 5, 60);
+        let mut fine = two_threshold(Thresholds::LINUX_TESTBED);
+        let fine_out = run(&hosts, &mut fine, 5, 60);
         assert!(
             fine_out.guest_usage > coarse_out.guest_usage + 0.2,
             "fine {fine_out:?} coarse {coarse_out:?}"
         );
     }
 
+    /// The controller's resume-into-S2 case through `run_policy`: the
+    /// guest resumes at nice 19, sparing the host as a static nice-19
+    /// guest would (at nice 0 the host loses ~20%).
+    #[test]
+    fn two_threshold_resumes_into_s2_at_nice_19() {
+        let mut policy = two_threshold(Thresholds::LINUX_TESTBED);
+        let hosts = spike_into_s2_hosts();
+        let out = run(&hosts, &mut policy, 20, 60);
+        assert_eq!(policy.state(), AvailState::S2);
+        assert!(!out.guest_terminated, "{out:?}");
+        assert_eq!(out.actions, 2, "suspend, then resume at nice 19: {out:?}");
+        assert!(out.host_reduction < NOTICEABLE_SLOWDOWN, "{out:?}");
+    }
+
     #[test]
     fn two_threshold_terminates_under_sustained_overload() {
         let hosts = [synthetic::host_process("h", 0.9)];
-        let mut policy = TwoThresholdPolicy::new(Thresholds::LINUX_TESTBED, secs(60));
-        let out = run_policy(
-            &MachineConfig::default(),
-            &hosts,
-            &mut policy,
-            secs(2),
-            5,
-            120,
-        );
+        let mut policy = two_threshold(Thresholds::LINUX_TESTBED);
+        let out = run(&hosts, &mut policy, 5, 120);
         assert!(out.guest_terminated, "{out:?}");
         assert!(out.host_reduction < 0.1, "{out:?}");
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! fgcs-serve [--addr HOST:PORT] [--loops N] [--queue-capacity N]
 //!            [--max-conns N] [--shards N] [--auth-token TOKEN]
-//!            [--snapshot-dir DIR] [--snapshot-interval MS] [--reuse-addr]
+//!            [--snapshot-dir DIR] [--snapshot-interval MS]
 //!            [--repl-log N] [--follower-of HOST:PORT] [--pull-interval MS]
 //!            [--auto-promote] [--lease MS] [--missed-pulls N]
 //!            [--promotion-peer HOST:PORT]... [--max-read-lag N]
@@ -21,7 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fgcs-serve [--addr HOST:PORT] [--loops N] [--queue-capacity N]\n\
          \x20                 [--max-conns N] [--shards N] [--auth-token TOKEN]\n\
-         \x20                 [--snapshot-dir DIR] [--snapshot-interval MS] [--reuse-addr]\n\
+         \x20                 [--snapshot-dir DIR] [--snapshot-interval MS]\n\
          \x20                 [--repl-log N] [--follower-of HOST:PORT] [--pull-interval MS]\n\
          \x20                 [--auto-promote] [--lease MS] [--missed-pulls N]\n\
          \x20                 [--promotion-peer HOST:PORT]... [--max-read-lag N]\n\
@@ -81,7 +81,6 @@ fn main() {
                 Ok(ms) => cfg.snapshot_interval_ms = ms,
                 Err(_) => usage(),
             },
-            "--reuse-addr" => cfg.reuse_addr = true,
             "--repl-log" => match value("--repl-log").parse() {
                 Ok(n) if n >= 1 => cfg.repl_log_capacity = n,
                 _ => usage(),

@@ -77,12 +77,11 @@ pub(crate) fn spawn_loops(shared: &Arc<Shared>) -> std::io::Result<(SocketAddr, 
     let addr = resolve_addr(&cfg.addr)?;
 
     // One listener per loop. A lone loop needs no port sharing, so it
-    // binds plainly (`SO_REUSEADDR` only on request); the
-    // `SO_REUSEPORT` listeners always set `SO_REUSEADDR` as well.
+    // binds plainly — std's `bind` sets `SO_REUSEADDR`, so a restarted
+    // server rebinds its old port while the previous life's sockets sit
+    // in TIME_WAIT; the `SO_REUSEPORT` listeners set it as well.
     let listeners = if loops > 1 {
         bind_reuseport_set(&addr, loops)?
-    } else if cfg.reuse_addr {
-        vec![fgcs_sys::listen_reusable(&addr)?]
     } else {
         vec![TcpListener::bind(addr)?]
     };

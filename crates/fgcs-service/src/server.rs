@@ -79,10 +79,6 @@ pub struct ServiceConfig {
     pub snapshot_dir: Option<String>,
     /// Minimum milliseconds between periodic snapshots.
     pub snapshot_interval_ms: u64,
-    /// Bind with `SO_REUSEADDR` (Linux, via `fgcs-sys`), so a restarted
-    /// server can rebind its old port while the previous life's sockets
-    /// sit in TIME_WAIT. Off by default.
-    pub reuse_addr: bool,
     /// How many event loops to run, each with an exclusive subset of
     /// the state shards and — beyond one — its own `SO_REUSEPORT`
     /// listener on the shared address (DESIGN.md §12; needs Linux
@@ -144,7 +140,6 @@ impl Default for ServiceConfig {
             ingest_delay_us: 0,
             snapshot_dir: None,
             snapshot_interval_ms: 5000,
-            reuse_addr: false,
             event_loops: 0,
             repl_log_capacity: 0,
             follower_of: None,

@@ -316,7 +316,6 @@ fn over_cap_connection_gets_typed_error() {
 fn reconnect_through_server_restart(mut svc: ServiceConfig) {
     let loops = svc.event_loops;
     svc.auth_token = Some("s3cret".to_string());
-    svc.reuse_addr = true;
 
     let first = Server::start(svc.clone()).expect("first life");
     let addr = first.local_addr().to_string();
@@ -331,9 +330,9 @@ fn reconnect_through_server_restart(mut svc: ServiceConfig) {
     drain(&first, 1);
     first.shutdown();
 
-    // Second life on the *same* port — possible only because the
-    // listener binds with SO_REUSEADDR while the first life's server-
-    // side sockets sit in TIME_WAIT.
+    // Second life on the *same* port — possible only because every
+    // listener binds with SO_REUSEADDR (std's `bind` sets it) while the
+    // first life's server-side sockets sit in TIME_WAIT.
     let second = Server::start(ServiceConfig {
         addr: addr.clone(),
         ..svc

@@ -233,18 +233,6 @@ pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<Option<TcpStream
     }
 }
 
-/// Binds a TCP listener with `SO_REUSEADDR` set before `bind`, so a
-/// restarted server can re-bind its previous address immediately —
-/// without the option, the listening socket's lingering `TIME_WAIT`
-/// children block the rebind for up to a minute, which is exactly the
-/// window a crash-restarted `fgcs-serve` needs to come back in.
-/// (`std::net::TcpListener::bind` offers no hook between `socket()` and
-/// `bind()`, hence the raw calls.) The returned listener is in blocking
-/// mode with `CLOEXEC` set, like a std-bound one.
-pub fn listen_reusable(addr: &std::net::SocketAddr) -> io::Result<TcpListener> {
-    listen_with(addr, false)
-}
-
 /// Binds a TCP listener with both `SO_REUSEADDR` and `SO_REUSEPORT`
 /// set before `bind`. Any number of listeners bound this way to the
 /// same address share it, and the kernel load-balances incoming
@@ -252,7 +240,8 @@ pub fn listen_reusable(addr: &std::net::SocketAddr) -> io::Result<TcpListener> {
 /// primitive behind the multi-loop server. All sharers must set
 /// the option before binding, including the first.
 pub fn listen_reuseport(addr: &std::net::SocketAddr) -> io::Result<TcpListener> {
-    listen_with(addr, true)
+    // 128 matches std's listen backlog.
+    listen_with_backlog(addr, true, 128)
 }
 
 /// Binds a TCP listener with `SO_REUSEADDR` and an explicit accept
@@ -262,11 +251,6 @@ pub fn listen_reuseport(addr: &std::net::SocketAddr) -> io::Result<TcpListener> 
 /// connect-deadline paths.
 pub fn listen_backlog(addr: &std::net::SocketAddr, backlog: i32) -> io::Result<TcpListener> {
     listen_with_backlog(addr, false, backlog)
-}
-
-fn listen_with(addr: &std::net::SocketAddr, reuse_port: bool) -> io::Result<TcpListener> {
-    // 128 matches std's listen backlog.
-    listen_with_backlog(addr, reuse_port, 128)
 }
 
 fn listen_with_backlog(
@@ -479,12 +463,14 @@ mod tests {
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
     }
 
+    /// std's `bind` sets `SO_REUSEADDR` on Unix, which is what lets a
+    /// restarted `fgcs-serve` rebind its port at once.
     #[test]
-    fn listen_reusable_rebinds_after_a_served_connection() {
+    fn std_bind_rebinds_after_a_served_connection() {
         // First life: serve one connection, then die with it open (the
         // server replies and closes first, putting ITS side in
-        // TIME_WAIT — the case that blocks a plain rebind).
-        let l1 = listen_reusable(&"127.0.0.1:0".parse().unwrap()).unwrap();
+        // TIME_WAIT — the case that blocks a rebind without the option).
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = l1.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         let (mut served, _) = l1.accept().unwrap();
@@ -495,12 +481,12 @@ mod tests {
         assert_eq!(&buf, b"hi");
         drop(l1);
         // Second life: the same port binds again immediately.
-        let l2 = listen_reusable(&addr).unwrap();
+        let l2 = TcpListener::bind(addr).unwrap();
         assert_eq!(l2.local_addr().unwrap(), addr);
         let _c2 = TcpStream::connect(addr).unwrap();
         assert!(l2.accept().is_ok());
         // IPv6 path compiles and binds too.
-        let l6 = listen_reusable(&"[::1]:0".parse().unwrap()).unwrap();
+        let l6 = TcpListener::bind("[::1]:0").unwrap();
         assert!(l6.local_addr().unwrap().is_ipv6());
     }
 
@@ -513,7 +499,7 @@ mod tests {
         let l2 = listen_reuseport(&addr).unwrap();
         assert_eq!(l2.local_addr().unwrap(), addr);
         // Without the option, the same bind fails.
-        assert!(listen_reusable(&addr).is_err());
+        assert!(TcpListener::bind(addr).is_err());
 
         // Connections land on one of the sharers; drive enough that the
         // accept below always finds its own. Each connect is matched to

@@ -204,14 +204,14 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster from machines, one controller each. Terminated
-    /// jobs return to the *cluster* queue (so another node can pick them
-    /// up), hence per-node resubmission is disabled.
+    /// jobs return to the *cluster* queue (each node hands its killed
+    /// specs back through [`Controller::take_killed`]), so another node
+    /// can pick them up.
     pub fn new(
         machines: Vec<Machine>,
-        mut controller_cfg: ControllerConfig,
+        controller_cfg: ControllerConfig,
         placement: Box<dyn Placement>,
     ) -> Self {
-        controller_cfg.resubmit_on_failure = false;
         let dispatch_period = controller_cfg.sample_period;
         let nodes: Vec<Controller> = machines
             .into_iter()

@@ -13,9 +13,10 @@
 //! * "no more than one guest process is allowed to run concurrently on
 //!   the same machine" — submissions queue.
 //!
-//! The controller also tracks job completions and failure counts, which
-//! the proactive-scheduling experiment (X3) uses as its response-time
-//! substrate.
+//! The controller also tracks job completions and failure counts. A
+//! killed guest is never re-queued here: its spec waits in
+//! [`Controller::take_killed`] for whoever manages the controller (the
+//! [`crate::cluster::Cluster`] re-queues it on another machine).
 
 use std::collections::VecDeque;
 
@@ -35,9 +36,6 @@ pub struct ControllerConfig {
     pub detector: DetectorConfig,
     /// Monitor sampling period in ticks.
     pub sample_period: u64,
-    /// Whether a terminated job is automatically re-queued (the tracing
-    /// probe behaviour) or dropped (one-shot jobs).
-    pub resubmit_on_failure: bool,
 }
 
 impl Default for ControllerConfig {
@@ -45,7 +43,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             detector: DetectorConfig::sim_default(),
             sample_period: secs(2),
-            resubmit_on_failure: false,
         }
     }
 }
@@ -218,7 +215,7 @@ impl Controller {
     }
 
     /// Drains the specs of guest jobs killed by the detector since the
-    /// last call (only populated when `resubmit_on_failure` is off).
+    /// last call.
     pub fn take_killed(&mut self) -> Vec<ProcSpec> {
         std::mem::take(&mut self.killed)
     }
@@ -243,14 +240,10 @@ impl Controller {
                 self.slot = GuestSlot::Running { pid, spec };
             } else {
                 self.stats.terminated += 1;
-                if self.cfg.resubmit_on_failure {
-                    self.queue.push_front(spec);
-                } else {
-                    // Hand the spec back to whoever manages this
-                    // controller (see `take_killed`): in a cluster the
-                    // job is re-queued on another machine.
-                    self.killed.push(spec);
-                }
+                // Hand the spec back to whoever manages this controller
+                // (see `take_killed`): in a cluster the job is re-queued
+                // on another machine.
+                self.killed.push(spec);
             }
         }
 
@@ -294,7 +287,6 @@ mod tests {
                 max_silence: None,
             },
             sample_period: secs(1),
-            resubmit_on_failure: false,
         }
     }
 
@@ -366,29 +358,6 @@ mod tests {
             ctl.recorder().records()[0].cause,
             crate::model::FailureCause::CpuContention
         );
-    }
-
-    #[test]
-    fn resubmit_restarts_after_recovery() {
-        let mut machine = Machine::default_linux();
-        // Host hog that exits after 30 s, then the machine is idle.
-        machine.spawn(ProcSpec::new(
-            "burst",
-            ProcClass::Host,
-            0,
-            Demand::CpuBound {
-                total_work: Some(secs(30)),
-            },
-            MemSpec::tiny(),
-        ));
-        let mut cfg = quick_cfg();
-        cfg.resubmit_on_failure = true;
-        let mut ctl = Controller::new(cfg, machine);
-        ctl.submit(finite_guest(5));
-        ctl.run_ticks(secs(120));
-        let s = ctl.stats();
-        assert!(s.terminated >= 1, "first attempt dies under the hog: {s:?}");
-        assert_eq!(s.completed, 1, "resubmitted job finishes: {s:?}");
     }
 
     #[test]

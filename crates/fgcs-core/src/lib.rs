@@ -13,7 +13,8 @@
 //!   unavailability occurrences with the mean guest-available CPU and
 //!   memory of the preceding availability interval.
 //! * [`controller`] — the guest-job state machine: renice on S2,
-//!   suspend on spikes, terminate on S3/S4/S5, queue and resubmit jobs.
+//!   suspend on spikes, terminate on S3/S4/S5, queue jobs and hand
+//!   killed ones back to the caller.
 //! * [`cluster`] — the multi-machine iShare service: per-node
 //!   controllers behind a shared queue with pluggable placement.
 //! * [`contention`] — the §3.2 offline contention experiments (Figures

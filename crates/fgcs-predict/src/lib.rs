@@ -5,16 +5,19 @@
 //! future work (§6). This crate builds them:
 //!
 //! * [`predictor`] — the paper's history-window scheme (same clock
-//!   window on recent same-type days, with irregular-data trimming) and
-//!   the baselines it must beat: global-rate Poisson, hourly-rate
-//!   Poisson, last-day, base-rate.
+//!   window on recent same-type days, with irregular-data trimming), the
+//!   baselines it must beat (global-rate Poisson, hourly-rate Poisson,
+//!   last-day, base-rate), the placement-grade machine-hourly predictor,
+//!   and [`predictor::EventIndex`], the crate's one occurrence index.
 //! * [`eval`] — train/test evaluation with Brier score and accuracy
 //!   over a grid of window lengths.
 //! * [`renewal`] — a renewal-theory predictor built directly on the
 //!   Figure 6 interval-length distributions.
+//! * [`online`] — the streaming model behind the availability service,
+//!   bit-identical to the machine-hourly predictor on the same records.
 //! * [`proactive`] — the motivating application: proactive guest-job
-//!   placement versus oblivious random placement, replayed over testbed
-//!   traces, comparing job response times.
+//!   placement versus oblivious random placement for single and gang
+//!   jobs, replayed over testbed traces, comparing job response times.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

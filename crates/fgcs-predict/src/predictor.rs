@@ -11,7 +11,7 @@
 //! A predictor answers: *what is the probability that machine `m`
 //! remains available throughout the window `[t, t+w)`?*
 
-use fgcs_testbed::calendar::{day_index, day_type, DayType, SECS_PER_DAY};
+use fgcs_testbed::calendar::{day_index, day_type, hour_of_day, DayType, SECS_PER_DAY};
 use fgcs_testbed::trace::{Trace, TraceRecord};
 
 /// Probability that a machine stays available over a future window.
@@ -77,6 +77,24 @@ impl EventIndex {
             }
         }
         true
+    }
+
+    /// End of the occurrence covering `t` on `machine` (`start <= t <
+    /// end`), if any; an occurrence still open at the end of the trace
+    /// never ends, so it reads `u64::MAX`.
+    pub fn covering_end(&self, machine: u32, t: u64) -> Option<u64> {
+        let events = self.per_machine.get(machine as usize)?;
+        let at_or_before = events.partition_point(|&(s, _)| s <= t);
+        let (_, end) = *events.get(at_or_before.checked_sub(1)?)?;
+        (end > t).then_some(end)
+    }
+
+    /// Start of the first occurrence on `machine` starting at or after `t`.
+    pub fn next_start(&self, machine: u32, t: u64) -> Option<u64> {
+        let events = self.per_machine.get(machine as usize)?;
+        events
+            .get(events.partition_point(|&(s, _)| s < t))
+            .map(|e| e.0)
     }
 }
 
@@ -235,14 +253,77 @@ impl AvailabilityPredictor for GlobalRatePredictor {
     }
 }
 
+/// A per-(day type, hour) table of failure rates and the hour-by-hour
+/// survival integral over it, shared by the two hour-profile predictors.
+#[derive(Debug, Clone, Default)]
+struct HourProfile {
+    /// By (weekday? 0:1, hour).
+    table: [[f64; 24]; 2],
+    start_weekday: u8,
+}
+
+impl HourProfile {
+    /// Pooled events per machine-second, by (day type, hour): training
+    /// records starting in that hour over the machine-seconds that hour
+    /// spans on the training days of its type.
+    fn fit(trace: &Trace, train_end: u64) -> Self {
+        let start_weekday = trace.meta.start_weekday;
+        let mut table = [[0.0f64; 24]; 2];
+        let mut days_of_type = [0.0f64; 2];
+        let machines = trace.meta.machines.max(1) as f64;
+        let train_days = (train_end / SECS_PER_DAY).min(trace.meta.days as u64);
+        for day in 0..train_days {
+            days_of_type[Self::day_kind(day, start_weekday)] += 1.0;
+        }
+        for r in training_records(trace, train_end) {
+            let hour = hour_of_day(r.start) as usize;
+            table[Self::day_kind(day_index(r.start), start_weekday)][hour] += 1.0;
+        }
+        for (row, days) in table.iter_mut().zip(days_of_type) {
+            let machine_secs = days * 3600.0 * machines;
+            for count in row {
+                *count = if machine_secs > 0.0 {
+                    *count / machine_secs
+                } else {
+                    0.0
+                };
+            }
+        }
+        HourProfile {
+            table,
+            start_weekday,
+        }
+    }
+
+    fn day_kind(day: u64, start_weekday: u8) -> usize {
+        (day_type(day, start_weekday) == DayType::Weekend) as usize
+    }
+
+    /// `exp(-∫ scale · table)` over `[t, t + window)`, integrated hour
+    /// slice by hour slice.
+    fn survival(&self, scale: f64, t: u64, window: u64) -> f64 {
+        let mut expected = 0.0;
+        let mut cursor = t;
+        let end = t + window;
+        while cursor < end {
+            let idx = Self::day_kind(day_index(cursor), self.start_weekday);
+            let hour = hour_of_day(cursor) as usize;
+            let hour_end = cursor - (cursor % 3600) + 3600;
+            let slice = hour_end.min(end) - cursor;
+            expected += scale * self.table[idx][hour] * slice as f64;
+            cursor = hour_end;
+        }
+        (-expected).exp()
+    }
+}
+
 /// Hour-profile Poisson baseline: a per-(day-type, hour) failure rate
 /// pooled over machines, integrated over the query window. Captures the
 /// diurnal pattern but not machine identity or day-to-day persistence.
 #[derive(Debug, Clone, Default)]
 pub struct HourlyRatePredictor {
-    /// events per machine-second, by (weekday? 0:1, hour).
-    rates: [[f64; 24]; 2],
-    start_weekday: u8,
+    /// Events per machine-second.
+    rates: HourProfile,
 }
 
 impl AvailabilityPredictor for HourlyRatePredictor {
@@ -251,55 +332,12 @@ impl AvailabilityPredictor for HourlyRatePredictor {
     }
 
     fn fit(&mut self, trace: &Trace, train_end: u64) {
-        self.start_weekday = trace.meta.start_weekday;
-        let mut counts = [[0.0f64; 24]; 2];
-        let mut hours_of_type = [0.0f64; 2];
-        let machines = trace.meta.machines.max(1) as f64;
-        let train_days = (train_end / SECS_PER_DAY).min(trace.meta.days as u64);
-        for day in 0..train_days {
-            let idx = match day_type(day, self.start_weekday) {
-                DayType::Weekday => 0,
-                DayType::Weekend => 1,
-            };
-            hours_of_type[idx] += 1.0;
-        }
-        for r in training_records(trace, train_end) {
-            let idx = match day_type(day_index(r.start), self.start_weekday) {
-                DayType::Weekday => 0,
-                DayType::Weekend => 1,
-            };
-            let hour = ((r.start % SECS_PER_DAY) / 3600) as usize;
-            counts[idx][hour] += 1.0;
-        }
-        for (idx, row) in counts.iter().enumerate() {
-            for (h, &c) in row.iter().enumerate() {
-                let machine_secs = hours_of_type[idx] * 3600.0 * machines;
-                self.rates[idx][h] = if machine_secs > 0.0 {
-                    c / machine_secs
-                } else {
-                    0.0
-                };
-            }
-        }
+        self.rates = HourProfile::fit(trace, train_end);
     }
 
     fn predict(&self, _machine: u32, t: u64, window: u64) -> f64 {
-        // Integrate the rate over the window, hour slice by hour slice.
-        let mut expected = 0.0;
-        let mut cursor = t;
-        let end = t + window;
-        while cursor < end {
-            let idx = match day_type(day_index(cursor), self.start_weekday) {
-                DayType::Weekday => 0,
-                DayType::Weekend => 1,
-            };
-            let hour = ((cursor % SECS_PER_DAY) / 3600) as usize;
-            let hour_end = cursor - (cursor % 3600) + 3600;
-            let slice = hour_end.min(end) - cursor;
-            expected += self.rates[idx][hour] * slice as f64;
-            cursor = hour_end;
-        }
-        (-expected).exp()
+        // `1.0 * rate` is `rate` exactly, so this is the plain integral.
+        self.rates.survival(1.0, t, window)
     }
 }
 
@@ -318,8 +356,7 @@ impl AvailabilityPredictor for HourlyRatePredictor {
 #[derive(Debug, Clone, Default)]
 pub struct MachineHourlyPredictor {
     machine_rate: Vec<f64>, // events per second, per machine
-    shape: [[f64; 24]; 2],  // multiplier per (day type, hour), mean ~1
-    start_weekday: u8,
+    shape: HourProfile,     // multiplier per (day type, hour), mean ~1
 }
 
 impl AvailabilityPredictor for MachineHourlyPredictor {
@@ -328,47 +365,26 @@ impl AvailabilityPredictor for MachineHourlyPredictor {
     }
 
     fn fit(&mut self, trace: &Trace, train_end: u64) {
-        self.start_weekday = trace.meta.start_weekday;
         let machines = trace.meta.machines.max(1) as usize;
         let span = train_end.max(1) as f64;
+        let training = training_records(trace, train_end);
         self.machine_rate = vec![0.0; machines];
-        let mut hour_counts = [[0.0f64; 24]; 2];
-        let mut hours_of_type = [0.0f64; 2];
-        let train_days = (train_end / SECS_PER_DAY).min(trace.meta.days as u64);
-        for day in 0..train_days {
-            let idx = (day_type(day, self.start_weekday) == DayType::Weekend) as usize;
-            hours_of_type[idx] += 1.0;
-        }
-        let mut total_events = 0.0;
-        for r in training_records(trace, train_end) {
+        for r in &training {
             self.machine_rate[r.machine as usize] += 1.0;
-            let idx =
-                (day_type(day_index(r.start), self.start_weekday) == DayType::Weekend) as usize;
-            let hour = ((r.start % SECS_PER_DAY) / 3600) as usize;
-            hour_counts[idx][hour] += 1.0;
-            total_events += 1.0;
         }
         for rate in &mut self.machine_rate {
             *rate /= span;
         }
-        // Normalize the pooled hourly counts into a mean-1 shape:
+        // Normalize the pooled hourly rates into a mean-1 shape:
         // shape(d, h) = (pooled rate in that hour) / (pooled overall rate).
-        let machines_f = machines as f64;
-        let overall_rate = total_events / (span * machines_f); // events/machine-sec
-        for (idx, row) in hour_counts.iter().enumerate() {
-            for (h, &c) in row.iter().enumerate() {
-                let machine_secs = hours_of_type[idx] * 3600.0 * machines_f;
-                let hour_rate = if machine_secs > 0.0 {
-                    c / machine_secs
-                } else {
-                    0.0
-                };
-                self.shape[idx][h] = if overall_rate > 0.0 {
-                    hour_rate / overall_rate
-                } else {
-                    1.0
-                };
-            }
+        let overall_rate = training.len() as f64 / (span * machines as f64); // events/machine-sec
+        self.shape = HourProfile::fit(trace, train_end);
+        for hour_rate in self.shape.table.iter_mut().flatten() {
+            *hour_rate = if overall_rate > 0.0 {
+                *hour_rate / overall_rate
+            } else {
+                1.0
+            };
         }
     }
 
@@ -378,19 +394,7 @@ impl AvailabilityPredictor for MachineHourlyPredictor {
             .get(machine as usize)
             .copied()
             .unwrap_or(0.0);
-        let mut expected = 0.0;
-        let mut cursor = t;
-        let end = t + window;
-        while cursor < end {
-            let idx =
-                (day_type(day_index(cursor), self.start_weekday) == DayType::Weekend) as usize;
-            let hour = ((cursor % SECS_PER_DAY) / 3600) as usize;
-            let hour_end = cursor - (cursor % 3600) + 3600;
-            let slice = hour_end.min(end) - cursor;
-            expected += rate * self.shape[idx][hour] * slice as f64;
-            cursor = hour_end;
-        }
-        (-expected).exp()
+        self.shape.survival(rate, t, window)
     }
 }
 

@@ -3,21 +3,26 @@
 //! §1: proactive approaches "explore availability prediction in job
 //! scheduling ... \[and\] achieve significantly improved job response time
 //! compared to the methods which are oblivious to future unavailability".
-//! This module closes that loop on our traces: place compute-bound guest
-//! jobs on testbed machines either obliviously (random available
-//! machine) or proactively (the machine the predictor deems most likely
-//! to stay available for the job's duration), replay the trace, and
-//! compare response times.
+//! This module closes that loop on our traces (X3, `fgcs-exp
+//! proactive`): place compute-bound guest jobs — single tasks or gangs —
+//! on testbed machines either obliviously (random available machine) or
+//! proactively (the machine the predictor deems most likely to stay
+//! available for the job's duration), replay the trace, and compare
+//! response times.
 //!
 //! Failure semantics follow the paper's model: a guest job hit by
 //! unavailability is killed and loses all progress ("the guest process
 //! is already killed or migrated off and no state is left on the host"),
-//! so it restarts elsewhere.
+//! so it restarts elsewhere. Every task, single or in a gang, runs
+//! through one kill-and-restart loop that reads the trace through the
+//! crate's one occurrence index, [`EventIndex`]. As in X2's ground
+//! truth, an occurrence still open when the trace ends never ends, so a
+//! task that needs its machine after that point never finishes there.
 
 use fgcs_stats::rng::Rng;
-use fgcs_testbed::trace::{Trace, TraceRecord};
+use fgcs_testbed::trace::Trace;
 
-use crate::predictor::AvailabilityPredictor;
+use crate::predictor::{AvailabilityPredictor, EventIndex};
 
 /// Placement policies under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,44 +86,142 @@ pub struct PolicyOutcome {
     pub timed_out: usize,
 }
 
-/// Per-machine sorted event list for fast availability queries.
-struct MachineEvents<'a> {
-    events: Vec<Vec<&'a TraceRecord>>,
-    span: u64,
+/// One policy's replay state: the trace's occurrence index and the
+/// predictor the proactive policy ranks machines with.
+struct Replay<'a> {
+    index: EventIndex,
+    predictor: &'a dyn AvailabilityPredictor,
+    policy: Policy,
+    machines: u32,
 }
 
-impl<'a> MachineEvents<'a> {
-    fn new(trace: &'a Trace) -> Self {
-        let mut events: Vec<Vec<&TraceRecord>> = vec![Vec::new(); trace.meta.machines as usize];
-        for r in &trace.records {
-            events[r.machine as usize].push(r);
-        }
-        MachineEvents {
-            events,
-            span: trace.meta.span_secs,
+impl<'a> Replay<'a> {
+    fn new(trace: &Trace, predictor: &'a dyn AvailabilityPredictor, policy: Policy) -> Self {
+        Replay {
+            index: EventIndex::build(trace, u64::MAX),
+            predictor,
+            policy,
+            machines: trace.meta.machines,
         }
     }
 
-    /// The event covering `t` on `machine`, if any.
-    fn covering(&self, machine: u32, t: u64) -> Option<&TraceRecord> {
-        self.events[machine as usize]
-            .iter()
-            .find(|r| r.start <= t && r.end.unwrap_or(self.span) > t)
-            .copied()
+    /// Machines available at `now`, in id order.
+    fn available(&self, now: u64) -> Vec<u32> {
+        (0..self.machines)
+            .filter(|&m| self.index.window_available(m, now, 1))
+            .collect()
     }
 
-    /// The next event starting at or after `t`.
-    fn next_after(&self, machine: u32, t: u64) -> Option<&TraceRecord> {
-        self.events[machine as usize]
-            .iter()
-            .find(|r| r.start >= t)
-            .copied()
+    /// One machine for a task of `work` seconds at `now`, if any is
+    /// available.
+    fn choose(&self, now: u64, work: u64, rng: &mut Rng) -> Option<u32> {
+        let candidates = self.available(now);
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(match self.policy {
+            Policy::Oblivious => *rng.choose(&candidates),
+            Policy::Proactive => {
+                // Collect the near-best candidates and pick among them at
+                // random: a deterministic argmax would dogpile one machine
+                // whenever estimates tie, which is neither realistic nor
+                // fair to the baseline.
+                let scored: Vec<(u32, f64)> = candidates
+                    .iter()
+                    .map(|&m| (m, self.predictor.predict(m, now, work)))
+                    .collect();
+                let best_p = scored.iter().map(|s| s.1).fold(f64::NEG_INFINITY, f64::max);
+                let near: Vec<u32> = scored
+                    .iter()
+                    .filter(|s| s.1 >= best_p - 0.02)
+                    .map(|s| s.0)
+                    .collect();
+                *rng.choose(&near)
+            }
+        })
     }
 
-    /// True if the machine is available at `t`.
-    fn available(&self, machine: u32, t: u64) -> bool {
-        self.covering(machine, t).is_none()
+    /// Up to `k` distinct machines for a gang at `now` (proactive: the
+    /// top-predicted ones; oblivious: a random subset).
+    fn choose_gang(&self, now: u64, work: u64, k: usize, rng: &mut Rng) -> Vec<u32> {
+        let mut candidates = self.available(now);
+        match self.policy {
+            Policy::Oblivious => rng.shuffle(&mut candidates),
+            Policy::Proactive => {
+                candidates.sort_by(|&a, &b| {
+                    self.predictor
+                        .predict(b, now, work)
+                        .partial_cmp(&self.predictor.predict(a, now, work))
+                        .expect("probabilities are not NaN")
+                });
+            }
+        }
+        candidates.truncate(k);
+        candidates
     }
+
+    /// Runs one task of `work` seconds submitted at `submit`, on `first`
+    /// if given and otherwise on the policy's choice; a task killed by
+    /// unavailability restarts from scratch on a fresh choice. Returns
+    /// the finish time (`None` once `deadline` passes first) and the
+    /// number of kills.
+    fn run_task(
+        &self,
+        first: Option<u32>,
+        submit: u64,
+        work: u64,
+        deadline: u64,
+        rng: &mut Rng,
+    ) -> (Option<u64>, u64) {
+        let mut now = submit;
+        let mut placed = first;
+        let mut failures = 0;
+        loop {
+            if now >= deadline {
+                return (None, failures);
+            }
+            let Some(m) = placed.take().or_else(|| self.choose(now, work, rng)) else {
+                // Nobody available: wait for the earliest recovery.
+                let wake = (0..self.machines)
+                    .filter_map(|m| self.index.covering_end(m, now))
+                    .min()
+                    .unwrap_or(now + 600);
+                now = wake.max(now + 60);
+                continue;
+            };
+            // Run until completion or the next failure on that machine.
+            match self.index.next_start(m, now) {
+                Some(start) if start < now + work => {
+                    // Killed mid-run; restart from scratch.
+                    failures += 1;
+                    now = start.max(now + 1);
+                }
+                _ => return (Some(now + work), failures),
+            }
+        }
+    }
+}
+
+/// The job set's `(submit, work)` draws from RNG stream `stream`; the
+/// same seed yields the same jobs under both policies, so the comparison
+/// is paired. A zero `submit_until` means 12 hours before the trace ends.
+fn draw_jobs(
+    trace: &Trace,
+    cfg: &ProactiveConfig,
+    stream: u64,
+) -> impl Iterator<Item = (u64, u64)> {
+    let submit_until = if cfg.submit_until == 0 {
+        trace.meta.span_secs.saturating_sub(12 * 3600)
+    } else {
+        cfg.submit_until
+    };
+    let submit = (cfg.submit_from, submit_until.max(cfg.submit_from + 1));
+    let job_secs = cfg.job_secs;
+    let mut rng = Rng::for_stream(cfg.seed, stream);
+    (0..cfg.jobs).map(move |_| {
+        let at = rng.range_u64(submit.0, submit.1);
+        (at, rng.range_u64(job_secs.0, job_secs.1 + 1))
+    })
 }
 
 /// Replays `cfg.jobs` single-task guest jobs over the trace under one
@@ -130,69 +233,19 @@ pub fn replay(
     policy: Policy,
     cfg: &ProactiveConfig,
 ) -> PolicyOutcome {
-    let events = MachineEvents::new(trace);
-    let machines = trace.meta.machines;
-    let submit_until = if cfg.submit_until == 0 {
-        trace.meta.span_secs.saturating_sub(12 * 3600)
-    } else {
-        cfg.submit_until
-    };
-    // Two independent streams: job parameters are identical across
-    // policies (a paired comparison); placement randomness is separate.
-    let mut job_rng = Rng::for_stream(cfg.seed, 1);
+    let ctx = Replay::new(trace, predictor, policy);
+    // Placement randomness is a stream of its own, apart from the jobs.
     let mut choice_rng = Rng::for_stream(cfg.seed, 2);
 
     let mut total_response = 0.0;
     let mut total_failures = 0u64;
     let mut timed_out = 0usize;
-
-    for _ in 0..cfg.jobs {
-        let submit = job_rng.range_u64(cfg.submit_from, submit_until.max(cfg.submit_from + 1));
-        let work = job_rng.range_u64(cfg.job_secs.0, cfg.job_secs.1 + 1);
+    for (submit, work) in draw_jobs(trace, cfg, 1) {
         let deadline = submit + cfg.max_response;
-
-        let mut now = submit;
-        let mut failures = 0u64;
-        let finished = loop {
-            if now >= deadline {
-                break false;
-            }
-            // Choose a machine.
-            let choice = choose_machine(
-                &events,
-                predictor,
-                policy,
-                machines,
-                now,
-                work,
-                &mut choice_rng,
-            );
-            let Some(m) = choice else {
-                // Nobody available: wait for the earliest recovery.
-                let wake = (0..machines)
-                    .filter_map(|m| events.covering(m, now).and_then(|r| r.end))
-                    .min()
-                    .unwrap_or(now + 600);
-                now = wake.max(now + 60);
-                continue;
-            };
-            // Run until completion or the next failure on that machine.
-            match events.next_after(m, now) {
-                Some(r) if r.start < now + work => {
-                    // Killed mid-run; restart from scratch.
-                    failures += 1;
-                    now = r.start.max(now + 1);
-                }
-                _ => {
-                    now += work;
-                    break true;
-                }
-            }
-        };
-
+        let (finish, failures) = ctx.run_task(None, submit, work, deadline, &mut choice_rng);
         total_failures += failures;
-        if finished {
-            total_response += (now - submit) as f64;
+        if let Some(finish) = finish {
+            total_response += (finish - submit) as f64;
         } else {
             timed_out += 1;
             total_response += cfg.max_response as f64;
@@ -205,43 +258,6 @@ pub fn replay(
         mean_failures: total_failures as f64 / cfg.jobs.max(1) as f64,
         timed_out,
     }
-}
-
-fn choose_machine(
-    events: &MachineEvents<'_>,
-    predictor: &dyn AvailabilityPredictor,
-    policy: Policy,
-    machines: u32,
-    now: u64,
-    work: u64,
-    rng: &mut Rng,
-) -> Option<u32> {
-    let candidates: Vec<u32> = (0..machines)
-        .filter(|&m| events.available(m, now))
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(match policy {
-        Policy::Oblivious => *rng.choose(&candidates),
-        Policy::Proactive => {
-            // Collect the near-best candidates and pick among them at
-            // random: a deterministic argmax would dogpile one machine
-            // whenever estimates tie, which is neither realistic nor fair
-            // to the baseline.
-            let scored: Vec<(u32, f64)> = candidates
-                .iter()
-                .map(|&m| (m, predictor.predict(m, now, work)))
-                .collect();
-            let best_p = scored.iter().map(|s| s.1).fold(f64::NEG_INFINITY, f64::max);
-            let near: Vec<u32> = scored
-                .iter()
-                .filter(|s| s.1 >= best_p - 0.02)
-                .map(|s| s.0)
-                .collect();
-            *rng.choose(&near)
-        }
-    })
 }
 
 /// Gang-job configuration: the paper's motivating workload is "composed
@@ -277,89 +293,25 @@ pub fn replay_gang(
     policy: Policy,
     cfg: &GangConfig,
 ) -> PolicyOutcome {
-    let events = MachineEvents::new(trace);
-    let machines = trace.meta.machines;
-    let submit_until = if cfg.base.submit_until == 0 {
-        trace.meta.span_secs.saturating_sub(12 * 3600)
-    } else {
-        cfg.base.submit_until
-    };
-    let mut job_rng = Rng::for_stream(cfg.base.seed, 11);
+    let ctx = Replay::new(trace, predictor, policy);
     let mut choice_rng = Rng::for_stream(cfg.base.seed, 12);
 
     let mut total_response = 0.0;
     let mut total_failures = 0u64;
     let mut timed_out = 0usize;
-
-    for _ in 0..cfg.base.jobs {
-        let submit = job_rng.range_u64(
-            cfg.base.submit_from,
-            submit_until.max(cfg.base.submit_from + 1),
-        );
-        let work = job_rng.range_u64(cfg.base.job_secs.0, cfg.base.job_secs.1 + 1);
+    for (submit, work) in draw_jobs(trace, &cfg.base, 11) {
         let deadline = submit + cfg.base.max_response;
-
-        // Initial gang placement on distinct machines.
-        let mut placements = gang_placement(
-            &events,
-            predictor,
-            policy,
-            machines,
-            submit,
-            work,
-            cfg.tasks,
-            &mut choice_rng,
-        );
-        while placements.len() < cfg.tasks {
-            placements.push(None); // tasks that could not be placed yet
-        }
-
+        // Initial gang placement on distinct machines; tasks beyond the
+        // available machines are placed when they first run.
+        let placed = ctx.choose_gang(submit, work, cfg.tasks, &mut choice_rng);
         let mut makespan = 0u64;
         let mut job_timed_out = false;
-        for slot in placements {
-            // Each task then follows the single-task restart loop,
-            // starting from its (possibly deferred) initial placement.
-            let mut now = submit;
-            let mut placed = slot;
-            let finished = loop {
-                if now >= deadline {
-                    break false;
-                }
-                let m = match placed.take() {
-                    Some(m) => m,
-                    None => match choose_machine(
-                        &events,
-                        predictor,
-                        policy,
-                        machines,
-                        now,
-                        work,
-                        &mut choice_rng,
-                    ) {
-                        Some(m) => m,
-                        None => {
-                            let wake = (0..machines)
-                                .filter_map(|m| events.covering(m, now).and_then(|r| r.end))
-                                .min()
-                                .unwrap_or(now + 600);
-                            now = wake.max(now + 60);
-                            continue;
-                        }
-                    },
-                };
-                match events.next_after(m, now) {
-                    Some(r) if r.start < now + work => {
-                        total_failures += 1;
-                        now = r.start.max(now + 1);
-                    }
-                    _ => {
-                        now += work;
-                        break true;
-                    }
-                }
-            };
-            if finished {
-                makespan = makespan.max(now - submit);
+        for task in 0..cfg.tasks {
+            let first = placed.get(task).copied();
+            let (finish, failures) = ctx.run_task(first, submit, work, deadline, &mut choice_rng);
+            total_failures += failures;
+            if let Some(finish) = finish {
+                makespan = makespan.max(finish - submit);
             } else {
                 job_timed_out = true;
                 makespan = cfg.base.max_response;
@@ -379,33 +331,20 @@ pub fn replay_gang(
     }
 }
 
-/// Picks up to `k` distinct machines for a gang at time `now`.
-#[allow(clippy::too_many_arguments)]
-fn gang_placement(
-    events: &MachineEvents<'_>,
-    predictor: &dyn AvailabilityPredictor,
-    policy: Policy,
-    machines: u32,
-    now: u64,
-    work: u64,
-    k: usize,
-    rng: &mut Rng,
-) -> Vec<Option<u32>> {
-    let mut candidates: Vec<u32> = (0..machines)
-        .filter(|&m| events.available(m, now))
-        .collect();
-    match policy {
-        Policy::Oblivious => rng.shuffle(&mut candidates),
-        Policy::Proactive => {
-            candidates.sort_by(|&a, &b| {
-                predictor
-                    .predict(b, now, work)
-                    .partial_cmp(&predictor.predict(a, now, work))
-                    .expect("probabilities are not NaN")
-            });
-        }
+/// Fits the predictor on the first `train_fraction` of the trace and
+/// moves the first submission past the training span.
+fn train(
+    trace: &Trace,
+    predictor: &mut dyn AvailabilityPredictor,
+    train_fraction: f64,
+    cfg: &ProactiveConfig,
+) -> ProactiveConfig {
+    let train_end = (trace.meta.span_secs as f64 * train_fraction) as u64;
+    predictor.fit(trace, train_end);
+    ProactiveConfig {
+        submit_from: cfg.submit_from.max(train_end),
+        ..cfg.clone()
     }
-    candidates.into_iter().take(k).map(Some).collect()
 }
 
 /// Gang-job comparison under both policies, paired job sets.
@@ -415,10 +354,10 @@ pub fn compare_gang(
     train_fraction: f64,
     cfg: &GangConfig,
 ) -> (PolicyOutcome, PolicyOutcome) {
-    let train_end = (trace.meta.span_secs as f64 * train_fraction) as u64;
-    predictor.fit(trace, train_end);
-    let mut c = cfg.clone();
-    c.base.submit_from = c.base.submit_from.max(train_end);
+    let c = GangConfig {
+        base: train(trace, predictor, train_fraction, &cfg.base),
+        tasks: cfg.tasks,
+    };
     let oblivious = replay_gang(trace, predictor, Policy::Oblivious, &c);
     let proactive = replay_gang(trace, predictor, Policy::Proactive, &c);
     (oblivious, proactive)
@@ -433,10 +372,7 @@ pub fn compare(
     train_fraction: f64,
     cfg: &ProactiveConfig,
 ) -> (PolicyOutcome, PolicyOutcome) {
-    let train_end = (trace.meta.span_secs as f64 * train_fraction) as u64;
-    predictor.fit(trace, train_end);
-    let mut c = cfg.clone();
-    c.submit_from = c.submit_from.max(train_end);
+    let c = train(trace, predictor, train_fraction, cfg);
     let oblivious = replay(trace, predictor, Policy::Oblivious, &c);
     let proactive = replay(trace, predictor, Policy::Proactive, &c);
     (oblivious, proactive)
@@ -700,5 +636,26 @@ mod tests {
         let out = replay(&trace, &p, Policy::Oblivious, &cfg);
         // Submitted at ~100 while the machine is down until 40_000.
         assert!(out.mean_response >= 39_000.0, "{out:?}");
+
+        // A final occurrence still open when the trace ends never ends:
+        // a job killed by it waits out its whole response cap instead of
+        // resuming once the trace stops.
+        let mut open = trace.records[0];
+        open.start = 100_000;
+        open.end = None;
+        open.raw_end = None;
+        let trace = Trace {
+            meta: trace.meta,
+            records: vec![open],
+        };
+        let cfg = ProactiveConfig {
+            submit_from: 99_800,
+            submit_until: 99_801,
+            ..cfg
+        };
+        let out = replay(&trace, &p, Policy::Oblivious, &cfg);
+        assert_eq!(out.timed_out, cfg.jobs, "{out:?}");
+        assert_eq!(out.mean_failures, 1.0, "{out:?}");
+        assert_eq!(out.mean_response, cfg.max_response as f64, "{out:?}");
     }
 }

@@ -38,12 +38,8 @@ fn main() {
     ));
 
     // Submit a 3-minute compute-bound guest job through the controller;
-    // a job killed by unavailability is automatically resubmitted.
-    let cfg = ControllerConfig {
-        resubmit_on_failure: true,
-        ..ControllerConfig::default()
-    };
-    let mut ctl = Controller::new(cfg, machine);
+    // a job killed by unavailability is resubmitted below.
+    let mut ctl = Controller::new(ControllerConfig::default(), machine);
     ctl.submit(ProcSpec::new(
         "monte-carlo",
         ProcClass::Guest,
@@ -58,6 +54,9 @@ fn main() {
     let mut last_state = None;
     for step in 0..400 {
         ctl.run_ticks(secs(2));
+        for spec in ctl.take_killed() {
+            ctl.submit(spec);
+        }
         let state = ctl.recorder().state();
         if Some(state) != last_state || step % 15 == 0 {
             let note = match state {

@@ -61,6 +61,33 @@ fn proc_status_kb(key: &str) -> Option<u64> {
         .ok()
 }
 
+/// The machine the sweep ran on, for `BENCH_fleet.json`: the core
+/// count the worker pool defaults to, the kernel and CPU model from
+/// `/proc` ("unknown" where it is absent), and the `FGCS_PAR_WORKERS`
+/// override ("unset" when the default applies).
+fn host() -> ObjWriter {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|_| "unknown".into());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let workers = std::env::var("FGCS_PAR_WORKERS").unwrap_or_else(|_| "unset".into());
+    let mut o = ObjWriter::new();
+    o.u64("nproc", nproc as u64)
+        .str("kernel", &kernel)
+        .str("cpu_model", &cpu_model)
+        .str("FGCS_PAR_WORKERS", &workers);
+    o
+}
+
 /// The RSS ceiling for the full 100k-machine sweep. The exact path
 /// would need gigabytes just for the interval vectors at this scale;
 /// the streaming path fits the whole sweep, analysis included, in a
@@ -148,10 +175,10 @@ fn lab_sketch_accuracy(quick: bool) -> (SketchAccuracy, SketchAccuracy) {
 /// compaction (the lossy step the certificate accounts for) runs.
 const STRESS_K: usize = 32;
 
-/// Phase 2: the determinism contract, checked in-process. Chunking is
-/// a config constant and partials merge in chunk order, so the result
-/// must be bit-identical no matter how many workers raced over the
-/// chunks.
+/// Phase 2: the determinism contract, checked in-process. Machines are
+/// folded in machine order and chunking is a config constant, so the
+/// result must be bit-identical no matter how many workers raced over
+/// the machines.
 fn repro_check() -> bool {
     let mut cfg = FleetConfig::smoke();
     cfg.machines = 60;
@@ -238,9 +265,9 @@ pub fn fleet(quick: bool) {
         }
     };
     // Escape hatch for the 1M-machine version of the sweep. Peak memory
-    // stays flat: `run_fleet` merges each chunk's partial as it
-    // finishes, and the accumulators scale with days, not machines;
-    // only wall-clock grows.
+    // stays flat: `run_fleet` folds each traced machine into one open
+    // chunk partial and merges it once the chunk is full, and the
+    // accumulators scale with days, not machines; only wall-clock grows.
     if let Ok(m) = std::env::var("FGCS_FLEET_MACHINES") {
         cfg.machines = m.parse().expect("FGCS_FLEET_MACHINES must be a count");
     }
@@ -371,6 +398,7 @@ pub fn fleet(quick: bool) {
     bench
         .u64("schema_version", 1)
         .str("experiment", "fleet")
+        .obj("host", host())
         .u64("fleet_machines", t2.machines)
         .u64("fleet_days", cfg.days as u64)
         .u64("fleet_archetypes", result.per_archetype.len() as u64)

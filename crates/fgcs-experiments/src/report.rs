@@ -2,7 +2,7 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Where CSV outputs land.
 pub fn results_dir() -> PathBuf {
@@ -94,13 +94,4 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     }
     let n = ((value / max) * width as f64).round() as usize;
     "#".repeat(n.min(width))
-}
-
-/// Ensures `path`'s parent exists and writes `contents`.
-#[allow(dead_code)] // used by future experiment outputs
-pub fn write_text(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, contents)
 }

@@ -9,11 +9,12 @@
 //! memory stays bounded by the sketch capacity and the trace length, not
 //! the machine count.
 //!
-//! Determinism: machines are partitioned into fixed-size chunks
-//! (a config constant, *not* derived from the worker count), chunks are
-//! traced in parallel with [`fgcs_par::par_map`] (order-preserving), and
-//! partial accumulators are merged in chunk order. The result is
-//! bit-identical for any `FGCS_PAR_WORKERS`.
+//! Determinism: machines are traced in parallel, one machine per work
+//! item of [`fgcs_par::par_map_reduce`], and folded on the calling
+//! thread in machine order. Fold and merge grouping is fixed by
+//! fixed-size chunks (a config constant, *not* derived from the worker
+//! count): each chunk's partial accumulator is merged in chunk order.
+//! The result is bit-identical for any `FGCS_PAR_WORKERS`.
 
 use fgcs_core::detector::DetectorConfig;
 use fgcs_stats::rng::Rng;
@@ -131,7 +132,10 @@ pub struct FleetConfig {
     pub detector: DetectorConfig,
     /// Capacity of the interval sketches.
     pub sketch_k: usize,
-    /// Machines per work chunk. A fixed constant — chunking must not
+    /// Machines per merge group: each group's machines are folded into
+    /// one partial accumulator, which is then merged into the totals.
+    /// Not a unit of parallel work (that is one machine). A fixed
+    /// constant — the grouping decides the float sums, so it must not
     /// depend on the worker count or determinism is lost.
     pub chunk_size: usize,
 }
@@ -238,11 +242,12 @@ impl FleetResult {
 }
 
 /// Runs the whole fleet: every machine is traced with the batched
-/// tracer and folded into streaming accumulators. Each chunk's partial
-/// is merged as soon as it and every earlier chunk have finished, so
-/// peak memory is `O(chunks_in_flight × (days + sketch_k))` —
-/// independent of the machine count. Deterministic in the seed for any
-/// worker count.
+/// tracer and folded into streaming accumulators. Machines are the
+/// parallel work items; one open chunk partial and the per-archetype
+/// totals are the only accumulators, so peak memory is
+/// `O(archetypes × (days + sketch_k))` plus the records of machines
+/// traced ahead of a slower earlier one — independent of the machine
+/// count. Deterministic in the seed for any worker count.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let counts = cfg.archetype_counts();
     let start_weekday = LabConfig::default().start_weekday;
@@ -262,42 +267,38 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     }
     let total = *prefix.last().unwrap();
 
-    // Fixed-size chunks of the global machine index space.
     let chunk = cfg.chunk_size.max(1);
-    let chunks: Vec<(usize, usize)> = (0..total)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(total)))
-        .collect();
-
-    let fresh = |k: usize| -> Vec<StreamingAnalysis> {
+    let fresh = || -> Vec<StreamingAnalysis> {
         counts
             .iter()
-            .map(|_| StreamingAnalysis::new(cfg.days, start_weekday, k))
+            .map(|_| StreamingAnalysis::new(cfg.days, start_weekday, cfg.sketch_k))
             .collect()
     };
 
-    // Chunk partials are merged in chunk order as they finish:
-    // bit-identical however chunks were scheduled across workers, and
-    // only partials that finished ahead of an earlier chunk are held.
-    let per = fgcs_par::par_map_reduce(
-        &chunks,
-        |_, &(lo, hi)| {
-            let mut accs = fresh(cfg.sketch_k);
-            for m in lo..hi {
-                // Which archetype block does global machine `m` fall in?
-                let a = prefix.partition_point(|&p| p <= m) - 1;
-                let local = m - prefix[a];
-                let records = trace_machine_batched(&testbeds[a], local);
-                accs[a].push_machine(&records);
-            }
-            accs
+    // Each machine is one work item; its records are folded on the
+    // calling thread in machine order into the open chunk's partial,
+    // which is merged into the totals once its `chunk` machines are in.
+    // The folds and merges are those of a serial run, in the same order,
+    // so the result is bit-identical for any worker count; only records
+    // that finished ahead of a slower earlier machine are ever held.
+    let (mut per, mut open) = (fresh(), fresh());
+    fgcs_par::par_map_reduce(
+        &vec![(); total], // zero-sized: the item's index is the machine
+        |m, _| {
+            // Which archetype block does global machine `m` fall in?
+            let a = prefix.partition_point(|&p| p <= m) - 1;
+            (a, trace_machine_batched(&testbeds[a], m - prefix[a]))
         },
-        fresh(cfg.sketch_k),
-        |mut per, chunk_accs| {
-            for (mine, theirs) in per.iter_mut().zip(&chunk_accs) {
-                mine.merge(theirs);
+        0,
+        |m, (a, records)| {
+            open[a].push_machine(&records);
+            if (m + 1) % chunk == 0 || m + 1 == total {
+                for (mine, theirs) in per.iter_mut().zip(&open) {
+                    mine.merge(theirs);
+                }
+                open = fresh();
             }
-            per
+            m + 1
         },
     );
 
@@ -348,23 +349,29 @@ mod tests {
 
     #[test]
     fn fleet_run_is_deterministic_across_worker_counts() {
-        let mut cfg = FleetConfig::smoke();
-        cfg.machines = 40;
-        cfg.days = 5;
-        cfg.chunk_size = 7; // deliberately not a divisor of 40
-        let prev = std::env::var("FGCS_PAR_WORKERS").ok();
-        std::env::set_var("FGCS_PAR_WORKERS", "1");
-        let a = run_fleet(&cfg);
-        std::env::set_var("FGCS_PAR_WORKERS", "4");
-        let b = run_fleet(&cfg);
-        match prev {
-            Some(v) => std::env::set_var("FGCS_PAR_WORKERS", v),
-            None => std::env::remove_var("FGCS_PAR_WORKERS"),
-        }
-        assert_eq!(format!("{:?}", a.combined), format!("{:?}", b.combined));
-        for ((aa, x), (ab, y)) in a.per_archetype.iter().zip(&b.per_archetype) {
-            assert_eq!(aa, ab);
-            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+        // 40 machines in chunks of 7 (not a divisor), and 5 machines,
+        // fewer than one chunk, traced in parallel all the same. The
+        // one-worker run is the serial definition.
+        for (machines, chunk_size) in [(40, 7), (5, 7)] {
+            let mut cfg = FleetConfig::smoke();
+            cfg.machines = machines;
+            cfg.days = 5;
+            cfg.chunk_size = chunk_size;
+            let prev = std::env::var("FGCS_PAR_WORKERS").ok();
+            std::env::set_var("FGCS_PAR_WORKERS", "1");
+            let a = run_fleet(&cfg);
+            std::env::set_var("FGCS_PAR_WORKERS", "4");
+            let b = run_fleet(&cfg);
+            match prev {
+                Some(v) => std::env::set_var("FGCS_PAR_WORKERS", v),
+                None => std::env::remove_var("FGCS_PAR_WORKERS"),
+            }
+            assert_eq!(a.combined.machines(), machines as u64);
+            assert_eq!(format!("{:?}", a.combined), format!("{:?}", b.combined));
+            for ((aa, x), (ab, y)) in a.per_archetype.iter().zip(&b.per_archetype) {
+                assert_eq!(aa, ab);
+                assert_eq!(format!("{x:?}"), format!("{y:?}"), "{machines} machines");
+            }
         }
     }
 

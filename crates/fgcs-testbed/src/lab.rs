@@ -499,11 +499,6 @@ impl MachinePlan {
         &self.downtimes
     }
 
-    /// Number of load/memory contributions (diagnostic).
-    pub fn contribution_count(&self) -> usize {
-        self.contributions.len()
-    }
-
     /// Iterates monitor samples over the whole span.
     pub fn samples(&self) -> SampleIter<'_> {
         SampleIter {

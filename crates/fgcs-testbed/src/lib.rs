@@ -21,8 +21,8 @@
 //! * [`streaming`] — the same analyses as bounded-memory sketch folds
 //!   that scale to fleets of 100k+ machines;
 //! * [`fleet`] — archetype-mixed fleet generation (labs, server farms,
-//!   office desktops, laptops, build farms) with deterministic chunked
-//!   fan-out;
+//!   office desktops, laptops, build farms) with a deterministic
+//!   per-machine fan-out;
 //! * [`calendar`] — weekday/weekend and hour-of-day arithmetic;
 //! * [`scenarios`] — the §6 future-work testbeds (enterprise desktop,
 //!   home PC) as ready-made configurations.

@@ -17,9 +17,10 @@
 //!   [`analysis::day_hour_counts`] (integer addition commutes across
 //!   machines).
 //!
-//! [`StreamingAnalysis::merge`] combines per-worker partials; merging
-//! chunk results in input order (what [`fgcs_par::par_map`] preserves)
-//! makes the result bit-identical regardless of the worker count.
+//! [`StreamingAnalysis::merge`] combines partials over disjoint sets of
+//! machines; folding and merging them in a fixed grouping and order
+//! (what [`crate::fleet::run_fleet`] does) makes the result
+//! bit-identical regardless of the worker count.
 
 use fgcs_stats::sketch::RankSketch;
 
@@ -243,9 +244,9 @@ impl StreamingAnalysis {
     }
 
     /// Merges a partial accumulator produced over a disjoint set of
-    /// machines. Merge partials in a fixed order (e.g. chunk order from
-    /// [`fgcs_par::par_map`]) for bit-identical results across worker
-    /// counts.
+    /// machines. Merge partials in a fixed order (e.g. the chunk order
+    /// of [`crate::fleet::run_fleet`]) for bit-identical results across
+    /// worker counts.
     ///
     /// # Panics
     /// Panics if the two accumulators describe different trace shapes.

@@ -97,10 +97,12 @@ cmp -s "$fa" "$smoke_dir/fleet_archetypes.w1.csv" \
 cmp -s "$smoke_dir/results/fleet_cdf.csv" "$smoke_dir/fleet_cdf.w1.csv" \
     || { echo "fleet smoke: fleet_cdf.csv differs across worker counts" >&2; exit 1; }
 echo "  5 archetypes + combined, CSVs bit-identical across FGCS_PAR_WORKERS=1/3"
-# Peak memory must not grow with the machine count: run_fleet merges
-# each chunk's partial as soon as it and every earlier chunk are done.
-# The same smoke at 16x the machines (FleetConfig::smoke() has 200)
-# may read at most 2 MB more peak RSS.
+# Peak memory must not grow with the machine count: run_fleet folds
+# each traced machine, in machine order, into one open chunk partial
+# and merges it into the totals once the chunk is full, so only the
+# records of machines traced ahead of a slower one are held. The same
+# smoke at 16x the machines (FleetConfig::smoke() has 200) may read at
+# most 2 MB more peak RSS.
 smoke_rss() { grep -o '"peak_rss_mb":[^,}]*' "$1/BENCH_fleet.json" | cut -d: -f2; }
 rss_1x=$(smoke_rss "$smoke_dir")
 mkdir -p "$smoke_dir/fleet16x"
@@ -132,7 +134,7 @@ echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) ==
 # Exits non-zero by itself when the ratio gate fails.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench wire
 
-echo "== benchmark gates (benchmark/: names agree, ingest_small + query_mix + ingest_bulk_repl bit-identity, paper_all CSVs) =="
+echo "== benchmark gates (benchmark/: names agree, ingest_small + query_mix + ingest_bulk_repl bit-identity, paper_all CSVs, fleet_sweep oracle) =="
 # The benchmark package is a build of its own; these runs keep it
 # compiling against the crates and put its gates in front of every
 # change, not only the next full benchmark run: ingest_small — the
@@ -144,8 +146,12 @@ echo "== benchmark gates (benchmark/: names agree, ingest_small + query_mix + in
 # and transitions equal to an in-process replay, which no frame with a
 # wrong checksum survives — and paper_all — one full-scale pass of
 # `fgcs-exp all` (--quick bounds the pass count, not the experiments),
-# each of its 21 CSVs byte-equal to the committed file. A failed gate
-# exits 1.
+# each of its 21 CSVs byte-equal to the committed file — and
+# fleet_sweep — run_fleet's bit-identity oracle: a second sweep of
+# slice 0 equal to the first, a small fleet equal to the exact oracle,
+# and the traced sweep (the chunk-per-worker loop written out) equal to
+# run_fleet's result; that last gate runs only under --trace 1, whose
+# span file lands in the ignored benchmark/out/. A failed gate exits 1.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload ingest_small --quick > /dev/null
@@ -155,5 +161,7 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload ingest_bulk_repl --quick > /dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload paper_all --quick > /dev/null
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload fleet_sweep --quick --trace 1 > /dev/null
 
 echo "ci.sh: all green"

@@ -235,34 +235,6 @@ fn bench_predictors_fit(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_loadtrace(c: &mut Criterion) {
-    use fgcs_testbed::loadtrace::{derive_events, LoadSeries};
-    let mut cfg = fgcs_testbed::lab::LabConfig::tiny();
-    cfg.days = 2;
-    let series = LoadSeries::collect(&cfg, 0);
-    let det = fgcs_core::detector::DetectorConfig::wallclock_default();
-    let mut g = c.benchmark_group("loadtrace");
-    g.throughput(Throughput::Elements(series.samples.len() as u64));
-    g.bench_function("derive_events_2days", |b| {
-        b.iter(|| {
-            black_box(derive_events(
-                &series,
-                det,
-                cfg.phys_mem_mb,
-                cfg.kernel_mem_mb,
-            ))
-        })
-    });
-    g.bench_function("csv_write_2days", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(1 << 20);
-            series.write_csv(&mut buf).unwrap();
-            black_box(buf.len())
-        })
-    });
-    g.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -275,6 +247,6 @@ criterion_group! {
     config = config();
     targets = bench_scheduler, bench_monitor_detector, bench_lab_generator,
               bench_stats, bench_event_index, bench_par, bench_policy_and_cluster,
-              bench_predictors_fit, bench_loadtrace
+              bench_predictors_fit
 }
 criterion_main!(components);

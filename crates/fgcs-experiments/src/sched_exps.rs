@@ -33,6 +33,7 @@ pub fn sched(_quick: bool) {
 
 #[cfg(target_os = "linux")]
 mod imp {
+    use std::cell::RefCell;
     use std::time::Duration;
 
     use fgcs_sched::{AvailabilitySource, ClusterSource, Policy, SchedConfig, Scheduler};
@@ -120,30 +121,24 @@ mod imp {
         }
     }
 
-    /// One scheduler tick, the serve loop's exact order: revocations,
-    /// progress, migration sweep, placement.
+    /// One scheduler tick: [`Scheduler::tick`], the serve loop's own.
+    /// Predictionless contenders never query the model: survival 1.0
+    /// never trips the migration trigger, and placement ignores it.
     fn tick(
         c: &mut Contender,
         now: u64,
         views: &[fgcs_sched::MachineView],
         source: &mut ClusterSource,
     ) {
-        for (machine, _) in c.sched.hosts() {
-            let gone = !views.iter().any(|v| v.machine == machine && v.harvestable);
-            if gone {
-                c.sched.on_unavailable(machine, now);
-            }
-        }
-        c.sched.advance(now);
+        // Both survival arguments ask the one source: `{ model }` is a
+        // copy of a closure that only holds `&source`.
+        let source = RefCell::new(source);
+        let model = |m: u32, w: u64| source.borrow_mut().survival(m, w).unwrap_or(1.0);
+        let blind = |_: u32, _: u64| 1.0;
         if c.predicts {
-            let mut surv = |m: u32, w: u64| source.survival(m, w).unwrap_or(1.0);
-            c.sched.check_migrations(now, &mut surv);
-            c.sched.place(now, views, &mut surv);
+            c.sched.tick(now, views, &mut { model }, &mut { model });
         } else {
-            // Predictionless: no migration sweep (survival 1.0 never
-            // trips the trigger) and placement never queries the model.
-            let mut blind = |_: u32, _: u64| 1.0;
-            c.sched.place(now, views, &mut blind);
+            c.sched.tick(now, views, &mut { blind }, &mut { blind });
         }
     }
 

@@ -6,7 +6,6 @@
 //! against the ground truth.
 
 use fgcs_testbed::calendar::SECS_PER_DAY;
-use fgcs_testbed::quality::TraceQualityReport;
 use fgcs_testbed::trace::Trace;
 
 use crate::predictor::{AvailabilityPredictor, EventIndex};
@@ -56,29 +55,6 @@ pub fn evaluate(
     predictors: &mut [Box<dyn AvailabilityPredictor>],
     cfg: &EvalConfig,
 ) -> Vec<EvalResult> {
-    evaluate_inner(trace, None, predictors, cfg)
-}
-
-/// [`evaluate`] on a trace with known quality problems: queries whose
-/// probe window overlaps a censored span of that machine are skipped —
-/// their "ground truth" would be read from a stretch nobody observed, so
-/// scoring against it would be noise, not evaluation. An empty report
-/// makes this identical to [`evaluate`].
-pub fn evaluate_censored(
-    trace: &Trace,
-    quality: &TraceQualityReport,
-    predictors: &mut [Box<dyn AvailabilityPredictor>],
-    cfg: &EvalConfig,
-) -> Vec<EvalResult> {
-    evaluate_inner(trace, Some(quality), predictors, cfg)
-}
-
-fn evaluate_inner(
-    trace: &Trace,
-    quality: Option<&TraceQualityReport>,
-    predictors: &mut [Box<dyn AvailabilityPredictor>],
-    cfg: &EvalConfig,
-) -> Vec<EvalResult> {
     let span = trace.meta.span_secs;
     let train_end = ((span as f64 * cfg.train_fraction) as u64 / SECS_PER_DAY) * SECS_PER_DAY;
     for p in predictors.iter_mut() {
@@ -91,13 +67,8 @@ fn evaluate_inner(
         // Shared query set and ground truth for every predictor.
         let mut queries: Vec<(u32, u64, bool)> = Vec::new();
         for m in 0..trace.meta.machines {
-            let censored = quality.and_then(|q| q.machines.get(&m));
             let mut t = train_end;
             while t + window <= span {
-                if censored.is_some_and(|mq| mq.overlaps_censored(t, t + window)) {
-                    t += cfg.query_stride;
-                    continue;
-                }
                 let truth = truth_index.window_available(m, t, window);
                 queries.push((m, t, truth));
                 t += cfg.query_stride;
@@ -201,61 +172,6 @@ mod tests {
             brier_of("history-window"),
             brier_of("base-rate")
         );
-    }
-
-    #[test]
-    fn empty_quality_report_changes_nothing() {
-        let trace = small_trace();
-        let cfg = EvalConfig {
-            windows: vec![3600],
-            ..Default::default()
-        };
-        let plain = evaluate(&trace, &mut standard_predictors(), &cfg);
-        let censored = evaluate_censored(
-            &trace,
-            &TraceQualityReport::new(),
-            &mut standard_predictors(),
-            &cfg,
-        );
-        assert_eq!(plain, censored);
-    }
-
-    #[test]
-    fn censored_windows_are_not_scored() {
-        let trace = small_trace();
-        let cfg = EvalConfig {
-            windows: vec![3600],
-            ..Default::default()
-        };
-        let plain = evaluate(&trace, &mut standard_predictors(), &cfg);
-        // Censor the whole test suffix of machine 0: all its queries go.
-        let mut q = TraceQualityReport::new();
-        q.machine_mut(0).censored_spans = vec![(0, trace.meta.span_secs)];
-        let censored = evaluate_censored(&trace, &q, &mut standard_predictors(), &cfg);
-        let per_machine = plain[0].queries / trace.meta.machines as usize;
-        assert_eq!(censored[0].queries, plain[0].queries - per_machine);
-    }
-
-    #[test]
-    fn evaluation_survives_a_gappy_supervised_trace() {
-        use fgcs_faults::FaultConfig;
-        use fgcs_testbed::runner::{run_testbed_faulty, SupervisorConfig};
-        let mut cfg = TestbedConfig::tiny();
-        cfg.lab.machines = 4;
-        cfg.lab.days = 28;
-        let mut faults = FaultConfig::noisy(5);
-        faults.crash_rate_per_day = 0.1; // some censoring, not total
-        let (trace, quality) = run_testbed_faulty(&cfg, &faults, &SupervisorConfig::default());
-        let ecfg = EvalConfig {
-            windows: vec![3600],
-            ..Default::default()
-        };
-        let rows = evaluate_censored(&trace, &quality, &mut standard_predictors(), &ecfg);
-        for r in &rows {
-            assert!(r.queries > 0, "not everything may be censored");
-            assert!((0.0..=1.0).contains(&r.brier), "{r:?}");
-            assert!((0.0..=1.0).contains(&r.accuracy), "{r:?}");
-        }
     }
 
     #[test]

@@ -336,6 +336,27 @@ impl Scheduler {
         moved
     }
 
+    /// One scheduler tick at `now`, in the order that keeps the books
+    /// right: revocations (every host `views` no longer lists as
+    /// harvestable), progress, the SLO migration sweep (asking
+    /// `migrate_survival`), then placement (asking `place_survival`).
+    pub fn tick(
+        &mut self,
+        now: u64,
+        views: &[MachineView],
+        migrate_survival: &mut dyn FnMut(u32, u64) -> f64,
+        place_survival: &mut dyn FnMut(u32, u64) -> f64,
+    ) {
+        for (machine, _) in self.hosts() {
+            if !views.iter().any(|v| v.machine == machine && v.harvestable) {
+                self.on_unavailable(machine, now);
+            }
+        }
+        self.advance(now);
+        self.check_migrations(now, migrate_survival);
+        self.place(now, views, place_survival);
+    }
+
     /// Drains the queue onto free harvestable machines at `now`,
     /// respecting fairshare allowances. Jobs whose user is out of
     /// slots stay queued in order; placement stops when no candidate

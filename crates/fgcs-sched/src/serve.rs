@@ -197,21 +197,12 @@ fn tick_loop<S: AvailabilitySource>(
         };
         clock.now += tick_secs;
         let now = clock.now;
-        // Revocations: the service reported a transition out of the
-        // available states under a guest (or the machine vanished).
-        for &(machine, _) in &hosts {
-            let gone = !views.iter().any(|v| v.machine == machine && v.harvestable);
-            if gone {
-                clock.sched.on_unavailable(machine, now);
-            }
-        }
-        clock.sched.advance(now);
-        clock.sched.check_migrations(now, &mut |m, _| {
-            outlook.iter().find(|r| r.0 == m).map_or(1.0, |r| r.1)
-        });
-        clock.sched.place(now, &views, &mut |m, w| {
-            source.survival(m, w).unwrap_or(1.0)
-        });
+        clock.sched.tick(
+            now,
+            &views,
+            &mut |m, _| outlook.iter().find(|r| r.0 == m).map_or(1.0, |r| r.1),
+            &mut |m, w| source.survival(m, w).unwrap_or(1.0),
+        );
     }
 }
 

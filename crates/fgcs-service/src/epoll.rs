@@ -11,6 +11,9 @@
 //!   `fgcs_wire::Decoder`; bytes are pushed as they arrive and frames
 //!   pulled out whole. A connection that dies mid-frame takes its
 //!   decoder (and the fragment) with it — no cross-connection state.
+//! * **Write backpressure.** A reply the socket refuses is queued
+//!   behind any earlier backlog, in order, and `EPOLLOUT` is armed only
+//!   while a backlog waits.
 //! * **One reply per frame.** Every decoded frame goes through
 //!   [`LoopHandler::handle`] and earns exactly one reply; a decode error
 //!   is reported to [`LoopHandler::decode_error`] and answered
@@ -22,6 +25,8 @@
 //!   per-frame path is one inlinable call: no `dyn`, allocation, lock or
 //!   atomic is added per frame.
 //!
+//! The first three hold in `FramedConn`, the connection half, which
+//! every `ClientPool` slot is built on too: one copy for both ends.
 //! The handler owns everything else: request semantics, per-connection
 //! protocol state ([`LoopHandler::Conn`]), work done once per wakeup
 //! ([`LoopHandler::after_events`]) and the shutdown drain
@@ -39,7 +44,9 @@ use fgcs_sys::{
     accept_nonblocking, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP,
 };
-use fgcs_wire::{encode_into, Decoder, ErrorCode, Frame};
+use fgcs_wire::{encode_into, DecodeError, Decoder, ErrorCode, Frame};
+
+use crate::pool::PoolCloseReason;
 
 /// What to do with a handled frame's reply.
 #[derive(Debug)]
@@ -141,35 +148,123 @@ impl EventLoop {
     }
 }
 
-/// One connection's state inside the event loop.
-struct Conn<C> {
+/// The readiness bits that send a connection into its read loop.
+const READABLE: u32 = EPOLLIN | EPOLLHUP | EPOLLRDHUP;
+
+/// One nonblocking framed connection: the socket, its reassembly
+/// [`Decoder`] and its write backlog. Both ends of the socket layer are
+/// built on it — every [`EventLoop`] connection and every
+/// [`ClientPool`](crate::ClientPool) slot — so how a connection writes,
+/// queues, flushes, reads and re-arms `EPOLLOUT` exists once.
+pub(crate) struct FramedConn {
     stream: TcpStream,
     decoder: Decoder,
-    ctx: C,
     /// Bytes queued for the peer that the socket would not take yet.
     out: Vec<u8>,
     out_pos: usize,
-    /// Close once `out` drains (auth reject / fatal decode error).
-    close_after_flush: bool,
     /// Whether the current epoll interest set includes `EPOLLOUT`.
     registered_writable: bool,
 }
 
-impl<C> Conn<C> {
-    fn new(stream: TcpStream, ctx: C) -> Self {
-        Conn {
+impl FramedConn {
+    /// Registers a nonblocking `stream` with `ep` under `token`.
+    pub(crate) fn register(stream: TcpStream, ep: &Epoll, token: u64) -> io::Result<FramedConn> {
+        let _ = stream.set_nodelay(true);
+        ep.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
+        Ok(FramedConn {
             stream,
             decoder: Decoder::new(),
-            ctx,
             out: Vec::new(),
             out_pos: 0,
-            close_after_flush: false,
             registered_writable: false,
-        }
+        })
+    }
+
+    /// The socket's fd.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
     fn has_pending_out(&self) -> bool {
         self.out_pos < self.out.len()
+    }
+
+    /// Sends `bytes`: straight to the socket while no backlog exists,
+    /// the refused tail (or all of it, behind a backlog) appended to
+    /// the backlog, order preserved. An `Err` means the socket is dead.
+    pub(crate) fn send(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        if !self.has_pending_out() {
+            bytes = &bytes[write_some(&mut self.stream, bytes)?..];
+        }
+        self.out.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Writes what the socket takes of the backlog; clears the buffer
+    /// (keeping its capacity — the reuse invariant) once fully drained.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.has_pending_out() {
+            self.out_pos += write_some(&mut self.stream, &self.out[self.out_pos..])?;
+            if !self.has_pending_out() {
+                self.out.clear();
+                self.out_pos = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// The next whole frame reassembled from the bytes read so far.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
+        self.decoder.next_frame()
+    }
+
+    /// Handles one readiness event: the `EPOLLERR` check, the
+    /// `EPOLLOUT` flush, then the read loop. Each read's bytes go into
+    /// the decoder and `on_read` runs once after each to pull frames
+    /// (and maybe [`FramedConn::send`] replies); it returns whether to
+    /// keep reading. An `Err` means close the connection now.
+    pub(crate) fn on_ready(
+        &mut self,
+        readiness: u32,
+        rbuf: &mut [u8],
+        mut on_read: impl FnMut(&mut FramedConn) -> Result<bool, PoolCloseReason>,
+    ) -> Result<(), PoolCloseReason> {
+        if readiness & EPOLLERR != 0 || (readiness & EPOLLOUT != 0 && self.flush().is_err()) {
+            return Err(PoolCloseReason::Err);
+        }
+        if readiness & READABLE == 0 {
+            return Ok(());
+        }
+        loop {
+            match self.stream.read(rbuf) {
+                Ok(0) => return Err(PoolCloseReason::Eof),
+                Ok(n) => {
+                    self.decoder.push(&rbuf[..n]);
+                    // A short read drained the socket: skip the extra
+                    // `read` that would only say `WouldBlock`. The
+                    // registration is level-triggered, so bytes — or a
+                    // peer's close — arriving after this read come back
+                    // as the next readiness event.
+                    if !on_read(self)? || n < rbuf.len() {
+                        return Ok(());
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(PoolCloseReason::Err),
+            }
+        }
+    }
+
+    /// Re-registers the connection when its `EPOLLOUT` need changed.
+    pub(crate) fn sync_interest(&mut self, ep: &Epoll, token: u64) {
+        let wants_write = self.has_pending_out();
+        if wants_write != self.registered_writable {
+            let interest = EPOLLIN | EPOLLRDHUP | if wants_write { EPOLLOUT } else { 0 };
+            if ep.modify(self.fd(), interest, token).is_ok() {
+                self.registered_writable = wants_write;
+            }
+        }
     }
 }
 
@@ -189,61 +284,41 @@ fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
     Ok(written)
 }
 
-/// Flushes the connection's pending output; clears the buffer (keeping
-/// its capacity — the reuse invariant) once fully drained.
-fn flush_out<C>(conn: &mut Conn<C>) -> io::Result<()> {
-    if !conn.has_pending_out() {
-        return Ok(());
-    }
-    let w = write_some(&mut conn.stream, &conn.out[conn.out_pos..])?;
-    conn.out_pos += w;
-    if !conn.has_pending_out() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-    Ok(())
+/// One connection inside the event loop: the framed connection plus
+/// the handler's protocol state.
+struct Conn<C> {
+    io: FramedConn,
+    ctx: C,
+    /// Close once the backlog drains (auth reject / fatal decode error).
+    close_after_flush: bool,
 }
 
-/// Encodes `reply` through the shared scratch and sends it: straight to
-/// the socket while no backlog exists, else appended to the
-/// connection's write buffer (order preserved). `false` = connection
-/// is dead.
-fn queue_reply<C>(conn: &mut Conn<C>, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
-    if encode_into(reply, ebuf).is_err() {
-        return false;
-    }
-    if conn.has_pending_out() {
-        conn.out.extend_from_slice(ebuf);
-        return true;
-    }
-    match write_some(&mut conn.stream, ebuf) {
-        Ok(w) if w == ebuf.len() => true,
-        Ok(w) => {
-            conn.out.extend_from_slice(&ebuf[w..]);
-            true
-        }
-        Err(_) => false,
-    }
+/// Encodes `reply` through the shared scratch and sends it. `false` =
+/// connection is dead.
+fn queue_reply(io: &mut FramedConn, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
+    encode_into(reply, ebuf).is_ok() && io.send(ebuf).is_ok()
 }
 
 /// Decodes and answers every complete frame buffered on the connection.
 /// `false` = connection is dead (write failure).
 fn drain_frames<H: LoopHandler>(
     handler: &mut H,
-    conn: &mut Conn<H::Conn>,
+    io: &mut FramedConn,
+    ctx: &mut H::Conn,
+    close_after_flush: &mut bool,
     ebuf: &mut Vec<u8>,
 ) -> bool {
-    while !conn.close_after_flush {
-        match conn.decoder.next_frame() {
-            Ok(Some(frame)) => match handler.handle(frame, &mut conn.ctx) {
+    while !*close_after_flush {
+        match io.next_frame() {
+            Ok(Some(frame)) => match handler.handle(frame, ctx) {
                 Outcome::Reply(reply) => {
-                    if !queue_reply(conn, &reply, ebuf) {
+                    if !queue_reply(io, &reply, ebuf) {
                         return false;
                     }
                 }
                 Outcome::ReplyThenClose(reply) => {
-                    let _ = queue_reply(conn, &reply, ebuf);
-                    conn.close_after_flush = true;
+                    let _ = queue_reply(io, &reply, ebuf);
+                    *close_after_flush = true;
                 }
             },
             Ok(None) => break,
@@ -253,11 +328,11 @@ fn drain_frames<H: LoopHandler>(
                     code: ErrorCode::BadFrame,
                     detail: e.to_string(),
                 };
-                if !queue_reply(conn, &reply, ebuf) {
+                if !queue_reply(io, &reply, ebuf) {
                     return false;
                 }
                 if e.is_fatal() {
-                    conn.close_after_flush = true;
+                    *close_after_flush = true;
                 }
             }
         }
@@ -273,52 +348,26 @@ fn process_conn<H: LoopHandler>(
     rbuf: &mut [u8],
     ebuf: &mut Vec<u8>,
 ) -> bool {
-    if readiness & EPOLLERR != 0 {
-        return false;
-    }
-    if readiness & EPOLLOUT != 0 && flush_out(conn).is_err() {
-        return false;
-    }
-    if !conn.close_after_flush && readiness & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0 {
-        loop {
-            match conn.stream.read(rbuf) {
-                Ok(0) => return false, // peer closed
-                Ok(n) => {
-                    conn.decoder.push(&rbuf[..n]);
-                    if !drain_frames(handler, conn, ebuf) {
-                        return false;
-                    }
-                    // A short read drained the socket: skip the extra
-                    // `read` that would only say `WouldBlock`. The
-                    // registration is level-triggered, so bytes — or a
-                    // peer's close — arriving after this read come back
-                    // as the next readiness event.
-                    if conn.close_after_flush || n < rbuf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+    let Conn {
+        io,
+        ctx,
+        close_after_flush,
+    } = conn;
+    // A closing connection only flushes.
+    let readiness = if *close_after_flush {
+        readiness & !READABLE
+    } else {
+        readiness
+    };
+    let alive = io.on_ready(readiness, rbuf, |io| {
+        if drain_frames(handler, io, ctx, close_after_flush, ebuf) {
+            Ok(!*close_after_flush)
+        } else {
+            Err(PoolCloseReason::Err)
         }
-    }
+    });
     // A closing connection with nothing left to flush is done.
-    !conn.close_after_flush || conn.has_pending_out()
-}
-
-/// Re-registers the connection when its `EPOLLOUT` need changed.
-fn sync_interest<C>(ep: &Epoll, conn: &mut Conn<C>, fd: RawFd) {
-    let wants_write = conn.has_pending_out();
-    if wants_write != conn.registered_writable {
-        let mut interest = EPOLLIN | EPOLLRDHUP;
-        if wants_write {
-            interest |= EPOLLOUT;
-        }
-        if ep.modify(fd, interest, fd as u64).is_ok() {
-            conn.registered_writable = wants_write;
-        }
-    }
+    alive.is_ok() && (!*close_after_flush || io.has_pending_out())
 }
 
 /// Accepts every pending connection on the listener, refusing beyond
@@ -344,11 +393,17 @@ fn accept_ready<H: LoopHandler>(
             }
             continue; // drop closes
         }
-        let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
-        if ep.add(fd, EPOLLIN | EPOLLRDHUP, fd as u64).is_ok() {
+        if let Ok(io) = FramedConn::register(stream, ep, fd as u64) {
             handler.open_conns().fetch_add(1, Ordering::Relaxed);
-            conns.insert(fd, Conn::new(stream, H::Conn::default()));
+            conns.insert(
+                fd,
+                Conn {
+                    io,
+                    ctx: H::Conn::default(),
+                    close_after_flush: false,
+                },
+            );
         }
     }
 }
@@ -390,7 +445,7 @@ fn run<H: LoopHandler>(
                 continue;
             };
             if process_conn(&mut handler, conn, ev.readiness(), &mut rbuf, &mut ebuf) {
-                sync_interest(&ep, conn, fd);
+                conn.io.sync_interest(&ep, token);
             } else {
                 let _ = ep.delete(fd);
                 conns.remove(&fd);

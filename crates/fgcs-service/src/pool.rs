@@ -2,13 +2,14 @@
 //! holding thousands of client connections as nonblocking state over
 //! one epoll instance.
 //!
-//! This is the client-side twin of the server's event loops: the
-//! transport of the load driver ([`crate::loadgen`]) and the benchmark's
-//! load generator, anything that keeps many connections busy from one
-//! thread. The pool is transport only: it owns sockets, per-connection
-//! reassembly [`Decoder`]s and write buffers, and surfaces whole
-//! [`Frame`]s; protocol state machines (handshakes, pacing, retries)
-//! stay with the caller. Connections are established blockingly up front, so there is
+//! It is the transport of the load driver ([`crate::loadgen`]) and the
+//! benchmark's load generator, anything that keeps many connections
+//! busy from one thread. The pool is slots and events over the framed
+//! connection the server's event loops use too (`crate::epoll`), which
+//! does all the socket I/O: writes and their backlog, reads, frame
+//! reassembly, `EPOLLOUT` re-arming. The pool surfaces whole [`Frame`]s;
+//! protocol state machines (handshakes, pacing, retries) stay with the
+//! caller. Connections are established blockingly up front, so there is
 //! no connect state to track. [`crate::ServiceClient`] is the
 //! one-connection blocking counterpart, and the transport for anything
 //! with one request outstanding.
@@ -18,12 +19,13 @@
 //! stays closed, so callers can keep per-slot protocol state in a
 //! parallel `Vec`.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 
-use fgcs_sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use fgcs_wire::{encode_into, Decoder, Frame};
+use fgcs_sys::{Epoll, EpollEvent};
+use fgcs_wire::{encode_into, Frame};
+
+use crate::epoll::FramedConn;
 
 /// Why the pool closed a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,44 +66,15 @@ pub enum PoolEvent {
     },
 }
 
-struct PoolConn {
-    stream: TcpStream,
-    decoder: Decoder,
-    /// Unflushed output (nonblocking writes that didn't finish).
-    out: Vec<u8>,
-    out_pos: usize,
-    registered_writable: bool,
-}
-
-impl PoolConn {
-    fn has_pending_out(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-}
-
 /// A pool of nonblocking client connections multiplexed over one epoll
 /// instance. See the module docs for the slot model.
 pub struct ClientPool {
     ep: Epoll,
-    conns: Vec<Option<PoolConn>>,
+    conns: Vec<Option<FramedConn>>,
     open: usize,
     events: Vec<EpollEvent>,
     rbuf: Vec<u8>,
     ebuf: Vec<u8>,
-}
-
-fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
-    let mut written = 0;
-    while written < buf.len() {
-        match stream.write(&buf[written..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(written)
 }
 
 impl ClientPool {
@@ -123,17 +96,9 @@ impl ClientPool {
                 pool.conns.push(None);
                 continue;
             };
-            let _ = stream.set_nodelay(true);
             stream.set_nonblocking(true)?;
-            pool.ep
-                .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, slot as u64)?;
-            pool.conns.push(Some(PoolConn {
-                stream,
-                decoder: Decoder::new(),
-                out: Vec::new(),
-                out_pos: 0,
-                registered_writable: false,
-            }));
+            pool.conns
+                .push(Some(FramedConn::register(stream, &pool.ep, slot as u64)?));
             pool.open += 1;
         }
         Ok(pool)
@@ -177,51 +142,20 @@ impl ClientPool {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return false;
         };
-        if conn.has_pending_out() {
-            // Already backlogged: queue in order.
-            conn.out.extend_from_slice(bytes);
-        } else {
-            match write_some(&mut conn.stream, bytes) {
-                Ok(w) if w == bytes.len() => {}
-                Ok(w) => conn.out.extend_from_slice(&bytes[w..]),
-                Err(_) => {
-                    self.close(slot);
-                    return false;
-                }
-            }
+        if conn.send(bytes).is_err() {
+            self.close(slot);
+            return false;
         }
-        self.sync_interest(slot);
+        conn.sync_interest(&self.ep, slot as u64);
         true
     }
 
     /// Closes a slot (idempotent). The slot stays dead; no event is
     /// emitted.
     pub fn close(&mut self, slot: usize) {
-        if let Some(entry) = self.conns.get_mut(slot) {
-            if let Some(conn) = entry.take() {
-                let _ = self.ep.delete(conn.stream.as_raw_fd());
-                self.open -= 1;
-            }
-        }
-    }
-
-    fn sync_interest(&mut self, slot: usize) {
-        let Some(Some(conn)) = self.conns.get_mut(slot) else {
-            return;
-        };
-        let wants_write = conn.has_pending_out();
-        if wants_write != conn.registered_writable {
-            let mut interest = EPOLLIN | EPOLLRDHUP;
-            if wants_write {
-                interest |= EPOLLOUT;
-            }
-            if self
-                .ep
-                .modify(conn.stream.as_raw_fd(), interest, slot as u64)
-                .is_ok()
-            {
-                conn.registered_writable = wants_write;
-            }
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) {
+            let _ = self.ep.delete(conn.fd());
+            self.open -= 1;
         }
     }
 
@@ -235,75 +169,25 @@ impl ClientPool {
         for i in 0..n {
             let ev = self.events[i];
             let slot = ev.token() as usize;
-            if let Some(reason) = self.process(slot, ev.readiness(), out) {
-                self.close(slot);
-                out.push(PoolEvent::Closed { slot, reason });
-            } else {
-                self.sync_interest(slot);
+            let Some(Some(conn)) = self.conns.get_mut(slot) else {
+                continue; // stale event for an already-closed slot
+            };
+            let alive = conn.on_ready(ev.readiness(), &mut self.rbuf, |conn| loop {
+                match conn.next_frame() {
+                    Ok(Some(frame)) => out.push(PoolEvent::Frame { slot, frame }),
+                    Ok(None) => return Ok(true),
+                    Err(_) => return Err(PoolCloseReason::Decode),
+                }
+            });
+            match alive {
+                Ok(()) => conn.sync_interest(&self.ep, slot as u64),
+                Err(reason) => {
+                    self.close(slot);
+                    out.push(PoolEvent::Closed { slot, reason });
+                }
             }
         }
         Ok(out.len() - before)
-    }
-
-    /// Handles one readiness event. `Some(reason)` = close the slot.
-    fn process(
-        &mut self,
-        slot: usize,
-        readiness: u32,
-        out: &mut Vec<PoolEvent>,
-    ) -> Option<PoolCloseReason> {
-        let Some(Some(conn)) = self.conns.get_mut(slot) else {
-            return None; // stale event for an already-closed slot
-        };
-        if readiness & EPOLLERR != 0 {
-            return Some(PoolCloseReason::Err);
-        }
-        if readiness & EPOLLOUT != 0 {
-            let flushed = (|| -> io::Result<()> {
-                if !conn.has_pending_out() {
-                    return Ok(());
-                }
-                let w = write_some(&mut conn.stream, &conn.out[conn.out_pos..])?;
-                conn.out_pos += w;
-                if !conn.has_pending_out() {
-                    conn.out.clear();
-                    conn.out_pos = 0;
-                }
-                Ok(())
-            })();
-            if flushed.is_err() {
-                return Some(PoolCloseReason::Err);
-            }
-        }
-        if readiness & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0 {
-            loop {
-                match conn.stream.read(&mut self.rbuf) {
-                    Ok(0) => return Some(PoolCloseReason::Eof),
-                    Ok(n) => {
-                        conn.decoder.push(&self.rbuf[..n]);
-                        loop {
-                            match conn.decoder.next_frame() {
-                                Ok(Some(frame)) => out.push(PoolEvent::Frame { slot, frame }),
-                                Ok(None) => break,
-                                Err(_) => return Some(PoolCloseReason::Decode),
-                            }
-                        }
-                        // A short read drained the socket: skip the extra
-                        // `read` that would only say `WouldBlock`. The
-                        // registration is level-triggered, so bytes — or a
-                        // peer's close — arriving after this read come back
-                        // as the next readiness event.
-                        if n < self.rbuf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Some(PoolCloseReason::Err),
-                }
-            }
-        }
-        None
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end tests over real localhost TCP: parity with the in-process
-//! pipeline, overload accounting, corruption accounting, and client
-//! reconnection.
+//! pipeline, overload accounting, corruption accounting, client
+//! reconnection, and the write backlog on both ends of a socket.
 #![cfg(target_os = "linux")]
 
 mod common;
@@ -8,7 +8,9 @@ mod common;
 use common::{drain, expected_transitions};
 use fgcs_faults::FaultConfig;
 use fgcs_service::loadgen::Source;
-use fgcs_service::{ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{
+    ClientConfig, ClientPool, LoadGenConfig, PoolEvent, Server, ServiceClient, ServiceConfig,
+};
 use fgcs_testbed::{trace_machine, TestbedConfig};
 use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample};
 
@@ -245,5 +247,105 @@ fn unknown_machine_query_gets_typed_error() {
         .request(&Frame::QueryStats)
         .expect("stats still answered");
     assert!(matches!(reply, Frame::StatsReply(_)));
+    server.shutdown();
+}
+
+/// Polls `pool` until something happens and hands each frame to
+/// `check`; any other event fails the test.
+fn poll_frames(pool: &mut ClientPool, mut check: impl FnMut(Frame)) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let mut events = Vec::new();
+    while events.is_empty() && std::time::Instant::now() < deadline {
+        pool.poll(50, &mut events).expect("poll");
+    }
+    assert!(!events.is_empty(), "no reply within 120 s");
+    for ev in events {
+        match ev {
+            PoolEvent::Frame { frame, .. } => check(frame),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Both ends of one socket fall behind and queue. The client sends
+/// every batch before reading a reply, so its socket refuses bytes once
+/// the server falls behind: exactly one `Ack` per batch must come back,
+/// numbered `1..=N`. Then the client asks for its transition log over
+/// and over and waits, unread, until the server has answered: the large
+/// replies pile up until the server's own socket refuses them, and
+/// every one must still arrive, whole and in order. No connection may
+/// close.
+#[test]
+fn write_backlogs_deliver_every_frame_in_order() {
+    const BATCHES: u64 = 20_000;
+    const QUERIES: u64 = 256;
+    let server = Server::start(ServiceConfig {
+        event_loops: 1, // own shard only: nothing is ever shed
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut pool = ClientPool::connect(&server.local_addr().to_string(), 1).expect("connects");
+    // Alternating idle and busy stretches of 128 samples (~21 min) give
+    // the machine a long transition log for the second half.
+    for b in 0..BATCHES {
+        let load = if b % 2 == 0 { 0.05 } else { 0.95 };
+        let samples = (0..128)
+            .map(|i| WireSample {
+                t: (b * 128 + i) * 10,
+                load: SampleLoad::Direct(load),
+                host_resident_mb: 200,
+                alive: true,
+            })
+            .collect();
+        assert!(pool.send(
+            0,
+            &Frame::SampleBatch {
+                machine: 1,
+                samples
+            }
+        ));
+    }
+    let mut next_seq = 1;
+    while next_seq <= BATCHES {
+        poll_frames(&mut pool, |frame| {
+            assert_eq!(frame, Frame::Ack { seq: next_seq }, "acks arrive in order");
+            next_seq += 1;
+        });
+    }
+
+    // A trailing availability query is answered after every log query
+    // before it: once the server counts it, all their replies are
+    // written or queued behind a socket that nobody reads.
+    for since_seq in 1..=QUERIES {
+        let query = Frame::QueryTransitions {
+            machine: 1,
+            since_seq,
+            max: 4_096,
+        };
+        assert!(pool.send(0, &query));
+    }
+    let last = Frame::QueryAvail {
+        machine: 1,
+        horizon: 3_600,
+    };
+    assert!(pool.send(0, &last));
+    while server.stats().queries_answered == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let mut since_seq = 1;
+    while since_seq <= QUERIES + 1 {
+        poll_frames(&mut pool, |frame| {
+            if since_seq > QUERIES {
+                assert!(matches!(frame, Frame::AvailReply { .. }), "{frame:?}");
+            } else {
+                let Frame::Transitions { transitions, .. } = frame else {
+                    panic!("expected Transitions, got {frame:?}");
+                };
+                assert_eq!(transitions.len(), 4_096, "a whole reply");
+                assert_eq!(transitions[0].seq, since_seq, "replies arrive in order");
+            }
+            since_seq += 1;
+        });
+    }
     server.shutdown();
 }

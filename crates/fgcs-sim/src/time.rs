@@ -35,12 +35,6 @@ pub const fn minutes(m: u64) -> u64 {
     m * TICKS_PER_MIN
 }
 
-/// Converts ticks to fractional seconds.
-#[inline]
-pub fn to_secs(ticks: u64) -> f64 {
-    ticks as f64 / TICKS_PER_SEC as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,6 +45,5 @@ mod tests {
         assert_eq!(millis(10), 1);
         assert_eq!(millis(9), 0);
         assert_eq!(minutes(1), 6000);
-        assert_eq!(to_secs(secs(42)), 42.0);
     }
 }

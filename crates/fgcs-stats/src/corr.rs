@@ -52,15 +52,6 @@ pub fn mean_pairwise_correlation(series: &[Vec<f64>]) -> Option<f64> {
     }
 }
 
-/// Root-mean-square deviation between two equal-length series.
-pub fn rmsd(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.is_empty() {
-        return None;
-    }
-    let ss: f64 = xs.iter().zip(ys).map(|(x, y)| (x - y) * (x - y)).sum();
-    Some((ss / xs.len() as f64).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,17 +93,5 @@ mod tests {
     #[test]
     fn mean_pairwise_needs_two_series() {
         assert_eq!(mean_pairwise_correlation(&[vec![1.0, 2.0]]), None);
-    }
-
-    #[test]
-    fn rmsd_known_value() {
-        let r = rmsd(&[0.0, 0.0], &[3.0, 4.0]).unwrap();
-        assert!((r - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmsd_degenerate() {
-        assert_eq!(rmsd(&[], &[]), None);
-        assert_eq!(rmsd(&[1.0], &[1.0, 2.0]), None);
     }
 }

@@ -110,15 +110,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (`n - 1` denominator); 0 with fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
@@ -190,13 +181,6 @@ mod tests {
         assert_eq!(s.mean(), 5.0);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_1() {
-        let s = OnlineStats::from_slice(&[1.0, 2.0, 3.0]);
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((s.variance() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

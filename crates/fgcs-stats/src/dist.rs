@@ -79,11 +79,6 @@ impl Exponential {
         assert!(lambda.is_finite() && lambda > 0.0, "rate must be positive");
         Exponential { lambda }
     }
-
-    /// Creates from the mean instead of the rate.
-    pub fn with_mean(mean: f64) -> Self {
-        Exponential::new(1.0 / mean)
-    }
 }
 
 impl Sample for Exponential {
@@ -322,14 +317,6 @@ mod tests {
             x
         });
         assert!((m - 2.0).abs() < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn exponential_with_mean_matches() {
-        let d = Exponential::with_mean(3.0);
-        let mut r = Rng::new(4);
-        let m = mean_of(100_000, || d.sample(&mut r));
-        assert!((m - 3.0).abs() < 0.08, "mean {m}");
     }
 
     #[test]

@@ -16,12 +16,8 @@
 //!   merge, used by every analysis pass.
 //! * [`mod@quantile`] — sample quantiles with linear interpolation.
 //! * [`ecdf`] — empirical CDFs (Figure 6 of the paper).
-//! * [`hist`] — fixed-width histograms.
 //! * [`grouped`] — keyed statistics (mean + range per hour-of-day bucket,
 //!   Figure 7 of the paper).
-//! * [`smooth`] — moving averages, exponential smoothing, trimmed means
-//!   (the paper's "statistics on history trace to alleviate the effects
-//!   of irregular data").
 //! * [`corr`] — correlation and coefficient-of-variation helpers used by
 //!   the daily-pattern regularity analysis.
 //! * [`bootstrap`] — percentile-bootstrap confidence intervals for the
@@ -39,15 +35,12 @@ pub mod desc;
 pub mod dist;
 pub mod ecdf;
 pub mod grouped;
-pub mod hist;
 pub mod quantile;
 pub mod rng;
 pub mod sketch;
-pub mod smooth;
 
 pub use desc::OnlineStats;
 pub use ecdf::Ecdf;
-pub use hist::Histogram;
 pub use quantile::{median, quantile};
 pub use rng::Rng;
 pub use sketch::RankSketch;

@@ -40,12 +40,6 @@ pub fn hour_of_day(t: u64) -> u8 {
     ((t % SECS_PER_DAY) / SECS_PER_HOUR) as u8
 }
 
-/// Second within the day, `0..86400`.
-#[inline]
-pub fn sec_of_day(t: u64) -> u64 {
-    t % SECS_PER_DAY
-}
-
 /// Day-of-week (0 = Monday … 6 = Sunday) given the weekday the trace
 /// started on.
 #[inline]
@@ -81,7 +75,6 @@ mod tests {
         assert_eq!(hour_of_day(0), 0);
         assert_eq!(hour_of_day(3 * SECS_PER_HOUR + 59), 3);
         assert_eq!(hour_of_day(SECS_PER_DAY - 1), 23);
-        assert_eq!(sec_of_day(SECS_PER_DAY + 5), 5);
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   assembler) on every machine, in parallel;
 //! * [`trace`] — JSONL and CSV round-trips of the resulting
 //!   [`TraceRecord`]s;
-//! * [`loadtrace`] — the raw monitor-sample layer underneath it, with
-//!   offline event derivation through the same recorder (re-analyze
-//!   archived logs under any thresholds);
 //! * [`analysis`] — Table 2, Figure 6, Figure 7 and the §5.3 regularity
 //!   analysis;
 //! * [`streaming`] — the same analyses as bounded-memory sketch folds
@@ -46,7 +43,6 @@ pub mod calendar;
 pub mod fleet;
 pub mod json;
 pub mod lab;
-pub mod loadtrace;
 pub mod quality;
 pub mod runner;
 pub mod scenarios;

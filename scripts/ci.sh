@@ -64,17 +64,22 @@ echo "== claims gate (committed BENCH_serve.json + BENCH_fleet.json) =="
 # experiment on the section it writes, so no smoke below re-checks them.
 "$exp_bin" gate
 
-echo "== service experiment smokes (X12 serve, X13 cluster, X14 sched; reduced scale) =="
+echo "== service experiment smokes (X12 serve, X13 cluster reduced scale; X14 sched full scale) =="
 # X12: server + load generator over localhost TCP. X13: two shards of
 # real fgcs-serve processes, shard 0's primary SIGKILLed mid-replay and
 # its follower promoting itself with no operator step. X14: three
 # scheduling policies in lockstep over a live 2-shard cluster. Each
-# asserts its accounting identities and its claim's quick-scale bounds
-# internally. sched runs after serve: it splices its gate into the
-# BENCH_serve.json that serve writes.
+# asserts its accounting identities and its claim's bounds internally.
+# sched runs after serve: it splices its gate into the BENCH_serve.json
+# that serve writes. It runs at full scale (~30 s on 2 vCPUs) because
+# its CSV is deterministic: it must be byte-identical to the committed
+# results/sched_eval.csv.
 (cd "$smoke_dir" && "$exp_bin" serve --quick > serve.out)
 (cd "$smoke_dir" && "$cluster_bin" --quick > cluster.out)
-(cd "$smoke_dir" && "$exp_bin" sched --quick > sched.out)
+(cd "$smoke_dir" && "$exp_bin" sched > sched.out)
+cmp -s "$smoke_dir/results/sched_eval.csv" results/sched_eval.csv \
+    || { echo "sched smoke: sched_eval.csv differs from the committed file" >&2; exit 1; }
+echo "  sched_eval.csv byte-identical to the committed file"
 
 echo "== fleet streaming smoke (X15, reduced scale) =="
 # The experiment asserts internally: streaming == exact oracle on the

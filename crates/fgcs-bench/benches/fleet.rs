@@ -18,6 +18,11 @@
 //!   [`Injector`] walking a million underlying samples the way the
 //!   walker does (clean stretches through `pass_clean`, each faulting
 //!   sample through `push`), reported per underlying sample.
+//! * `plan` — what every tracer does before the first detector step:
+//!   `generate/<archetype>` builds one 92-day [`MachinePlan`] (the draw
+//!   loop, the stable radix sort by start, the downtime merge and the
+//!   one-cursor truncation), `walk/<archetype>` walks its spans through
+//!   one reused [`PlanSpan`] (DESIGN.md §15.6).
 //! * `quantiles` — sort-based exact quantiles versus the mergeable
 //!   [`RankSketch`] over a 100k-element stream: the sketch is what lets
 //!   the Figure 6 analysis run without materializing fleet-scale
@@ -42,6 +47,7 @@ use fgcs_faults::{FaultConfig, Injector, Timestamped};
 use fgcs_stats::quantile::quantiles;
 use fgcs_stats::sketch::RankSketch;
 use fgcs_testbed::fleet::Archetype;
+use fgcs_testbed::lab::{MachinePlan, PlanSpan};
 use fgcs_testbed::runner::{
     trace_machine, trace_machine_batched, trace_machine_supervised,
     trace_machine_supervised_per_sample, SupervisorConfig, TestbedConfig,
@@ -161,6 +167,29 @@ fn bench_pass_clean(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_plan(c: &mut Criterion) {
+    let mut g = c.benchmark_group("plan");
+    for arch in Archetype::ALL {
+        let lab = arch.lab_config();
+        assert_eq!(lab.days, 92, "{arch:?}: the rows price a 92-day machine");
+        g.throughput(Throughput::Elements(lab.days as u64));
+        g.bench_function(format!("generate/{}", arch.name()), |b| {
+            b.iter(|| black_box(MachinePlan::generate(black_box(&lab), 0)))
+        });
+        let plan = MachinePlan::generate(&lab, 0);
+        g.bench_function(format!("walk/{}", arch.name()), |b| {
+            b.iter(|| {
+                let (mut spans, mut span, mut n) = (plan.spans(), PlanSpan::default(), 0usize);
+                while spans.next_into(&mut span) {
+                    n += span.loads.len();
+                }
+                black_box(n)
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_quantiles(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_quantiles");
     // A deterministic scrambled stream, no RNG needed.
@@ -203,7 +232,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_tracer, bench_supervised, bench_pass_clean, bench_quantiles
+    targets = bench_tracer, bench_supervised, bench_pass_clean, bench_plan, bench_quantiles
 }
 
 fn gate() {

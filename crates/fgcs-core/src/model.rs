@@ -138,11 +138,6 @@ impl FailureCause {
         }
     }
 
-    /// True for the two UEC causes.
-    pub fn is_uec(self) -> bool {
-        !matches!(self, FailureCause::Revocation)
-    }
-
     /// Stable numeric code 1..=3, for wire formats and compact logs.
     pub fn code(self) -> u8 {
         match self {
@@ -278,13 +273,6 @@ mod tests {
                 None => assert!(s.is_available()),
             }
         }
-    }
-
-    #[test]
-    fn uec_vs_urr() {
-        assert!(FailureCause::CpuContention.is_uec());
-        assert!(FailureCause::MemoryThrashing.is_uec());
-        assert!(!FailureCause::Revocation.is_uec());
     }
 
     #[test]

@@ -141,18 +141,6 @@ impl FaultConfig {
             corrupt_rate: s(self.corrupt_rate),
         }
     }
-
-    /// True when every rate is zero — the injection is the identity and
-    /// the pipeline must produce bit-identical output.
-    pub fn is_off(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.delay_rate == 0.0
-            && self.restart_rate == 0.0
-            && self.clock_jump_rate == 0.0
-            && self.crash_rate_per_day == 0.0
-            && self.corrupt_rate == 0.0
-    }
 }
 
 /// What one injection run actually did — the ground truth the hardened
@@ -201,13 +189,6 @@ impl InjectionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn off_is_off() {
-        assert!(FaultConfig::off(7).is_off());
-        assert!(!FaultConfig::noisy(7).is_off());
-        assert!(FaultConfig::noisy(7).scaled(0.0).is_off());
-    }
 
     #[test]
     fn scaling_clamps() {

@@ -23,12 +23,6 @@ pub const fn secs(s: u64) -> u64 {
     s * TICKS_PER_SEC
 }
 
-/// Converts milliseconds to ticks, rounding down (minimum 0).
-#[inline]
-pub const fn millis(ms: u64) -> u64 {
-    ms / TICK_MS
-}
-
 /// Converts minutes to ticks.
 #[inline]
 pub const fn minutes(m: u64) -> u64 {
@@ -42,8 +36,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(secs(1), 100);
-        assert_eq!(millis(10), 1);
-        assert_eq!(millis(9), 0);
         assert_eq!(minutes(1), 6000);
     }
 }

@@ -98,13 +98,17 @@ impl Sample for Exponential {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
+    /// Knuth's stopping product `e^-lambda`, computed once here rather
+    /// than once per draw (unused on the normal-approximation branch).
+    limit: f64,
 }
 
 impl Poisson {
     /// Creates a Poisson distribution with mean `lambda >= 0`.
     pub fn new(lambda: f64) -> Self {
         assert!(lambda.is_finite() && lambda >= 0.0);
-        Poisson { lambda }
+        let limit = if lambda < 30.0 { (-lambda).exp() } else { 0.0 };
+        Poisson { lambda, limit }
     }
 }
 
@@ -115,10 +119,9 @@ impl Sample for Poisson {
             return 0;
         }
         if self.lambda < 30.0 {
-            let limit = (-self.lambda).exp();
             let mut product = rng.f64();
             let mut count = 0u64;
-            while product > limit {
+            while product > self.limit {
                 product *= rng.f64();
                 count += 1;
             }

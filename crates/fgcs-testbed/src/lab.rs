@@ -23,6 +23,15 @@
 //! The generator produces the exact observable stream the real iShare
 //! monitor would have sampled: `(host_load, host_resident_mb, alive)` at
 //! the monitor period, deterministic from the seed.
+//!
+//! Every trace experiment and the fleet sweep build one [`MachinePlan`]
+//! per machine and walk it span by span, so both steps are linear in the
+//! plan: [`MachinePlan::generate`] draws the contributions, sorts them by
+//! start with a stable radix sort, and truncates them at the merged
+//! downtimes with one forward cursor; the span walk fills one
+//! caller-owned [`PlanSpan`] per step instead of allocating a fresh one
+//! (DESIGN.md §15.6). The test module keeps the comparison-sorting,
+//! rescanning generator as the reference every plan must equal.
 
 use fgcs_core::monitor::Observation;
 use fgcs_stats::dist::{Exponential, LogNormal, Poisson, Sample, Uniform};
@@ -280,8 +289,37 @@ struct Contribution {
     mem_mb: u32,
 }
 
+/// Sorts contributions by `start`, stably: an LSD radix sort, one byte
+/// per pass, over only the bytes the largest start uses (three passes for
+/// a 92-day trace). Each pass scatters in input order, so contributions
+/// with equal starts keep their push order — the order a span adds their
+/// loads in ([`PlanSpan::loads`]) — exactly as a stable comparison sort
+/// would leave them.
+fn sort_by_start(v: &mut Vec<Contribution>) {
+    let max = v.iter().map(|c| c.start).max().unwrap_or(0);
+    let passes = (u64::BITS - max.leading_zeros()).div_ceil(8);
+    let mut buf = v.clone();
+    for pass in 0..passes {
+        let digit = |c: &Contribution| (c.start >> (8 * pass)) as usize & 0xff;
+        let mut next = [0usize; 256];
+        for c in v.iter() {
+            next[digit(c)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut next {
+            (sum, *slot) = (sum + *slot, sum);
+        }
+        for c in v.iter() {
+            let d = digit(c);
+            buf[next[d]] = *c;
+            next[d] += 1;
+        }
+        std::mem::swap(v, &mut buf);
+    }
+}
+
 /// The generated plan for one machine over the whole trace span.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePlan {
     cfg: LabConfig,
     /// Additive load/memory contributions, sorted by start.
@@ -296,6 +334,502 @@ impl MachinePlan {
     /// Generates machine `machine_id`'s plan, deterministic in
     /// `(cfg.seed, machine_id)`.
     pub fn generate(cfg: &LabConfig, machine_id: usize) -> Self {
+        let mut rng = Rng::for_stream(cfg.seed, machine_id as u64);
+        let busyness = if cfg.machines > 1 {
+            1.0 - cfg.machine_busyness_spread / 2.0
+                + cfg.machine_busyness_spread * machine_id as f64 / (cfg.machines - 1) as f64
+        } else {
+            1.0
+        };
+        let mut contributions: Vec<Contribution> = Vec::new();
+        let mut downtimes: Vec<(u64, u64)> = Vec::new();
+        let span = cfg.span_secs();
+
+        let session_len = LogNormal::with_median(cfg.session_median_mins * 60.0, cfg.session_sigma);
+        let burst_len = LogNormal::with_median(cfg.burst_median_secs, cfg.burst_sigma);
+        let burst_load = Uniform::new(cfg.burst_load.0, cfg.burst_load.1);
+        let session_load = Uniform::new(cfg.session_load.0, cfg.session_load.1);
+
+        // Poisson session arrivals per hour: one distribution per (day
+        // type, hour), `None` where the rate is zero.
+        let [weekday, weekend] = [DayType::Weekday, DayType::Weekend].map(|dt| {
+            let profile = cfg.occupancy(dt);
+            std::array::from_fn::<_, 24, _>(|hour| {
+                let lambda = cfg.arrival_rate((profile[hour] * busyness).min(0.95));
+                (lambda > 0.0).then(|| Poisson::new(lambda * SECS_PER_HOUR as f64))
+            })
+        });
+        let blips = (cfg.blips_per_hour > 0.0).then(|| Poisson::new(cfg.blips_per_hour * 24.0));
+        let storms = (cfg.storms_per_day > 0.0).then(|| Poisson::new(cfg.storms_per_day));
+
+        // --- Sessions, with the one-at-a-time console policy. ---
+        let mut busy_until: u64 = 0;
+        for day in 0..cfg.days as u64 {
+            let hourly = match day_type(day, cfg.start_weekday) {
+                DayType::Weekday => &weekday,
+                DayType::Weekend => &weekend,
+            };
+            for hour in 0..24u64 {
+                let hour_start = day * SECS_PER_DAY + hour * SECS_PER_HOUR;
+                let Some(arrivals) = hourly[hour as usize] else {
+                    continue;
+                };
+                let n = arrivals.sample(&mut rng);
+                for _ in 0..n {
+                    let start = hour_start + rng.below(SECS_PER_HOUR);
+                    if start < busy_until {
+                        continue; // console already taken
+                    }
+                    let dur = session_len.sample(&mut rng).clamp(300.0, 6.0 * 3600.0) as u64;
+                    let end = (start + dur).min(span);
+                    busy_until = end;
+                    contributions.push(Contribution {
+                        start,
+                        end,
+                        load: session_load.sample(&mut rng),
+                        mem_mb: rng.range_u64(
+                            cfg.session_resident_mb.0 as u64,
+                            cfg.session_resident_mb.1 as u64 + 1,
+                        ) as u32,
+                    });
+
+                    // Heavy bursts within the session.
+                    let hours = (end - start) as f64 / SECS_PER_HOUR as f64;
+                    let bursts = Poisson::new(cfg.bursts_per_session_hour * hours).sample(&mut rng);
+                    for _ in 0..bursts {
+                        let bs = start + rng.below((end - start).max(1));
+                        let bd = burst_len.sample(&mut rng).clamp(20.0, 900.0) as u64;
+                        let be = (bs + bd).min(end);
+                        let mem = if rng.chance(cfg.mem_burst_prob) {
+                            rng.range_u64(cfg.mem_burst_mb.0 as u64, cfg.mem_burst_mb.1 as u64 + 1)
+                                as u32
+                        } else {
+                            rng.range_u64(30, 120) as u32
+                        };
+                        contributions.push(Contribution {
+                            start: bs,
+                            end: be,
+                            load: burst_load.sample(&mut rng),
+                            mem_mb: mem,
+                        });
+                    }
+
+                    // Frustration reboot during the session?
+                    if rng.chance(cfg.reboots_per_session_hour * hours) {
+                        let rs = start + rng.below((end - start).max(1));
+                        let rd = rng
+                            .range_u64(cfg.reboot_downtime_secs.0, cfg.reboot_downtime_secs.1 + 1);
+                        downtimes.push((rs, (rs + rd).min(span)));
+                    }
+
+                    // Lid close mid-session (laptop archetype)? The
+                    // `> 0.0` gate short-circuits before any draw so
+                    // default configs keep their RNG streams.
+                    if cfg.lid_close_per_session_hour > 0.0
+                        && rng.chance(cfg.lid_close_per_session_hour * hours)
+                    {
+                        let ls = start + rng.below((end - start).max(1));
+                        let ld = rng.range_u64(cfg.lid_close_secs.0, cfg.lid_close_secs.1 + 1);
+                        downtimes.push((ls, (ls + ld).min(span)));
+                    }
+                }
+            }
+
+            // --- Short system blips, §4's transient spikes. ---
+            if let Some(blips) = blips {
+                let n = blips.sample(&mut rng);
+                for _ in 0..n {
+                    let bs = day * SECS_PER_DAY + rng.below(SECS_PER_DAY);
+                    let bd = rng.range_u64(cfg.blip_secs.0, cfg.blip_secs.1 + 1);
+                    contributions.push(Contribution {
+                        start: bs,
+                        end: (bs + bd).min(span),
+                        load: rng.range_f64(cfg.blip_load.0, cfg.blip_load.1),
+                        mem_mb: 10,
+                    });
+                }
+            }
+
+            // --- updatedb at 4 AM. ---
+            if cfg.updatedb {
+                let start = day * SECS_PER_DAY + 4 * SECS_PER_HOUR + rng.below(120);
+                let dur = cfg.updatedb_duration_secs + rng.below(240);
+                contributions.push(Contribution {
+                    start,
+                    end: (start + dur).min(span),
+                    load: cfg.updatedb_load,
+                    mem_mb: 40,
+                });
+            }
+
+            // --- Compile storms (build-farm archetype). ---
+            if let Some(storms) = storms {
+                let n = storms.sample(&mut rng);
+                for _ in 0..n {
+                    let ss = day * SECS_PER_DAY + rng.below(SECS_PER_DAY);
+                    let sd = rng.range_u64(cfg.storm_secs.0, cfg.storm_secs.1 + 1);
+                    contributions.push(Contribution {
+                        start: ss,
+                        end: (ss + sd).min(span),
+                        load: rng.range_f64(cfg.storm_load.0, cfg.storm_load.1),
+                        mem_mb: rng
+                            .range_u64(cfg.storm_mem_mb.0 as u64, cfg.storm_mem_mb.1 as u64 + 1)
+                            as u32,
+                    });
+                }
+            }
+
+            // --- Nightly power-off (office-desktop archetype). ---
+            if let Some((off_h, on_h)) = cfg.nightly_off_hours {
+                if cfg.nightly_off_prob > 0.0 && rng.chance(cfg.nightly_off_prob) {
+                    let off = day * SECS_PER_DAY
+                        + off_h as u64 % 24 * SECS_PER_HOUR
+                        + rng.below(SECS_PER_HOUR);
+                    let on_day = if on_h <= off_h { day + 1 } else { day };
+                    let on = on_day * SECS_PER_DAY
+                        + on_h as u64 % 24 * SECS_PER_HOUR
+                        + rng.below(SECS_PER_HOUR);
+                    if on > off {
+                        downtimes.push((off.min(span), on.min(span)));
+                    }
+                }
+            }
+        }
+
+        // --- Hardware/software failures over the whole span. ---
+        let hw = Exponential::new((cfg.hw_failures_per_day / SECS_PER_DAY as f64).max(1e-12));
+        let hw_down = LogNormal::with_median(cfg.hw_downtime_median_secs, 1.0);
+        let mut t = hw.sample(&mut rng) as u64;
+        while t < span && cfg.hw_failures_per_day > 0.0 {
+            let dur = hw_down.sample(&mut rng).clamp(600.0, 12.0 * 3600.0) as u64;
+            downtimes.push((t, (t + dur).min(span)));
+            t += dur + hw.sample(&mut rng) as u64;
+        }
+
+        sort_by_start(&mut contributions);
+        downtimes.sort_unstable();
+        // Merge overlapping (and touching) downtimes in place.
+        downtimes.dedup_by(|next, last| {
+            let overlaps = next.0 <= last.1;
+            if overlaps {
+                last.1 = last.1.max(next.1);
+            }
+            overlaps
+        });
+
+        // A reboot or crash kills every user process: truncate
+        // contributions at the first downtime they overlap (the user logs
+        // back in as a *new* session, which we do not re-create). The
+        // contributions come in start order and the merged downtimes are
+        // sorted and disjoint, so the first downtime ending after a start
+        // never lies before the one found for an earlier start: one
+        // cursor walks the downtimes once for the whole plan.
+        let mut next_down = 0;
+        for c in &mut contributions {
+            // An outage that ended by the time this process started.
+            while next_down < downtimes.len() && downtimes[next_down].1 <= c.start {
+                next_down += 1;
+            }
+            if let Some(&(ds, _)) = downtimes.get(next_down) {
+                if ds < c.end {
+                    // The outage overlaps the contribution: it dies at the
+                    // outage start (or never ran if it "started" mid-outage).
+                    c.end = ds.max(c.start);
+                }
+            }
+        }
+        // A plan lives as long as its trace, so it keeps the contributions
+        // that ran in a vector of exactly their number. Copied, not shrunk
+        // in place: under glibc, shrinking the large vector in place cost
+        // page faults on every large plan and up to half again a fleet
+        // sweep's peak RSS (DESIGN.md §15.6).
+        let ran = |c: &&Contribution| c.end > c.start;
+        let mut kept = Vec::with_capacity(contributions.iter().filter(ran).count());
+        kept.extend(contributions.iter().filter(ran));
+        downtimes.shrink_to_fit();
+
+        MachinePlan {
+            cfg: cfg.clone(),
+            contributions: kept,
+            downtimes,
+            noise_seed: rng.next_u64(),
+        }
+    }
+
+    /// Downtime intervals (for tests and ground-truth comparisons).
+    pub fn downtimes(&self) -> &[(u64, u64)] {
+        &self.downtimes
+    }
+
+    /// Iterates monitor samples over the whole span.
+    pub fn samples(&self) -> SampleIter<'_> {
+        SampleIter {
+            cfg: &self.cfg,
+            spans: self.spans(),
+            span: PlanSpan::default(),
+            t: 0,
+            noise: Rng::new(self.noise_seed),
+        }
+    }
+
+    /// Seed of the per-sample background-noise stream (the batched
+    /// tracer replays it sample-for-sample to stay bit-identical with
+    /// [`Self::samples`]).
+    pub(crate) fn noise_seed(&self) -> u64 {
+        self.noise_seed
+    }
+
+    /// Walks the maximal time spans over which the machine's state is
+    /// constant: same liveness, same set of active contributions. Within
+    /// a span every monitor sample differs only by the background-noise
+    /// draw, which lets the fleet tracer process whole spans at a time
+    /// instead of re-deriving the active set per sample.
+    ///
+    /// The spans exactly tile `[0, span_secs)`, and evaluating
+    /// [`Self::samples`] at any `t` inside a span observes precisely
+    /// `loads`/`mem_mb` (alive) or a dead sample. The walk fills one
+    /// caller-owned [`PlanSpan`] per step ([`PlanSpanIter::next_into`]):
+    /// a 92-day student-lab machine has some 5,500 live spans, and a
+    /// fresh `loads` vector for each would be most of the walk's cost.
+    pub fn spans(&self) -> PlanSpanIter<'_> {
+        PlanSpanIter {
+            plan: self,
+            t: 0,
+            next_contrib: 0,
+            active: Vec::new(),
+            next_down: 0,
+        }
+    }
+}
+
+/// A maximal constant-state span of a [`MachinePlan`]: see
+/// [`MachinePlan::spans`]. The default is an empty span at `0`, for a
+/// walk to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PlanSpan {
+    /// Span start, inclusive (seconds since trace start).
+    pub start: u64,
+    /// Span end, exclusive.
+    pub end: u64,
+    /// True if the machine is down for the whole span.
+    pub dead: bool,
+    /// Load of each active contribution, in activation order: a
+    /// sample's load is `noise + loads[0] + loads[1] + …`, added in
+    /// exactly that order.
+    pub loads: Vec<f64>,
+    /// Total resident memory over the span, MB (the saturating fold is
+    /// order-deterministic, so it is safe to precompute).
+    pub mem_mb: u32,
+}
+
+/// The walk over a plan's [`PlanSpan`]s: see [`MachinePlan::spans`].
+#[derive(Debug, Clone)]
+pub struct PlanSpanIter<'a> {
+    plan: &'a MachinePlan,
+    t: u64,
+    next_contrib: usize,
+    active: Vec<Contribution>,
+    next_down: usize,
+}
+
+impl PlanSpanIter<'_> {
+    /// Overwrites `span` with the next span, reusing its `loads` buffer,
+    /// or returns false (leaving `span` as it was) once the spans have
+    /// tiled the trace. A walk that keeps passing the same `span`
+    /// allocates only while the active set reaches a new high.
+    pub fn next_into(&mut self, span: &mut PlanSpan) -> bool {
+        let plan = self.plan;
+        let span_secs = plan.cfg.span_secs();
+        if self.t >= span_secs {
+            return false;
+        }
+        let t = self.t;
+
+        // The active set at time `t`, in activation order.
+        while self.next_contrib < plan.contributions.len()
+            && plan.contributions[self.next_contrib].start <= t
+        {
+            self.active.push(plan.contributions[self.next_contrib]);
+            self.next_contrib += 1;
+        }
+        self.active.retain(|c| c.end > t);
+        while self.next_down < plan.downtimes.len() && plan.downtimes[self.next_down].1 <= t {
+            self.next_down += 1;
+        }
+        let down = plan.downtimes.get(self.next_down);
+        let dead = down.map(|&(s, e)| s <= t && t < e).unwrap_or(false);
+
+        // The span extends to the next state change: a contribution
+        // starting or ending, or a downtime boundary.
+        let mut end = span_secs;
+        if let Some(c) = plan.contributions.get(self.next_contrib) {
+            end = end.min(c.start);
+        }
+        for c in &self.active {
+            end = end.min(c.end);
+        }
+        if let Some(&(s, e)) = down {
+            end = end.min(if dead { e } else { s.max(t + 1) });
+        }
+        debug_assert!(end > t, "span must advance");
+        self.t = end;
+
+        span.start = t;
+        span.end = end;
+        span.dead = dead;
+        span.loads.clear();
+        span.mem_mb = 0;
+        if !dead {
+            let mut mem = plan.cfg.base_resident_mb;
+            for c in &self.active {
+                span.loads.push(c.load);
+                mem = mem.saturating_add(c.mem_mb);
+            }
+            span.mem_mb = mem;
+        }
+        true
+    }
+}
+
+/// Iterator over a machine's monitor samples: one per monitor period,
+/// each read off the [`PlanSpan`] that contains its timestamp (a span
+/// shorter than the period can fall between two samples and is never
+/// observed). [`MachinePlan::spans`] is the one definition of what is
+/// active when; this only adds the per-sample background noise.
+#[derive(Debug, Clone)]
+pub struct SampleIter<'a> {
+    cfg: &'a LabConfig,
+    spans: PlanSpanIter<'a>,
+    /// The span containing the last sample (empty before the first).
+    span: PlanSpan,
+    t: u64,
+    noise: Rng,
+}
+
+impl Iterator for SampleIter<'_> {
+    type Item = LoadSample;
+
+    #[inline]
+    fn next(&mut self) -> Option<LoadSample> {
+        let t = self.t;
+        while t >= self.span.end {
+            // The spans tile [0, span_secs): running out of them is
+            // running out of trace.
+            if !self.spans.next_into(&mut self.span) {
+                return None;
+            }
+        }
+        self.t += self.cfg.sample_period;
+        Some(
+            self.span
+                .sample_at(t, &mut self.noise, self.cfg.idle_load_max),
+        )
+    }
+}
+
+impl PlanSpan {
+    /// The monitor sample at `t` inside this span. An alive sample draws
+    /// its background noise from `noise` (`[0, idle_load_max)`) and adds
+    /// the span's loads to it in order; a dead one draws nothing.
+    #[inline]
+    pub(crate) fn sample_at(&self, t: u64, noise: &mut Rng, idle_load_max: f64) -> LoadSample {
+        if self.dead {
+            return LoadSample {
+                t,
+                host_load: 0.0,
+                host_resident_mb: 0,
+                alive: false,
+            };
+        }
+        LoadSample {
+            t,
+            host_load: self.load_with(noise.range_f64(0.0, idle_load_max)),
+            host_resident_mb: self.mem_mb,
+            alive: true,
+        }
+    }
+
+    /// The host load of an alive sample whose background noise is
+    /// `noise`: the span's loads added to it in order, capped at 1.
+    #[inline]
+    pub(crate) fn load_with(&self, noise: f64) -> f64 {
+        let mut load = noise;
+        for &l in &self.loads {
+            load += l;
+        }
+        load.min(1.0)
+    }
+
+    /// `(lo, hi)` with every alive sample's load in `[lo, hi]`: the loads
+    /// folded onto noise `0` and onto noise `idle_load_max`. Rounded f64
+    /// addition and `min` are monotone, and the noise draw never leaves
+    /// `[0, idle_load_max]`.
+    pub(crate) fn load_bounds(&self, idle_load_max: f64) -> (f64, f64) {
+        (self.load_with(0.0), self.load_with(idle_load_max))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `samples()` was before it became a walk over `spans()`: its
+    /// own activate / retire / downtime bookkeeping, re-run per sample.
+    /// Kept as the reference the span walk must equal bit for bit.
+    fn reference_samples(plan: &MachinePlan) -> Vec<LoadSample> {
+        let cfg = &plan.cfg;
+        let mut noise = Rng::new(plan.noise_seed);
+        let mut active: Vec<Contribution> = Vec::new();
+        let (mut next_contrib, mut next_down) = (0, 0);
+        let mut out = Vec::new();
+        let mut t = 0;
+        while t < cfg.span_secs() {
+            while next_contrib < plan.contributions.len()
+                && plan.contributions[next_contrib].start <= t
+            {
+                active.push(plan.contributions[next_contrib]);
+                next_contrib += 1;
+            }
+            active.retain(|c| c.end > t);
+            while next_down < plan.downtimes.len() && plan.downtimes[next_down].1 <= t {
+                next_down += 1;
+            }
+            let down = plan
+                .downtimes
+                .get(next_down)
+                .is_some_and(|&(s, e)| s <= t && t < e);
+            out.push(if down {
+                LoadSample {
+                    t,
+                    host_load: 0.0,
+                    host_resident_mb: 0,
+                    alive: false,
+                }
+            } else {
+                let mut load: f64 = noise.range_f64(0.0, cfg.idle_load_max);
+                let mut mem = cfg.base_resident_mb;
+                for c in &active {
+                    load += c.load;
+                    mem = mem.saturating_add(c.mem_mb);
+                }
+                LoadSample {
+                    t,
+                    host_load: load.min(1.0),
+                    host_resident_mb: mem,
+                    alive: true,
+                }
+            });
+            t += cfg.sample_period;
+        }
+        out
+    }
+
+    /// [`MachinePlan::generate`] as it was before it became linear: a
+    /// comparison sort, a truncation that rescans the downtimes from the
+    /// first for every contribution, and an arrival rate and `exp` per
+    /// hour of the trace. Kept as the reference the linear generator
+    /// must equal plan for plan.
+    fn reference_generate(cfg: &LabConfig, machine_id: usize) -> MachinePlan {
         let mut rng = Rng::for_stream(cfg.seed, machine_id as u64);
         let busyness = if cfg.machines > 1 {
             1.0 - cfg.machine_busyness_spread / 2.0
@@ -494,274 +1028,95 @@ impl MachinePlan {
         }
     }
 
-    /// Downtime intervals (for tests and ground-truth comparisons).
-    pub fn downtimes(&self) -> &[(u64, u64)] {
-        &self.downtimes
-    }
-
-    /// Iterates monitor samples over the whole span.
-    pub fn samples(&self) -> SampleIter<'_> {
-        SampleIter {
-            cfg: &self.cfg,
-            spans: self.spans(),
-            span: PlanSpan {
-                start: 0,
-                end: 0,
-                dead: false,
-                loads: Vec::new(),
-                mem_mb: 0,
-            },
-            t: 0,
-            noise: Rng::new(self.noise_seed),
-        }
-    }
-
-    /// Seed of the per-sample background-noise stream (the batched
-    /// tracer replays it sample-for-sample to stay bit-identical with
-    /// [`Self::samples`]).
-    pub(crate) fn noise_seed(&self) -> u64 {
-        self.noise_seed
-    }
-
-    /// Iterates maximal time spans over which the machine's state is
-    /// constant: same liveness, same set of active contributions. Within
-    /// a span every monitor sample differs only by the background-noise
-    /// draw, which lets the fleet tracer process whole spans at a time
-    /// instead of re-deriving the active set per sample.
-    ///
-    /// The spans exactly tile `[0, span_secs)`, and evaluating
-    /// [`Self::samples`] at any `t` inside a span observes precisely
-    /// `loads`/`mem_mb` (alive) or a dead sample.
-    pub fn spans(&self) -> PlanSpanIter<'_> {
-        PlanSpanIter {
-            plan: self,
-            t: 0,
-            next_contrib: 0,
-            active: Vec::new(),
-            next_down: 0,
-        }
-    }
-}
-
-/// A maximal constant-state span of a [`MachinePlan`]: see
-/// [`MachinePlan::spans`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSpan {
-    /// Span start, inclusive (seconds since trace start).
-    pub start: u64,
-    /// Span end, exclusive.
-    pub end: u64,
-    /// True if the machine is down for the whole span.
-    pub dead: bool,
-    /// Load of each active contribution, in activation order: a
-    /// sample's load is `noise + loads[0] + loads[1] + …`, added in
-    /// exactly that order.
-    pub loads: Vec<f64>,
-    /// Total resident memory over the span, MB (the saturating fold is
-    /// order-deterministic, so it is safe to precompute).
-    pub mem_mb: u32,
-}
-
-/// Iterator over [`PlanSpan`]s: see [`MachinePlan::spans`].
-#[derive(Debug, Clone)]
-pub struct PlanSpanIter<'a> {
-    plan: &'a MachinePlan,
-    t: u64,
-    next_contrib: usize,
-    active: Vec<Contribution>,
-    next_down: usize,
-}
-
-impl Iterator for PlanSpanIter<'_> {
-    type Item = PlanSpan;
-
-    fn next(&mut self) -> Option<PlanSpan> {
-        let plan = self.plan;
-        let span_secs = plan.cfg.span_secs();
-        if self.t >= span_secs {
-            return None;
-        }
-        let t = self.t;
-
-        // The active set at time `t`, in activation order.
-        while self.next_contrib < plan.contributions.len()
-            && plan.contributions[self.next_contrib].start <= t
-        {
-            self.active.push(plan.contributions[self.next_contrib]);
-            self.next_contrib += 1;
-        }
-        self.active.retain(|c| c.end > t);
-        while self.next_down < plan.downtimes.len() && plan.downtimes[self.next_down].1 <= t {
-            self.next_down += 1;
-        }
-        let down = plan.downtimes.get(self.next_down);
-        let dead = down.map(|&(s, e)| s <= t && t < e).unwrap_or(false);
-
-        // The span extends to the next state change: a contribution
-        // starting or ending, or a downtime boundary.
-        let mut end = span_secs;
-        if let Some(c) = plan.contributions.get(self.next_contrib) {
-            end = end.min(c.start);
-        }
-        for c in &self.active {
-            end = end.min(c.end);
-        }
-        if let Some(&(s, e)) = down {
-            end = end.min(if dead { e } else { s.max(t + 1) });
-        }
-        debug_assert!(end > t, "span must advance");
-        self.t = end;
-
-        let (loads, mem_mb) = if dead {
-            (Vec::new(), 0)
-        } else {
-            let mut mem = plan.cfg.base_resident_mb;
-            let mut loads = Vec::with_capacity(self.active.len());
-            for c in &self.active {
-                loads.push(c.load);
-                mem = mem.saturating_add(c.mem_mb);
-            }
-            (loads, mem)
-        };
-        Some(PlanSpan {
-            start: t,
-            end,
-            dead,
-            loads,
-            mem_mb,
-        })
-    }
-}
-
-/// Iterator over a machine's monitor samples: one per monitor period,
-/// each read off the [`PlanSpan`] that contains its timestamp (a span
-/// shorter than the period can fall between two samples and is never
-/// observed). [`MachinePlan::spans`] is the one definition of what is
-/// active when; this only adds the per-sample background noise.
-#[derive(Debug, Clone)]
-pub struct SampleIter<'a> {
-    cfg: &'a LabConfig,
-    spans: PlanSpanIter<'a>,
-    /// The span containing the last sample (empty before the first).
-    span: PlanSpan,
-    t: u64,
-    noise: Rng,
-}
-
-impl Iterator for SampleIter<'_> {
-    type Item = LoadSample;
-
-    #[inline]
-    fn next(&mut self) -> Option<LoadSample> {
-        let t = self.t;
-        while t >= self.span.end {
-            // The spans tile [0, span_secs): running out of them is
-            // running out of trace.
-            self.span = self.spans.next()?;
-        }
-        self.t += self.cfg.sample_period;
-        Some(
-            self.span
-                .sample_at(t, &mut self.noise, self.cfg.idle_load_max),
-        )
-    }
-}
-
-impl PlanSpan {
-    /// The monitor sample at `t` inside this span. An alive sample draws
-    /// its background noise from `noise` (`[0, idle_load_max)`) and adds
-    /// the span's loads to it in order; a dead one draws nothing.
-    #[inline]
-    pub(crate) fn sample_at(&self, t: u64, noise: &mut Rng, idle_load_max: f64) -> LoadSample {
-        if self.dead {
-            return LoadSample {
-                t,
-                host_load: 0.0,
-                host_resident_mb: 0,
-                alive: false,
-            };
-        }
-        LoadSample {
-            t,
-            host_load: self.load_with(noise.range_f64(0.0, idle_load_max)),
-            host_resident_mb: self.mem_mb,
-            alive: true,
-        }
-    }
-
-    /// The host load of an alive sample whose background noise is
-    /// `noise`: the span's loads added to it in order, capped at 1.
-    #[inline]
-    pub(crate) fn load_with(&self, noise: f64) -> f64 {
-        let mut load = noise;
-        for &l in &self.loads {
-            load += l;
-        }
-        load.min(1.0)
-    }
-
-    /// `(lo, hi)` with every alive sample's load in `[lo, hi]`: the loads
-    /// folded onto noise `0` and onto noise `idle_load_max`. Rounded f64
-    /// addition and `min` are monotone, and the noise draw never leaves
-    /// `[0, idle_load_max]`.
-    pub(crate) fn load_bounds(&self, idle_load_max: f64) -> (f64, f64) {
-        (self.load_with(0.0), self.load_with(idle_load_max))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// What `samples()` was before it became a walk over `spans()`: its
-    /// own activate / retire / downtime bookkeeping, re-run per sample.
-    /// Kept as the reference the span walk must equal bit for bit.
-    fn reference_samples(plan: &MachinePlan) -> Vec<LoadSample> {
-        let cfg = &plan.cfg;
-        let mut noise = Rng::new(plan.noise_seed);
-        let mut active: Vec<Contribution> = Vec::new();
-        let (mut next_contrib, mut next_down) = (0, 0);
-        let mut out = Vec::new();
-        let mut t = 0;
-        while t < cfg.span_secs() {
-            while next_contrib < plan.contributions.len()
-                && plan.contributions[next_contrib].start <= t
+    /// `samples()` of `plan` against [`reference_samples`] of `want`, bit
+    /// for bit.
+    fn assert_same_samples(plan: &MachinePlan, want: &MachinePlan) -> Result<(), String> {
+        let mut want_samples = reference_samples(want).into_iter();
+        for g in plan.samples() {
+            let w = want_samples.next().ok_or("extra sample")?;
+            if !(g.t == w.t
+                && g.host_load.to_bits() == w.host_load.to_bits()
+                && g.host_resident_mb == w.host_resident_mb
+                && g.alive == w.alive)
             {
-                active.push(plan.contributions[next_contrib]);
-                next_contrib += 1;
+                return Err(format!("{g:?} != {w:?}"));
             }
-            active.retain(|c| c.end > t);
-            while next_down < plan.downtimes.len() && plan.downtimes[next_down].1 <= t {
-                next_down += 1;
-            }
-            let down = plan
-                .downtimes
-                .get(next_down)
-                .is_some_and(|&(s, e)| s <= t && t < e);
-            out.push(if down {
-                LoadSample {
-                    t,
-                    host_load: 0.0,
-                    host_resident_mb: 0,
-                    alive: false,
-                }
-            } else {
-                let mut load: f64 = noise.range_f64(0.0, cfg.idle_load_max);
-                let mut mem = cfg.base_resident_mb;
-                for c in &active {
-                    load += c.load;
-                    mem = mem.saturating_add(c.mem_mb);
-                }
-                LoadSample {
-                    t,
-                    host_load: load.min(1.0),
-                    host_resident_mb: mem,
-                    alive: true,
-                }
-            });
-            t += cfg.sample_period;
         }
-        out
+        match want_samples.next() {
+            Some(w) => Err(format!("missing sample {w:?}")),
+            None => Ok(()),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The linear generator on labs built to stress what it
+        /// changed: thousands of contributions, many with equal starts
+        /// (dense blips and storms), and hundreds of downtimes (nightly
+        /// power-offs, lid closes, reboots and failures) to truncate at.
+        #[test]
+        fn generate_equals_the_reference_plan_and_samples(
+            (seed, machine, machines, days, start_weekday) in
+                (proptest::prelude::any::<u64>(), 0usize..8, 1usize..8, 1usize..=240, 0u8..7),
+            (blips_per_hour, storms_per_day, bursts_per_session_hour) in
+                (0.0f64..=24.0, 0.0f64..=12.0, 0.0f64..=4.0),
+            (nightly_off, off_hour, on_hour, nightly_off_prob) in
+                (proptest::bool::weighted(0.5), 0u8..24, 0u8..24, 0.9f64..=1.0),
+            (lid_close_per_session_hour, reboots_per_session_hour, hw_failures_per_day) in
+                (0.0f64..=3.0, 0.0f64..=2.0, 0.0f64..=3.0),
+            (sample_period, occupancy) in (30u64..=300, 0.0f64..=1.0),
+        ) {
+            let cfg = LabConfig {
+                seed,
+                machines,
+                days,
+                sample_period,
+                start_weekday,
+                weekday_occupancy: LabConfig::default().weekday_occupancy.map(|p| p * 2.0 * occupancy),
+                blips_per_hour,
+                storms_per_day,
+                bursts_per_session_hour,
+                nightly_off_hours: nightly_off.then_some((off_hour, on_hour)),
+                nightly_off_prob,
+                lid_close_per_session_hour,
+                reboots_per_session_hour,
+                hw_failures_per_day,
+                ..LabConfig::default()
+            };
+            let machine = machine % machines;
+            let plan = MachinePlan::generate(&cfg, machine);
+            let want = reference_generate(&cfg, machine);
+            proptest::prop_assert!(plan == want, "plans differ: {days} days, machine {machine}");
+            proptest::prop_assert_eq!(plan.contributions.capacity(), plan.contributions.len());
+            proptest::prop_assert_eq!(plan.downtimes.capacity(), plan.downtimes.len());
+            let same = assert_same_samples(&plan, &want);
+            proptest::prop_assert!(same.is_ok(), "{}", same.unwrap_err());
+        }
+
+        /// Starts drawn from a handful of values, so nearly every
+        /// contribution ties with others: the radix sort must leave each
+        /// tie in push order, as the stable comparison sort does.
+        #[test]
+        fn sort_by_start_is_the_stable_sort(
+            starts in proptest::collection::vec(0u64..6, 0..400),
+            scale in 0u32..40,
+        ) {
+            let mut got: Vec<Contribution> = starts
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| Contribution {
+                    start: s << scale,
+                    end: i as u64,
+                    load: i as f64,
+                    mem_mb: 0,
+                })
+                .collect();
+            let mut want = got.clone();
+            want.sort_by_key(|c| c.start);
+            sort_by_start(&mut got);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! detector, and every unavailability occurrence is recorded together
 //! with the mean available CPU/memory of the preceding availability
 //! interval.
+//!
+//! The product tracers ([`trace_machine_batched`],
+//! [`trace_machine_supervised`]) walk the machine's plan one
+//! [`PlanSpan`] at a time through [`crate::lab::PlanSpanIter::next_into`],
+//! reusing one span and its `loads` buffer for the whole walk: tracing a
+//! machine allocates a number of times that does not grow with its span
+//! count (`tests/alloc_counts.rs`). The per-sample oracles
+//! ([`trace_machine`], [`trace_machine_supervised_per_sample`]) read
+//! [`MachinePlan::samples`], which walks the same spans.
 
 use fgcs_core::detector::DetectorConfig;
 use fgcs_core::monitor::Observation;
@@ -277,7 +286,8 @@ pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<Trac
     let kernel = SpanKernel::new(&cfg.lab, &cfg.detector);
     let mut recorder = OccurrenceRecorder::new(machine_id as u32, cfg.detector);
     let mut noise = Rng::new(plan.noise_seed());
-    for span in plan.spans() {
+    let (mut spans, mut span) = (plan.spans(), PlanSpan::default());
+    while spans.next_into(&mut span) {
         // First monitor tick inside the span; spans shorter than the
         // sampling period can fall between ticks and are never observed
         // (exactly as in the sample-by-sample path).
@@ -556,8 +566,9 @@ pub fn trace_machine_supervised(
     let mut sv = Supervision::new(lab, detector, sup, &crash_plan.times, machine_id);
     let mut injector = Injector::new(faults, machine_id as u64);
     let mut noise = Rng::new(plan.noise_seed());
+    let (mut spans, mut span) = (plan.spans(), PlanSpan::default());
 
-    'spans: for span in plan.spans() {
+    'spans: while spans.next_into(&mut span) {
         let mut t = span.start.div_ceil(p) * p;
         while t < span.end {
             if injector.is_quiet() {
@@ -961,7 +972,10 @@ mod tests {
         let mut lab = LabConfig::tiny();
         lab.hw_failures_per_day = 0.3; // force downtimes into the window
         let plan = MachinePlan::generate(&lab, 1);
-        let spans: Vec<_> = plan.spans().collect();
+        let (mut walk, mut span, mut spans) = (plan.spans(), PlanSpan::default(), Vec::new());
+        while walk.next_into(&mut span) {
+            spans.push(span.clone());
+        }
         assert_eq!(spans.first().unwrap().start, 0);
         assert_eq!(spans.last().unwrap().end, lab.span_secs());
         for w in spans.windows(2) {

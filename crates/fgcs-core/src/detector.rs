@@ -416,11 +416,44 @@ impl Detector {
         )
     }
 
+    /// While the harvest-delay clock runs (unavailable, calm since `s`):
+    /// `s + harvest_delay`. Absent a censoring gap, a calm observation
+    /// before it changes only the gap-policy clock; the first calm one
+    /// at or after it ends the occurrence. `None` while no clock runs.
+    #[inline]
+    pub fn harvest_deadline(&self) -> Option<u64> {
+        match self.mode {
+            Mode::Unavailable {
+                calm_since: Some(s),
+                ..
+            } => Some(s.saturating_add(self.cfg.harvest_delay)),
+            _ => None,
+        }
+    }
+
+    /// While a spike is tolerated (available, above `Th2` since `s0`):
+    /// `s0 + spike_tolerance`. Absent a censoring gap, a live, excessive
+    /// observation whose memory fits changes only the gap-policy clock
+    /// before it; the first one at or after it opens an S3 occurrence.
+    /// `None` while no spike is pending.
+    #[inline]
+    pub fn spike_deadline(&self) -> Option<u64> {
+        match self.mode {
+            Mode::Available {
+                spike_since: Some(s0),
+                ..
+            } => Some(s0.saturating_add(self.cfg.spike_tolerance)),
+            _ => None,
+        }
+    }
+
     /// Moves the gap-policy clock to `t` as if the stream had been
     /// observed up to `t`, without stepping. Only sound for a caller
     /// that has proven the observations it skips could not change the
     /// state and were never more than `max_silence` apart — a batched
-    /// tracer skipping repeated dead samples or calm idle ones.
+    /// tracer skipping repeated dead samples, calm idle ones, or the
+    /// samples before [`Self::harvest_deadline`] or
+    /// [`Self::spike_deadline`].
     pub fn skip_to(&mut self, t: u64) {
         debug_assert!(
             self.last_t.is_none_or(|last| last <= t),
@@ -1172,6 +1205,99 @@ mod tests {
                 assert_eq!(a, b, "divergence after cut {cut} at t {t}");
             }
             assert_eq!(full.snapshot(), restored.snapshot(), "cut {cut}");
+        }
+    }
+
+    /// The detector's state with the gap-policy clock masked: what a
+    /// sample inside one of the two waits must leave unchanged.
+    fn without_clock(d: &Detector) -> DetectorSnapshot {
+        match d.snapshot() {
+            DetectorSnapshot::Available {
+                band, spike_since, ..
+            } => DetectorSnapshot::Available {
+                band,
+                spike_since,
+                last_t: None,
+            },
+            DetectorSnapshot::Unavailable {
+                cause,
+                calm_since,
+                revived,
+                ..
+            } => DetectorSnapshot::Unavailable {
+                cause,
+                calm_since,
+                revived,
+                last_t: None,
+            },
+        }
+    }
+
+    /// Feeds `o` every `period` from `t` on and returns the first time
+    /// at which it changed anything but the gap-policy clock.
+    fn first_change(d: &mut Detector, mut t: u64, period: u64, o: &Observation) -> u64 {
+        loop {
+            let before = without_clock(d);
+            let step = d.observe(t, o);
+            if without_clock(d) != before || !step.edges.is_empty() || step.action.is_some() {
+                return t;
+            }
+            t += period;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The two deadlines are exact: a calm stream inside the harvest
+        /// wait, or an excessive one inside the spike tolerance, first
+        /// changes the detector at the first sample at or after the
+        /// accessor's deadline, for any timing and any gap policy that
+        /// the stream's period never trips.
+        #[test]
+        fn each_wait_ends_at_the_first_sample_at_or_after_its_deadline(
+            (harvest_delay, spike_tolerance, period, t0) in
+                (1u64..2_000, 1u64..600, 1u64..120, 0u64..100_000),
+            slack in proptest::option::of(0u64..200),
+            (calm_load, excessive_load) in (0.0f64..=0.6, 0.600_001f64..=1.0),
+        ) {
+            let cfg = DetectorConfig {
+                harvest_delay,
+                spike_tolerance,
+                max_silence: slack.map(|s| period + s),
+                ..cfg()
+            };
+
+            // Harvest wait: S4, then a calm stream from `t0 + period`.
+            let mut d = Detector::new(cfg);
+            d.observe(t0, &Observation { free_mem_mb: 0, ..obs(calm_load) });
+            proptest::prop_assert_eq!(d.harvest_deadline(), None);
+            let since = t0 + period;
+            d.observe(since, &obs(calm_load));
+            let deadline = d.harvest_deadline().expect("the calm clock runs");
+            proptest::prop_assert_eq!(deadline, since + harvest_delay);
+            proptest::prop_assert_eq!(d.spike_deadline(), None);
+            let first = since + deadline.saturating_sub(since).div_ceil(period) * period;
+            let changed = first_change(&mut d, since + period, period, &obs(calm_load));
+            proptest::prop_assert_eq!(changed, first, "harvest deadline {}", deadline);
+            proptest::prop_assert!(d.is_available());
+            proptest::prop_assert_eq!(d.harvest_deadline(), None);
+
+            // Spike tolerance: calm, then an excessive stream from
+            // `t0 + period`.
+            let mut d = Detector::new(cfg);
+            d.observe(t0, &obs(calm_load));
+            proptest::prop_assert_eq!(d.spike_deadline(), None);
+            let s0 = t0 + period;
+            d.observe(s0, &obs(excessive_load));
+            let deadline = d.spike_deadline().expect("the spike is tolerated");
+            proptest::prop_assert_eq!(deadline, s0 + spike_tolerance);
+            proptest::prop_assert_eq!(d.harvest_deadline(), None);
+            let first = s0 + deadline.saturating_sub(s0).div_ceil(period) * period;
+            let changed = first_change(&mut d, s0 + period, period, &obs(excessive_load));
+            proptest::prop_assert_eq!(changed, first, "spike deadline {}", deadline);
+            proptest::prop_assert_eq!(d.state(), AvailState::S3);
+            proptest::prop_assert_eq!(d.spike_deadline(), None);
         }
     }
 

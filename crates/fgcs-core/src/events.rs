@@ -189,16 +189,42 @@ impl OccurrenceRecorder {
         step
     }
 
-    /// Fast path for batched tracers: credits one available sample to
-    /// the running interval means without stepping the detector. Only
-    /// valid when the detector is calmly available (`is_available()`,
-    /// no pending spike) and the observation could not change that —
-    /// the float operations mirror [`Self::observe`] exactly.
+    /// See [`Detector::harvest_deadline`].
     #[inline]
-    pub fn accumulate_available_sample(&mut self, host_load: f64, free_mem_mb: u32) {
-        self.avail_cpu_sum += 1.0 - host_load;
-        self.avail_mem_sum += free_mem_mb as f64;
-        self.avail_samples += 1;
+    pub fn harvest_deadline(&self) -> Option<u64> {
+        self.detector.harvest_deadline()
+    }
+
+    /// See [`Detector::spike_deadline`].
+    #[inline]
+    pub fn spike_deadline(&self) -> Option<u64> {
+        self.detector.spike_deadline()
+    }
+
+    /// Fast path for batched tracers: credits `n` alive samples, with
+    /// free memory `free_mem_mb` and loads `host_load()` drawn in
+    /// order, to the running interval means without stepping the
+    /// detector. Only valid while the detector is available and none
+    /// of the observations could change its state (a calm run, or the
+    /// samples before [`Self::spike_deadline`]) — the float operations
+    /// and their order are [`Self::observe`]'s, with the sums held in
+    /// registers for the run.
+    #[inline]
+    pub fn credit_available(
+        &mut self,
+        n: u64,
+        free_mem_mb: u32,
+        mut host_load: impl FnMut() -> f64,
+    ) {
+        let mem = free_mem_mb as f64;
+        let (mut cpu_sum, mut mem_sum) = (self.avail_cpu_sum, self.avail_mem_sum);
+        for _ in 0..n {
+            cpu_sum += 1.0 - host_load();
+            mem_sum += mem;
+        }
+        self.avail_cpu_sum = cpu_sum;
+        self.avail_mem_sum = mem_sum;
+        self.avail_samples += n;
     }
 
     /// Fast path for batched tracers: moves the detector's gap-policy
@@ -358,6 +384,46 @@ mod tests {
         );
         assert_eq!(r.avail_mem_mb, 100);
         assert_eq!(rec.snapshot().open, None, "the occurrence closed");
+    }
+
+    /// The running means of a snapshot, by their bits.
+    fn sums(recorder: &OccurrenceRecorder) -> (u64, u64, u64) {
+        let snap = recorder.snapshot();
+        (
+            snap.avail_cpu_sum.to_bits(),
+            snap.avail_mem_sum.to_bits(),
+            snap.avail_samples,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One `credit_available` call over a run equals observing the
+        /// run sample by sample, bit for bit, from any running means.
+        #[test]
+        fn bulk_credit_equals_per_sample_crediting(
+            prefix in proptest::collection::vec((0.0f64..=0.6, 10u32..4096), 0..40),
+            run in proptest::collection::vec(0.0f64..=0.6, 0..300),
+            free_mem_mb in 10u32..4096,
+        ) {
+            let mut start = OccurrenceRecorder::new(0, config());
+            let mut t = 0;
+            for &(load, free) in &prefix {
+                start.observe(t, &Observation::sampled(true, load, free));
+                t += 15;
+            }
+            let mut bulk = start.clone();
+            let mut loads = run.iter();
+            bulk.credit_available(run.len() as u64, free_mem_mb, || *loads.next().unwrap());
+            let mut stepped = start;
+            for &load in &run {
+                stepped.observe(t, &Observation::sampled(true, load, free_mem_mb));
+                t += 15;
+            }
+            proptest::prop_assert!(stepped.is_available());
+            proptest::prop_assert_eq!(sums(&bulk), sums(&stepped));
+        }
     }
 
     #[test]

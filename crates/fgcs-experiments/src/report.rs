@@ -1,7 +1,7 @@
 //! Report formatting and CSV output for the experiment binaries.
 
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Where CSV outputs land.
@@ -15,11 +15,12 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<P
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path)?;
+    let mut f = io::BufWriter::new(fs::File::create(&path)?);
     writeln!(f, "{header}")?;
     for r in rows {
         writeln!(f, "{r}")?;
     }
+    f.flush()?;
     Ok(path)
 }
 

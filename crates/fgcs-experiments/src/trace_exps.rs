@@ -8,6 +8,7 @@
 //! before printing anything.
 
 use std::borrow::Cow;
+use std::io::Write;
 use std::sync::OnceLock;
 
 use fgcs_stats::sketch::DEFAULT_K;
@@ -319,12 +320,14 @@ pub fn dump_trace(quick: bool) {
     std::fs::create_dir_all(&dir).expect("mkdir results");
     let jsonl = dir.join("trace.jsonl");
     let csv = dir.join("trace.csv");
-    trace
-        .write_jsonl(std::fs::File::create(&jsonl).expect("create"))
-        .expect("write jsonl");
-    trace
-        .write_csv(std::fs::File::create(&csv).expect("create"))
-        .expect("write csv");
+    // Buffered, with an explicit flush so a write error still surfaces.
+    let create = |path| std::io::BufWriter::new(std::fs::File::create(path).expect("create"));
+    let mut out = create(&jsonl);
+    trace.write_jsonl(&mut out).expect("write jsonl");
+    out.flush().expect("write jsonl");
+    let mut out = create(&csv);
+    trace.write_csv(&mut out).expect("write csv");
+    out.flush().expect("write csv");
     println!(
         "wrote {} ({} records) and {}",
         jsonl.display(),

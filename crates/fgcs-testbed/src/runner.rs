@@ -108,8 +108,10 @@ pub fn trace_machine(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord>
 
 /// The span kernel: traces a run of consecutive monitor samples of one
 /// [`PlanSpan`] without stepping the detector on samples that provably
-/// cannot change it. The clean span tracer runs it once per span, the
-/// supervised walker once per clean run.
+/// cannot change it — a settled span, or the rest of a harvest wait or
+/// a spike tolerance, whose end the detector already knows. The clean
+/// span tracer runs it once per span, the supervised walker once per
+/// clean run.
 struct SpanKernel<'a> {
     lab: &'a LabConfig,
     th2: f64,
@@ -167,17 +169,22 @@ impl<'a> SpanKernel<'a> {
     ///   one per sample — consecutive dead samples are idempotent for
     ///   the detector;
     /// * a calm run steps the detector only until it is available with
-    ///   no spike pending, then credits the remaining samples straight
-    ///   to the interval means;
+    ///   no spike pending, skipping the samples inside a harvest wait
+    ///   (before [`OccurrenceRecorder::harvest_deadline`], which they
+    ///   cannot end), then credits the remaining samples to the
+    ///   interval means in one call;
     /// * a failing run steps the detector only until one sample has been
-    ///   observed while it was already unavailable, then just draws the
+    ///   observed while it was already unavailable, crediting without a
+    ///   step the samples inside a spike tolerance (before
+    ///   [`OccurrenceRecorder::spike_deadline`]), then just draws the
     ///   remaining samples' noise;
     /// * a mixed run is stepped per sample.
     ///
     /// The per-sample noise draw is always performed — the RNG stream
     /// position and float-add order are what make the paths
-    /// bit-identical. The detector's gap-policy clock ends at the run's
-    /// last sample, as if every sample had been observed.
+    /// bit-identical. The detector's gap-policy clock is moved to the
+    /// last skipped sample before the next stepped one, and ends at the
+    /// run's last sample, as if every sample had been observed.
     #[inline]
     fn trace(
         &self,
@@ -189,6 +196,7 @@ impl<'a> SpanKernel<'a> {
     ) {
         let lab = self.lab;
         let p = lab.sample_period;
+        let idle = lab.idle_load_max;
         let mut t = t0;
         if span.dead {
             if self.may_skip {
@@ -203,16 +211,25 @@ impl<'a> SpanKernel<'a> {
             return;
         }
         let free = lab.free_for_guest_mb(span.mem_mb);
+        let load = |noise: &mut Rng| span.load_with(noise.range_f64(0.0, idle));
         let observe = |recorder: &mut OccurrenceRecorder, noise: &mut Rng, t: u64| {
-            let load = span.load_with(noise.range_f64(0.0, lab.idle_load_max));
             recorder.observe(
                 t,
                 &Observation {
-                    host_load: load,
+                    host_load: load(noise),
                     free_mem_mb: free,
                     alive: true,
                 },
             )
+        };
+        // How many of the samples from `t` fall before `deadline` (and
+        // before the run's end).
+        let before = |t: u64, deadline: u64| deadline.min(end).saturating_sub(t).div_ceil(p);
+        // Draws the noise of `n` samples whose loads nothing reads.
+        let draw = |noise: &mut Rng, n: u64| {
+            for _ in 0..n {
+                noise.range_f64(0.0, idle);
+            }
         };
         let class = if self.may_skip {
             self.class(span, free)
@@ -224,12 +241,19 @@ impl<'a> SpanKernel<'a> {
                 while t < end && (!recorder.is_available() || recorder.spike_active()) {
                     observe(recorder, noise, t);
                     t += p;
+                    // Inside the harvest wait a calm sample moves only
+                    // the silence clock: draw, skip, and step the sample
+                    // at the deadline, which ends the occurrence.
+                    if let Some(deadline) = recorder.harvest_deadline() {
+                        let n = before(t, deadline);
+                        draw(noise, n);
+                        t += n * p;
+                        recorder.skip_to(t - p);
+                    }
                 }
-                while t < end {
-                    let load = span.load_with(noise.range_f64(0.0, lab.idle_load_max));
-                    recorder.accumulate_available_sample(load, free);
-                    t += p;
-                }
+                let n = before(t, end);
+                recorder.credit_available(n, free, || load(noise));
+                t += n * p;
             }
             SpanClass::Failing => {
                 while t < end {
@@ -241,11 +265,21 @@ impl<'a> SpanKernel<'a> {
                     if was_unavailable && step.gap.is_none() {
                         break;
                     }
+                    // Inside the spike tolerance an excessive sample
+                    // moves only the silence clock, but the detector is
+                    // still available, so each one counts toward the
+                    // interval means. The sample at the deadline opens
+                    // the S3 occurrence and is stepped.
+                    if let Some(deadline) = recorder.spike_deadline() {
+                        let n = before(t, deadline);
+                        recorder.credit_available(n, free, || load(noise));
+                        t += n * p;
+                        recorder.skip_to(t - p);
+                    }
                 }
-                while t < end {
-                    noise.range_f64(0.0, lab.idle_load_max);
-                    t += p;
-                }
+                let n = before(t, end);
+                draw(noise, n);
+                t += n * p;
             }
             SpanClass::Mixed => {
                 while t < end {
@@ -272,14 +306,17 @@ impl<'a> SpanKernel<'a> {
 ///   first monitor tick inside the span) instead of thousands;
 /// * calm spans (every sample's load at most `Th2`, memory above the
 ///   guest floor) step the detector only until it is available with no
-///   spike pending, then credit the remaining samples straight to the
-///   interval means;
+///   spike pending — a harvest wait is skipped to its deadline, where
+///   one step ends the occurrence — then credit the remaining samples
+///   to the interval means in one call;
 /// * failing spans (memory under the guest floor, or every sample's
-///   load over `Th2`) step it only until it has settled unavailable,
-///   then just draw the remaining samples' noise;
-/// * the detector's silence clock still ends each span at its last
-///   tick, so a gap policy sees exactly the silences the per-sample
-///   path sees.
+///   load over `Th2`) step it only until it has settled unavailable —
+///   a spike tolerance is credited up to its deadline, where one step
+///   opens the S3 occurrence — then just draw the remaining samples'
+///   noise;
+/// * the detector's silence clock is moved over every skipped stretch
+///   and still ends each span at its last tick, so a gap policy sees
+///   exactly the silences the per-sample path sees.
 pub fn trace_machine_batched(cfg: &TestbedConfig, machine_id: usize) -> Vec<TraceRecord> {
     let plan = MachinePlan::generate(&cfg.lab, machine_id);
     let p = cfg.lab.sample_period;
@@ -1026,43 +1063,71 @@ mod tests {
     }
 
     /// Recorders entering a span in each detector situation that
-    /// decides how far the kernel must step: available, mid-spike,
-    /// mid-harvest-wait, and just after a dead span (revocation,
+    /// decides how far the kernel must step: available; a spike
+    /// tolerated, and a harvest wait running, each with its clock
+    /// started so that under the paper's 60 s / 300 s waits the
+    /// deadline falls before [`T0`], between two samples of the span,
+    /// or exactly on one (under waits longer than the span it falls
+    /// after the span's end); and just after a dead span (revocation,
     /// `revived` unset).
     fn entry_states(
         lab: &LabConfig,
         detector: DetectorConfig,
-    ) -> Vec<(&'static str, OccurrenceRecorder)> {
+    ) -> Vec<(String, OccurrenceRecorder)> {
         let p = lab.sample_period;
         let live = |host_load: f64, free_mem_mb: u32| Observation {
             host_load,
             free_mem_mb,
             alive: true,
         };
-        let calm = live(0.1, 512);
+        let (calm, excessive, starved) = (live(0.1, 512), live(1.0, 512), live(0.1, 0));
         let fresh = || OccurrenceRecorder::new(0, detector);
+        // `first` one period before `since`, then `waiting` from `since`
+        // every period up to T0 or the wait's end, whichever is first.
+        let clocked = |first: &Observation, since: u64, waiting: &Observation, wait: u64| {
+            let mut r = fresh();
+            r.observe(since - p, first);
+            let mut t = since;
+            while t < T0 && t < since + wait {
+                r.observe(t, waiting);
+                t += p;
+            }
+            r
+        };
         let mut available = fresh();
         available.observe(T0 - 2 * p, &calm);
         available.observe(T0 - p, &calm);
-        let mut spike = fresh();
-        spike.observe(T0 - 2 * p, &calm);
-        spike.observe(T0 - p, &live(1.0, 512));
-        let mut harvest = fresh();
-        harvest.observe(T0 - 3 * p, &live(0.1, 0));
-        harvest.observe(T0 - 2 * p, &calm);
-        harvest.observe(T0 - p, &calm);
         let mut dead = fresh();
         dead.observe(T0 - 2 * p, &calm);
         dead.observe(T0 - p, &Observation::dead());
         assert!(available.is_available() && !available.spike_active());
-        assert!(spike.spike_active());
-        assert!(!harvest.is_available() && !dead.is_available());
-        vec![
-            ("available", available),
-            ("mid-spike", spike),
-            ("mid-harvest-wait", harvest),
-            ("after a dead span", dead),
-        ]
+        assert!(!dead.is_available());
+        let mut out = vec![
+            ("available".to_string(), available),
+            ("after a dead span".to_string(), dead),
+        ];
+        let deadlines = [
+            ("before T0", T0 - 5),
+            ("between samples", T0 + 2 * p + 7),
+            ("on a sample", T0 + 3 * p),
+        ];
+        for (at, deadline) in deadlines {
+            let since = deadline - 60;
+            let spike = clocked(&calm, since, &excessive, detector.spike_tolerance);
+            assert_eq!(
+                spike.spike_deadline(),
+                Some(since + detector.spike_tolerance)
+            );
+            out.push((format!("spike deadline {at}"), spike));
+            let since = deadline - 300;
+            let harvest = clocked(&starved, since, &calm, detector.harvest_delay);
+            assert_eq!(
+                harvest.harvest_deadline(),
+                Some(since + detector.harvest_delay)
+            );
+            out.push((format!("harvest deadline {at}"), harvest));
+        }
+        out
     }
 
     /// Records plus the resumable state, with the load band masked: it
@@ -1101,8 +1166,21 @@ mod tests {
         spans.push((live_span(vec![0.7], floor_mb), SpanClass::Failing));
         spans.push((live_span(Vec::new(), mem), SpanClass::Calm));
 
-        for max_silence in [None, Some(120)] {
+        // The paper's waits; 600 s waits, both longer than the 120 s
+        // silence limit, so a skip that leaves the silence clock behind
+        // shows as a gap; and waits longer than the span, so every
+        // clock's deadline falls after the span's end.
+        for (spike_tolerance, harvest_delay, max_silence) in [
+            (60, 300, None),
+            (60, 300, Some(120)),
+            (600, 600, None),
+            (600, 600, Some(120)),
+            (3_600, 3_600, None),
+            (3_600, 3_600, Some(120)),
+        ] {
             let detector = DetectorConfig {
+                spike_tolerance,
+                harvest_delay,
                 max_silence,
                 ..base
             };
@@ -1120,7 +1198,10 @@ mod tests {
                         let s = span.sample_at(t, &mut oracle_noise, lab.idle_load_max);
                         oracle.observe(t, &lab.observation(&s));
                     }
-                    let at = format!("span {i} ({class:?}), {entry}, max_silence {max_silence:?}");
+                    let at = format!(
+                        "span {i} ({class:?}), {entry}, waits {spike_tolerance}/{harvest_delay} s, \
+                         max_silence {max_silence:?}"
+                    );
                     assert_eq!(settled(&fast), settled(&oracle), "{at}");
                     assert_eq!(fast_noise, oracle_noise, "{at}: noise stream position");
                 }

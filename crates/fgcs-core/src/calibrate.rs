@@ -34,10 +34,13 @@ pub struct CalibrationConfig {
     pub contention: ContentionConfig,
 }
 
+/// The default grid steps `LH` by 0.05 as exact divisions, `i / 20`, so
+/// every other point is Figure 1's `i / 10` to the bit and a sweep that
+/// already ran Figure 1 can stand in for half the grid.
 impl Default for CalibrationConfig {
     fn default() -> Self {
         CalibrationConfig {
-            lh_grid: (1..=20).map(|i| i as f64 * 0.05).collect(),
+            lh_grid: (1..=20).map(|i| i as f64 / 20.0).collect(),
             m_values: (1..=5).collect(),
             contention: ContentionConfig::default(),
         }
@@ -45,10 +48,11 @@ impl Default for CalibrationConfig {
 }
 
 impl CalibrationConfig {
-    /// Coarser, cheaper grid for tests and benches.
+    /// Coarser, cheaper grid for tests and benches: Figure 1's `LH`
+    /// values exactly.
     pub fn quick() -> Self {
         CalibrationConfig {
-            lh_grid: (1..=10).map(|i| i as f64 * 0.1).collect(),
+            lh_grid: (1..=10).map(|i| i as f64 / 10.0).collect(),
             m_values: vec![1, 3, 5],
             contention: ContentionConfig::quick(),
         }

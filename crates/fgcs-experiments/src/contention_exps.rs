@@ -435,15 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn the_full_grids_share_seven_lh_values() {
-        // `i * 0.05` and `i / 10` differ in the last bit at 0.3, 0.6 and
-        // 0.7. "Fixing" calibrate's grid to hit them would change
-        // calibration.csv, so the recomputed points stay recomputed.
-        assert_ne!(6.0 * 0.05, 0.3);
-        assert_eq!(
-            shared_lh(&CalibrationConfig::default()),
-            [0.1, 0.2, 0.4, 0.5, 0.8, 0.9, 1.0]
-        );
+    fn the_full_grids_share_every_figure_1_lh_value() {
+        // Both grids are exact divisions, so `i / 20` at even `i` is
+        // `(i / 2) / 10` to the bit (a product like `6 * 0.05` is not).
+        let (fig1_lh, _) = contention::fig1_standard_grid();
+        assert_eq!(shared_lh(&CalibrationConfig::default()), fig1_lh);
+        assert_eq!(shared_lh(&CalibrationConfig::quick()), fig1_lh);
     }
 
     #[test]

@@ -98,6 +98,7 @@ pub fn fault_matrix(quick: bool) {
         trace.write_jsonl(&mut buf).expect("serialize");
         let text = String::from_utf8(buf).expect("utf8");
         let (damaged, creport) = corrupt_text(&text, &faults, 0);
+        drop(text); // only the damaged copy is read back
         let (reloaded, lq) =
             Trace::read_jsonl_recovering(damaged.as_bytes()).expect("recovering load");
         assert_eq!(

@@ -1,8 +1,9 @@
 //! `fgcs-exp all` computes some data once and hands it on: its standard
 //! trace to ten experiments, and `fig1a`/`fig1b`'s Figure 1 points to
 //! `calibrate`. Run alone, each of those experiments computes everything
-//! itself and must still write exactly the committed CSVs: the sharing
-//! is invisible outside `all`.
+//! itself and must still write exactly the committed CSVs (and `trace`
+//! exactly the committed `trace.jsonl`): the sharing is invisible
+//! outside `all`.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -22,8 +23,9 @@ const SHARING: [&str; 11] = [
     "calibrate",
 ];
 
-/// CSVs those experiments write (`regularity` prints only).
-const CSVS: usize = 10;
+/// CSV and JSONL files those experiments write (`regularity` prints
+/// only).
+const FILES: usize = 11;
 
 #[test]
 fn each_sharing_experiment_alone_writes_the_committed_csvs() {
@@ -44,15 +46,15 @@ fn each_sharing_experiment_alone_writes_the_committed_csvs() {
     let mut compared = 0;
     for entry in std::fs::read_dir(scratch.join("results")).expect("results dir") {
         let path = entry.expect("dir entry").path();
-        if path.extension().is_none_or(|e| e != "csv") {
+        if path.extension().is_none_or(|e| e != "csv" && e != "jsonl") {
             continue;
         }
         let name = path.file_name().expect("file name");
-        let golden = std::fs::read(committed.join(name)).expect("committed CSV");
-        let fresh = std::fs::read(&path).expect("fresh CSV");
+        let golden = std::fs::read(committed.join(name)).expect("committed file");
+        let fresh = std::fs::read(&path).expect("fresh file");
         assert!(fresh == golden, "{name:?} differs from the committed file");
         compared += 1;
     }
-    assert_eq!(compared, CSVS);
+    assert_eq!(compared, FILES);
     std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
 }

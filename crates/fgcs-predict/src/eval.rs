@@ -50,6 +50,11 @@ pub struct EvalResult {
 
 /// Evaluates a set of predictors on a trace. Each predictor is trained
 /// on the prefix `[0, train_end)` and probed over the suffix.
+///
+/// Results come window-major, in `predictors` order. Each window is
+/// scored on its own `fgcs-par` worker, and each predictor's score sums
+/// over the window's queries in query order, so the scores do not
+/// depend on the worker count.
 pub fn evaluate(
     trace: &Trace,
     predictors: &mut [Box<dyn AvailabilityPredictor>],
@@ -62,46 +67,73 @@ pub fn evaluate(
     }
 
     let truth_index = EventIndex::build(trace, u64::MAX);
-    let mut results = Vec::new();
-    for &window in &cfg.windows {
-        // Shared query set and ground truth for every predictor.
-        let mut queries: Vec<(u32, u64, bool)> = Vec::new();
-        for m in 0..trace.meta.machines {
-            let mut t = train_end;
-            while t + window <= span {
-                let truth = truth_index.window_available(m, t, window);
-                queries.push((m, t, truth));
-                t += cfg.query_stride;
-            }
-        }
-        let base_rate = if queries.is_empty() {
-            0.0
-        } else {
-            queries.iter().filter(|q| q.2).count() as f64 / queries.len() as f64
-        };
-        for p in predictors.iter() {
-            let mut brier = 0.0;
-            let mut correct = 0usize;
-            for &(m, t, truth) in &queries {
-                let prob = p.predict(m, t, window).clamp(0.0, 1.0);
-                let y = if truth { 1.0 } else { 0.0 };
-                brier += (prob - y) * (prob - y);
-                if (prob >= 0.5) == truth {
-                    correct += 1;
-                }
-            }
-            let n = queries.len().max(1) as f64;
-            results.push(EvalResult {
-                predictor: p.name(),
+    let predictors: &[Box<dyn AvailabilityPredictor>] = predictors;
+    let per_window = fgcs_par::par_map(&cfg.windows, |&window| {
+        let window_probes = || {
+            probes(
+                trace.meta.machines,
+                train_end,
+                span,
+                cfg.query_stride,
                 window,
-                brier: brier / n,
-                accuracy: correct as f64 / n,
-                base_rate,
-                queries: queries.len(),
-            });
+            )
+        };
+        // Ground truth once per window, shared by every predictor.
+        let truth: Vec<bool> = window_probes()
+            .map(|(m, t)| truth_index.window_available(m, t, window))
+            .collect();
+        predictors
+            .iter()
+            .map(|p| score(&**p, window, window_probes().zip(truth.iter().copied())))
+            .collect::<Vec<_>>()
+    });
+    per_window.into_iter().flatten().collect()
+}
+
+/// One window's probes: every machine, from `train_end` every `stride`
+/// while the window fits in the trace, machine-major.
+fn probes(
+    machines: u32,
+    train_end: u64,
+    span: u64,
+    stride: u64,
+    window: u64,
+) -> impl Iterator<Item = (u32, u64)> {
+    (0..machines).flat_map(move |m| {
+        (0..)
+            .map(move |k| train_end + k * stride)
+            .take_while(move |&t| t + window <= span)
+            .map(move |t| (m, t))
+    })
+}
+
+/// Scores `p` on one window's `(probe, truth)` queries, in order.
+fn score(
+    p: &dyn AvailabilityPredictor,
+    window: u64,
+    queries: impl Iterator<Item = ((u32, u64), bool)>,
+) -> EvalResult {
+    let (mut n, mut available, mut correct) = (0usize, 0usize, 0usize);
+    let mut brier = 0.0;
+    for ((m, t), truth) in queries {
+        let prob = p.predict(m, t, window).clamp(0.0, 1.0);
+        let y = if truth { 1.0 } else { 0.0 };
+        brier += (prob - y) * (prob - y);
+        if (prob >= 0.5) == truth {
+            correct += 1;
         }
+        available += usize::from(truth);
+        n += 1;
     }
-    results
+    let n_f = n.max(1) as f64;
+    EvalResult {
+        predictor: p.name(),
+        window,
+        brier: brier / n_f,
+        accuracy: correct as f64 / n_f,
+        base_rate: available as f64 / n_f,
+        queries: n,
+    }
 }
 
 /// The standard predictor lineup: the paper's history-window scheme and

@@ -15,7 +15,10 @@ use fgcs_testbed::calendar::{day_index, day_type, hour_of_day, DayType, SECS_PER
 use fgcs_testbed::trace::{Trace, TraceRecord};
 
 /// Probability that a machine stays available over a future window.
-pub trait AvailabilityPredictor {
+///
+/// `Send + Sync` so that [`crate::eval::evaluate`] can score one fitted
+/// predictor on several windows at once.
+pub trait AvailabilityPredictor: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
     /// Trains on all trace records that *start* before `train_end`.
@@ -181,11 +184,13 @@ impl AvailabilityPredictor for HistoryWindowPredictor {
 
     fn predict(&self, machine: u32, t: u64, window: u64) -> f64 {
         let target_type = day_type(day_index(t), self.start_weekday);
-        let mut outcomes: Vec<f64> = Vec::with_capacity(self.history_days);
+        // Outcomes seen and how many were available; a sum of 1.0s is
+        // exact, so counting is the same as summing the outcomes.
+        let (mut n, mut good) = (0usize, 0usize);
         let mut day = day_index(t);
         // Walk backwards over same-type days fully inside the training
         // span.
-        while outcomes.len() < self.history_days && day > 0 {
+        while n < self.history_days && day > 0 {
             day -= 1;
             if day_type(day, self.start_weekday) != target_type {
                 continue;
@@ -198,25 +203,18 @@ impl AvailabilityPredictor for HistoryWindowPredictor {
             if hs + hw > self.train_end {
                 continue; // window leaks outside the training data
             }
-            outcomes.push(if self.index.window_available(machine, hs, hw) {
-                1.0
-            } else {
-                0.0
-            });
+            n += 1;
+            good += usize::from(self.index.window_available(machine, hs, hw));
         }
-        if outcomes.is_empty() {
+        if n == 0 {
             return 0.5; // no history: maximal uncertainty
         }
-        if self.trim_worst && outcomes.len() >= 3 {
-            // Drop one worst (0.0 if any) sample: a single irregular bad
-            // day should not dominate the estimate.
-            if let Some(pos) = outcomes.iter().position(|&o| o == 0.0) {
-                outcomes.remove(pos);
-            }
+        if self.trim_worst && n >= 3 && good < n {
+            // Drop one worst (unavailable) sample: a single irregular
+            // bad day should not dominate the estimate.
+            n -= 1;
         }
-        let good: f64 = outcomes.iter().sum();
-        let n = outcomes.len() as f64;
-        ((good + self.alpha) / (n + 2.0 * self.alpha)).clamp(0.0, 1.0)
+        ((good as f64 + self.alpha) / (n as f64 + 2.0 * self.alpha)).clamp(0.0, 1.0)
     }
 }
 

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Record lines reuse the `fgcs-testbed` trace serialization verbatim
-//! (wrapped with a `kind` discriminator the record parser ignores), so
-//! the f64 availability means round-trip bit-exactly. The trailer's
+//! (behind a `kind` discriminator the record decoder ignores), and the
+//! loader reads them with that one decoder, so the f64 availability
+//! means round-trip bit-exactly. The trailer's
 //! `crc` is [`fgcs_wire::crc32`] over every byte before the trailer
 //! line, and `lines` counts those lines — a file truncated mid-write
 //! fails both checks and the loader falls back to the previous snapshot.
@@ -45,7 +46,7 @@ use fgcs_core::monitor::MonitorSnapshot;
 use fgcs_testbed::json::{
     self, get_f64, get_opt_u64, get_str, get_u64, get_u64_or, ObjWriter, Value,
 };
-use fgcs_testbed::trace::{record_from_obj, record_to_json};
+use fgcs_testbed::trace::{record_fields, record_from_json};
 use fgcs_testbed::{RecorderSnapshot, TraceRecord};
 use fgcs_wire::codec::crc32;
 use fgcs_wire::WireTransition;
@@ -190,11 +191,13 @@ pub(crate) fn serialize_snapshot(data: &SnapshotData) -> String {
     }
     for m in &data.machines {
         for r in &m.records {
-            // Wrap the canonical record encoding with a discriminator;
-            // the record parser ignores unknown fields, so the wrapped
-            // line parses directly.
-            let rec = record_to_json(r);
-            push(&mut body, format!("{{\"kind\":\"record\",{}", &rec[1..]));
+            // The canonical record encoding behind a discriminator; the
+            // record decoder ignores unknown fields, so the wrapped line
+            // decodes directly.
+            let mut w = ObjWriter::append(&mut body);
+            w.str("kind", "record");
+            record_fields(&mut w, r);
+            w.finish().push('\n');
             lines += 1;
         }
     }
@@ -335,7 +338,18 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotData, String> {
     let mut seen_lines = 1u64;
     for line in lines {
         seen_lines += 1;
-        let v = json::parse(line).map_err(|e| format!("line {seen_lines}: {e}"))?;
+        // Record lines, most of the file, go straight to the record
+        // decoder; every other kind is parsed into an object.
+        let at = |e: String| format!("line {seen_lines}: {e}");
+        if json::get_str_in(line.as_bytes(), "kind").map_err(at)? == "record" {
+            let rec = record_from_json(line.as_bytes()).map_err(at)?;
+            let (idx, ..) = *expected
+                .get(&rec.machine)
+                .ok_or_else(|| format!("record for unknown machine {}", rec.machine))?;
+            machines[idx].records.push(rec);
+            continue;
+        }
+        let v = json::parse(line).map_err(at)?;
         let o = v
             .as_obj()
             .ok_or_else(|| format!("line {seen_lines} is not an object"))?;
@@ -349,13 +363,6 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotData, String> {
                 }
                 expected.insert(snap.machine, (machines.len(), n_rec, n_tr));
                 machines.push(snap);
-            }
-            "record" => {
-                let rec = record_from_obj(o).map_err(|e| format!("line {seen_lines}: {e}"))?;
-                let (idx, ..) = *expected
-                    .get(&rec.machine)
-                    .ok_or_else(|| format!("record for unknown machine {}", rec.machine))?;
-                machines[idx].records.push(rec);
             }
             "transition" => {
                 let machine = get_u64(o, "machine")? as u32;

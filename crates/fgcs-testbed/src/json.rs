@@ -2,12 +2,24 @@
 //!
 //! The build environment has no crate registry, so the trace layer
 //! cannot use `serde_json`. This module implements the small JSON subset
-//! the JSONL trace format needs — flat objects of numbers, strings,
-//! `null`, and one nested object — with the same wire format the
-//! previous serde-derived implementation produced, so traces written by
-//! older builds still parse.
+//! the JSONL trace format needs — objects of numbers, strings, `null`
+//! and booleans — with the same wire format the previous serde-derived
+//! implementation produced, so traces written by older builds still
+//! parse.
+//!
+//! Everything reads through one tokenizer, `Cursor`: [`parse`] builds
+//! a [`Value`] tree with it, and the trace record decoder
+//! (`trace::record_from_json`) walks a record line's fields with it
+//! without building one. An unsigned integer literal that fits a `u64`
+//! reads as that exact integer ([`Value::Int`]), never through `f64`.
 
+use std::borrow::{BorrowMut, Cow};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// 2^64 as an `f64`: the first float `as_u64` must not saturate to
+/// `u64::MAX`.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 /// A parsed JSON value (subset: no arrays — the trace schema has none).
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +28,10 @@ pub enum Value {
     Null,
     /// `true`/`false`.
     Bool(bool),
-    /// Any JSON number; kept as f64 plus the u64 view when exact.
+    /// An unsigned integer literal (digits only) that fits a `u64`,
+    /// kept exactly.
+    Int(u64),
+    /// Any other number, as the nearest `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -25,17 +40,21 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value as u64, if it is a non-negative integral number.
+    /// The value as u64, if it is a non-negative integral number below
+    /// 2^64.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            Value::Num(n) if n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0 => Some(n as u64),
+            Value::Int(n) => Some(n),
+            Value::Num(n) if (0.0..TWO_POW_64).contains(&n) && n.fract() == 0.0 => Some(n as u64),
             _ => None,
         }
     }
 
-    /// The value as f64, if numeric.
+    /// The value as f64, if numeric (an integer rounds to the nearest
+    /// `f64`, exactly as its literal would parse).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
+            Value::Int(n) => Some(n as f64),
             Value::Num(n) => Some(n),
             _ => None,
         }
@@ -59,18 +78,36 @@ impl Value {
 }
 
 // Field accessors over a parsed object, shared by the trace and the
-// service snapshot loaders. Errors name the field.
+// service snapshot loaders. Errors name the field. The `field_*` forms
+// take the field's value (`None` when absent), so the trace record
+// decoder applies the same rules without building the object.
 
 /// The value of field `key`.
 pub fn get<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
+    present(key, obj.get(key))
+}
+
+fn present<'a>(key: &str, v: Option<&'a Value>) -> Result<&'a Value, String> {
+    v.ok_or_else(|| missing(key))
+}
+
+pub(crate) fn missing(key: &str) -> String {
+    format!("missing field {key:?}")
+}
+
+pub(crate) fn not_a(key: &str, what: &str) -> String {
+    format!("field {key:?} is not {what}")
 }
 
 /// Field `key` as an unsigned integer.
 pub fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    get(obj, key)?
+    field_u64(key, obj.get(key))
+}
+
+pub(crate) fn field_u64(key: &str, v: Option<&Value>) -> Result<u64, String> {
+    present(key, v)?
         .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
+        .ok_or_else(|| not_a(key, "an unsigned integer"))
 }
 
 /// Field `key` as an unsigned integer, or `default` when the key is
@@ -79,31 +116,39 @@ pub fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> 
 pub fn get_u64_or(obj: &BTreeMap<String, Value>, key: &str, default: u64) -> Result<u64, String> {
     match obj.get(key) {
         None => Ok(default),
-        Some(_) => get_u64(obj, key),
+        v => field_u64(key, v),
     }
 }
 
 /// Field `key` as a finite number: a literal that overflows to
 /// infinity is rejected here, at the loader boundary.
 pub fn get_f64(obj: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
-    let v = get(obj, key)?
+    field_f64(key, obj.get(key))
+}
+
+pub(crate) fn field_f64(key: &str, v: Option<&Value>) -> Result<f64, String> {
+    let v = present(key, v)?
         .as_f64()
-        .ok_or_else(|| format!("field {key:?} is not a number"))?;
+        .ok_or_else(|| not_a(key, "a number"))?;
     if v.is_finite() {
         Ok(v)
     } else {
-        Err(format!("field {key:?} is not finite"))
+        Err(not_a(key, "finite"))
     }
 }
 
 /// Field `key` as an unsigned integer, `None` for `null`.
 pub fn get_opt_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<Option<u64>, String> {
-    match get(obj, key)? {
+    field_opt_u64(key, obj.get(key))
+}
+
+pub(crate) fn field_opt_u64(key: &str, v: Option<&Value>) -> Result<Option<u64>, String> {
+    match present(key, v)? {
         Value::Null => Ok(None),
         v => v
             .as_u64()
             .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not an unsigned integer or null")),
+            .ok_or_else(|| not_a(key, "an unsigned integer or null")),
     }
 }
 
@@ -111,19 +156,38 @@ pub fn get_opt_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<Option<u6
 pub fn get_str<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, String> {
     get(obj, key)?
         .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))
+        .ok_or_else(|| not_a(key, "a string"))
+}
+
+/// Top-level field `key` of the JSON object `doc` as a string, read
+/// without building the object: what `get_str(parse(doc)?, key)` returns
+/// (the last of duplicated keys wins), with the same errors for a
+/// missing or non-string field.
+pub fn get_str_in<'a>(doc: &'a [u8], key: &str) -> Result<Cow<'a, str>, String> {
+    let mut cur = Cursor::new(doc);
+    let mut found = None;
+    cur.object(|k, cur| {
+        if k == key {
+            found = Some(cur.string_or_skip()?);
+            Ok(())
+        } else {
+            cur.skip_value()
+        }
+    })?;
+    cur.finish()?;
+    match found {
+        Some(Some(s)) => Ok(s),
+        Some(None) => Err(not_a(key, "a string")),
+        None => Err(missing(key)),
+    }
 }
 
 /// Parses one JSON document. Returns an error message on malformed input
 /// or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
+    let mut cur = Cursor::new(input.as_bytes());
+    let v = cur.value()?;
+    cur.finish()?;
     Ok(v)
 }
 
@@ -135,236 +199,344 @@ pub fn parse(input: &str) -> Result<Value, String> {
 /// its own key came last would silently delete every section spliced
 /// in after it.
 pub fn splice_key(doc: &str, key: &str, value: &str) -> Result<String, String> {
-    let bytes = doc.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) != Some(&b'{') {
+    let mut cur = Cursor::new(doc.as_bytes());
+    if cur.peek() != Some(b'{') {
         return Err("document is not a JSON object".into());
     }
-    pos += 1;
+    cur.pos += 1;
     loop {
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
+        match cur.peek() {
             Some(b'}') => {
                 // Key absent: insert before the closing brace.
-                let body = doc[..pos].trim_end();
+                let body = doc[..cur.pos].trim_end();
                 let sep = if body.ends_with('{') { "" } else { "," };
                 return Ok(format!("{body}{sep}\"{key}\":{value}}}\n"));
             }
             Some(b'"') => {}
             other => return Err(format!("expected a key or '}}', got {other:?}")),
         }
-        let this_key = parse_str(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos += 1;
-        skip_ws(bytes, &mut pos);
-        let vstart = pos;
-        parse_value(bytes, &mut pos)?;
+        let this_key = cur.string()?;
+        cur.colon()?;
+        cur.peek();
+        let vstart = cur.pos;
+        cur.skip_value()?;
         if this_key == key {
-            return Ok(format!("{}{}{}", &doc[..vstart], value, &doc[pos..]));
+            return Ok(format!("{}{}{}", &doc[..vstart], value, &doc[cur.pos..]));
         }
-        skip_ws(bytes, &mut pos);
-        if bytes.get(pos) == Some(&b',') {
-            pos += 1;
+        if cur.peek() == Some(b',') {
+            cur.pos += 1;
         }
     }
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A read position in a JSON document's bytes: the one tokenizer under
+/// [`parse`], [`get_str_in`], [`splice_key`] and the trace record
+/// decoder. The document need not be UTF-8; a string in it must be.
+pub(crate) struct Cursor<'a> {
+    b: &'a [u8],
+    pos: usize,
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Value::Str),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        Some(c) => Err(format!(
-            "unexpected character {:?} at byte {}",
-            *c as char, *pos
-        )),
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `b`.
+    pub(crate) fn new(b: &'a [u8]) -> Self {
+        Cursor { b, pos: 0 }
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
+    /// Skips whitespace, then returns the next byte without consuming
+    /// it.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.b.get(self.pos) {
+            self.pos += 1;
+        }
+        self.b.get(self.pos).copied()
     }
-}
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// Requires the document to end here (trailing whitespace allowed).
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing characters at byte {}", self.pos)),
+        }
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|e| format!("bad number {text:?}: {e}"))
-}
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    fn colon(&mut self) -> Result<(), String> {
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads one value and builds it.
+    pub(crate) fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|key, cur| {
+                    map.insert(key.into_owned(), cur.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Obj(map))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    other => return Err(format!("unsupported escape {other:?}")),
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            Some(c) => Err(format!(
+                "unexpected character {:?} at byte {}",
+                c as char, self.pos
+            )),
+        }
+    }
+
+    /// Reads one value, checking it exactly as [`Cursor::value`] would
+    /// but building nothing on the heap.
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.object(|_, cur| cur.skip_value()),
+            Some(b'"') => self.string().map(drop),
+            // A literal or a number: its `Value` owns no heap memory.
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Reads one value: `Some` string (borrowed from the document where
+    /// it has no escapes), or `None` when the value is not a string.
+    pub(crate) fn string_or_skip(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Some),
+            _ => self.skip_value().map(|()| None),
+        }
+    }
+
+    /// Reads an object, handing each member's key to `member` with the
+    /// cursor at its value; `member` must read that value.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(Cow<'a, str>, &mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() != Some(b'{') {
+            return Err(format!("expected an object at byte {}", self.pos));
+        }
+        self.pos += 1;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            if self.peek() != Some(b'"') {
+                return Err(format!("expected object key at byte {}", self.pos));
+            }
+            let key = self.string()?;
+            self.colon()?;
+            member(key, self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
                 }
-                *pos += 1;
+                other => return Err(format!("expected ',' or '}}', got {other:?}")),
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the schema's strings are
-                // plain identifiers, but stay correct for any input).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// A number: every byte that can belong to one, then digits only →
+    /// the exact `u64` (when it fits), anything else → Rust's `f64`
+    /// parse of the whole run.
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.b.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.b.get(self.pos) {
+            self.pos += 1;
+        }
+        let run = &self.b[start..self.pos];
+        if let Some(n) = exact_u64(run) {
+            return Ok(Value::Int(n));
+        }
+        // The run is ASCII by construction.
+        let text = std::str::from_utf8(run).map_err(|e| e.to_string())?;
+        text.parse::<f64>()
+            .map(Value::Num)
+            .map_err(|e| format!("bad number {text:?}: {e}"))
+    }
+
+    /// A string, borrowed from the document unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        debug_assert_eq!(self.b[self.pos], b'"');
+        self.pos += 1;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let Some(len) = self.b[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+            else {
+                return Err("unterminated string".into());
+            };
+            self.pos += len;
+            let run = std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())?;
+            if self.b[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                });
             }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            self.pos += 1;
+            s.push(match self.b.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                other => return Err(format!("unsupported escape {other:?}")),
+            });
+            self.pos += 1;
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    debug_assert_eq!(b[*pos], b'{');
-    *pos += 1;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
+/// `run` as a `u64` when it is a non-empty run of ASCII digits whose
+/// value fits; `None` otherwise (a sign, a fraction, an exponent, or a
+/// value of 2^64 or more, which all read as `f64`).
+fn exact_u64(run: &[u8]) -> Option<u64> {
+    if run.is_empty() {
+        return None;
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
+    run.iter().try_fold(0u64, |n, &c| {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
         }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        let val = parse_value(b, pos)?;
-        map.insert(key, val);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
 /// Incremental writer for a flat JSON object, preserving field order.
-#[derive(Debug, Default)]
-pub struct ObjWriter {
-    buf: String,
+///
+/// `ObjWriter::new()` writes into a string of its own; `ObjWriter::append`
+/// writes at the end of a borrowed one, so a caller can put many objects
+/// into one reused buffer. Both produce the same bytes.
+#[derive(Debug)]
+pub struct ObjWriter<B: BorrowMut<String> = String> {
+    buf: B,
+    /// Where this object's `{` sits in `buf`.
+    start: usize,
 }
 
 impl ObjWriter {
     /// Starts an empty object.
     pub fn new() -> Self {
-        ObjWriter {
-            buf: String::from("{"),
-        }
+        ObjWriter::append(String::new())
+    }
+}
+
+impl Default for ObjWriter {
+    fn default() -> Self {
+        ObjWriter::new()
+    }
+}
+
+impl<B: BorrowMut<String>> ObjWriter<B> {
+    /// Starts an empty object at the end of `buf`.
+    pub fn append(mut buf: B) -> Self {
+        let out: &mut String = buf.borrow_mut();
+        let start = out.len();
+        out.push('{');
+        ObjWriter { buf, start }
+    }
+
+    fn out(&mut self) -> &mut String {
+        self.buf.borrow_mut()
     }
 
     fn key(&mut self, k: &str) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
+        let first = self.buf.borrow().len() == self.start + 1;
+        let out = self.out();
+        if !first {
+            out.push(',');
         }
-        self.buf.push('"');
-        self.buf.push_str(k);
-        self.buf.push_str("\":");
+        out.push('"');
+        out.push_str(k);
+        out.push_str("\":");
     }
 
     /// Writes an unsigned integer field.
     pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
         self.key(k);
-        self.buf.push_str(&v.to_string());
+        let _ = write!(self.out(), "{v}");
         self
     }
 
     /// Writes a float field (`{}` formatting round-trips f64 exactly).
     pub fn f64(&mut self, k: &str, v: f64) -> &mut Self {
         self.key(k);
-        self.buf.push_str(&format!("{v}"));
+        let _ = write!(self.out(), "{v}");
         self
     }
 
     /// Writes an optional unsigned integer field (`null` for `None`).
     pub fn opt_u64(&mut self, k: &str, v: Option<u64>) -> &mut Self {
-        self.key(k);
         match v {
-            Some(x) => self.buf.push_str(&x.to_string()),
-            None => self.buf.push_str("null"),
+            Some(x) => self.u64(k, x),
+            None => {
+                self.key(k);
+                self.out().push_str("null");
+                self
+            }
         }
-        self
     }
 
     /// Writes a string field (the schema's strings need no escaping, but
     /// quotes and backslashes are escaped anyway).
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);
-        self.buf.push('"');
+        let out = self.out();
+        out.push('"');
         for c in v.chars() {
             match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                c => self.buf.push(c),
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
             }
         }
-        self.buf.push('"');
+        out.push('"');
         self
     }
 
     /// Writes a nested object field from a finished writer.
     pub fn obj(&mut self, k: &str, v: ObjWriter) -> &mut Self {
         self.key(k);
-        self.buf.push_str(&v.finish());
+        let nested = v.finish();
+        self.out().push_str(&nested);
         self
     }
 
-    /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
+    /// Closes the object and returns the buffer it was written into.
+    pub fn finish(mut self) -> B {
+        self.out().push('}');
         self.buf
     }
 }
@@ -420,6 +592,80 @@ mod tests {
         w.str("s", "a\"b\\c\nd");
         let v = parse(&w.finish()).unwrap();
         assert_eq!(v.as_obj().unwrap()["s"].as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_u64_max() {
+        for n in [(1u64 << 53) + 1, (1 << 60) + 1, u64::MAX - 1, u64::MAX] {
+            let mut w = ObjWriter::new();
+            w.u64("n", n);
+            let v = parse(&w.finish()).unwrap();
+            assert_eq!(v.as_obj().unwrap()["n"].as_u64(), Some(n), "{n}");
+            assert_eq!(v.as_obj().unwrap()["n"].as_f64(), Some(n as f64), "{n}");
+        }
+    }
+
+    #[test]
+    fn a_number_past_u64_is_no_unsigned_integer() {
+        // 2^64 used to saturate to u64::MAX.
+        for text in ["18446744073709551616", "1.8446744073709552e19", "1e20"] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert!(
+                v.as_f64().unwrap() >= 18_446_744_073_709_551_616.0,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_number_reads_as_it_did_through_f64() {
+        // Exact integers are new; every value that read before reads to
+        // the same number, and non-integers are still refused as u64.
+        for (text, as_u64) in [
+            ("0", Some(0)),
+            ("007", Some(7)),
+            ("-0", Some(0)),
+            ("1e3", Some(1000)),
+            ("1000.0", Some(1000)),
+            ("9007199254740992", Some(9_007_199_254_740_992)),
+            ("-1", None),
+            ("0.5", None),
+            ("1.", Some(1)),
+        ] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_u64(), as_u64, "{text}");
+            assert_eq!(v.as_f64(), text.parse::<f64>().ok(), "{text}");
+        }
+        for bad in ["-", "1e", "1-2", "--1"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn str_field_reads_like_the_parsed_object() {
+        let doc = r#"{"kind":"record","a":{"kind":1},"kind":"last\"q"}"#;
+        assert_eq!(get_str_in(doc.as_bytes(), "kind").unwrap(), "last\"q");
+        let parsed = parse(doc).unwrap();
+        assert_eq!(
+            get_str(parsed.as_obj().unwrap(), "kind").unwrap(),
+            "last\"q"
+        );
+        assert!(get_str_in(br#"{"kind":1}"#, "kind").is_err());
+        assert!(get_str_in(br#"{"other":"x"}"#, "kind").is_err());
+        assert!(get_str_in(br#"{"kind":"x"} tail"#, "kind").is_err());
+        assert!(get_str_in(b"{\"kind\":\"\xff\"}", "kind").is_err());
+    }
+
+    #[test]
+    fn a_borrowed_writer_appends_the_same_bytes() {
+        let mut buf = String::from("before\n");
+        let mut w = ObjWriter::append(&mut buf);
+        w.u64("a", 1).opt_u64("b", None).str("c", "x\"y");
+        w.finish().push('\n');
+        let mut own = ObjWriter::new();
+        own.u64("a", 1).opt_u64("b", None).str("c", "x\"y");
+        assert_eq!(buf, format!("before\n{}\n", own.finish()));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! Two serializations are provided: JSON-lines (meta header line followed
 //! by one record per line) and CSV (header row; `-` for open ends).
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use fgcs_core::model::{FailureCause, Thresholds};
 
-use crate::json::{self, get, get_f64, get_opt_u64, get_str, get_u64, ObjWriter, Value};
+use crate::json::{
+    self, field_f64, field_opt_u64, field_u64, get, get_f64, get_u64, Cursor, ObjWriter,
+};
 use crate::quality::TraceQualityReport;
 
 // The record type is defined next to its assembler in `fgcs-core`;
@@ -92,34 +95,24 @@ impl Trace {
     }
 
     /// Writes the trace as JSON lines: one meta line, then one record
-    /// per line.
+    /// per line, each encoded into one reused buffer.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> Result<(), TraceError> {
-        writeln!(w, "{}", meta_to_json(&self.meta))?;
+        let mut line = meta_to_json(&self.meta);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
         for r in &self.records {
-            writeln!(w, "{}", record_to_json(r))?;
+            line.clear();
+            let mut obj = ObjWriter::append(&mut line);
+            record_fields(&mut obj, r);
+            obj.finish().push('\n');
+            w.write_all(line.as_bytes())?;
         }
         Ok(())
     }
 
     /// Reads a trace written by [`Trace::write_jsonl`].
     pub fn read_jsonl<R: BufRead>(r: R) -> Result<Trace, TraceError> {
-        let mut lines = r.lines();
-        let meta_line = lines
-            .next()
-            .ok_or_else(|| TraceError::Parse("empty trace file".into()))??;
-        let meta = meta_from_json(&meta_line)
-            .map_err(|e| TraceError::Parse(format!("bad meta line: {e}")))?;
-        let mut records = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec = record_from_json(&line)
-                .map_err(|e| TraceError::Parse(format!("record {}: {e}", i + 1)))?;
-            records.push(rec);
-        }
-        Ok(Trace { meta, records })
+        read_jsonl_lines(r, false).map(|(trace, _)| trace)
     }
 
     /// Reads a trace written by [`Trace::write_jsonl`], skipping and
@@ -127,42 +120,17 @@ impl Trace {
     ///
     /// The meta line must still parse — without it nothing downstream
     /// can interpret the records, so a damaged header is a hard
-    /// [`TraceError::Parse`]. Every damaged *record* line is skipped and
-    /// counted in the returned [`TraceQualityReport`]
-    /// (`corrupt_lines` / `corrupt_line_numbers`, 1-based file line
-    /// numbers); surviving records are counted per machine via
-    /// `samples_used`-independent `parsed_records`. On an undamaged file
-    /// this returns exactly what [`Trace::read_jsonl`] returns, plus a
-    /// clean report.
+    /// [`TraceError::Parse`]. Every damaged *record* line — one that is
+    /// not UTF-8 included — is skipped and counted in the returned
+    /// [`TraceQualityReport`] (`corrupt_lines` / `corrupt_line_numbers`,
+    /// 1-based file line numbers); surviving records are counted per
+    /// machine via `samples_used`-independent `parsed_records`. On an
+    /// undamaged file this returns exactly what [`Trace::read_jsonl`]
+    /// returns, plus a clean report.
     pub fn read_jsonl_recovering<R: BufRead>(
         r: R,
     ) -> Result<(Trace, TraceQualityReport), TraceError> {
-        let mut lines = r.lines();
-        let meta_line = lines
-            .next()
-            .ok_or_else(|| TraceError::Parse("empty trace file".into()))??;
-        let meta = meta_from_json(&meta_line)
-            .map_err(|e| TraceError::Parse(format!("bad meta line: {e}")))?;
-        let mut records = Vec::new();
-        let mut quality = TraceQualityReport::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match record_from_json(&line) {
-                Ok(rec) => {
-                    quality.machine_mut(rec.machine);
-                    records.push(rec);
-                }
-                Err(_) => {
-                    quality.corrupt_lines += 1;
-                    quality.corrupt_line_numbers.push(i + 2); // 1-based, after meta
-                }
-            }
-        }
-        quality.parsed_records = records.len() as u64;
-        Ok((Trace { meta, records }, quality))
+        read_jsonl_lines(r, true)
     }
 
     /// Writes the records as CSV (metadata is *not* included; pair with
@@ -190,17 +158,7 @@ impl Trace {
     /// Reads records from [`Trace::write_csv`] output, attaching the
     /// given metadata.
     pub fn read_csv<R: BufRead>(r: R, meta: TraceMeta) -> Result<Trace, TraceError> {
-        let mut records = Vec::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if i == 0 || line.trim().is_empty() {
-                continue; // header
-            }
-            let rec = record_from_csv_line(&line)
-                .map_err(|e| TraceError::Parse(format!("line {}: {e}", i + 1)))?;
-            records.push(rec);
-        }
-        Ok(Trace { meta, records })
+        read_csv_lines(r, meta, false).map(|(trace, _)| trace)
     }
 
     /// Reads records from [`Trace::write_csv`] output like
@@ -210,30 +168,124 @@ impl Trace {
         r: R,
         meta: TraceMeta,
     ) -> Result<(Trace, TraceQualityReport), TraceError> {
-        let mut records = Vec::new();
-        let mut quality = TraceQualityReport::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if i == 0 || line.trim().is_empty() {
-                continue; // header
-            }
-            match record_from_csv_line(&line) {
-                Ok(rec) => {
-                    quality.machine_mut(rec.machine);
-                    records.push(rec);
-                }
-                Err(_) => {
-                    quality.corrupt_lines += 1;
-                    quality.corrupt_line_numbers.push(i + 1);
-                }
-            }
-        }
-        quality.parsed_records = records.len() as u64;
-        Ok((Trace { meta, records }, quality))
+        read_csv_lines(r, meta, true)
     }
 }
 
-fn record_from_csv_line(line: &str) -> Result<TraceRecord, String> {
+/// Calls `line(n, bytes)` for every line of `r`, `n` counting from 1,
+/// without the `\n` (or `\r\n`) that ends it, through one reused
+/// buffer. A line is bytes: one that is not UTF-8 is its parser's to
+/// reject, not an I/O error that ends the read.
+fn for_each_line<R: BufRead>(
+    mut r: R,
+    mut line: impl FnMut(usize, &[u8]) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    let mut buf = Vec::new();
+    let mut n = 0;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        n += 1;
+        let bytes = match buf.strip_suffix(b"\n") {
+            Some(rest) => rest.strip_suffix(b"\r").unwrap_or(rest),
+            None => &buf,
+        };
+        line(n, bytes)?;
+    }
+}
+
+/// `str::trim(line).is_empty()` for a line that need not be UTF-8.
+fn is_blank(line: &[u8]) -> bool {
+    // Past ASCII whitespace, only a non-ASCII byte can begin more
+    // (Unicode) whitespace.
+    match line
+        .iter()
+        .position(|&b| !(b.is_ascii_whitespace() || b == 0x0B))
+    {
+        None => true,
+        Some(i) => {
+            !line[i].is_ascii()
+                && std::str::from_utf8(&line[i..]).is_ok_and(|s| s.trim_start().is_empty())
+        }
+    }
+}
+
+/// Reads the record lines of `r` — every line after the first, which
+/// goes to `first` — with `parse`, skipping blank ones. A strict read
+/// fails on the first bad line, naming it `name(n)`; a `recover`ing one
+/// skips it and counts it (and every machine it saw) in the report.
+fn read_records<R: BufRead>(
+    r: R,
+    recover: bool,
+    mut first: impl FnMut(&[u8]) -> Result<(), TraceError>,
+    parse: impl Fn(&[u8]) -> Result<TraceRecord, String>,
+    name: impl Fn(usize) -> String,
+) -> Result<(Vec<TraceRecord>, TraceQualityReport), TraceError> {
+    let mut records = Vec::new();
+    let mut quality = TraceQualityReport::new();
+    for_each_line(r, |n, line| {
+        if n == 1 {
+            return first(line);
+        }
+        if is_blank(line) {
+            return Ok(());
+        }
+        match parse(line) {
+            Ok(rec) => {
+                if recover {
+                    quality.machine_mut(rec.machine);
+                }
+                records.push(rec);
+            }
+            Err(e) if !recover => return Err(TraceError::Parse(format!("{}: {e}", name(n)))),
+            Err(_) => {
+                quality.corrupt_lines += 1;
+                quality.corrupt_line_numbers.push(n);
+            }
+        }
+        Ok(())
+    })?;
+    quality.parsed_records = records.len() as u64;
+    Ok((records, quality))
+}
+
+fn read_jsonl_lines<R: BufRead>(
+    r: R,
+    recover: bool,
+) -> Result<(Trace, TraceQualityReport), TraceError> {
+    let mut meta = None;
+    let (records, quality) = read_records(
+        r,
+        recover,
+        |line| {
+            let m = meta_from_json(line)
+                .map_err(|e| TraceError::Parse(format!("bad meta line: {e}")))?;
+            meta = Some(m);
+            Ok(())
+        },
+        record_from_json,
+        |n| format!("record {}", n - 1),
+    )?;
+    let meta = meta.ok_or_else(|| TraceError::Parse("empty trace file".into()))?;
+    Ok((Trace { meta, records }, quality))
+}
+
+fn read_csv_lines<R: BufRead>(
+    r: R,
+    meta: TraceMeta,
+    recover: bool,
+) -> Result<(Trace, TraceQualityReport), TraceError> {
+    let header = |_: &[u8]| Ok(());
+    let (records, quality) = read_records(r, recover, header, record_from_csv_line, |n| {
+        format!("line {n}")
+    })?;
+    Ok((Trace { meta, records }, quality))
+}
+
+fn record_from_csv_line(line: &[u8]) -> Result<TraceRecord, String> {
+    let line = std::str::from_utf8(line).map_err(|e| e.to_string())?;
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != 7 {
         return Err(format!("expected 7 fields, got {}", fields.len()));
@@ -301,13 +353,13 @@ fn meta_to_json(m: &TraceMeta) -> String {
     w.finish()
 }
 
-/// Serializes one record as a single JSON object line — the same
-/// encoding [`Trace::write_jsonl`] uses per record. Public so other
-/// on-disk formats (the `fgcs-service` snapshot files) reuse the exact
-/// byte encoding instead of inventing a second one; `{}`-formatted f64s
-/// round-trip bit-exactly (see `json::ObjWriter`).
-pub fn record_to_json(r: &TraceRecord) -> String {
-    let mut w = ObjWriter::new();
+/// Writes one record's fields into the object `w` — the one record
+/// encoding. [`Trace::write_jsonl`] writes them alone, one object per
+/// line; other on-disk formats (the `fgcs-service` snapshot files)
+/// write a field of their own first and then these, instead of
+/// inventing a second encoding. `{}`-formatted f64s round-trip
+/// bit-exactly (see `json::ObjWriter`).
+pub fn record_fields<B: BorrowMut<String>>(w: &mut ObjWriter<B>, r: &TraceRecord) {
     w.u64("machine", r.machine as u64)
         .str("cause", cause_name(r.cause))
         .u64("start", r.start)
@@ -315,8 +367,13 @@ pub fn record_to_json(r: &TraceRecord) -> String {
         .opt_u64("raw_end", r.raw_end)
         .f64("avail_cpu", r.avail_cpu)
         .u64("avail_mem_mb", r.avail_mem_mb as u64);
-    w.finish()
 }
+
+const CAUSES: [FailureCause; 3] = [
+    FailureCause::CpuContention,
+    FailureCause::MemoryThrashing,
+    FailureCause::Revocation,
+];
 
 fn cause_name(c: FailureCause) -> &'static str {
     match c {
@@ -326,7 +383,8 @@ fn cause_name(c: FailureCause) -> &'static str {
     }
 }
 
-fn meta_from_json(line: &str) -> Result<TraceMeta, String> {
+fn meta_from_json(line: &[u8]) -> Result<TraceMeta, String> {
+    let line = std::str::from_utf8(line).map_err(|e| e.to_string())?;
     let v = json::parse(line)?;
     let o = v.as_obj().ok_or("meta line is not an object")?;
     let th = get(o, "thresholds")?
@@ -343,33 +401,56 @@ fn meta_from_json(line: &str) -> Result<TraceMeta, String> {
     })
 }
 
-/// Parses one record from a JSON object line (inverse of
-/// [`record_to_json`]). Unknown fields are ignored, so wrappers may add
-/// their own discriminators around the record encoding. Non-finite
-/// `avail_cpu` values are rejected here, at the loader boundary.
-pub fn record_from_json(line: &str) -> Result<TraceRecord, String> {
-    let v = json::parse(line)?;
-    let o = v.as_obj().ok_or("record line is not an object")?;
-    record_from_obj(o)
-}
-
-/// Parses one record from an already-parsed JSON object (see
-/// [`record_from_json`]).
-pub fn record_from_obj(o: &BTreeMap<String, Value>) -> Result<TraceRecord, String> {
-    let cause = match get_str(o, "cause")? {
-        "CpuContention" => FailureCause::CpuContention,
-        "MemoryThrashing" => FailureCause::MemoryThrashing,
-        "Revocation" => FailureCause::Revocation,
-        other => return Err(format!("unknown cause {other:?}")),
+/// Decodes one record from a JSON object line (the inverse of
+/// [`record_fields`]) in one pass over its bytes, building no object:
+/// the one record decoder, for trace files and `fgcs-service` snapshots
+/// alike.
+///
+/// It reads what a parsed object would hold: unknown fields are
+/// checked and ignored (so wrappers may add their own discriminators),
+/// a repeated key's last value wins, and each field's value must then
+/// have the type [`json::get_u64`] and its siblings require — integers
+/// exact, non-finite `avail_cpu` values rejected here, at the loader
+/// boundary. A line that is not UTF-8 is an error, not a panic.
+pub fn record_from_json(line: &[u8]) -> Result<TraceRecord, String> {
+    let mut cause = None;
+    let [mut machine, mut start, mut end, mut raw_end, mut avail_cpu, mut avail_mem_mb] =
+        [const { None }; 6];
+    let mut cur = Cursor::new(line);
+    cur.object(|key, cur| {
+        let slot = match &*key {
+            "cause" => {
+                cause = Some(cur.string_or_skip()?);
+                return Ok(());
+            }
+            "machine" => &mut machine,
+            "start" => &mut start,
+            "end" => &mut end,
+            "raw_end" => &mut raw_end,
+            "avail_cpu" => &mut avail_cpu,
+            "avail_mem_mb" => &mut avail_mem_mb,
+            _ => return cur.skip_value(),
+        };
+        *slot = Some(cur.value()?);
+        Ok(())
+    })?;
+    cur.finish()?;
+    let cause = match cause {
+        Some(Some(name)) => CAUSES
+            .into_iter()
+            .find(|&c| cause_name(c) == name)
+            .ok_or_else(|| format!("unknown cause {name:?}"))?,
+        Some(None) => return Err(json::not_a("cause", "a string")),
+        None => return Err(json::missing("cause")),
     };
     Ok(TraceRecord {
-        machine: get_u64(o, "machine")? as u32,
+        machine: field_u64("machine", machine.as_ref())? as u32,
         cause,
-        start: get_u64(o, "start")?,
-        end: get_opt_u64(o, "end")?,
-        raw_end: get_opt_u64(o, "raw_end")?,
-        avail_cpu: get_f64(o, "avail_cpu")?,
-        avail_mem_mb: get_u64(o, "avail_mem_mb")? as u32,
+        start: field_u64("start", start.as_ref())?,
+        end: field_opt_u64("end", end.as_ref())?,
+        raw_end: field_opt_u64("raw_end", raw_end.as_ref())?,
+        avail_cpu: field_f64("avail_cpu", avail_cpu.as_ref())?,
+        avail_mem_mb: field_u64("avail_mem_mb", avail_mem_mb.as_ref())? as u32,
     })
 }
 
@@ -514,6 +595,73 @@ mod tests {
     }
 
     #[test]
+    fn a_64_bit_seed_round_trips_exactly() {
+        // Through f64, 2^60 + 1 read back as 2^60.
+        let mut t = sample_trace();
+        for seed in [(1u64 << 60) + 1, (1 << 53) + 1, u64::MAX] {
+            t.meta.seed = seed;
+            let mut buf = Vec::new();
+            t.write_jsonl(&mut buf).unwrap();
+            assert_eq!(Trace::read_jsonl(&buf[..]).unwrap(), t, "{seed}");
+        }
+    }
+
+    /// `text` with one byte of line `line` (0-based) set to 0xFF.
+    fn flip_a_byte(text: &[u8], line: usize) -> Vec<u8> {
+        let start = text
+            .split(|&b| b == b'\n')
+            .take(line)
+            .map(|l| l.len() + 1)
+            .sum::<usize>();
+        let mut out = text.to_vec();
+        out[start + 3] = 0xFF;
+        out
+    }
+
+    #[test]
+    fn recovering_readers_count_a_non_utf8_line_as_one_corrupt_line() {
+        let t = sample_trace();
+        let mut buf = Vec::new();
+        t.write_jsonl(&mut buf).unwrap();
+        let damaged = flip_a_byte(&buf, 2); // the second record
+        let (back, q) = Trace::read_jsonl_recovering(&damaged[..]).unwrap();
+        assert_eq!(back.records, [t.records[0], t.records[2]]);
+        assert_eq!(q.corrupt_lines, 1);
+        assert_eq!(q.corrupt_line_numbers, vec![3]);
+        assert_eq!(q.parsed_records, 2);
+        // The strict reader names the record instead of an I/O error.
+        let err = Trace::read_jsonl(&damaged[..]).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Parse(m) if m.starts_with("record 2:")),
+            "{err}"
+        );
+        // A bad meta line is still fatal.
+        assert!(matches!(
+            Trace::read_jsonl_recovering(&flip_a_byte(&buf, 0)[..]),
+            Err(TraceError::Parse(_))
+        ));
+
+        let mut csv = Vec::new();
+        t.write_csv(&mut csv).unwrap();
+        let damaged = flip_a_byte(&csv, 3); // the third record
+        let (back, q) = Trace::read_csv_recovering(&damaged[..], t.meta.clone()).unwrap();
+        assert_eq!(back.records, &t.records[..2]);
+        assert_eq!(q.corrupt_line_numbers, vec![4]);
+        assert!(Trace::read_csv(&damaged[..], t.meta.clone()).is_err());
+    }
+
+    #[test]
+    fn blank_lines_are_what_str_trim_calls_blank() {
+        for line in ["", " ", "\t\r", "\u{0B}\u{0C}", " \u{3000}\u{85}"] {
+            assert!(is_blank(line.as_bytes()), "{line:?}");
+        }
+        for line in ["{}", " x", "\u{3000}x"] {
+            assert!(!is_blank(line.as_bytes()), "{line:?}");
+        }
+        assert!(!is_blank(b" \xff"));
+    }
+
+    #[test]
     fn recovering_csv_skips_and_reports_damage() {
         let t = sample_trace();
         let mut buf = Vec::new();
@@ -607,10 +755,12 @@ mod tests {
         // The service snapshot format wraps record lines with a "kind"
         // discriminator; the parser must ignore unknown fields.
         let r = sample_trace().records[0];
-        let plain = record_to_json(&r);
-        assert_eq!(record_from_json(&plain).unwrap(), r);
+        let mut w = ObjWriter::new();
+        record_fields(&mut w, &r);
+        let plain = w.finish();
+        assert_eq!(record_from_json(plain.as_bytes()).unwrap(), r);
         let wrapped = format!("{{\"kind\":\"record\",{}", &plain[1..]);
-        assert_eq!(record_from_json(&wrapped).unwrap(), r);
+        assert_eq!(record_from_json(wrapped.as_bytes()).unwrap(), r);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Counted cost: how many times the span walk and the span tracer call
-//! the allocator, read off a counting global allocator. A count is
-//! deterministic where a timing is not, so it states the walk's cost
-//! exactly: it must not grow with the number of spans walked.
+//! Counted cost: how many times the span walk, the span tracer and the
+//! JSONL trace codec call the allocator, read off a counting global
+//! allocator. A count is deterministic where a timing is not, so it
+//! states each one's cost exactly: it must not grow with the number of
+//! spans walked or records written and read.
 //!
 //! Each count is per thread (the counters are thread-locals), so tests
 //! running side by side in this binary do not see each other's
@@ -11,9 +12,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fgcs_core::detector::DetectorConfig;
+use fgcs_core::model::{FailureCause, Thresholds};
 use fgcs_testbed::lab::{LabConfig, MachinePlan, PlanSpan};
 use fgcs_testbed::runner::{trace_machine_batched, TestbedConfig};
 use fgcs_testbed::scenarios;
+use fgcs_testbed::trace::{Trace, TraceMeta, TraceRecord};
 
 /// Counts every allocation and reallocation of the calling thread, then
 /// defers to the system allocator.
@@ -120,4 +123,74 @@ fn the_span_tracer_allocates_a_bounded_number_of_times() {
         long_allocs <= short_allocs + 16,
         "{short_allocs} -> {long_allocs}"
     );
+}
+
+/// `n` records over 20 machines, every field varying, a tenth still
+/// open.
+fn synthetic_trace(n: u64) -> Trace {
+    let causes = [
+        FailureCause::CpuContention,
+        FailureCause::MemoryThrashing,
+        FailureCause::Revocation,
+    ];
+    let records = (0..n)
+        .map(|i| {
+            let start = i * 7_919 + (i % 13) * 86_400;
+            let end = (i % 10 != 0).then_some(start + 60 + i % 3_600);
+            TraceRecord {
+                machine: (i % 20) as u32,
+                cause: causes[(i % 3) as usize],
+                start,
+                end,
+                raw_end: end.map(|e| e - i % 60),
+                avail_cpu: 1.0 / (1.0 + (i % 97) as f64),
+                avail_mem_mb: (i % 2_048) as u32,
+            }
+        })
+        .collect();
+    Trace {
+        meta: TraceMeta {
+            seed: u64::MAX - 7,
+            machines: 20,
+            days: 92,
+            sample_period: 15,
+            start_weekday: 0,
+            span_secs: 92 * 86_400,
+            thresholds: Thresholds::LINUX_TESTBED,
+        },
+        records,
+    }
+}
+
+#[test]
+fn the_jsonl_codec_allocates_a_bounded_number_of_times() {
+    let (short, long) = (synthetic_trace(1_000), synthetic_trace(16_000));
+    let write = |t: &Trace| {
+        allocations(|| {
+            let mut buf = Vec::new();
+            t.write_jsonl(&mut buf).unwrap();
+            buf
+        })
+    };
+    let ((short_buf, short_w), (long_buf, long_w)) = (write(&short), write(&long));
+    let read = |buf: &[u8]| allocations(|| Trace::read_jsonl(buf).unwrap());
+    let ((short_back, short_r), (long_back, long_r)) = (read(&short_buf), read(&long_buf));
+    let recover = |buf: &[u8]| allocations(|| Trace::read_jsonl_recovering(buf).unwrap());
+    let ((_, short_q), (long_recovered, long_q)) = (recover(&short_buf), recover(&long_buf));
+    assert_eq!(short_back, short);
+    assert_eq!(long_back, long);
+    assert_eq!(long_recovered.0, long);
+    for (what, s, l) in [
+        ("write_jsonl", short_w, long_w),
+        ("read_jsonl", short_r, long_r),
+        ("read_jsonl_recovering", short_q, long_q),
+    ] {
+        println!("{what}: 1000 records {s} allocations, 16000 records {l} allocations");
+        // The output, the record vector and the line buffers grow by
+        // doubling, the meta line and the report's per-machine entries
+        // are fixed: 16x the records, a few more allocations at most,
+        // never one per record.
+        assert!(l <= 40, "{what}: {l} allocations");
+        assert!(l <= s + 6, "{what}: {s} -> {l}");
+    }
 }

@@ -58,6 +58,26 @@ cmp -s "$fm" "$smoke_dir/fault_matrix.w1.csv" \
     || { echo "faults smoke: fault_matrix.csv differs across worker counts" >&2; exit 1; }
 echo "  fault_matrix.csv bit-identical across FGCS_PAR_WORKERS=1/3"
 
+echo "== trace and predictor smokes (full scale; byte-identical to the committed files) =="
+# The JSONL trace goes through the record codec: its bytes are frozen,
+# and nothing else compares results/trace.jsonl (the benchmark reads
+# only the CSVs). X2 and X9 score their (window, predictor) pairs on
+# fgcs-par workers, so their CSVs must not move with the worker count.
+(cd "$smoke_dir" && "$exp_bin" trace > /dev/null)
+for f in trace.jsonl trace.csv; do
+    cmp -s "$smoke_dir/results/$f" "results/$f" \
+        || { echo "trace smoke: $f differs from the committed file" >&2; exit 1; }
+done
+for w in 1 3; do
+    (cd "$smoke_dir" && FGCS_PAR_WORKERS=$w "$exp_bin" predict > /dev/null)
+    (cd "$smoke_dir" && FGCS_PAR_WORKERS=$w "$exp_bin" depth > /dev/null)
+    for f in predict.csv predict_depth.csv; do
+        cmp -s "$smoke_dir/results/$f" "results/$f" \
+            || { echo "predict smoke: $f differs from the committed file at FGCS_PAR_WORKERS=$w" >&2; exit 1; }
+    done
+done
+echo "  trace.jsonl, trace.csv, predict.csv and predict_depth.csv byte-identical (predict/depth at FGCS_PAR_WORKERS=1/3)"
+
 echo "== claims gate (committed BENCH_serve.json + BENCH_fleet.json) =="
 # Every X12-X15 bound, at full scale, on the committed artifacts. The
 # same check functions (fgcs-experiments' claims module) run inside each

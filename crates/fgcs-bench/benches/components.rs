@@ -6,6 +6,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use fgcs_core::contention::ContentionConfig;
 use fgcs_core::detector::{Detector, DetectorConfig};
 use fgcs_core::monitor::{Monitor, Observation};
 use fgcs_faults::{FaultConfig, FaultStream};
@@ -32,6 +33,35 @@ fn bench_scheduler(c: &mut Criterion) {
             b.iter(|| {
                 m.run_ticks(secs(1));
                 black_box(m.now())
+            })
+        });
+    }
+    g.finish();
+}
+
+/// One Figure 1 measurement as `contention::reduction_point` makes it:
+/// a fresh machine running combination 0 of the point (LH 0.6, `M`)
+/// beside a nice-0 guest, warmed up, then measured through
+/// `Machine::measure`, which skips the periods it has already seen.
+fn bench_contention(c: &mut Criterion) {
+    let mut g = c.benchmark_group("contention");
+    let cfg = ContentionConfig::default();
+    let lh = 0.6;
+    for m in [1usize, 3, 5] {
+        let stream = (lh * 1000.0) as u64 ^ ((m as u64) << 20);
+        let hosts = synthetic::host_group(&mut Rng::for_stream(cfg.seed, stream), lh, m);
+        g.throughput(Throughput::Elements(secs(
+            cfg.warmup_secs + cfg.measure_secs,
+        )));
+        g.bench_function(format!("measure_point/M{m}"), |b| {
+            b.iter(|| {
+                let mut machine = Machine::default_linux();
+                for h in &hosts {
+                    machine.spawn(h.clone());
+                }
+                machine.spawn(synthetic::guest_process(0));
+                machine.run_ticks(secs(cfg.warmup_secs));
+                black_box(machine.measure(secs(cfg.measure_secs)))
             })
         });
     }
@@ -245,7 +275,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = components;
     config = config();
-    targets = bench_scheduler, bench_monitor_detector, bench_lab_generator,
+    targets = bench_scheduler, bench_contention, bench_monitor_detector, bench_lab_generator,
               bench_stats, bench_event_index, bench_par, bench_policy_and_cluster,
               bench_predictors_fit
 }

@@ -35,7 +35,7 @@
 //! §3.2.3 observation that thrashing drags the host down *regardless of
 //! CPU priorities* (the starred bars of Figure 4).
 
-use crate::proc::{nice_to_ticks, Pid, ProcClass, ProcSpec, Process, RunState};
+use crate::proc::{nice_to_ticks, Demand, Pid, ProcClass, ProcSpec, Process, RunState, SleepOrRun};
 use crate::time::Tick;
 
 /// Machine configuration.
@@ -200,6 +200,105 @@ pub struct Machine {
     /// The runnables of the current [`Machine::try_batch`] call, in pid
     /// order. Reused across calls so a race allocates nothing.
     race: Vec<Racer>,
+    /// Ticks [`Machine::measure`] has retired by skipping whole periods.
+    #[cfg(test)]
+    skipped_ticks: u64,
+}
+
+/// Samples [`Machine::measure`] keeps per call while it looks for a
+/// repeated scheduling state; past the cap it stops sampling and runs
+/// the rest of the window through `run_ticks`. A Figure 1 window
+/// (24 000 ticks, one sample per busy period of a 60–84-tick duty
+/// cycle) takes at most ~400.
+const PERIOD_SAMPLES: usize = 512;
+
+/// Words (8 bytes each) the two sample arenas may hold, which lowers
+/// the sample cap on machines with many processes: 512 KB.
+const ARENA_WORDS: usize = 1 << 16;
+
+/// Accumulator words ahead of the per-process ones in a sample: `now`,
+/// the five [`CpuAccounting`] fields and `recalcs`.
+const MACHINE_ACCS: usize = 7;
+
+/// The scheduling states one [`Machine::measure`] call has sampled, for
+/// its periodic fast-forward. Sample `s` owns `keys[s·key_len ..]` (the
+/// state key [`Machine::push_state_key`] writes) and
+/// `accs[s·acc_len ..]` (what [`Machine::push_accumulators`] writes);
+/// `slots` is an open-addressed index over key hashes holding sample
+/// numbers plus one (0 is empty). Keys are compared word for word: the
+/// hash only picks where to look.
+#[derive(Default)]
+struct PeriodScan {
+    key_len: usize,
+    acc_len: usize,
+    /// The sample cap for this machine's key and accumulator lengths.
+    max_samples: usize,
+    keys: Vec<u64>,
+    accs: Vec<u64>,
+    slots: Vec<u32>,
+}
+
+std::thread_local! {
+    /// One scan per thread, emptied by each `measure` call, so a sweep
+    /// that measures thousands of fresh machines allocates its arenas
+    /// once per worker.
+    static PERIOD_SCAN: std::cell::RefCell<PeriodScan> = Default::default();
+}
+
+impl PeriodScan {
+    /// Empties the scan for a machine of `procs` processes.
+    fn reset(&mut self, procs: usize) {
+        self.key_len = 4 + 7 * procs;
+        self.acc_len = MACHINE_ACCS + 3 * procs;
+        self.max_samples = PERIOD_SAMPLES.min(ARENA_WORDS / (self.key_len + self.acc_len));
+        self.keys.clear();
+        self.accs.clear();
+        self.slots.clear();
+        self.slots.resize(2 * PERIOD_SAMPLES, 0);
+    }
+
+    fn samples(&self) -> usize {
+        self.accs.len() / self.acc_len
+    }
+
+    fn full(&self) -> bool {
+        self.samples() == self.max_samples
+    }
+
+    /// Samples `m`'s state: the accumulators of the earlier sample with
+    /// the same key, or `None` after storing this one as new.
+    fn sample(&mut self, m: &Machine) -> Option<&[u64]> {
+        let start = self.keys.len();
+        m.push_state_key(&mut self.keys);
+        let key = &self.keys[start..];
+        // FxHash's word step over four independent lanes, folded; the
+        // index takes the well-mixed high bits.
+        let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        let mut lanes = [0u64; 4];
+        let mut words = key.chunks_exact(4);
+        for chunk in &mut words {
+            for (l, &w) in lanes.iter_mut().zip(chunk) {
+                *l = step(*l, w);
+            }
+        }
+        for (l, &w) in lanes.iter_mut().zip(words.remainder()) {
+            *l = step(*l, w);
+        }
+        let h = lanes.into_iter().fold(0, step);
+        let mask = self.slots.len() - 1;
+        let mut slot = (h >> 32) as usize & mask;
+        while self.slots[slot] != 0 {
+            let s = self.slots[slot] as usize - 1;
+            if self.keys[s * self.key_len..(s + 1) * self.key_len] == *key {
+                self.keys.truncate(start);
+                return Some(&self.accs[s * self.acc_len..(s + 1) * self.acc_len]);
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = self.samples() as u32 + 1;
+        m.push_accumulators(&mut self.accs);
+        None
+    }
 }
 
 /// One runnable process as a race replays it: the fields `step()`'s
@@ -283,6 +382,8 @@ impl Machine {
             sleep_min: None,
             sleep_min_valid: true,
             race: Vec::new(),
+            #[cfg(test)]
+            skipped_ticks: 0,
         }
     }
 
@@ -730,6 +831,11 @@ impl Machine {
     ///
     /// Every path stops at the next wake (`min_sleep`), at a busy-period
     /// end (on its last tick) and at `rem`.
+    ///
+    /// This and the two batch paths it calls are inlined into both loops
+    /// that call it, `run_ticks` and `measure`'s, as they were into
+    /// `run_ticks` when it was the only one.
+    #[inline(always)]
     fn try_batch(&mut self, rem: u64) -> u64 {
         #[cfg(debug_assertions)]
         self.assert_aggregates();
@@ -954,6 +1060,7 @@ impl Machine {
     /// fit before the segment's end and leave every racer at least one
     /// busy tick (a busy-period end must stay the segment's last tick),
     /// and the run log replays the recorded epoch `e` times.
+    #[inline(always)]
     fn batch_race(&mut self, rem: u64, min_sleep: Option<u64>) -> u64 {
         self.race.clear();
         let mut cur = None;
@@ -1099,6 +1206,7 @@ impl Machine {
     /// whenever that tick ends the busy period or the tick budget runs
     /// out, because `step()` re-checks the memory pressure on every
     /// stall tick and the pressure may have just changed.
+    #[inline(always)]
     fn batch_thrash_span(
         &mut self,
         rem: u64,
@@ -1207,18 +1315,187 @@ impl Machine {
     /// Measures CPU accounting over the next `ticks` ticks and returns
     /// the delta — the primitive behind every utilization measurement in
     /// the contention experiments.
+    ///
+    /// Leaves the machine exactly as [`Machine::run_ticks`]`(ticks)`
+    /// would, but skips what it already knows. Once its processes are
+    /// spawned the machine is a deterministic integer state plus two
+    /// floats (`stall_debt`, `work_frac`) compared bit for bit, so when
+    /// the scheduling state at one moment equals the state at an earlier
+    /// one, everything after repeats with period `L`, the ticks between
+    /// them. `measure` samples that state each time process 0 falls
+    /// asleep (a busy-period end, which ends every batch), keeps up to
+    /// 512 samples (fewer when the machine's samples would pass 512 KB),
+    /// and at the first repeat retires `⌊left / L⌋` whole periods in one
+    /// update: each counter (accounting, `recalcs`, every process's
+    /// `cpu_ticks`, `wait_ticks` and `busy_left`) moves by that many
+    /// times its change over one period, and the clock moves by that
+    /// many `L`. The rest of the window runs through `run_ticks`. With
+    /// the run log on, every tick runs through `run_ticks`. See DESIGN
+    /// §7.1, "Periodic fast-forward".
     pub fn measure(&mut self, ticks: u64) -> CpuAccounting {
         let before = self.acct;
-        self.run_ticks(ticks);
+        let rest = if self.run_log.is_none() {
+            self.run_to_period(ticks)
+        } else {
+            ticks
+        };
+        self.run_ticks(rest);
         self.acct.since(&before)
     }
 
-    /// CPU usage of one pid over the next `ticks` ticks.
+    /// CPU usage of one pid over the next `ticks` ticks, through
+    /// [`Machine::measure`]; 0 for an empty window.
     pub fn measure_pid(&mut self, pid: Pid, ticks: u64) -> Result<f64, SimError> {
         let i = self.index(pid)?;
         let before = self.procs[i].cpu_ticks;
-        self.run_ticks(ticks);
-        Ok((self.procs[i].cpu_ticks - before) as f64 / ticks as f64)
+        self.measure(ticks);
+        Ok(if ticks == 0 {
+            0.0
+        } else {
+            (self.procs[i].cpu_ticks - before) as f64 / ticks as f64
+        })
+    }
+
+    /// Advances up to `ticks` ticks exactly as `run_ticks` does, sampling
+    /// the scheduling state each time process 0 falls asleep, until a
+    /// sample repeats an earlier one; then retires as many whole periods
+    /// as fit. Returns the ticks still to run.
+    fn run_to_period(&mut self, ticks: u64) -> u64 {
+        if self.procs.is_empty() || !self.endless_work_outlasts(ticks) {
+            return ticks;
+        }
+        PERIOD_SCAN.with_borrow_mut(|scan| {
+            scan.reset(self.procs.len());
+            let mut rem = ticks;
+            while rem > 0 && !scan.full() {
+                let ran_before = self.procs[0].cpu_ticks;
+                let k = self.try_batch(rem);
+                if k == 0 {
+                    self.step();
+                    rem -= 1;
+                } else {
+                    rem -= k;
+                }
+                // Process 0 ran and is asleep: its busy period ended on
+                // this batch's last tick.
+                if self.procs[0].cpu_ticks == ran_before
+                    || !matches!(self.procs[0].state, RunState::Sleeping { .. })
+                {
+                    continue;
+                }
+                if let Some(then) = scan.sample(self) {
+                    let period = self.now - then[0];
+                    let n = rem / period;
+                    self.retire_periods(then, n);
+                    return rem - n * period;
+                }
+            }
+            rem
+        })
+    }
+
+    /// Whether every endless CPU-bound process has more than `ticks`
+    /// ticks of `busy_left` left. Such a process counts `busy_left` down
+    /// from `u64::MAX` and `step()` reads it only when it reaches 0, so
+    /// the state key leaves it out; this check keeps that 0 outside the
+    /// window.
+    fn endless_work_outlasts(&self, ticks: u64) -> bool {
+        self.procs.iter().all(|p| {
+            !matches!(p.spec.demand, Demand::CpuBound { total_work: None })
+                || p.progress.busy_left > ticks
+        })
+    }
+
+    /// Appends the state key: everything `step()` and `try_batch` read,
+    /// less the caches derived from it (resident sums, runnable count,
+    /// wake horizon) and the `busy_left` of endless CPU-bound processes.
+    /// Floats go in as their bits.
+    fn push_state_key(&self, out: &mut Vec<u64>) {
+        out.extend([
+            self.current.map_or(u64::MAX, |c| c as u64),
+            self.iowait_until.saturating_sub(self.now),
+            self.stall_debt.to_bits(),
+            self.service_up as u64,
+        ]);
+        for p in &self.procs {
+            let (tag, val) = match p.state {
+                RunState::Runnable => (0, 0),
+                RunState::Sleeping { remaining } => (1, remaining),
+                RunState::Suspended {
+                    prev: SleepOrRun::Runnable,
+                } => (2, 0),
+                RunState::Suspended {
+                    prev: SleepOrRun::Sleeping(r),
+                } => (3, r),
+                RunState::Exited => (4, 0),
+            };
+            let busy_left = match p.spec.demand {
+                Demand::CpuBound { total_work: None } => 0,
+                _ => p.progress.busy_left,
+            };
+            out.extend([
+                p.nice as u64,
+                p.counter,
+                tag,
+                val,
+                p.progress.phase as u64,
+                busy_left,
+                p.work_frac.to_bits(),
+            ]);
+        }
+    }
+
+    /// Appends the counters a skipped period advances: `now`, the
+    /// accounting, `recalcs`, then each process's `cpu_ticks`,
+    /// `wait_ticks` and `busy_left`.
+    fn push_accumulators(&self, out: &mut Vec<u64>) {
+        let a = &self.acct;
+        out.extend([
+            self.now,
+            a.host,
+            a.system,
+            a.guest,
+            a.idle,
+            a.iowait,
+            self.recalcs,
+        ]);
+        for p in &self.procs {
+            out.extend([p.cpu_ticks, p.wait_ticks, p.progress.busy_left]);
+        }
+    }
+
+    /// Retires `n` more periods of the cycle that began at the sample
+    /// whose accumulators are `then` and ends now: every counter moves
+    /// by `n` times its change since then (`busy_left` counts down), and
+    /// the clock and the pending stall's end move by `n` periods.
+    fn retire_periods(&mut self, then: &[u64], n: u64) {
+        let fwd = |cur: &mut u64, old: u64| *cur += n * (*cur - old);
+        let skip = n * (self.now - then[0]);
+        self.now += skip;
+        self.iowait_until += skip;
+        let a = &mut self.acct;
+        for (cur, &old) in [
+            &mut a.host,
+            &mut a.system,
+            &mut a.guest,
+            &mut a.idle,
+            &mut a.iowait,
+            &mut self.recalcs,
+        ]
+        .into_iter()
+        .zip(&then[1..MACHINE_ACCS])
+        {
+            fwd(cur, old);
+        }
+        for (p, old) in self.procs.iter_mut().zip(then[MACHINE_ACCS..].chunks(3)) {
+            fwd(&mut p.cpu_ticks, old[0]);
+            fwd(&mut p.wait_ticks, old[1]);
+            p.progress.busy_left -= n * (old[2] - p.progress.busy_left);
+        }
+        #[cfg(test)]
+        {
+            self.skipped_ticks += skip;
+        }
     }
 }
 
@@ -1564,5 +1841,63 @@ mod tests {
         let g = m.spawn(ProcSpec::cpu_bound_guest("g", 19));
         m.run_ticks(secs(10));
         assert!(m.process(g).unwrap().cpu_ticks > 0, "nice 19 starved");
+    }
+
+    #[test]
+    fn measure_pid_of_an_empty_window_is_zero() {
+        let mut m = Machine::default_linux();
+        let g = m.spawn(ProcSpec::cpu_bound_guest("g", 0));
+        assert_eq!(m.measure_pid(g, 0), Ok(0.0));
+        assert_eq!(m.measure_pid(g, 10), Ok(1.0));
+        assert_eq!(
+            m.measure_pid(Pid(7), 10),
+            Err(SimError::NoSuchProcess(Pid(7)))
+        );
+    }
+
+    /// Two Figure 1 points as `contention::reduction_point` builds
+    /// them (seed, stream and combination 0) and a deeply thrashing
+    /// machine: whole periods of the 240 s window must be skipped, not
+    /// stepped. A change that silently stops skipping fails here, not
+    /// only in the timings.
+    #[test]
+    fn measure_skips_whole_periods_on_figure1_points() {
+        use crate::workloads::synthetic;
+        use fgcs_stats::rng::Rng;
+        for (m, lh, nice) in [(1usize, 0.5, 0i8), (3, 0.6, 19)] {
+            let stream = (lh * 1000.0) as u64 ^ ((m as u64) << 20) ^ ((nice as u64) << 32);
+            let mut rng = Rng::for_stream(0x4647_4353, stream);
+            let mut machine = Machine::default_linux();
+            for spec in synthetic::host_group(&mut rng, lh, m) {
+                machine.spawn(spec);
+            }
+            machine.spawn(synthetic::guest_process(nice));
+            assert_skips_half(machine, &format!("Figure 1, M={m}"));
+        }
+        // A machine so overcommitted that every work tick stalls for the
+        // 50-tick cap: periodic, with a stall pending at every sample.
+        let mut machine = Machine::new(MachineConfig::solaris_384mb());
+        machine.spawn(ProcSpec::new(
+            "host",
+            ProcClass::Host,
+            0,
+            Demand::DutyCycle { busy: 5, idle: 40 },
+            MemSpec::resident(6_000),
+        ));
+        machine.spawn(ProcSpec::cpu_bound_guest("g", 19));
+        assert_skips_half(machine, "deep thrashing");
+    }
+
+    /// Warms `machine` up for 20 s, measures 240 s, and requires at
+    /// least half the window retired by skipping.
+    fn assert_skips_half(mut machine: Machine, ctx: &str) {
+        machine.run_ticks(secs(20));
+        let window = secs(240);
+        assert_eq!(machine.measure(window).total(), window);
+        assert!(
+            machine.skipped_ticks * 2 >= window,
+            "{ctx}: skipped {} of {window} ticks",
+            machine.skipped_ticks
+        );
     }
 }

@@ -8,14 +8,24 @@
 //! state must be identical: clock, cumulative CPU accounting, recalc
 //! count, memory aggregates, per-pid cpu/wait ticks, quantum counters,
 //! run states, and the full scheduling log.
+//!
+//! `Machine::measure`, which skips the periods of a repeating scheduling
+//! state, is held to the same oracle: its returned delta and every
+//! observable after the window must equal a stepped twin's.
 
-use fgcs_sim::machine::{Machine, MachineConfig};
+use fgcs_sim::machine::{CpuAccounting, Machine, MachineConfig};
 use fgcs_sim::proc::{Demand, MemSpec, Phase, Pid, ProcClass, ProcSpec};
-use fgcs_sim::workloads::synthetic;
+use fgcs_sim::workloads::{musbus, spec, synthetic};
 use fgcs_stats::rng::Rng;
 
 /// Asserts every observable of the two machines is identical.
 fn assert_same(a: &Machine, b: &Machine, ctx: &str) {
+    assert_same_state(a, b, ctx);
+    assert_eq!(a.run_log(), b.run_log(), "run log diverged ({ctx})");
+}
+
+/// Asserts every observable but the run log is identical.
+fn assert_same_state(a: &Machine, b: &Machine, ctx: &str) {
     assert_eq!(a.now(), b.now(), "clock diverged ({ctx})");
     assert_eq!(
         a.accounting(),
@@ -58,7 +68,6 @@ fn assert_same(a: &Machine, b: &Machine, ctx: &str) {
             y.work_frac
         );
     }
-    assert_eq!(a.run_log(), b.run_log(), "run log diverged ({ctx})");
 }
 
 /// Which corner of the workload space a fuzz schedule leans into.
@@ -153,46 +162,35 @@ fn fuzz_one(seed: u64, mix: Mix) {
         MachineConfig::default()
     };
     let mut reference = Machine::new(cfg.clone());
-    let mut batched = Machine::new(cfg);
+    let mut batched = Machine::new(cfg.clone());
     reference.enable_run_log();
     batched.enable_run_log();
+    // The batched machine's twin without a run log, so that the closing
+    // `measure` may skip periods.
+    let mut unlogged = Machine::new(cfg);
 
     let mut spawned: u32 = 0;
     for seg in 0..40 {
-        // A random control action, mirrored on both machines.
-        match rng.below(6) {
-            0 | 1 => {
-                let spec = random_spec(&mut rng, mix);
-                let pa = reference.spawn(spec.clone());
-                let pb = batched.spawn(spec);
-                assert_eq!(pa, pb);
-                spawned += 1;
+        // A random control action, mirrored on every machine.
+        let action = rng.below(6);
+        let spec = (action < 2).then(|| random_spec(&mut rng, mix));
+        let pid = (action >= 2 && spawned > 0).then(|| Pid(rng.below(spawned as u64) as u32));
+        let nice = (action == 3 && pid.is_some()).then(|| rng.range_u64(0, 19) as i8);
+        for m in [&mut reference, &mut batched, &mut unlogged] {
+            if let Some(spec) = &spec {
+                assert_eq!(m.spawn(spec.clone()), Pid(spawned));
             }
-            2 if spawned > 0 => {
-                let pid = Pid(rng.below(spawned as u64) as u32);
-                let _ = reference.kill(pid);
-                let _ = batched.kill(pid);
-            }
-            3 if spawned > 0 => {
-                let pid = Pid(rng.below(spawned as u64) as u32);
-                let nice = rng.range_u64(0, 19) as i8;
-                let _ = reference.renice(pid, nice);
-                let _ = batched.renice(pid, nice);
-            }
-            4 if spawned > 0 => {
-                let pid = Pid(rng.below(spawned as u64) as u32);
-                let _ = reference.suspend(pid);
-                let _ = batched.suspend(pid);
-            }
-            5 if spawned > 0 => {
-                let pid = Pid(rng.below(spawned as u64) as u32);
-                let _ = reference.resume(pid);
-                let _ = batched.resume(pid);
-            }
-            _ => {}
+            let Some(pid) = pid else { continue };
+            let _ = match action {
+                2 => m.kill(pid),
+                3 => m.renice(pid, nice.unwrap()),
+                4 => m.suspend(pid),
+                _ => m.resume(pid),
+            };
         }
+        spawned += spec.is_some() as u32;
 
-        // Advance both by the same span; the batched machine covers it
+        // Advance all by the same span; the batched machines cover it
         // in random-size chunks so batch boundaries land everywhere.
         let span = rng.range_u64(1, 500);
         reference.run_ticks_stepwise(span);
@@ -200,10 +198,31 @@ fn fuzz_one(seed: u64, mix: Mix) {
         while left > 0 {
             let chunk = rng.range_u64(1, left.min(200) + 1).min(left);
             batched.run_ticks(chunk);
+            unlogged.run_ticks(chunk);
             left -= chunk;
         }
         assert_same(&reference, &batched, &format!("seed {seed} segment {seg}"));
     }
+    assert_same_state(&reference, &unlogged, &format!("seed {seed} unlogged"));
+
+    // One long measurement window closes the schedule.
+    let ctx = format!("seed {seed} closing measure");
+    let want = stepwise_delta(&mut reference, 20_000);
+    assert_eq!(
+        batched.measure(20_000),
+        want,
+        "logged delta diverged ({ctx})"
+    );
+    assert_eq!(unlogged.measure(20_000), want, "delta diverged ({ctx})");
+    assert_same(&reference, &batched, &ctx);
+    assert_same_state(&reference, &unlogged, &ctx);
+}
+
+/// Steps `m` through `ticks` ticks and returns its accounting delta.
+fn stepwise_delta(m: &mut Machine, ticks: u64) -> CpuAccounting {
+    let before = m.accounting();
+    m.run_ticks_stepwise(ticks);
+    m.accounting().since(&before)
 }
 
 #[test]
@@ -608,4 +627,220 @@ fn duty_cycle_races_with_control_calls_tick_exactly() {
             assert_same(&reference, &batched, &format!("seed {seed} chunk {chunk}"));
         }
     }
+}
+
+/// Twin machines running `specs`: the reference one steps, the other
+/// batches and measures. Neither logs, so `measure` may skip periods.
+fn measure_pair(cfg: MachineConfig, specs: &[ProcSpec]) -> (Machine, Machine) {
+    let mut reference = Machine::new(cfg.clone());
+    let mut fast = Machine::new(cfg);
+    for spec in specs {
+        spawn_both(&mut reference, &mut fast, spec.clone());
+    }
+    (reference, fast)
+}
+
+/// Advances both machines by `warm` ticks, the reference through
+/// `step()` and `fast` through `run_ticks`.
+fn warm_both(reference: &mut Machine, fast: &mut Machine, warm: u64) {
+    reference.run_ticks_stepwise(warm);
+    fast.run_ticks(warm);
+}
+
+/// Measures `window` ticks on `fast` and steps the reference through
+/// them: the accounting deltas and every observable must agree.
+fn measure_both(reference: &mut Machine, fast: &mut Machine, window: u64, ctx: &str) {
+    let want = stepwise_delta(reference, window);
+    assert_eq!(
+        fast.measure(window),
+        want,
+        "measured delta diverged ({ctx})"
+    );
+    assert_same(reference, fast, ctx);
+}
+
+/// The contention harness's warm-up and window (20 s, 240 s).
+const WARM: u64 = 2_000;
+const WINDOW: u64 = 24_000;
+
+/// A Figure 1 host group: `m` duty-cycle hosts summing to `lh`.
+fn figure1_hosts(lh: f64, m: usize, stream: u64) -> Vec<ProcSpec> {
+    let mut rng = Rng::for_stream(0xF1_3E, stream);
+    synthetic::host_group(&mut rng, lh, m.min(synthetic::max_group_size(lh)))
+}
+
+/// `measure` on the Figure 1 machines: every group size, alone and
+/// beside a CPU-bound guest at nice 0 and 19, over light to saturating
+/// loads. Most of these windows repeat their scheduling state early and
+/// skip whole periods; the rest step through to the end.
+#[test]
+fn measure_equals_stepwise_on_figure1_points() {
+    for m in 1..=5usize {
+        for (j, lh) in [0.2, 0.5, 0.8, 1.0].into_iter().enumerate() {
+            let hosts = figure1_hosts(lh, m, (m * 8 + j) as u64);
+            for guest in [None, Some(0i8), Some(19)] {
+                let ctx = format!("M={m} LH={lh} guest nice {guest:?}");
+                let mut specs = hosts.clone();
+                specs.extend(guest.map(synthetic::guest_process));
+                let (mut reference, mut fast) = measure_pair(MachineConfig::default(), &specs);
+                warm_both(&mut reference, &mut fast, WARM);
+                measure_both(&mut reference, &mut fast, WINDOW, &ctx);
+            }
+        }
+    }
+}
+
+/// `measure` on Figure 4's Solaris machine, where a Musbus workload and
+/// a SPEC guest overcommit memory: the page-fault stall debt is a float
+/// the state key compares bit for bit.
+#[test]
+fn measure_equals_stepwise_on_the_thrashing_solaris_machine() {
+    for h in musbus::all() {
+        for app in [spec::APSI, spec::BZIP2] {
+            for nice in [0i8, 19] {
+                let ctx = format!("{} + {} at nice {nice}", h.name, app.name);
+                let mut specs = h.processes();
+                specs.push(app.guest_spec(nice));
+                let cfg = MachineConfig::solaris_384mb();
+                let (mut reference, mut fast) = measure_pair(cfg, &specs);
+                warm_both(&mut reference, &mut fast, WARM);
+                measure_both(&mut reference, &mut fast, WINDOW, &ctx);
+            }
+        }
+    }
+}
+
+/// `measure` when process 0, whose sleeps time the samples, is a phase
+/// list: a Musbus compiler loop ahead of its group, and a three-phase
+/// loop beside a duty cycle and a guest.
+#[test]
+fn measure_equals_stepwise_when_process_0_runs_phases() {
+    let three_phases = ProcSpec::new(
+        "phases",
+        ProcClass::Host,
+        0,
+        Demand::Phases {
+            phases: vec![
+                Phase { busy: 5, idle: 20 },
+                Phase { busy: 12, idle: 3 },
+                Phase { busy: 1, idle: 40 },
+            ],
+            repeat: true,
+        },
+        MemSpec::tiny(),
+    );
+    let groups = musbus::all().map(|h| {
+        let mut specs = h.processes();
+        specs.rotate_right(1); // the compiler first
+        specs
+    });
+    let mixed = vec![
+        three_phases,
+        synthetic::host_process("host", 0.3),
+        synthetic::guest_process(0),
+    ];
+    for (g, hosts) in groups.into_iter().chain([mixed]).enumerate() {
+        for guest in [None, Some(0i8)] {
+            let ctx = format!("group {g} guest nice {guest:?}");
+            let mut specs = hosts.clone();
+            specs.extend(guest.map(synthetic::guest_process));
+            let (mut reference, mut fast) = measure_pair(MachineConfig::default(), &specs);
+            warm_both(&mut reference, &mut fast, WARM);
+            measure_both(&mut reference, &mut fast, WINDOW, &ctx);
+        }
+    }
+}
+
+/// `measure` after the guest was suspended (it banks recalculations
+/// while stopped) or reniced (its quantum changes at the next
+/// recalculation) between the warm-up and the window, and after a
+/// resume that brings the stopped guest back inside a second window.
+#[test]
+fn measure_equals_stepwise_with_a_suspended_or_reniced_guest() {
+    for m in [1usize, 3] {
+        let mut specs = figure1_hosts(0.6, m, 100 + m as u64);
+        specs.push(synthetic::guest_process(0));
+        let guest = Pid(m as u32);
+        for suspend in [true, false] {
+            let ctx = format!("M={m} {}", if suspend { "suspend" } else { "renice" });
+            let (mut reference, mut fast) = measure_pair(MachineConfig::default(), &specs);
+            warm_both(&mut reference, &mut fast, WARM);
+            for machine in [&mut reference, &mut fast] {
+                if suspend {
+                    machine.suspend(guest).unwrap();
+                } else {
+                    machine.renice(guest, 19).unwrap();
+                }
+            }
+            measure_both(&mut reference, &mut fast, WINDOW, &ctx);
+            reference.resume(guest).unwrap();
+            fast.resume(guest).unwrap();
+            measure_both(
+                &mut reference,
+                &mut fast,
+                WINDOW,
+                &format!("{ctx}, resumed"),
+            );
+        }
+    }
+}
+
+/// With the run log on, `measure` steps every tick it logs: the log
+/// must hold one entry per executed tick of the window, as the
+/// reference's does.
+#[test]
+fn measure_equals_stepwise_with_the_run_log_on() {
+    let mut specs = figure1_hosts(0.5, 2, 7);
+    specs.push(synthetic::guest_process(19));
+    let (mut reference, mut fast) = logged_pair(MachineConfig::default());
+    for spec in specs {
+        spawn_both(&mut reference, &mut fast, spec);
+    }
+    warm_both(&mut reference, &mut fast, WARM);
+    measure_both(&mut reference, &mut fast, WINDOW, "run log on");
+    assert_eq!(fast.run_log().len() as u64, WARM + WINDOW);
+}
+
+/// `measure` on a Solaris machine that thrashes through the whole
+/// window, with a lone duty-cycle host and then beside a guest. Under
+/// mild overcommit the integer state soon repeats while the stall debt
+/// drifts, so only the debt's bits and the pending stall keep those
+/// samples apart; under deep overcommit the per-tick debt saturates at
+/// 50 whole stall ticks, the machine is exactly periodic, and every
+/// sample ends on a pending stall that the skip must carry over.
+#[test]
+fn measure_equals_stepwise_while_thrashing() {
+    for (label, resident_mb) in [("mild", 330u32), ("deep", 6_000)] {
+        for guest in [None, Some(19i8)] {
+            let ctx = format!("{label} overcommit, guest nice {guest:?}");
+            let host = ProcSpec::new(
+                "host",
+                ProcClass::Host,
+                0,
+                Demand::DutyCycle { busy: 5, idle: 40 },
+                MemSpec::resident(resident_mb),
+            );
+            let mut specs = vec![host];
+            specs.extend(guest.map(synthetic::guest_process));
+            let cfg = MachineConfig::solaris_384mb();
+            let (mut reference, mut fast) = measure_pair(cfg, &specs);
+            warm_both(&mut reference, &mut fast, WARM);
+            measure_both(&mut reference, &mut fast, WINDOW, &ctx);
+            assert!(reference.accounting().iowait > 0, "{ctx}: never thrashed");
+        }
+    }
+}
+
+/// `measure` on a machine whose samples outgrow the arena before its
+/// state repeats: 40 hosts with distinct duty cycles, process 0 asleep
+/// every tenth tick. Past the sample cap the window runs on through
+/// `run_ticks`.
+#[test]
+fn measure_equals_stepwise_past_the_sample_cap() {
+    let mut specs = vec![ProcSpec::synthetic_host("fast", 0.1, 10)];
+    specs.extend((0..39).map(|i| ProcSpec::synthetic_host(format!("h{i}"), 0.01, 101 + 2 * i)));
+    specs.push(synthetic::guest_process(0));
+    let (mut reference, mut fast) = measure_pair(MachineConfig::default(), &specs);
+    warm_both(&mut reference, &mut fast, WARM);
+    measure_both(&mut reference, &mut fast, WINDOW, "past the sample cap");
 }

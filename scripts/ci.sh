@@ -78,6 +78,24 @@ for w in 1 3; do
 done
 echo "  trace.jsonl, trace.csv, predict.csv and predict_depth.csv byte-identical (predict/depth at FGCS_PAR_WORKERS=1/3)"
 
+echo "== contention smokes (full scale; byte-identical to the committed files) =="
+# Every contention measurement goes through Machine::measure, which
+# skips the periods of a repeating scheduling state. A standalone
+# calibrate sweeps all 200 Figure 1 points itself (inside `all` it
+# reuses fig1a/fig1b's), ~0.4 s on 2 vCPUs; fig2, fig3, fig4 and table1
+# take under 20 ms each.
+for w in 1 3; do
+    (cd "$smoke_dir" && FGCS_PAR_WORKERS=$w "$exp_bin" calibrate > /dev/null)
+    cmp -s "$smoke_dir/results/calibration.csv" results/calibration.csv \
+        || { echo "contention smoke: calibration.csv differs from the committed file at FGCS_PAR_WORKERS=$w" >&2; exit 1; }
+done
+for e in fig2 fig3 fig4 table1; do
+    (cd "$smoke_dir" && "$exp_bin" "$e" > /dev/null)
+    cmp -s "$smoke_dir/results/$e.csv" "results/$e.csv" \
+        || { echo "contention smoke: $e.csv differs from the committed file" >&2; exit 1; }
+done
+echo "  calibration.csv (FGCS_PAR_WORKERS=1/3), fig2.csv, fig3.csv, fig4.csv and table1.csv byte-identical"
+
 echo "== claims gate (committed BENCH_serve.json + BENCH_fleet.json) =="
 # Every X12-X15 bound, at full scale, on the committed artifacts. The
 # same check functions (fgcs-experiments' claims module) run inside each

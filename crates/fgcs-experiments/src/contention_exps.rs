@@ -11,7 +11,10 @@ use fgcs_core::contention::{
 use fgcs_core::policy::{run_policy, two_threshold};
 use fgcs_sim::time::secs;
 
-use crate::report::{banner, compare_line, pct, write_csv, TextTable};
+use fgcs_experiments::artifacts::{calibration_csv, csv_text};
+use fgcs_experiments::claims::{self, assert_paper};
+
+use crate::report::{banner, pct, write_csv, write_text, TextTable};
 
 fn contention_cfg(quick: bool) -> ContentionConfig {
     if quick {
@@ -65,15 +68,16 @@ pub fn fig1(guest_nice: i8, quick: bool) {
         csv.push(csv_row.join(","));
     }
     table.print();
-    let path = write_csv(label, "lh,m1,m2,m3,m4,m5", &csv).expect("write csv");
-    println!("wrote {}", path.display());
-    if guest_nice == 0 {
-        compare_line("5% crossing (Th1 region)", "see calibrate", "Th1 = 0.2");
-        println!("expected shape: grows with LH, decreases with M, ~50% at LH=1 (M=1)");
+    let text = csv_text("lh,m1,m2,m3,m4,m5", &csv);
+    let check = if guest_nice == 0 {
+        claims::check_paper_fig1a
     } else {
-        compare_line("5% crossing (Th2 region)", "see calibrate", "Th2 = 0.6");
-        println!("expected shape: stays <5% until LH~0.6, ~10-20% at LH=1");
-    }
+        claims::check_paper_fig1b
+    };
+    assert_paper(label, check(&text, !quick), !quick);
+    println!("(Th1 and Th2 are read off the finer grid of `calibrate`)");
+    let path = write_text(label, &text).expect("write csv");
+    println!("wrote {}", path.display());
 }
 
 /// Threshold calibration — the paper's reading of Figure 1.
@@ -85,28 +89,13 @@ pub fn calibrate_exp(quick: bool) {
         CalibrationConfig::default()
     };
     let rows = |nice| calibration_rows(nice, &cfg, kept_fig1(nice).get());
-    let cal = Calibration::from_rows(rows(0), rows(19));
-    compare_line(
-        "Th1 (equal-priority guest harms host)",
-        format!("{:.2}", cal.thresholds.th1),
-        "0.20",
+    let text = calibration_csv(&Calibration::from_rows(rows(0), rows(19)));
+    assert_paper(
+        "calibration",
+        claims::check_paper_calibration(&text, !quick),
+        !quick,
     );
-    compare_line(
-        "Th2 (nice-19 guest harms host)",
-        format!("{:.2}", cal.thresholds.th2),
-        "0.60",
-    );
-    let rows: Vec<String> = cal
-        .equal_priority
-        .iter()
-        .map(|r| format!("0,{:.2},{},{:.4}", r.lh, r.m, r.reduction))
-        .chain(
-            cal.lowest_priority
-                .iter()
-                .map(|r| format!("19,{:.2},{},{:.4}", r.lh, r.m, r.reduction)),
-        )
-        .collect();
-    let path = write_csv("calibration", "guest_nice,lh,m,reduction", &rows).expect("write csv");
+    let path = write_text("calibration", &text).expect("write csv");
     println!("wrote {}", path.display());
 }
 
@@ -190,7 +179,6 @@ pub fn fig3(quick: bool) {
 
     let mut table = TextTable::new(&["host+guest (isolated)", "equal priority", "nice 19", "gap"]);
     let mut csv = Vec::new();
-    let mut gaps = Vec::new();
     for &h in &[0.2, 0.1] {
         for &g in &[1.0, 0.9, 0.8, 0.7] {
             let at = |nice: i8| {
@@ -202,7 +190,6 @@ pub fn fig3(quick: bool) {
                     .guest_usage_actual
             };
             let (eq, low) = (at(0), at(19));
-            gaps.push(eq - low);
             table.row(vec![
                 format!("{h:.1}+{g:.1}"),
                 pct(eq),
@@ -213,18 +200,9 @@ pub fn fig3(quick: bool) {
         }
     }
     table.print();
-    let mean_gap = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    compare_line(
-        "mean extra guest CPU at equal priority",
-        format!("{:.1}pp", mean_gap * 100.0),
-        "~2pp",
-    );
-    let path = write_csv(
-        "fig3",
-        "host_usage,guest_usage_isolated,equal_prio,nice19",
-        &csv,
-    )
-    .expect("write csv");
+    let text = csv_text("host_usage,guest_usage_isolated,equal_prio,nice19", &csv);
+    assert_paper("fig3", claims::check_paper_fig3(&text, !quick), !quick);
+    let path = write_text("fig3", &text).expect("write csv");
     println!("wrote {}", path.display());
 }
 
@@ -280,18 +258,6 @@ pub fn table1(quick: bool) {
     let cfg = contention_cfg(quick);
     let rows = table1_measurements(&cfg);
 
-    let paper: &[(&str, f64, u32, u32)] = &[
-        ("apsi", 0.98, 193, 205),
-        ("galgel", 0.99, 29, 155),
-        ("bzip2", 0.97, 180, 182),
-        ("mcf", 0.99, 96, 96),
-        ("H1", 0.086, 71, 122),
-        ("H2", 0.092, 213, 247),
-        ("H3", 0.172, 53, 151),
-        ("H4", 0.219, 68, 122),
-        ("H5", 0.570, 210, 236),
-        ("H6", 0.662, 84, 113),
-    ];
     let mut table = TextTable::new(&[
         "workload",
         "CPU (measured)",
@@ -301,7 +267,10 @@ pub fn table1(quick: bool) {
     ]);
     let mut csv = Vec::new();
     for r in &rows {
-        let p = paper.iter().find(|p| p.0 == r.name).expect("known name");
+        let p = claims::TABLE1
+            .iter()
+            .find(|p| p.0 == r.name)
+            .expect("known name");
         table.row(vec![
             r.name.to_string(),
             pct(r.cpu_usage),
@@ -315,12 +284,9 @@ pub fn table1(quick: bool) {
         ));
     }
     table.print();
-    let path = write_csv(
-        "table1",
-        "name,cpu_measured,cpu_paper,resident_mb,virtual_mb",
-        &csv,
-    )
-    .expect("write csv");
+    let text = csv_text("name,cpu_measured,cpu_paper,resident_mb,virtual_mb", &csv);
+    assert_paper("table1", claims::check_paper_table1(&text, !quick), !quick);
+    let path = write_text("table1", &text).expect("write csv");
     println!("wrote {}", path.display());
 }
 

@@ -12,7 +12,10 @@ use fgcs_testbed::analysis;
 use fgcs_testbed::runner::{run_testbed_faulty, SupervisorConfig};
 use fgcs_testbed::trace::Trace;
 
-use crate::report::{banner, compare_line, pct, write_csv, TextTable};
+use fgcs_experiments::artifacts::csv_text;
+use fgcs_experiments::claims;
+
+use crate::report::{banner, compare_line, pct, write_text, TextTable};
 use crate::trace_exps::{standard_config, standard_trace};
 
 /// Fleet-wide fraction of occurrences per cause (S3, S4, S5).
@@ -50,7 +53,6 @@ pub fn fault_matrix(quick: bool) {
     assert!(q0.is_clean(), "identity injection reported faults: {q0}");
     println!("identity check: zero-rate injection is bit-identical to the clean run");
 
-    let scales = [0.0, 0.5, 1.0, 2.0, 4.0];
     let mut table = TextTable::new(&[
         "scale",
         "records",
@@ -63,7 +65,7 @@ pub fn fault_matrix(quick: bool) {
         "corrupt",
     ]);
     let mut csv = Vec::new();
-    for &scale in &scales {
+    for scale in claims::X11_SCALES {
         let faults = FaultConfig::noisy(cfg.lab.seed).scaled(scale);
         // The scale-0 row *is* the identity run: same config, so the
         // same trace — reuse it rather than tracing 20 machines again.
@@ -161,12 +163,14 @@ pub fn fault_matrix(quick: bool) {
         }
     }
     table.print();
-    let path = write_csv(
-        "fault_matrix",
+    let text = csv_text(
         "scale,records,cpu_frac,mem_frac,urr_frac,weekday_mean_h,weekend_mean_h,\
          censored_secs,corrupt_lines,dropped,restarts,crashes,gave_up",
         &csv,
-    )
-    .expect("csv");
+    );
+    if let Err(e) = claims::check_x11_fault_matrix(&text) {
+        panic!("X11 fault matrix: {e}");
+    }
+    let path = write_text("fault_matrix", &text).expect("csv");
     println!("wrote {}", path.display());
 }

@@ -35,7 +35,9 @@ use fgcs_testbed::fleet::{run_fleet, Archetype, FleetConfig};
 use fgcs_testbed::json::ObjWriter;
 use fgcs_testbed::streaming::StreamingAnalysis;
 
-use crate::report::{banner, compare_line, pct, write_csv, TextTable};
+use fgcs_experiments::artifacts::csv_text;
+
+use crate::report::{banner, compare_line, pct, write_csv, write_text, TextTable};
 use crate::trace_exps;
 
 /// Peak resident set ("high-water mark") of this process, in MB. Linux
@@ -382,14 +384,16 @@ pub fn fleet(quick: bool) {
         "~90% on the lab testbed; lower fleet-wide (lid closes, power-off)",
     );
 
-    let p = write_csv(
-        "fleet_archetypes",
+    let text = csv_text(
         "archetype,machines,occurrences,cpu_pct_min,cpu_pct_max,mem_pct_min,mem_pct_max,\
          urr_pct_min,urr_pct_max,urr_reboot_fraction,weekday_mean_h,weekend_mean_h,\
          weekday_corr,weekend_corr,cpu_dominant,weekend_longer,regular",
         &arch_csv,
-    )
-    .expect("csv");
+    );
+    if let Err(e) = claims::check_x15_archetypes(&text) {
+        panic!("X15 fleet archetypes: {e}");
+    }
+    let p = write_text("fleet_archetypes", &text).expect("csv");
     println!("wrote {}", p.display());
     let p = write_csv("fleet_cdf", "archetype,day_type,hours,cdf", &cdf_csv).expect("csv");
     println!("wrote {}", p.display());

@@ -23,10 +23,17 @@
 //! times. Likewise `calibrate` reuses the Figure 1 points `fig1a` and
 //! `fig1b` swept earlier in the same process, and sweeps the rest.
 //!
-//! `gate` runs no experiment: it checks every X12–X15 claim
-//! ([`fgcs_experiments::claims`]) on the committed `BENCH_serve.json`
-//! and `BENCH_fleet.json` in the cwd, and exits 1 naming the first
-//! failed bound.
+//! The paper-vs-measured lines an experiment prints are the rows of the
+//! check ([`fgcs_experiments::claims`]) it runs on the CSV it is about
+//! to write; at full scale a failed bound stops the run.
+//!
+//! `gate` runs no experiment: it checks, in the cwd, every paper claim
+//! on the committed paper CSVs under `results/` (Table 1, Figure 1 and
+//! the calibration, Figure 3, Table 2, Figures 6 and 7, X2, X3), X11's
+//! and X15's tables there, and every X12–X15 claim on the committed
+//! `BENCH_serve.json` and `BENCH_fleet.json`. It prints each paper
+//! CSV's rows and the list of recorded departures from the paper, and
+//! exits 1 naming the first failed bound.
 
 mod contention_exps;
 mod extension_exps;
@@ -123,8 +130,8 @@ fn usage() -> ! {
     }
     eprintln!("\n--quick runs reduced-scale versions (for smoke tests).");
     eprintln!(
-        "`fgcs-exp gate` (no flags) checks the X12-X15 claims on the committed \
-         BENCH_serve.json and BENCH_fleet.json in the cwd."
+        "`fgcs-exp gate` (no flags) checks the paper's claims on the committed results/ \
+         and the X11-X15 claims on results/, BENCH_serve.json and BENCH_fleet.json in the cwd."
     );
     std::process::exit(2);
 }
@@ -165,8 +172,9 @@ fn run(name: &str, quick: bool) {
 }
 
 /// `fgcs-exp gate`: every claim on the committed artifacts in the cwd.
+/// Prints each paper CSV's rows, then every departure from the paper.
 fn gate() -> Result<(), String> {
-    use fgcs_experiments::claims::{self, Section};
+    use fgcs_experiments::claims::{self, Claim, Section, PAPER_BOUNDS};
     use fgcs_testbed::json::{parse, Value};
     let read = |path: &str| -> Result<Section, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -175,7 +183,39 @@ fn gate() -> Result<(), String> {
             _ => Err(format!("{path}: not a JSON object")),
         }
     };
-    claims::gate(&read("BENCH_serve.json")?, &read("BENCH_fleet.json")?)
+    claims::gate(&read("BENCH_serve.json")?, &read("BENCH_fleet.json")?)?;
+    let results = claims::gate_results(|file| {
+        let path = format!("results/{file}");
+        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))
+    })?;
+    for (file, rows) in &results {
+        println!("results/{file}");
+        rows.iter().for_each(|r| println!("  {r}"));
+    }
+    println!("\ndepartures from the paper:");
+    for b in PAPER_BOUNDS {
+        if let Claim::Departure { .. } = b.claim {
+            let measured: Vec<String> = results
+                .iter()
+                .flat_map(|(_, rows)| rows)
+                .filter(|r| std::ptr::eq(r.bound, b))
+                .map(|r| r.measured.clone())
+                .collect();
+            let measured = if measured.is_empty() {
+                "checked by its experiment".to_string()
+            } else {
+                format!("measured {}", measured.join(", "))
+            };
+            println!(
+                "  {:<20} {:<44} paper {:<14} {} ({measured})",
+                b.id,
+                b.quantity,
+                b.paper,
+                claims::recorded(b)
+            );
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -188,7 +228,10 @@ fn main() {
             eprintln!("fgcs-exp gate: {e}");
             std::process::exit(1);
         }
-        println!("fgcs-exp gate: the X12-X15 claims hold on BENCH_serve.json and BENCH_fleet.json");
+        println!(
+            "fgcs-exp gate: the paper's claims hold on results/, and the X11-X15 claims on \
+             BENCH_serve.json, BENCH_fleet.json and results/"
+        );
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");

@@ -5,7 +5,10 @@ use fgcs_predict::eval::{evaluate, standard_predictors, EvalConfig};
 use fgcs_predict::predictor::MachineHourlyPredictor;
 use fgcs_predict::proactive::{compare, ProactiveConfig};
 
-use crate::report::{banner, compare_line, write_csv, TextTable};
+use fgcs_experiments::artifacts::{predict_csv, proactive_csv, ranked};
+use fgcs_experiments::claims::{self, assert_paper};
+
+use crate::report::{banner, write_csv, write_text, TextTable};
 use crate::trace_exps::standard_trace;
 
 /// X2: predictor evaluation across window lengths.
@@ -17,36 +20,24 @@ pub fn predict(quick: bool) {
     let rows = evaluate(trace, &mut predictors, &cfg);
 
     let mut table = TextTable::new(&["window", "predictor", "Brier", "accuracy", "base rate"]);
-    let mut csv = Vec::new();
-    for &w in &cfg.windows {
-        let mut window_rows: Vec<_> = rows.iter().filter(|r| r.window == w).collect();
-        window_rows.sort_by(|a, b| a.brier.partial_cmp(&b.brier).expect("no NaN"));
-        for r in window_rows {
-            table.row(vec![
-                format!("{:.1}h", w as f64 / 3600.0),
-                r.predictor.to_string(),
-                format!("{:.4}", r.brier),
-                format!("{:.1}%", r.accuracy * 100.0),
-                format!("{:.1}%", r.base_rate * 100.0),
-            ]);
-            csv.push(format!(
-                "{w},{},{:.5},{:.4},{:.4},{}",
-                r.predictor, r.brier, r.accuracy, r.base_rate, r.queries
-            ));
-        }
+    for r in ranked(&rows, &cfg.windows) {
+        table.row(vec![
+            format!("{:.1}h", r.window as f64 / 3600.0),
+            r.predictor.to_string(),
+            format!("{:.4}", r.brier),
+            format!("{:.1}%", r.accuracy * 100.0),
+            format!("{:.1}%", r.base_rate * 100.0),
+        ]);
     }
     table.print();
-    println!(
-        "\nthe paper's §5.3 claim implies history-window prediction should rank \
-         at or near the top at every window length (rows sorted by Brier, \
-         lower is better)."
-    );
-    let path = write_csv(
+    println!("(rows sorted by Brier, lower is better)");
+    let text = predict_csv(&rows, &cfg.windows);
+    assert_paper(
         "predict",
-        "window_secs,predictor,brier,accuracy,base_rate,queries",
-        &csv,
-    )
-    .expect("csv");
+        claims::check_paper_predict(&text, !quick),
+        !quick,
+    );
+    let path = write_text("predict", &text).expect("csv");
     println!("wrote {}", path.display());
 }
 
@@ -82,12 +73,6 @@ pub fn proactive(quick: bool) {
         ]);
     }
     table.print();
-    let speedup = obl.mean_response / pro.mean_response.max(1.0);
-    compare_line(
-        "response-time improvement (oblivious/proactive)",
-        format!("{speedup:.2}x"),
-        "\"significantly improved\" [10,18]",
-    );
     // Gang jobs: the paper's motivating workload — groups of tasks that
     // must all complete (response = makespan).
     use fgcs_predict::proactive::{compare_gang, GangConfig};
@@ -112,36 +97,14 @@ pub fn proactive(quick: bool) {
         ]);
     }
     gtable.print();
-    compare_line(
-        "gang makespan improvement",
-        format!("{:.2}x", gobl.mean_response / gpro.mean_response.max(1.0)),
-        "proactive advantage persists at gang scale",
-    );
 
-    let csv = vec![
-        format!(
-            "single,oblivious,{:.2},{:.4},{}",
-            obl.mean_response, obl.mean_failures, obl.timed_out
-        ),
-        format!(
-            "single,proactive,{:.2},{:.4},{}",
-            pro.mean_response, pro.mean_failures, pro.timed_out
-        ),
-        format!(
-            "gang4,oblivious,{:.2},{:.4},{}",
-            gobl.mean_response, gobl.mean_failures, gobl.timed_out
-        ),
-        format!(
-            "gang4,proactive,{:.2},{:.4},{}",
-            gpro.mean_response, gpro.mean_failures, gpro.timed_out
-        ),
-    ];
-    let path = write_csv(
+    let text = proactive_csv(&[("single", &obl, &pro), ("gang4", &gobl, &gpro)]);
+    assert_paper(
         "proactive",
-        "shape,policy,mean_response_secs,mean_failures,timeouts",
-        &csv,
-    )
-    .expect("csv");
+        claims::check_paper_proactive(&text, !quick),
+        !quick,
+    );
+    let path = write_text("proactive", &text).expect("csv");
     println!("wrote {}", path.display());
 }
 

@@ -1,8 +1,9 @@
 //! Report formatting and CSV output for the experiment binaries.
 
 use std::fs;
-use std::io::{self, Write};
 use std::path::PathBuf;
+
+use fgcs_experiments::artifacts::csv_text;
 
 /// Where CSV outputs land.
 pub fn results_dir() -> PathBuf {
@@ -12,15 +13,16 @@ pub fn results_dir() -> PathBuf {
 /// Writes `rows` (already comma-joined) under `results/<name>.csv` with
 /// the given header. Creates the directory as needed.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
+    write_text(name, &csv_text(header, rows))
+}
+
+/// Writes `text`, a whole CSV file, as `results/<name>.csv`. Creates
+/// the directory as needed.
+pub fn write_text(name: &str, text: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let mut f = io::BufWriter::new(fs::File::create(&path)?);
-    writeln!(f, "{header}")?;
-    for r in rows {
-        writeln!(f, "{r}")?;
-    }
-    f.flush()?;
+    fs::write(&path, text)?;
     Ok(path)
 }
 

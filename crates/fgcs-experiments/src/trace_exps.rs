@@ -11,14 +11,16 @@ use std::borrow::Cow;
 use std::io::Write;
 use std::sync::OnceLock;
 
+use fgcs_experiments::artifacts::{fig6_cdf, fig6_csv, fig7_csv, table2_csv, FIG6_HOURS};
+use fgcs_experiments::claims::{self, assert_paper, Lab};
 use fgcs_stats::sketch::DEFAULT_K;
-use fgcs_testbed::analysis::{self, REBOOT_CUTOFF_SECS};
+use fgcs_testbed::analysis;
 use fgcs_testbed::calendar::DayType;
 use fgcs_testbed::runner::{run_testbed, TestbedConfig};
 use fgcs_testbed::streaming::{StreamingAnalysis, Table2Summary};
 use fgcs_testbed::trace::Trace;
 
-use crate::report::{banner, bar, compare_line, hours, pct, write_csv, TextTable};
+use crate::report::{banner, bar, pct, write_text, TextTable};
 
 /// The standard testbed: 20 machines × 92 days under the paper's
 /// detector, or 8 × 21 with `--quick`.
@@ -112,62 +114,18 @@ pub fn table2(quick: bool) {
         trace.machine_days(),
         trace.records.len()
     );
-    let t2s = verified_streaming(trace).table2_summary();
-
-    let mut table = TextTable::new(&["category", "measured (per machine)", "paper (per machine)"]);
-    table.row(vec![
-        "total".into(),
-        t2s.total.to_string(),
-        "405-453".into(),
-    ]);
-    table.row(vec![
-        "UEC / CPU contention".into(),
-        t2s.cpu.to_string(),
-        "283-356".into(),
-    ]);
-    table.row(vec![
-        "UEC / memory contention".into(),
-        t2s.mem.to_string(),
-        "83-121".into(),
-    ]);
-    table.row(vec!["URR".into(), t2s.urr.to_string(), "3-12".into()]);
-    table.row(vec![
-        "CPU %".into(),
-        format!("{}%", t2s.cpu_pct),
-        "69-79%".into(),
-    ]);
-    table.row(vec![
-        "memory %".into(),
-        format!("{}%", t2s.mem_pct),
-        "19-30%".into(),
-    ]);
-    table.row(vec![
-        "URR %".into(),
-        format!("{}%", t2s.urr_pct),
-        "0-3%".into(),
-    ]);
-    table.print();
-    compare_line(
-        &format!("URR from reboots (raw outage < {REBOOT_CUTOFF_SECS}s)"),
-        pct(t2s.urr_reboot_fraction),
-        "~90%",
-    );
+    verified_streaming(trace);
 
     // The per-machine CSV is inherently a per-machine artifact; it comes
-    // from the exact path (which the summary above was verified against).
-    let t2 = analysis::table2(trace);
-    let csv: Vec<String> = t2
-        .per_machine
-        .iter()
-        .enumerate()
-        .map(|(m, c)| {
-            format!(
-                "{m},{},{},{},{},{}",
-                c.total, c.cpu, c.mem, c.urr, c.urr_reboots
-            )
-        })
-        .collect();
-    let path = write_csv("table2", "machine,total,cpu,mem,urr,urr_reboots", &csv).expect("csv");
+    // from the exact path (which the streaming summary was verified
+    // against).
+    let text = table2_csv(&analysis::table2(trace));
+    assert_paper(
+        "table2",
+        claims::check_paper_table2(&text, Lab::of(trace)),
+        !quick,
+    );
+    let path = write_text("table2", &text).expect("csv");
     println!("wrote {}", path.display());
 }
 
@@ -176,67 +134,33 @@ pub fn fig6(quick: bool) {
     banner("Figure 6 — CDF of availability-interval lengths");
     let trace = standard_trace(quick);
     let acc = verified_streaming(trace);
-    let (wd, we) = (
-        acc.interval_sketch(DayType::Weekday),
-        acc.interval_sketch(DayType::Weekend),
-    );
 
     let mut table = TextTable::new(&["interval length", "weekday CDF", "weekend CDF"]);
-    let grid_hours: Vec<f64> = vec![
-        5.0 / 60.0,
-        0.5,
-        1.0,
-        2.0,
-        3.0,
-        4.0,
-        5.0,
-        6.0,
-        8.0,
-        10.0,
-        12.0,
-    ];
-    let mut csv = Vec::new();
-    for &h in &grid_hours {
-        let wdc = wd.cdf(h).unwrap_or(0.0);
-        let wec = we.cdf(h).unwrap_or(0.0);
+    for h in FIG6_HOURS {
         table.row(vec![
             if h < 0.2 {
                 "5 min".into()
             } else {
                 format!("{h:.1} h")
             },
-            pct(wdc),
-            pct(wec),
+            pct(fig6_cdf(&acc, DayType::Weekday, h)),
+            pct(fig6_cdf(&acc, DayType::Weekend, h)),
         ]);
-        csv.push(format!("{h:.3},{wdc:.4},{wec:.4}"));
     }
     table.print();
-    compare_line(
-        "weekday mean interval",
-        hours(acc.mean_hours(DayType::Weekday) * 3600.0),
-        "close to 3 h",
+    let text = fig6_csv(&acc);
+    let lab = Lab::of(trace);
+    assert_paper("fig6", claims::check_paper_fig6(&text, lab), !quick);
+    let (wd, we) = (
+        acc.mean_hours(DayType::Weekday),
+        acc.mean_hours(DayType::Weekend),
     );
-    compare_line(
-        "weekend mean interval",
-        hours(acc.mean_hours(DayType::Weekend) * 3600.0),
-        "above 5 h",
+    assert_paper(
+        "fig6",
+        claims::check_paper_interval_means(wd, we, lab),
+        !quick,
     );
-    compare_line(
-        "weekday intervals in 2-4 h",
-        pct(wd.cdf(4.0).unwrap_or(0.0) - wd.cdf(2.0).unwrap_or(0.0)),
-        "~60%",
-    );
-    compare_line(
-        "weekend intervals in 4-6 h",
-        pct(we.cdf(6.0).unwrap_or(0.0) - we.cdf(4.0).unwrap_or(0.0)),
-        "~60%",
-    );
-    compare_line(
-        "intervals shorter than 5 min",
-        pct(wd.cdf(5.0 / 60.0).unwrap_or(0.0)),
-        "~5%",
-    );
-    let path = write_csv("fig6", "hours,weekday_cdf,weekend_cdf", &csv).expect("csv");
+    let path = write_text("fig6", &text).expect("csv");
     println!("wrote {}", path.display());
 }
 
@@ -246,7 +170,6 @@ pub fn fig7(quick: bool) {
     let trace = standard_trace(quick);
     let h = verified_streaming(trace).hourly();
 
-    let mut csv = Vec::new();
     for (dt, g) in [
         (DayType::Weekday, &h.weekday),
         (DayType::Weekend, &h.weekend),
@@ -260,23 +183,17 @@ pub fn fig7(quick: bool) {
                 format!("[{:.0}-{:.0}]", s.min(), s.max()),
                 bar(s.mean(), 20.0, 30),
             ]);
-            csv.push(format!(
-                "{dt},{hour},{:.3},{:.0},{:.0}",
-                s.mean(),
-                s.min(),
-                s.max()
-            ));
         }
         table.print();
     }
     println!();
-    compare_line(
-        "4-5 AM spike (updatedb on every machine)",
-        format!("{:.1}", h.weekday.get(&4).map(|s| s.mean()).unwrap_or(0.0)),
-        "20 (= machine count)",
+    let text = fig7_csv(&h);
+    assert_paper(
+        "fig7",
+        claims::check_paper_fig7(&text, Lab::of(trace)),
+        !quick,
     );
-    println!("expected shape: low at night, ramp after 10 AM, weekday > weekend at the same hour.");
-    let path = write_csv("fig7", "day_type,hour,mean,min,max", &csv).expect("csv");
+    let path = write_text("fig7", &text).expect("csv");
     println!("wrote {}", path.display());
 }
 
@@ -285,25 +202,10 @@ pub fn regularity(quick: bool) {
     banner("Regularity (§5.3) — are daily patterns comparable to recent history?");
     let trace = standard_trace(quick);
     let r = verified_streaming(trace).regularity();
-    compare_line(
-        "mean pairwise weekday correlation",
-        format!("{:.2}", r.weekday_correlation),
-        "high (patterns repeat)",
-    );
-    compare_line(
-        "mean pairwise weekend correlation",
-        format!("{:.2}", r.weekend_correlation),
-        "high (patterns repeat)",
-    );
-    compare_line(
-        "mean per-hour weekday CV",
-        format!("{:.2}", r.weekday_mean_cv),
-        "small deviations",
-    );
-    compare_line(
-        "mean per-hour weekend CV",
-        format!("{:.2}", r.weekend_mean_cv),
-        "small deviations",
+    assert_paper(
+        "regularity",
+        claims::check_paper_regularity(&r, Lab::of(trace)),
+        !quick,
     );
     println!(
         "interpretation: per-hour failure counts correlate strongly across days \

@@ -147,7 +147,7 @@ pub fn standard_predictors() -> Vec<Box<dyn AvailabilityPredictor>> {
         Box::new(HourlyRatePredictor::default()),
         Box::new(crate::renewal::RenewalPredictor::default()),
         Box::new(GlobalRatePredictor::default()),
-        Box::new(LastDayPredictor::default()),
+        Box::new(HistoryWindowPredictor::last_day()),
         Box::new(BaseRatePredictor::new(3600)),
     ]
 }

@@ -32,7 +32,7 @@ pub use eval::{evaluate, standard_predictors, EvalConfig, EvalResult};
 pub use online::OnlineAvailabilityModel;
 pub use predictor::{
     AvailabilityPredictor, BaseRatePredictor, GlobalRatePredictor, HistoryWindowPredictor,
-    HourlyRatePredictor, LastDayPredictor, MachineHourlyPredictor,
+    HourlyRatePredictor, MachineHourlyPredictor,
 };
 pub use proactive::{
     compare, compare_gang, replay, replay_gang, time_to_failure, GangConfig, MigrationTrigger,

@@ -113,22 +113,29 @@ fn training_records(trace: &Trace, train_end: u64) -> Vec<&TraceRecord> {
 // The paper's proposal.
 // ---------------------------------------------------------------------
 
+/// The prior probability `p0` a history predictor shrinks toward.
+const PRIOR: f64 = 0.5;
+
 /// History-window prediction: look at the *same clock window* on the
 /// most recent `history_days` days of the same type (weekday/weekend)
-/// and report the (Laplace-smoothed) fraction that was failure-free.
+/// and report the fraction that was failure-free, shrunk toward a prior:
+/// `(good + k·p0) / (n + k)` over `n` history days of which `good` were
+/// available, with prior probability `p0 = 0.5` worth `k` pseudo-days.
 ///
 /// With `trim_worst` set, the single worst day (the most "irregular"
 /// datum) is dropped before averaging — the paper's suggestion to "use
 /// statistics on history trace to alleviate the effects of irregular
-/// data".
+/// data". The `last-day` baseline is the same rule over one day with a
+/// light prior ([`HistoryWindowPredictor::last_day`]).
 #[derive(Debug, Clone)]
 pub struct HistoryWindowPredictor {
     /// How many same-type history days to consult.
     pub history_days: usize,
-    /// Laplace smoothing pseudo-count.
-    pub alpha: f64,
+    /// The prior's weight `k`, in pseudo-days.
+    pub prior_weight: f64,
     /// Drop the most pessimistic history day before averaging.
     pub trim_worst: bool,
+    name: &'static str,
     start_weekday: u8,
     index: EventIndex,
     train_end: u64,
@@ -136,15 +143,30 @@ pub struct HistoryWindowPredictor {
 
 impl HistoryWindowPredictor {
     /// Creates an untrained predictor with the paper-suggested defaults
-    /// (10 history days, mild smoothing, trimming on).
+    /// (10 history days, trimming on) and Laplace's rule as the prior:
+    /// `p0 = 0.5` worth one pseudo-day.
     pub fn new() -> Self {
         HistoryWindowPredictor {
             history_days: 10,
-            alpha: 0.5,
+            prior_weight: 1.0,
             trim_worst: true,
+            name: "history-window",
             start_weekday: 0,
             index: EventIndex::default(),
             train_end: 0,
+        }
+    }
+
+    /// The last-same-day baseline: what happened in the same window on
+    /// the most recent day of the same type, clamped away from certainty
+    /// by a prior worth a tenth of a day.
+    pub fn last_day() -> Self {
+        HistoryWindowPredictor {
+            prior_weight: 0.1,
+            name: "last-day",
+            ..HistoryWindowPredictor::new()
+                .with_history_days(1)
+                .with_trim(false)
         }
     }
 
@@ -157,6 +179,11 @@ impl HistoryWindowPredictor {
     /// Enables/disables irregular-data trimming.
     pub fn with_trim(mut self, trim: bool) -> Self {
         self.trim_worst = trim;
+        self.name = if trim {
+            "history-window"
+        } else {
+            "history-no-trim"
+        };
         self
     }
 }
@@ -169,11 +196,7 @@ impl Default for HistoryWindowPredictor {
 
 impl AvailabilityPredictor for HistoryWindowPredictor {
     fn name(&self) -> &'static str {
-        if self.trim_worst {
-            "history-window"
-        } else {
-            "history-no-trim"
-        }
+        self.name
     }
 
     fn fit(&mut self, trace: &Trace, train_end: u64) {
@@ -207,14 +230,15 @@ impl AvailabilityPredictor for HistoryWindowPredictor {
             good += usize::from(self.index.window_available(machine, hs, hw));
         }
         if n == 0 {
-            return 0.5; // no history: maximal uncertainty
+            return PRIOR; // no history: the prior alone
         }
         if self.trim_worst && n >= 3 && good < n {
             // Drop one worst (unavailable) sample: a single irregular
             // bad day should not dominate the estimate.
             n -= 1;
         }
-        ((good as f64 + self.alpha) / (n as f64 + 2.0 * self.alpha)).clamp(0.0, 1.0)
+        let k = self.prior_weight;
+        ((good as f64 + k * PRIOR) / (n as f64 + k)).clamp(0.0, 1.0)
     }
 }
 
@@ -393,37 +417,6 @@ impl AvailabilityPredictor for MachineHourlyPredictor {
             .copied()
             .unwrap_or(0.0);
         self.shape.survival(rate, t, window)
-    }
-}
-
-/// Last-same-day baseline: report what happened in the same window on
-/// the most recent day of the same type, clamped away from certainty.
-/// The degenerate `history_days = 1`, no-smoothing-to-speak-of variant
-/// of the paper's scheme.
-#[derive(Debug, Clone, Default)]
-pub struct LastDayPredictor {
-    inner: Option<HistoryWindowPredictor>,
-}
-
-impl AvailabilityPredictor for LastDayPredictor {
-    fn name(&self) -> &'static str {
-        "last-day"
-    }
-
-    fn fit(&mut self, trace: &Trace, train_end: u64) {
-        let mut p = HistoryWindowPredictor::new()
-            .with_history_days(1)
-            .with_trim(false);
-        p.alpha = 0.05;
-        p.fit(trace, train_end);
-        self.inner = Some(p);
-    }
-
-    fn predict(&self, machine: u32, t: u64, window: u64) -> f64 {
-        self.inner
-            .as_ref()
-            .map(|p| p.predict(machine, t, window))
-            .unwrap_or(0.5)
     }
 }
 
@@ -709,7 +702,7 @@ mod tests {
             Box::new(HistoryWindowPredictor::new()),
             Box::new(GlobalRatePredictor::default()),
             Box::new(HourlyRatePredictor::default()),
-            Box::new(LastDayPredictor::default()),
+            Box::new(HistoryWindowPredictor::last_day()),
             Box::new(BaseRatePredictor::new(3600)),
         ];
         for p in &mut predictors {

@@ -248,7 +248,7 @@ std::thread_local! {
 impl PeriodScan {
     /// Empties the scan for a machine of `procs` processes.
     fn reset(&mut self, procs: usize) {
-        self.key_len = 4 + 7 * procs;
+        self.key_len = 4 + 6 * procs;
         self.acc_len = MACHINE_ACCS + 3 * procs;
         self.max_samples = PERIOD_SAMPLES.min(ARENA_WORDS / (self.key_len + self.acc_len));
         self.keys.clear();
@@ -737,7 +737,7 @@ impl Machine {
         {
             let p = &mut self.procs[chosen];
             p.counter = p.counter.saturating_sub(1);
-            p.run_tick(1.0);
+            p.run_tick();
         }
         // The tick may have completed the busy period: the chosen can now
         // be sleeping or exited.
@@ -1318,10 +1318,10 @@ impl Machine {
     ///
     /// Leaves the machine exactly as [`Machine::run_ticks`]`(ticks)`
     /// would, but skips what it already knows. Once its processes are
-    /// spawned the machine is a deterministic integer state plus two
-    /// floats (`stall_debt`, `work_frac`) compared bit for bit, so when
-    /// the scheduling state at one moment equals the state at an earlier
-    /// one, everything after repeats with period `L`, the ticks between
+    /// spawned the machine is a deterministic integer state plus one
+    /// float (`stall_debt`) compared bit for bit, so when the scheduling
+    /// state at one moment equals the state at an earlier one,
+    /// everything after repeats with period `L`, the ticks between
     /// them. `measure` samples that state each time process 0 falls
     /// asleep (a busy-period end, which ends every batch), keeps up to
     /// 512 samples (fewer when the machine's samples would pass 512 KB),
@@ -1409,7 +1409,7 @@ impl Machine {
     /// Appends the state key: everything `step()` and `try_batch` read,
     /// less the caches derived from it (resident sums, runnable count,
     /// wake horizon) and the `busy_left` of endless CPU-bound processes.
-    /// Floats go in as their bits.
+    /// The stall debt goes in as its bits.
     fn push_state_key(&self, out: &mut Vec<u64>) {
         out.extend([
             self.current.map_or(u64::MAX, |c| c as u64),
@@ -1440,7 +1440,6 @@ impl Machine {
                 val,
                 p.progress.phase as u64,
                 busy_left,
-                p.work_frac.to_bits(),
             ]);
         }
     }

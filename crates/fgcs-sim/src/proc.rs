@@ -254,10 +254,6 @@ pub struct Process {
     pub progress: DemandProgress,
     /// Total CPU ticks consumed since spawn.
     pub cpu_ticks: u64,
-    /// Fractional useful work accumulated toward the next whole tick of
-    /// demand progress (only below 1.0 between ticks); carries the
-    /// deterministic thrashing model.
-    pub work_frac: f64,
     /// Total ticks spent runnable but not running (scheduler wait).
     pub wait_ticks: u64,
     /// Tick at which the process was spawned.
@@ -295,7 +291,6 @@ impl Process {
                 busy_left,
             },
             cpu_ticks: 0,
-            work_frac: 0.0,
             wait_ticks: 0,
             spawned_at: now,
         };
@@ -328,43 +323,30 @@ impl Process {
         !self.is_exited() && !self.is_suspended()
     }
 
-    /// Consumes one tick of CPU, advancing the demand pattern. `useful`
-    /// is the fraction of the tick that did real work — less than 1 under
-    /// memory thrashing, where part of every tick services page faults.
-    /// Fractions accumulate deterministically, so a process running at
-    /// efficiency 0.25 retires one tick of demand every four CPU ticks.
+    /// Consumes one tick of CPU, retiring one tick of demand. Thrashing
+    /// does not slow a process's progress here: the machine charges it
+    /// as page-fault I/O stalls instead.
     ///
     /// Must only be called on a runnable process.
-    pub fn run_tick(&mut self, useful: f64) {
+    pub fn run_tick(&mut self) {
         debug_assert!(self.is_runnable(), "ran a non-runnable process");
         self.cpu_ticks += 1;
-        self.work_frac += useful.clamp(0.0, 1.0);
-        if self.work_frac >= 1.0 {
-            self.work_frac -= 1.0;
-            self.progress.busy_left = self.progress.busy_left.saturating_sub(1);
-            if self.progress.busy_left == 0 {
-                self.settle_after_work();
-            }
+        self.progress.busy_left = self.progress.busy_left.saturating_sub(1);
+        if self.progress.busy_left == 0 {
+            self.settle_after_work();
         }
     }
 
-    /// Consumes `k` ticks of CPU at full efficiency in one call —
-    /// equivalent to `k` consecutive `run_tick(1.0)` calls. At full
-    /// efficiency every tick retires exactly one tick of demand and
-    /// leaves `work_frac` unchanged, so only the counters move. The
-    /// caller must guarantee `k <= busy_left`, so the demand pattern can
-    /// settle at most once, at the end of the batch.
+    /// Consumes `k` ticks of CPU in one call — equivalent to `k`
+    /// consecutive `run_tick()` calls. The caller must guarantee
+    /// `k <= busy_left`, so the demand pattern can settle at most once,
+    /// at the end of the batch.
     pub fn run_bulk(&mut self, k: u64) {
         debug_assert!(self.is_runnable(), "ran a non-runnable process");
         debug_assert!(
             k <= self.progress.busy_left,
             "bulk run overshoots the busy period"
         );
-        // `run_tick(1.0)` computes `(work_frac + 1.0) - 1.0`, which snaps
-        // a sub-ulp fraction left over from thrashing onto the 2^-52
-        // grid; once on the grid the value is a fixed point, so applying
-        // the rounding once reproduces k applications exactly.
-        self.work_frac = (self.work_frac + 1.0) - 1.0;
         self.cpu_ticks += k;
         self.progress.busy_left -= k;
         if self.progress.busy_left == 0 {
@@ -571,9 +553,9 @@ mod tests {
     fn duty_cycle_lifecycle() {
         let spec = ProcSpec::synthetic_host("h", 0.5, 4); // busy 2, idle 2
         let mut p = Process::spawn(Pid(1), spec, 0);
-        p.run_tick(1.0);
+        p.run_tick();
         assert!(p.is_runnable());
-        p.run_tick(1.0);
+        p.run_tick();
         assert!(matches!(p.state, RunState::Sleeping { remaining: 2 }));
         p.sleep_tick(); // 2 -> 1
         p.sleep_tick(); // 1 -> 0
@@ -596,52 +578,12 @@ mod tests {
             MemSpec::tiny(),
         );
         let mut p = Process::spawn(Pid(1), spec, 0);
-        p.run_tick(1.0);
-        p.run_tick(1.0);
+        p.run_tick();
+        p.run_tick();
         assert!(!p.is_exited());
-        p.run_tick(1.0);
+        p.run_tick();
         assert!(p.is_exited());
         assert_eq!(p.cpu_ticks, 3);
-    }
-
-    #[test]
-    fn thrashed_tick_burns_cpu_without_progress() {
-        let spec = ProcSpec::new(
-            "g",
-            ProcClass::Guest,
-            0,
-            Demand::CpuBound {
-                total_work: Some(2),
-            },
-            MemSpec::tiny(),
-        );
-        let mut p = Process::spawn(Pid(1), spec, 0);
-        p.run_tick(0.0); // paging, no progress
-        assert_eq!(p.cpu_ticks, 1);
-        assert_eq!(p.progress.busy_left, 2);
-        p.run_tick(1.0);
-        p.run_tick(1.0);
-        assert!(p.is_exited());
-    }
-
-    #[test]
-    fn fractional_efficiency_accumulates() {
-        let spec = ProcSpec::new(
-            "g",
-            ProcClass::Guest,
-            0,
-            Demand::CpuBound {
-                total_work: Some(1),
-            },
-            MemSpec::tiny(),
-        );
-        let mut p = Process::spawn(Pid(1), spec, 0);
-        // At 50% efficiency, one tick of demand takes two CPU ticks.
-        p.run_tick(0.5);
-        assert!(!p.is_exited());
-        p.run_tick(0.5);
-        assert!(p.is_exited());
-        assert_eq!(p.cpu_ticks, 2);
     }
 
     #[test]
@@ -657,13 +599,13 @@ mod tests {
             MemSpec::tiny(),
         );
         let mut p = Process::spawn(Pid(1), spec, 0);
-        p.run_tick(1.0); // phase 0 busy done -> sleep 1
+        p.run_tick(); // phase 0 busy done -> sleep 1
         assert!(matches!(p.state, RunState::Sleeping { remaining: 1 }));
         p.sleep_tick(); // 1 -> 0
         p.sleep_tick(); // wake into phase 1
         assert!(p.is_runnable());
-        p.run_tick(1.0);
-        p.run_tick(1.0); // phase 1 done, no idle, no repeat -> exit
+        p.run_tick();
+        p.run_tick(); // phase 1 done, no idle, no repeat -> exit
         assert!(p.is_exited());
     }
 
@@ -682,7 +624,7 @@ mod tests {
         let mut p = Process::spawn(Pid(1), spec, 0);
         for _ in 0..10 {
             assert!(p.is_runnable());
-            p.run_tick(1.0); // busy 1 done -> sleep 1
+            p.run_tick(); // busy 1 done -> sleep 1
             p.sleep_tick(); // 1 -> 0
             p.sleep_tick(); // wake
         }
@@ -693,8 +635,8 @@ mod tests {
     fn suspend_preserves_sleep_timer() {
         let spec = ProcSpec::synthetic_host("h", 0.5, 4);
         let mut p = Process::spawn(Pid(1), spec, 0);
-        p.run_tick(1.0);
-        p.run_tick(1.0); // now sleeping 2
+        p.run_tick();
+        p.run_tick(); // now sleeping 2
         p.suspend();
         assert!(p.is_suspended());
         // Suspended: sleep timer frozen.

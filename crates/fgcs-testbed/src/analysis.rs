@@ -88,6 +88,25 @@ pub struct Table2 {
 }
 
 impl Table2 {
+    /// The table over per-machine counts (index = machine id): the
+    /// ranges across machines and the testbed-wide URR reboot fraction.
+    pub fn from_per_machine(per_machine: Vec<CauseCounts>) -> Table2 {
+        let urr_total: usize = per_machine.iter().map(|c| c.urr).sum();
+        let reboots: usize = per_machine.iter().map(|c| c.urr_reboots).sum();
+        Table2 {
+            total: Range::over(per_machine.iter().map(|c| c.total)),
+            cpu: Range::over(per_machine.iter().map(|c| c.cpu)),
+            mem: Range::over(per_machine.iter().map(|c| c.mem)),
+            urr: Range::over(per_machine.iter().map(|c| c.urr)),
+            urr_reboot_fraction: if urr_total == 0 {
+                0.0
+            } else {
+                reboots as f64 / urr_total as f64
+            },
+            per_machine,
+        }
+    }
+
     /// Percentage ranges relative to each machine's own total, as the
     /// paper reports them.
     pub fn percentage_ranges(&self) -> (Range, Range, Range) {
@@ -132,20 +151,7 @@ pub fn table2(trace: &Trace) -> Table2 {
     for r in &trace.records {
         per_machine[r.machine as usize].push_record(r);
     }
-    let urr_total: usize = per_machine.iter().map(|c| c.urr).sum();
-    let reboots: usize = per_machine.iter().map(|c| c.urr_reboots).sum();
-    Table2 {
-        total: Range::over(per_machine.iter().map(|c| c.total)),
-        cpu: Range::over(per_machine.iter().map(|c| c.cpu)),
-        mem: Range::over(per_machine.iter().map(|c| c.mem)),
-        urr: Range::over(per_machine.iter().map(|c| c.urr)),
-        urr_reboot_fraction: if urr_total == 0 {
-            0.0
-        } else {
-            reboots as f64 / urr_total as f64
-        },
-        per_machine,
-    }
+    Table2::from_per_machine(per_machine)
 }
 
 /// Availability intervals of one machine as `(start, end)` pairs — the

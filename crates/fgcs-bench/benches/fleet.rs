@@ -17,7 +17,7 @@
 //!   on the student lab at fault scales ×0 and ×1. Between fault events
 //!   the walker runs the span tracer's kernel; the two are bit-identical
 //!   (asserted in `tests/tracer_equivalence.rs`).
-//!   `pass_clean/x{0.5,1,4}` prices the fault scan alone: one
+//!   `pass_clean/x{0.5,1,4}` prices the fault countdown walk alone: one
 //!   [`Injector`] walking a million underlying samples the way the
 //!   walker does (clean stretches through `pass_clean`, each faulting
 //!   sample through `push`), reported per underlying sample.
@@ -65,13 +65,12 @@ use fgcs_testbed::runner::{
 /// stopped engaging.
 const MIN_SPEEDUP: f64 = 2.8;
 
-/// The supervised walker measures 2.3–3.1× its per-sample oracle on the
-/// student lab at noisy ×1 (median of nine paired rounds, 11 quick runs
-/// on a 2-vCPU host; 2.2–3.2× over 10 alternated runs before the span
-/// kernel skipped the two waits) since the fault scan compares integers;
-/// with the float compares it read 1.0–2.6× as separate best-of-7
-/// blocks. Anything under this means clean runs stopped reaching the
-/// span kernel.
+/// The supervised walker measures 4.5–5.3× its per-sample oracle on the
+/// student lab at noisy ×1 (median of nine paired rounds, 6 quick runs
+/// on a 2-vCPU host) since each fault mode counts down to its next
+/// fault; with a draw per mode and sample it read 2.2–2.9× over 4 runs
+/// alternated with those. Anything under this means clean runs stopped
+/// reaching the span kernel.
 const MIN_SUPERVISED_SPEEDUP: f64 = 1.8;
 
 /// The X11 fault plan at `scale` (×0 is the identity injection).

@@ -217,14 +217,33 @@ pub fn gate(serve: &Section, fleet: &Section) -> Result<(), String> {
 }
 
 /// X11: the fault matrix has one row per fault scale of the preset,
-/// in order. Takes `fault_matrix.csv`.
-pub fn check_x11_fault_matrix(csv: &str) -> Result<(), String> {
+/// in order; the weekday and the weekend mean interval fall strictly
+/// with the scale; and no cause's share moves more than a point from
+/// x0 to x4. Takes `fault_matrix.csv`; the bounds bind at full scale.
+pub fn check_x11_fault_matrix(csv: &str, full: bool) -> Result<Vec<Row>, String> {
     let csv = Csv::parse(csv)?;
     let scales = csv.column("scale")?;
     if scales != X11_SCALES {
         return Err(format!("fault scales {scales:?}, need {X11_SCALES:?}"));
     }
-    Ok(())
+    let mut rows = Rows::new(full);
+    for (of, col) in [("weekday", "weekday_mean_h"), ("weekend", "weekend_mean_h")] {
+        let means = csv.column(col)?;
+        let rise = (1..means.len())
+            .find(|&i| means[i] >= means[i - 1])
+            .map(|i| format!("{} h at x{}", means[i], scales[i]));
+        rows.shape("x11.means_fall", of, rise);
+    }
+    for (of, col) in [
+        ("cpu", "cpu_frac"),
+        ("mem", "mem_frac"),
+        ("urr", "urr_frac"),
+    ] {
+        let share = csv.column(col)?;
+        let drift = (share[share.len() - 1] - share[0]) * 100.0;
+        rows.value("x11.cause_drift", of, drift, format!("{drift:+.2} pp"));
+    }
+    hold(rows.rows)
 }
 
 /// The fault scales X11 runs the noisy preset at.
@@ -311,7 +330,8 @@ const fn departed(lo: f64, hi: f64, tol: f64) -> Claim {
 const FULL: bool = true;
 const ANY: bool = false;
 
-/// Every bound the paper's claims are checked against.
+/// Every bound the paper's claims are checked against, and X11's on
+/// how two of them move under injected faults.
 #[rustfmt::skip]
 pub static PAPER_BOUNDS: &[Bound] = &[
     // Table 1, against the workloads' values in [`TABLE1`].
@@ -361,6 +381,11 @@ pub static PAPER_BOUNDS: &[Bound] = &[
     // X3 (§1): proactive management.
     bound("proactive.response", "proactive mean response below oblivious", "improved [10,18]", Claim::Holds, ANY),
     bound("proactive.failures", "proactive failures per job at most oblivious", "fewer failures", Claim::Holds, ANY),
+    // X11 (§5 under injected measurement faults): gaps censor the long
+    // intervals first, and drops thin the data and censoring removes
+    // it, but neither invents failures.
+    bound("x11.means_fall", "mean interval falls strictly with fault scale", "not in the paper", Claim::Holds, FULL),
+    bound("x11.cause_drift", "cause share at x4 less share at x0, pp", "Table 2 mix", Claim::Band(-1.0, 1.0), FULL),
 ];
 
 /// Table 1 of the paper: each workload's CPU usage alone, resident MB
@@ -1122,8 +1147,8 @@ pub const PAPER_CSVS: [(&str, CsvCheck); 10] = [
 
 /// Every check on the committed CSVs, which `read` returns by file name
 /// under `results/`: the paper's, at full scale, and X11's and X15's.
-/// Returns each paper CSV's rows; the error names the file and the
-/// failed bound.
+/// Returns each paper CSV's rows, then X11's; the error names the file
+/// and the failed bound.
 pub fn gate_results(
     read: impl Fn(&str) -> Result<String, String>,
 ) -> Result<Vec<(&'static str, Vec<Row>)>, String> {
@@ -1132,8 +1157,9 @@ pub fn gate_results(
         let rows = check(&read(file)?).map_err(|e| format!("{file}: {e}"))?;
         out.push((file, rows));
     }
-    check_x11_fault_matrix(&read("fault_matrix.csv")?)
+    let x11 = check_x11_fault_matrix(&read("fault_matrix.csv")?, true)
         .map_err(|e| format!("X11 fault matrix: {e}"))?;
+    out.push(("fault_matrix.csv", x11));
     check_x15_archetypes(&read("fleet_archetypes.csv")?)
         .map_err(|e| format!("X15 fleet archetypes: {e}"))?;
     Ok(out)
@@ -1188,6 +1214,7 @@ mod tests {
         };
         rows.extend(check_paper_regularity(&reg, Lab::PAPER).unwrap());
         rows.extend(check_paper_interval_means(4.3, 7.3, Lab::PAPER).unwrap());
+        rows.extend(check_x11_fault_matrix(&committed("fault_matrix.csv"), true).unwrap());
         for b in PAPER_BOUNDS {
             assert!(
                 rows.iter()

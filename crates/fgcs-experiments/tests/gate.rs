@@ -93,6 +93,13 @@ fn the_gate_passes_on_the_committed_artifacts_and_fails_on_each_planted_violatio
     let (serve, fleet) = (read("BENCH_serve.json"), read("BENCH_fleet.json"));
     let (table2, calibration) = (read("results/table2.csv"), read("results/calibration.csv"));
     let (fig6, fig7) = (read("results/fig6.csv"), read("results/fig7.csv"));
+    let faults = read("results/fault_matrix.csv");
+    // Column 5 is `weekday_mean_h`.
+    let weekday_mean = |scale: &str| {
+        let row = faults.lines().find(|l| l.starts_with(&format!("{scale},")));
+        row.and_then(|r| r.split(',').nth(5))
+            .expect("a weekday mean")
+    };
     let without_last_row = |name: &str| {
         let text = read(name);
         let cut = text.trim_end().rfind('\n').expect("a data row") + 1;
@@ -146,6 +153,17 @@ fn the_gate_passes_on_the_committed_artifacts_and_fails_on_each_planted_violatio
             "X11 fault matrix",
             "results/fault_matrix.csv",
             without_last_row("results/fault_matrix.csv"),
+        ),
+        // The x1 and x2 weekday means swapped: the mean rises at x2.
+        (
+            "x11.means_fall (weekday)",
+            "results/fault_matrix.csv",
+            plant_cell(
+                &plant_cell(&faults, &["1"], "weekday_mean_h", weekday_mean("2")),
+                &["2"],
+                "weekday_mean_h",
+                weekday_mean("1"),
+            ),
         ),
         (
             "X15 fleet archetypes",

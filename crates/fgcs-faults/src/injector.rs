@@ -4,8 +4,8 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use fgcs_core::monitor::ResourceProbe;
-use fgcs_stats::dist::{Exponential, Sample};
-use fgcs_stats::rng::{chance_threshold, Rng};
+use fgcs_stats::dist::{Exponential, Geometric, Sample};
+use fgcs_stats::rng::Rng;
 
 use crate::{FaultConfig, InjectionStats};
 
@@ -14,6 +14,14 @@ use crate::{FaultConfig, InjectionStats};
 const STREAM_SALT: u64 = 0x6661_756c_7453_7472; // "faultStr"
 const CRASH_SALT: u64 = 0x6661_756c_7443_7273; // "faultCrs"
 const PROBE_SALT: u64 = 0x6661_756c_7450_7262; // "faultPrb"
+
+/// The stream-level failure modes, indexed in the order
+/// [`Injector::push`] tries them.
+const RESTART: usize = 0;
+const JUMP: usize = 1;
+const DROP: usize = 2;
+const DELAY: usize = 3;
+const DUPLICATE: usize = 4;
 
 /// Anything with a rewritable timestamp — the injector's only
 /// requirement on a sample type. Implemented by the testbed's
@@ -55,11 +63,16 @@ struct Delayed<S> {
 /// a caller walking its own sample source passes fault-free stretches with
 /// [`Injector::pass_clean`] without building their samples.
 ///
+/// Each sample outside a restart outage is one Bernoulli trial of each
+/// mode the injector tries on it, at the mode's rate. A mode does not
+/// draw per trial: it counts down the trials left before its next
+/// fault, a [`Geometric`] draw, so a fault-free stretch costs O(1).
+///
 /// The injection is a pure function of `(cfg.seed, machine_id)` and the
-/// input stream. Which draws one underlying sample makes depends only on
-/// the injector's state and the outcomes of earlier draws, never on the
-/// sample's content. With an all-zero config the injector is the
-/// identity.
+/// input stream: the RNG is drawn only when a fault fires (the mode's
+/// next countdown, then a jump's magnitude or a delay's slots), in
+/// event order, never depending on a sample's content. With an
+/// all-zero config the injector is the identity.
 #[derive(Debug, Clone)]
 pub struct Injector<S> {
     cfg: FaultConfig,
@@ -77,48 +90,39 @@ pub struct Injector<S> {
     /// Set when a restart was injected since the last query; lets a
     /// cooperating probe wrapper reset its counters in lockstep.
     restart_pending: bool,
-    /// The enabled modes' [`chance_threshold`]s in draw order — restart,
-    /// jump, drop, delay, duplicate — the first `clean_modes` of them:
-    /// what [`Injector::pass_clean`] compares a quiet sample's draws
-    /// against.
-    clean_thresholds: [u64; 5],
-    clean_modes: usize,
+    /// Per mode (indexed by `RESTART` … `DUPLICATE`), the law of
+    /// the trials between its faults; `None` for a mode that is off,
+    /// by its rate or by its structural knob.
+    gaps: [Option<Geometric>; 5],
+    /// Per mode, the trials left before its next fault (`u64::MAX`
+    /// for a mode that is off).
+    countdown: [u64; 5],
 }
 
 impl<S: Timestamped + Clone> Injector<S> {
     /// The fault plan for `machine_id`.
     pub fn new(cfg: &FaultConfig, machine_id: u64) -> Self {
-        // `inject`'s predicates, mode for mode.
         let modes = [
-            (cfg.restart_rate > 0.0, cfg.restart_rate),
-            (
-                cfg.clock_jump_rate > 0.0 && cfg.clock_jump_max_secs > 0,
-                cfg.clock_jump_rate,
-            ),
-            (cfg.drop_rate > 0.0, cfg.drop_rate),
-            (
-                cfg.delay_rate > 0.0 && cfg.max_delay_slots > 0,
-                cfg.delay_rate,
-            ),
-            (cfg.duplicate_rate > 0.0, cfg.duplicate_rate),
+            (cfg.restart_rate, true),
+            (cfg.clock_jump_rate, cfg.clock_jump_max_secs > 0),
+            (cfg.drop_rate, true),
+            (cfg.delay_rate, cfg.max_delay_slots > 0),
+            (cfg.duplicate_rate, true),
         ];
-        let mut clean_thresholds = [0; 5];
-        let mut clean_modes = 0;
-        for (_, rate) in modes.into_iter().filter(|&(enabled, _)| enabled) {
-            clean_thresholds[clean_modes] = chance_threshold(rate);
-            clean_modes += 1;
-        }
+        let gaps = modes.map(|(rate, on)| (on && rate > 0.0).then(|| Geometric::new(rate)));
+        let mut rng = Rng::for_stream(cfg.seed ^ STREAM_SALT, machine_id);
+        let countdown = gaps.map(|g| g.map_or(u64::MAX, |g| g.sample(&mut rng)));
         Injector {
             cfg: cfg.clone(),
-            rng: Rng::for_stream(cfg.seed ^ STREAM_SALT, machine_id),
+            rng,
             stats: InjectionStats::default(),
             pending: Vec::new(),
             queued: VecDeque::new(),
             outage_left: 0,
             clock_offset: 0,
             restart_pending: false,
-            clean_thresholds,
-            clean_modes,
+            gaps,
+            countdown,
         }
     }
 
@@ -190,44 +194,36 @@ impl<S: Timestamped + Clone> Injector<S> {
     }
 
     /// Passes up to `n` underlying samples the injector lets through
-    /// untouched and returns how many it passed, `k`. Each makes the
-    /// draws [`Self::push`] would make — the enabled modes' only, in the
-    /// same order — and every draw says "no fault", so each is delivered
-    /// once, unchanged but for [`Self::clock_offset`]; the caller
-    /// delivers them itself. At the first sample that would fault (when
-    /// `k < n`) the RNG is rewound to that sample's pre-draw state, so
-    /// pushing it next redraws exactly what the per-sample path draws.
-    ///
-    /// Each draw is tested as an integer, `next_u64() >> 11` against the
-    /// mode's [`chance_threshold`], which is exactly [`Rng::chance`]. A
-    /// sample makes all its draws before any is tested: a clean sample
-    /// makes every one of them on the per-sample path too, and a faulting
-    /// one is rewound, so the extra draws never count.
+    /// untouched and returns how many it passed, `k`: each spends one
+    /// trial of every mode that is on, and none faults, so `k` is `n` or
+    /// the smallest countdown. Each passed sample is delivered once,
+    /// unchanged but for [`Self::clock_offset`]; the caller delivers
+    /// them itself. When `k < n`, pushing the next sample faults it, as
+    /// the per-sample path does.
     ///
     /// Only valid while [`Self::is_quiet`].
     pub fn pass_clean(&mut self, n: u64) -> u64 {
         debug_assert!(self.is_quiet(), "pass_clean with samples in flight");
-        // A local copy the compiler can keep in registers.
-        let mut rng = self.rng.clone();
-        let draw = |rng: &mut Rng| rng.next_u64() >> 11;
-        let passed = match self.clean_thresholds[..self.clean_modes] {
-            [] => return n,
-            // Every mode on, as in X11's noisy plans. Unrolled, this arm
-            // scans a sample 10–16 % faster than the slice loop below
-            // (DESIGN.md, "The integer fault scan").
-            [restart, jump, drop, delay, duplicate] => clean_prefix(&mut rng, n, |rng| {
-                (draw(rng) < restart)
-                    | (draw(rng) < jump)
-                    | (draw(rng) < drop)
-                    | (draw(rng) < delay)
-                    | (draw(rng) < duplicate)
-            }),
-            ref thresholds => clean_prefix(&mut rng, n, |rng| {
-                thresholds.iter().fold(false, |f, &t| f | (draw(rng) < t))
-            }),
+        let k = self.countdown.iter().fold(n, |k, &c| k.min(c));
+        for c in &mut self.countdown {
+            *c -= k;
+        }
+        k
+    }
+
+    /// Spends one trial of `mode`: true if it faults, and then the
+    /// mode's next countdown is drawn.
+    #[inline(always)]
+    fn fires(&mut self, mode: usize) -> bool {
+        let Some(gap) = self.gaps[mode] else {
+            return false;
         };
-        self.rng = rng;
-        passed
+        if self.countdown[mode] > 0 {
+            self.countdown[mode] -= 1;
+            return false;
+        }
+        self.countdown[mode] = gap.sample(&mut self.rng);
+        true
     }
 
     /// Decides one underlying sample's fate: `None` if a restart
@@ -241,7 +237,7 @@ impl<S: Timestamped + Clone> Injector<S> {
             self.stats.lost_in_restart += 1;
             return None;
         }
-        if self.cfg.restart_rate > 0.0 && self.rng.chance(self.cfg.restart_rate) {
+        if self.fires(RESTART) {
             self.stats.restarts += 1;
             self.restart_pending = true;
             self.outage_left = self.cfg.restart_outage_samples;
@@ -251,10 +247,7 @@ impl<S: Timestamped + Clone> Injector<S> {
                 return None;
             }
         }
-        if self.cfg.clock_jump_rate > 0.0
-            && self.cfg.clock_jump_max_secs > 0
-            && self.rng.chance(self.cfg.clock_jump_rate)
-        {
+        if self.fires(JUMP) {
             self.stats.clock_jumps += 1;
             let m = self.cfg.clock_jump_max_secs as i64;
             let jump = self.rng.range_u64(0, 2 * m as u64 + 1) as i64 - m;
@@ -265,14 +258,11 @@ impl<S: Timestamped + Clone> Injector<S> {
             s.set_ts(t.max(0) as u64);
         }
 
-        if self.cfg.drop_rate > 0.0 && self.rng.chance(self.cfg.drop_rate) {
+        if self.fires(DROP) {
             self.stats.dropped += 1;
             return None;
         }
-        if self.cfg.delay_rate > 0.0
-            && self.cfg.max_delay_slots > 0
-            && self.rng.chance(self.cfg.delay_rate)
-        {
+        if self.fires(DELAY) {
             self.stats.delayed += 1;
             let slots = self.rng.range_u64(1, self.cfg.max_delay_slots as u64 + 1) as u32;
             self.pending.push(Delayed {
@@ -281,7 +271,7 @@ impl<S: Timestamped + Clone> Injector<S> {
             });
             return None;
         }
-        let duplicated = self.cfg.duplicate_rate > 0.0 && self.rng.chance(self.cfg.duplicate_rate);
+        let duplicated = self.fires(DUPLICATE);
         if duplicated {
             self.stats.duplicated += 1;
         }
@@ -302,21 +292,6 @@ impl<S: Timestamped + Clone> Injector<S> {
             }
         }
     }
-}
-
-/// How many of up to `n` samples pass clean, where `faults` makes one
-/// sample's draws and says whether any of them faults; `rng` is left at
-/// the first faulting sample's pre-draw state.
-#[inline(always)]
-fn clean_prefix(rng: &mut Rng, n: u64, mut faults: impl FnMut(&mut Rng) -> bool) -> u64 {
-    for k in 0..n {
-        let before = rng.clone();
-        if faults(rng) {
-            *rng = before;
-            return k;
-        }
-    }
-    n
 }
 
 /// Iterator adapter over an [`Injector`]: injects the stream-level
@@ -585,9 +560,8 @@ mod tests {
     }
 
     /// The plans `pass_clean` must walk exactly as `push` does: all five
-    /// modes (its fixed loop), none, and for its general loop each mode
-    /// alone, a pair, and the two modes a zero structural knob disables
-    /// despite their rate.
+    /// modes, none, each mode alone, a pair, and the two modes a zero
+    /// structural knob turns off despite their rate.
     fn clean_walk_configs() -> Vec<(String, FaultConfig)> {
         let mut cfgs: Vec<(String, FaultConfig)> = [0.0, 1.0, 20.0, 60.0]
             .into_iter()
@@ -668,28 +642,6 @@ mod tests {
 
             assert_eq!(walked, pushed, "{name}");
             assert_eq!(walker.stats(), every.stats(), "{name}");
-        }
-    }
-
-    #[test]
-    fn every_noisy_rate_has_an_exact_threshold() {
-        // The identity `pass_clean` relies on, at the rates X11 runs.
-        let chance = |m: u64, p: f64| m as f64 * (1.0 / (1u64 << 53) as f64) < p;
-        for s in [0.5, 1.0, 2.0, 4.0] {
-            let c = FaultConfig::noisy(5).scaled(s);
-            let rates = [
-                c.restart_rate,
-                c.clock_jump_rate,
-                c.drop_rate,
-                c.delay_rate,
-                c.duplicate_rate,
-            ];
-            for p in rates {
-                let t = chance_threshold(p);
-                for m in [t - 1, t, t + 1] {
-                    assert_eq!(chance(m, p), m < t, "x{s}: p = {p:e}, m = {m}");
-                }
-            }
         }
     }
 

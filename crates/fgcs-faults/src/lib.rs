@@ -17,9 +17,10 @@
 //! * [`injector::Injector`] — applies drops, duplicates, delayed
 //!   (out-of-order) delivery, monitor restarts (a contiguous outage of
 //!   lost samples) and persistent clock jumps to a time-stamped sample
-//!   stream, one pushed sample at a time, and passes fault-free
-//!   stretches in bulk; [`injector::FaultStream`] is its iterator
-//!   adapter over any such stream;
+//!   stream, one pushed sample at a time. Each mode counts down the
+//!   trials left before its next fault, so a fault-free stretch passes
+//!   in O(1); [`injector::FaultStream`] is its iterator adapter over
+//!   any such stream;
 //! * [`injector::CrashPlan`] — Poisson schedule of tracing-task crashes
 //!   for the testbed supervisor to recover from;
 //! * [`injector::FaultyProbe`] — wraps a [`fgcs_core::monitor::ResourceProbe`]

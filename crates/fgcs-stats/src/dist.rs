@@ -89,6 +89,42 @@ impl Sample for Exponential {
     }
 }
 
+/// Geometric distribution on `{0, 1, 2, …}`: the number of failed
+/// Bernoulli(`p`) trials before the first success, so
+/// `P(G ≥ k) = (1 − p)^k`.
+///
+/// Lets a loop count down to the next success of a per-trial chance
+/// instead of drawing every trial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Geometric {
+    /// `ln(1 − p)`; −∞ when `p ≥ 1`.
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// Creates a geometric distribution with success probability `p`;
+    /// `p ≥ 1` succeeds at the first trial.
+    ///
+    /// # Panics
+    /// Panics unless `p > 0`.
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0, "success probability must be positive");
+        Geometric {
+            ln_q: (-p.min(1.0)).ln_1p(),
+        }
+    }
+}
+
+impl Sample for Geometric {
+    type Output = u64;
+    fn sample(&self, rng: &mut Rng) -> u64 {
+        // Inverse CDF: ⌊ln(1 − u) / ln(1 − p)⌋ ≥ k ⇔ 1 − u ≤ (1 − p)^k.
+        // The cast saturates: a tiny p caps at u64::MAX, and p ≥ 1
+        // (ln_q = −∞) gives 0.
+        ((1.0 - rng.f64()).ln() / self.ln_q) as u64
+    }
+}
+
 /// Poisson distribution with mean `lambda`.
 ///
 /// Knuth's product method for small means; for large means a
@@ -326,6 +362,40 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn exponential_rejects_zero_rate() {
         Exponential::new(0.0);
+    }
+
+    #[test]
+    fn geometric_saturates_at_both_ends() {
+        let mut r = Rng::new(4);
+        let certain = Geometric::new(1.0);
+        assert!((0..1000).all(|_| certain.sample(&mut r) == 0));
+        assert!((0..1000).all(|_| Geometric::new(2.0).sample(&mut r) == 0));
+        // ln(1 − u) / ln(1 − p) is ~1e301 here: the countdown caps
+        // instead of overflowing.
+        let rare = Geometric::new(1e-300);
+        assert!((0..1000).all(|_| rare.sample(&mut r) > 1 << 62));
+    }
+
+    #[test]
+    fn geometric_mean_is_within_five_sigma() {
+        for (seed, p) in [(13, 0.003), (14, 0.2), (15, 0.7)] {
+            let d = Geometric::new(p);
+            let mut r = Rng::new(seed);
+            let n = 100_000;
+            let m = mean_of(n, || d.sample(&mut r) as f64);
+            let (mean, var) = ((1.0 - p) / p, (1.0 - p) / (p * p));
+            let sigma = (var / n as f64).sqrt();
+            assert!(
+                (m - mean).abs() < 5.0 * sigma,
+                "p = {p}: mean {m}, want {mean}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "success probability must be positive")]
+    fn geometric_rejects_zero_probability() {
+        Geometric::new(0.0);
     }
 
     #[test]

@@ -25,30 +25,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The integer form of [`Rng::chance`]: `chance(p)` holds exactly when
-/// the draw's top 53 bits, `next_u64() >> 11`, are below
-/// `chance_threshold(p)`.
-///
-/// `chance` compares `m · 2⁻⁵³` with `p`, where `m = u >> 11 < 2⁵³`.
-/// Both sides are exact (`m` fits an `f64` mantissa, and scaling by a
-/// power of two loses nothing), so `m · 2⁻⁵³ < p ⇔ m < p · 2⁵³`, and for
-/// an integer `m` that is `m < ⌈p · 2⁵³⌉`. `p ≤ 0` and NaN never hold
-/// (threshold 0); `p ≥ 1` always holds (threshold 2⁵³, above every `m`).
-/// Precompute it once per rate and a hot loop compares integers instead
-/// of converting and multiplying floats.
-#[inline]
-pub fn chance_threshold(p: f64) -> u64 {
-    const SCALE: f64 = (1u64 << 53) as f64;
-    if p >= 1.0 {
-        1 << 53
-    } else if p > 0.0 {
-        // Below 2⁵³, so the ceiling is an exact integer.
-        (p * SCALE).ceil() as u64
-    } else {
-        0
-    }
-}
-
 /// A seedable xoshiro256++ generator.
 ///
 /// ```
@@ -363,80 +339,6 @@ mod tests {
         let mut r = Rng::new(21);
         assert!(!(0..1000).any(|_| r.chance(0.0)));
         assert!((0..1000).all(|_| r.chance(1.0)));
-    }
-
-    /// `chance`'s own comparison for a draw whose top 53 bits are `m`.
-    fn chance_holds(m: u64, p: f64) -> bool {
-        m as f64 * (1.0 / (1u64 << 53) as f64) < p
-    }
-
-    /// Checks the threshold identity at `p` on both sides of the
-    /// threshold, `T − 1`, `T` and `T + 1`, kept inside the draw range.
-    fn threshold_is_exact_at(p: f64) {
-        let t = chance_threshold(p);
-        for m in [t.wrapping_sub(1), t, t + 1] {
-            if m < 1 << 53 {
-                assert_eq!(chance_holds(m, p), m < t, "p = {p:e}, m = {m}, T = {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn chance_threshold_is_exact_at_the_edges() {
-        const ULP: f64 = 1.0 / (1u64 << 53) as f64;
-        assert_eq!(chance_threshold(f64::NAN), 0);
-        assert_eq!(chance_threshold(0.0), 0);
-        assert_eq!(chance_threshold(-0.5), 0);
-        assert_eq!(chance_threshold(f64::from_bits(1)), 1);
-        assert_eq!(chance_threshold(ULP), 1);
-        assert_eq!(chance_threshold(1.0 - ULP), (1 << 53) - 1);
-        assert_eq!(chance_threshold(1.0), 1 << 53);
-        assert_eq!(chance_threshold(f64::INFINITY), 1 << 53);
-        let mut ps = vec![
-            0.0,
-            -0.0,
-            f64::from_bits(1),
-            f64::MIN_POSITIVE,
-            ULP,
-            1.0 - ULP,
-            1.0,
-            1.0 + f64::EPSILON,
-            2.0,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for k in [1u64, 2, 3, 1000, (1 << 52) - 1, 1 << 52, (1 << 53) - 1] {
-            let p = k as f64 * ULP;
-            ps.extend([
-                p,
-                f64::from_bits(p.to_bits() - 1),
-                f64::from_bits(p.to_bits() + 1),
-            ]);
-        }
-        for p in ps {
-            threshold_is_exact_at(p);
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(2000))]
-        #[test]
-        fn chance_threshold_agrees_with_chance(
-            p in 0.0f64..1.0,
-            m in 0u64..(1 << 53),
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            threshold_is_exact_at(p);
-            let t = chance_threshold(p);
-            proptest::prop_assert_eq!(chance_holds(m, p), m < t);
-            // And on the draws themselves: the integer compare says what
-            // `chance` says, draw for draw.
-            let mut a = Rng::new(seed);
-            let mut b = a.clone();
-            for _ in 0..16 {
-                proptest::prop_assert_eq!(a.chance(p), b.next_u64() >> 11 < t);
-            }
-        }
     }
 
     #[test]

@@ -778,6 +778,10 @@ mod tests {
     /// `SampleIter` were restructured: a reordered RNG draw, a changed
     /// release order of delayed samples or a moved float add shows up
     /// here, not only as a differing byte in `results/fault_matrix.csv`.
+    /// The x1 and x4 entries were re-pinned once, when the injector
+    /// moved from one draw per mode and sample to per-mode countdowns:
+    /// the same fault law, another realization of it. The x0 entry has
+    /// never moved.
     #[test]
     fn fault_stream_output_matches_the_golden_digests() {
         use fgcs_faults::InjectionStats;
@@ -785,27 +789,27 @@ mod tests {
             (0.0, 0x8c70_865a_f913_0f40, InjectionStats::default()),
             (
                 1.0,
-                0x2f0b_ca24_c896_3510,
+                0x0efd_e536_7138_eab6,
                 InjectionStats {
-                    dropped: 209,
-                    duplicated: 70,
-                    delayed: 90,
-                    restarts: 12,
-                    lost_in_restart: 96,
-                    clock_jumps: 6,
+                    dropped: 178,
+                    duplicated: 73,
+                    delayed: 69,
+                    restarts: 15,
+                    lost_in_restart: 120,
+                    clock_jumps: 8,
                     corrupted_lines: 0,
                 },
             ),
             (
                 4.0,
-                0xcfc9_4faf_3055_4037,
+                0x26ed_4366_d9db_d775,
                 InjectionStats {
-                    dropped: 809,
-                    duplicated: 293,
-                    delayed: 310,
-                    restarts: 84,
-                    lost_in_restart: 672,
-                    clock_jumps: 21,
+                    dropped: 742,
+                    duplicated: 300,
+                    delayed: 301,
+                    restarts: 91,
+                    lost_in_restart: 728,
+                    clock_jumps: 37,
                     corrupted_lines: 0,
                 },
             ),

@@ -43,6 +43,16 @@ pub fn standard_trace(quick: bool) -> &'static Trace {
     cell.get_or_init(|| run_testbed(&standard_config(quick)))
 }
 
+/// [`verified_streaming`] of the [`standard_trace`], folded and checked
+/// against the exact oracle on first use and then shared: `table2`,
+/// `fig6`, `fig7` and `regularity` all read this one analysis.
+pub fn standard_streaming(quick: bool) -> &'static StreamingAnalysis {
+    static FULL: OnceLock<StreamingAnalysis> = OnceLock::new();
+    static QUICK: OnceLock<StreamingAnalysis> = OnceLock::new();
+    let cell = if quick { &QUICK } else { &FULL };
+    cell.get_or_init(|| verified_streaming(standard_trace(quick)))
+}
+
 /// The trace of `cfg`: the shared [`standard_trace`] when `cfg` is a
 /// standard configuration, a fresh run otherwise. For sweeps whose
 /// grid passes through the standard point (X8's paper-rules row, X10's
@@ -114,7 +124,7 @@ pub fn table2(quick: bool) {
         trace.machine_days(),
         trace.records.len()
     );
-    verified_streaming(trace);
+    standard_streaming(quick);
 
     // The per-machine CSV is inherently a per-machine artifact; it comes
     // from the exact path (which the streaming summary was verified
@@ -133,7 +143,7 @@ pub fn table2(quick: bool) {
 pub fn fig6(quick: bool) {
     banner("Figure 6 — CDF of availability-interval lengths");
     let trace = standard_trace(quick);
-    let acc = verified_streaming(trace);
+    let acc = standard_streaming(quick);
 
     let mut table = TextTable::new(&["interval length", "weekday CDF", "weekend CDF"]);
     for h in FIG6_HOURS {
@@ -143,12 +153,12 @@ pub fn fig6(quick: bool) {
             } else {
                 format!("{h:.1} h")
             },
-            pct(fig6_cdf(&acc, DayType::Weekday, h)),
-            pct(fig6_cdf(&acc, DayType::Weekend, h)),
+            pct(fig6_cdf(acc, DayType::Weekday, h)),
+            pct(fig6_cdf(acc, DayType::Weekend, h)),
         ]);
     }
     table.print();
-    let text = fig6_csv(&acc);
+    let text = fig6_csv(acc);
     let lab = Lab::of(trace);
     assert_paper("fig6", claims::check_paper_fig6(&text, lab), !quick);
     let (wd, we) = (
@@ -168,7 +178,7 @@ pub fn fig6(quick: bool) {
 pub fn fig7(quick: bool) {
     banner("Figure 7 — unavailability occurrences per hour of day (testbed-wide)");
     let trace = standard_trace(quick);
-    let h = verified_streaming(trace).hourly();
+    let h = standard_streaming(quick).hourly();
 
     for (dt, g) in [
         (DayType::Weekday, &h.weekday),
@@ -201,7 +211,7 @@ pub fn fig7(quick: bool) {
 pub fn regularity(quick: bool) {
     banner("Regularity (§5.3) — are daily patterns comparable to recent history?");
     let trace = standard_trace(quick);
-    let r = verified_streaming(trace).regularity();
+    let r = standard_streaming(quick).regularity();
     assert_paper(
         "regularity",
         claims::check_paper_regularity(&r, Lab::of(trace)),

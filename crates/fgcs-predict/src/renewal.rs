@@ -20,6 +20,9 @@
 //! split), so the predictor inherits Figure 6's weekday-vs-weekend
 //! difference, though not the finer hour-of-day structure.
 
+use std::collections::HashMap;
+use std::sync::RwLock;
+
 use fgcs_testbed::analysis::machine_intervals;
 use fgcs_testbed::calendar::{day_index, day_type, DayType, SECS_PER_DAY};
 use fgcs_testbed::trace::Trace;
@@ -37,6 +40,22 @@ pub struct RenewalPredictor {
     /// samples); `mean_excess(slot, 0.0)`, computed once in `fit`.
     mean_interval: [f64; 2],
     start_weekday: u8,
+    /// `mean_excess` per day type and probed window, filled on first
+    /// probe: it depends on nothing else, and scoring probes each window
+    /// thousands of times.
+    excess_memo: ExcessMemo,
+}
+
+/// Per day type, window → `E[max(0, L − w)]`. Behind locks so that a
+/// fitted predictor stays `Sync` and windows can be scored in parallel.
+#[derive(Debug, Default)]
+struct ExcessMemo([RwLock<HashMap<u64, f64>>; 2]);
+
+impl Clone for ExcessMemo {
+    /// A cache: a clone starts empty and refills on demand.
+    fn clone(&self) -> Self {
+        ExcessMemo::default()
+    }
 }
 
 impl RenewalPredictor {
@@ -54,6 +73,19 @@ impl RenewalPredictor {
         let idx = samples.partition_point(|&l| l <= w);
         let excess: f64 = samples[idx..].iter().map(|l| l - w).sum();
         excess / samples.len() as f64
+    }
+
+    /// [`Self::mean_excess`] at `window`, memoized per day type.
+    fn memo_excess(&self, slot: usize, window: u64) -> f64 {
+        let memo = &self.excess_memo.0[slot];
+        if let Some(&v) = memo.read().expect("renewal memo poisoned").get(&window) {
+            return v;
+        }
+        let v = self.mean_excess(slot, window as f64);
+        memo.write()
+            .expect("renewal memo poisoned")
+            .insert(window, v);
+        v
     }
 }
 
@@ -91,6 +123,7 @@ impl AvailabilityPredictor for RenewalPredictor {
             v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         }
         self.intervals = intervals;
+        self.excess_memo = ExcessMemo::default();
         for slot in 0..2 {
             self.mean_outage[slot] = if outage_n[slot] > 0 {
                 outage_sum[slot] / outage_n[slot] as f64
@@ -108,7 +141,7 @@ impl AvailabilityPredictor for RenewalPredictor {
             return 0.5; // no training data for this day type
         }
         let cycle = mu_l + self.mean_outage[slot];
-        (self.mean_excess(slot, window as f64) / cycle).clamp(0.0, 1.0)
+        (self.memo_excess(slot, window) / cycle).clamp(0.0, 1.0)
     }
 }
 
@@ -185,6 +218,26 @@ mod tests {
         // Regular weekday intervals are ~3.5 h; only the rare
         // weekend-adjacent long intervals can fit a 6 h window.
         assert!(long < 0.3, "long {long}");
+    }
+
+    #[test]
+    fn memoized_predictions_equal_the_direct_sum_and_refit_clears_them() {
+        let trace = periodic_trace();
+        let mut p = RenewalPredictor::default();
+        p.fit(&trace, 7 * SECS_PER_DAY);
+        let t = 15 * SECS_PER_DAY + 10 * 3600;
+        let before = p.predict(0, t, 600);
+        assert_eq!(p.predict(0, t, 600), before, "a memo hit");
+        // A refit on more data must not answer from the old memo.
+        p.fit(&trace, 14 * SECS_PER_DAY);
+        let mut fresh = RenewalPredictor::default();
+        fresh.fit(&trace, 14 * SECS_PER_DAY);
+        assert_ne!(fresh.predict(0, t, 600), before, "the refit moves it");
+        for w in [600u64, 4 * 3600] {
+            let direct = p.mean_excess(0, w as f64) / (p.mean_interval[0] + p.mean_outage[0]);
+            assert_eq!(p.predict(0, t, w), direct.clamp(0.0, 1.0));
+            assert_eq!(p.predict(0, t, w), fresh.predict(0, t, w));
+        }
     }
 
     #[test]

@@ -33,14 +33,20 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 const MAGIC: [u8; 2] = [0x46, 0x43];
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), slicing-by-8, tables built at compile time.
+// CRC32 (IEEE 802.3), braided, tables built at compile time.
 // ---------------------------------------------------------------------------
+
+/// Independent CRC chains in a braided block (DESIGN §9.1).
+const BRAID_LANES: usize = 4;
+
+/// Bytes in a braided block: one little-endian `u64` word per lane.
+const BRAID_BLOCK: usize = BRAID_LANES * 8;
 
 /// `CRC_TABLES[0]` is the classic reflected byte table; `CRC_TABLES[j]`
 /// advances a byte past `j` further zero bytes
 /// (`t[j][i] = t[0][t[j-1][i] & 0xff] ^ (t[j-1][i] >> 8)`), so eight
 /// input bytes fold in eight independent lookups instead of a chain of
-/// eight dependent ones. 8 KiB in all.
+/// eight dependent ones. 8 KiB.
 const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -71,29 +77,90 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+/// `CRC_BRAID[j]` is `CRC_TABLES[j]` advanced past the other
+/// `BRAID_LANES - 1` words of a block: byte `k` of a lane's word ends
+/// up `(7 - k) + (BRAID_LANES - 1) * 8` bytes before that lane's next
+/// word, so [`fold_word`] over these tables yields the lane's CRC
+/// already positioned there. 8 KiB.
+const fn build_braid_tables(t: &[[u32; 256]; 8]) -> [[u32; 256]; 8] {
+    let mut braid = *t;
+    let mut j = 0;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let mut w = 1;
+            while w < BRAID_LANES {
+                // A zero word: the slicing step with no data.
+                braid[j][i] = fold_word(t, braid[j][i] as u64);
+                w += 1;
+            }
+            i += 1;
+        }
+        j += 1;
+    }
+    braid
+}
 
-/// CRC32 (IEEE) of `data`: eight bytes per step, the last `len % 8`
-/// one at a time. Same polynomial, reflection, init and final XOR as
-/// the bytewise loop it replaced, so frames and snapshot trailers are
-/// bit-compatible across builds.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+static CRC_BRAID: [[u32; 256]; 8] = build_braid_tables(&CRC_TABLES);
+
+/// Folds the eight bytes of `x` (little-endian) through `t`: byte `k`
+/// reads `t[7 - k]`, the table that advances it past the `7 - k` bytes
+/// after it.
+#[inline(always)]
+const fn fold_word(t: &[[u32; 256]; 8], x: u64) -> u32 {
+    t[7][x as u8 as usize]
+        ^ t[6][(x >> 8) as u8 as usize]
+        ^ t[5][(x >> 16) as u8 as usize]
+        ^ t[4][(x >> 24) as u8 as usize]
+        ^ t[3][(x >> 32) as u8 as usize]
+        ^ t[2][(x >> 40) as u8 as usize]
+        ^ t[1][(x >> 48) as u8 as usize]
+        ^ t[0][(x >> 56) as usize]
+}
+
+/// An eight-byte chunk as a little-endian word.
+#[inline(always)]
+fn le_word(w: &[u8]) -> u64 {
+    u64::from_le_bytes(w.try_into().expect("an eight-byte chunk"))
+}
+
+/// CRC32 (IEEE) of `data`. From two 32-byte blocks on, four lanes
+/// each take one eight-byte word of every block and run their own CRC
+/// chain through the braid tables; the chains share no data, so their
+/// table loads overlap. The last block folds the lanes into one CRC a
+/// word at a time, and what is left (and every shorter input) goes
+/// eight bytes per step, then the last `len % 8` one at a time. Same
+/// polynomial, reflection, init and final XOR as the bytewise loop it
+/// replaced, so frames and snapshot trailers are bit-compatible across
+/// builds.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    let mut chunks = data.chunks_exact(8);
-    for w in &mut chunks {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut rest = data;
+    if data.len() >= 2 * BRAID_BLOCK {
+        let mut blocks = data.chunks_exact(BRAID_BLOCK);
+        rest = blocks.remainder();
+        let last = blocks.next_back().expect("at least two blocks");
+        // CRC is linear: the init value starts lane 0's chain, and the
+        // other lanes' contributions are XORed in when they fold.
+        let mut lanes = [0u32; BRAID_LANES];
+        lanes[0] = c;
+        for block in blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = fold_word(&CRC_BRAID, le_word(w) ^ *lane as u64);
+            }
+        }
+        c = 0;
+        for (lane, w) in lanes.iter().zip(last.chunks_exact(8)) {
+            c = fold_word(t, le_word(w) ^ (c ^ lane) as u64);
+        }
     }
-    for &b in chunks.remainder() {
+    let mut words = rest.chunks_exact(8);
+    for w in &mut words {
+        c = fold_word(t, le_word(w) ^ c as u64);
+    }
+    for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
@@ -400,6 +467,11 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// The bytes not consumed yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
     /// Bytes consumed so far.
     pub(crate) fn position(&self) -> usize {
         self.pos
@@ -494,13 +566,31 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bytewise_oracle_at_every_length_and_offset() {
-        // Lengths 0..=64 cross the 8-byte main loop and every tail
-        // length; offsets 0..8 cover every alignment of the slice start.
-        let buf = scrambled(64 + 8);
+        // Up to eight braided blocks plus every tail length: each block
+        // count (none, then the braid from two) meets every count of
+        // leftover words and bytes. Offsets 0..8 cover every alignment
+        // of the slice start.
+        let max_len = 8 * BRAID_BLOCK + 7;
+        let buf = scrambled(max_len + 8);
         for offset in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=max_len {
                 let s = &buf[offset..offset + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn braid_tables_advance_each_byte_past_the_rest_of_its_block() {
+        // Byte k of a lane's word is followed by 7 - k bytes of its own
+        // word and the other lanes' words before the lane's next word.
+        for k in 0..8 {
+            for b in 0..256 {
+                let mut c = CRC_TABLES[0][b];
+                for _ in 0..(7 - k) + (BRAID_LANES - 1) * 8 {
+                    c = CRC_TABLES[0][(c & 0xff) as usize] ^ (c >> 8);
+                }
+                assert_eq!(CRC_BRAID[7 - k][b], c, "byte {k}, value {b}");
             }
         }
     }

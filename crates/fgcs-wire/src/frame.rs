@@ -142,14 +142,14 @@ impl EncodedSamples {
             samples.len()
         );
         // Room for the larger (counters) layout: the Arc copies it out.
-        let mut out = Vec::with_capacity(4 + (8 + 1 + 16 + 4 + 1) * samples.len());
+        let mut out = Vec::with_capacity(4 + COUNTERS_SAMPLE_LEN * samples.len());
         put_samples(&mut out, samples);
         EncodedSamples(out.into())
     }
 
     /// Reads and validates a sample list, leaving `r` just past it.
     fn read(r: &mut ByteReader<'_>) -> Result<Self, PayloadError> {
-        Ok(EncodedSamples(read_sample_bytes(r)?.into()))
+        Ok(EncodedSamples(read_sample_list(r, |_| ())?.into()))
     }
 
     /// Number of samples.
@@ -1129,37 +1129,82 @@ impl Frame {
 /// [`MAX_SAMPLES_PER_BATCH`] before encoding.
 fn put_samples(out: &mut Vec<u8>, samples: &[WireSample]) {
     put_u32(out, samples.len() as u32);
+    out.reserve(samples.len() * COUNTERS_SAMPLE_LEN);
     for s in samples {
-        put_u64(out, s.t);
+        // One fixed record per sample: t, kind, load, resident, alive.
+        let t = s.t.to_le_bytes();
+        let resident = s.host_resident_mb.to_le_bytes();
+        let alive = s.alive as u8;
         match s.load {
             SampleLoad::Direct(load) => {
-                out.push(0);
-                put_f64(out, load);
+                let mut rec = [0u8; DIRECT_SAMPLE_LEN];
+                rec[..8].copy_from_slice(&t);
+                rec[9..17].copy_from_slice(&load.to_bits().to_le_bytes());
+                rec[17..21].copy_from_slice(&resident);
+                rec[21] = alive;
+                out.extend_from_slice(&rec);
             }
             SampleLoad::Counters { busy, total } => {
-                out.push(1);
-                put_u64(out, busy);
-                put_u64(out, total);
+                let mut rec = [0u8; COUNTERS_SAMPLE_LEN];
+                rec[..8].copy_from_slice(&t);
+                rec[8] = 1;
+                rec[9..17].copy_from_slice(&busy.to_le_bytes());
+                rec[17..25].copy_from_slice(&total.to_le_bytes());
+                rec[25..29].copy_from_slice(&resident);
+                rec[29] = alive;
+                out.extend_from_slice(&rec);
             }
         }
-        put_u32(out, s.host_resident_mb);
-        out.push(s.alive as u8);
     }
 }
 
+/// Encoded bytes of a `Direct` sample: t, kind, load, resident, alive.
+const DIRECT_SAMPLE_LEN: usize = 8 + 1 + 8 + 4 + 1;
+/// Encoded bytes of a `Counters` sample: t, kind, busy, total,
+/// resident, alive.
+const COUNTERS_SAMPLE_LEN: usize = 8 + 1 + 16 + 4 + 1;
+
 /// Inverse of [`put_samples`], enforcing [`MAX_SAMPLES_PER_BATCH`].
 fn read_samples(r: &mut ByteReader<'_>) -> Result<Vec<WireSample>, PayloadError> {
-    let bytes = read_sample_bytes(r)?;
-    let mut samples = Vec::with_capacity(sample_count(bytes));
-    samples.extend(decode_samples(bytes));
+    // Sized by the count, but never past what the bytes can fill.
+    let list = r.rest();
+    let mut samples = Vec::with_capacity(sample_count(list).min(list.len() / DIRECT_SAMPLE_LEN));
+    read_sample_list(r, |s| samples.push(s))?;
     Ok(samples)
 }
 
-/// Reads a sample list and returns its bytes, count prefix included.
-/// Only the bytes that can be invalid are looked at: the count (against
+/// Reads a sample list, hands each sample to `each` in order and
+/// returns the list's bytes, count prefix included: one pass of
+/// [`split_sample`] over a well-formed list. A list it rejects is
+/// walked again by [`checked_sample_bytes`], which names the fault.
+fn read_sample_list<'a>(
+    r: &mut ByteReader<'a>,
+    mut each: impl FnMut(WireSample),
+) -> Result<&'a [u8], PayloadError> {
+    let list = r.rest();
+    let count = sample_count(list);
+    if let Some(mut rest) = list.get(4..).filter(|_| count <= MAX_SAMPLES_PER_BATCH) {
+        let mut seen = 0;
+        while seen < count {
+            let Some((sample, tail)) = split_sample(rest) else {
+                break;
+            };
+            each(sample);
+            rest = tail;
+            seen += 1;
+        }
+        if seen == count {
+            return r.bytes(list.len() - rest.len());
+        }
+    }
+    checked_sample_bytes(r)
+}
+
+/// [`read_sample_list`] one field at a time, for the error. Only the
+/// bytes that can be invalid are looked at: the count (against
 /// [`MAX_SAMPLES_PER_BATCH`]), each kind byte, which fixes the sample's
 /// length, and each `alive` byte.
-fn read_sample_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], PayloadError> {
+fn checked_sample_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], PayloadError> {
     let start = r.position();
     let count = r.u32()? as usize;
     if count > MAX_SAMPLES_PER_BATCH {
@@ -1187,7 +1232,7 @@ fn sample_count(bytes: &[u8]) -> usize {
         .map_or(0, |c| u32::from_le_bytes(*c) as usize)
 }
 
-/// The samples of a list [`read_sample_bytes`] accepted. Bytes it would
+/// The samples of a list [`read_sample_list`] accepted. Bytes it would
 /// not accept end the iterator early; nothing here panics.
 fn decode_samples(bytes: &[u8]) -> impl Iterator<Item = WireSample> + '_ {
     let mut rest = bytes.get(4..).unwrap_or_default();
@@ -1269,6 +1314,52 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_pass_sample_decode_fails_as_the_checked_walk_does() {
+        let samples = [
+            WireSample {
+                t: 15,
+                load: SampleLoad::Direct(0.25),
+                host_resident_mb: 512,
+                alive: true,
+            },
+            WireSample {
+                t: 30,
+                load: SampleLoad::Counters {
+                    busy: 7,
+                    total: 100,
+                },
+                host_resident_mb: 513,
+                alive: false,
+            },
+        ];
+        let mut list = Vec::new();
+        put_samples(&mut list, &samples);
+        assert_eq!(list.len(), 4 + DIRECT_SAMPLE_LEN + COUNTERS_SAMPLE_LEN);
+        let r = &mut ByteReader::new(&list);
+        assert_eq!(read_samples(r).unwrap(), samples);
+        assert_eq!(r.position(), list.len());
+
+        // Second sample's kind byte, its alive byte, every truncation,
+        // and a count over the cap.
+        let kind = 4 + DIRECT_SAMPLE_LEN + 8;
+        let mut bad: Vec<Vec<u8>> = vec![list.clone(), list.clone()];
+        bad[0][kind] = 7;
+        bad[1][list.len() - 1] = 2;
+        bad.extend((0..list.len()).map(|n| list[..n].to_vec()));
+        let mut over = list.clone();
+        over[..4].copy_from_slice(&(MAX_SAMPLES_PER_BATCH as u32 + 1).to_le_bytes());
+        bad.push(over);
+        for b in &bad {
+            let checked = checked_sample_bytes(&mut ByteReader::new(b)).unwrap_err();
+            assert_eq!(read_samples(&mut ByteReader::new(b)).unwrap_err(), checked);
+            assert_eq!(
+                read_sample_list(&mut ByteReader::new(b), |_| ()).unwrap_err(),
+                checked
+            );
+        }
+    }
 
     #[test]
     fn error_codes_round_trip() {

@@ -168,7 +168,7 @@ echo "== placement path smoke (quick mode; a repeated place >= 20x cheaper than 
 # write since the last one must come from the model's memo.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench place
 
-echo "== wire path smoke (quick mode; crc32 kernel >= 2.5x the bytewise loop) =="
+echo "== wire path smoke (quick mode; crc32 kernel >= 5x the bytewise loop) =="
 # Exits non-zero by itself when the ratio gate fails.
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench wire
 

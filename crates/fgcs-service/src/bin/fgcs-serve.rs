@@ -39,8 +39,9 @@ fn usage() -> ! {
          --pull-interval ms when caught up. --auto-promote lets a follower\n\
          self-promote once its primary misses --missed-pulls consecutive\n\
          pulls AND the --lease ms granted on the last reply has expired,\n\
-         deferring to any more-caught-up --promotion-peer (repeatable; list\n\
-         the sibling followers' addresses). --max-read-lag N lets a\n\
+         and only if every --promotion-peer (repeatable: the siblings' bound\n\
+         addresses; needs a concrete --addr) answers and none is more caught\n\
+         up or ties at a lower address. --max-read-lag N lets a\n\
          follower answer QueryAvail/Place/QueryStats while its applied seq\n\
          is within N of the primary head it last saw (otherwise TooStale)."
     );

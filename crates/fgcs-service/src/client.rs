@@ -21,6 +21,8 @@ use fgcs_core::backoff::BackoffPolicy;
 use fgcs_testbed::SupervisorConfig;
 use fgcs_wire::{Decoder, ErrorCode, Frame};
 
+use crate::repl::Probe;
+
 /// Socket timeouts are kept in kernel jiffies (1–10 ms), so re-arming
 /// the read timeout for a smaller drift than this buys nothing.
 const REARM_SLACK: Duration = Duration::from_millis(1);
@@ -377,13 +379,9 @@ fn past_deadline(e: io::Error) -> io::Error {
 
 /// `ReplStatus` against `addr` in one attempt over a throwaway
 /// connection (`timeout_ms` covers connect, auth and reply; no retry):
-/// `Some((role, epoch, applied_seq))` on a well-formed reply, `None`
-/// when the node is unreachable or answers anything else.
-pub(crate) fn probe_repl_status(
-    addr: &str,
-    token: Option<String>,
-    timeout_ms: u64,
-) -> Option<(u8, u64, u64)> {
+/// [`Probe::Unreachable`] when the node is unreachable or answers
+/// anything but a status reply.
+pub(crate) fn probe_repl_status(addr: &str, token: Option<String>, timeout_ms: u64) -> Probe {
     let cfg = ClientConfig::single_attempt(addr, timeout_ms, token);
     match ServiceClient::new(cfg).request(&Frame::ReplStatus) {
         Ok(Frame::ReplStatusReply {
@@ -391,7 +389,11 @@ pub(crate) fn probe_repl_status(
             epoch,
             applied_seq,
             ..
-        }) => Some((role, epoch, applied_seq)),
-        _ => None,
+        }) => Probe::Reached {
+            role,
+            epoch,
+            applied: applied_seq,
+        },
+        _ => Probe::Unreachable,
     }
 }

@@ -467,7 +467,7 @@ impl ClusterClient {
         for (addr, on_follower) in [(spec.primary_addr.as_str(), false), (follower_addr, true)] {
             let probe =
                 probe_repl_status(addr, self.cfg.token.clone(), self.cfg.request_timeout_ms);
-            if let Some((role, epoch, _)) = probe {
+            if let crate::repl::Probe::Reached { role, epoch, .. } = probe {
                 if role == crate::repl::ROLE_PRIMARY && best.is_none_or(|(be, _)| epoch > be) {
                     best = Some((epoch, on_follower));
                 }

@@ -45,7 +45,7 @@ struct ConnCtx {
     pub authed: bool,
 }
 
-fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
+pub(crate) fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
     use std::net::ToSocketAddrs;
     addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(
@@ -568,7 +568,9 @@ fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repl::{ROLE_FOLLOWER, ROLE_PRIMARY};
     use crate::server::ServiceConfig;
+    use fgcs_stats::rng::Rng;
     use fgcs_wire::{SampleLoad, WireSample};
 
     #[test]
@@ -720,5 +722,166 @@ mod tests {
         assert_eq!(shared.epoch(), u64::MAX);
         assert_eq!(ask(&shared, Frame::Promote), Frame::Ack { seq: 0 });
         assert_eq!(shared.epoch(), u64::MAX, "a repeated promote bumps nothing");
+    }
+
+    // --- A seeded frame driver over the shipped handler.
+
+    /// A boundary-biased `u64`: 0, 1, 2, `u64::MAX - 1`, `u64::MAX` or
+    /// anything.
+    fn edge(rng: &mut Rng) -> u64 {
+        [0, 1, 2, u64::MAX - 1, u64::MAX, rng.next_u64()][rng.below_usize(6)]
+    }
+
+    /// A frame a well-behaved peer could send: its token first, then
+    /// pulls inside this node's log at this node's epoch, status and
+    /// stats reads, and now and then an operator `Promote`.
+    fn valid_frame(rng: &mut Rng, shared: &Shared, token: &Option<String>, authed: bool) -> Frame {
+        match (token, rng.below(8)) {
+            (Some(token), _) if !authed => Frame::Auth {
+                token: token.clone(),
+            },
+            (_, 0..=2) => Frame::ReplPull {
+                after_seq: rng.below(shared.repl.head_seq() + 1),
+                max_entries: 1 + rng.below(64) as u32,
+                epoch: shared.epoch(),
+            },
+            (_, 3..=4) => Frame::ReplStatus,
+            (_, 5..=6) => Frame::QueryStats,
+            _ if rng.chance(0.3) => Frame::Promote,
+            _ => Frame::ReplStatus,
+        }
+    }
+
+    /// A frame from a hostile or broken peer: wrong tokens, pulls at
+    /// boundary cursors, caps and epochs, promotion spam.
+    fn hostile_frame(rng: &mut Rng, token: &Option<String>) -> Frame {
+        match rng.below(6) {
+            0 => Frame::Auth {
+                token: format!("forged-{}", rng.below(3)),
+            },
+            1 => Frame::Auth {
+                token: token.clone().unwrap_or_default(),
+            },
+            2 | 3 => Frame::ReplPull {
+                after_seq: edge(rng),
+                max_entries: edge(rng) as u32,
+                epoch: edge(rng),
+            },
+            4 => Frame::Promote,
+            _ => [Frame::ReplStatus, Frame::QueryStats][rng.below_usize(2)].clone(),
+        }
+    }
+
+    /// One seeded session through the `LoopHandler` seam. The node is
+    /// a primary or a follower, with or without a token, a replication
+    /// log (a primary's holding a few batches) and a read bound; its
+    /// one connection takes `frames` frames that go valid, then
+    /// hostile, then valid, and reconnects whenever it is closed. After
+    /// every frame: no panic; a reply of a reply type that encodes; an
+    /// epoch that never fell; and a role that moved only follower →
+    /// primary on `Promote`, or primary → follower on a `ReplPull` from
+    /// a strictly higher epoch.
+    fn drive_frames(seed: u64, frames: usize) -> Result<(), String> {
+        let mut rng = Rng::new(seed);
+        let token = rng.chance(0.5).then(|| "fuzz-token".to_string());
+        let follower = rng.chance(0.5);
+        let shared = Shared::new(ServiceConfig {
+            event_loops: 1,
+            auth_token: token.clone(),
+            follower_of: follower.then(|| "127.0.0.1:9".to_string()),
+            repl_log_capacity: [0, 2, 64][rng.below_usize(3)],
+            max_read_lag: rng.chance(0.5).then(|| rng.below(3)),
+            ..Default::default()
+        })
+        .unwrap();
+        if !follower {
+            for machine in 0..rng.below(5) as u32 {
+                let samples = (0..1 + rng.below(8))
+                    .map(|i| WireSample {
+                        t: 60 * i,
+                        load: SampleLoad::Direct(rng.f64()),
+                        host_resident_mb: 64,
+                        alive: true,
+                    })
+                    .collect();
+                shared.ingest_batch(Batch { machine, samples });
+            }
+        }
+        let mut handler = ServiceLoop {
+            shared: Arc::new(shared),
+            router: LoopRouter::solo(),
+            forward_rx: vec![None],
+        };
+        let mut ctx = ConnCtx::default();
+        for i in 0..frames {
+            let shared = Arc::clone(&handler.shared);
+            let frame = if (frames / 3..2 * frames / 3).contains(&i) {
+                hostile_frame(&mut rng, &token)
+            } else {
+                valid_frame(&mut rng, &shared, &token, ctx.authed)
+            };
+            let (epoch, role) = (shared.epoch(), shared.role_code());
+            let sent = frame.clone();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handler.handle(frame, &mut ctx)
+            }))
+            .map_err(|_| format!("frame {i} panicked the handler: {sent:?}"))?;
+            let (reply, closed) = match outcome {
+                Outcome::Reply(reply) => (reply, false),
+                Outcome::ReplyThenClose(reply) => (reply, true),
+            };
+            let typed = matches!(
+                reply,
+                Frame::Ack { .. }
+                    | Frame::Error { .. }
+                    | Frame::ReplEntries { .. }
+                    | Frame::ReplSnapshot { .. }
+                    | Frame::ReplStatusReply { .. }
+                    | Frame::StatsReply(_)
+            );
+            if !typed || reply.encode().is_err() {
+                return Err(format!(
+                    "frame {i} {sent:?} got an unsendable reply {reply:?}"
+                ));
+            }
+            let (epoch_after, role_after) = (shared.epoch(), shared.role_code());
+            if epoch_after < epoch {
+                return Err(format!(
+                    "frame {i} {sent:?} lowered the epoch {epoch} → {epoch_after}"
+                ));
+            }
+            let allowed = match sent {
+                _ if role_after == role => true,
+                Frame::Promote => role_after == ROLE_PRIMARY,
+                Frame::ReplPull { epoch: theirs, .. } => {
+                    role_after == ROLE_FOLLOWER && theirs > epoch
+                }
+                _ => false,
+            };
+            if !allowed {
+                return Err(format!(
+                    "frame {i} {sent:?} moved role {role} → {role_after}"
+                ));
+            }
+            if closed {
+                ctx = ConnCtx::default();
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn hostile_frames_never_break_the_handler_or_its_transitions() {
+        let test = "hostile_frames_never_break_the_handler_or_its_transitions";
+        crate::repl::tests::sweep(test, 300, |seed| drive_frames(seed, 60));
+    }
+
+    /// The CI sweep (`scripts/ci.sh`, release): 5,000 sessions of 60
+    /// frames, 300,000 frames.
+    #[test]
+    #[ignore]
+    fn hostile_frames_never_break_the_handler_or_its_transitions_wide() {
+        let test = "hostile_frames_never_break_the_handler_or_its_transitions_wide";
+        crate::repl::tests::sweep(test, 5_000, |seed| drive_frames(seed, 60));
     }
 }

@@ -37,10 +37,11 @@
 //! replicas have diverged and the pull loop stops hard rather than
 //! silently corrupting the follower.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
@@ -293,22 +294,15 @@ impl ReplLog {
 // The follower pull loop
 // ---------------------------------------------------------------------------
 
-/// Spawns the follower's pull thread. The loop runs until shutdown or
-/// promotion, reconnecting to the primary with capped jittered backoff
-/// — a follower must outlive arbitrarily long primary outages (unless
-/// `auto_promote` decides the outage *is* the failover).
-pub(crate) fn spawn_pull_thread(shared: Arc<Shared>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("fgcs-repl-pull".into())
-        .spawn(move || pull_loop(&shared))
-        .expect("spawn replication pull thread")
-}
+/// The pull and fence loops' retry cadence, ms (capped, jittered).
+const RETRY: BackoffPolicy = BackoffPolicy { base: 20, cap: 500 };
 
 /// Primary-liveness bookkeeping for automatic failover (DESIGN.md
 /// §13.5). Two conditions must hold simultaneously before a follower
 /// declares its primary dead: the missed-pull threshold (consecutive
 /// transport failures — typed errors from a live primary reset it) and
 /// the lease (granted by the primary on every `ReplEntries`) expired.
+/// The caller passes the time.
 struct Liveness {
     /// Consecutive transport-level pull failures.
     failures: u32,
@@ -316,37 +310,99 @@ struct Liveness {
     /// threshold alone then decides). Starts from our own `lease_ms`
     /// as the boot grace period.
     lease: Duration,
-    /// When the current lease runs out.
-    deadline: Instant,
+    /// When the lease was granted: the last reply, or boot. (A deadline
+    /// `since + lease` would overflow on a peer-granted `u64::MAX`.)
+    since: Instant,
 }
 
 impl Liveness {
-    fn new(grace_ms: u64) -> Self {
-        let lease = Duration::from_millis(grace_ms);
+    fn new(grace_ms: u64, now: Instant) -> Self {
         Liveness {
             failures: 0,
-            lease,
-            deadline: Instant::now() + lease,
+            lease: Duration::from_millis(grace_ms),
+            since: now,
         }
     }
 
     /// Any reply at all proves the primary's process is alive.
-    fn saw_reply(&mut self, granted_lease_ms: Option<u64>) {
+    fn saw_reply(&mut self, granted_lease_ms: Option<u64>, now: Instant) {
         self.failures = 0;
         if let Some(ms) = granted_lease_ms {
             self.lease = Duration::from_millis(ms);
         }
-        self.deadline = Instant::now() + self.lease;
+        self.since = now;
     }
 
     /// Whether the primary should now be considered dead.
-    fn expired(&self, threshold: u32) -> bool {
+    fn expired(&self, threshold: u32, now: Instant) -> bool {
         self.failures >= threshold.max(1)
-            && (self.lease.is_zero() || Instant::now() >= self.deadline)
+            && (self.lease.is_zero() || now.saturating_duration_since(self.since) >= self.lease)
     }
 }
 
-fn pull_loop(shared: &Shared) {
+/// What a `ReplStatus` probe of one node found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// Its role code, fencing epoch and applied seq.
+    Reached { role: u8, epoch: u64, applied: u64 },
+    /// No status reply within the attempt deadline.
+    Unreachable,
+}
+
+/// An election's outcome, naming the peer that decided it: one that
+/// ranks first (more caught up, or as caught up at a lower address),
+/// one already primary at our epoch or later, or one that did not
+/// answer and so may be a candidate cut off from us.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Promote,
+    Defer(SocketAddr),
+    Superseded(SocketAddr, u64),
+    Blocked(SocketAddr),
+}
+
+/// The failover election (DESIGN.md §13.5), from this node's bound
+/// address, applied seq and epoch and one probe per promotion peer.
+/// Promotion is unanimous: every peer must answer, none may be a
+/// primary at our epoch or later, and we must rank first.
+fn elect(me: SocketAddr, applied: u64, epoch: u64, probes: &[(SocketAddr, Probe)]) -> Verdict {
+    let mut verdict = Verdict::Promote;
+    for &(peer, probe) in probes {
+        match probe {
+            Probe::Reached { role, epoch: e, .. } if role == ROLE_PRIMARY && e >= epoch => {
+                return Verdict::Superseded(peer, e);
+            }
+            Probe::Reached { applied: a, .. } if (Reverse(a), peer) < (Reverse(applied), me) => {
+                verdict = Verdict::Defer(peer);
+            }
+            Probe::Reached { .. } => {}
+            Probe::Unreachable => verdict = Verdict::Blocked(peer),
+        }
+    }
+    verdict
+}
+
+/// One pull reply, classified for the loop's bookkeeping.
+enum Pulled {
+    /// Entries or an installed snapshot, with the lease the primary
+    /// granted (a snapshot grants none).
+    Served {
+        lease_ms: Option<u64>,
+        caught_up: bool,
+    },
+    /// A live process answered without serving us: a typed error, an
+    /// unexpected tag or a snapshot that would not install.
+    Refused,
+    /// No reply at all.
+    Missed,
+}
+
+/// The follower's pull thread: runs until shutdown or promotion,
+/// reconnecting to the primary with capped jittered backoff — a
+/// follower must outlive arbitrarily long primary outages (unless
+/// `auto_promote` decides the outage *is* the failover). The election
+/// knows this node by `me`, the address it bound.
+pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
     let addr = shared
         .cfg
         .follower_of
@@ -364,13 +420,12 @@ fn pull_loop(shared: &Shared) {
         2_000
     };
     let client_cfg = ClientConfig::single_attempt(&addr, timeout_ms, shared.cfg.auth_token.clone());
-    let policy = BackoffPolicy { base: 20, cap: 500 };
     let seed = addr
         .bytes()
         .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)));
     let mut client = ServiceClient::new(client_cfg.clone());
     let mut attempts: u32 = 0;
-    let mut liveness = Liveness::new(shared.cfg.lease_ms);
+    let mut liveness = Liveness::new(shared.cfg.lease_ms, Instant::now());
     while !shared.shutting_down() && !shared.is_primary() {
         let after_seq = shared.repl.head_seq();
         let pull = Frame::ReplPull {
@@ -378,15 +433,15 @@ fn pull_loop(shared: &Shared) {
             max_entries: MAX_REPL_ENTRIES_PER_FRAME as u32,
             epoch: shared.epoch(),
         };
-        match client.request(&pull) {
+        let reply = client.request(&pull);
+        let now = Instant::now();
+        let pulled = match reply {
             Ok(Frame::ReplEntries {
                 head_seq,
                 epoch,
                 lease_ms,
                 entries,
             }) => {
-                attempts = 0;
-                liveness.saw_reply(Some(lease_ms));
                 // Adopt the primary's epoch so a later self-promotion
                 // allocates a strictly higher one, and publish its log
                 // head for the follower-read staleness gate (stored
@@ -412,34 +467,32 @@ fn pull_loop(shared: &Shared) {
                         return;
                     }
                 }
-                if caught_up && shared.repl.head_seq() >= head_seq {
-                    sleep_ms(shared.cfg.pull_interval_ms.max(1));
+                Pulled::Served {
+                    lease_ms: Some(lease_ms),
+                    caught_up: caught_up && shared.repl.head_seq() >= head_seq,
                 }
             }
             Ok(Frame::ReplSnapshot { repl_seq, bytes }) => {
-                attempts = 0;
-                liveness.saw_reply(None);
                 match install_pulled_snapshot(shared, repl_seq, &bytes) {
-                    Ok(()) => {}
+                    Ok(()) => Pulled::Served {
+                        lease_ms: None,
+                        caught_up: false,
+                    },
                     Err(err) => {
                         eprintln!("fgcs-service: snapshot resync from {addr} failed: {err}");
-                        sleep_ms(policy.delay_jittered(1, seed));
+                        Pulled::Refused
                     }
                 }
             }
+            // The primary exists but can't serve us yet (no log
+            // configured, restarting, auth hiccup). Keep trying — an
+            // operator fixing the primary shouldn't have to restart
+            // every follower too.
             Ok(Frame::Error { code, detail }) => {
-                // The primary exists but can't serve us yet (no log
-                // configured, restarting, auth hiccup). Keep trying —
-                // an operator fixing the primary shouldn't have to
-                // restart every follower too. A typed error is a live
-                // process answering: it resets liveness, so only real
-                // silence can trigger a failover.
-                attempts = attempts.saturating_add(1);
-                liveness.saw_reply(None);
-                if attempts == 1 || code == ErrorCode::Unsupported {
+                if attempts == 0 || code == ErrorCode::Unsupported {
                     eprintln!("fgcs-service: pull from {addr} rejected ({code:?}): {detail}");
                 }
-                sleep_ms(policy.delay_jittered(attempts, seed));
+                Pulled::Refused
             }
             Ok(other) => {
                 eprintln!(
@@ -447,80 +500,71 @@ fn pull_loop(shared: &Shared) {
                     other.tag()
                 );
                 client.force_disconnect();
-                attempts = attempts.saturating_add(1);
-                liveness.saw_reply(None);
-                sleep_ms(policy.delay_jittered(attempts, seed));
+                Pulled::Refused
             }
-            Err(_) => {
-                attempts = attempts.saturating_add(1);
+            Err(_) => Pulled::Missed,
+        };
+        // Any reply proves the primary alive, so only silence can start
+        // a failover; only a served pull resets the backoff.
+        match pulled {
+            Pulled::Served {
+                lease_ms,
+                caught_up,
+            } => {
+                attempts = 0;
+                liveness.saw_reply(lease_ms, now);
+                if caught_up {
+                    sleep_ms(shared.cfg.pull_interval_ms.max(1));
+                }
+                continue;
+            }
+            Pulled::Refused => liveness.saw_reply(None, now),
+            Pulled::Missed => {
                 liveness.failures = liveness.failures.saturating_add(1);
-                if maybe_self_promote(shared, &liveness, &addr, &client_cfg) {
+                let threshold = shared.cfg.missed_pull_threshold;
+                if shared.cfg.auto_promote
+                    && liveness.expired(threshold, now)
+                    && self_promote(shared, me, peers, &client_cfg)
+                {
                     return;
                 }
-                sleep_ms(policy.delay_jittered(attempts, seed));
             }
         }
+        attempts = attempts.saturating_add(1);
+        sleep_ms(RETRY.delay_jittered(attempts, seed));
     }
 }
 
-/// Decides whether this follower should take over now, and if so does
-/// the whole failover: election among `promotion_peers`, promotion,
-/// then fencing of the (possibly not-quite-dead) old primary. Returns
-/// `true` when the node promoted — the pull loop is over.
-fn maybe_self_promote(
-    shared: &Shared,
-    liveness: &Liveness,
-    primary_addr: &str,
-    client_cfg: &ClientConfig,
-) -> bool {
-    if !shared.cfg.auto_promote
-        || shared.repl_failed.load(Ordering::Acquire)
-        || !liveness.expired(shared.cfg.missed_pull_threshold)
-        || shared.shutting_down()
-    {
+/// The failover once the primary is declared dead: probes of every
+/// promotion peer, the election, then promotion and fencing of the
+/// (possibly not-quite-dead) old primary. Returns `true` when the node
+/// promoted — the pull loop is over.
+fn self_promote(shared: &Shared, me: SocketAddr, peers: &[SocketAddr], cfg: &ClientConfig) -> bool {
+    if shared.repl_failed.load(Ordering::Acquire) || shared.shutting_down() {
         return false;
     }
-    let my_applied = shared.repl.head_seq();
-    // Election: defer to any sibling follower that is strictly more
-    // caught up, or equally caught up with a lexically lower address
-    // (addresses must be distinct for the tie-break to be total — the
-    // operator lists each follower's real listen address). A peer that
-    // already promoted wins outright. Unreachable peers don't block:
-    // they may be as dead as the primary.
-    for peer in &shared.cfg.promotion_peers {
-        let probe = probe_repl_status(
-            peer,
-            shared.cfg.auth_token.clone(),
-            client_cfg.read_timeout_ms,
-        );
-        let Some((role, epoch, applied_seq)) = probe else {
-            continue;
-        };
-        if role == ROLE_PRIMARY && epoch >= shared.epoch() {
-            // Someone already took over; never start a second reign.
-            eprintln!(
-                "fgcs-service: primary {primary_addr} is dead but peer {peer} already \
-                 promoted (epoch {epoch}); staying a follower"
-            );
-            shared.observe_epoch(epoch);
-            return false;
-        }
-        if applied_seq > my_applied
-            || (applied_seq == my_applied && peer.as_str() < shared.cfg.addr.as_str())
-        {
-            return false;
-        }
-    }
+    let token = &shared.cfg.auth_token;
+    let probe =
+        |peer: SocketAddr| probe_repl_status(&peer.to_string(), token.clone(), cfg.read_timeout_ms);
+    let probes: Vec<_> = peers.iter().map(|&peer| (peer, probe(peer))).collect();
+    let applied = shared.repl.head_seq();
+    let verdict = elect(me, applied, shared.epoch(), &probes);
     eprintln!(
-        "fgcs-service: primary {primary_addr} declared dead \
-         ({} consecutive missed pulls, lease expired); self-promoting at applied seq {}",
-        liveness.failures, my_applied
+        "fgcs-service: primary {} declared dead; election as {me} at applied seq {applied}: \
+         {verdict:?}",
+        cfg.addr
     );
+    if let Verdict::Superseded(_, epoch) = verdict {
+        shared.observe_epoch(epoch);
+    }
+    if verdict != Verdict::Promote {
+        return false;
+    }
     if !shared.promote() {
         eprintln!("fgcs-service: fencing epoch exhausted; staying a follower");
         return false;
     }
-    fence_old_primary(shared, primary_addr, client_cfg);
+    fence_old_primary(shared, cfg);
     true
 }
 
@@ -530,8 +574,7 @@ fn maybe_self_promote(
 /// server shuts down. A SIGKILLed primary never answers; the periodic
 /// refused connect is the cost of covering the paused-then-revived
 /// one, which can come back minutes later.
-fn fence_old_primary(shared: &Shared, primary_addr: &str, client_cfg: &ClientConfig) {
-    let policy = BackoffPolicy { base: 20, cap: 500 };
+fn fence_old_primary(shared: &Shared, client_cfg: &ClientConfig) {
     let seed = 0x0fe2_ce0a;
     let mut attempts: u32 = 0;
     let mut client = ServiceClient::new(client_cfg.clone());
@@ -543,15 +586,15 @@ fn fence_old_primary(shared: &Shared, primary_addr: &str, client_cfg: &ClientCon
         };
         if let Ok(reply) = client.request(&fence) {
             eprintln!(
-                "fgcs-service: fenced old primary {primary_addr} at epoch {} \
-                 (reply tag {})",
+                "fgcs-service: fenced old primary {} at epoch {} (reply tag {})",
+                client_cfg.addr,
                 shared.epoch(),
                 reply.tag()
             );
             return;
         }
         attempts = attempts.saturating_add(1);
-        sleep_ms(policy.delay_jittered(attempts, seed));
+        sleep_ms(RETRY.delay_jittered(attempts, seed));
     }
 }
 
@@ -572,7 +615,7 @@ fn sleep_ms(ms: u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fgcs_wire::{SampleLoad, WireSample};
 
@@ -871,28 +914,243 @@ mod tests {
 
     // --- Liveness: the failure detector driving self-promotion.
 
+    fn ms(t0: Instant, ms: u64) -> Instant {
+        t0 + Duration::from_millis(ms)
+    }
+
     #[test]
     fn liveness_needs_both_threshold_and_lease_expiry() {
-        let mut l = Liveness::new(0);
-        assert!(!l.expired(3), "no failures yet");
+        let t0 = Instant::now();
+        let mut l = Liveness::new(0, t0);
+        assert!(!l.expired(3, t0), "no failures yet");
         l.failures = 3;
-        assert!(l.expired(3), "zero lease: threshold alone decides");
+        assert!(l.expired(3, t0), "zero lease: threshold alone decides");
         // A granted lease in the future holds the failover back even
-        // past the threshold.
-        l.saw_reply(Some(60_000));
+        // past the threshold, and lets it go once it runs out.
+        l.saw_reply(Some(60_000), t0);
         l.failures = 10;
-        assert!(!l.expired(3), "unexpired lease must veto promotion");
-        // Any reply resets the failure count.
-        l.saw_reply(Some(60_000));
+        assert!(
+            !l.expired(3, ms(t0, 59_999)),
+            "unexpired lease must veto promotion"
+        );
+        assert!(l.expired(3, ms(t0, 60_000)));
+        // Any reply resets the failure count and restarts the lease.
+        l.saw_reply(None, ms(t0, 60_000));
         assert_eq!(l.failures, 0);
-        assert!(!l.expired(1));
+        l.failures = 3;
+        assert!(!l.expired(1, ms(t0, 60_001)));
     }
 
     #[test]
     fn liveness_threshold_zero_is_treated_as_one() {
-        let mut l = Liveness::new(0);
-        assert!(!l.expired(0), "zero failures never expires");
+        let t0 = Instant::now();
+        let mut l = Liveness::new(0, t0);
+        assert!(!l.expired(0, t0), "zero failures never expires");
         l.failures = 1;
-        assert!(l.expired(0));
+        assert!(l.expired(0, t0));
+    }
+
+    #[test]
+    fn a_granted_lease_of_any_length_is_kept_not_overflowed() {
+        // The lease is the primary's to choose; `now + u64::MAX ms`
+        // would panic the pull thread.
+        let t0 = Instant::now();
+        let mut l = Liveness::new(1_000, t0);
+        l.saw_reply(Some(u64::MAX), t0);
+        l.failures = 5;
+        assert!(
+            !l.expired(1, ms(t0, 86_400_000)),
+            "a year-long lease still holds"
+        );
+    }
+
+    // --- The election: a pure function of this node and its probes.
+
+    fn node(last_octet: u8, port: u16) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, last_octet], port))
+    }
+
+    fn follower(applied: u64) -> Probe {
+        Probe::Reached {
+            role: ROLE_FOLLOWER,
+            epoch: 1,
+            applied,
+        }
+    }
+
+    #[test]
+    fn two_followers_cut_off_from_each_other_do_not_both_promote() {
+        // Both lost the primary and each other, at one epoch: were an
+        // unreachable peer skipped, both would promote into epoch 2.
+        let (a, b) = (node(1, 7001), node(1, 7002));
+        let seen_by_a = elect(a, 5, 1, &[(b, Probe::Unreachable)]);
+        let seen_by_b = elect(b, 5, 1, &[(a, Probe::Unreachable)]);
+        assert_eq!(seen_by_a, Verdict::Blocked(b));
+        assert_eq!(seen_by_b, Verdict::Blocked(a));
+        // Once they reach each other, exactly one wins.
+        assert_eq!(elect(a, 5, 1, &[(b, follower(5))]), Verdict::Promote);
+        assert_eq!(elect(b, 5, 1, &[(a, follower(5))]), Verdict::Defer(a));
+        // A follower without peers decides alone.
+        assert_eq!(elect(a, 0, 1, &[]), Verdict::Promote);
+    }
+
+    #[test]
+    fn both_sides_of_a_tie_rank_the_pair_the_same_way() {
+        // Ranked as socket addresses: port 9 below port 10 (as text,
+        // "…:10" sorts first), and the IP before the port.
+        for (low, high) in [(node(1, 9), node(1, 10)), (node(1, 65_000), node(2, 1))] {
+            assert_eq!(elect(low, 3, 1, &[(high, follower(3))]), Verdict::Promote);
+            assert_eq!(
+                elect(high, 3, 1, &[(low, follower(3))]),
+                Verdict::Defer(low)
+            );
+            // Being more caught up outranks any address.
+            assert_eq!(elect(high, 4, 1, &[(low, follower(3))]), Verdict::Promote);
+            assert_eq!(
+                elect(low, 3, 1, &[(high, follower(4))]),
+                Verdict::Defer(high)
+            );
+        }
+    }
+
+    #[test]
+    fn a_peer_already_primary_supersedes_every_other_answer() {
+        let (me, dead, ahead, primary) = (node(1, 1), node(1, 2), node(1, 3), node(1, 4));
+        let probes = |epoch| {
+            [
+                (dead, Probe::Unreachable),
+                (ahead, follower(9)),
+                (
+                    primary,
+                    Probe::Reached {
+                        role: ROLE_PRIMARY,
+                        epoch,
+                        applied: 0,
+                    },
+                ),
+            ]
+        };
+        assert_eq!(elect(me, 5, 2, &probes(2)), Verdict::Superseded(primary, 2));
+        assert_eq!(elect(me, 5, 2, &probes(7)), Verdict::Superseded(primary, 7));
+        // A primary from an older epoch is a revenant, ranked like any
+        // other node: here the unreachable peer decides.
+        assert!(matches!(elect(me, 9, 2, &probes(1)), Verdict::Blocked(_)));
+    }
+
+    /// Seeds a sweep runs: `0..n`, or only `FGCS_REPLAY_SEED` when set.
+    pub(crate) fn sweep_seeds(n: u64) -> Vec<u64> {
+        match std::env::var("FGCS_REPLAY_SEED") {
+            Ok(seed) => vec![seed.parse().expect("FGCS_REPLAY_SEED must be a u64")],
+            Err(_) => (0..n).collect(),
+        }
+    }
+
+    /// Runs `check` on every sweep seed and names the first failing one
+    /// with its replay command.
+    pub(crate) fn sweep(test: &str, n: u64, check: impl Fn(u64) -> Result<(), String>) {
+        for seed in sweep_seeds(n) {
+            if let Err(why) = check(seed) {
+                panic!(
+                    "seed {seed}: {why}\nreplay: FGCS_REPLAY_SEED={seed} \
+                     cargo test -p fgcs-service --lib {test} -- --include-ignored"
+                );
+            }
+        }
+    }
+
+    /// One seeded failover round. 2–5 nodes, some of them primaries
+    /// already, with small random epochs and applied seqs (ties are the
+    /// point) and an arbitrary, possibly asymmetric reachability
+    /// matrix. Every follower whose liveness expired (random failure
+    /// counts, lease lengths and reply times) elects on the probes its
+    /// row of the matrix allows, every peer listing all the others. No
+    /// two primaries may share an epoch: neither two promotions, nor a
+    /// promotion and an incumbent.
+    fn election_round(seed: u64) -> Result<(), String> {
+        use fgcs_stats::rng::Rng;
+        let mut rng = Rng::new(seed);
+        let n = 2 + rng.below_usize(4);
+        let t0 = Instant::now();
+        let now = ms(t0, 1_000);
+        struct Node {
+            addr: SocketAddr,
+            role: u8,
+            epoch: u64,
+            applied: u64,
+            expired: bool,
+        }
+        let nodes: Vec<Node> = (0..n)
+            .map(|i| {
+                let mut liveness = Liveness::new(rng.below(3) * 500, ms(t0, rng.below(1_000)));
+                liveness.failures = rng.below(4) as u32;
+                let threshold = rng.below(4) as u32;
+                Node {
+                    // Distinct by port; the random octet and base shuffle
+                    // the address order against the index.
+                    addr: node(1 + rng.below(2) as u8, rng.below(100) as u16 * 8 + i as u16),
+                    role: if rng.chance(0.2) {
+                        ROLE_PRIMARY
+                    } else {
+                        ROLE_FOLLOWER
+                    },
+                    epoch: 1 + rng.below(3),
+                    applied: rng.below(3),
+                    expired: liveness.expired(threshold, now),
+                }
+            })
+            .collect();
+        let density = 0.3 + 0.7 * rng.f64();
+        let reach: Vec<Vec<bool>> = (0..n)
+            .map(|_| (0..n).map(|_| rng.chance(density)).collect())
+            .collect();
+        let mut primaries: Vec<(u64, String)> = nodes
+            .iter()
+            .filter(|m| m.role == ROLE_PRIMARY)
+            .map(|m| (m.epoch, format!("incumbent {}", m.addr)))
+            .collect();
+        let incumbents = primaries.len();
+        for (i, me) in nodes.iter().enumerate() {
+            if me.role != ROLE_FOLLOWER || !me.expired {
+                continue;
+            }
+            let probes: Vec<(SocketAddr, Probe)> = (nodes.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .map(|(j, peer)| {
+                    let probe = if reach[i][j] {
+                        Probe::Reached {
+                            role: peer.role,
+                            epoch: peer.epoch,
+                            applied: peer.applied,
+                        }
+                    } else {
+                        Probe::Unreachable
+                    };
+                    (peer.addr, probe)
+                })
+                .collect();
+            if elect(me.addr, me.applied, me.epoch, &probes) == Verdict::Promote {
+                primaries.push((me.epoch + 1, format!("{} on {probes:?}", me.addr)));
+            }
+        }
+        for (k, (epoch, who)) in primaries.iter().enumerate().skip(incumbents) {
+            if let Some((_, other)) = primaries[..k].iter().find(|(e, _)| e == epoch) {
+                return Err(format!("two primaries in epoch {epoch}: {other} and {who}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn election_never_puts_two_primaries_in_one_epoch() {
+        let test = "election_never_puts_two_primaries_in_one_epoch";
+        sweep(test, 2_000, election_round);
+    }
+
+    /// The CI sweep (`scripts/ci.sh`, release): 100,000 rounds.
+    #[test]
+    #[ignore]
+    fn election_never_puts_two_primaries_in_one_epoch_wide() {
+        let test = "election_never_puts_two_primaries_in_one_epoch_wide";
+        sweep(test, 100_000, election_round);
     }
 }

@@ -111,10 +111,11 @@ pub struct ServiceConfig {
     /// a live primary reset it) before a follower may declare the
     /// primary dead.
     pub missed_pull_threshold: u32,
-    /// Sibling follower addresses of the same shard. Before
-    /// self-promoting, a follower asks each for `ReplStatus` and
-    /// defers to any peer that is strictly more caught up (ties break
-    /// on the lower address), so the most-caught-up follower wins.
+    /// Sibling follower addresses of the same shard, as each one binds
+    /// them. Before self-promoting, a follower asks every peer for
+    /// `ReplStatus` and promotes only if all answer and none is more
+    /// caught up (ties go to the lower bound address); one unreachable
+    /// peer keeps the shard headless until an operator `Promote`.
     pub promotion_peers: Vec<String>,
     /// Staleness bound for reads served by this node while a follower:
     /// `QueryAvail`/`Place`/`QueryStats` answer only while
@@ -269,6 +270,15 @@ impl Server {
                     ),
                 ));
             }
+            // The election ranks nodes by the address each one bound
+            // (DESIGN.md §13.5), which a wildcard bind does not name.
+            use crate::conn::resolve_addr;
+            let peers = cfg.promotion_peers.iter().map(|p| resolve_addr(p));
+            let peers = peers.collect::<std::io::Result<Vec<_>>>()?;
+            if !peers.is_empty() && resolve_addr(&cfg.addr)?.ip().is_unspecified() {
+                let why = "promotion peers need a concrete bind address, not a wildcard";
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+            }
             // Build (and possibly restore) the shared state *before*
             // binding: once the listener exists, clients can connect
             // and would race the restore with fresh machine state.
@@ -280,26 +290,26 @@ impl Server {
 
             // Periodic checkpoints run on a dedicated thread: event
             // loops never block on snapshot I/O.
-            let checkpoint_handle = if shared.snapshots_enabled() {
+            let checkpoint_handle = shared.snapshots_enabled().then(|| {
                 let shared = Arc::clone(&shared);
-                Some(std::thread::spawn(move || {
+                std::thread::spawn(move || {
                     while !shared.shutting_down() {
                         shared.checkpoint_if_due();
                         std::thread::sleep(std::time::Duration::from_millis(50));
                     }
-                }))
-            } else {
-                None
-            };
+                })
+            });
 
             // A follower's pull loop is independent of the listener:
             // replication is outbound, and the node answers queries
             // from whatever state it has replicated so far.
-            let repl_handle = if shared.cfg.follower_of.is_some() {
-                Some(crate::repl::spawn_pull_thread(Arc::clone(&shared)))
-            } else {
-                None
-            };
+            let repl_handle = shared.cfg.follower_of.is_some().then(|| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name("fgcs-repl-pull".into())
+                    .spawn(move || crate::repl::pull_loop(&shared, addr, &peers))
+                    .expect("spawn replication pull thread")
+            });
 
             Ok(Server {
                 addr,

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_PRIMARY};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_FOLLOWER};
 use fgcs_testbed::SupervisorConfig;
 use fgcs_wire::{Frame, SampleLoad, WireSample};
 
@@ -101,27 +101,55 @@ fn router_fails_over_from_a_wedged_primary_inside_its_budget() {
 }
 
 #[test]
-fn a_wedged_promotion_peer_does_not_stall_failover() {
+fn a_wedged_promotion_peer_cannot_hang_the_pull_thread() {
     let (peer, _fillers) = wedged_listener();
+    let peer_addr = peer.local_addr().unwrap().to_string();
+    // The election's probe: one attempt at the pull's deadline, which
+    // is lease / 2 = 100 ms for the follower below.
+    let probe_cfg = ClientConfig {
+        sup: SupervisorConfig {
+            max_retries: 0,
+            ..SupervisorConfig::default()
+        },
+        backoff_unit_ms: 1,
+        read_timeout_ms: 100,
+        ..ClientConfig::new(peer_addr.clone())
+    };
+    let started = Instant::now();
+    let probe = within_5s(move || {
+        ServiceClient::connect(probe_cfg).and_then(|mut c| c.request(&Frame::ReplStatus))
+    });
+    assert!(probe.is_err(), "a wedged peer answered: {probe:?}");
+    assert!(
+        started.elapsed() < Duration::from_millis(900),
+        "the probe outlived its attempt deadline ({:?})",
+        started.elapsed()
+    );
+
     let server = Server::start(ServiceConfig {
         // A closed port: every pull fails fast.
         follower_of: Some("127.0.0.1:1".to_string()),
         auto_promote: true,
         lease_ms: 200,
         missed_pull_threshold: 2,
-        promotion_peers: vec![peer.local_addr().unwrap().to_string()],
+        promotion_peers: vec![peer_addr],
         ..ServiceConfig::default()
     })
     .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.role() != ROLE_PRIMARY && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    if server.role() != ROLE_PRIMARY {
-        // The pull thread is stuck probing the peer, and shutdown would
-        // join it: leak the server so the test fails instead of hanging.
-        std::mem::forget(server);
-        panic!("the follower never self-promoted past a wedged peer");
-    }
-    server.shutdown();
+    // Several elections' worth: the primary is declared dead after
+    // ~200 ms, and every round's probe of the wedged peer times out.
+    std::thread::sleep(Duration::from_millis(1_000));
+    assert_eq!(
+        server.role(),
+        ROLE_FOLLOWER,
+        "a peer that never answered must block promotion"
+    );
+    assert_eq!(server.epoch(), 1);
+    let started = Instant::now();
+    within_5s(move || server.shutdown());
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown waited {:?} on the pull thread",
+        started.elapsed()
+    );
 }

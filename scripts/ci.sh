@@ -29,6 +29,18 @@ echo "== tracer equivalence, wide sweep (release) =="
 # fault scales x0 to x60: 1,920 machine traces per path, ~7 s on 2 vCPUs.
 cargo test --release -q --test tracer_equivalence -- --ignored
 
+echo "== failover election property + service frame driver (release) =="
+# The election as a pure function over 100,000 seeded rounds (2-5
+# followers, some already primaries, arbitrary asymmetric reachability,
+# random liveness): never two primaries in one epoch. The frame driver
+# feeds the shipped request handler 300,000 seeded frames that go
+# valid, hostile, valid: no panic, typed replies, an epoch that never
+# falls, roles that move only as DESIGN.md §13.5 allows. A failing seed
+# prints its replay command. ~0.3 s of tests on 2 vCPUs.
+cargo test --release -q -p fgcs-service --lib -- --ignored --exact \
+    repl::tests::election_never_puts_two_primaries_in_one_epoch_wide \
+    conn::tests::hostile_frames_never_break_the_handler_or_its_transitions_wide
+
 echo "== experiment smoke (table1 + fig1a reduced scale, faults full scale) =="
 # Run from a scratch dir: fgcs-exp writes results/ relative to the cwd,
 # and the reduced-scale output must not clobber the committed artifacts.

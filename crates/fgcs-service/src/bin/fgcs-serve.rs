@@ -35,8 +35,9 @@ fn usage() -> ! {
          that finds its ring full is shed and answered Busy.\n\
          --repl-log N retains the last N replication log entries so a\n\
          follower can stream them; --follower-of ADDR starts this node as\n\
-         that primary's follower (rejects ingest), pulling every\n\
-         --pull-interval ms when caught up. --auto-promote lets a follower\n\
+         that primary's follower (rejects ingest). As primary, a node holds\n\
+         a pull with less than a batch to take for up to --pull-interval ms\n\
+         (default 5, at most 25). --auto-promote lets a follower\n\
          self-promote once its primary misses --missed-pulls consecutive\n\
          pulls AND the --lease ms granted on the last reply has expired,\n\
          and only if every --promotion-peer (repeatable: the siblings' bound\n\

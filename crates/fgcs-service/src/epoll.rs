@@ -19,6 +19,12 @@
 //!   is reported to [`LoopHandler::decode_error`] and answered
 //!   `BadFrame`, and a fatal one (or [`Outcome::ReplyThenClose`]) closes
 //!   the connection once the reply is flushed.
+//! * **Parked requests keep the order.** A frame answered
+//!   [`Outcome::Park`] is replied to later, from [`LoopHandler::resume`];
+//!   until then its connection reads no further frames, so the frames
+//!   pipelined behind it are answered after it. The wait ends by the
+//!   deadline the handler named at the latest, and while nothing is
+//!   parked the loop pays one emptiness check per wakeup for it.
 //! * **A global cap.** Connections past [`LoopHandler::open_conns`]'s
 //!   cap are refused with a best-effort `Error { ConnLimit }`.
 //! * **Static dispatch.** The loop is generic over its handler, so the
@@ -39,6 +45,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use fgcs_sys::{
     accept_nonblocking, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
@@ -55,6 +62,9 @@ pub enum Outcome {
     Reply(Frame),
     /// Write the reply, then close the connection (auth failures).
     ReplyThenClose(Frame),
+    /// No reply yet: the handler keeps the request and answers it from
+    /// [`LoopHandler::resume`], by this deadline at the latest.
+    Park(Instant),
 }
 
 /// The protocol half of a frame server: what an [`EventLoop`] calls.
@@ -79,6 +89,14 @@ pub trait LoopHandler {
     /// Runs on every wakeup, after the connection events and before the
     /// accepts.
     fn after_events(&mut self) {}
+
+    /// The reply to a connection's parked request once it is ready;
+    /// `None` keeps it parked. Polled on every wakeup, after
+    /// [`LoopHandler::after_events`], for parked connections only; the
+    /// loop wakes by the park's deadline, and by then it must answer.
+    fn resume(&mut self, _conn: &mut Self::Conn) -> Option<Frame> {
+        None
+    }
 
     /// Runs once on stop, after every connection and the listener are
     /// dropped.
@@ -162,8 +180,8 @@ pub(crate) struct FramedConn {
     /// Bytes queued for the peer that the socket would not take yet.
     out: Vec<u8>,
     out_pos: usize,
-    /// Whether the current epoll interest set includes `EPOLLOUT`.
-    registered_writable: bool,
+    /// The current epoll interest set.
+    interest: u32,
 }
 
 impl FramedConn {
@@ -176,7 +194,7 @@ impl FramedConn {
             decoder: Decoder::new(),
             out: Vec::new(),
             out_pos: 0,
-            registered_writable: false,
+            interest: EPOLLIN | EPOLLRDHUP,
         })
     }
 
@@ -256,14 +274,13 @@ impl FramedConn {
         }
     }
 
-    /// Re-registers the connection when its `EPOLLOUT` need changed.
-    pub(crate) fn sync_interest(&mut self, ep: &Epoll, token: u64) {
-        let wants_write = self.has_pending_out();
-        if wants_write != self.registered_writable {
-            let interest = EPOLLIN | EPOLLRDHUP | if wants_write { EPOLLOUT } else { 0 };
-            if ep.modify(self.fd(), interest, token).is_ok() {
-                self.registered_writable = wants_write;
-            }
+    /// Re-registers the connection when its interest changed: reads
+    /// while `reading`, `EPOLLOUT` while a backlog waits.
+    pub(crate) fn sync_interest(&mut self, ep: &Epoll, token: u64, reading: bool) {
+        let interest = if reading { EPOLLIN | EPOLLRDHUP } else { 0 }
+            | if self.has_pending_out() { EPOLLOUT } else { 0 };
+        if interest != self.interest && ep.modify(self.fd(), interest, token).is_ok() {
+            self.interest = interest;
         }
     }
 }
@@ -289,8 +306,29 @@ fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
 struct Conn<C> {
     io: FramedConn,
     ctx: C,
+    flow: Flow,
+}
+
+/// Whether a connection takes frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    Open,
+    /// A request waits for [`LoopHandler::resume`], by this deadline.
+    Parked(Instant),
     /// Close once the backlog drains (auth reject / fatal decode error).
-    close_after_flush: bool,
+    Closing,
+}
+
+impl<C> Conn<C> {
+    /// Whether the connection stays: a closing one is done once it has
+    /// nothing left to flush.
+    fn keep(&self) -> bool {
+        self.flow != Flow::Closing || self.io.has_pending_out()
+    }
+
+    fn sync_interest(&mut self, ep: &Epoll, token: u64) {
+        self.io.sync_interest(ep, token, self.flow == Flow::Open);
+    }
 }
 
 /// Encodes `reply` through the shared scratch and sends it. `false` =
@@ -299,16 +337,17 @@ fn queue_reply(io: &mut FramedConn, reply: &Frame, ebuf: &mut Vec<u8>) -> bool {
     encode_into(reply, ebuf).is_ok() && io.send(ebuf).is_ok()
 }
 
-/// Decodes and answers every complete frame buffered on the connection.
-/// `false` = connection is dead (write failure).
+/// Decodes and answers the complete frames buffered on the connection
+/// until one parks or closes it. `false` = connection is dead (write
+/// failure).
 fn drain_frames<H: LoopHandler>(
     handler: &mut H,
     io: &mut FramedConn,
     ctx: &mut H::Conn,
-    close_after_flush: &mut bool,
+    flow: &mut Flow,
     ebuf: &mut Vec<u8>,
 ) -> bool {
-    while !*close_after_flush {
+    while *flow == Flow::Open {
         match io.next_frame() {
             Ok(Some(frame)) => match handler.handle(frame, ctx) {
                 Outcome::Reply(reply) => {
@@ -318,8 +357,9 @@ fn drain_frames<H: LoopHandler>(
                 }
                 Outcome::ReplyThenClose(reply) => {
                     let _ = queue_reply(io, &reply, ebuf);
-                    *close_after_flush = true;
+                    *flow = Flow::Closing;
                 }
+                Outcome::Park(deadline) => *flow = Flow::Parked(deadline),
             },
             Ok(None) => break,
             Err(e) => {
@@ -332,7 +372,7 @@ fn drain_frames<H: LoopHandler>(
                     return false;
                 }
                 if e.is_fatal() {
-                    *close_after_flush = true;
+                    *flow = Flow::Closing;
                 }
             }
         }
@@ -348,26 +388,70 @@ fn process_conn<H: LoopHandler>(
     rbuf: &mut [u8],
     ebuf: &mut Vec<u8>,
 ) -> bool {
-    let Conn {
-        io,
-        ctx,
-        close_after_flush,
-    } = conn;
-    // A closing connection only flushes.
-    let readiness = if *close_after_flush {
-        readiness & !READABLE
-    } else {
-        readiness
+    let Conn { io, ctx, flow } = &mut *conn;
+    let readiness = match flow {
+        Flow::Open => readiness,
+        // A parked connection's peer is gone: nobody waits for its reply.
+        Flow::Parked(_) if readiness & EPOLLHUP != 0 => return false,
+        // A parked or closing connection only flushes.
+        Flow::Parked(_) | Flow::Closing => readiness & !READABLE,
     };
     let alive = io.on_ready(readiness, rbuf, |io| {
-        if drain_frames(handler, io, ctx, close_after_flush, ebuf) {
-            Ok(!*close_after_flush)
+        if drain_frames(handler, io, ctx, flow, ebuf) {
+            Ok(*flow == Flow::Open)
         } else {
             Err(PoolCloseReason::Err)
         }
     });
-    // A closing connection with nothing left to flush is done.
-    alive.is_ok() && (!*close_after_flush || io.has_pending_out())
+    alive.is_ok() && conn.keep()
+}
+
+/// Offers each parked connection's request to [`LoopHandler::resume`].
+/// An answered one sends its reply, answers the frames already buffered
+/// behind it (which may park it again) and reads again. Returns the
+/// connections that died meanwhile.
+fn resume_parked<H: LoopHandler>(
+    handler: &mut H,
+    parked: &mut Vec<RawFd>,
+    conns: &mut HashMap<RawFd, Conn<H::Conn>>,
+    ep: &Epoll,
+    ebuf: &mut Vec<u8>,
+) -> Vec<RawFd> {
+    let mut dead = Vec::new();
+    parked.retain(|&fd| {
+        let Some(conn) = conns.get_mut(&fd) else {
+            return false;
+        };
+        let Some(reply) = handler.resume(&mut conn.ctx) else {
+            return true;
+        };
+        conn.flow = Flow::Open;
+        let Conn { io, ctx, flow } = &mut *conn;
+        if queue_reply(io, &reply, ebuf)
+            && drain_frames(handler, io, ctx, flow, ebuf)
+            && conn.keep()
+        {
+            conn.sync_interest(ep, fd as u64);
+        } else {
+            dead.push(fd);
+        }
+        matches!(conn.flow, Flow::Parked(_))
+    });
+    dead
+}
+
+/// The wait timeout, ms: 50, or less to wake by the earliest park
+/// deadline (rounded up, so the wait never ends before it).
+fn wait_ms<C>(parked: &[RawFd], conns: &HashMap<RawFd, Conn<C>>) -> i32 {
+    const IDLE_MS: i32 = 50;
+    let earliest = parked.iter().filter_map(|fd| match conns.get(fd)?.flow {
+        Flow::Parked(deadline) => Some(deadline),
+        _ => None,
+    });
+    earliest.min().map_or(IDLE_MS, |deadline| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        left.as_micros().div_ceil(1_000).min(IDLE_MS as u128) as i32
+    })
 }
 
 /// Accepts every pending connection on the listener, refusing beyond
@@ -401,7 +485,7 @@ fn accept_ready<H: LoopHandler>(
                 Conn {
                     io,
                     ctx: H::Conn::default(),
-                    close_after_flush: false,
+                    flow: Flow::Open,
                 },
             );
         }
@@ -410,7 +494,8 @@ fn accept_ready<H: LoopHandler>(
 
 /// The loop body. Runs until `stop` is set; [`EventLoop::stop`] signals
 /// the wake fd, and the 50 ms wait timeout bounds the latency
-/// regardless. On exit it drops its connections and listener, then
+/// regardless. On exit it drops its connections and listener — a
+/// parked request goes unanswered, as if the server had died — then
 /// hands over to [`LoopHandler::finish`].
 fn run<H: LoopHandler>(
     ep: Epoll,
@@ -423,12 +508,14 @@ fn run<H: LoopHandler>(
     let listen_token = listener.as_raw_fd() as u64;
     let wake_token = wake.fd() as u64;
     let mut conns: HashMap<RawFd, Conn<H::Conn>> = HashMap::new();
+    // The parked connections, in the order they parked.
+    let mut parked: Vec<RawFd> = Vec::new();
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut rbuf = vec![0u8; 64 * 1024];
     let mut ebuf: Vec<u8> = Vec::with_capacity(4096);
 
     loop {
-        let n = ep.wait(&mut events, 50)?;
+        let n = ep.wait(&mut events, wait_ms(&parked, &conns))?;
         if stop.load(Ordering::Acquire) {
             break;
         }
@@ -444,18 +531,28 @@ fn run<H: LoopHandler>(
             let Some(conn) = conns.get_mut(&fd) else {
                 continue;
             };
+            let was_open = conn.flow == Flow::Open;
             if process_conn(&mut handler, conn, ev.readiness(), &mut rbuf, &mut ebuf) {
-                conn.io.sync_interest(&ep, token);
+                conn.sync_interest(&ep, token);
+                if was_open && matches!(conn.flow, Flow::Parked(_)) {
+                    parked.push(fd);
+                }
             } else {
-                let _ = ep.delete(fd);
-                conns.remove(&fd);
-                handler.open_conns().fetch_sub(1, Ordering::Relaxed);
+                if !was_open {
+                    parked.retain(|&p| p != fd);
+                }
+                close_conn(&mut handler, &ep, &mut conns, fd);
             }
         }
         if events[..n].iter().any(|ev| ev.token() == wake_token) {
             wake.drain();
         }
         handler.after_events();
+        if !parked.is_empty() {
+            for fd in resume_parked(&mut handler, &mut parked, &mut conns, &ep, &mut ebuf) {
+                close_conn(&mut handler, &ep, &mut conns, fd);
+            }
+        }
         if events[..n].iter().any(|ev| ev.token() == listen_token) {
             accept_ready(
                 &mut handler,
@@ -474,4 +571,16 @@ fn run<H: LoopHandler>(
     drop(listener);
     handler.finish();
     Ok(())
+}
+
+/// Deregisters and drops a connection.
+fn close_conn<H: LoopHandler>(
+    handler: &mut H,
+    ep: &Epoll,
+    conns: &mut HashMap<RawFd, Conn<H::Conn>>,
+    fd: RawFd,
+) {
+    let _ = ep.delete(fd);
+    conns.remove(&fd);
+    handler.open_conns().fetch_sub(1, Ordering::Relaxed);
 }

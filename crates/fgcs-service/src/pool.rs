@@ -146,7 +146,7 @@ impl ClientPool {
             self.close(slot);
             return false;
         }
-        conn.sync_interest(&self.ep, slot as u64);
+        conn.sync_interest(&self.ep, slot as u64, true);
         true
     }
 
@@ -180,7 +180,7 @@ impl ClientPool {
                 }
             });
             match alive {
-                Ok(()) => conn.sync_interest(&self.ep, slot as u64),
+                Ok(()) => conn.sync_interest(&self.ep, slot as u64, true),
                 Err(reason) => {
                     self.close(slot);
                     out.push(PoolEvent::Closed { slot, reason });

@@ -8,6 +8,9 @@
 //! follower sends [`Frame::ReplPull`] and the primary
 //! answers with entries, an empty reply (caught up), or a full
 //! snapshot when the requested position has been trimmed from the log.
+//! A pull with less than a batch to take waits at the primary for one
+//! ([`hold_until`], the long-poll's batching rule), so a caught-up
+//! follower sends its next pull at once instead of napping.
 //!
 //! ## Exactly-once apply
 //!
@@ -40,7 +43,7 @@
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -63,6 +66,74 @@ pub const ROLE_FOLLOWER: u8 = 2;
 /// without an explicit `repl_log_capacity`: a promoted follower must be
 /// able to serve its *own* follower from the log it mirrored.
 pub(crate) const DEFAULT_REPL_LOG_CAPACITY: usize = 4_096;
+
+/// One batch of a pull, in sample-encoding bytes: a pull finding less
+/// past its position waits for more ([`hold_until`]). One event-loop
+/// read scratch, 24 entries of 128 samples.
+pub(crate) const REPL_BATCH_BYTES: u64 = 64 * 1024;
+
+/// The longest any pull waits for a batch, whatever `pull_interval_ms`
+/// says: well under the 50 ms floor of a follower's attempt deadline.
+pub(crate) const PULL_HOLD_CAP: Duration = Duration::from_millis(25);
+
+/// How long this node holds a pull that has less than a batch to take:
+/// `pull_interval_ms`, at least 1 ms and at most [`PULL_HOLD_CAP`].
+pub(crate) fn pull_hold(pull_interval_ms: u64) -> Duration {
+    Duration::from_millis(pull_interval_ms.max(1)).min(PULL_HOLD_CAP)
+}
+
+/// How much a log has taken since it was made: entries and their
+/// sample-encoding bytes. Both only grow (a snapshot reset or a raised
+/// cursor rewinds neither), so a waiting pull can name the progress at
+/// which it holds a batch, and an appender on another thread can tell
+/// when the log got there without taking its lock
+/// ([`ReplLog::progress`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Progress {
+    pub entries: u64,
+    pub bytes: u64,
+}
+
+impl Progress {
+    /// A target no log reaches: nothing waits.
+    pub const NEVER: Progress = Progress {
+        entries: u64::MAX,
+        bytes: u64::MAX,
+    };
+
+    /// Whether this progress has reached `target` on either count.
+    pub fn reached(self, target: Progress) -> bool {
+        self.entries >= target.entries || self.bytes >= target.bytes
+    }
+}
+
+/// Where a pull stands against the log ([`ReplLog::pending`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pending {
+    /// The log's progress at the check.
+    pub now: Progress,
+    /// The progress at which the pull holds a batch: as many entries
+    /// past its position as one reply takes (its `max_entries`, a
+    /// frame's, the log's capacity — waiting for more would trim its
+    /// position), or [`REPL_BATCH_BYTES`] of their samples.
+    pub batch_at: Progress,
+}
+
+/// The long-poll's batching rule (DESIGN.md §13.1): whether a pull is
+/// answered now or held at this node for more to take. `pending` is
+/// `None` where only a snapshot serves the position (trimmed, or past
+/// the head); `waited` is how long the pull has waited, `hold` the
+/// longest it may ([`pull_hold`]). `None` answers now: a pull wanting
+/// no entries (the fencer's) never waits, nor does one that holds a
+/// batch. `Some(batch_at)` holds it until the log reaches `batch_at`.
+pub(crate) fn hold_until(
+    pending: Option<Pending>,
+    waited: Duration,
+    hold: Duration,
+) -> Option<Progress> {
+    let p = pending?;
+    (!p.now.reached(p.batch_at) && waited < hold).then_some(p.batch_at)
+}
 
 /// What a [`ReplLog::pull`] request gets back.
 pub(crate) enum PullReply {
@@ -122,6 +193,26 @@ impl ReplLogInner {
         self.entries.clear();
         self.sample_bytes = 0;
     }
+
+    fn ack(&mut self, after_seq: u64) {
+        if after_seq < self.next_seq {
+            self.acked_seq = self.acked_seq.max(after_seq);
+        }
+    }
+
+    /// Where a pull from `after_seq` starts in `entries` (`len` when it
+    /// is caught up), or `None` where only a snapshot serves it: past
+    /// the head (the puller claims more than this log ever allocated —
+    /// divergence, e.g. it pulled from a different primary), or trimmed
+    /// past its position (or nothing retained while the head moved).
+    fn position(&self, after_seq: u64) -> Option<usize> {
+        let head = self.next_seq - 1;
+        if after_seq >= head {
+            return (after_seq == head).then_some(self.entries.len());
+        }
+        let front = self.entries.front()?.seq;
+        (front <= after_seq + 1).then(|| (after_seq + 1 - front) as usize)
+    }
 }
 
 /// The replication seq log: a bounded ring of the most recent ingested
@@ -132,6 +223,9 @@ impl ReplLogInner {
 pub(crate) struct ReplLog {
     capacity: usize,
     inner: Mutex<ReplLogInner>,
+    /// [`Progress`], counted under the lock and read without it.
+    appended_entries: AtomicU64,
+    appended_bytes: AtomicU64,
 }
 
 impl ReplLog {
@@ -144,6 +238,8 @@ impl ReplLog {
                 acked_seq: 0,
                 sample_bytes: 0,
             }),
+            appended_entries: AtomicU64::new(0),
+            appended_bytes: AtomicU64::new(0),
         }
     }
 
@@ -179,8 +275,27 @@ impl ReplLog {
             next_seq_after,
             samples,
         };
-        inner.push(entry, self.capacity);
+        self.retain(&mut inner, entry);
         seq
+    }
+
+    /// Retains a new entry and counts it in [`ReplLog::progress`], in
+    /// one critical section.
+    fn retain(&self, inner: &mut ReplLogInner, entry: ReplEntry) {
+        // SeqCst: an appender's count and a parked pull's published
+        // target (`conn.rs`) are read across threads without the lock.
+        self.appended_entries.fetch_add(1, Ordering::SeqCst);
+        self.appended_bytes
+            .fetch_add(entry.samples.byte_len() as u64, Ordering::SeqCst);
+        inner.push(entry, self.capacity);
+    }
+
+    /// How much this log has taken ([`Progress`]).
+    pub(crate) fn progress(&self) -> Progress {
+        Progress {
+            entries: self.appended_entries.load(Ordering::SeqCst),
+            bytes: self.appended_bytes.load(Ordering::SeqCst),
+        }
     }
 
     /// Mirrors a pulled entry into this follower's own log (so a
@@ -199,7 +314,7 @@ impl ReplLog {
             ));
         }
         inner.next_seq = entry.seq + 1;
-        inner.push(entry, self.capacity);
+        self.retain(&mut inner, entry);
         Ok(())
     }
 
@@ -228,6 +343,40 @@ impl ReplLog {
         self.inner.lock().unwrap().acked_seq
     }
 
+    /// Records a puller's ack that everything through `after_seq` is
+    /// applied — unless it is past the head, which this log never
+    /// allocated.
+    pub(crate) fn ack(&self, after_seq: u64) {
+        self.inner.lock().unwrap().ack(after_seq);
+    }
+
+    /// Where a pull from `after_seq` taking `max_entries` stands: `None`
+    /// where only a snapshot serves it (trimmed, or past the head).
+    pub(crate) fn pending(&self, after_seq: u64, max_entries: u32) -> Option<Pending> {
+        let inner = self.inner.lock().unwrap();
+        let past = inner.entries.range(inner.position(after_seq)?..);
+        let room = (max_entries as usize)
+            .min(MAX_REPL_ENTRIES_PER_FRAME)
+            .min(self.capacity);
+        let entries = past.len() as u64;
+        let mut bytes = 0;
+        for e in past.take(room) {
+            if bytes >= REPL_BATCH_BYTES {
+                break;
+            }
+            bytes += e.samples.byte_len() as u64;
+        }
+        // Under the lock, `now` counts exactly the entries checked.
+        let now = self.progress();
+        Some(Pending {
+            now,
+            batch_at: Progress {
+                entries: now.entries - entries + room as u64,
+                bytes: now.bytes - bytes + REPL_BATCH_BYTES,
+            },
+        })
+    }
+
     /// Answers a pull for entries past `after_seq`: at most
     /// `max_entries`, and no more than one frame can carry — a puller
     /// further behind than that gets the oldest part now and the rest on
@@ -239,42 +388,25 @@ impl ReplLog {
     /// which this log never allocated.
     pub(crate) fn pull(&self, after_seq: u64, max_entries: usize) -> PullReply {
         let mut inner = self.inner.lock().unwrap();
-        let head = inner.next_seq - 1;
-        if after_seq > head {
-            // The puller claims to be ahead of this log — divergence
-            // (e.g. it pulled from a different primary). Resync.
+        inner.ack(after_seq);
+        let Some(skip) = inner.position(after_seq) else {
             return PullReply::NeedSnapshot;
-        }
-        inner.acked_seq = inner.acked_seq.max(after_seq);
-        if after_seq == head {
-            return PullReply::Entries {
-                head_seq: head,
-                entries: Vec::new(),
-            };
-        }
-        match inner.entries.front() {
-            Some(front) if front.seq <= after_seq + 1 => {
-                let cap = max_entries.min(MAX_REPL_ENTRIES_PER_FRAME);
-                let skip = (after_seq + 1 - front.seq) as usize;
-                let mut room = MAX_FRAME_LEN - REPL_ENTRIES_HEADER_LEN;
-                let mut entries: Vec<ReplEntry> = Vec::new();
-                for e in inner.entries.iter().skip(skip).take(cap) {
-                    debug_assert_eq!(e.seq, after_seq + 1 + entries.len() as u64);
-                    let len = e.encoded_len();
-                    if len > room && !entries.is_empty() {
-                        break;
-                    }
-                    room = room.saturating_sub(len);
-                    entries.push(e.clone());
-                }
-                PullReply::Entries {
-                    head_seq: head,
-                    entries,
-                }
+        };
+        let cap = max_entries.min(MAX_REPL_ENTRIES_PER_FRAME);
+        let mut room = MAX_FRAME_LEN - REPL_ENTRIES_HEADER_LEN;
+        let mut entries: Vec<ReplEntry> = Vec::new();
+        for e in inner.entries.iter().skip(skip).take(cap) {
+            debug_assert_eq!(e.seq, after_seq + 1 + entries.len() as u64);
+            let len = e.encoded_len();
+            if len > room && !entries.is_empty() {
+                break;
             }
-            // Trimmed past the requested position (or nothing retained
-            // at all while the head has moved): snapshot resync.
-            _ => PullReply::NeedSnapshot,
+            room = room.saturating_sub(len);
+            entries.push(e.clone());
+        }
+        PullReply::Entries {
+            head_seq: inner.next_seq - 1,
+            entries,
         }
     }
 
@@ -386,10 +518,7 @@ fn elect(me: SocketAddr, applied: u64, epoch: u64, probes: &[(SocketAddr, Probe)
 enum Pulled {
     /// Entries or an installed snapshot, with the lease the primary
     /// granted (a snapshot grants none).
-    Served {
-        lease_ms: Option<u64>,
-        caught_up: bool,
-    },
+    Served { lease_ms: Option<u64> },
     /// A live process answered without serving us: a typed error, an
     /// unexpected tag or a snapshot that would not install.
     Refused,
@@ -401,9 +530,12 @@ enum Pulled {
 /// reconnecting to the primary with capped jittered backoff — a
 /// follower must outlive arbitrarily long primary outages (unless
 /// `auto_promote` decides the outage *is* the failover). The election
-/// knows this node by `me`, the address it bound.
+/// knows this node by `me`, the address it bound; losing it to a peer
+/// already primary re-points the loop at that peer. A caught-up pull
+/// waits at the primary for a batch ([`hold_until`]), so the only
+/// timed sleep here is the failure backoff.
 pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
-    let addr = shared
+    let first = shared
         .cfg
         .follower_of
         .clone()
@@ -413,20 +545,24 @@ pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
     // on the request after a failed one. The attempt deadline (connect
     // + auth + reply) is tied to the lease so a SIGSTOPped (wedged, not
     // dead) primary is detected within a few lease windows, not after
-    // threshold × 2 s.
+    // threshold × 2 s. Its 50 ms floor is twice the longest a primary
+    // holds a pull ([`PULL_HOLD_CAP`]).
     let timeout_ms = if shared.cfg.auto_promote {
         (shared.cfg.lease_ms / 2).clamp(50, 2_000)
     } else {
         2_000
     };
-    let client_cfg = ClientConfig::single_attempt(&addr, timeout_ms, shared.cfg.auth_token.clone());
-    let seed = addr
+    let target =
+        |addr: &str| ClientConfig::single_attempt(addr, timeout_ms, shared.cfg.auth_token.clone());
+    let mut client_cfg = target(&first);
+    let seed = first
         .bytes()
         .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)));
     let mut client = ServiceClient::new(client_cfg.clone());
     let mut attempts: u32 = 0;
     let mut liveness = Liveness::new(shared.cfg.lease_ms, Instant::now());
     while !shared.shutting_down() && !shared.is_primary() {
+        let addr = &client_cfg.addr;
         let after_seq = shared.repl.head_seq();
         let pull = Frame::ReplPull {
             after_seq,
@@ -453,7 +589,6 @@ pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
                 shared
                     .primary_head_seen
                     .store(head_seq.saturating_add(1), Ordering::Release);
-                let caught_up = entries.is_empty();
                 for e in entries {
                     if shared.shutting_down() {
                         return;
@@ -469,15 +604,11 @@ pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
                 }
                 Pulled::Served {
                     lease_ms: Some(lease_ms),
-                    caught_up: caught_up && shared.repl.head_seq() >= head_seq,
                 }
             }
             Ok(Frame::ReplSnapshot { repl_seq, bytes }) => {
                 match install_pulled_snapshot(shared, repl_seq, &bytes) {
-                    Ok(()) => Pulled::Served {
-                        lease_ms: None,
-                        caught_up: false,
-                    },
+                    Ok(()) => Pulled::Served { lease_ms: None },
                     Err(err) => {
                         eprintln!("fgcs-service: snapshot resync from {addr} failed: {err}");
                         Pulled::Refused
@@ -507,26 +638,28 @@ pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
         // Any reply proves the primary alive, so only silence can start
         // a failover; only a served pull resets the backoff.
         match pulled {
-            Pulled::Served {
-                lease_ms,
-                caught_up,
-            } => {
+            Pulled::Served { lease_ms } => {
                 attempts = 0;
                 liveness.saw_reply(lease_ms, now);
-                if caught_up {
-                    sleep_ms(shared.cfg.pull_interval_ms.max(1));
-                }
                 continue;
             }
             Pulled::Refused => liveness.saw_reply(None, now),
             Pulled::Missed => {
                 liveness.failures = liveness.failures.saturating_add(1);
                 let threshold = shared.cfg.missed_pull_threshold;
-                if shared.cfg.auto_promote
-                    && liveness.expired(threshold, now)
-                    && self_promote(shared, me, peers, &client_cfg)
-                {
-                    return;
+                if shared.cfg.auto_promote && liveness.expired(threshold, now) {
+                    match self_promote(shared, me, peers, &client_cfg) {
+                        Failover::Promoted => return,
+                        Failover::Follow(winner) => {
+                            eprintln!("fgcs-service: now following {winner}");
+                            client_cfg = target(&winner.to_string());
+                            client = ServiceClient::new(client_cfg.clone());
+                            liveness = Liveness::new(shared.cfg.lease_ms, now);
+                            attempts = 0;
+                            continue;
+                        }
+                        Failover::Stay => {}
+                    }
                 }
             }
         }
@@ -535,13 +668,27 @@ pub(crate) fn pull_loop(shared: &Shared, me: SocketAddr, peers: &[SocketAddr]) {
     }
 }
 
+/// What a failover attempt leaves the pull loop to do.
+enum Failover {
+    /// This node is primary: the pull loop is over.
+    Promoted,
+    /// A peer is already primary at our epoch or later: pull from it.
+    Follow(SocketAddr),
+    /// No change: keep pulling from the same address.
+    Stay,
+}
+
 /// The failover once the primary is declared dead: probes of every
 /// promotion peer, the election, then promotion and fencing of the
-/// (possibly not-quite-dead) old primary. Returns `true` when the node
-/// promoted — the pull loop is over.
-fn self_promote(shared: &Shared, me: SocketAddr, peers: &[SocketAddr], cfg: &ClientConfig) -> bool {
+/// (possibly not-quite-dead) old primary.
+fn self_promote(
+    shared: &Shared,
+    me: SocketAddr,
+    peers: &[SocketAddr],
+    cfg: &ClientConfig,
+) -> Failover {
     if shared.repl_failed.load(Ordering::Acquire) || shared.shutting_down() {
-        return false;
+        return Failover::Stay;
     }
     let token = &shared.cfg.auth_token;
     let probe =
@@ -554,18 +701,20 @@ fn self_promote(shared: &Shared, me: SocketAddr, peers: &[SocketAddr], cfg: &Cli
          {verdict:?}",
         cfg.addr
     );
-    if let Verdict::Superseded(_, epoch) = verdict {
-        shared.observe_epoch(epoch);
-    }
-    if verdict != Verdict::Promote {
-        return false;
+    match verdict {
+        Verdict::Promote => {}
+        Verdict::Superseded(winner, epoch) => {
+            shared.observe_epoch(epoch);
+            return Failover::Follow(winner);
+        }
+        Verdict::Defer(_) | Verdict::Blocked(_) => return Failover::Stay,
     }
     if !shared.promote() {
         eprintln!("fgcs-service: fencing epoch exhausted; staying a follower");
-        return false;
+        return Failover::Stay;
     }
     fence_old_primary(shared, cfg);
-    true
+    Failover::Promoted
 }
 
 /// Hammers the old primary's address with an epoch-carrying `ReplPull`
@@ -910,6 +1059,99 @@ pub(crate) mod tests {
             PullReply::NeedSnapshot => panic!("retained pull must not resync"),
         }
         assert!(matches!(log.pull(39, 2), PullReply::NeedSnapshot));
+    }
+
+    // --- The long-poll's batching rule: a pure function of what lies
+    // past the pull, how long it waited and the hold.
+
+    fn direct(n: usize) -> EncodedSamples {
+        let sample = WireSample {
+            t: 0,
+            load: SampleLoad::Direct(0.1),
+            host_resident_mb: 100,
+            alive: true,
+        };
+        vec![sample; n].into()
+    }
+
+    #[test]
+    fn a_pull_is_answered_at_once_only_with_a_batch_or_no_way_to_wait() {
+        // Capacity 6 of 7 entries: seq 1 is trimmed. Seqs 3..=7 hold
+        // 2,978 samples, 5 × 4 + 2,978 × 22 = 65,536 bytes: one batch
+        // exactly.
+        let log = ReplLog::new(6);
+        for n in [1, 1, 595, 595, 596, 596, 596] {
+            log.append_local(1, direct(n), 0, 1);
+        }
+        let all = MAX_REPL_ENTRIES_PER_FRAME as u32;
+        let now = log.progress();
+        assert_eq!(now.entries, 7, "a trim does not rewind the progress");
+        assert_eq!(
+            log.pending(2, all),
+            Some(Pending {
+                now,
+                batch_at: Progress {
+                    entries: 2 + 6,
+                    bytes: now.bytes,
+                },
+            }),
+            "a batch exactly: its bytes are the log's now"
+        );
+        let hold = pull_hold(5);
+        let (zero, just_short) = (Duration::ZERO, hold - Duration::from_micros(1));
+        #[rustfmt::skip]
+        let table = [
+            // after_seq, max_entries, waited, answered now, why
+            (0, all, zero, true, "trimmed: a snapshot, now"),
+            (8, all, zero, true, "past the head: a snapshot, now"),
+            (7, 0, zero, true, "max_entries 0, the fencer's: never waits"),
+            (3, 0, zero, true, "max_entries 0 short of a batch"),
+            (2, all, zero, true, "exactly one batch"),
+            (1, all, zero, true, "more than a batch"),
+            (3, all, zero, false, "four entries, 595 samples short of a batch"),
+            (3, 4, zero, true, "as many entries as the pull takes"),
+            (3, 5, zero, false, "fewer entries than the pull takes"),
+            (3, u32::MAX, just_short, false, "u32::MAX entries: capped at a frame"),
+            (3, all, hold, true, "short of a batch at the hold"),
+            (7, all, just_short, false, "caught up, inside the hold"),
+            (7, all, hold, true, "caught up at the hold: answered empty"),
+        ];
+        for (after_seq, max_entries, waited, answered, why) in table {
+            let pending = log.pending(after_seq, max_entries);
+            assert_eq!(
+                hold_until(pending, waited, hold).is_none(),
+                answered,
+                "{why}: after_seq {after_seq}, {pending:?}"
+            );
+        }
+        // A held pull is released by the append that completes its
+        // batch, which is what a parking loop publishes for appenders.
+        let target = hold_until(log.pending(3, all), zero, hold).expect("held");
+        assert_eq!(target.entries, 3 + 6, "the log's window past seq 3");
+        let short = Progress {
+            entries: target.entries - 1,
+            bytes: target.bytes - 1,
+        };
+        assert!(!short.reached(target) && !log.progress().reached(target));
+        log.append_local(1, direct(595), 0, 1);
+        assert!(log.progress().reached(target), "595 samples more");
+        assert!(!log.progress().reached(Progress::NEVER));
+        // A log's whole window is a batch too: waiting for more would
+        // trim the pull's position.
+        let small = ReplLog::new(2);
+        small.append_local(1, direct(1), 0, 1);
+        assert!(hold_until(small.pending(0, all), zero, hold).is_some());
+        small.append_local(1, direct(1), 0, 1);
+        assert_eq!(hold_until(small.pending(0, all), zero, hold), None);
+        // The hold is `pull_interval_ms` between 1 ms and the cap.
+        assert_eq!(pull_hold(0), Duration::from_millis(1));
+        assert_eq!(pull_hold(5), Duration::from_millis(5));
+        assert_eq!(pull_hold(2_000), PULL_HOLD_CAP);
+        // Asking acks nothing; a parked pull's ack is its own call.
+        assert_eq!(log.acked_seq(), 0);
+        log.ack(3);
+        log.ack(99);
+        assert_eq!(log.acked_seq(), 3, "no ack past the head");
     }
 
     // --- Liveness: the failure detector driving self-promotion.

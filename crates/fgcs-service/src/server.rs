@@ -97,7 +97,12 @@ pub struct ServiceConfig {
     /// answers queries from its replicated state, and can be promoted
     /// with [`fgcs_wire::Frame::Promote`].
     pub follower_of: Option<String>,
-    /// Idle sleep between pulls when the follower is caught up, ms.
+    /// The longest this node, as primary, holds a replication pull
+    /// that has less than a batch (64 KiB of samples) to take, ms: a
+    /// caught-up follower's pull waits at the primary for a batch or
+    /// this long, whichever comes first, so it bounds a trickle's
+    /// staleness. 0 counts as 1; above 25 the 25 ms cap applies
+    /// (DESIGN.md §13.1).
     pub pull_interval_ms: u64,
     /// Liveness lease this node grants with every `ReplEntries` reply,
     /// ms. A follower declares the primary dead only once this long

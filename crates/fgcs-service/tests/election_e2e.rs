@@ -1,14 +1,17 @@
 //! The failover election's identities, end to end: a follower ranks
-//! itself by the address it actually bound, and a configuration whose
-//! bound address no sibling could name is refused at start
-//! (DESIGN.md §13.5).
+//! itself by the address it actually bound, the loser follows the
+//! winner, and a configuration whose bound address no sibling could
+//! name is refused at start (DESIGN.md §13.5).
 
 #![cfg(target_os = "linux")]
 
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use fgcs_service::{Server, ServiceConfig, ROLE_FOLLOWER, ROLE_PRIMARY};
+use fgcs_service::{
+    ClientConfig, Server, ServiceClient, ServiceConfig, ROLE_FOLLOWER, ROLE_PRIMARY,
+};
+use fgcs_wire::{Frame, SampleLoad, WireSample};
 
 /// A closed port: every pull fails fast, so the primary is "dead".
 const DEAD_PRIMARY: &str = "127.0.0.1:1";
@@ -62,6 +65,34 @@ fn a_follower_bound_to_port_zero_elects_with_its_bound_port() {
     assert_eq!(p.epoch(), 2);
     assert_eq!(c.role(), ROLE_FOLLOWER, "both followers promoted");
     assert_eq!(c.epoch(), 2, "the loser saw the winner's epoch");
+    // The loser now follows the winner: what `p` ingests reaches `c`.
+    let mut client = ServiceClient::connect(ClientConfig::new(&p_addr)).unwrap();
+    for i in 0..8u64 {
+        let samples = (0..16)
+            .map(|k| WireSample {
+                t: (i * 16 + k) * 15,
+                load: SampleLoad::Direct(0.05),
+                host_resident_mb: 100,
+                alive: true,
+            })
+            .collect();
+        let reply = client.request(&Frame::SampleBatch {
+            machine: 3,
+            samples,
+        });
+        assert!(matches!(reply, Ok(Frame::Ack { .. })), "{reply:?}");
+    }
+    assert_eq!(p.repl_seq(), 8);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while c.repl_seq() < p.repl_seq() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        c.repl_seq(),
+        p.repl_seq(),
+        "the loser never pulled from the winner"
+    );
+    assert_eq!(c.records(3), p.records(3));
     c.shutdown();
     p.shutdown();
 }

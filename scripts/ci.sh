@@ -29,17 +29,35 @@ echo "== tracer equivalence, wide sweep (release) =="
 # fault scales x0 to x60: 1,920 machine traces per path, ~7 s on 2 vCPUs.
 cargo test --release -q --test tracer_equivalence -- --ignored
 
-echo "== failover election property + service frame driver (release) =="
+echo "== failover election property (release) =="
 # The election as a pure function over 100,000 seeded rounds (2-5
 # followers, some already primaries, arbitrary asymmetric reachability,
-# random liveness): never two primaries in one epoch. The frame driver
-# feeds the shipped request handler 300,000 seeded frames that go
-# valid, hostile, valid: no panic, typed replies, an epoch that never
-# falls, roles that move only as DESIGN.md §13.5 allows. A failing seed
-# prints its replay command. ~0.3 s of tests on 2 vCPUs.
+# random liveness): never two primaries in one epoch. A failing seed
+# prints its replay command. ~0.1 s of tests on 2 vCPUs.
 cargo test --release -q -p fgcs-service --lib -- --ignored --exact \
-    repl::tests::election_never_puts_two_primaries_in_one_epoch_wide \
+    repl::tests::election_never_puts_two_primaries_in_one_epoch_wide
+
+echo "== replication long-poll: batch rule, park-aware frame driver, replication e2e (release) =="
+# The batching rule's table; the cross-loop wake (one signal per
+# batch, an append between a pull's check and its park still seen);
+# the frame driver feeding the shipped request handler 300,000 seeded
+# frames over two connections and a virtual clock, valid, hostile,
+# valid: no panic, typed replies, one
+# reply per frame in order (frames pipelined behind a parked pull
+# included), no park of a fencer's, first or newer-epoch pull, a pull
+# parked through a demotion answered NotPrimary, no park past its cap
+# plus one tick, an epoch that never falls, roles that move only as
+# DESIGN.md §13.5 allows. Then the socket suites: the cross-loop wake
+# and the hold cap on a two-loop primary, an election loser following
+# the winner, a follower a thousand entries behind, bounded follower
+# reads, and failover across real fgcs-serve processes. A failing seed
+# prints its replay command. ~3 s of tests on 2 vCPUs.
+cargo test --release -q -p fgcs-service --lib -- --include-ignored --exact \
+    repl::tests::a_pull_is_answered_at_once_only_with_a_batch_or_no_way_to_wait \
+    conn::tests::an_append_wakes_a_parked_pull_once_per_batch_and_never_misses_it \
     conn::tests::hostile_frames_never_break_the_handler_or_its_transitions_wide
+cargo test --release -q -p fgcs-service --test repl_longpoll_e2e --test election_e2e \
+    --test repl_backlog_e2e --test read_path_e2e --test failover_e2e
 
 echo "== experiment smoke (table1 + fig1a reduced scale, faults full scale) =="
 # Run from a scratch dir: fgcs-exp writes results/ relative to the cwd,

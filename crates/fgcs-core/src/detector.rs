@@ -516,6 +516,56 @@ impl Detector {
         Ok(Detector { cfg, mode, last_t })
     }
 
+    /// Whether [`Self::observe`]`(t, obs)` would change nothing but the
+    /// gap-policy clock: the same mode written back, no action, edge or
+    /// gap. `observe`'s rules, read without writing. Available: a live
+    /// sample whose memory fits, either in the current band with no
+    /// spike pending or excessive inside a pending spike's tolerance.
+    /// Unavailable: a non-calm sample with no calm clock running, or a
+    /// calm one inside a running harvest wait (before
+    /// [`Self::harvest_deadline`]); for a revocation, only while
+    /// `revived` stays as it is (set and the sample live, or unset and
+    /// the sample dead). Never across a `max_silence` gap, and never
+    /// for `t` before the last observation.
+    #[inline]
+    pub fn settles(&self, t: u64, obs: &Observation) -> bool {
+        if let Some(last) = self.last_t {
+            if t < last || self.cfg.max_silence.is_some_and(|m| t - last > m) {
+                return false;
+            }
+        }
+        let mem_ok = obs.free_mem_mb >= self.cfg.guest_working_set_mb;
+        let new_band = self.cfg.thresholds.classify(obs.host_load);
+        match self.mode {
+            Mode::Available { band, spike_since } => {
+                obs.alive
+                    && mem_ok
+                    && match new_band {
+                        LoadBand::Excessive => spike_since
+                            .is_some_and(|s0| t.saturating_sub(s0) < self.cfg.spike_tolerance),
+                        _ => spike_since.is_none() && new_band == band,
+                    }
+            }
+            Mode::Unavailable {
+                cause,
+                calm_since,
+                revived,
+            } => {
+                let revived_kept = if cause == FailureCause::Revocation {
+                    revived.is_some() == obs.alive
+                } else {
+                    obs.alive && revived.is_none()
+                };
+                let calm = obs.alive && mem_ok && new_band != LoadBand::Excessive;
+                revived_kept
+                    && match calm_since {
+                        Some(s) => calm && t.saturating_sub(s) < self.cfg.harvest_delay,
+                        None => !calm,
+                    }
+            }
+        }
+    }
+
     /// Feeds one observation taken at time `t`. Timestamps must be
     /// non-decreasing across calls.
     ///
@@ -686,6 +736,99 @@ impl Detector {
             calm_since: None,
             revived: None,
         };
+    }
+}
+
+/// Random detector configurations and observation streams for the
+/// properties of [`Detector::settles`] and of the recorder's
+/// `observe_all`.
+#[cfg(test)]
+pub(crate) mod streams {
+    use super::*;
+    use proptest::strategy::{fn_strategy, Strategy};
+    use proptest::test_runner::TestRng;
+
+    fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// A load in `[lo, hi)`, or one of the thresholds themselves.
+    fn load(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
+        match below(rng, 8) {
+            0 => Thresholds::LINUX_TESTBED.th1,
+            1 => Thresholds::LINUX_TESTBED.th2,
+            _ => lo + (hi - lo) * rng.next_f64(),
+        }
+    }
+
+    /// One observation of a kind: light, heavy, excessive, NaN, dead
+    /// (with or without readings) or memory-short. The guest working
+    /// set is 100 MB, so 100 MB free fits exactly.
+    fn observation(rng: &mut TestRng, kind: u64) -> Observation {
+        let free_mem_mb = 100 + below(rng, 3) as u32 * 450;
+        let live = |host_load| Observation {
+            host_load,
+            free_mem_mb,
+            alive: true,
+        };
+        match kind {
+            0 => live(load(rng, 0.0, 0.2)),
+            1 => live(load(rng, 0.2, 0.6)),
+            2 => live(load(rng, 0.600_001, 1.0)),
+            3 => live(f64::NAN),
+            4 => Observation::dead(),
+            5 => Observation {
+                alive: false,
+                ..live(load(rng, 0.0, 1.0))
+            },
+            _ => Observation {
+                free_mem_mb: below(rng, 100) as u32,
+                ..live(load(rng, 0.0, 1.0))
+            },
+        }
+    }
+
+    /// A configuration with short waits, so that streams cross their
+    /// deadlines, and `max_silence` both `None` and `Some`; then a
+    /// stream of runs, each one kind of sample at one kind of step:
+    /// repeated timestamps, steps short against the waits, or long
+    /// enough to trip the gap policy. Runs of one kind build spikes
+    /// and harvest waits; mixed runs cut them short. With `backwards`
+    /// a step may also go back in time.
+    pub(crate) fn config_and_stream(
+        backwards: bool,
+    ) -> impl Strategy<Value = (DetectorConfig, Vec<(u64, Observation)>)> {
+        fn_strategy(move |rng: &mut TestRng| {
+            let cfg = DetectorConfig {
+                thresholds: Thresholds::LINUX_TESTBED,
+                guest_working_set_mb: 100,
+                spike_tolerance: 1 + below(rng, 90),
+                harvest_delay: 1 + below(rng, 300),
+                max_silence: (below(rng, 2) == 0).then(|| 1 + below(rng, 120)),
+            };
+            let mut t = below(rng, 1_000);
+            let mut stream = Vec::new();
+            for _ in 0..1 + below(rng, 12) {
+                let kind = below(rng, 7);
+                let mixed = below(rng, 4) == 0;
+                let step = match below(rng, 4) {
+                    0 => 0,
+                    1 => 1 + below(rng, 20),
+                    2 => 15,
+                    _ => below(rng, 200),
+                };
+                for _ in 0..1 + below(rng, 24) {
+                    let kind = if mixed { below(rng, 7) } else { kind };
+                    t = if backwards && below(rng, 32) == 0 {
+                        t.saturating_sub(1 + below(rng, 30))
+                    } else {
+                        t + step
+                    };
+                    stream.push((t, observation(rng, kind)));
+                }
+            }
+            (cfg, stream)
+        })
     }
 }
 
@@ -1299,6 +1442,113 @@ mod tests {
             proptest::prop_assert_eq!(d.state(), AvailState::S3);
             proptest::prop_assert_eq!(d.spike_deadline(), None);
         }
+    }
+
+    /// The snapshot `d` would have after moving its gap-policy clock to
+    /// `t` and nothing else.
+    fn clock_moved(d: &Detector, t: u64) -> DetectorSnapshot {
+        match d.snapshot() {
+            DetectorSnapshot::Available {
+                band, spike_since, ..
+            } => DetectorSnapshot::Available {
+                band,
+                spike_since,
+                last_t: Some(t),
+            },
+            DetectorSnapshot::Unavailable {
+                cause,
+                calm_since,
+                revived,
+                ..
+            } => DetectorSnapshot::Unavailable {
+                cause,
+                calm_since,
+                revived,
+                last_t: Some(t),
+            },
+        }
+    }
+
+    /// `settles` holds exactly when `observe` would change only the
+    /// gap-policy clock, at a time not before the last observation.
+    /// Steps the detector through the whole stream; returns how many
+    /// samples settled.
+    fn settles_exactly(
+        (cfg, stream): (DetectorConfig, Vec<(u64, Observation)>),
+    ) -> Result<usize, proptest::test_runner::TestCaseError> {
+        let mut d = Detector::new(cfg);
+        let mut settled = 0;
+        for (i, (t, o)) in stream.into_iter().enumerate() {
+            let settles = d.settles(t, &o);
+            let in_order = d.last_t.is_none_or(|last| last <= t);
+            let quiet = Step {
+                state: d.state(),
+                action: None,
+                edges: Edges::new(),
+                gap: None,
+            };
+            let expected = clock_moved(&d, t);
+            let before = d.snapshot();
+            let step = d.observe(t, &o);
+            let only_clock = step == quiet && d.snapshot() == expected;
+            proptest::prop_assert_eq!(
+                settles,
+                in_order && only_clock,
+                "sample {} at t {} ({:?}) from {:?}: {:?}",
+                i,
+                t,
+                o,
+                before,
+                step
+            );
+            settled += usize::from(settles);
+        }
+        Ok(settled)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        /// Whenever `settles(t, obs)` holds, `observe(t, obs)` returns
+        /// the same state with no edge, action or gap and leaves the
+        /// snapshot as it was but for `last_t = Some(t)`; and whenever
+        /// `observe` would do only that at an in-order `t`, `settles`
+        /// holds.
+        #[test]
+        fn settles_is_exactly_a_step_that_moves_only_the_clock(
+            run in streams::config_and_stream(true),
+        ) {
+            settles_exactly(run)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1_000_000))]
+
+        /// The CI sweep (`scripts/ci.sh`, release): 1,000,000 streams.
+        #[test]
+        #[ignore]
+        fn settles_is_exactly_a_step_that_moves_only_the_clock_wide(
+            run in streams::config_and_stream(true),
+        ) {
+            settles_exactly(run)?;
+        }
+    }
+
+    #[test]
+    fn the_generated_streams_settle_and_step_both() {
+        let (mut settled, mut total) = (0, 0);
+        for case in 0..200 {
+            let mut rng = proptest::test_runner::TestRng::new(case);
+            let run =
+                proptest::strategy::Strategy::generate(&streams::config_and_stream(true), &mut rng);
+            total += run.1.len();
+            settled += settles_exactly(run).expect("exact");
+        }
+        // Both sides of the predicate must be well exercised for the
+        // property to mean anything.
+        assert!(settled * 5 > total, "{settled} of {total} settled");
+        assert!(settled * 5 < total * 4, "{settled} of {total} settled");
     }
 
     #[test]

@@ -189,6 +189,43 @@ impl OccurrenceRecorder {
         step
     }
 
+    /// Feeds a run of observations in order, drawing each exactly once:
+    /// the same records, detector state and sums as [`Self::observe`] on
+    /// every one. An observation the detector settles
+    /// ([`Detector::settles`]) is credited to the interval sums, held in
+    /// registers for the run with `observe`'s float operations in
+    /// `observe`'s order, and moves the silence clock. Every other one
+    /// goes through `observe`, the sums written back first, and is
+    /// reported to `on_step(t, state_before, &step)`.
+    #[inline]
+    pub fn observe_all(
+        &mut self,
+        observations: impl IntoIterator<Item = (u64, Observation)>,
+        mut on_step: impl FnMut(u64, AvailState, &Step),
+    ) {
+        let (mut cpu_sum, mut mem_sum, mut n) =
+            (self.avail_cpu_sum, self.avail_mem_sum, self.avail_samples);
+        for (t, obs) in observations {
+            if self.detector.settles(t, &obs) {
+                if self.detector.is_available() && obs.alive {
+                    cpu_sum += 1.0 - obs.host_load;
+                    mem_sum += obs.free_mem_mb as f64;
+                    n += 1;
+                }
+                self.detector.skip_to(t);
+            } else {
+                (self.avail_cpu_sum, self.avail_mem_sum, self.avail_samples) =
+                    (cpu_sum, mem_sum, n);
+                let before = self.detector.state();
+                let step = self.observe(t, &obs);
+                on_step(t, before, &step);
+                (cpu_sum, mem_sum, n) =
+                    (self.avail_cpu_sum, self.avail_mem_sum, self.avail_samples);
+            }
+        }
+        (self.avail_cpu_sum, self.avail_mem_sum, self.avail_samples) = (cpu_sum, mem_sum, n);
+    }
+
     /// See [`Detector::harvest_deadline`].
     #[inline]
     pub fn harvest_deadline(&self) -> Option<u64> {
@@ -423,6 +460,96 @@ mod tests {
             }
             proptest::prop_assert!(stepped.is_available());
             proptest::prop_assert_eq!(sums(&bulk), sums(&stepped));
+        }
+    }
+
+    /// A recorder's records and resumable state, every float by its
+    /// bits (a NaN load can reach the sums).
+    fn bits(recorder: &OccurrenceRecorder) -> (Vec<String>, String, (u64, u64, u64)) {
+        let records = recorder
+            .records()
+            .iter()
+            .map(|r| {
+                let cpu = r.avail_cpu.to_bits();
+                format!("{r:?} {cpu:#x}")
+            })
+            .collect();
+        let snap = recorder.snapshot();
+        (records, format!("{:?}", snap.detector), sums(recorder))
+    }
+
+    /// State changes `(t, state)` and occurrence starts of a step.
+    type Trail = (Vec<(u64, AvailState)>, Vec<u64>);
+
+    fn follow(trail: &mut Trail, t: u64, before: AvailState, step: &Step) {
+        if step.state != before {
+            trail.0.push((t, step.state));
+        }
+        for edge in &step.edges {
+            if let EventEdge::Started { at, .. } = *edge {
+                trail.1.push(at);
+            }
+        }
+    }
+
+    /// `observe_all` over `stream` cut into batches of the sizes in
+    /// `cuts` (cycled) equals `observe` on every sample: the same
+    /// records (f64 bits), snapshot, state changes and occurrence
+    /// starts.
+    fn observe_all_equals_observe(
+        (cfg, stream): (DetectorConfig, Vec<(u64, Observation)>),
+        cuts: Vec<usize>,
+    ) -> proptest::test_runner::TestCaseResult {
+        let mut stepped = OccurrenceRecorder::new(1, cfg);
+        let mut per_sample = Trail::default();
+        for &(t, o) in &stream {
+            let before = stepped.state();
+            let step = stepped.observe(t, &o);
+            follow(&mut per_sample, t, before, &step);
+        }
+
+        let mut batched = OccurrenceRecorder::new(1, cfg);
+        let mut all = Trail::default();
+        batched.observe_all([], |_, _, _| unreachable!("an empty batch steps nothing"));
+        let mut rest = &stream[..];
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            batched.observe_all(batch.iter().copied(), |t, before, step| {
+                follow(&mut all, t, before, step)
+            });
+            rest = tail;
+        }
+        proptest::prop_assert_eq!(bits(&batched), bits(&stepped));
+        proptest::prop_assert_eq!(all, per_sample);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn observe_all_equals_observing_every_sample(
+            run in crate::detector::streams::config_and_stream(false),
+            cuts in proptest::collection::vec(1usize..64, 1..8),
+        ) {
+            observe_all_equals_observe(run, cuts)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(250_000))]
+
+        /// The CI sweep (`scripts/ci.sh`, release): 250,000 streams.
+        #[test]
+        #[ignore]
+        fn observe_all_equals_observing_every_sample_wide(
+            run in crate::detector::streams::config_and_stream(false),
+            cuts in proptest::collection::vec(1usize..64, 1..8),
+        ) {
+            observe_all_equals_observe(run, cuts)?;
         }
     }
 

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use fgcs_core::detector::EventEdge;
 use fgcs_core::model::AvailState;
 use fgcs_core::monitor::{Monitor, Observation, ResourceProbe};
 use fgcs_predict::OnlineAvailabilityModel;
@@ -129,9 +130,11 @@ impl MachineState {
         })
     }
 
-    /// Feeds a batch's samples in order. Returns the starts of the
-    /// unavailability occurrences they triggered and the batch's newest
-    /// timestamp (for the online model).
+    /// Feeds a batch's samples in order, stepping the detector only on
+    /// those that can change it (`OccurrenceRecorder::observe_all`).
+    /// Returns the starts of the unavailability occurrences they
+    /// triggered and the batch's newest timestamp, late samples
+    /// included (for the online model).
     fn ingest_samples(
         &mut self,
         cfg: &ServiceConfig,
@@ -139,53 +142,45 @@ impl MachineState {
     ) -> (Vec<u64>, Option<u64>) {
         let mut started = Vec::new();
         let mut max_t = None;
-        for s in samples {
-            started.extend(self.ingest_sample(cfg, &s));
+        let observations = samples.filter_map(|s| {
             max_t = Some(max_t.map_or(s.t, |t: u64| t.max(s.t)));
-        }
-        (started, max_t)
-    }
-
-    /// Feeds one wire sample. Returns the starts of any unavailability
-    /// occurrences this sample triggered.
-    fn ingest_sample(&mut self, cfg: &ServiceConfig, s: &WireSample) -> Vec<u64> {
-        // The detector requires non-decreasing timestamps; late
-        // deliveries are discarded and counted, as in the supervised
-        // testbed tracer.
-        if self.last_t.is_some_and(|lt| s.t < lt) {
-            self.out_of_order += 1;
-            return Vec::new();
-        }
-        self.last_t = Some(s.t);
-
-        let free_mem_mb = cfg.free_for_guest_mb(s.host_resident_mb);
-        let obs = match s.load {
-            SampleLoad::Direct(host_load) => Observation::sampled(s.alive, host_load, free_mem_mb),
-            SampleLoad::Counters { busy, total } => self.monitor.sample(&WireProbe {
-                busy,
-                total,
-                free_mem_mb,
-                alive: s.alive,
-            }),
-        };
-
-        let before = self.recorder.state();
-        let step = self.recorder.observe(s.t, &obs);
-        if step.state != before {
-            self.transitions.push(WireTransition {
-                seq: self.next_seq,
-                at: s.t,
-                state: step.state.code(),
-            });
-            self.next_seq += 1;
-        }
-        step.edges
-            .iter()
-            .filter_map(|e| match *e {
-                fgcs_core::detector::EventEdge::Started { at, .. } => Some(at),
+            // The detector requires non-decreasing timestamps; late
+            // deliveries are discarded and counted, as in the supervised
+            // testbed tracer.
+            if self.last_t.is_some_and(|lt| s.t < lt) {
+                self.out_of_order += 1;
+                return None;
+            }
+            self.last_t = Some(s.t);
+            let free_mem_mb = cfg.free_for_guest_mb(s.host_resident_mb);
+            let obs = match s.load {
+                SampleLoad::Direct(host_load) => {
+                    Observation::sampled(s.alive, host_load, free_mem_mb)
+                }
+                SampleLoad::Counters { busy, total } => self.monitor.sample(&WireProbe {
+                    busy,
+                    total,
+                    free_mem_mb,
+                    alive: s.alive,
+                }),
+            };
+            Some((s.t, obs))
+        });
+        self.recorder.observe_all(observations, |t, before, step| {
+            if step.state != before {
+                self.transitions.push(WireTransition {
+                    seq: self.next_seq,
+                    at: t,
+                    state: step.state.code(),
+                });
+                self.next_seq += 1;
+            }
+            started.extend(step.edges.iter().filter_map(|e| match *e {
+                EventEdge::Started { at, .. } => Some(at),
                 _ => None,
-            })
-            .collect()
+            }));
+        });
+        (started, max_t)
     }
 
     pub(crate) fn state(&self) -> AvailState {
@@ -1149,6 +1144,159 @@ mod tests {
             "strictly increasing seqs: {seqs:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The per-sample pipeline `ingest_samples` must equal: every
+    /// sample through `Monitor` and `OccurrenceRecorder::observe`, one
+    /// at a time.
+    struct PerSample {
+        monitor: Monitor,
+        recorder: OccurrenceRecorder,
+        transitions: Vec<WireTransition>,
+        last_t: Option<u64>,
+        out_of_order: u64,
+    }
+
+    impl PerSample {
+        fn ingest(&mut self, cfg: &ServiceConfig, batch: &[WireSample]) -> (Vec<u64>, Option<u64>) {
+            let recorder = &mut self.recorder;
+            let (mut started, mut max_t) = (Vec::new(), None);
+            for s in batch {
+                max_t = max_t.max(Some(s.t));
+                if self.last_t.is_some_and(|lt| s.t < lt) {
+                    self.out_of_order += 1;
+                    continue;
+                }
+                self.last_t = Some(s.t);
+                let free_mem_mb = cfg.free_for_guest_mb(s.host_resident_mb);
+                let obs = match s.load {
+                    SampleLoad::Direct(load) => Observation::sampled(s.alive, load, free_mem_mb),
+                    SampleLoad::Counters { busy, total } => self.monitor.sample(&WireProbe {
+                        busy,
+                        total,
+                        free_mem_mb,
+                        alive: s.alive,
+                    }),
+                };
+                let before = recorder.state();
+                let step = recorder.observe(s.t, &obs);
+                if step.state != before {
+                    self.transitions.push(WireTransition {
+                        seq: self.transitions.len() as u64 + 1,
+                        at: s.t,
+                        state: step.state.code(),
+                    });
+                }
+                for edge in &step.edges {
+                    if let EventEdge::Started { at, .. } = *edge {
+                        started.push(at);
+                    }
+                }
+            }
+            (started, max_t)
+        }
+    }
+
+    /// A machine's stream in runs of idle, busy, spiking, memory-short
+    /// and dead samples, as direct loads and as cumulative counters
+    /// (with counter resets and busy outrunning total), with repeated
+    /// and late timestamps.
+    fn mixed_stream(rng: &mut proptest::test_runner::TestRng, n: usize) -> Vec<WireSample> {
+        let (mut t, mut busy, mut total) = (1_000u64, 0u64, 0u64);
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let kind = rng.next_u64() % 5;
+            for _ in 0..1 + rng.next_u64() % 80 {
+                t = match rng.next_u64() % 40 {
+                    0 => t.saturating_sub(1 + rng.next_u64() % 100),
+                    1 => t,
+                    _ => t + 15,
+                };
+                let load = match kind {
+                    0 | 3 => 0.15 * rng.next_f64(),
+                    1 => 0.2 + 0.4 * rng.next_f64(),
+                    _ => 0.61 + 0.39 * rng.next_f64(),
+                };
+                let load = if rng.next_u64().is_multiple_of(2) {
+                    SampleLoad::Direct(load)
+                } else {
+                    match rng.next_u64() % 30 {
+                        0 => (busy, total) = (0, 0),
+                        1 => busy += 3_000,
+                        _ => {
+                            total += 1_500;
+                            busy += (load * 1_500.0) as u64;
+                        }
+                    }
+                    SampleLoad::Counters { busy, total }
+                };
+                out.push(WireSample {
+                    t,
+                    load,
+                    host_resident_mb: if kind == 3 { 1_000 } else { 200 },
+                    alive: kind != 4,
+                });
+            }
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn ingest_samples_equals_the_per_sample_pipeline() {
+        let cfg = ServiceConfig::default();
+        for seed in 0..40 {
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let stream = mixed_stream(&mut rng, 3_000);
+            let mut m = MachineState::new(7, &cfg);
+            let mut reference = PerSample {
+                monitor: Monitor::new(),
+                recorder: OccurrenceRecorder::new(7, cfg.detector),
+                transitions: Vec::new(),
+                last_t: None,
+                out_of_order: 0,
+            };
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                let (batch, tail) =
+                    rest.split_at((1 + rng.next_u64() % 160).min(rest.len() as u64) as usize);
+                rest = tail;
+                let got = m.ingest_samples(&cfg, batch.iter().copied());
+                assert_eq!(got, reference.ingest(&cfg, batch), "seed {seed}");
+            }
+            // A batch that arrives wholly late still moves the online
+            // model's clock to its newest timestamp.
+            let late: Vec<WireSample> = stream[..50].to_vec();
+            let got = m.ingest_samples(&cfg, late.iter().copied());
+            assert_eq!(got, reference.ingest(&cfg, &late), "seed {seed}");
+            assert_eq!(got.1, late.iter().map(|s| s.t).max());
+
+            let recorder = &reference.recorder;
+            let bits = |r: &[TraceRecord]| -> Vec<(String, u64)> {
+                r.iter()
+                    .map(|r| (format!("{r:?}"), r.avail_cpu.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(m.records()), bits(recorder.records()), "seed {seed}");
+            let (a, b) = (m.recorder.snapshot(), recorder.snapshot());
+            assert_eq!(a.detector, b.detector, "seed {seed}");
+            assert_eq!(a.avail_cpu_sum.to_bits(), b.avail_cpu_sum.to_bits());
+            assert_eq!(a.avail_mem_sum.to_bits(), b.avail_mem_sum.to_bits());
+            assert_eq!(a.avail_samples, b.avail_samples);
+            assert_eq!(m.transitions(), reference.transitions, "seed {seed}");
+            assert_eq!(m.next_seq, reference.transitions.len() as u64 + 1);
+            assert_eq!(m.monitor.snapshot(), reference.monitor.snapshot());
+            assert!(reference.monitor.reset_count() > 0, "counter resets");
+            assert!(reference.out_of_order > 50, "late samples");
+            assert_eq!(
+                (m.last_t, m.out_of_order),
+                (reference.last_t, reference.out_of_order)
+            );
+            assert!(
+                m.records().len() > 3,
+                "seed {seed}: the stream must open occurrences"
+            );
+        }
     }
 
     #[test]

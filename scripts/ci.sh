@@ -37,6 +37,17 @@ echo "== failover election property (release) =="
 cargo test --release -q -p fgcs-service --lib -- --ignored --exact \
     repl::tests::election_never_puts_two_primaries_in_one_epoch_wide
 
+echo "== settled-sample properties (release) =="
+# Detector::settles holds exactly when observe would move only the
+# silence clock, and OccurrenceRecorder::observe_all equals observe on
+# every sample, over random streams of every sample kind. A failing
+# case prints its seed. The two run side by side:
+# the detector's, 1,000,000 streams: ~4.1 s on 2 vCPUs;
+# the recorder's, 250,000 streams in random batches: ~3.2 s on 2 vCPUs.
+cargo test --release -q -p fgcs-core --lib -- --ignored --exact \
+    detector::tests::settles_is_exactly_a_step_that_moves_only_the_clock_wide \
+    events::tests::observe_all_equals_observing_every_sample_wide
+
 echo "== replication long-poll: batch rule, park-aware frame driver, replication e2e (release) =="
 # The batching rule's table; the cross-loop wake (one signal per
 # batch, an append between a pull's check and its park still seen);
